@@ -38,8 +38,7 @@
 // reader-writer locks; with mvcc=on SELECTs run lock-free against a
 // pinned snapshot and DML commits optimistically with first-writer-wins
 // conflict detection and transparent retry — readers never block
-// writers. cmd/experiments -exp mvcc sweeps the engine modes, and
-// cmd/bench persists the benchmark artifact CI uploads on every PR.
+// writers. cmd/experiments -exp mvcc sweeps the engine modes.
 //
 // Scaling past one server, internal/cluster puts a consistent-hash
 // load balancer — itself a variant.Instance built on the stage runtime

@@ -159,12 +159,18 @@ type updateStmt struct {
 	Cols  []string
 	Vals  []operand
 	Where boolExpr // may be nil
+
+	// plan is the compiled read phase, set at prepare time like
+	// selectStmt.plan.
+	plan *dmlPlan
 }
 
 // deleteStmt is a parsed DELETE.
 type deleteStmt struct {
 	Table string
 	Where boolExpr // may be nil
+
+	plan *dmlPlan // see updateStmt.plan
 }
 
 func (*selectStmt) isStmt()  {}

@@ -3,12 +3,17 @@ package sqldb
 import "fmt"
 
 // This file compiles WHERE trees into closures with column positions
-// resolved once per statement execution, and splits top-level AND
-// conjuncts by the deepest join binding they reference so the executor
-// can apply each predicate as early as possible during nested-loop
-// enumeration (predicate pushdown). Without this, a query like the TPC-W
-// new-products listing would join the author table for all ten thousand
-// item rows before discarding 96% of them on the subject filter.
+// resolved once, when the statement is prepared (the closures read only
+// the row and the execution's arguments, so a cached plan shares them
+// between executions), and splits top-level AND conjuncts by the deepest
+// join binding they reference so the executor can apply each predicate
+// as early as possible during nested-loop enumeration (predicate
+// pushdown). Without this, a query like the TPC-W new-products listing
+// would join the author table for all ten thousand item rows before
+// discarding 96% of them on the subject filter.
+
+// operandFn evaluates a compiled operand against the combined row.
+type operandFn func(rows [][]Value, ec *execCtx) (Value, error)
 
 // compiledPred is a WHERE conjunct ready for per-row evaluation.
 type compiledPred struct {
@@ -55,7 +60,7 @@ func compileBool(e boolExpr, bindings []binding) (compiledPred, error) {
 			return compiledPred{}, err
 		}
 		return compiledPred{
-			depth: maxInt(l.depth, r.depth),
+			depth: max(l.depth, r.depth),
 			eval: func(rows [][]Value, ec *execCtx) (bool, error) {
 				ok, err := l.eval(rows, ec)
 				if err != nil || !ok {
@@ -74,7 +79,7 @@ func compileBool(e boolExpr, bindings []binding) (compiledPred, error) {
 			return compiledPred{}, err
 		}
 		return compiledPred{
-			depth: maxInt(l.depth, r.depth),
+			depth: max(l.depth, r.depth),
 			eval: func(rows [][]Value, ec *execCtx) (bool, error) {
 				ok, err := l.eval(rows, ec)
 				if err != nil || ok {
@@ -106,7 +111,7 @@ func compileBool(e boolExpr, bindings []binding) (compiledPred, error) {
 		}
 		op := t.Op
 		return compiledPred{
-			depth: maxInt(bi, rhsDepth),
+			depth: max(bi, rhsDepth),
 			eval: func(rows [][]Value, ec *execCtx) (bool, error) {
 				lhs := rows[bi][ci]
 				rv, err := rhs(rows, ec)
@@ -149,7 +154,7 @@ func compileBool(e boolExpr, bindings []binding) (compiledPred, error) {
 		}
 		neg := t.Neg
 		return compiledPred{
-			depth: maxInt(bi, rhsDepth),
+			depth: max(bi, rhsDepth),
 			eval: func(rows [][]Value, ec *execCtx) (bool, error) {
 				s, ok1 := rows[bi][ci].(string)
 				rv, err := rhs(rows, ec)
@@ -173,14 +178,14 @@ func compileBool(e boolExpr, bindings []binding) (compiledPred, error) {
 			return compiledPred{}, err
 		}
 		depth := bi
-		evals := make([]func([][]Value, *execCtx) (Value, error), len(t.Set))
+		evals := make([]operandFn, len(t.Set))
 		for i, op := range t.Set {
 			fn, d, err := compileOperand(op, bindings)
 			if err != nil {
 				return compiledPred{}, err
 			}
 			evals[i] = fn
-			depth = maxInt(depth, d)
+			depth = max(depth, d)
 		}
 		neg := t.Neg
 		return compiledPred{
@@ -222,7 +227,7 @@ func compileBool(e boolExpr, bindings []binding) (compiledPred, error) {
 
 // compileOperand compiles a literal, placeholder, or column reference to
 // a value closure plus the deepest binding it references.
-func compileOperand(op operand, bindings []binding) (func([][]Value, *execCtx) (Value, error), int, error) {
+func compileOperand(op operand, bindings []binding) (operandFn, int, error) {
 	switch {
 	case op.IsLit:
 		v := op.Lit
@@ -244,11 +249,4 @@ func compileOperand(op operand, bindings []binding) (func([][]Value, *execCtx) (
 			return rows[bi][ci], nil
 		}, bi, nil
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -223,8 +223,23 @@ func (db *DB) finishCommit(ec *execCtx, ts int64) {
 	db.fireApply(ec)
 }
 
-// pinSnapshot registers an active reader at ts, holding version pruning
-// at or below it.
+// pinCurrent registers an active reader at the current commit timestamp
+// and returns it. The timestamp is read and pinned in one snapMu
+// critical section, and pruneHorizon reads commitTS under the same lock:
+// loading commitTS first and pinning afterwards would let a commit in
+// between compute a horizon above the still-unpinned timestamp and cut
+// the very version the reader needs.
+func (db *DB) pinCurrent() int64 {
+	db.snapMu.Lock()
+	ts := db.commitTS.Load()
+	db.snapCount[ts]++
+	db.snapMu.Unlock()
+	return ts
+}
+
+// pinSnapshot registers an active reader at an explicit ts, holding
+// version pruning at or below it. Versions already pruned below ts stay
+// gone (see Snapshot).
 func (db *DB) pinSnapshot(ts int64) {
 	db.snapMu.Lock()
 	db.snapCount[ts]++
@@ -247,8 +262,8 @@ func (db *DB) unpinSnapshot(ts int64) {
 // timestamp when nothing is pinned. Versions strictly older than the
 // newest version at or below the horizon are unreachable.
 func (db *DB) pruneHorizon() int64 {
-	min := db.commitTS.Load()
 	db.snapMu.Lock()
+	min := db.commitTS.Load()
 	for ts := range db.snapCount {
 		if ts < min {
 			min = ts
@@ -345,6 +360,8 @@ func (db *DB) lookupTable(name string) (*table, error) {
 // cache. Cached entries are keyed by the index epoch they were planned
 // under: a CreateIndex bumps the epoch, so the next execution of a
 // cached statement replans instead of running a stale access path.
+// Planning compiles everything argument-independent (see selectPlan and
+// dmlPlan), so a cache hit goes straight to execution.
 func (db *DB) prepare(sql string) (stmt, error) {
 	epoch := db.idxEpoch.Load()
 	if s, ok := db.stmts.get(sql, epoch); ok {
@@ -361,6 +378,14 @@ func (db *DB) prepare(sql string) (stmt, error) {
 		}
 	case *explainStmt:
 		if t.Sel.plan, err = db.planSelect(t.Sel); err != nil {
+			return nil, err
+		}
+	case *updateStmt:
+		if t.plan, err = db.planDML(t.Table, t.Where, t.Cols, t.Vals); err != nil {
+			return nil, err
+		}
+	case *deleteStmt:
+		if t.plan, err = db.planDML(t.Table, t.Where, nil, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -521,9 +546,9 @@ func (c *Conn) Exec(sql string, args ...any) (ExecResult, error) {
 		case *insertStmt:
 			res, err = c.db.execInsert(t, ec)
 		case *updateStmt:
-			res, err = c.db.execUpdate(t, ec)
+			res, err = c.db.execWrite(t.plan, t.Cols, ec)
 		case *deleteStmt:
-			res, err = c.db.execDelete(t, ec)
+			res, err = c.db.execWrite(t.plan, nil, ec)
 		default:
 			return ExecResult{}, fmt.Errorf("sqldb: Exec requires INSERT/UPDATE/DELETE, got %q", sql)
 		}
@@ -535,18 +560,25 @@ func (c *Conn) Exec(sql string, args ...any) (ExecResult, error) {
 }
 
 func newExecCtx(args []any) (*execCtx, error) {
-	vals := make([]Value, len(args))
+	ec := &execCtx{}
+	if len(args) <= len(ec.argBuf) {
+		ec.args = ec.argBuf[:len(args)]
+	} else {
+		ec.args = make([]Value, len(args))
+	}
 	for i, a := range args {
 		v, err := normalize(a)
 		if err != nil {
 			return nil, fmt.Errorf("sqldb: argument %d: %w", i+1, err)
 		}
-		vals[i] = v
+		ec.args[i] = v
 	}
-	return &execCtx{args: vals}, nil
+	return ec, nil
 }
 
-// ResultSet is a fully materialized query result.
+// ResultSet is a fully materialized query result. Columns is shared
+// with the cached statement's plan and with every other result of the
+// same statement: read it, do not modify it. Rows belong to the caller.
 type ResultSet struct {
 	Columns []string
 	Rows    [][]Value

@@ -20,17 +20,36 @@
 // Query processing is split into a plan layer and an exec layer:
 //
 //   - lexer.go / parser.go / ast.go parse SQL into an AST once per
-//     statement text (compile.go + stmtcache.go cache the result).
+//     statement text; stmtcache.go caches the parsed and planned
+//     statement, keyed by the index epoch.
 //   - plan.go is the planner: it turns a selectStmt into a logical plan
 //     and chooses a physical access path per table — full scan,
 //     primary-key lookup, hash-index point lookup, ordered-index range
 //     or order walk, or index-nested-loop join — by pricing each
 //     candidate with the CostModel and keeping the cheapest (an index
-//     path wins a cost tie). EXPLAIN renders the chosen plan.
-//   - operators.go + exec.go are the executor: composable operators
-//     that run the chosen access paths, re-checking every predicate
-//     against the row version actually visible to the statement, so
-//     index entries only ever have to be stale-tolerant hints.
+//     path wins a cost tie). EXPLAIN renders the chosen plan. The plan
+//     also carries everything else that does not depend on the
+//     arguments, compiled once: resolved tables and lock order, the
+//     WHERE conjuncts as closures split by join depth (compile.go),
+//     output names and column positions ('*' expanded), ORDER BY /
+//     GROUP BY / aggregate-argument positions. UPDATE and DELETE get a
+//     dmlPlan of the same kind (exec.go). Per execution only the
+//     argument vector, the table views and the lock or pin remain.
+//   - operators.go + exec.go are the executor. A SELECT is one streaming
+//     pass: access path, joins with predicate pushdown, and a sink that
+//     receives every matched combination in a reused slice and copies
+//     only what it keeps — project (rows straight into the result),
+//     aggregate (group state updated in place), or ordered (Sort+Limit
+//     as a bounded stable top-K: a max-heap of LIMIT+OFFSET rows on
+//     (sort keys, arrival number); the arrival number makes the order
+//     total, so the result equals a stable sort of everything followed
+//     by the slice, ties included). Probes allocate nothing. Every
+//     predicate is re-checked against the row version actually visible
+//     to the statement, so index entries only ever have to be
+//     stale-tolerant hints. The cost counters a statement accumulates
+//     are those of the materialising executor this replaced, statement
+//     for statement — sorted counts every matched row, whatever the
+//     heap compared.
 //   - index.go maintains the secondary indexes (hash for equality,
 //     ordered copy-on-write slabs for ranges and ordering)
 //     transactionally under both engines; CreateIndex bumps the

@@ -2,24 +2,17 @@ package sqldb
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
 
-// binding is one table instance participating in a SELECT (FROM or JOIN),
-// addressed by its alias. view is the snapshot the statement reads the
-// table at: the latest state in lock mode (where the table lock
-// serializes access), a fixed commit timestamp under MVCC.
+// binding is one table instance participating in a statement (FROM or
+// JOIN), addressed by its alias. Bindings are resolved once, at prepare
+// time; the snapshot a statement reads each table at is a tableView
+// taken per execution.
 type binding struct {
-	ref  tableRef
-	tbl  *table
-	view tableView
-}
-
-// bindViews captures a read view of every binding at ts.
-func bindViews(bindings []binding, ts int64) {
-	for i := range bindings {
-		bindings[i].view = bindings[i].tbl.view(ts)
-	}
+	ref tableRef
+	tbl *table
 }
 
 // execCtx carries per-statement state.
@@ -28,6 +21,9 @@ type execCtx struct {
 	cost costCounter
 	// sql is the original statement text, kept for the DML apply hook.
 	sql string
+	// argBuf backs args for the usual short argument list, so the context
+	// and its arguments are one allocation.
+	argBuf [4]Value
 }
 
 // resolveBindings maps the FROM/JOIN clauses onto tables.
@@ -51,6 +47,20 @@ func (db *DB) resolveBindings(s *selectStmt) ([]binding, error) {
 		bindings[i] = binding{ref: ref, tbl: tbl}
 	}
 	return bindings, nil
+}
+
+// lockSet lists the distinct tables among the bindings in name order: a
+// canonical order prevents deadlock between concurrent multi-table
+// statements.
+func lockSet(bindings []binding) []*table {
+	var set []*table
+	for _, b := range bindings {
+		if !slices.Contains(set, b.tbl) {
+			set = append(set, b.tbl)
+		}
+	}
+	slices.SortFunc(set, func(a, b *table) int { return strings.Compare(a.schema.Table, b.schema.Table) })
+	return set
 }
 
 // resolveCol locates a column reference among the bindings.
@@ -83,9 +93,10 @@ func resolveCol(bindings []binding, ref colRef) (bindIdx, colIdx int, err error)
 	return found, colIdx, nil
 }
 
-// operandValue evaluates an operand against the current combined row
-// (rows may be nil for row-independent evaluation).
-func operandValue(op operand, bindings []binding, rows [][]Value, ec *execCtx) (Value, error) {
+// constOperand evaluates a row-independent operand: a literal or a
+// placeholder. Column references are an error here; operands that may
+// name a column are compiled (compileOperand).
+func constOperand(op operand, ec *execCtx) (Value, error) {
 	switch {
 	case op.IsLit:
 		return op.Lit, nil
@@ -95,117 +106,7 @@ func operandValue(op operand, bindings []binding, rows [][]Value, ec *execCtx) (
 		}
 		return ec.args[op.Placeholder], nil
 	default:
-		if rows == nil {
-			return nil, fmt.Errorf("sqldb: column %s in row-independent position", op.Col)
-		}
-		bi, ci, err := resolveCol(bindings, op.Col)
-		if err != nil {
-			return nil, err
-		}
-		return rows[bi][ci], nil
-	}
-}
-
-// evalBool evaluates a WHERE tree against the combined row.
-func evalBool(e boolExpr, bindings []binding, rows [][]Value, ec *execCtx) (bool, error) {
-	switch t := e.(type) {
-	case andExpr:
-		l, err := evalBool(t.L, bindings, rows, ec)
-		if err != nil || !l {
-			return false, err
-		}
-		return evalBool(t.R, bindings, rows, ec)
-	case orExpr:
-		l, err := evalBool(t.L, bindings, rows, ec)
-		if err != nil || l {
-			return l, err
-		}
-		return evalBool(t.R, bindings, rows, ec)
-	case notExpr:
-		v, err := evalBool(t.E, bindings, rows, ec)
-		return !v, err
-	case cmpExpr:
-		bi, ci, err := resolveCol(bindings, t.Col)
-		if err != nil {
-			return false, err
-		}
-		lhs := rows[bi][ci]
-		rhs, err := operandValue(t.Rhs, bindings, rows, ec)
-		if err != nil {
-			return false, err
-		}
-		if lhs == nil || rhs == nil {
-			// SQL three-valued logic degraded to false, except
-			// equality-with-null which is still false.
-			return false, nil
-		}
-		c, err := compare(lhs, rhs)
-		if err != nil {
-			return false, err
-		}
-		switch t.Op {
-		case "=":
-			return c == 0, nil
-		case "!=":
-			return c != 0, nil
-		case "<":
-			return c < 0, nil
-		case "<=":
-			return c <= 0, nil
-		case ">":
-			return c > 0, nil
-		case ">=":
-			return c >= 0, nil
-		default:
-			return false, fmt.Errorf("sqldb: unknown operator %q", t.Op)
-		}
-	case likeExpr:
-		bi, ci, err := resolveCol(bindings, t.Col)
-		if err != nil {
-			return false, err
-		}
-		rhs, err := operandValue(t.Rhs, bindings, rows, ec)
-		if err != nil {
-			return false, err
-		}
-		s, ok1 := rows[bi][ci].(string)
-		pat, ok2 := rhs.(string)
-		if !ok1 || !ok2 {
-			return false, nil
-		}
-		m := likeMatch(s, pat)
-		if t.Neg {
-			m = !m
-		}
-		return m, nil
-	case inExpr:
-		bi, ci, err := resolveCol(bindings, t.Col)
-		if err != nil {
-			return false, err
-		}
-		lhs := rows[bi][ci]
-		for _, op := range t.Set {
-			rhs, err := operandValue(op, bindings, rows, ec)
-			if err != nil {
-				return false, err
-			}
-			if valuesEqual(lhs, rhs) {
-				return !t.Neg, nil
-			}
-		}
-		return t.Neg, nil
-	case nullExpr:
-		bi, ci, err := resolveCol(bindings, t.Col)
-		if err != nil {
-			return false, err
-		}
-		isNull := rows[bi][ci] == nil
-		if t.Neg {
-			return !isNull, nil
-		}
-		return isNull, nil
-	default:
-		return false, fmt.Errorf("sqldb: unknown boolean expression %T", e)
+		return nil, fmt.Errorf("sqldb: column %s in row-independent position", op.Col)
 	}
 }
 
@@ -243,7 +144,7 @@ func (db *DB) execInsert(s *insertStmt, ec *execCtx) (ExecResult, error) {
 		if ci < 0 {
 			return ExecResult{}, fmt.Errorf("sqldb: table %q has no column %q", s.Table, col)
 		}
-		v, err := operandValue(s.Values[i], nil, nil, ec)
+		v, err := constOperand(s.Values[i], ec)
 		if err != nil {
 			return ExecResult{}, err
 		}
@@ -296,29 +197,118 @@ func (db *DB) commitInsert(tbl *table, row []Value, ec *execCtx) (ExecResult, er
 	return res, nil
 }
 
-func (db *DB) execUpdate(s *updateStmt, ec *execCtx) (ExecResult, error) {
-	tbl, err := db.lookupTable(s.Table)
+// dmlPlan is what a cached UPDATE or DELETE carries from prepare time:
+// the table, the WHERE clause compiled to closures, the candidate access
+// paths the WHERE admits, and (UPDATE) the SET columns and their
+// compiled value expressions. The candidates are ranked against the full
+// scan on every execution (cheapestPath, allocation-free) rather than
+// once: DML statements are first prepared against near-empty tables
+// (shopping_cart_line), where the scan wins, and a path frozen then
+// would scan, and be charged as a scan, forever after.
+type dmlPlan struct {
+	tbl     *table
+	cands   []accessPath
+	preds   []compiledPred
+	setCols []int
+	setVals []operandFn
+}
+
+// planDML compiles the read phase of an UPDATE (cols/vals set) or
+// DELETE (both nil) on one table.
+func (db *DB) planDML(table string, where boolExpr, cols []string, vals []operand) (*dmlPlan, error) {
+	tbl, err := db.lookupTable(table)
 	if err != nil {
-		return ExecResult{}, err
+		return nil, err
 	}
-	cols := make([]int, len(s.Cols))
-	for i, col := range s.Cols {
+	bindings := []binding{{ref: tableRef{Table: table}, tbl: tbl}}
+	preds, err := compileWhere(where, bindings)
+	if err != nil {
+		return nil, err
+	}
+	p := &dmlPlan{tbl: tbl, cands: predPaths(where, bindings), preds: preds[0]}
+	for i, col := range cols {
 		ci := tbl.schema.colIndex(col)
 		if ci < 0 {
-			return ExecResult{}, fmt.Errorf("sqldb: table %q has no column %q", s.Table, col)
+			return nil, fmt.Errorf("sqldb: table %q has no column %q", table, col)
 		}
-		cols[i] = ci
+		fn, _, err := compileOperand(vals[i], bindings)
+		if err != nil {
+			return nil, err
+		}
+		p.setCols = append(p.setCols, ci)
+		p.setVals = append(p.setVals, fn)
 	}
+	return p, nil
+}
+
+// dmlRun is one execution of a DML read phase: it visits the access
+// path's candidate rows, re-checks the WHERE against each visible row,
+// and collects the statement's write set.
+type dmlRun struct {
+	plan    *dmlPlan
+	set     []string // UPDATE column names, for diagnostics; nil for DELETE
+	ec      *execCtx
+	rows    [1][]Value
+	probes  []int // scratch for ordered-index equality probes
+	updates []rowWrite
+	deletes []int
+}
+
+// readPhase runs the statement's read phase against view.
+func (db *DB) readPhase(p *dmlPlan, set []string, view tableView, ec *execCtx) (*dmlRun, error) {
+	r := &dmlRun{plan: p, set: set, ec: ec}
+	err := db.drive(db.cheapestPath(p.tbl, p.cands), view, ec, &r.probes, r)
+	return r, err
+}
+
+func (r *dmlRun) visit(id int, row []Value) error {
+	r.rows[0] = row
+	rows := r.rows[:]
+	for _, pred := range r.plan.preds {
+		ok, err := pred.eval(rows, r.ec)
+		if err != nil || !ok {
+			return err
+		}
+	}
+	if r.set == nil {
+		r.deletes = append(r.deletes, id)
+		return nil
+	}
+	// Evaluate the SET expressions against the snapshot row and build the
+	// full replacement row.
+	tbl := r.plan.tbl
+	newRow := append([]Value(nil), row...)
+	for i, fn := range r.plan.setVals {
+		v, err := fn(rows, r.ec)
+		if err != nil {
+			return err
+		}
+		nv, err := normalize(v)
+		if err != nil {
+			return err
+		}
+		col := tbl.schema.Columns[r.plan.setCols[i]]
+		if !col.Type.accepts(nv) {
+			return fmt.Errorf("sqldb: column %s.%s (%s) rejects %T", tbl.schema.Table, r.set[i], col.Type, nv)
+		}
+		newRow[r.plan.setCols[i]] = nv
+	}
+	r.updates = append(r.updates, rowWrite{id: id, row: newRow})
+	return nil
+}
+
+// execWrite runs an UPDATE (set names the SET columns) or DELETE (nil):
+// read phase against a snapshot view, then one atomic commit.
+func (db *DB) execWrite(p *dmlPlan, set []string, ec *execCtx) (ExecResult, error) {
+	tbl := p.tbl
 	if db.mvcc.Load() {
-		snapTS := db.commitTS.Load()
-		db.pinSnapshot(snapTS)
+		snapTS := db.pinCurrent()
 		defer db.unpinSnapshot(snapTS)
-		b := binding{ref: tableRef{Table: s.Table}, tbl: tbl, view: tbl.view(snapTS)}
-		writes, err := db.collectUpdates(s, b, cols, ec)
+		r, err := db.readPhase(p, set, tbl.view(snapTS), ec)
 		if err != nil {
 			return ExecResult{}, err
 		}
-		res, err := db.commitWrites(tbl, snapTS, writes, nil, ec, true)
+		res, err := db.commitWrites(tbl, snapTS, r.updates, r.deletes, ec, true)
 		if err != nil {
 			return ExecResult{}, err
 		}
@@ -328,120 +318,14 @@ func (db *DB) execUpdate(s *updateStmt, ec *execCtx) (ExecResult, error) {
 	tbl.lock.Lock()
 	defer tbl.lock.Unlock()
 	// Lock engine only: sleeping the statement's cost under the table
-	// lock IS the paper's baseline contention model. The MVCC paths
-	// above charge outside every lock, and locksleep keeps them that way.
+	// lock IS the paper's baseline contention model. The MVCC path
+	// above charges outside every lock, and locksleep keeps it that way.
 	defer db.chargeCost(ec) //lint:allow locksleep(lock-engine charges under the table lock by design)
-	b := binding{ref: tableRef{Table: s.Table}, tbl: tbl, view: tbl.view(latestTS)}
-	writes, err := db.collectUpdates(s, b, cols, ec)
+	r, err := db.readPhase(p, set, tbl.view(latestTS), ec)
 	if err != nil {
 		return ExecResult{}, err
 	}
-	return db.commitWrites(tbl, 0, writes, nil, ec, false)
-}
-
-// collectUpdates runs an UPDATE's read phase: find matching rows in the
-// view, evaluate the SET expressions against the snapshot row, and
-// build the full replacement rows.
-func (db *DB) collectUpdates(s *updateStmt, b binding, cols []int, ec *execCtx) ([]rowWrite, error) {
-	bindings := []binding{b}
-	tbl := b.tbl
-	ids := db.candidateRows(s.Where, bindings, b, ec)
-	rows := make([][]Value, 1)
-	var writes []rowWrite
-	for _, id := range ids {
-		rows[0] = b.view.row(id)
-		if rows[0] == nil {
-			continue
-		}
-		if s.Where != nil {
-			ok, err := evalBool(s.Where, bindings, rows, ec)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		newRow := append([]Value(nil), rows[0]...)
-		for i, op := range s.Vals {
-			v, err := operandValue(op, bindings, rows, ec)
-			if err != nil {
-				return nil, err
-			}
-			nv, err := normalize(v)
-			if err != nil {
-				return nil, err
-			}
-			if !tbl.schema.Columns[cols[i]].Type.accepts(nv) {
-				return nil, fmt.Errorf("sqldb: column %s.%s (%s) rejects %T",
-					tbl.schema.Table, s.Cols[i], tbl.schema.Columns[cols[i]].Type, nv)
-			}
-			newRow[cols[i]] = nv
-		}
-		writes = append(writes, rowWrite{id: id, row: newRow})
-	}
-	return writes, nil
-}
-
-func (db *DB) execDelete(s *deleteStmt, ec *execCtx) (ExecResult, error) {
-	tbl, err := db.lookupTable(s.Table)
-	if err != nil {
-		return ExecResult{}, err
-	}
-	if db.mvcc.Load() {
-		snapTS := db.commitTS.Load()
-		db.pinSnapshot(snapTS)
-		defer db.unpinSnapshot(snapTS)
-		b := binding{ref: tableRef{Table: s.Table}, tbl: tbl, view: tbl.view(snapTS)}
-		deletes, err := db.collectDeletes(s, b, ec)
-		if err != nil {
-			return ExecResult{}, err
-		}
-		res, err := db.commitWrites(tbl, snapTS, nil, deletes, ec, true)
-		if err != nil {
-			return ExecResult{}, err
-		}
-		db.chargeCost(ec) // outside every lock
-		return res, nil
-	}
-	tbl.lock.Lock()
-	defer tbl.lock.Unlock()
-	// Lock engine only: sleeping the statement's cost under the table
-	// lock IS the paper's baseline contention model. The MVCC paths
-	// above charge outside every lock, and locksleep keeps them that way.
-	defer db.chargeCost(ec) //lint:allow locksleep(lock-engine charges under the table lock by design)
-	b := binding{ref: tableRef{Table: s.Table}, tbl: tbl, view: tbl.view(latestTS)}
-	deletes, err := db.collectDeletes(s, b, ec)
-	if err != nil {
-		return ExecResult{}, err
-	}
-	return db.commitWrites(tbl, 0, nil, deletes, ec, false)
-}
-
-// collectDeletes runs a DELETE's read phase: the slot ids of matching
-// visible rows.
-func (db *DB) collectDeletes(s *deleteStmt, b binding, ec *execCtx) ([]int, error) {
-	bindings := []binding{b}
-	ids := db.candidateRows(s.Where, bindings, b, ec)
-	rows := make([][]Value, 1)
-	var deletes []int
-	for _, id := range ids {
-		rows[0] = b.view.row(id)
-		if rows[0] == nil {
-			continue
-		}
-		if s.Where != nil {
-			ok, err := evalBool(s.Where, bindings, rows, ec)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		deletes = append(deletes, id)
-	}
-	return deletes, nil
+	return db.commitWrites(tbl, 0, r.updates, r.deletes, ec, false)
 }
 
 // commitWrites validates and installs an UPDATE/DELETE write set as one
@@ -476,6 +360,7 @@ func (db *DB) commitWrites(tbl *table, snapTS int64, updates []rowWrite, deletes
 	}
 	ts := db.commitTS.Load() + 1
 	horizon := db.pruneHorizon()
+	tbl.reapTombstones(horizon)
 	for _, w := range updates {
 		tbl.applyUpdate(w.id, w.row, ts, horizon)
 		ec.cost.written++
@@ -486,35 +371,4 @@ func (db *DB) commitWrites(tbl *table, snapTS int64, updates []rowWrite, deletes
 	}
 	db.finishCommit(ec, ts)
 	return ExecResult{RowsAffected: int64(len(updates) + len(deletes)), CommitTS: ts}, nil
-}
-
-// lockTables read- or write-locks every distinct table among the
-// bindings in name order (a canonical order prevents deadlock between
-// concurrent multi-table statements) and returns the unlock function.
-func (db *DB) lockTables(bindings []binding, write bool) func() {
-	uniq := make(map[string]*table, len(bindings))
-	for _, b := range bindings {
-		uniq[b.tbl.schema.Table] = b.tbl
-	}
-	names := make([]string, 0, len(uniq))
-	for n := range uniq {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if write {
-			uniq[n].lock.Lock()
-		} else {
-			uniq[n].lock.RLock()
-		}
-	}
-	return func() {
-		for i := len(names) - 1; i >= 0; i-- {
-			if write {
-				uniq[names[i]].lock.Unlock()
-			} else {
-				uniq[names[i]].lock.RUnlock()
-			}
-		}
-	}
 }

@@ -156,9 +156,10 @@ func upperBound(s []idxEntry, v Value, excl bool) int {
 	})
 }
 
-// eq returns the slot hints whose entry value equals v, plus the number
-// of entries visited (for honest probe pricing).
-func (st *orderedState) eq(v Value) (ids []int, visited int) {
+// eq appends the slot hints whose entry value equals v to ids and
+// returns them, plus the number of entries visited (for honest probe
+// pricing).
+func (st *orderedState) eq(v Value, ids []int) (_ []int, visited int) {
 	lo, hi := lowerBound(st.base, v, false), upperBound(st.base, v, false)
 	for _, e := range st.base[lo:hi] {
 		ids = append(ids, e.id)

@@ -246,7 +246,8 @@ func TestLookupIndexStableSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	view := tbl.view(db.CommitTS())
-	ids, _, ok := view.lookupIndex("h_group", int64(1))
+	var buf []int
+	ids, _, ok := view.lookupIndex("h_group", int64(1), &buf)
 	if !ok || len(ids) != 64 {
 		t.Fatalf("bucket = %d ids, ok=%v; want 64", len(ids), ok)
 	}
@@ -278,6 +279,107 @@ func TestLookupIndexStableSnapshot(t *testing.T) {
 
 // TestStmtCacheLRU pins the satellite fix: non-parameterized SQL cannot
 // grow the statement cache without bound, and hit/miss counters work.
+// TestIndexProbeDuringInserts is the regression test for the unlocked
+// hash-index probe: lookupIndex used to read the index map after
+// releasing idxMu while a committing INSERT wrote it ("concurrent map
+// read and map write" under mvcc=on, where readers take no table lock).
+// Two writers insert into the indexed table while readers run indexed
+// point SELECTs; run under -race.
+func TestIndexProbeDuringInserts(t *testing.T) {
+	db, _ := mvccTestDB(t, true)
+	const writers, perWriter, readers = 2, 300, 2
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := db.Connect()
+			defer c.Close()
+			for g := 0; ; g++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				rs, err := c.Query("SELECT h_id FROM hot WHERE h_group = ?", 2+g%8)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := range rs.Rows {
+					if id := rs.Int(i, "h_id"); (id-1000)%8 != int64(g%8) {
+						t.Errorf("group %d returned row %d", 2+g%8, id)
+						return
+					}
+				}
+			}
+		}()
+	}
+	var writing sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		writing.Add(1)
+		go func(w int) {
+			defer writing.Done()
+			c := db.Connect()
+			defer c.Close()
+			for i := 0; i < perWriter; i++ {
+				id := 1000 + w*perWriter + i
+				if _, err := c.Exec("INSERT INTO hot (h_id, h_group, h_val) VALUES (?, ?, ?)", id, 2+(id-1000)%8, 0); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	writing.Wait()
+	close(stop)
+	wg.Wait()
+	c := db.Connect()
+	defer c.Close()
+	if got := mustQuery(t, c, "SELECT h_id FROM hot WHERE h_group = ?", 2).Len(); got != writers*perWriter/8 {
+		t.Fatalf("group 2 has %d rows after the inserts, want %d", got, writers*perWriter/8)
+	}
+}
+
+// TestTombstonesReleaseDeletedRows checks both sides of tombstone
+// reaping: a deleted row stays readable for a snapshot pinned before the
+// DELETE, and is unlinked by the first UPDATE/DELETE commit on the table
+// after the last such snapshot is gone.
+func TestTombstonesReleaseDeletedRows(t *testing.T) {
+	db, c := mvccTestDB(t, true)
+	tbl, err := db.lookupTable("hot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := db.Snapshot()
+	mustExec(t, c, "DELETE FROM hot WHERE h_id = ?", 1)
+	tomb := tbl.slotAt(0).head.Load()
+	if tomb.data != nil || tomb.prev.Load() == nil {
+		t.Fatalf("slot 0 head is not a tombstone over the deleted version: %+v", tomb)
+	}
+
+	mustExec(t, c, "UPDATE hot SET h_val = ? WHERE h_id = ?", 7, 2)
+	if tomb.prev.Load() == nil {
+		t.Fatal("deleted version unlinked while a snapshot older than the DELETE is pinned")
+	}
+	if rs, err := snap.Query("SELECT h_id FROM hot WHERE h_id = ?", 1); err != nil || rs.Len() != 1 {
+		t.Fatalf("pinned snapshot lost the deleted row: %v rows, err %v", rs.Len(), err)
+	}
+
+	snap.Close()
+	mustExec(t, c, "UPDATE hot SET h_val = ? WHERE h_id = ?", 8, 2)
+	if tomb.prev.Load() != nil {
+		t.Fatal("deleted version still linked after the horizon passed its tombstone")
+	}
+	if len(tbl.tombs) != 0 {
+		t.Fatalf("%d tombstones still queued", len(tbl.tombs))
+	}
+	if rs := mustQuery(t, c, "SELECT h_id FROM hot WHERE h_id = ?", 1); rs.Len() != 0 {
+		t.Fatalf("deleted row came back: %v", rs.Rows)
+	}
+}
+
 func TestStmtCacheLRU(t *testing.T) {
 	db := Open(Options{Cost: ZeroCostModel(), StmtCacheSize: 8})
 	db.MustCreateTable(Schema{

@@ -22,6 +22,15 @@ import (
 // (keyed by the index epoch, see stmtcache.go); placeholder values are
 // not known at plan time, so selectivity estimates use index statistics
 // and the operators re-resolve bound values at execution.
+//
+// A plan carries everything that does not depend on the arguments: the
+// resolved tables and their lock order, the WHERE conjuncts compiled to
+// closures and split by join depth, the source position of every output
+// column ('*' expanded), the output names, the ORDER BY / GROUP BY /
+// aggregate-argument positions. Tables are never dropped, so a plan may
+// hold *table; index availability changes bump the epoch and replan.
+// What is left per execution is the argument vector, the table views at
+// the statement's snapshot, and the lock or pin.
 
 // pathKind enumerates the physical access paths for one table.
 type pathKind int
@@ -84,7 +93,33 @@ func colBelongsTo(b binding, ref colRef) bool {
 type joinStep struct {
 	joinPlan
 	indexed    bool
+	innerPK    bool   // the join column is the inner table's primary key
 	innerTable string // inner binding's display name, for EXPLAIN
+}
+
+// colPos addresses one column of a combined (joined) row: binding
+// index, column index.
+type colPos struct{ bi, ci int }
+
+// outItem is the compiled form of one output column. In a plain SELECT
+// every item copies pos. In an aggregated SELECT an item with kind
+// aggNone copies pos from its group's first row, and an aggregate item
+// folds pos (or counts rows, star) into aggregate state number state.
+type outItem struct {
+	kind  aggKind
+	star  bool
+	pos   colPos
+	state int
+}
+
+// sortKey is one compiled ORDER BY key: where to read it in a row handed
+// to the ordered sink (in), and where it sits in the row the sink keeps
+// (out) — an output column, or a hidden column appended after them when
+// the key is not projected.
+type sortKey struct {
+	in   colPos
+	out  int
+	desc bool
 }
 
 // selectPlan is the physical plan for one SELECT.
@@ -100,6 +135,31 @@ type selectPlan struct {
 	orderByIndex bool // outer path delivers ORDER BY order; no sort
 	limit        int  // -1 when absent
 	offset       int
+
+	// Compiled at prepare time; read-only afterwards and shared by every
+	// execution of the cached statement.
+	bindings     []binding
+	locks        []*table         // distinct tables in name order (lock engine)
+	preds        [][]compiledPred // WHERE conjuncts by the join depth they run at
+	columns      []string         // output column names
+	items        []outItem        // one per output column
+	aggStates    int              // aggregate items among them
+	group        []colPos         // GROUP BY columns
+	groupByValue bool             // single Int/String/Bool group column: key by its Value
+	sortKeys     []sortKey        // ORDER BY keys
+	hidden       []colPos         // sort columns that are not projected
+}
+
+// aggregated reports whether the SELECT groups or aggregates.
+func (p *selectPlan) aggregated() bool { return p.hasAgg || len(p.groupBy) > 0 }
+
+// keep is the number of leading rows of the ordered (or index-ordered)
+// result the statement can return: LIMIT+OFFSET, or -1 for all.
+func (p *selectPlan) keep() int {
+	if p.limit < 0 {
+		return -1
+	}
+	return p.limit + p.offset
 }
 
 // planSelect chooses the physical plan for a parsed SELECT: join
@@ -113,16 +173,13 @@ func (db *DB) planSelect(s *selectStmt) (*selectPlan, error) {
 	p := &selectPlan{
 		outerName: bindings[0].ref.name(),
 		where:     s.Where,
+		hasAgg:    planHasAgg(s),
 		groupBy:   s.GroupBy,
 		orderBy:   s.OrderBy,
 		limit:     s.Limit,
 		offset:    s.Offset,
-	}
-	for _, it := range s.Items {
-		if it.Agg != aggNone {
-			p.hasAgg = true
-			break
-		}
+		bindings:  bindings,
+		locks:     lockSet(bindings),
 	}
 	// Resolve join sides: joins[i] extends binding i+1.
 	p.joins = make([]joinStep, len(s.Joins))
@@ -140,6 +197,9 @@ func (db *DB) planSelect(s *selectStmt) (*selectPlan, error) {
 		default:
 			return nil, fmt.Errorf("sqldb: join ON must relate %q to an earlier table", inner.ref.name())
 		}
+		if jp.innerCol < 0 {
+			return nil, fmt.Errorf("sqldb: table %q has no column %q", inner.ref.name(), jp.innerName)
+		}
 		bi, ci, err := resolveCol(visible, jp.outerRef)
 		if err != nil {
 			return nil, fmt.Errorf("sqldb: join outer column: %w", err)
@@ -148,12 +208,172 @@ func (db *DB) planSelect(s *selectStmt) (*selectPlan, error) {
 		p.joins[i] = joinStep{
 			joinPlan:   jp,
 			indexed:    inner.tbl.hasIndex(jp.innerName),
+			innerPK:    inner.tbl.pkCol == jp.innerCol,
 			innerTable: inner.ref.name(),
 		}
 	}
 	p.outer = db.chooseAccessPath(s, bindings)
 	p.orderByIndex = p.outer.kind == pathIndexOrder
+	if p.preds, err = compileWhere(s.Where, bindings); err != nil {
+		return nil, err
+	}
+	if err := p.compileOutput(s); err != nil {
+		return nil, err
+	}
 	return p, nil
+}
+
+// compileOutput resolves the projection, GROUP BY and ORDER BY against
+// the bindings: output names, the source position of every output
+// column, aggregate arguments, and the sort keys.
+func (p *selectPlan) compileOutput(s *selectStmt) error {
+	for _, it := range s.Items {
+		switch {
+		case it.Star:
+			if p.aggregated() {
+				return fmt.Errorf("sqldb: SELECT * cannot be combined with aggregates")
+			}
+			for bi, b := range p.bindings {
+				if it.Table != "" && b.ref.name() != it.Table {
+					continue
+				}
+				for ci, c := range b.tbl.schema.Columns {
+					p.columns = append(p.columns, c.Name)
+					p.items = append(p.items, outItem{pos: colPos{bi, ci}})
+				}
+			}
+		case it.Agg != aggNone:
+			item := outItem{kind: it.Agg, star: it.AggStar, state: p.aggStates}
+			if !it.AggStar {
+				bi, ci, err := resolveCol(p.bindings, it.AggCol)
+				if err != nil {
+					return err
+				}
+				item.pos = colPos{bi, ci}
+			}
+			p.aggStates++
+			p.columns = append(p.columns, aggOutputName(it))
+			p.items = append(p.items, item)
+		default:
+			bi, ci, err := resolveCol(p.bindings, it.Col)
+			if err != nil {
+				return err
+			}
+			name := it.Col.Column
+			if it.Alias != "" {
+				name = it.Alias
+			}
+			p.columns = append(p.columns, name)
+			p.items = append(p.items, outItem{pos: colPos{bi, ci}})
+		}
+	}
+	for _, g := range s.GroupBy {
+		bi, ci, err := resolveCol(p.bindings, g)
+		if err != nil {
+			return err
+		}
+		p.group = append(p.group, colPos{bi, ci})
+	}
+	if len(p.group) == 1 {
+		// One group column of a type whose values are their own identity
+		// keys the groups directly. Float and Time columns keep the
+		// formatted key (1 and 1.0, or two instants in one second, are one
+		// group there), as does a multi-column GROUP BY.
+		switch g := p.group[0]; p.bindings[g.bi].tbl.schema.Columns[g.ci].Type {
+		case Int, String, Bool:
+			p.groupByValue = true
+		}
+	}
+	return p.compileOrder(s.OrderBy)
+}
+
+// compileOrder resolves the ORDER BY keys. An aggregated SELECT orders
+// its output rows, so keys name output columns (aggregate aliases
+// included). A plain SELECT may order by any table column, projected or
+// not; if some key is not a table column, every key is looked up among
+// the output names instead (an alias), and resolves to the column that
+// output copies. Either way a plain key ends up as a position in the
+// combined row, so the ordered sink can test a row against its current
+// worst before projecting it.
+func (p *selectPlan) compileOrder(keys []orderKey) error {
+	if len(keys) == 0 {
+		return nil
+	}
+	outputIndex := func(k orderKey) (int, error) {
+		for i, c := range p.columns {
+			if c == k.Ref.Column {
+				return i, nil
+			}
+		}
+		return 0, fmt.Errorf("sqldb: ORDER BY column %q is not in the result; project it", k.Ref.Column)
+	}
+	p.sortKeys = make([]sortKey, len(keys))
+	if p.aggregated() {
+		for i, k := range keys {
+			idx, err := outputIndex(k)
+			if err != nil {
+				return err
+			}
+			p.sortKeys[i] = sortKey{in: colPos{0, idx}, out: idx, desc: k.Desc}
+		}
+		return nil
+	}
+	tableCols := true
+	for i, k := range keys {
+		bi, ci, err := resolveCol(p.bindings, k.Ref)
+		if err != nil {
+			tableCols = false
+			break
+		}
+		p.sortKeys[i] = sortKey{in: colPos{bi, ci}, desc: k.Desc}
+	}
+	if !tableCols {
+		for i, k := range keys {
+			idx, err := outputIndex(k)
+			if err != nil {
+				return err
+			}
+			p.sortKeys[i] = sortKey{in: p.items[idx].pos, desc: k.Desc}
+		}
+	}
+	for i := range p.sortKeys {
+		k := &p.sortKeys[i]
+		k.out = -1
+		for j, it := range p.items {
+			if it.pos == k.in {
+				k.out = j
+				break
+			}
+		}
+		if k.out < 0 {
+			k.out = len(p.items) + len(p.hidden)
+			p.hidden = append(p.hidden, k.in)
+		}
+	}
+	return nil
+}
+
+func aggOutputName(it selectItem) string {
+	if it.Alias != "" {
+		return it.Alias
+	}
+	var fn string
+	switch it.Agg {
+	case aggCount:
+		fn = "count"
+	case aggSum:
+		fn = "sum"
+	case aggAvg:
+		fn = "avg"
+	case aggMin:
+		fn = "min"
+	case aggMax:
+		fn = "max"
+	}
+	if it.AggStar {
+		return fn
+	}
+	return fn + "_" + it.AggCol.Column
 }
 
 // sargable predicates: AND-connected "col OP row-independent-value"
@@ -187,33 +407,18 @@ func collectSargs(e boolExpr, bindings []binding, bi int, out []sarg) []sarg {
 	return out
 }
 
-// choosePredPath costs every WHERE-driven access path for the driving
-// table against the full scan and returns the cheapest. Candidates are
-// priced with the same CostModel terms execution charges: scans pay
-// PerRowScanned per slot, index paths pay PerIndexProbe per entry
-// visited — so the planner's preference is exactly the latency the
-// statement would feel. Shared by SELECT planning and DML read phases.
-func (db *DB) choosePredPath(where boolExpr, bindings []binding) accessPath {
+// predPaths lists the WHERE-driven access paths of the driving table, in
+// the order cheapestPath considers them (a cost tie goes to the later
+// one). Which columns are indexed only changes with the index epoch, so
+// the list is fixed for a cached statement. Shared by SELECT planning
+// and DML read phases.
+func predPaths(where boolExpr, bindings []binding) []accessPath {
+	if where == nil {
+		return nil
+	}
 	b := bindings[0]
-	st := b.tbl.stats()
-	rows := float64(st.rows)
-	perScan := float64(db.cost.PerRowScanned)
-	perProbe := float64(db.cost.PerIndexProbe)
-
-	best := accessPath{kind: pathScan, estCost: time.Duration(rows * perScan)}
-	consider := func(p accessPath) {
-		// At-most-as-expensive with scan seeded first: on a cost tie (for
-		// example under ZeroCostModel) the index path wins because it is
-		// considered only when no more expensive than the incumbent.
-		if p.estCost <= best.estCost {
-			best = p
-		}
-	}
-
-	var sargs []sarg
-	if where != nil {
-		sargs = collectSargs(where, bindings, 0, nil)
-	}
+	sargs := collectSargs(where, bindings, 0, nil)
+	var out []accessPath
 
 	// Equality candidates: primary key, then secondary indexes.
 	pkName := ""
@@ -226,28 +431,16 @@ func (db *DB) choosePredPath(where boolExpr, bindings []binding) accessPath {
 		}
 		col := sg.col.Column
 		if col == pkName {
-			consider(accessPath{
-				kind: pathPK, colName: col, eq: sg.rhs,
-				estCost: time.Duration(2 * perProbe),
-			})
+			out = append(out, accessPath{kind: pathPK, colName: col, eq: sg.rhs})
 			continue
 		}
 		if b.tbl.hasIndex(col) {
-			est := rows
-			if d := st.distinct[col]; d > 0 {
-				est = rows / float64(d)
-			}
-			consider(accessPath{
-				kind: pathIndexEq, colName: col, eq: sg.rhs,
-				estCost: time.Duration((1 + est) * perProbe),
-			})
+			out = append(out, accessPath{kind: pathIndexEq, colName: col, eq: sg.rhs})
 		}
 	}
 
 	// Range candidates: lo/hi bounds on one ordered-indexed column.
-	type rangePair struct{ lo, hi *rangeBound }
-	ranges := map[string]*rangePair{}
-	var rangeCols []string
+	first := len(out)
 	for _, sg := range sargs {
 		if sg.op == "=" {
 			continue
@@ -256,11 +449,15 @@ func (db *DB) choosePredPath(where boolExpr, bindings []binding) accessPath {
 		if !b.tbl.hasOrdered(col) {
 			continue
 		}
-		rp := ranges[col]
+		var rp *accessPath
+		for i := first; i < len(out); i++ {
+			if out[i].colName == col {
+				rp = &out[i]
+			}
+		}
 		if rp == nil {
-			rp = &rangePair{}
-			ranges[col] = rp
-			rangeCols = append(rangeCols, col)
+			out = append(out, accessPath{kind: pathIndexRange, colName: col})
+			rp = &out[len(out)-1]
 		}
 		bound := &rangeBound{rhs: sg.rhs, excl: sg.op == ">" || sg.op == "<"}
 		if sg.op == ">" || sg.op == ">=" {
@@ -273,17 +470,43 @@ func (db *DB) choosePredPath(where boolExpr, bindings []binding) accessPath {
 			}
 		}
 	}
-	for _, col := range rangeCols {
-		rp := ranges[col]
-		sel := 1.0 / 3
-		if rp.lo != nil && rp.hi != nil {
-			sel = 1.0 / 4
+	return out
+}
+
+// cheapestPath prices the candidates against the full scan with the
+// table's current statistics and returns the cheapest. Candidates are
+// priced with the same CostModel terms execution charges: scans pay
+// PerRowScanned per slot, index paths pay PerIndexProbe per entry
+// visited — so the planner's preference is exactly the latency the
+// statement would feel. It allocates nothing: DML read phases call it on
+// every execution.
+func (db *DB) cheapestPath(tbl *table, cands []accessPath) accessPath {
+	rows := float64(tbl.live.Load())
+	perProbe := float64(db.cost.PerIndexProbe)
+	best := accessPath{kind: pathScan, estCost: time.Duration(rows * float64(db.cost.PerRowScanned))}
+	for _, p := range cands {
+		switch p.kind {
+		case pathPK:
+			p.estCost = time.Duration(2 * perProbe)
+		case pathIndexEq:
+			est := rows
+			if d := tbl.distinct(p.colName); d > 0 {
+				est = rows / float64(d)
+			}
+			p.estCost = time.Duration((1 + est) * perProbe)
+		case pathIndexRange:
+			sel := 1.0 / 3
+			if p.lo != nil && p.hi != nil {
+				sel = 1.0 / 4
+			}
+			p.estCost = time.Duration((1 + rows*sel) * perProbe)
 		}
-		est := rows * sel
-		consider(accessPath{
-			kind: pathIndexRange, colName: col, lo: rp.lo, hi: rp.hi,
-			estCost: time.Duration((1 + est) * perProbe),
-		})
+		// At-most-as-expensive with scan seeded first: on a cost tie (for
+		// example under ZeroCostModel) the index path wins because it is
+		// considered only when no more expensive than the incumbent.
+		if p.estCost <= best.estCost {
+			best = p
+		}
 	}
 	return best
 }
@@ -293,7 +516,7 @@ func (db *DB) choosePredPath(where boolExpr, bindings []binding) accessPath {
 // when the query shape admits one.
 func (db *DB) chooseAccessPath(s *selectStmt, bindings []binding) accessPath {
 	b := bindings[0]
-	best := db.choosePredPath(s.Where, bindings)
+	best := db.cheapestPath(b.tbl, predPaths(s.Where, bindings))
 
 	// Index-order candidate: a single-key ORDER BY on an ordered-indexed
 	// column of a join-free, aggregate-free SELECT with a LIMIT — the
@@ -304,7 +527,7 @@ func (db *DB) chooseAccessPath(s *selectStmt, bindings []binding) accessPath {
 		key := s.OrderBy[0]
 		if kbi, _, err := resolveCol(bindings, key.Ref); err == nil && kbi == 0 &&
 			b.tbl.hasOrdered(key.Ref.Column) {
-			rows := float64(b.tbl.stats().rows)
+			rows := float64(b.tbl.live.Load())
 			visited := float64(s.Limit + s.Offset)
 			if s.Where != nil {
 				// A residual filter delays the early stop; assume it

@@ -31,7 +31,7 @@ func (db *DB) SnapshotAt(ts int64) *Snapshot {
 }
 
 // Snapshot returns a read view pinned at the current commit timestamp.
-func (db *DB) Snapshot() *Snapshot { return db.SnapshotAt(db.commitTS.Load()) }
+func (db *DB) Snapshot() *Snapshot { return &Snapshot{db: db, ts: db.pinCurrent()} }
 
 // TS reports the snapshot's commit timestamp.
 func (s *Snapshot) TS() int64 { return s.ts }

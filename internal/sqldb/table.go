@@ -77,6 +77,10 @@ type table struct {
 	ordered map[string]*orderedIndex
 
 	nextAuto int64 // auto-increment state; guarded by db.commitMu
+
+	// tombs queues the tombstones still linked to the version they
+	// deleted, oldest first; guarded by db.commitMu. See reapTombstones.
+	tombs []*rowVersion
 }
 
 // hashIndex is a secondary equality index with immutable buckets: add
@@ -164,25 +168,31 @@ func (v tableView) lookupPK(key int64) (int, bool) {
 	return id, ok
 }
 
-// lookupIndex returns the (immutable) bucket of slot hints for an
-// indexed column value, trying the hash index first, then the ordered
-// index. The returned slice is a stable snapshot: it is never mutated
-// after being handed out. visited is the number of index entries
-// inspected (== len(ids) for a hash bucket, possibly more for an
-// ordered probe), for honest probe pricing.
-func (v tableView) lookupIndex(col string, val Value) (ids []int, visited int, ok bool) {
+// lookupIndex returns the slot hints for an indexed column value,
+// trying the hash index first, then the ordered index. A hash bucket is
+// returned as it is: buckets are immutable snapshots, never mutated
+// after being handed out, so only the map access itself needs idxMu —
+// and it does need it, commits write that map. An ordered probe appends
+// its hits to (*buf)[:0] and returns that, so a caller that keeps buf
+// between probes allocates nothing; the result is valid until buf's next
+// use. visited is the number of index entries inspected (== len(ids) for
+// a hash bucket, possibly more for an ordered probe), for honest probe
+// pricing.
+func (v tableView) lookupIndex(col string, val Value, buf *[]int) (ids []int, visited int, ok bool) {
 	t := v.tbl
 	t.idxMu.RLock()
 	idx, hok := t.indexes[col]
+	if hok {
+		ids = idx.m[val]
+	}
 	oidx, ook := t.ordered[col]
 	t.idxMu.RUnlock()
 	if hok {
-		ids = idx.m[val]
 		return ids, len(ids), true
 	}
 	if ook {
-		ids, visited = oidx.state.Load().eq(val)
-		return ids, visited, true
+		*buf, visited = oidx.state.Load().eq(val, (*buf)[:0])
+		return *buf, visited, true
 	}
 	return nil, 0, false
 }
@@ -406,6 +416,27 @@ func (t *table) applyDelete(id int, ts, horizon int64) {
 	slot.head.Store(nv)
 	t.live.Add(-1)
 	pruneChain(cur, horizon)
+	t.tombs = append(t.tombs, nv)
+}
+
+// reapTombstones unlinks the deleted row data from every tombstone at or
+// below horizon. A tombstone must keep the version it deleted for
+// readers at older snapshots, and no later commit revisits a deleted
+// slot to prune it, so without this every deleted row (TPC-W: every
+// cart line of every confirmed order) stayed reachable for good. Once
+// horizon has passed a tombstone, every active or future reader stops at
+// it. Called on UPDATE/DELETE commits to the table, where the horizon is
+// already in hand.
+func (t *table) reapTombstones(horizon int64) {
+	n := 0
+	for n < len(t.tombs) && t.tombs[n].begin <= horizon {
+		t.tombs[n].prev.Store(nil)
+		t.tombs[n] = nil
+		n++
+	}
+	if t.tombs = t.tombs[n:]; len(t.tombs) == 0 {
+		t.tombs = nil
+	}
 }
 
 // pruneChain cuts the version chain below the newest version visible at
@@ -463,29 +494,19 @@ func (t *table) buildIndex(col string, ordered bool) error {
 	return nil
 }
 
-// stats snapshots the planner's inputs for one table: live row count and
-// per-index distinct-value estimates.
-func (t *table) stats() tableStats {
-	st := tableStats{rows: t.live.Load(), distinct: make(map[string]int)}
+// distinct estimates the number of distinct values in an indexed column
+// — the planner's equality selectivity denominator — or 0 when col
+// carries no secondary index.
+func (t *table) distinct(col string) int {
 	t.idxMu.RLock()
-	for name, idx := range t.indexes {
-		d := len(idx.m)
-		if d < 1 {
-			d = 1
-		}
-		st.distinct[name] = d
+	defer t.idxMu.RUnlock()
+	if idx, ok := t.indexes[col]; ok {
+		return max(len(idx.m), 1)
 	}
-	for name, idx := range t.ordered {
-		st.distinct[name] = idx.state.Load().distinctVals()
+	if idx, ok := t.ordered[col]; ok {
+		return idx.state.Load().distinctVals()
 	}
-	t.idxMu.RUnlock()
-	return st
-}
-
-// tableStats is the planner's statistical view of one table.
-type tableStats struct {
-	rows     int64
-	distinct map[string]int // indexed column -> distinct value estimate
+	return 0
 }
 
 // pkHint returns the current pk map entry for key, which may be stale.

@@ -1,0 +1,116 @@
+package sqldb_test
+
+import (
+	"testing"
+
+	"stagedweb/internal/sqldb"
+	"stagedweb/internal/tpcw"
+)
+
+// The statements of the TPC-W pages that dominate sqldb time, verbatim
+// from internal/tpcw/handlers.go, with arguments that hit.
+var selectBenchmarks = []struct {
+	name, sql string
+	args      []any
+}{
+	{"point", "SELECT i_id, i_title, i_thumbnail FROM item WHERE i_id = ?", []any{4242}},
+	{"pkjoin", "SELECT * FROM item JOIN author ON i_a_id = a_id WHERE i_id = ?", []any{4242}},
+	{"search_title", `SELECT i_id, i_title, i_thumbnail, i_cost, a_fname, a_lname FROM item
+		 JOIN author ON i_a_id = a_id WHERE i_title LIKE ? ORDER BY i_title LIMIT 50`, []any{"%the%"}},
+	{"search_author", `SELECT i_id, i_title, i_thumbnail, i_cost, a_fname, a_lname FROM item
+		 JOIN author ON i_a_id = a_id WHERE a_lname LIKE ? ORDER BY i_title LIMIT 50`, []any{"%an%"}},
+	{"new_products", `SELECT i_id, i_title, i_thumbnail, i_cost, i_pub_date, a_fname, a_lname FROM item
+		 JOIN author ON i_a_id = a_id WHERE i_subject = ? ORDER BY i_pub_date DESC, i_id ASC LIMIT 50`, []any{"COOKING"}},
+	{"best_sellers", `SELECT i_id, i_title, i_cost, a_fname, a_lname, SUM(ol_qty) AS qty
+		 FROM order_line
+		 JOIN item ON ol_i_id = i_id
+		 JOIN author ON i_a_id = a_id
+		 WHERE ol_o_id > ? AND i_subject = ?
+		 GROUP BY i_id ORDER BY qty DESC LIMIT 50`, []any{0, "HISTORY"}},
+}
+
+// BenchmarkSelect is the per-statement layer ledger of the SELECT path
+// over the benchmark's browse_scan population (10 000 items, lock
+// engine, the paper's schema): for each statement, what a
+// statement-cache hit costs (prepare-hit) and what executing the cached
+// plan costs (exec), in ns and allocations. Conn.Query is the sum of the
+// two plus the connection's busy flag and the latency histogram.
+func BenchmarkSelect(b *testing.B) {
+	db := openTPCW(b, false, false, tpcw.PopulateConfig{Items: 10000, Customers: 2500, Orders: 2000})
+	for _, bm := range selectBenchmarks {
+		p, err := sqldb.Prepare(db, bm.sql)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rs, err := p.Exec(bm.args...); err != nil || rs.Len() == 0 {
+			b.Fatalf("%s: %d rows, err %v", bm.name, rs.Len(), err)
+		}
+		b.Run(bm.name+"/prepare-hit", func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := sqldb.Prepare(db, bm.sql); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(bm.name+"/exec", func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := p.Exec(bm.args...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// queryAllocs is the allocation count of one Conn.Query call, result
+// included.
+func queryAllocs(t *testing.T, db *sqldb.DB, sql string, args ...any) float64 {
+	t.Helper()
+	c := db.Connect()
+	defer c.Close()
+	if rs, err := c.Query(sql, args...); err != nil || rs.Len() == 0 {
+		t.Fatalf("%q: %d rows, err %v", sql, rs.Len(), err)
+	}
+	return testing.AllocsPerRun(50, func() {
+		if _, err := c.Query(sql, args...); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestSelectAllocCeilings pins what the hot statements may allocate, so
+// that a per-execution slice, closure or map creeping back into the
+// cached-statement path fails a test instead of a benchmark. The counts
+// are whole Conn.Query calls, result included; before the streaming
+// executor they were 23, 30 and (search, 10 000 items) 2 537.
+func TestSelectAllocCeilings(t *testing.T) {
+	small := openTPCW(t, false, false, tpcw.PopulateConfig{Items: 1000, Customers: 250, Orders: 200})
+	large := openTPCW(t, false, false, tpcw.PopulateConfig{Items: 10000, Customers: 250, Orders: 200})
+	point, pkjoin, search := selectBenchmarks[0], selectBenchmarks[1], selectBenchmarks[2]
+
+	// Argument vector and context, the boxed key, the run, the sink, the
+	// result and its one row: seven, whatever the width of the join.
+	if n := queryAllocs(t, small, point.sql, 742); n > 8 {
+		t.Errorf("PK point SELECT: %v allocations per query, ceiling 8", n)
+	}
+	if n := queryAllocs(t, small, pkjoin.sql, 742); n > 8 {
+		t.Errorf("PK join (product_detail): %v allocations per query, ceiling 8", n)
+	}
+
+	// A LIKE scan with ORDER BY ... LIMIT 50 allocates per row it keeps,
+	// not per row it scans or matches: the 50 it returns plus the rows
+	// that displaced an earlier candidate, K·ln(matches/K) of them in
+	// expectation for titles in random order. Ten times the rows is
+	// 50·ln 10 = 115 more allocations, not ten times as many.
+	few := queryAllocs(t, small, search.sql, search.args...)
+	many := queryAllocs(t, large, search.sql, search.args...)
+	t.Logf("search_title: %v allocations over 1 000 items, %v over 10 000", few, many)
+	if few > 120 {
+		t.Errorf("search over 1 000 items: %v allocations per query, ceiling 120", few)
+	}
+	if many > few+230 {
+		t.Errorf("search allocations grow with the rows scanned: %v over 1 000 items, %v over 10 000", few, many)
+	}
+}

@@ -62,6 +62,17 @@ func resolveAttr(value any, attr string) any {
 	if value == nil {
 		return nil
 	}
+	// The shape every TPC-W page passes (ResultSet.Maps). An unnamed map
+	// type has no methods, so indexing it is exactly what the reflective
+	// route below returns, without its three allocations per lookup.
+	if m, ok := value.(map[string]any); ok {
+		return m[attr]
+	}
+	return reflectAttr(value, attr)
+}
+
+// reflectAttr is resolveAttr's general route, for any non-nil value.
+func reflectAttr(value any, attr string) any {
 	rv := reflect.ValueOf(value)
 	// A no-arg method on the value or pointer takes priority, mirroring
 	// Django's callable resolution.

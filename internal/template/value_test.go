@@ -129,6 +129,47 @@ func TestResolveAttr(t *testing.T) {
 	}
 }
 
+// rowWithMethod is a named map type: it can carry methods, so it must
+// keep taking the reflective route (method first), not the
+// map[string]any fast path.
+type rowWithMethod map[string]any
+
+func (rowWithMethod) Title() string { return "from method" }
+
+// TestResolveAttrMapFastPath checks that the map[string]any fast path
+// returns exactly what the reflective route returns.
+func TestResolveAttrMapFastPath(t *testing.T) {
+	m := map[string]any{"title": "T", "qty": int64(3), "null": nil, "nested": map[string]any{"k": "v"}}
+	for _, attr := range []string{"title", "qty", "null", "missing", "nested", "Len", "0"} {
+		fast, slow := resolveAttr(m, attr), reflectAttr(m, attr)
+		if fm, ok := fast.(map[string]any); ok {
+			if sm, ok := slow.(map[string]any); !ok || fm["k"] != sm["k"] {
+				t.Errorf("attr %q: fast %v, reflective %v", attr, fast, slow)
+			}
+			continue
+		}
+		if fast != slow {
+			t.Errorf("attr %q: fast %#v, reflective %#v", attr, fast, slow)
+		}
+	}
+	if got := resolveAttr(m, "nested"); resolveAttr(got, "k") != "v" {
+		t.Errorf("nested map: %v", got)
+	}
+	if got := resolveAttr(map[string]any(nil), "title"); got != nil {
+		t.Errorf("nil map: %v", got)
+	}
+	named := rowWithMethod{"Title": "from key", "other": 1}
+	if got := resolveAttr(named, "Title"); got != "from method" {
+		t.Errorf("named map type: method not taken, got %v", got)
+	}
+	if got := resolveAttr(named, "other"); got != 1 {
+		t.Errorf("named map type key: %v", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = resolveAttr(m, "title") }); n != 0 {
+		t.Errorf("fast path allocates %v times per lookup", n)
+	}
+}
+
 func TestContextScopes(t *testing.T) {
 	c := NewContext(map[string]any{"a": 1})
 	c.Push()
