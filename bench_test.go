@@ -482,12 +482,11 @@ func BenchmarkTransportConnSetup(b *testing.B) {
 func BenchmarkTemplateRenderTPCWPage(b *testing.B) {
 	set := template.NewSet()
 	set.AddAll(tpcw.Templates())
-	rows := make([]map[string]any, 50)
-	for i := range rows {
-		rows[i] = map[string]any{
-			"i_id": i, "i_title": "SOME BOOK TITLE", "i_cost": 12.34,
-			"a_fname": "First", "a_lname": "Last", "qty": int64(10),
-		}
+	rows := &sqldb.ResultSet{Columns: []string{"i_id", "i_title", "i_cost", "a_fname", "a_lname", "qty"}}
+	for i := 0; i < 50; i++ {
+		rows.Rows = append(rows.Rows, []sqldb.Value{
+			int64(i), "SOME BOOK TITLE", 12.34, "First", "Last", int64(10),
+		})
 	}
 	data := map[string]any{"subject": "ARTS", "results": rows}
 	b.ResetTimer()

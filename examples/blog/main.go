@@ -68,7 +68,7 @@ func (a *blogApp) index(r *server.Request) (*server.Result, error) {
 		return nil, err
 	}
 	return &server.Result{Template: "index.html", Data: map[string]any{
-		"posts": rs.Maps(),
+		"posts": rs,
 	}}, nil
 }
 
@@ -107,7 +107,7 @@ func (a *blogApp) archive(r *server.Request) (*server.Result, error) {
 		return nil, err
 	}
 	return &server.Result{Template: "archive.html", Data: map[string]any{
-		"posts": rs.Maps(), "total": rs.Len(),
+		"posts": rs, "total": rs.Len(),
 	}}, nil
 }
 

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -139,6 +140,27 @@ func TestStagedNotFoundAndError(t *testing.T) {
 	}
 	if resp, err := webtest.Get(env.addr, "/boom"); err != nil || resp.Status != 500 {
 		t.Fatalf("500: %v %v", resp, err)
+	}
+}
+
+// The render stage's failure path: a template that fails half-way down
+// is a clean 500, and pages rendered afterwards are intact.
+func TestStagedRenderErrorMidPage(t *testing.T) {
+	app := stagedApp()
+	filler := strings.Repeat("<p>filler</p>", 400)
+	app.AddTemplate("broken.html", filler+"{{ msg|divisibleby:0 }}"+filler)
+	app.AddPage("/broken", func(*server.Request) (*server.Result, error) {
+		return &server.Result{Template: "broken.html", Data: map[string]any{"msg": 1}}, nil
+	})
+	env := startStaged(t, app, nil)
+	for round := 0; round < 3; round++ {
+		if resp, err := webtest.Get(env.addr, "/broken"); err != nil || resp.Status != 500 || string(resp.Body) != "render error" {
+			t.Fatalf("round %d: /broken: %v %v", round, resp, err)
+		}
+		resp, err := webtest.Get(env.addr, "/hello")
+		if err != nil || resp.Status != 200 || string(resp.Body) != "<html><body>hello-from-db</body></html>" {
+			t.Fatalf("round %d: /hello after the failed render: %v %v", round, resp, err)
+		}
 	}
 }
 
@@ -330,6 +352,11 @@ func TestStagedManyConcurrentClients(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+	// A request is counted after its reply is flushed, so the last client
+	// can have its response a moment before the count has it.
+	for deadline := time.Now().Add(2 * time.Second); env.srv.Served() < 64 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
 	if env.srv.Served() < 64 {
 		t.Fatalf("Served = %d, want >= 64", env.srv.Served())

@@ -239,8 +239,22 @@ func readLine(br *bufio.Reader, limit int, tooLong error) (string, error) {
 }
 
 // CanonicalKey converts a header field name to canonical form:
-// "content-length" -> "Content-Length".
+// "content-length" -> "Content-Length". A key already in that form — what
+// clients send and what this package looks up — is returned as it is,
+// without a copy.
 func CanonicalKey(key string) string {
+	upper := true
+	for i := 0; i < len(key); i++ {
+		c := key[i]
+		if upper && 'a' <= c && c <= 'z' || !upper && 'A' <= c && c <= 'Z' {
+			return canonicalize(key)
+		}
+		upper = c == '-'
+	}
+	return key
+}
+
+func canonicalize(key string) string {
 	b := []byte(key)
 	upper := true
 	for i, c := range b {

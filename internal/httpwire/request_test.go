@@ -217,11 +217,34 @@ func TestCanonicalKey(t *testing.T) {
 		"user-agent":     "User-Agent",
 		"x":              "X",
 		"aCCePt":         "Accept",
+		"Content-length": "Content-Length",
+		"X-Bench-Id":     "X-Bench-Id",
+		"X--a":           "X--A",
+		"":               "",
 	}
 	for in, want := range tests {
 		if got := CanonicalKey(in); got != want {
 			t.Errorf("CanonicalKey(%q) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+// A key already canonical — every header line a well-behaved client
+// sends, and every Get this package makes — must come back without a
+// copy: it was three allocations on every request.
+func TestCanonicalKeyCanonicalInputDoesNotAllocate(t *testing.T) {
+	for _, key := range []string{"Connection", "Content-Length", "X-Bench-Id", "Host"} {
+		if n := testing.AllocsPerRun(100, func() { _ = CanonicalKey(key) }); n != 0 {
+			t.Errorf("CanonicalKey(%q) allocates %v times", key, n)
+		}
+	}
+	h := Header{}
+	h.Set("Content-Length", "12")
+	if n := testing.AllocsPerRun(100, func() { _ = h.Get("Content-Length") }); n != 0 {
+		t.Errorf("Header.Get allocates %v times", n)
+	}
+	if h.Get("content-LENGTH") != "12" {
+		t.Error("mixed-case Get lost the value")
 	}
 }
 

@@ -131,9 +131,11 @@ type CompletionEvent struct {
 }
 
 // RenderResult materializes a Result into a wire response body, rendering
-// the template if the result is deferred. Both servers share it; they
-// differ only in *which worker* calls it.
-func RenderResult(app App, res *Result) (body []byte, contentType string, status int, err error) {
+// the template if the result is deferred. The body is appended to buf,
+// which the caller owns before and after; the page is rendered straight
+// into it, with no string in between. Both servers share RenderResult;
+// they differ only in *which worker* calls it.
+func RenderResult(app App, res *Result, buf []byte) (body []byte, contentType string, status int, err error) {
 	status = res.Status
 	if status == 0 {
 		status = httpwire.StatusOK
@@ -147,17 +149,17 @@ func RenderResult(app App, res *Result) (body []byte, contentType string, status
 		if res.Status == 0 {
 			status = httpwire.StatusFound
 		}
-		return nil, contentType, status, nil
+		return buf, contentType, status, nil
 	case res.Body != "":
-		return []byte(res.Body), contentType, status, nil
+		return append(buf, res.Body...), contentType, status, nil
 	case res.Template != "":
-		out, rerr := app.Templates().Render(res.Template, res.Data)
-		if rerr != nil {
-			return nil, "", 0, fmt.Errorf("render %q: %w", res.Template, rerr)
+		body, err = app.Templates().RenderAppend(buf, res.Template, res.Data)
+		if err != nil {
+			return buf, "", 0, fmt.Errorf("render %q: %w", res.Template, err)
 		}
-		return []byte(out), contentType, status, nil
+		return body, contentType, status, nil
 	default:
-		return nil, contentType, status, nil
+		return buf, contentType, status, nil
 	}
 }
 

@@ -144,6 +144,45 @@ func TestBaselineHandlerError(t *testing.T) {
 	}
 }
 
+// A render that fails half-way down a page must reach the client as a
+// clean 500 — none of the half-rendered page — and the body buffer it
+// was rendering into must serve the next pages intact once recycled.
+func TestBaselineRenderErrorMidPage(t *testing.T) {
+	app := testApp()
+	filler := strings.Repeat("<p>filler</p>", 400)
+	app.AddTemplate("long.html", filler+"{{ msg }}")
+	app.AddTemplate("broken.html", filler+"{{ msg }}{{ msg|divisibleby:0 }}"+filler)
+	for _, name := range []string{"long", "broken"} {
+		app.AddPage("/"+name, func(*server.Request) (*server.Result, error) {
+			return &server.Result{Template: name + ".html", Data: map[string]any{"msg": "end"}}, nil
+		})
+	}
+	// One worker: every page is rendered into the same recycled buffer.
+	addr := startBaseline(t, app, 1, nil)
+	get := func(path string) *webtest.Response {
+		t.Helper()
+		resp, err := webtest.Get(addr, path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		return resp
+	}
+	for round := 0; round < 3; round++ {
+		if resp := get("/long"); resp.Status != 200 || string(resp.Body) != filler+"end" {
+			t.Fatalf("round %d: /long status %d, %d-byte body", round, resp.Status, len(resp.Body))
+		}
+		if resp := get("/broken"); resp.Status != 500 || string(resp.Body) != "render error" {
+			t.Fatalf("round %d: /broken status %d, body %.60q", round, resp.Status, resp.Body)
+		}
+		if resp := get("/hello"); resp.Status != 200 || string(resp.Body) != "<html><body>hello-from-db</body></html>" {
+			t.Fatalf("round %d: /hello after the failed render: status %d, body %q", round, resp.Status, resp.Body)
+		}
+		if resp := get("/prerendered"); string(resp.Body) != "<html>already rendered</html>" {
+			t.Fatalf("round %d: /prerendered body %q", round, resp.Body)
+		}
+	}
+}
+
 func TestBaselineRedirect(t *testing.T) {
 	addr := startBaseline(t, testApp(), 4, nil)
 	resp, err := webtest.Get(addr, "/redirect")

@@ -294,7 +294,10 @@ func (t *Transport) ServeStatic(c *Conn, app App, path string, keep bool) bool {
 // on the dynamic worker for backward-compatible pre-rendered results).
 // Same contract as Reply.
 func (t *Transport) FinishDynamic(c *Conn, app App, page string, class Class, res *Result, keep bool) bool {
-	body, ct, status, err := RenderResult(app, res)
+	buf := bodyPool.Get().(*[]byte)
+	defer putBody(buf)
+	body, ct, status, err := RenderResult(app, res, (*buf)[:0])
+	*buf = body // keep the buffer's growth, whatever the outcome
 	if err != nil {
 		return t.DirectReply(c, page, class, httpwire.StatusInternalServerError, []byte("render error"), plainText, false)
 	}
@@ -305,4 +308,19 @@ func (t *Transport) FinishDynamic(c *Conn, app App, page string, class Class, re
 		t.Charge(t.cost.Render(len(body)))
 	}
 	return t.Reply(c, page, class, BuildResponse(res, body, ct, status, keep))
+}
+
+// bodyPool recycles the buffers dynamic pages are rendered into and
+// written from. FinishDynamic holds one from before the render until
+// Reply has flushed it to the connection, so the pool holds about as many
+// as there are workers finishing pages at once.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledBody keeps one outsized page from pinning its buffer for good.
+const maxPooledBody = 1 << 20
+
+func putBody(buf *[]byte) {
+	if cap(*buf) <= maxPooledBody {
+		bodyPool.Put(buf)
+	}
 }

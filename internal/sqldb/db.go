@@ -646,19 +646,10 @@ func (rs *ResultSet) TimeVal(row int, name string) time.Time {
 	return time.Time{}
 }
 
-// Maps converts the result into one map per row — the shape template
-// contexts want.
-func (rs *ResultSet) Maps() []map[string]any {
-	out := make([]map[string]any, len(rs.Rows))
-	for i, row := range rs.Rows {
-		m := make(map[string]any, len(rs.Columns))
-		for j, c := range rs.Columns {
-			m[c] = row[j]
-		}
-		out[i] = m
-	}
-	return out
-}
+// Cell is Get as a plain any. Len and Cell are the row-set shape
+// internal/template walks in place, so a result goes on a page as it is,
+// without a map per row.
+func (rs *ResultSet) Cell(row int, column string) any { return rs.Get(row, column) }
 
 // First returns the first row as a map, or nil for an empty result.
 func (rs *ResultSet) First() map[string]any {

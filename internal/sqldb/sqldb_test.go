@@ -443,9 +443,8 @@ func TestResultSetHelpers(t *testing.T) {
 	if rs.TimeVal(0, "b_pub").IsZero() {
 		t.Fatal("TimeVal zero")
 	}
-	maps := rs.Maps()
-	if len(maps) != 1 || maps[0]["b_title"] != "TAOCP Volume 1" {
-		t.Fatalf("Maps: %v", maps)
+	if rs.Cell(0, "b_title") != "TAOCP Volume 1" || rs.Cell(0, "nope") != nil || rs.Cell(1, "b_title") != nil {
+		t.Fatalf("Cell: %v, %v, %v", rs.Cell(0, "b_title"), rs.Cell(0, "nope"), rs.Cell(1, "b_title"))
 	}
 	if rs.First()["b_id"] != int64(1) {
 		t.Fatalf("First: %v", rs.First())

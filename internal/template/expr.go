@@ -108,10 +108,18 @@ func (p pathExpr) eval(ctx *Context) (any, error) {
 }
 
 type filterCall struct {
-	name   string
-	fn     FilterFunc
-	arg    expr // nil when the filter takes no argument
-	hasArg bool
+	name     string
+	fn       FilterFunc
+	appendFn appendFilter // fn's append form; nil when it has none
+	arg      expr         // nil when the filter takes no argument
+	hasArg   bool
+}
+
+func (f *filterCall) evalArg(ctx *Context) (any, error) {
+	if !f.hasArg {
+		return nil, nil
+	}
+	return f.arg.eval(ctx)
 }
 
 type pipelineExpr struct {
@@ -124,13 +132,11 @@ func (p pipelineExpr) eval(ctx *Context) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, f := range p.filters {
-		var arg any
-		if f.hasArg {
-			arg, err = f.arg.eval(ctx)
-			if err != nil {
-				return nil, err
-			}
+	for i := range p.filters {
+		f := &p.filters[i]
+		arg, err := f.evalArg(ctx)
+		if err != nil {
+			return nil, err
 		}
 		v, err = f.fn(v, arg, f.hasArg)
 		if err != nil {
@@ -342,7 +348,7 @@ func parsePipeline(s *exprScanner, filters *FilterSet) (expr, error) {
 		if err := s.next(); err != nil {
 			return nil, err
 		}
-		call := filterCall{name: name, fn: fn}
+		call := filterCall{name: name, fn: fn, appendFn: filters.app[name]}
 		if s.cur == ":" {
 			if err := s.next(); err != nil {
 				return nil, err

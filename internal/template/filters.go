@@ -6,34 +6,62 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // FilterFunc transforms a value in a {{ value|filter:arg }} pipeline.
 // hasArg distinguishes "no argument" from "nil argument".
 type FilterFunc func(v any, arg any, hasArg bool) (any, error)
 
+// appendFilter is the append form of a filter whose result is a plain
+// string: it appends that string to dst instead of returning it, so a
+// {{ value|filter }} reaches the page without a string per cell. Such a
+// filter is written once, in this form, and its FilterFunc derived.
+type appendFilter func(dst []byte, v any, arg any, hasArg bool) ([]byte, error)
+
+func (af appendFilter) filterFunc() FilterFunc {
+	return func(v any, arg any, hasArg bool) (any, error) {
+		out, err := af(nil, v, arg, hasArg)
+		if err != nil {
+			return nil, err
+		}
+		return string(out), nil
+	}
+}
+
 // FilterSet is a named collection of filters. Filter names are resolved
 // at parse time so typos fail fast rather than at render time.
 type FilterSet struct {
-	m map[string]FilterFunc
+	m   map[string]FilterFunc
+	app map[string]appendFilter // the append form of m's built-ins that have one
 }
 
 // NewFilterSet returns a set preloaded with the built-in Django-style
 // filters.
 func NewFilterSet() *FilterSet {
-	fs := &FilterSet{m: make(map[string]FilterFunc, len(builtinFilters))}
+	fs := &FilterSet{
+		m:   make(map[string]FilterFunc, len(builtinFilters)+len(builtinAppendFilters)),
+		app: make(map[string]appendFilter, len(builtinAppendFilters)),
+	}
 	for name, fn := range builtinFilters {
 		fs.m[name] = fn
+	}
+	for name, af := range builtinAppendFilters {
+		fs.m[name] = af.filterFunc()
+		fs.app[name] = af
 	}
 	return fs
 }
 
-// Register adds or replaces a filter.
+// Register adds or replaces a filter. Replacing a built-in that has an
+// append form drops that form with it: the name means fn from now on.
 func (fs *FilterSet) Register(name string, fn FilterFunc) {
 	if name == "" || fn == nil {
 		panic("template: invalid filter registration")
 	}
 	fs.m[name] = fn
+	delete(fs.app, name)
 }
 
 // Get looks up a filter by name.
@@ -51,6 +79,44 @@ func (fs *FilterSet) Names() []string {
 	return names
 }
 
+func noArgAppend(name string, fn func(dst []byte, s string) []byte) appendFilter {
+	return func(dst []byte, v any, _ any, hasArg bool) ([]byte, error) {
+		if hasArg {
+			return dst, fmt.Errorf("%s takes no argument", name)
+		}
+		return fn(dst, Stringify(v)), nil
+	}
+}
+
+// builtinAppendFilters are the string-producing filters the TPC-W pages
+// put in a table cell, kept in append form.
+var builtinAppendFilters = map[string]appendFilter{
+	"title":     noArgAppend("title", appendTitle),
+	"urlencode": noArgAppend("urlencode", appendURLEscape),
+	"floatformat": func(dst []byte, v any, arg any, hasArg bool) ([]byte, error) {
+		f, ok := asFloat(v)
+		if !ok {
+			return dst, nil
+		}
+		digits := 1
+		if hasArg {
+			d, ok := asInt(arg)
+			if !ok {
+				return dst, fmt.Errorf("floatformat argument must be numeric")
+			}
+			digits = d
+		}
+		if digits < 0 {
+			// Negative: only keep decimals when the value is fractional.
+			if f == math.Trunc(f) {
+				return strconv.AppendInt(dst, int64(f), 10), nil
+			}
+			digits = -digits
+		}
+		return strconv.AppendFloat(dst, f, 'f', digits, 64), nil
+	},
+}
+
 func noArg(name string, fn func(v any) (any, error)) FilterFunc {
 	return func(v any, _ any, hasArg bool) (any, error) {
 		if hasArg {
@@ -66,13 +132,6 @@ var builtinFilters = map[string]FilterFunc{
 	}),
 	"lower": noArg("lower", func(v any) (any, error) {
 		return strings.ToLower(Stringify(v)), nil
-	}),
-	"title": noArg("title", func(v any) (any, error) {
-		words := strings.Fields(Stringify(v))
-		for i, w := range words {
-			words[i] = capitalizeASCII(w)
-		}
-		return strings.Join(words, " "), nil
 	}),
 	"capfirst": noArg("capfirst", func(v any) (any, error) {
 		return capitalizeASCII(Stringify(v)), nil
@@ -104,28 +163,6 @@ var builtinFilters = map[string]FilterFunc{
 		}
 		return v, nil
 	},
-	"floatformat": func(v any, arg any, hasArg bool) (any, error) {
-		f, ok := asFloat(v)
-		if !ok {
-			return "", nil
-		}
-		digits := 1
-		if hasArg {
-			d, ok := asInt(arg)
-			if !ok {
-				return nil, fmt.Errorf("floatformat argument must be numeric")
-			}
-			digits = d
-		}
-		if digits < 0 {
-			// Negative: only keep decimals when the value is fractional.
-			if f == math.Trunc(f) {
-				return strconv.FormatInt(int64(f), 10), nil
-			}
-			digits = -digits
-		}
-		return strconv.FormatFloat(f, 'f', digits, 64), nil
-	},
 	"escape": noArg("escape", func(v any) (any, error) {
 		return Safe(HTMLEscape(Stringify(v))), nil
 	}),
@@ -155,13 +192,18 @@ var builtinFilters = map[string]FilterFunc{
 			return nil, fmt.Errorf("truncatechars argument must be a non-negative integer")
 		}
 		s := Stringify(v)
-		if len(s) <= n {
+		if utf8.RuneCountInString(s) <= n {
 			return s, nil
 		}
-		if n <= 1 {
-			return "…", nil
+		// Keep n-1 characters: end is the byte offset of the n-th.
+		end := 0
+		for i := range s {
+			if n--; n == 0 {
+				end = i
+				break
+			}
 		}
-		return s[:n-1] + "…", nil
+		return s[:end] + "…", nil
 	},
 	"add": func(v any, arg any, hasArg bool) (any, error) {
 		if !hasArg {
@@ -192,13 +234,14 @@ var builtinFilters = map[string]FilterFunc{
 		if hasArg {
 			sep = Stringify(arg)
 		}
-		var parts []string
-		err := iterate(v, func(_ int, e any) error {
-			parts = append(parts, Stringify(e))
-			return nil
-		})
+		seq, err := sequenceOf(v)
 		if err != nil {
 			return nil, err
+		}
+		parts := make([]string, seq.n)
+		var row rowRef
+		for i := range parts {
+			parts[i] = Stringify(seq.at(i, &row))
 		}
 		return strings.Join(parts, sep), nil
 	},
@@ -239,9 +282,6 @@ var builtinFilters = map[string]FilterFunc{
 		}
 		return suffixes[1], nil
 	},
-	"urlencode": noArg("urlencode", func(v any) (any, error) {
-		return urlEscape(Stringify(v)), nil
-	}),
 	"cut": func(v any, arg any, hasArg bool) (any, error) {
 		if !hasArg {
 			return nil, fmt.Errorf("cut requires an argument")
@@ -283,10 +323,11 @@ func padFilter(name string, right bool) FilterFunc {
 			return nil, fmt.Errorf("%s argument must be a non-negative integer", name)
 		}
 		s := Stringify(v)
-		if len(s) >= width {
+		chars := utf8.RuneCountInString(s)
+		if chars >= width {
 			return s, nil
 		}
-		pad := strings.Repeat(" ", width-len(s))
+		pad := strings.Repeat(" ", width-chars)
 		if right {
 			return pad + s, nil
 		}
@@ -309,10 +350,7 @@ func elemAt(v any, i int) any {
 	case nil:
 		return nil
 	case string:
-		if i < len(t) {
-			return string(t[i])
-		}
-		return nil
+		return runeAt(t, i)
 	}
 	rv := reflect.ValueOf(v)
 	switch rv.Kind() {
@@ -324,19 +362,40 @@ func elemAt(v any, i int) any {
 	return nil
 }
 
-func urlEscape(s string) string {
+// appendTitle appends s's whitespace-separated words, each with its first
+// letter capitalized, joined by single spaces.
+func appendTitle(dst []byte, s string) []byte {
+	for first := true; ; first = false {
+		s = strings.TrimLeftFunc(s, unicode.IsSpace)
+		if s == "" {
+			return dst
+		}
+		end := strings.IndexFunc(s, unicode.IsSpace)
+		if end < 0 {
+			end = len(s)
+		}
+		if !first {
+			dst = append(dst, ' ')
+		}
+		c := s[0]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		dst = append(append(dst, c), s[1:end]...)
+		s = s[end:]
+	}
+}
+
+func appendURLEscape(dst []byte, s string) []byte {
 	const hexDigits = "0123456789ABCDEF"
-	var sb strings.Builder
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		if 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' ||
 			c == '-' || c == '_' || c == '.' || c == '~' || c == '/' {
-			sb.WriteByte(c)
+			dst = append(dst, c)
 		} else {
-			sb.WriteByte('%')
-			sb.WriteByte(hexDigits[c>>4])
-			sb.WriteByte(hexDigits[c&0xf])
+			dst = append(dst, '%', hexDigits[c>>4], hexDigits[c&0xf])
 		}
 	}
-	return sb.String()
+	return dst
 }

@@ -15,6 +15,17 @@
 //
 // Variable output is HTML-escaped unless passed through the "safe" filter,
 // matching Django's autoescape default.
+//
+// A parsed Template is an immutable tree that any number of goroutines
+// may render at once. A render appends to a []byte (RenderAppend; Render
+// is its string view) and keeps everything else it needs — the Context's
+// binding stack, the block overrides, one forloop value per nested loop,
+// a scratch buffer for filter output — in a pooled render state, so that
+// in steady state a page costs no allocation per node, per loop iteration
+// or per cell. Loops index their iterable where it is: slices of maps,
+// of any and of strings directly, a RowSet (Len plus Cell by row and
+// column name, which *sqldb.ResultSet satisfies) through one re-pointed
+// row reference, anything else through reflection.
 package template
 
 import (

@@ -70,7 +70,7 @@ func (p *parser) parseNodes(stopTags []string) (nodeList, string, error) {
 			if err != nil {
 				return nil, "", p.errf("%v", err)
 			}
-			nodes = append(nodes, varNode{e: e, line: tok.line})
+			nodes = append(nodes, newVarNode(e, tok.line))
 		case tokenTag:
 			word := tok.val
 			if i := strings.IndexByte(word, ' '); i >= 0 {
@@ -92,6 +92,26 @@ func (p *parser) parseNodes(stopTags []string) (nodeList, string, error) {
 	}
 }
 
+// newVarNode builds the node for {{ e }}, splitting off a trailing
+// filter that has an append form.
+func newVarNode(e expr, line int) *varNode {
+	n := &varNode{e: e, line: line}
+	p, ok := e.(pipelineExpr)
+	if !ok {
+		return n
+	}
+	last := len(p.filters) - 1
+	if p.filters[last].appendFn == nil {
+		return n
+	}
+	n.tail = &p.filters[last]
+	n.e = p.base
+	if last > 0 {
+		n.e = pipelineExpr{base: p.base, filters: p.filters[:last]}
+	}
+	return n
+}
+
 // parseTag dispatches on the tag keyword.
 func (p *parser) parseTag(word string, tok token) (node, error) {
 	rest := strings.TrimSpace(strings.TrimPrefix(tok.val, word))
@@ -110,7 +130,7 @@ func (p *parser) parseTag(word string, tok token) (node, error) {
 		if err != nil {
 			return nil, p.errf("%v", err)
 		}
-		return includeNode{name: e}, nil
+		return &includeNode{name: e}, nil
 	case "extends":
 		if p.extends != "" {
 			return nil, p.errf("multiple {%% extends %%} tags")
@@ -134,7 +154,7 @@ func (p *parser) parseTag(word string, tok token) (node, error) {
 }
 
 func (p *parser) parseIf(cond string) (node, error) {
-	n := ifNode{}
+	n := &ifNode{}
 	for {
 		e, err := parseConditionString(cond, p.filters)
 		if err != nil {
@@ -168,7 +188,7 @@ func (p *parser) parseIf(cond string) (node, error) {
 
 func (p *parser) parseFor(spec string) (node, error) {
 	// "x in xs", "k, v in m", optional trailing "reversed".
-	n := forNode{}
+	n := &forNode{}
 	if strings.HasSuffix(spec, " reversed") {
 		n.reversed = true
 		spec = strings.TrimSuffix(spec, " reversed")
@@ -215,7 +235,7 @@ func (p *parser) parseFor(spec string) (node, error) {
 
 func (p *parser) parseWith(spec string) (node, error) {
 	// "name=expr" or "expr as name".
-	n := withNode{}
+	n := &withNode{}
 	if asIdx := strings.Index(spec, " as "); asIdx >= 0 {
 		e, err := parsePipelineString(strings.TrimSpace(spec[:asIdx]), p.filters)
 		if err != nil {
@@ -263,7 +283,7 @@ func (p *parser) parseBlock(name string) (node, error) {
 		return nil, p.errf("unterminated {%% block %s %%}", name)
 	}
 	p.blocks[name] = body
-	return blockNode{name: name, body: body}, nil
+	return &blockNode{name: name, body: body}, nil
 }
 
 // skipUntil discards tokens until a tag with the given keyword.

@@ -2,7 +2,6 @@ package template
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 )
 
@@ -11,6 +10,11 @@ import (
 // Add and parsed lazily, once, on first use; parsed templates are cached
 // and safe for concurrent rendering, which is exactly what the modified
 // server's template-rendering pool requires.
+//
+// RenderAppend is the wire path: it renders onto the end of a buffer the
+// caller owns (the server's pooled response body) and, on error, hands
+// the buffer back unextended. Render returns the same bytes as a string,
+// for handlers that render conventionally and for tests.
 type Set struct {
 	mu      sync.RWMutex
 	sources map[string]string
@@ -100,33 +104,60 @@ func (s *Set) Render(name string, data map[string]any) (string, error) {
 	return t.Render(data)
 }
 
+// RenderAppend is Render onto the end of dst: the wire path, which
+// renders a page straight into the buffer the response is written from.
+// On error it returns dst as it was given — never part of a page.
+func (s *Set) RenderAppend(dst []byte, name string, data map[string]any) ([]byte, error) {
+	t, err := s.Get(name)
+	if err != nil {
+		return dst, err
+	}
+	return t.RenderAppend(dst, data)
+}
+
 // Render renders the template with data, resolving {% extends %} chains
-// and {% include %} references through the owning set.
+// and {% include %} references through the owning set. It is the string
+// view of RenderAppend.
 func (t *Template) Render(data map[string]any) (string, error) {
-	ctx := NewContext(data)
-	var sb strings.Builder
-	st := &renderState{set: t.set}
-	if err := t.renderInto(st, ctx, &sb); err != nil {
+	st := acquireState(t.set, data)
+	out, err := t.renderInto(st, st.out[:0])
+	if err != nil {
 		return "", err
 	}
-	return sb.String(), nil
+	page := string(out)
+	st.out = out
+	st.release()
+	return page, nil
+}
+
+// RenderAppend appends the rendered template to dst and returns the
+// extended slice. On error it returns dst as it was given.
+func (t *Template) RenderAppend(dst []byte, data map[string]any) ([]byte, error) {
+	st := acquireState(t.set, data)
+	out, err := t.renderInto(st, dst)
+	if err != nil {
+		return dst, err
+	}
+	st.release()
+	return out, nil
 }
 
 // renderInto walks the inheritance chain: each {% extends %} pushes the
 // child's blocks as overrides and delegates rendering to the parent.
-func (t *Template) renderInto(st *renderState, ctx *Context, sb *strings.Builder) error {
+func (t *Template) renderInto(st *renderState, dst []byte) ([]byte, error) {
 	cur := t
 	for cur.extends != "" {
 		if st.depth >= maxRenderDepth {
-			return fmt.Errorf("template: extends depth exceeds %d (cycle?)", maxRenderDepth)
+			return dst, fmt.Errorf("template: extends depth exceeds %d (cycle?)", maxRenderDepth)
 		}
 		st.depth++
-		st.overrides = append(st.overrides, cur.blocks)
+		st.overrides[st.ovHi] = cur.blocks
+		st.ovHi++
 		parent, err := st.set.Get(cur.extends)
 		if err != nil {
-			return fmt.Errorf("extends: %w", err)
+			return dst, fmt.Errorf("extends: %w", err)
 		}
 		cur = parent
 	}
-	return cur.nodes.render(st, ctx, sb)
+	return cur.nodes.render(st, dst)
 }

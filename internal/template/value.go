@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Truth reports Django truthiness: nil, false, zero numbers, empty
@@ -29,6 +30,8 @@ func Truth(v any) bool {
 		return t != 0
 	case float32:
 		return t != 0
+	case RowSet:
+		return t.Len() > 0
 	}
 	rv := reflect.ValueOf(v)
 	switch rv.Kind() {
@@ -149,28 +152,47 @@ func Contains(item, container any) (bool, error) {
 	}
 }
 
-// iterate visits the elements of a value for {% for %}: slice/array
-// elements, map values as (key, value) pairs sorted by key for
-// determinism, or string runes. It reports an error for non-iterables.
-func iterate(v any, visit func(i int, elem any) error) error {
-	if v == nil {
-		return nil
+// sequence is an indexable view of an iterable value, so that a loop can
+// count it, walk it in either direction and know its last element
+// without first copying it. The shapes handlers pass — []map[string]any,
+// []any, []string and row sets — are indexed where they are; other slices
+// and arrays through reflection; maps and strings, which have no stable
+// index, are laid out as anys first.
+type sequence struct {
+	n    int
+	maps []map[string]any
+	anys []any
+	strs []string
+	rows RowSet
+	rv   reflect.Value
+}
+
+// sequenceOf views v for {% for %} and join: slice/array elements, row
+// set rows, map entries as {key, value} pairs sorted by key for
+// determinism, or string runes. nil is empty; anything else is an error.
+func sequenceOf(v any) (sequence, error) {
+	switch t := v.(type) {
+	case nil:
+		return sequence{}, nil
+	case []map[string]any:
+		return sequence{n: len(t), maps: t}, nil
+	case []any:
+		return sequence{n: len(t), anys: t}, nil
+	case []string:
+		return sequence{n: len(t), strs: t}, nil
+	case RowSet:
+		return sequence{n: t.Len(), rows: t}, nil
 	}
 	rv := reflect.ValueOf(v)
 	for rv.Kind() == reflect.Pointer || rv.Kind() == reflect.Interface {
 		if rv.IsNil() {
-			return nil
+			return sequence{}, nil
 		}
 		rv = rv.Elem()
 	}
 	switch rv.Kind() {
 	case reflect.Slice, reflect.Array:
-		for i := 0; i < rv.Len(); i++ {
-			if err := visit(i, rv.Index(i).Interface()); err != nil {
-				return err
-			}
-		}
-		return nil
+		return sequence{n: rv.Len(), rv: rv}, nil
 	case reflect.Map:
 		keys := rv.MapKeys()
 		strs := make([]string, len(keys))
@@ -185,23 +207,54 @@ func iterate(v any, visit func(i int, elem any) error) error {
 				keys[j], keys[j-1] = keys[j-1], keys[j]
 			}
 		}
+		pairs := make([]any, len(keys))
 		for i, k := range keys {
-			pair := map[string]any{"key": k.Interface(), "value": rv.MapIndex(k).Interface()}
-			if err := visit(i, pair); err != nil {
-				return err
-			}
+			pairs[i] = map[string]any{"key": k.Interface(), "value": rv.MapIndex(k).Interface()}
 		}
-		return nil
+		return sequence{n: len(pairs), anys: pairs}, nil
 	case reflect.String:
-		for i, r := range rv.String() {
-			if err := visit(i, string(r)); err != nil {
-				return err
-			}
+		var runes []any
+		for _, r := range rv.String() {
+			runes = append(runes, string(r))
 		}
-		return nil
+		return sequence{n: len(runes), anys: runes}, nil
 	default:
-		return fmt.Errorf("template: cannot iterate %T", v)
+		return sequence{}, fmt.Errorf("template: cannot iterate %T", v)
 	}
+}
+
+// at returns element i, 0 <= i < s.n. A row set's element is ref,
+// pointed at row i.
+func (s *sequence) at(i int, ref *rowRef) any {
+	switch {
+	case s.maps != nil:
+		return s.maps[i]
+	case s.anys != nil:
+		return s.anys[i]
+	case s.strs != nil:
+		return s.strs[i]
+	case s.rows != nil:
+		ref.rows, ref.i = s.rows, i
+		return ref
+	default:
+		return s.rv.Index(i).Interface()
+	}
+}
+
+// runeAt returns the i-th character of s as a string, or nil when s is
+// shorter: strings index by rune wherever a template can index them,
+// as {% for c in s %} walks them.
+func runeAt(s string, i int) any {
+	if i < 0 {
+		return nil
+	}
+	for _, r := range s {
+		if i == 0 {
+			return string(r)
+		}
+		i--
+	}
+	return nil
 }
 
 // length reports the number of elements in a container-ish value.
@@ -210,9 +263,11 @@ func length(v any) (int, bool) {
 	case nil:
 		return 0, true
 	case string:
-		return len(t), true
+		return utf8.RuneCountInString(t), true
 	case Safe:
-		return len(t), true
+		return utf8.RuneCountInString(string(t)), true
+	case RowSet:
+		return t.Len(), true
 	}
 	rv := reflect.ValueOf(v)
 	switch rv.Kind() {

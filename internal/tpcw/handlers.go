@@ -16,7 +16,7 @@ import (
 
 // home is the TPC-W home interaction: greeting plus promotional items.
 func (a *App) home(r *server.Request) (*server.Result, error) {
-	data := map[string]any{"subjects": Subjects}
+	data := map[string]any{"subjects": subjectValues}
 	if cid := intParam(r.Query, "c_id", 0); cid > 0 {
 		rs, err := r.DB.Query("SELECT c_fname, c_lname FROM customer WHERE c_id = ?", cid)
 		if err != nil {
@@ -35,6 +35,16 @@ func (a *App) home(r *server.Request) (*server.Result, error) {
 	data["promotions"] = promos
 	return &server.Result{Template: "home.html", Data: data}, nil
 }
+
+// subjectValues is Subjects boxed once, for the home page's list: looping
+// over the []string would box every name again on every render.
+var subjectValues = func() []any {
+	vals := make([]any, len(Subjects))
+	for i, s := range Subjects {
+		vals[i] = s
+	}
+	return vals
+}()
 
 // promotions picks five items by rotating point lookups — the TPC-W
 // promotional display on home, cart, and search pages.
@@ -100,24 +110,26 @@ func (a *App) shoppingCart(r *server.Request) (*server.Result, error) {
 	}}, nil
 }
 
-// cartLines loads a cart's lines joined with item data and computes the
+// cartLines loads a cart's lines joined with item data, appends each
+// line's subtotal as a column of the result, and computes the cart's
 // subtotal.
-func (a *App) cartLines(db server.DBConn, scID int) ([]map[string]any, float64, error) {
+func (a *App) cartLines(db server.DBConn, scID int) (*sqldb.ResultSet, float64, error) {
 	rs, err := db.Query(
 		`SELECT scl_i_id, scl_qty, i_id, i_title, i_cost FROM shopping_cart_line
 		 JOIN item ON scl_i_id = i_id WHERE scl_sc_id = ?`, scID)
 	if err != nil {
 		return nil, 0, err
 	}
-	lines := rs.Maps()
+	// The rows are ours; Columns is shared with the cached statement, so
+	// the extended header is a copy.
+	rs.Columns = append(rs.Columns[:len(rs.Columns):len(rs.Columns)], "subtotal")
 	subTotal := 0.0
-	for _, line := range lines {
-		qty := float64(line["scl_qty"].(int64))
-		cost := line["i_cost"].(float64)
-		line["subtotal"] = qty * cost
-		subTotal += qty * cost
+	for i, row := range rs.Rows {
+		line := float64(rs.Int(i, "scl_qty")) * rs.Float(i, "i_cost")
+		rs.Rows[i] = append(row, line)
+		subTotal += line
 	}
-	return lines, subTotal, nil
+	return rs, subTotal, nil
 }
 
 // customerRegistration shows the checkout identification form.
@@ -206,10 +218,10 @@ func (a *App) buyConfirm(r *server.Request) (*server.Result, error) {
 		return nil, errPage(PageBuyConfirm, err)
 	}
 	oID := res.LastInsertID
-	for _, line := range lines {
+	for i := range lines.Rows {
 		if _, err := r.DB.Exec(
 			"INSERT INTO order_line (ol_id, ol_o_id, ol_i_id, ol_qty, ol_discount, ol_comments) VALUES (NULL, ?, ?, ?, 0.0, '')",
-			oID, line["scl_i_id"], line["scl_qty"]); err != nil {
+			oID, lines.Get(i, "scl_i_id"), lines.Get(i, "scl_qty")); err != nil {
 			return nil, errPage(PageBuyConfirm, err)
 		}
 	}
@@ -252,7 +264,7 @@ func (a *App) orderDisplay(r *server.Request) (*server.Result, error) {
 	if err != nil {
 		return nil, errPage(PageOrderDisplay, err)
 	}
-	data["lines"] = lines.Maps()
+	data["lines"] = lines
 	return &server.Result{Template: "order_display.html", Data: data}, nil
 }
 
@@ -300,7 +312,7 @@ func (a *App) executeSearch(r *server.Request) (*server.Result, error) {
 		return nil, errPage(PageExecuteSearch, err)
 	}
 	return &server.Result{Template: "execute_search.html", Data: map[string]any{
-		"field": field, "terms": terms, "results": rs.Maps(),
+		"field": field, "terms": terms, "results": rs,
 	}}, nil
 }
 
@@ -320,7 +332,7 @@ func (a *App) newProducts(r *server.Request) (*server.Result, error) {
 		return nil, errPage(PageNewProducts, err)
 	}
 	return &server.Result{Template: "new_products.html", Data: map[string]any{
-		"subject": subject, "results": rs.Maps(),
+		"subject": subject, "results": rs,
 	}}, nil
 }
 
@@ -347,7 +359,7 @@ func (a *App) bestSellers(r *server.Request) (*server.Result, error) {
 		return nil, errPage(PageBestSellers, err)
 	}
 	return &server.Result{Template: "best_sellers.html", Data: map[string]any{
-		"subject": subject, "results": rs.Maps(),
+		"subject": subject, "results": rs,
 	}}, nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"time"
 
 	"stagedweb/internal/server"
 	"stagedweb/internal/sqldb"
@@ -181,12 +180,15 @@ func TestShoppingCartFlow(t *testing.T) {
 	// Adding the same item again increments the quantity.
 	_, res2 := call(t, app, conn, PageShoppingCart, map[string]string{
 		"sc_id": itoa(scID), "i_id": "5", "qty": "1"})
-	lines := res2.Data["lines"].([]map[string]any)
-	if len(lines) != 1 {
-		t.Fatalf("lines = %d, want 1 (merged)", len(lines))
+	lines := res2.Data["lines"].(*sqldb.ResultSet)
+	if lines.Len() != 1 {
+		t.Fatalf("lines = %d, want 1 (merged)", lines.Len())
 	}
-	if qty := lines[0]["scl_qty"].(int64); qty != 3 {
+	if qty := lines.Int(0, "scl_qty"); qty != 3 {
 		t.Fatalf("merged qty = %d, want 3", qty)
+	}
+	if sub := lines.Float(0, "subtotal"); sub != 3*lines.Float(0, "i_cost") || sub <= 0 {
+		t.Fatalf("line subtotal = %v, want 3 x %v", sub, lines.Float(0, "i_cost"))
 	}
 	if res2.Data["sc_sub_total"].(float64) <= 0 {
 		t.Fatal("zero subtotal")
@@ -259,12 +261,12 @@ func TestExecuteSearchFindsMatches(t *testing.T) {
 	app, conn := newBookstore(t)
 	out, res := call(t, app, conn, PageExecuteSearch, map[string]string{
 		"field": "title", "terms": "THE"})
-	results := res.Data["results"].([]map[string]any)
-	if len(results) == 0 {
+	results := res.Data["results"].(*sqldb.ResultSet)
+	if results.Len() == 0 {
 		t.Fatal("search for common word found nothing")
 	}
-	if len(results) > 50 {
-		t.Fatalf("results = %d, exceeds LIMIT 50", len(results))
+	if results.Len() > 50 {
+		t.Fatalf("results = %d, exceeds LIMIT 50", results.Len())
 	}
 	if !strings.Contains(out, "Results for") {
 		t.Fatalf("search page malformed: %.200s", out)
@@ -283,14 +285,14 @@ func TestExecuteSearchFindsMatches(t *testing.T) {
 func TestNewProductsSortedByDate(t *testing.T) {
 	app, conn := newBookstore(t)
 	_, res := call(t, app, conn, PageNewProducts, map[string]string{"subject": Subjects[0]})
-	results := res.Data["results"].([]map[string]any)
-	if len(results) == 0 {
+	results := res.Data["results"].(*sqldb.ResultSet)
+	if results.Len() == 0 {
 		t.Fatal("no new products for subject")
 	}
-	for i := 1; i < len(results); i++ {
-		prev := results[i-1]["i_pub_date"].(time.Time)
-		cur := results[i]["i_pub_date"].(time.Time)
-		if cur.After(prev) {
+	for i := 1; i < results.Len(); i++ {
+		prev := results.TimeVal(i-1, "i_pub_date")
+		cur := results.TimeVal(i, "i_pub_date")
+		if prev.IsZero() || cur.After(prev) {
 			t.Fatalf("results not sorted by pub date desc at %d", i)
 		}
 	}
@@ -303,13 +305,13 @@ func TestBestSellersAggregates(t *testing.T) {
 	found := false
 	for _, subj := range Subjects {
 		_, res := call(t, app, conn, PageBestSellers, map[string]string{"subject": subj})
-		results := res.Data["results"].([]map[string]any)
-		if len(results) == 0 {
+		results := res.Data["results"].(*sqldb.ResultSet)
+		if results.Len() == 0 {
 			continue
 		}
 		found = true
-		for i := 1; i < len(results); i++ {
-			if results[i]["qty"].(int64) > results[i-1]["qty"].(int64) {
+		for i := 1; i < results.Len(); i++ {
+			if results.Int(i, "qty") > results.Int(i-1, "qty") {
 				t.Fatalf("best sellers not sorted by qty desc")
 			}
 		}
