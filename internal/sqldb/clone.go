@@ -56,23 +56,24 @@ func (t *table) cloneAt(ts int64) *table {
 		indexes:  make(map[string]*hashIndex, len(t.indexes)),
 		ordered:  make(map[string]*orderedIndex, len(t.ordered)),
 	}
-	slots := *t.slots.Load()
-	ns := make([]*rowSlot, len(slots))
+	src := t.slots.Load()
+	arena := &slotArena{chunks: make([]*slotChunk, (src.n+slotChunkSize-1)/slotChunkSize), n: src.n}
+	for i := range arena.chunks {
+		arena.chunks[i] = new(slotChunk)
+	}
 	live := int64(0)
-	for i, s := range slots {
-		cp := &rowSlot{}
-		var row []Value
-		if data := s.visible(ts); data != nil {
-			row = append([]Value(nil), data...)
+	for id := 0; id < src.n; id++ {
+		head := reaped
+		if data := src.at(id).visible(ts); data != nil {
+			head = &rowVersion{data: append([]Value(nil), data...)}
 			live++
 		}
-		cp.head.Store(&rowVersion{data: row, begin: 0})
-		ns[i] = cp
+		arena.at(id).head.Store(head)
 	}
-	nt.slots.Store(&ns)
+	nt.slots.Store(arena)
 	nt.live.Store(live)
 	if t.pk != nil {
-		nt.pk = maps.Clone(t.pk)
+		nt.pk = t.pk.clone()
 	}
 	for name, idx := range t.indexes {
 		nt.indexes[name] = &hashIndex{col: idx.col, m: maps.Clone(idx.m)}

@@ -82,6 +82,90 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 }
 
+// TestCloneReplayReproducesLayout is the replica contract over the chunked
+// arena and the pk index: a clone taken mid-stream that replays the
+// replication log from its clone point ends with the primary's slot
+// layout (tombstones in place), primary-key hints and auto-increment
+// state. The table spans several slot chunks and carries outlier,
+// re-used and moved keys.
+func TestCloneReplayReproducesLayout(t *testing.T) {
+	db := Open(Options{Cost: ZeroCostModel()})
+	db.MustCreateTable(Schema{
+		Table:      "t",
+		Columns:    []Column{{Name: "id", Type: Int}, {Name: "v", Type: Int}},
+		PrimaryKey: "id",
+		Ordered:    []string{"v"},
+	})
+	log := db.EnableReplLog()
+	c := db.Connect()
+	defer c.Close()
+	dml := func(from, to int) {
+		for i := from; i < to; i++ {
+			mustExec(t, c, "INSERT INTO t (id, v) VALUES (NULL, ?)", i%50)
+			switch i % 40 {
+			case 3:
+				mustExec(t, c, "DELETE FROM t WHERE id = ?", i/2)
+			case 9:
+				mustExec(t, c, "INSERT INTO t (id, v) VALUES (?, ?)", (i-6)/2, -1) // re-uses the key deleted six rounds ago
+			case 17:
+				mustExec(t, c, "UPDATE t SET id = ? WHERE id = ?", -i, i-1) // moves a key out of the window
+			case 25:
+				mustExec(t, c, "UPDATE t SET v = ? WHERE id = ?", 1000+i, i-2)
+			}
+		}
+	}
+	dml(0, slotChunkSize+100)
+	mustExec(t, c, "INSERT INTO t (id, v) VALUES (?, ?)", 1<<40, 0) // nextAuto jumps
+	clone, asOf := db.CloneSnapshot()
+	dml(slotChunkSize+100, 3*slotChunkSize)
+
+	cc := clone.Connect()
+	defer cc.Close()
+	entries, _ := log.Since(asOf)
+	for _, e := range entries {
+		args := make([]any, len(e.Args))
+		for i, a := range e.Args {
+			args[i] = a
+		}
+		if _, err := cc.Exec(e.SQL, args...); err != nil {
+			t.Fatalf("replay %q %v: %v", e.SQL, e.Args, err)
+		}
+	}
+
+	pt, _ := db.lookupTable("t")
+	ct, _ := clone.lookupTable("t")
+	pv, cv := pt.view(latestTS), ct.view(latestTS)
+	if pv.size() != cv.size() || pv.size() <= 3*slotChunkSize {
+		t.Fatalf("slot counts: primary %d, clone %d", pv.size(), cv.size())
+	}
+	if live, _ := db.TableSize("t"); live >= pv.size() {
+		t.Fatalf("%d live rows in %d slots: the script left no tombstone", live, pv.size())
+	}
+	for id := 0; id < pv.size(); id++ {
+		prow, crow := pv.row(id), cv.row(id)
+		if len(prow) != len(crow) || (prow != nil && (prow[0] != crow[0] || prow[1] != crow[1])) {
+			t.Fatalf("slot %d: primary %v, clone %v", id, prow, crow)
+		}
+		if prow == nil {
+			continue
+		}
+		key := prow[0].(int64)
+		pid, pok := pv.lookupPK(key)
+		cid, cok := cv.lookupPK(key)
+		if !pok || !cok || pid != id || cid != id {
+			t.Fatalf("key %d of slot %d: primary hint %d %v, clone hint %d %v", key, id, pid, pok, cid, cok)
+		}
+	}
+	if pt.nextAuto != ct.nextAuto {
+		t.Fatalf("nextAuto: primary %d, clone %d", pt.nextAuto, ct.nextAuto)
+	}
+	po := mustExec(t, c, "INSERT INTO t (id, v) VALUES (NULL, 1)")
+	co := mustExec(t, cc, "INSERT INTO t (id, v) VALUES (NULL, 1)")
+	if po.LastInsertID != co.LastInsertID || po.LastInsertID <= 1<<40 {
+		t.Fatalf("auto ids after replay: primary %d, clone %d", po.LastInsertID, co.LastInsertID)
+	}
+}
+
 func TestApplyHookFiresUnderWriteLock(t *testing.T) {
 	db, c := cloneTestDB(t)
 	type applied struct {

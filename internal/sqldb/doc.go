@@ -59,7 +59,23 @@
 // Storage is row-versioned: every committed DML statement stamps the
 // versions it installs with a dense per-database commit timestamp, and
 // a statement's rows are all-or-nothing — no reader at any timestamp
-// observes half of a multi-row UPDATE. Two concurrency disciplines
+// observes half of a multi-row UPDATE.
+//
+// The read path from a key to a row (table.go, pkindex.go) takes no lock
+// and writes no shared memory, in either discipline below: it runs once
+// per joined row of every scan page and once per statement of every
+// quick page. Row slots live by value in fixed-size chunks, published as
+// an immutable (chunk list, count) header that writers replace; the
+// primary-key index is a flat array of slot numbers over the key window
+// the table occupies, grown by copy and publish, with a locked map only
+// for keys outside that window; version chains are walked through atomic
+// pointers. Writers are serialised by the commit critical section, so
+// each of these has one writer and any number of readers. The table's
+// idxMu covers only the secondary-index maps. The rows an access path
+// visits are counted in the statement's own context and added to
+// PlanRowsRead once, when its read pass ends.
+//
+// Two concurrency disciplines
 // interpret that storage, selected by Options.MVCC / DB.SetMVCC:
 //
 //   - mvcc=off (default): any number of connections may execute

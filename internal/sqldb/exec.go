@@ -19,6 +19,10 @@ type binding struct {
 type execCtx struct {
 	args []Value
 	cost costCounter
+	// planRows counts the row versions this execution's access paths have
+	// visited and flushPlanRows has not yet added to db.planRows: the
+	// per-row path bumps a field of its own, never a shared cache line.
+	planRows int64
 	// sql is the original statement text, kept for the DML apply hook.
 	sql string
 	// argBuf backs args for the usual short argument list, so the context
@@ -258,7 +262,19 @@ type dmlRun struct {
 func (db *DB) readPhase(p *dmlPlan, set []string, view tableView, ec *execCtx) (*dmlRun, error) {
 	r := &dmlRun{plan: p, set: set, ec: ec}
 	err := db.drive(db.cheapestPath(p.tbl, p.cands), view, ec, &r.probes, r)
+	db.flushPlanRows(ec)
 	return r, err
+}
+
+// flushPlanRows adds the rows an execution visited to PlanRowsRead. Every
+// access path runs inside runSelect's enumeration or a DML read phase,
+// and both call this once on the way out, whether the pass finished or
+// failed and before any cost sleep or commit — so the total is in
+// db.planRows by the time the statement (or an attempt that ends in a
+// write conflict) returns.
+func (db *DB) flushPlanRows(ec *execCtx) {
+	db.planRows.Add(ec.planRows)
+	ec.planRows = 0
 }
 
 func (r *dmlRun) visit(id int, row []Value) error {

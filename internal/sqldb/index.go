@@ -13,10 +13,10 @@ import (
 // the visible row.
 //
 // The published state is immutable and swapped atomically: writers
-// (serialized by db.commitMu) append to a small unsorted buffer
-// copy-on-write and merge it into the sorted base once it exceeds
-// mergeThreshold, so maintenance is amortized O(log n) per write instead
-// of an O(n) slab copy. Readers load one pointer and work over slices
+// (serialized by db.commitMu) insert into a small sorted buffer
+// copy-on-write and merge it into the sorted base once it reaches
+// mergeThreshold, so maintenance is a short copy per write instead of an
+// O(n) slab copy. Readers load one pointer and work over slices
 // that are never mutated afterwards.
 type orderedIndex struct {
 	col   int
@@ -39,8 +39,8 @@ type orderedState struct {
 	distinct int
 }
 
-// mergeThreshold bounds the unsorted-buffer length before it is folded
-// into the sorted base.
+// mergeThreshold bounds the buffer length before it is folded into the
+// sorted base.
 const mergeThreshold = 256
 
 func newOrderedIndex(col int) *orderedIndex {
@@ -71,42 +71,61 @@ func entryLess(a, b idxEntry) bool {
 func (idx *orderedIndex) add(v Value, id int) {
 	st := idx.state.Load()
 	e := idxEntry{val: v, id: id}
-	if st.contains(e) {
+	if _, found := findEntry(st.base, e); found {
 		return
 	}
-	nbuf := make([]idxEntry, len(st.buf), len(st.buf)+1)
-	copy(nbuf, st.buf)
-	nbuf = append(nbuf, e)
-	sort.Slice(nbuf, func(i, j int) bool { return entryLess(nbuf[i], nbuf[j]) })
+	at, found := findEntry(st.buf, e)
+	if found {
+		return
+	}
+	nbuf := make([]idxEntry, len(st.buf)+1)
+	copy(nbuf, st.buf[:at])
+	nbuf[at] = e
+	copy(nbuf[at+1:], st.buf[at:])
 	if len(nbuf) < mergeThreshold {
 		idx.state.Store(&orderedState{base: st.base, buf: nbuf, distinct: st.distinct})
 		return
 	}
-	merged := make([]idxEntry, 0, len(st.base)+len(nbuf))
-	merged = append(merged, st.base...)
-	merged = append(merged, nbuf...)
-	sort.Slice(merged, func(i, j int) bool { return entryLess(merged[i], merged[j]) })
+	idx.state.Store(baseState(mergeEntries(st.base, nbuf)))
+}
+
+// findEntry returns the position of e in the (val, id)-sorted run s, or
+// the position to insert it at.
+func findEntry(s []idxEntry, e idxEntry) (int, bool) {
+	i := sort.Search(len(s), func(i int) bool { return !entryLess(s[i], e) })
+	return i, i < len(s) && s[i].id == e.id && valuesEqual(s[i].val, e.val)
+}
+
+// baseState is the state whose base is the (val, id)-sorted run es and
+// whose buffer is empty.
+func baseState(es []idxEntry) *orderedState {
 	distinct := 0
-	for i := range merged {
-		if i == 0 || !valuesEqual(merged[i].val, merged[i-1].val) {
+	for i := range es {
+		if i == 0 || !valuesEqual(es[i].val, es[i-1].val) {
 			distinct++
 		}
 	}
-	idx.state.Store(&orderedState{base: merged, distinct: distinct})
+	return &orderedState{base: es, distinct: distinct}
 }
 
-// contains reports whether the exact (val, id) entry is present.
-func (st *orderedState) contains(e idxEntry) bool {
-	i := sort.Search(len(st.base), func(i int) bool { return !entryLess(st.base[i], e) })
-	if i < len(st.base) && st.base[i].id == e.id && valuesEqual(st.base[i].val, e.val) {
-		return true
-	}
-	for _, b := range st.buf {
-		if b.id == e.id && valuesEqual(b.val, e.val) {
-			return true
-		}
-	}
-	return false
+// build sets the index's contents to es (duplicate-free, any order),
+// sorting each entry once instead of running an add per entry. The state
+// is the one those adds, in the order given, would have left: the tail
+// past the last multiple of mergeThreshold stays in the buffer. A probe
+// is charged for the buffer entries it visits, so the split is part of
+// what a statement costs and must not depend on how the index was built.
+func (idx *orderedIndex) build(es []idxEntry) {
+	cut := len(es) - len(es)%mergeThreshold
+	base, buf := es[:cut:cut], es[cut:]
+	sortEntries(base)
+	sortEntries(buf)
+	st := baseState(base)
+	st.buf = buf
+	idx.state.Store(st)
+}
+
+func sortEntries(es []idxEntry) {
+	sort.Slice(es, func(i, j int) bool { return entryLess(es[i], es[j]) })
 }
 
 // entries reports the total entry count (hints, not live rows).

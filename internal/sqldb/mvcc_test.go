@@ -369,8 +369,8 @@ func TestTombstonesReleaseDeletedRows(t *testing.T) {
 
 	snap.Close()
 	mustExec(t, c, "UPDATE hot SET h_val = ? WHERE h_id = ?", 8, 2)
-	if tomb.prev.Load() != nil {
-		t.Fatal("deleted version still linked after the horizon passed its tombstone")
+	if head := tbl.slotAt(0).head.Load(); head == tomb || head.data != nil || head.prev.Load() != nil {
+		t.Fatalf("deleted version still linked after the horizon passed its tombstone: %+v", head)
 	}
 	if len(tbl.tombs) != 0 {
 		t.Fatalf("%d tombstones still queued", len(tbl.tombs))

@@ -109,7 +109,9 @@ func (db *DB) runSelect(plan *selectPlan, ts int64, ec *execCtx) (*ResultSet, er
 	for i, b := range plan.bindings {
 		r.views[i] = b.tbl.view(ts)
 	}
-	if err := r.enumerate(); err != nil {
+	err := r.enumerate()
+	db.flushPlanRows(ec)
+	if err != nil {
 		return nil, err
 	}
 	rows, err := r.sink.finish()
@@ -178,7 +180,7 @@ func (r *selectRun) walkOrdered(oidx *orderedIndex) error {
 			break
 		}
 	}
-	r.db.planRows.Add(int64(iterated))
+	r.ec.planRows += int64(iterated)
 	return nil
 }
 
@@ -238,7 +240,7 @@ func (r *selectRun) join(i int) error {
 	default:
 		n := inner.size()
 		r.ec.cost.scanned += n
-		r.db.planRows.Add(int64(n))
+		r.ec.planRows += int64(n)
 		for id := 0; id < n && err == nil; id++ {
 			err = r.joinRow(i, jp, inner.row(id), outerVal)
 		}
@@ -328,7 +330,7 @@ func (db *DB) drive(p accessPath, v tableView, ec *execCtx, probeBuf *[]int, vis
 	n := v.size()
 	ec.cost.scanned += n
 	db.planScans.Inc()
-	db.planRows.Add(int64(n))
+	ec.planRows += int64(n)
 	for id := 0; id < n; id++ {
 		if row := v.row(id); row != nil {
 			if err := vis.visit(id, row); err != nil {
@@ -339,12 +341,12 @@ func (db *DB) drive(p accessPath, v tableView, ec *execCtx, probeBuf *[]int, vis
 	return nil
 }
 
-// probePK resolves a value through the primary-key map without
-// allocating, charging one probe. The slot is a hint; callers re-check
-// the predicate against the visible row.
+// probePK resolves a value through the primary-key index without
+// allocating, locking or writing shared memory, charging one probe. The
+// slot is a hint; callers re-check the predicate against the visible row.
 func (db *DB) probePK(v tableView, val Value, ec *execCtx) (int, bool) {
 	ec.cost.probes++
-	db.planRows.Add(1)
+	ec.planRows++
 	key, ok := val.(int64)
 	if !ok {
 		f, fok := val.(float64)
@@ -365,7 +367,7 @@ func (db *DB) probeIndex(v tableView, col string, val Value, ec *execCtx, buf *[
 		return nil
 	}
 	ec.cost.probes += visited + 1
-	db.planRows.Add(int64(visited))
+	ec.planRows += int64(visited)
 	return ids
 }
 
@@ -398,7 +400,7 @@ func (db *DB) driveRange(p accessPath, v tableView, ec *execCtx, vis rowVisitor)
 	es, visited := oidx.state.Load().rangeEntries(lo, loExcl, hasLo, hi, hiExcl, hasHi)
 	db.planIndex.Inc()
 	ec.cost.probes += visited + 1
-	db.planRows.Add(int64(visited))
+	ec.planRows += int64(visited)
 	ci := oidx.col
 	for _, e := range es {
 		row := v.row(e.id)

@@ -32,6 +32,28 @@ type rowSlot struct {
 	head atomic.Pointer[rowVersion]
 }
 
+// slotChunkSize is the number of slots allocated together.
+const slotChunkSize = 256
+
+// slotChunk holds slotChunkSize consecutive slots by value, so that a
+// slot costs no allocation of its own and resolving slot id is one
+// pointer hop: chunks[id/slotChunkSize][id%slotChunkSize].
+type slotChunk [slotChunkSize]rowSlot
+
+// slotArena is one published generation of a table's slots: the first n
+// slots of chunks. The header is immutable once published; a newer
+// generation shares the chunks (and, with spare capacity, the backing
+// array of the chunk list) of the one before.
+type slotArena struct {
+	chunks []*slotChunk
+	n      int
+}
+
+// at returns slot id, which must be below a.n.
+func (a *slotArena) at(id int) *rowSlot {
+	return &a.chunks[id/slotChunkSize][id%slotChunkSize]
+}
+
 // visible returns the row data as of snapshot ts: the newest version
 // with begin <= ts, or nil if the row did not exist (or was deleted) at
 // ts. Lock-free; safe concurrently with writers installing new heads.
@@ -56,31 +78,35 @@ func (s *rowSlot) visible(ts int64) []Value {
 // inside the DB-wide commit critical section (db.commitMu), which is
 // held only for validation and version install — never for cost sleeps.
 //
-// The index maps are hints, not truth: entries are added copy-on-write
-// and never removed, so a bucket may contain slots whose visible row no
-// longer matches the indexed value (deleted rows, updated keys). Every
-// access path re-checks the predicate against the visible row, which
-// makes stale entries harmless. idxMu guards only the map headers and is
-// held for map probes only.
+// The indexes are hints, not truth: entries are added and never removed,
+// so a probe may return slots whose visible row no longer matches the
+// indexed value (deleted rows, updated keys). Every access path re-checks
+// the predicate against the visible row, which makes stale entries
+// harmless. The primary-key index is lock-free for readers (see pkIndex)
+// and no table-level lock covers it. idxMu guards the two secondary-index
+// maps — which index exists on a column, and a hash index's buckets — and
+// is held for map probes only.
 type table struct {
 	schema Schema
 	pkCol  int // position of the primary key column, or -1
 
 	lock sync.RWMutex // lock-mode table lock; unused under MVCC
 
-	slots atomic.Pointer[[]*rowSlot] // published append-only slot arena
-	live  atomic.Int64               // rows visible at the latest timestamp
+	slots atomic.Pointer[slotArena] // published append-only slot arena
+	live  atomic.Int64              // rows visible at the latest timestamp
 
-	idxMu   sync.RWMutex // guards pk, indexes, and ordered map access
-	pk      map[int64]int
+	pk *pkIndex // nil without a primary key
+
+	idxMu   sync.RWMutex // guards indexes and ordered map access
 	indexes map[string]*hashIndex
 	ordered map[string]*orderedIndex
 
 	nextAuto int64 // auto-increment state; guarded by db.commitMu
 
-	// tombs queues the tombstones still linked to the version they
-	// deleted, oldest first; guarded by db.commitMu. See reapTombstones.
-	tombs []*rowVersion
+	// tombs queues the slots whose tombstone is still linked to the
+	// version it deleted, oldest first; guarded by db.commitMu. See
+	// reapTombstones.
+	tombs []int
 }
 
 // hashIndex is a secondary equality index with immutable buckets: add
@@ -114,7 +140,7 @@ func newTable(s Schema) *table {
 	}
 	if s.PrimaryKey != "" {
 		t.pkCol = s.colIndex(s.PrimaryKey)
-		t.pk = make(map[int64]int)
+		t.pk = newPKIndex()
 	}
 	for _, name := range s.Indexes {
 		t.indexes[name] = &hashIndex{col: s.colIndex(name), m: make(map[Value][]int)}
@@ -122,8 +148,7 @@ func newTable(s Schema) *table {
 	for _, name := range s.Ordered {
 		t.ordered[name] = newOrderedIndex(s.colIndex(name))
 	}
-	empty := make([]*rowSlot, 0, 64)
-	t.slots.Store(&empty)
+	t.slots.Store(&slotArena{})
 	return t
 }
 
@@ -135,38 +160,29 @@ func newTable(s Schema) *table {
 type tableView struct {
 	tbl   *table
 	ts    int64
-	slots []*rowSlot
+	slots *slotArena
 }
 
 // view captures a read view at ts.
 func (t *table) view(ts int64) tableView {
-	return tableView{tbl: t, ts: ts, slots: *t.slots.Load()}
+	return tableView{tbl: t, ts: ts, slots: t.slots.Load()}
 }
 
 // row returns the visible data for a slot id, or nil.
 func (v tableView) row(id int) []Value {
-	if id < 0 || id >= len(v.slots) {
+	if uint(id) >= uint(v.slots.n) {
 		return nil
 	}
-	return v.slots[id].visible(v.ts)
+	return v.slots.at(id).visible(v.ts)
 }
 
 // size reports the slot count of the view (live rows plus tombstones).
-func (v tableView) size() int { return len(v.slots) }
+func (v tableView) size() int { return v.slots.n }
 
 // lookupPK returns the slot hint for a primary key value. The hint may
 // be stale (deleted row, or a row whose key moved); callers must
 // re-check the visible row.
-func (v tableView) lookupPK(key int64) (int, bool) {
-	t := v.tbl
-	if t.pk == nil {
-		return 0, false
-	}
-	t.idxMu.RLock()
-	id, ok := t.pk[key]
-	t.idxMu.RUnlock()
-	return id, ok
-}
+func (v tableView) lookupPK(key int64) (int, bool) { return v.tbl.pkHint(key) }
 
 // lookupIndex returns the slot hints for an indexed column value,
 // trying the hash index first, then the ordered index. A hash bucket is
@@ -232,7 +248,7 @@ func (t *table) hasOrdered(col string) bool {
 // ---- commit-side mutation (all callers hold db.commitMu) ----
 
 // slotAt returns the current slot for id.
-func (t *table) slotAt(id int) *rowSlot { return (*t.slots.Load())[id] }
+func (t *table) slotAt(id int) *rowSlot { return t.slots.Load().at(id) }
 
 // latestBegin reports the commit timestamp of the newest version of a
 // slot — what first-writer-wins validation compares against the
@@ -244,17 +260,20 @@ func (t *table) latestBegin(id int) int64 {
 	return 0
 }
 
-// appendSlot publishes a new slot at the end of the arena. Readers
-// holding an older published header never index past their captured
-// length, so reusing spare capacity of the shared backing array is safe;
-// the atomic Store orders the element write before any reader that can
-// see it.
-func (t *table) appendSlot(s *rowSlot) int {
-	cur := *t.slots.Load()
-	id := len(cur)
-	next := append(cur, s)
-	t.slots.Store(&next)
-	return id
+// appendSlot publishes a new slot, whose only version is head, at the end
+// of the arena. Readers holding an older published header never index
+// past their captured count, so writing the next slot of a shared chunk
+// (or the spare capacity of the shared chunk list) is safe; the atomic
+// Store orders those writes before any reader that can see them.
+func (t *table) appendSlot(head *rowVersion) int {
+	cur := t.slots.Load()
+	next := &slotArena{chunks: cur.chunks, n: cur.n + 1}
+	if cur.n == len(cur.chunks)*slotChunkSize {
+		next.chunks = append(cur.chunks, new(slotChunk))
+	}
+	next.at(cur.n).head.Store(head)
+	t.slots.Store(next)
+	return cur.n
 }
 
 // checkInsert validates an insert against current state without
@@ -280,33 +299,20 @@ func (t *table) checkInsert(row []Value) error {
 // applyInsert installs a new row at commit timestamp ts and returns its
 // slot id. The caller has run checkInsert; this cannot fail.
 func (t *table) applyInsert(row []Value, ts int64) int {
+	var key int64
 	if t.pkCol >= 0 {
 		if row[t.pkCol] == nil {
 			t.nextAuto++
 			row[t.pkCol] = t.nextAuto
 		}
-		key := row[t.pkCol].(int64)
-		if key > t.nextAuto {
+		if key = row[t.pkCol].(int64); key > t.nextAuto {
 			t.nextAuto = key
 		}
-		slot := &rowSlot{}
-		slot.head.Store(&rowVersion{data: row, begin: ts})
-		id := t.appendSlot(slot)
-		t.idxMu.Lock()
-		t.pk[key] = id
-		for _, idx := range t.indexes {
-			idx.add(row[idx.col], id)
-		}
-		for _, idx := range t.ordered {
-			idx.add(row[idx.col], id)
-		}
-		t.idxMu.Unlock()
-		t.live.Add(1)
-		return id
 	}
-	slot := &rowSlot{}
-	slot.head.Store(&rowVersion{data: row, begin: ts})
-	id := t.appendSlot(slot)
+	id := t.appendSlot(&rowVersion{data: row, begin: ts})
+	if t.pk != nil {
+		t.pk.set(key, id)
+	}
 	t.idxMu.Lock()
 	for _, idx := range t.indexes {
 		idx.add(row[idx.col], id)
@@ -377,14 +383,14 @@ func (t *table) applyUpdate(id int, newRow []Value, ts, horizon int64) {
 			}
 		}
 	}
-	if idxAdds || pkMoved {
+	if pkMoved {
+		// The old key's entry stays as a stale hint: readers at older
+		// snapshots still resolve the row through it, and predicate
+		// re-checks hide it from newer ones.
+		t.pk.set(newKey, id)
+	}
+	if idxAdds {
 		t.idxMu.Lock()
-		if pkMoved {
-			// The old key's entry stays as a stale hint: readers at older
-			// snapshots still resolve the row through it, and predicate
-			// re-checks hide it from newer ones.
-			t.pk[newKey] = id
-		}
 		for _, idx := range t.indexes {
 			if !valuesEqual(old[idx.col], newRow[idx.col]) {
 				idx.add(newRow[idx.col], id)
@@ -416,23 +422,31 @@ func (t *table) applyDelete(id int, ts, horizon int64) {
 	slot.head.Store(nv)
 	t.live.Add(-1)
 	pruneChain(cur, horizon)
-	t.tombs = append(t.tombs, nv)
+	t.tombs = append(t.tombs, id)
 }
 
-// reapTombstones unlinks the deleted row data from every tombstone at or
-// below horizon. A tombstone must keep the version it deleted for
-// readers at older snapshots, and no later commit revisits a deleted
-// slot to prune it, so without this every deleted row (TPC-W: every
-// cart line of every confirmed order) stayed reachable for good. Once
-// horizon has passed a tombstone, every active or future reader stops at
-// it. Called on UPDATE/DELETE commits to the table, where the horizon is
-// already in hand.
+// reaped is the head of every deleted slot once no reader can look behind
+// its tombstone: deleted at every timestamp. Shared and never modified.
+var reaped = &rowVersion{}
+
+// reapTombstones replaces every tombstone at or below horizon, and with
+// it the row it deleted, by the shared reaped version. A tombstone must
+// keep the version it deleted for readers at older snapshots, and no
+// later commit revisits a deleted slot to prune it, so without this every
+// deleted row (TPC-W: every cart line of every confirmed order) stayed
+// reachable for good. Once horizon has passed a tombstone, every active
+// or future reader stops at it — and every writer's snapshot is at or
+// past it too, so first-writer-wins validation never needs its
+// timestamp again. Called on UPDATE/DELETE commits to the table, where
+// the horizon is already in hand.
 func (t *table) reapTombstones(horizon int64) {
 	n := 0
-	for n < len(t.tombs) && t.tombs[n].begin <= horizon {
-		t.tombs[n].prev.Store(nil)
-		t.tombs[n] = nil
-		n++
+	for ; n < len(t.tombs); n++ {
+		slot := t.slotAt(t.tombs[n])
+		if slot.head.Load().begin > horizon {
+			break
+		}
+		slot.head.Store(reaped)
 	}
 	if t.tombs = t.tombs[n:]; len(t.tombs) == 0 {
 		t.tombs = nil
@@ -467,14 +481,16 @@ func (t *table) buildIndex(col string, ordered bool) error {
 	if t.pkCol == ci {
 		return fmt.Errorf("sqldb: table %q: column %q is the primary key", t.schema.Table, col)
 	}
-	slots := *t.slots.Load()
+	arena := t.slots.Load()
 	if ordered {
-		idx := newOrderedIndex(ci)
-		for id, s := range slots {
-			if data := s.visible(latestTS); data != nil {
-				idx.add(data[ci], id)
+		es := make([]idxEntry, 0, arena.n)
+		for id := 0; id < arena.n; id++ {
+			if data := arena.at(id).visible(latestTS); data != nil {
+				es = append(es, idxEntry{val: data[ci], id: id})
 			}
 		}
+		idx := newOrderedIndex(ci)
+		idx.build(es)
 		t.idxMu.Lock()
 		delete(t.indexes, col)
 		t.ordered[col] = idx
@@ -482,8 +498,8 @@ func (t *table) buildIndex(col string, ordered bool) error {
 		return nil
 	}
 	idx := &hashIndex{col: ci, m: make(map[Value][]int)}
-	for id, s := range slots {
-		if data := s.visible(latestTS); data != nil {
+	for id := 0; id < arena.n; id++ {
+		if data := arena.at(id).visible(latestTS); data != nil {
 			idx.add(data[ci], id)
 		}
 	}
@@ -509,13 +525,11 @@ func (t *table) distinct(col string) int {
 	return 0
 }
 
-// pkHint returns the current pk map entry for key, which may be stale.
+// pkHint returns the primary-key index's entry for key, which may be
+// stale.
 func (t *table) pkHint(key int64) (int, bool) {
 	if t.pk == nil {
 		return 0, false
 	}
-	t.idxMu.RLock()
-	id, ok := t.pk[key]
-	t.idxMu.RUnlock()
-	return id, ok
+	return t.pk.get(key)
 }

@@ -12,21 +12,32 @@ import (
 var selectBenchmarks = []struct {
 	name, sql string
 	args      []any
+	// parallel adds an exec-parallel row: the same execution from
+	// GOMAXPROCS goroutines at once. A primary-key probe costs a few
+	// nanoseconds on one core; whether it writes memory the other cores
+	// read shows only when they all run it.
+	parallel bool
 }{
-	{"point", "SELECT i_id, i_title, i_thumbnail FROM item WHERE i_id = ?", []any{4242}},
-	{"pkjoin", "SELECT * FROM item JOIN author ON i_a_id = a_id WHERE i_id = ?", []any{4242}},
-	{"search_title", `SELECT i_id, i_title, i_thumbnail, i_cost, a_fname, a_lname FROM item
-		 JOIN author ON i_a_id = a_id WHERE i_title LIKE ? ORDER BY i_title LIMIT 50`, []any{"%the%"}},
-	{"search_author", `SELECT i_id, i_title, i_thumbnail, i_cost, a_fname, a_lname FROM item
-		 JOIN author ON i_a_id = a_id WHERE a_lname LIKE ? ORDER BY i_title LIMIT 50`, []any{"%an%"}},
-	{"new_products", `SELECT i_id, i_title, i_thumbnail, i_cost, i_pub_date, a_fname, a_lname FROM item
-		 JOIN author ON i_a_id = a_id WHERE i_subject = ? ORDER BY i_pub_date DESC, i_id ASC LIMIT 50`, []any{"COOKING"}},
-	{"best_sellers", `SELECT i_id, i_title, i_cost, a_fname, a_lname, SUM(ol_qty) AS qty
+	{name: "point", parallel: true, args: []any{4242},
+		sql: "SELECT i_id, i_title, i_thumbnail FROM item WHERE i_id = ?"},
+	{name: "pkjoin", parallel: true, args: []any{4242},
+		sql: "SELECT * FROM item JOIN author ON i_a_id = a_id WHERE i_id = ?"},
+	{name: "search_title", args: []any{"%the%"},
+		sql: `SELECT i_id, i_title, i_thumbnail, i_cost, a_fname, a_lname FROM item
+		 JOIN author ON i_a_id = a_id WHERE i_title LIKE ? ORDER BY i_title LIMIT 50`},
+	{name: "search_author", args: []any{"%an%"},
+		sql: `SELECT i_id, i_title, i_thumbnail, i_cost, a_fname, a_lname FROM item
+		 JOIN author ON i_a_id = a_id WHERE a_lname LIKE ? ORDER BY i_title LIMIT 50`},
+	{name: "new_products", args: []any{"COOKING"},
+		sql: `SELECT i_id, i_title, i_thumbnail, i_cost, i_pub_date, a_fname, a_lname FROM item
+		 JOIN author ON i_a_id = a_id WHERE i_subject = ? ORDER BY i_pub_date DESC, i_id ASC LIMIT 50`},
+	{name: "best_sellers", args: []any{0, "HISTORY"},
+		sql: `SELECT i_id, i_title, i_cost, a_fname, a_lname, SUM(ol_qty) AS qty
 		 FROM order_line
 		 JOIN item ON ol_i_id = i_id
 		 JOIN author ON i_a_id = a_id
 		 WHERE ol_o_id > ? AND i_subject = ?
-		 GROUP BY i_id ORDER BY qty DESC LIMIT 50`, []any{0, "HISTORY"}},
+		 GROUP BY i_id ORDER BY qty DESC LIMIT 50`},
 }
 
 // BenchmarkSelect is the per-statement layer ledger of the SELECT path
@@ -34,7 +45,9 @@ var selectBenchmarks = []struct {
 // engine, the paper's schema): for each statement, what a
 // statement-cache hit costs (prepare-hit) and what executing the cached
 // plan costs (exec), in ns and allocations. Conn.Query is the sum of the
-// two plus the connection's busy flag and the latency histogram.
+// two plus the connection's busy flag and the latency histogram. The
+// primary-key statements also get an exec-parallel row (ns per execution
+// with every core executing).
 func BenchmarkSelect(b *testing.B) {
 	db := openTPCW(b, false, false, tpcw.PopulateConfig{Items: 10000, Customers: 2500, Orders: 2000})
 	for _, bm := range selectBenchmarks {
@@ -60,6 +73,20 @@ func BenchmarkSelect(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+		if !bm.parallel {
+			continue
+		}
+		b.Run(bm.name+"/exec-parallel", func(b *testing.B) {
+			b.ReportAllocs()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					if _, err := p.Exec(bm.args...); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
 		})
 	}
 }

@@ -85,8 +85,12 @@ type App struct {
 
 	items     int
 	customers int
-	orders    int
 	clk       clock.Clock
+
+	// newestOrder is the highest order id this application has seen: the
+	// populated count, raised by every confirmed order. Best-sellers'
+	// "latest 3333 orders" window hangs off it.
+	newestOrder atomic.Int64
 
 	// rotor deterministically varies default parameters (promotion item
 	// ids, fallback customers) across requests without a shared RNG.
@@ -106,9 +110,9 @@ func NewApp(counts Counts, clk clock.Clock) *App {
 		statics:   StaticAssets(),
 		items:     counts.Items,
 		customers: counts.Customers,
-		orders:    counts.Orders,
 		clk:       clk,
 	}
+	a.newestOrder.Store(int64(counts.Orders))
 	a.set.AddAll(Templates())
 	a.routes = map[string]server.HandlerFunc{
 		PageHome:          a.home,

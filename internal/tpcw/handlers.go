@@ -218,6 +218,7 @@ func (a *App) buyConfirm(r *server.Request) (*server.Result, error) {
 		return nil, errPage(PageBuyConfirm, err)
 	}
 	oID := res.LastInsertID
+	a.noteOrder(oID)
 	for i := range lines.Rows {
 		if _, err := r.DB.Exec(
 			"INSERT INTO order_line (ol_id, ol_o_id, ol_i_id, ol_qty, ol_discount, ol_comments) VALUES (NULL, ?, ?, ?, 0.0, '')",
@@ -236,6 +237,17 @@ func (a *App) buyConfirm(r *server.Request) (*server.Result, error) {
 	return &server.Result{Template: "buy_confirm.html", Data: map[string]any{
 		"o_id": oID, "total": total, "ship_type": shipType,
 	}}, nil
+}
+
+// noteOrder raises newestOrder to id; concurrent confirms may arrive out
+// of order, so it never lowers it.
+func (a *App) noteOrder(id int64) {
+	for {
+		cur := a.newestOrder.Load()
+		if id <= cur || a.newestOrder.CompareAndSwap(cur, id) {
+			return
+		}
+	}
 }
 
 // orderInquiry shows the order-status form (no queries).
@@ -336,6 +348,9 @@ func (a *App) newProducts(r *server.Request) (*server.Result, error) {
 	}}, nil
 }
 
+// bestSellerWindow is how many of the newest orders best-sellers ranks.
+const bestSellerWindow = 3333
+
 // bestSellers aggregates recent order lines — the TPC-W top-50 query and
 // the paper's canonical "large and very complex" slow page.
 func (a *App) bestSellers(r *server.Request) (*server.Result, error) {
@@ -344,10 +359,7 @@ func (a *App) bestSellers(r *server.Request) (*server.Result, error) {
 		subject = Subjects[int(a.spin())%len(Subjects)]
 	}
 	// Recent window: the TPC-W specification uses the latest 3333 orders.
-	recent := a.orders - 3333
-	if recent < 0 {
-		recent = 0
-	}
+	recent := max(a.newestOrder.Load()-bestSellerWindow, 0)
 	rs, err := r.DB.Query(
 		`SELECT i_id, i_title, i_cost, a_fname, a_lname, SUM(ol_qty) AS qty
 		 FROM order_line

@@ -2,6 +2,7 @@ package tpcw
 
 import (
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -515,5 +516,92 @@ func TestUnameRoundTrip(t *testing.T) {
 	}
 	if rs.Int(0, "c_id") != 17 {
 		t.Fatalf("uname lookup: %v", rs.Rows)
+	}
+}
+
+// bestSellerArgs records the arguments of the best-sellers statement on
+// their way to the database.
+type bestSellerArgs struct {
+	*sqldb.Conn
+	recent int64
+}
+
+func (c *bestSellerArgs) Query(sql string, args ...any) (*sqldb.ResultSet, error) {
+	if strings.Contains(sql, "SUM(ol_qty)") {
+		switch v := args[0].(type) {
+		case int:
+			c.recent = int64(v)
+		case int64:
+			c.recent = v
+		}
+	}
+	return c.Conn.Query(sql, args...)
+}
+
+// TestBestSellersWindowFollowsNewOrders is the regression test for a
+// window that did not move: best-sellers ranks the newest 3333 orders, so
+// its lower bound has to follow the orders confirmed while the server
+// runs. Frozen at the populated count it admitted every order line ever
+// inserted, and the page read more rows with every order.
+func TestBestSellersWindowFollowsNewOrders(t *testing.T) {
+	db := sqldb.Open(sqldb.Options{Cost: sqldb.ZeroCostModel()})
+	if err := CreateTables(db); err != nil {
+		t.Fatal(err)
+	}
+	counts, err := Populate(db, smallCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CreateExtraIndexes(db); err != nil { // ol_o_id ordered: the window is a range walk
+		t.Fatal(err)
+	}
+	app := NewApp(counts, nil)
+	sc := db.Connect()
+	defer sc.Close()
+	conn := &bestSellerArgs{Conn: sc}
+	run := func(page string, query map[string]string) *server.Result {
+		t.Helper()
+		h, _ := app.Handler(page)
+		res, err := h(&server.Request{Path: page, Query: query, DB: conn})
+		if err != nil {
+			t.Fatalf("%s: %v", page, err)
+		}
+		return res
+	}
+	newest := int64(counts.Orders)
+	confirm := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			cart := run(PageShoppingCart, map[string]string{"i_id": strconv.Itoa(1 + i%counts.Items)})
+			order := run(PageBuyConfirm, map[string]string{"sc_id": strconv.Itoa(cart.Data["sc_id"].(int))})
+			newest = order.Data["o_id"].(int64)
+		}
+	}
+	bestSellers := func() (recent, rowsRead int64) {
+		t.Helper()
+		before := db.PlanRowsRead()
+		run(PageBestSellers, map[string]string{"subject": "ARTS"})
+		return conn.recent, db.PlanRowsRead() - before
+	}
+
+	if recent, _ := bestSellers(); recent != 0 {
+		t.Fatalf("recent = %v with %d orders, want 0", recent, counts.Orders)
+	}
+	confirm(bestSellerWindow + 100)
+	recent, rows := bestSellers()
+	if recent != newest-bestSellerWindow || newest != int64(counts.Orders+bestSellerWindow+100) {
+		t.Fatalf("recent = %v after order %d, want %d", recent, newest, newest-bestSellerWindow)
+	}
+	confirm(1000)
+	recent, rowsLater := bestSellers()
+	if recent != newest-bestSellerWindow {
+		t.Fatalf("recent = %v after order %d, want %d", recent, newest, newest-bestSellerWindow)
+	}
+	// The window now holds the same number of orders, one line each; what
+	// still varies is the ordered index's merge buffer and how many of
+	// the window's items are ARTS. A window that did not move would have
+	// read at least two more rows per new order.
+	if rowsLater > rows+600 {
+		t.Fatalf("best-sellers read %d rows at order %d and %d rows 1000 orders later: the window is growing", rows, newest-1000, rowsLater)
 	}
 }
