@@ -4,9 +4,8 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"net"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,7 +14,6 @@ import (
 	"stagedweb/internal/httpwire"
 	"stagedweb/internal/stage"
 	"stagedweb/internal/variant"
-	"stagedweb/internal/webtest"
 )
 
 // ErrShardDown is returned by forwards to a shard marked down (fault
@@ -52,14 +50,23 @@ type breaker struct {
 	trial     atomic.Bool  // a half-open trial forward is in flight
 }
 
-// job is one client request in flight through the LB stage.
+// job is a client connection's request in flight through the LB stage.
+// The connection makes one and reuses it, request and done channel
+// included, for every request it carries.
 type job struct {
-	req  *httpwire.Request
+	req  httpwire.Request
 	dec  Decision
-	resp *webtest.Response
-	err  error
-	done chan struct{}
+	conn string // the client's Connection choice, written into the relayed reply
+	// reply is the shard's reply as bytes, ready for the client, in a
+	// buffer from httpwire's pool. The job owns it from forward's return
+	// until handleConn has written it and given it back.
+	reply *[]byte
+	err   error
+	done  chan struct{} // capacity 1: forward signals, handleConn receives
 }
+
+// badGateway is what the client gets when no shard produced a reply.
+var badGateway = []byte("HTTP/1.1 502 Bad Gateway\r\nConnection: close\r\nContent-Length: 12\r\n\r\nbad gateway\n")
 
 // Balancer fronts M shard instances with a consistent-hash LB stage.
 // It implements variant.Instance, so the harness serves, samples, and
@@ -177,14 +184,14 @@ func (b *Balancer) Serve(l net.Listener) error {
 	}
 	b.listener = l
 	for i, inst := range b.shards {
-		sl, addr, err := webtest.Listen()
+		sl, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			b.mu.Unlock()
 			b.Stop()
 			return err
 		}
 		b.shardLs = append(b.shardLs, sl)
-		b.pools = append(b.pools, &backendPool{addr: addr})
+		b.pools = append(b.pools, &backendPool{addr: sl.Addr().String()})
 		inst := inst
 		go func(i int) { _ = inst.Serve(sl) }(i)
 	}
@@ -442,50 +449,53 @@ func (b *Balancer) noteForward(i int, ok, trial bool) {
 }
 
 // handleConn serves one client connection: parse, route through the LB
-// stage, relay the shard's response, honouring client keep-alive.
+// stage, relay the shard's reply bytes in one Write, honouring client
+// keep-alive.
 func (b *Balancer) handleConn(conn net.Conn) {
 	defer func() { _ = conn.Close() }()
 	br := bufio.NewReader(conn)
+	j := &job{done: make(chan struct{}, 1)}
 	for {
-		req, err := httpwire.ReadRequest(br)
-		if err != nil {
+		if err := j.req.Parse(br); err != nil {
 			return // client closed, or unparseable — drop the connection
 		}
-		j := &job{req: req, dec: b.route(req.Line.Path, req.Query), done: make(chan struct{})}
+		j.dec = b.route(j.req.Line.Path, j.req.Query)
+		j.conn = "close"
+		if j.req.KeepAlive() {
+			j.conn = "keep-alive"
+		}
 		if err := b.lb.Submit(j); err != nil {
 			return // balancer stopping
 		}
 		<-j.done
-		keepAlive := req.KeepAlive()
-		if j.err != nil || j.resp == nil {
-			_ = writeResponse(conn, &webtest.Response{
-				Status: 502,
-				Body:   []byte("bad gateway\n"),
-			}, false)
+		if j.err != nil {
+			_, _ = conn.Write(badGateway)
 			return
 		}
-		if err := writeResponse(conn, j.resp, keepAlive); err != nil {
-			return
-		}
-		if !keepAlive {
+		_, err := conn.Write(*j.reply)
+		httpwire.PutBuffer(j.reply)
+		if err != nil || j.conn == "close" {
 			return
 		}
 	}
 }
 
 // forward runs on an LB stage worker: pick the shard (or fan out) and
-// fetch the response.
+// fetch the reply.
 func (b *Balancer) forward(j *job) {
-	defer close(j.done)
+	defer func() { j.done <- struct{}{} }()
 	if j.dec.Fanout {
 		b.fanoutN.Add(1)
-		j.resp, j.err = b.fanout(j.req, j.dec)
+		j.reply, j.err = b.fanout(j)
 		return
 	}
 	shard := b.pick(j)
 	b.routeN.Add(1)
 	b.routed[shard].Add(1)
-	j.resp, j.err = b.send(shard, j.req)
+	raw := httpwire.GetBuffer()
+	*raw = appendRequest((*raw)[:0], &j.req)
+	j.reply, j.err = b.send(shard, *raw, j.conn)
+	httpwire.PutBuffer(raw)
 }
 
 // pick chooses the shard for a single-shard request: ring owner for
@@ -520,23 +530,27 @@ func (b *Balancer) pick(j *job) int {
 // shard from wedging every cross-shard page forever — shards that miss
 // it are treated as failed and the page degrades to the responses in
 // hand.
-func (b *Balancer) fanout(req *httpwire.Request, dec Decision) (*webtest.Response, error) {
+func (b *Balancer) fanout(j *job) (*[]byte, error) {
 	n := len(b.shards)
 	type result struct {
-		i    int
-		resp *webtest.Response
-		err  error
+		i     int
+		reply *[]byte
+		err   error
 	}
+	// A shard that misses the deadline is still reading the request after
+	// the job has moved on, so a fan-out's request bytes are the garbage
+	// collector's, not the pool's.
+	raw, conn := appendRequest(nil, &j.req), j.conn
 	// Buffered to n: a shard answering after the deadline parks its
 	// result here and the goroutine exits — nothing leaks.
 	ch := make(chan result, n)
 	for i := 0; i < n; i++ {
 		go func(i int) {
-			resp, err := b.send(i, req)
-			ch <- result{i, resp, err}
+			reply, err := b.send(i, raw, conn)
+			ch <- result{i, reply, err}
 		}(i)
 	}
-	resps := make([]*webtest.Response, n)
+	replies := make([]*[]byte, n)
 	errs := make([]error, n)
 	var deadline <-chan time.Time
 	if d := b.opts.FanoutDeadline; d > 0 {
@@ -546,7 +560,7 @@ func (b *Balancer) fanout(req *httpwire.Request, dec Decision) (*webtest.Respons
 	for got := 0; got < n && !timedOut; {
 		select {
 		case r := <-ch:
-			resps[r.i], errs[r.i] = r.resp, r.err
+			replies[r.i], errs[r.i] = r.reply, r.err
 			got++
 		case <-deadline:
 			timedOut = true
@@ -554,24 +568,32 @@ func (b *Balancer) fanout(req *httpwire.Request, dec Decision) (*webtest.Respons
 	}
 	if timedOut {
 		for i := range errs {
-			if resps[i] == nil && errs[i] == nil {
+			if replies[i] == nil && errs[i] == nil {
 				errs[i] = fmt.Errorf("cluster: shard %d: %w", i, ErrFanoutDeadline)
 			}
 		}
 	}
-	owner := b.ring.Owner(req.Line.Target)
-	if dec.Key != "" {
-		owner = b.ring.Owner(dec.Key)
+	owner := b.ring.Owner(j.req.Line.Target)
+	if j.dec.Key != "" {
+		owner = b.ring.Owner(j.dec.Key)
 	}
-	if errs[owner] == nil && resps[owner] != nil {
-		return resps[owner], nil
-	}
-	for i := range resps {
-		if errs[i] == nil && resps[i] != nil {
-			return resps[i], nil
+	// The owner's reply if it has one, else the first in hand; the others
+	// go back to the pool at once.
+	reply := replies[owner]
+	for _, r := range replies {
+		if reply == nil {
+			reply = r
 		}
 	}
-	return nil, errs[owner]
+	for _, r := range replies {
+		if r != nil && r != reply {
+			httpwire.PutBuffer(r)
+		}
+	}
+	if reply == nil {
+		return nil, errs[owner]
+	}
+	return reply, nil
 }
 
 // send forwards one request to a shard over a pooled keep-alive backend
@@ -580,7 +602,7 @@ func (b *Balancer) fanout(req *httpwire.Request, dec Decision) (*webtest.Respons
 // paper-time backoff on transient errors up to the configured budget.
 // Every re-attempt counts toward lb.retry; the outcome feeds the
 // shard's breaker.
-func (b *Balancer) send(shard int, req *httpwire.Request) (*webtest.Response, error) {
+func (b *Balancer) send(shard int, raw []byte, conn string) (*[]byte, error) {
 	if b.down[shard].Load() {
 		return nil, fmt.Errorf("cluster: shard %d: %w", shard, ErrShardDown)
 	}
@@ -595,7 +617,6 @@ func (b *Balancer) send(shard int, req *httpwire.Request) (*webtest.Response, er
 	}
 	p := b.pools[shard]
 	b.mu.Unlock()
-	raw := rawRequest(req)
 	var lastErr error
 	for try := 0; try <= b.opts.Retries; try++ {
 		if try > 0 {
@@ -606,10 +627,10 @@ func (b *Balancer) send(shard int, req *httpwire.Request) (*webtest.Response, er
 				break
 			}
 		}
-		resp, err := b.sendOnce(p, raw)
+		reply, err := b.sendOnce(p, raw, conn)
 		if err == nil {
 			b.noteForward(shard, true, trial)
-			return resp, nil
+			return reply, nil
 		}
 		lastErr = err
 	}
@@ -619,17 +640,22 @@ func (b *Balancer) send(shard int, req *httpwire.Request) (*webtest.Response, er
 
 // sendOnce makes a single forward over one shard's pool: use an idle
 // pooled connection (falling back to a fresh dial if it has gone stale
-// — that fallback counts as a retry), or dial fresh.
-func (b *Balancer) sendOnce(p *backendPool, raw []byte) (*webtest.Response, error) {
+// — that fallback counts as a retry), or dial fresh. A connection the
+// shard said it is closing is not pooled again.
+func (b *Balancer) sendOnce(p *backendPool, raw []byte, conn string) (*[]byte, error) {
 	for attempt := 0; ; attempt++ {
 		bc, fresh, err := p.get()
 		if err != nil {
 			return nil, err
 		}
-		resp, err := bc.roundTrip(raw)
+		reply, keep, err := bc.roundTrip(raw, conn)
 		if err == nil {
-			p.put(bc)
-			return resp, nil
+			if keep {
+				p.put(bc)
+			} else {
+				bc.close()
+			}
+			return reply, nil
 		}
 		bc.close()
 		// A pooled connection may have been closed by the shard between
@@ -641,65 +667,32 @@ func (b *Balancer) sendOnce(p *backendPool, raw []byte) (*webtest.Response, erro
 	}
 }
 
-// rawRequest re-serializes a parsed request for a shard backend: the
-// original method and target on a keep-alive connection, with any form
-// body carried through.
-func rawRequest(req *httpwire.Request) []byte {
-	var sb strings.Builder
-	sb.WriteString(req.Line.Method)
-	sb.WriteByte(' ')
-	sb.WriteString(req.Line.Target)
-	sb.WriteString(" HTTP/1.1\r\nHost: shard\r\nConnection: keep-alive\r\n")
-	if len(req.Body) > 0 {
-		if ct := req.Header.Get("Content-Type"); ct != "" {
-			sb.WriteString("Content-Type: " + ct + "\r\n")
-		}
-		sb.WriteString(fmt.Sprintf("Content-Length: %d\r\n", len(req.Body)))
-	}
-	sb.WriteString("\r\n")
-	sb.Write(req.Body)
-	return []byte(sb.String())
-}
-
-// writeResponse serializes a shard response back to the client,
-// overriding the Connection header with the client's keep-alive choice.
-func writeResponse(w io.Writer, resp *webtest.Response, keepAlive bool) error {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "HTTP/1.1 %d %s\r\n", resp.Status, statusText(resp.Status))
-	for k, v := range resp.Header {
-		if k == "Connection" || k == "Content-Length" {
+// appendRequest re-serializes a parsed request for a shard backend: the
+// original method and target on a keep-alive connection, the end-to-end
+// header fields in the order the client sent them, and any body. Only the
+// hop-by-hop fields are the balancer's own.
+func appendRequest(dst []byte, req *httpwire.Request) []byte {
+	dst = append(dst, req.Line.Method...)
+	dst = append(dst, ' ')
+	dst = append(dst, req.Line.Target...)
+	dst = append(dst, " HTTP/1.1\r\nHost: shard\r\nConnection: keep-alive\r\n"...)
+	for _, f := range req.Header {
+		switch f.Name {
+		case "Host", "Connection", "Content-Length":
 			continue
 		}
-		sb.WriteString(k + ": " + v + "\r\n")
+		dst = append(dst, f.Name...)
+		dst = append(dst, ": "...)
+		dst = append(dst, f.Value...)
+		dst = append(dst, "\r\n"...)
 	}
-	conn := "close"
-	if keepAlive {
-		conn = "keep-alive"
+	if len(req.Body) > 0 {
+		dst = append(dst, "Content-Length: "...)
+		dst = strconv.AppendInt(dst, int64(len(req.Body)), 10)
+		dst = append(dst, "\r\n"...)
 	}
-	fmt.Fprintf(&sb, "Connection: %s\r\nContent-Length: %d\r\n\r\n", conn, len(resp.Body))
-	if _, err := io.WriteString(w, sb.String()); err != nil {
-		return err
-	}
-	_, err := w.Write(resp.Body)
-	return err
-}
-
-// statusText supplies the reason phrase for relayed status lines.
-func statusText(code int) string {
-	switch code {
-	case 200:
-		return "OK"
-	case 404:
-		return "Not Found"
-	case 500:
-		return "Internal Server Error"
-	case 502:
-		return "Bad Gateway"
-	case 503:
-		return "Service Unavailable"
-	default:
-		return "Status"
-	}
+	dst = append(dst, "\r\n"...)
+	return append(dst, req.Body...)
 }
 
 // backendPool hands out keep-alive connections to one shard backend.
@@ -776,11 +769,22 @@ func (p *backendPool) close() {
 	}
 }
 
-func (bc *backendConn) roundTrip(raw []byte) (*webtest.Response, error) {
+// roundTrip sends the request bytes and reads the shard's reply into a
+// pooled buffer, the Connection line already rewritten to conn; the
+// caller owns the buffer. keep reports whether the shard keeps the
+// backend connection open.
+func (bc *backendConn) roundTrip(raw []byte, conn string) (reply *[]byte, keep bool, err error) {
 	if _, err := bc.conn.Write(raw); err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return webtest.ReadResponse(bc.br)
+	reply = httpwire.GetBuffer()
+	resp, err := httpwire.ReadResponse(bc.br, *reply, conn)
+	if err != nil {
+		httpwire.PutBuffer(reply)
+		return nil, false, err
+	}
+	*reply = resp.Raw
+	return reply, resp.KeepAlive, nil
 }
 
 func (bc *backendConn) close() { _ = bc.conn.Close() }

@@ -159,26 +159,23 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// staticTask is a request classified static by a header-parsing worker.
-type staticTask struct {
-	c    *server.Conn
+// task is a connection's current request on its way through the pools.
+// One is made when the connection is accepted and reused for every
+// request on it — a connection has one request in flight — so a hop from
+// pool to pool allocates nothing.
+type task struct {
+	c *server.Conn
+	// line is the phase-one parse; a static request carries nothing else
+	// to the static pool. line.Path is the page key.
 	line httpwire.RequestLine
-}
-
-// dynTask is a fully header-parsed dynamic request.
-type dynTask struct {
-	c   *server.Conn
+	// req is the fully header-parsed dynamic request.
 	req *httpwire.Request
-	key string
-}
-
-// renderTask is an unrendered template plus its data, queued for the
-// rendering pool.
-type renderTask struct {
-	c      *server.Conn
-	req    *httpwire.Request
-	key    string
+	// result is an unrendered template plus its data, on its way to the
+	// rendering pool.
 	result *server.Result
+	// park is awaitNextRequest bound to this task: made once, so that
+	// starting the park goroutine after each reply allocates no closure.
+	park func()
 }
 
 // Server is the staged (modified) web server.
@@ -187,11 +184,11 @@ type Server struct {
 	tr  *server.Transport
 
 	graph   *stage.Graph
-	header  *stage.Stage[*server.Conn]
-	static  *stage.Stage[*staticTask]
-	general *stage.Stage[*dynTask]
-	lengthy *stage.Stage[*dynTask]
-	render  *stage.Stage[*renderTask]
+	header  *stage.Stage[*task]
+	static  *stage.Stage[*task]
+	general *stage.Stage[*task]
+	lengthy *stage.Stage[*task]
+	render  *stage.Stage[*task]
 
 	dispatcher *sched.Dispatcher
 	controller *sched.Controller
@@ -207,7 +204,7 @@ type Server struct {
 	stopOnce sync.Once
 	// parked tracks keep-alive connections awaiting their next request;
 	// Stop aborts them so shutdown never waits out the idle timeout.
-	parked map[*server.Conn]struct{}
+	parked map[*task]struct{}
 	parkWG sync.WaitGroup
 }
 
@@ -220,7 +217,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, errors.New("core: nil DB")
 	}
 	cfg.fillDefaults()
-	s := &Server{cfg: cfg, parked: make(map[*server.Conn]struct{})}
+	s := &Server{cfg: cfg, parked: make(map[*task]struct{})}
 	s.tr = server.NewTransport(server.TransportConfig{
 		IdleTimeout: cfg.IdleTimeout,
 		Clock:       cfg.Clock,
@@ -245,11 +242,11 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 
-	s.header = stage.New(stage.Config[*server.Conn]{
+	s.header = stage.New(stage.Config[*task]{
 		Name: StageHeader, Workers: cfg.HeaderWorkers, QueueCap: cfg.QueueCap,
 		Work: s.headerWork,
 	})
-	s.static = stage.New(stage.Config[*staticTask]{
+	s.static = stage.New(stage.Config[*task]{
 		Name: StageStatic, Workers: cfg.StaticWorkers, QueueCap: cfg.QueueCap,
 		Work: s.staticWork,
 	})
@@ -272,15 +269,15 @@ func New(cfg Config) (*Server, error) {
 		Async:    cfg.ReplAsync,
 	})
 	dbc := s.tier.Conn()
-	s.general = stage.New(stage.Config[*dynTask]{
+	s.general = stage.New(stage.Config[*task]{
 		Name: StageGeneral, Workers: cfg.GeneralWorkers, QueueCap: cfg.QueueCap,
-		Work: func(t *dynTask) { s.dynamicWork(t, dbc) },
+		Work: func(t *task) { s.dynamicWork(t, dbc) },
 	})
-	s.lengthy = stage.New(stage.Config[*dynTask]{
+	s.lengthy = stage.New(stage.Config[*task]{
 		Name: StageLengthy, Workers: cfg.LengthyWorkers, QueueCap: cfg.QueueCap,
-		Work: func(t *dynTask) { s.dynamicWork(t, dbc) },
+		Work: func(t *task) { s.dynamicWork(t, dbc) },
 	})
-	s.render = stage.New(stage.Config[*renderTask]{
+	s.render = stage.New(stage.Config[*task]{
 		Name: StageRender, Workers: cfg.RenderWorkers, QueueCap: cfg.QueueCap,
 		Work: s.renderWork,
 	})
@@ -320,7 +317,11 @@ func (s *Server) Serve(l net.Listener) error {
 		)
 	}
 	s.mu.Unlock()
-	return s.tr.Accept(l, func(c *server.Conn) error { return s.header.Submit(c) })
+	return s.tr.Accept(l, func(c *server.Conn) error {
+		t := &task{c: c}
+		t.park = func() { s.awaitNextRequest(t) }
+		return s.header.Submit(t)
+	})
 }
 
 // Stop shuts the pipeline down in flow order, draining each stage. It is
@@ -334,8 +335,8 @@ func (s *Server) Stop() {
 	l := s.listener
 	ctl := s.controller
 	s.controller = nil
-	for c := range s.parked {
-		c.Abort()
+	for t := range s.parked {
+		t.c.Abort()
 	}
 	s.mu.Unlock()
 	if l != nil {
@@ -356,71 +357,67 @@ func (s *Server) Stop() {
 // headerWork is the header-parsing pool: phase-one parse, static/dynamic
 // classification, and (for dynamics) the full header+query parse plus the
 // Table 1 dispatch decision.
-func (s *Server) headerWork(c *server.Conn) {
-	line, err := c.ReadRequestLine()
-	if err != nil {
+func (s *Server) headerWork(t *task) {
+	var err error
+	if t.line, err = t.c.ReadRequestLine(); err != nil {
 		// EOF between keep-alive requests is normal connection teardown.
-		c.Close()
+		t.c.Close()
 		return
 	}
-	if line.IsStatic() {
-		// Static requests carry their unparsed header tail to the static
-		// pool; "this is not an issue for static requests, so we let the
-		// threads which actually serve those static requests parse their
-		// headers" (Section 3.2).
-		if s.static.Submit(&staticTask{c: c, line: line}) != nil {
-			c.Close()
+	// Static requests carry their unparsed header tail to the static
+	// pool; "this is not an issue for static requests, so we let the
+	// threads which actually serve those static requests parse their
+	// headers" (Section 3.2).
+	target := s.static
+	if !t.line.IsStatic() {
+		// Dynamic: parse everything here so a thread with an open database
+		// connection never spends time on anything but generating data.
+		if t.req, err = t.c.FinishRequest(t.line); err != nil {
+			_ = t.c.WriteError(httpwire.StatusBadRequest, "bad request")
+			t.c.Close()
+			return
 		}
-		return
+		target = s.general
+		if s.dispatcher.Choose(t.line.Path) == sched.Lengthy {
+			target = s.lengthy
+		}
 	}
-	// Dynamic: parse everything here so a thread with an open database
-	// connection never spends time on anything but generating data.
-	req, err := c.FinishRequest(line)
-	if err != nil {
-		_ = c.WriteError(httpwire.StatusBadRequest, "bad request")
-		c.Close()
-		return
-	}
-	task := &dynTask{c: c, req: req, key: line.Path}
-	target := s.general
-	if s.dispatcher.Choose(task.key) == sched.Lengthy {
-		target = s.lengthy
-	}
-	if target.Submit(task) != nil {
-		c.Close()
+	if target.Submit(t) != nil {
+		t.c.Close()
 	}
 }
 
 // staticWork parses the header tail and serves the file.
-func (s *Server) staticWork(t *staticTask) {
+func (s *Server) staticWork(t *task) {
 	hdr, err := t.c.ReadHeaders()
 	if err != nil {
 		t.c.Close()
 		return
 	}
-	req := &httpwire.Request{Line: t.line, Header: hdr}
-	s.recycle(t.c, s.tr.ServeStatic(t.c, s.cfg.App, t.line.Path, req.KeepAlive()))
+	req := httpwire.Request{Line: t.line, Header: hdr}
+	s.recycle(t, s.tr.ServeStatic(t.c, s.cfg.App, t.line.Path, req.KeepAlive()))
 }
 
 // dynamicWork runs the page handler on a worker whose statements go
 // through the database tier, measures data-generation time on the
 // injected clock, and hands deferred results to the rendering pool.
-func (s *Server) dynamicWork(t *dynTask, dbc server.DBConn) {
-	handler, ok := s.cfg.App.Handler(t.req.Line.Path)
+func (s *Server) dynamicWork(t *task, dbc server.DBConn) {
+	key := t.line.Path
+	handler, ok := s.cfg.App.Handler(key)
 	if !ok {
-		s.recycle(t.c, s.tr.DirectReply(t.c, t.key, s.classOf(t.key),
+		s.recycle(t, s.tr.DirectReply(t.c, key, s.classOf(key),
 			httpwire.StatusNotFound, []byte("not found"), "text/plain; charset=utf-8", false))
 		return
 	}
 	start := s.cfg.Clock.Now()
 	res, err := handler(&server.Request{
-		Path:   t.req.Line.Path,
+		Path:   key,
 		Query:  t.req.Query,
 		Header: t.req.Header,
 		DB:     dbc,
 	})
 	if err != nil {
-		s.recycle(t.c, s.tr.DirectReply(t.c, t.key, s.classOf(t.key),
+		s.recycle(t, s.tr.DirectReply(t.c, key, s.classOf(key),
 			httpwire.StatusInternalServerError, []byte("internal error"), "text/plain; charset=utf-8", false))
 		return
 	}
@@ -429,10 +426,11 @@ func (s *Server) dynamicWork(t *dynTask, dbc server.DBConn) {
 		// The paper's measurement: "from when the request is acquired
 		// through when its unrendered template is placed in the template
 		// rendering queue" — an accurate database-time figure because
-		// rendering happens elsewhere.
-		rt := &renderTask{c: t.c, req: t.req, key: t.key, result: res}
-		putErr := s.render.Submit(rt)
-		s.dispatcher.Classifier().Record(t.key, s.cfg.Scale.Paper(s.cfg.Clock.Since(start)))
+		// rendering happens elsewhere. (The render stage owns t from the
+		// Submit on.)
+		t.result = res
+		putErr := s.render.Submit(t)
+		s.dispatcher.Classifier().Record(key, s.cfg.Scale.Paper(s.cfg.Clock.Since(start)))
 		if putErr != nil {
 			t.c.Close()
 		}
@@ -444,14 +442,15 @@ func (s *Server) dynamicWork(t *dynTask, dbc server.DBConn) {
 	// the scheduling benefit is lost for such pages, as the paper notes,
 	// and the render cost is charged here on the connection-holding
 	// worker.
-	s.dispatcher.Classifier().Record(t.key, s.cfg.Scale.Paper(s.cfg.Clock.Since(start)))
-	s.recycle(t.c, s.tr.FinishDynamic(t.c, s.cfg.App, t.key, s.classOf(t.key), res, t.req.KeepAlive()))
+	s.dispatcher.Classifier().Record(key, s.cfg.Scale.Paper(s.cfg.Clock.Since(start)))
+	s.recycle(t, s.tr.FinishDynamic(t.c, s.cfg.App, key, s.classOf(key), res, t.req.KeepAlive()))
 }
 
 // renderWork renders the deferred template on a worker with no database
 // connection, charges the render cost there, and transmits.
-func (s *Server) renderWork(t *renderTask) {
-	s.recycle(t.c, s.tr.FinishDynamic(t.c, s.cfg.App, t.key, s.classOf(t.key), t.result, t.req.KeepAlive()))
+func (s *Server) renderWork(t *task) {
+	key := t.line.Path
+	s.recycle(t, s.tr.FinishDynamic(t.c, s.cfg.App, key, s.classOf(key), t.result, t.req.KeepAlive()))
 }
 
 // recycle parks a keep-alive connection until its next request's first
@@ -460,40 +459,41 @@ func (s *Server) renderWork(t *renderTask) {
 // of the OS readiness notification (select/poll in CherryPy's listener):
 // header workers must never camp on idle sockets, or a handful of
 // keep-alive clients would pin the whole pool.
-func (s *Server) recycle(c *server.Conn, keep bool) {
+func (s *Server) recycle(t *task, keep bool) {
+	t.req, t.result = nil, nil
 	if !keep {
-		c.Close()
+		t.c.Close()
 		return
 	}
 	s.mu.Lock()
 	if s.stopped {
 		s.mu.Unlock()
-		c.Close()
+		t.c.Close()
 		return
 	}
-	s.parked[c] = struct{}{}
+	s.parked[t] = struct{}{}
 	s.parkWG.Add(1)
 	s.mu.Unlock()
-	go s.awaitNextRequest(c)
+	go t.park()
 }
 
 // awaitNextRequest blocks until the connection has readable data (the
 // next pipelined request), then hands it back to the header stage. EOF,
 // timeout, an Abort from Stop, or a full/closed queue close the
 // connection; full-queue drops are counted as shed on the header stage.
-func (s *Server) awaitNextRequest(c *server.Conn) {
+func (s *Server) awaitNextRequest(t *task) {
 	defer s.parkWG.Done()
-	err := c.AwaitReadable()
+	err := t.c.AwaitReadable()
 	s.mu.Lock()
-	delete(s.parked, c)
+	delete(s.parked, t)
 	stopped := s.stopped
 	s.mu.Unlock()
 	if err != nil || stopped {
-		c.Close()
+		t.c.Close()
 		return
 	}
-	if s.header.Offer(c) != nil {
-		c.Close()
+	if s.header.Offer(t) != nil {
+		t.c.Close()
 	}
 }
 

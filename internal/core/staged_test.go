@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,6 +24,13 @@ type testEnv struct {
 }
 
 func startStaged(t *testing.T, app *webtest.App, mutate func(*core.Config)) *testEnv {
+	t.Helper()
+	return startStagedOn(t, app, mutate, nil)
+}
+
+// startStagedOn is startStaged with the listener passed through wrap
+// (when non-nil) before the server accepts on it.
+func startStagedOn(t *testing.T, app *webtest.App, mutate func(*core.Config), wrap func(net.Listener) net.Listener) *testEnv {
 	t.Helper()
 	db := sqldb.Open(sqldb.Options{Cost: sqldb.ZeroCostModel()})
 	db.MustCreateTable(sqldb.Schema{
@@ -56,6 +64,9 @@ func startStaged(t *testing.T, app *webtest.App, mutate func(*core.Config)) *tes
 	l, addr, err := webtest.Listen()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if wrap != nil {
+		l = wrap(l)
 	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- s.Serve(l) }()

@@ -1,13 +1,23 @@
 // Package httpwire implements the HTTP/1.1 wire protocol used by both
-// server variants.
+// server variants and by the cluster balancer's relay.
 //
 // Parsing is deliberately split into two phases, mirroring the paper's
 // header-parsing stage: ReadRequestLine consumes only the first line
 // (enough to classify the request as static or dynamic and pick a target
 // pool), and ReadHeaders consumes the remaining header block. The staged
 // server parses the full header in the header-parsing pool for dynamic
-// requests but defers it to the static pool for static requests, exactly
-// as described in Section 3.2 of the paper.
+// requests — "a thread with an open database connection never spends time
+// on anything but generating data" — but defers it to the static pool for
+// static requests, exactly as described in Section 3.2 of the paper.
+//
+// What is copied: a request's line and its header block, once each, into
+// one immutable string apiece that every name, value and path is a
+// substring of (nothing aliases the reader's buffer, so handlers may keep
+// what they are given); a query map only when there is a query or a form.
+// What is pooled: the buffer a reply is assembled in — head and body, one
+// Write — and the buffer ReadResponse fills for a relay, both from
+// GetBuffer. Who owns a buffer: whoever took it, until PutBuffer; the
+// balancer's job holds a shard's reply from the read to the client write.
 //
 // net/http is not used on the serving path: its one-goroutine-per-
 // connection model would erase the bounded-thread-pool phenomenon the
@@ -16,6 +26,7 @@ package httpwire
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -107,135 +118,207 @@ func ParseRequestLine(line string) (RequestLine, error) {
 	return rl, nil
 }
 
-// Header is a case-insensitive single-valued header map. Keys are stored
-// in canonical form (e.g. "Content-Length").
-type Header map[string]string
+// Field is one header field.
+type Field struct{ Name, Value string }
+
+// Header is a case-insensitive single-valued header list, in the order
+// the fields were sent or set. Names are stored in canonical form (e.g.
+// "Content-Length"); when a name repeats, the last field wins.
+type Header []Field
 
 // Get returns the value for key (any case), or "".
-func (h Header) Get(key string) string { return h[CanonicalKey(key)] }
+func (h Header) Get(key string) string {
+	key = CanonicalKey(key)
+	for i := len(h) - 1; i >= 0; i-- {
+		if h[i].Name == key {
+			return h[i].Value
+		}
+	}
+	return ""
+}
 
-// Set stores value under the canonical form of key.
-func (h Header) Set(key, value string) { h[CanonicalKey(key)] = value }
+// Set stores value under the canonical form of key, in place of the
+// field Get would return or else at the end.
+func (h *Header) Set(key, value string) {
+	key = CanonicalKey(key)
+	for i := len(*h) - 1; i >= 0; i-- {
+		if (*h)[i].Name == key {
+			(*h)[i].Value = value
+			return
+		}
+	}
+	*h = append(*h, Field{key, value})
+}
 
 // ReadHeaders reads the header block (phase two), up to and including the
 // blank line that terminates it.
-func ReadHeaders(br *bufio.Reader) (Header, error) {
-	h := make(Header, 8)
-	total := 0
+func ReadHeaders(br *bufio.Reader) (Header, error) { return AppendHeaders(nil, br) }
+
+// AppendHeaders is ReadHeaders into storage the caller owns: the fields
+// are appended to dst. The field lines are staged on the stack as
+// bufio.Reader.ReadSlice hands them over and copied to the heap once, as
+// one string that every name and value is a substring of — immutable, so
+// a value may outlive the reader's buffer (handlers store them).
+func AppendHeaders(dst Header, br *bufio.Reader) (Header, error) {
+	type span struct{ start, colon, end int }
+	var (
+		stage   [512]byte
+		spanBuf [8]span
+		block   = stage[:0] // the lines, terminators dropped
+		spans   = spanBuf[:0]
+		err     error
+	)
 	for {
-		line, err := readLine(br, MaxHeaderBytes, ErrHeaderTooBig)
-		if err != nil {
+		start := len(block)
+		if block, err = appendLine(block, br, MaxHeaderBytes, ErrHeaderTooBig); err != nil {
 			return nil, err
 		}
-		if line == "" {
-			return h, nil
+		line := trimEOL(block[start:])
+		if len(line) == 0 {
+			block = block[:start]
+			break
 		}
-		total += len(line)
-		if total > MaxHeaderBytes {
+		if block = block[:start+len(line)]; len(block) > MaxHeaderBytes {
 			return nil, ErrHeaderTooBig
 		}
-		colon := strings.IndexByte(line, ':')
+		colon := bytes.IndexByte(line, ':')
 		if colon <= 0 {
-			return nil, fmt.Errorf("%w: %q", ErrMalformedHdr, line)
+			return nil, fmt.Errorf("%w: %q", ErrMalformedHdr, string(line))
 		}
-		key := line[:colon]
-		if strings.ContainsAny(key, " \t") {
-			return nil, fmt.Errorf("%w: whitespace in field name %q", ErrMalformedHdr, key)
+		if bytes.IndexByte(line[:colon], ' ') >= 0 || bytes.IndexByte(line[:colon], '\t') >= 0 {
+			return nil, fmt.Errorf("%w: whitespace in field name %q", ErrMalformedHdr, string(line[:colon]))
 		}
-		h.Set(key, strings.TrimSpace(line[colon+1:]))
+		spans = append(spans, span{start, start + colon, len(block)})
 	}
+	s := string(block)
+	for _, f := range spans {
+		dst = append(dst, Field{CanonicalKey(s[f.start:f.colon]), strings.TrimSpace(s[f.colon+1 : f.end])})
+	}
+	return dst, nil
 }
 
 // Request is a fully parsed HTTP request.
 type Request struct {
 	Line   RequestLine
 	Header Header
-	Query  map[string]string // parsed from RawQuery and any form body
+	Query  map[string]string // parsed from RawQuery and any form body; nil when there is neither
 	Body   []byte
+
+	fields [8]Field // Header's storage for the usual handful of fields
 }
 
 // KeepAlive reports whether the connection should stay open after the
 // response, per HTTP/1.0 and 1.1 defaults and the Connection header.
 func (r *Request) KeepAlive() bool {
-	conn := strings.ToLower(r.Header.Get("Connection"))
-	switch r.Line.Proto {
-	case "HTTP/1.1":
-		return conn != "close"
-	default:
-		return conn == "keep-alive"
+	conn := r.Header.Get("Connection")
+	if r.Line.Proto == "HTTP/1.1" {
+		return !strings.EqualFold(conn, "close")
 	}
+	return strings.EqualFold(conn, "keep-alive")
 }
 
 // ReadRequest performs both parse phases plus query/body handling — the
 // convenience path used by the baseline thread-per-request server, whose
 // workers do everything themselves.
 func ReadRequest(br *bufio.Reader) (*Request, error) {
-	line, err := ReadRequestLine(br)
-	if err != nil {
+	req := new(Request)
+	if err := req.Parse(br); err != nil {
 		return nil, err
 	}
-	return FinishRequest(br, line)
+	return req, nil
+}
+
+// Parse is ReadRequest into a Request the caller reuses, which is safe
+// once nothing holds the previous request's Header, Query or Body. On an
+// error the request's contents are unspecified.
+func (r *Request) Parse(br *bufio.Reader) error {
+	line, err := ReadRequestLine(br)
+	if err != nil {
+		return err
+	}
+	r.Line = line
+	return r.finish(br)
 }
 
 // FinishRequest completes phase two for a request whose first line has
 // already been read: remaining headers, query string, and form body.
 func FinishRequest(br *bufio.Reader, line RequestLine) (*Request, error) {
-	hdr, err := ReadHeaders(br)
-	if err != nil {
+	req := &Request{Line: line}
+	if err := req.finish(br); err != nil {
 		return nil, err
-	}
-	req := &Request{Line: line, Header: hdr}
-	req.Query, err = ParseQuery(line.RawQuery)
-	if err != nil {
-		return nil, err
-	}
-	if cl := hdr.Get("Content-Length"); cl != "" {
-		n, err := strconv.Atoi(cl)
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("%w: Content-Length %q", ErrMalformedHdr, cl)
-		}
-		if n > MaxBodyBytes {
-			return nil, ErrBodyTooBig
-		}
-		body := make([]byte, n)
-		if _, err := io.ReadFull(br, body); err != nil {
-			return nil, fmt.Errorf("httpwire: reading body: %w", err)
-		}
-		req.Body = body
-		if strings.HasPrefix(hdr.Get("Content-Type"), "application/x-www-form-urlencoded") {
-			form, err := ParseQuery(string(body))
-			if err != nil {
-				return nil, err
-			}
-			for k, v := range form {
-				req.Query[k] = v
-			}
-		}
 	}
 	return req, nil
 }
 
-// readLine reads a CRLF- or LF-terminated line without the terminator.
+func (r *Request) finish(br *bufio.Reader) (err error) {
+	r.Query, r.Body = nil, nil
+	if r.Header, err = AppendHeaders(r.fields[:0], br); err != nil {
+		return err
+	}
+	if r.Line.RawQuery != "" {
+		if r.Query, err = ParseQuery(r.Line.RawQuery); err != nil {
+			return err
+		}
+	}
+	cl := r.Header.Get("Content-Length")
+	if cl == "" {
+		return nil
+	}
+	n, err := strconv.Atoi(cl)
+	if err != nil || n < 0 {
+		return fmt.Errorf("%w: Content-Length %q", ErrMalformedHdr, cl)
+	}
+	if n > MaxBodyBytes {
+		return ErrBodyTooBig
+	}
+	r.Body = make([]byte, n)
+	if _, err := io.ReadFull(br, r.Body); err != nil {
+		return fmt.Errorf("httpwire: reading body: %w", err)
+	}
+	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/x-www-form-urlencoded") {
+		form, err := ParseQuery(string(r.Body))
+		if err != nil {
+			return err
+		}
+		if r.Query == nil {
+			r.Query = form
+		} else {
+			for k, v := range form {
+				r.Query[k] = v
+			}
+		}
+	}
+	return nil
+}
+
+// readLine reads a CRLF- or LF-terminated line without the terminator,
+// staged on the stack like a header block and copied to the heap once.
 func readLine(br *bufio.Reader, limit int, tooLong error) (string, error) {
-	var sb strings.Builder
-	for {
-		chunk, err := br.ReadSlice('\n')
-		sb.Write(chunk)
-		if sb.Len() > limit {
-			return "", tooLong
-		}
-		if err == nil {
-			break
-		}
-		if err == bufio.ErrBufferFull {
-			continue
-		}
+	var stage [512]byte
+	line, err := appendLine(stage[:0], br, limit, tooLong)
+	if err != nil {
 		return "", err
 	}
-	line := sb.String()
-	line = strings.TrimSuffix(line, "\n")
-	line = strings.TrimSuffix(line, "\r")
-	return line, nil
+	return string(trimEOL(line)), nil
+}
+
+// appendLine appends the next line, terminator included, to dst, from as
+// many ReadSlice views as it spans; more than limit bytes are tooLong.
+func appendLine(dst []byte, br *bufio.Reader, limit int, tooLong error) ([]byte, error) {
+	for start := len(dst); ; {
+		chunk, err := br.ReadSlice('\n')
+		if dst = append(dst, chunk...); len(dst)-start > limit {
+			return dst, tooLong
+		}
+		if err != bufio.ErrBufferFull {
+			return dst, err
+		}
+	}
+}
+
+// trimEOL drops one trailing "\n" and then one trailing "\r".
+func trimEOL(b []byte) []byte {
+	return bytes.TrimSuffix(bytes.TrimSuffix(b, []byte("\n")), []byte("\r"))
 }
 
 // CanonicalKey converts a header field name to canonical form:

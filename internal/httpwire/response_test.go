@@ -54,7 +54,7 @@ func TestResponseExtraHeaders(t *testing.T) {
 	var buf bytes.Buffer
 	resp := Response{
 		Status: StatusFound,
-		Extra:  Header{"Location": "/home"},
+		Extra:  Header{{"Location", "/home"}},
 	}
 	if err := resp.Write(&buf); err != nil {
 		t.Fatal(err)

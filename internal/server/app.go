@@ -163,18 +163,12 @@ func RenderResult(app App, res *Result, buf []byte) (body []byte, contentType st
 	}
 }
 
-// BuildResponse assembles the wire response for a handler result whose
-// body has already been materialized.
-func BuildResponse(res *Result, body []byte, contentType string, status int, keepAlive bool) *httpwire.Response {
-	resp := &httpwire.Response{
-		Status:      status,
-		ContentType: contentType,
-		Body:        body,
-		KeepAlive:   keepAlive,
-	}
+// BuildResponse assembles the head of the wire response for a handler
+// result; the caller supplies the materialized body when it writes.
+func BuildResponse(res *Result, contentType string, status int, keepAlive bool) httpwire.Response {
+	resp := httpwire.Response{Status: status, ContentType: contentType, KeepAlive: keepAlive}
 	if res != nil && res.Redirect != "" {
-		resp.Extra = httpwire.Header{}
-		resp.Extra.Set("Location", res.Redirect)
+		resp.Extra = httpwire.Header{{Name: "Location", Value: res.Redirect}}
 	}
 	return resp
 }

@@ -35,9 +35,11 @@ type TransportConfig struct {
 }
 
 // Transport is the connection layer both server variants share: the
-// accept loop, buffered connection lifecycle (with bufio readers and
-// writers recycled through sync.Pools), two-phase httpwire parsing,
-// reply writing, paper-time cost charging, and completion events.
+// accept loop, buffered connection lifecycle (with bufio readers
+// recycled through a sync.Pool), two-phase httpwire parsing, reply
+// writing — every reply is assembled in one pooled buffer and leaves in
+// one Write, so a connection holds no write buffer of its own —
+// paper-time cost charging, and completion events.
 //
 // The variants differ only in *which worker runs which step*; everything
 // about moving bytes and accounting for them lives here.
@@ -72,22 +74,21 @@ func NewTransport(cfg TransportConfig) *Transport {
 	}
 }
 
-// bufio buffers are recycled across connections: accept-heavy workloads
+// bufio readers are recycled across connections: accept-heavy workloads
 // (closed connections, shed keep-alives) would otherwise allocate a
-// reader, a writer, and two 4 KiB buffers per connection.
-var (
-	readerPool = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
-	writerPool = sync.Pool{New: func() any { return bufio.NewWriter(nil) }}
-)
+// reader and its 4 KiB buffer per connection.
+var readerPool = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
 
 // Conn is a client connection moving through a server. It carries the
-// buffered reader/writer pair and the acquisition time of the request
-// currently being processed.
+// buffered reader and the acquisition time of the request currently being
+// processed.
 type Conn struct {
 	t  *Transport
 	nc net.Conn
 	br *bufio.Reader
-	bw *bufio.Writer
+	// hdr is the storage ReadHeaders parses into, reused from request to
+	// request.
+	hdr [8]httpwire.Field
 	// Acquired is when the current request started processing, read from
 	// the transport's injected clock; server-side response times are
 	// measured from it. (Socket read deadlines stay on the wall clock —
@@ -106,9 +107,7 @@ var errAborted = errors.New("server: connection aborted")
 func (t *Transport) NewConn(nc net.Conn) *Conn {
 	br := readerPool.Get().(*bufio.Reader)
 	br.Reset(nc)
-	bw := writerPool.Get().(*bufio.Writer)
-	bw.Reset(nc)
-	return &Conn{t: t, nc: nc, br: br, bw: bw}
+	return &Conn{t: t, nc: nc, br: br}
 }
 
 // Close closes the network connection and returns the buffers to their
@@ -121,9 +120,6 @@ func (c *Conn) Close() {
 	c.br.Reset(nil)
 	readerPool.Put(c.br)
 	c.br = nil
-	c.bw.Reset(nil)
-	writerPool.Put(c.bw)
-	c.bw = nil
 }
 
 // ReadRequestLine marks the request acquired and reads its first line
@@ -140,9 +136,12 @@ func (c *Conn) ReadRequestLine() (httpwire.RequestLine, error) {
 	return line, nil
 }
 
-// ReadHeaders reads the header block (phase two).
+// ReadHeaders reads the header block (phase two) for a caller that is
+// done with the result before the connection's next request is read: the
+// fields live in storage the Conn reuses. (Their strings are immutable
+// copies and may be kept.)
 func (c *Conn) ReadHeaders() (httpwire.Header, error) {
-	return httpwire.ReadHeaders(c.br)
+	return httpwire.AppendHeaders(c.hdr[:0], c.br)
 }
 
 // FinishRequest completes phase two — headers, query, form body — for a
@@ -199,7 +198,7 @@ func (c *Conn) Abort() {
 // WriteError writes a plain error response without firing a completion
 // event (used for protocol-level failures such as malformed requests).
 func (c *Conn) WriteError(status int, msg string) error {
-	return httpwire.WriteError(c.bw, status, msg)
+	return httpwire.WriteError(c.nc, status, msg)
 }
 
 // Accept runs the accept loop: accept, count, wrap, hand to sink. A sink
@@ -256,7 +255,11 @@ func (t *Transport) complete(page string, class Class, status int, acquired time
 // the connection is still usable for keep-alive; false means the caller
 // must close it (write failure or a non-keep-alive response).
 func (t *Transport) Reply(c *Conn, page string, class Class, resp *httpwire.Response) bool {
-	if err := resp.Write(c.bw); err != nil {
+	return t.replied(c, page, class, resp, resp.Write(c.nc))
+}
+
+func (t *Transport) replied(c *Conn, page string, class Class, resp *httpwire.Response, err error) bool {
+	if err != nil {
 		return false
 	}
 	t.complete(page, class, resp.Status, c.Acquired)
@@ -296,8 +299,10 @@ func (t *Transport) ServeStatic(c *Conn, app App, path string, keep bool) bool {
 func (t *Transport) FinishDynamic(c *Conn, app App, page string, class Class, res *Result, keep bool) bool {
 	buf := bodyPool.Get().(*[]byte)
 	defer putBody(buf)
-	body, ct, status, err := RenderResult(app, res, (*buf)[:0])
-	*buf = body // keep the buffer's growth, whatever the outcome
+	// The page is rendered behind httpwire.HeadRoom spare bytes, where
+	// WriteInPlace lays the head: one buffer, one Write, no second copy.
+	wire, ct, status, err := RenderResult(app, res, (*buf)[:httpwire.HeadRoom])
+	*buf = wire // keep the buffer's growth, whatever the outcome
 	if err != nil {
 		return t.DirectReply(c, page, class, httpwire.StatusInternalServerError, []byte("render error"), plainText, false)
 	}
@@ -305,16 +310,20 @@ func (t *Transport) FinishDynamic(c *Conn, app App, page string, class Class, re
 		// Deferred results render here; pre-rendered bodies were rendered
 		// inside the handler. Either way the render cost lands on the
 		// worker that produced the bytes.
-		t.Charge(t.cost.Render(len(body)))
+		t.Charge(t.cost.Render(len(wire) - httpwire.HeadRoom))
 	}
-	return t.Reply(c, page, class, BuildResponse(res, body, ct, status, keep))
+	resp := BuildResponse(res, ct, status, keep)
+	return t.replied(c, page, class, &resp, resp.WriteInPlace(c.nc, wire))
 }
 
 // bodyPool recycles the buffers dynamic pages are rendered into and
-// written from. FinishDynamic holds one from before the render until
-// Reply has flushed it to the connection, so the pool holds about as many
-// as there are workers finishing pages at once.
-var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+// written from. FinishDynamic holds one from before the render until the
+// reply has been written to the connection, so the pool holds about as
+// many as there are workers finishing pages at once.
+var bodyPool = sync.Pool{New: func() any {
+	b := make([]byte, httpwire.HeadRoom, 4<<10)
+	return &b
+}}
 
 // maxPooledBody keeps one outsized page from pinning its buffer for good.
 const maxPooledBody = 1 << 20

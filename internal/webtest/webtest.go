@@ -11,8 +11,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strconv"
-	"strings"
 	"time"
 
 	"stagedweb/internal/clock"
@@ -129,38 +127,15 @@ func Get(addr, path string) (*Response, error) {
 
 // ReadResponse parses an HTTP/1.1 response with a Content-Length body.
 func ReadResponse(br *bufio.Reader) (*Response, error) {
-	statusLine, err := br.ReadString('\n')
+	raw, err := httpwire.ReadResponse(br, nil, "")
 	if err != nil {
 		return nil, err
 	}
-	statusLine = strings.TrimRight(statusLine, "\r\n")
-	parts := strings.SplitN(statusLine, " ", 3)
-	if len(parts) < 2 || !strings.HasPrefix(parts[0], "HTTP/1.") {
-		return nil, fmt.Errorf("webtest: malformed status line %q", statusLine)
-	}
-	status, err := strconv.Atoi(parts[1])
-	if err != nil {
-		return nil, fmt.Errorf("webtest: bad status in %q", statusLine)
-	}
-	hdr, err := httpwire.ReadHeaders(br)
+	hdr, err := raw.Header()
 	if err != nil {
 		return nil, err
 	}
-	resp := &Response{Status: status, Header: hdr}
-	cl := hdr.Get("Content-Length")
-	if cl == "" {
-		return nil, fmt.Errorf("webtest: response without Content-Length")
-	}
-	n, err := strconv.Atoi(cl)
-	if err != nil || n < 0 {
-		return nil, fmt.Errorf("webtest: bad Content-Length %q", cl)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(br, body); err != nil {
-		return nil, err
-	}
-	resp.Body = body
-	return resp, nil
+	return &Response{Status: raw.Status, Header: hdr, Body: raw.Body()}, nil
 }
 
 // Listen opens a loopback listener on an ephemeral port.
