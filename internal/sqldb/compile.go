@@ -1,6 +1,9 @@
 package sqldb
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+)
 
 // This file compiles WHERE trees into closures with column positions
 // resolved once, when the statement is prepared (the closures read only
@@ -109,40 +112,28 @@ func compileBool(e boolExpr, bindings []binding) (compiledPred, error) {
 		if err != nil {
 			return compiledPred{}, err
 		}
-		op := t.Op
-		return compiledPred{
-			depth: max(bi, rhsDepth),
-			eval: func(rows [][]Value, ec *execCtx) (bool, error) {
-				lhs := rows[bi][ci]
+		op, ok := cmpOps[t.Op]
+		if !ok {
+			return compiledPred{}, fmt.Errorf("sqldb: unknown operator %q", t.Op)
+		}
+		cp := compiledPred{depth: max(bi, rhsDepth)}
+		// The schema fixes what a non-NULL cell of the column holds, so
+		// the comparison is picked here, not per row.
+		switch bindings[bi].tbl.schema.Columns[ci].Type {
+		case Int:
+			cp.eval = typedCmp[int64](op, bi, ci, rhs)
+		case String:
+			cp.eval = typedCmp[string](op, bi, ci, rhs)
+		default:
+			cp.eval = func(rows [][]Value, ec *execCtx) (bool, error) {
 				rv, err := rhs(rows, ec)
 				if err != nil {
 					return false, err
 				}
-				if lhs == nil || rv == nil {
-					return false, nil
-				}
-				c, err := compare(lhs, rv)
-				if err != nil {
-					return false, err
-				}
-				switch op {
-				case "=":
-					return c == 0, nil
-				case "!=":
-					return c != 0, nil
-				case "<":
-					return c < 0, nil
-				case "<=":
-					return c <= 0, nil
-				case ">":
-					return c > 0, nil
-				case ">=":
-					return c >= 0, nil
-				default:
-					return false, fmt.Errorf("sqldb: unknown operator %q", op)
-				}
-			},
-		}, nil
+				return op.compare(rows[bi][ci], rv)
+			}
+		}
+		return cp, nil
 	case likeExpr:
 		bi, ci, err := resolveCol(bindings, t.Col)
 		if err != nil {
@@ -165,11 +156,12 @@ func compileBool(e boolExpr, bindings []binding) (compiledPred, error) {
 				if !ok1 || !ok2 {
 					return false, nil
 				}
-				m := likeMatch(s, pat)
-				if neg {
-					m = !m
+				// A literal or placeholder pattern is the same string on
+				// every row: it is folded on the first.
+				if ec.like.src != pat {
+					ec.like.set(pat)
 				}
-				return m, nil
+				return ec.like.match(s) != neg, nil
 			},
 		}, nil
 	case inExpr:
@@ -222,6 +214,72 @@ func compileBool(e boolExpr, bindings []binding) (compiledPred, error) {
 		}, nil
 	default:
 		return compiledPred{}, fmt.Errorf("sqldb: unknown boolean expression %T", e)
+	}
+}
+
+// cmpOp is a comparison operator, resolved when the statement is
+// compiled.
+type cmpOp uint8
+
+const (
+	opEq cmpOp = iota
+	opNe
+	opLt
+	opLe
+	opGt
+	opGe
+)
+
+var cmpOps = map[string]cmpOp{"=": opEq, "!=": opNe, "<": opLt, "<=": opLe, ">": opGt, ">=": opGe}
+
+// holds reports whether the operator accepts the three-way result c.
+func (op cmpOp) holds(c int) bool {
+	switch op {
+	case opEq:
+		return c == 0
+	case opNe:
+		return c != 0
+	case opLt:
+		return c < 0
+	case opLe:
+		return c <= 0
+	case opGt:
+		return c > 0
+	default:
+		return c >= 0
+	}
+}
+
+// compare applies the operator to any two values: NULL on either side is
+// false, operands of types that do not compare are an error.
+func (op cmpOp) compare(lhs, rhs Value) (bool, error) {
+	if lhs == nil || rhs == nil {
+		return false, nil
+	}
+	c, err := compare(lhs, rhs)
+	return err == nil && op.holds(c), err
+}
+
+// typedCmp compiles `column op operand` for a column whose cells are T or
+// NULL. An operand that is a T too — the usual case — is compared as one;
+// anything else (NULL, a float against an Int column, a mistyped
+// argument) takes the general route and gets its answer or its error.
+func typedCmp[T int64 | string](op cmpOp, bi, ci int, rhs operandFn) func([][]Value, *execCtx) (bool, error) {
+	return func(rows [][]Value, ec *execCtx) (bool, error) {
+		rv, err := rhs(rows, ec)
+		if err != nil {
+			return false, err
+		}
+		lhs := rows[bi][ci]
+		if a, ok := lhs.(T); ok {
+			if b, ok := rv.(T); ok {
+				if op == opEq { // no ordering needed: strings differ by length first
+					return a == b, nil
+				}
+				return op.holds(cmp.Compare(a, b)), nil
+			}
+		}
+		return op.compare(lhs, rv)
 	}
 }
 

@@ -432,6 +432,10 @@ type Conn struct {
 	mu     sync.Mutex
 	busy   bool
 	closed bool
+
+	// The state of the SELECT in flight; busy guards it.
+	ec      execCtx
+	scratch selectScratch
 }
 
 // Connect opens a new connection.
@@ -496,11 +500,12 @@ func (c *Conn) Query(sql string, args ...any) (*ResultSet, error) {
 	}
 	switch t := s.(type) {
 	case *selectStmt:
-		ec, err := newExecCtx(args)
-		if err != nil {
+		defer func() { c.ec, c.scratch = execCtx{}, selectScratch{} }()
+		c.ec.scratch = &c.scratch
+		if err := c.ec.bind(args); err != nil {
 			return nil, err
 		}
-		return c.db.execSelect(t, ec)
+		return c.db.execSelect(t, &c.ec)
 	case *explainStmt:
 		return t.Sel.plan.resultSet(), nil
 	default:
@@ -559,8 +564,16 @@ func (c *Conn) Exec(sql string, args ...any) (ExecResult, error) {
 	}
 }
 
+// newExecCtx is the context of a statement that cannot use a
+// connection's: a SELECT off one, and every DML statement, whose
+// arguments go into the replication log.
 func newExecCtx(args []any) (*execCtx, error) {
 	ec := &execCtx{}
+	return ec, ec.bind(args)
+}
+
+// bind normalizes a statement's arguments into a zero context.
+func (ec *execCtx) bind(args []any) error {
 	if len(args) <= len(ec.argBuf) {
 		ec.args = ec.argBuf[:len(args)]
 	} else {
@@ -569,19 +582,31 @@ func newExecCtx(args []any) (*execCtx, error) {
 	for i, a := range args {
 		v, err := normalize(a)
 		if err != nil {
-			return nil, fmt.Errorf("sqldb: argument %d: %w", i+1, err)
+			return fmt.Errorf("sqldb: argument %d: %w", i+1, err)
 		}
 		ec.args[i] = v
 	}
-	return ec, nil
+	return nil
 }
 
 // ResultSet is a fully materialized query result. Columns is shared
 // with the cached statement's plan and with every other result of the
-// same statement: read it, do not modify it. Rows belong to the caller.
+// same statement: read it, do not modify it. Rows belong to the caller,
+// cells and all; each row is capped at its length, so appending a cell
+// to one (as tpcw's cart subtotal does) copies it.
 type ResultSet struct {
 	Columns []string
 	Rows    [][]Value
+
+	one [1][]Value // backs Rows of a one-row result
+}
+
+// header returns a Rows of n rows: the result's own when one is enough.
+func (rs *ResultSet) header(n int) [][]Value {
+	if n <= len(rs.one) {
+		return rs.one[:n]
+	}
+	return make([][]Value, n)
 }
 
 // Len reports the number of rows.
@@ -650,15 +675,3 @@ func (rs *ResultSet) TimeVal(row int, name string) time.Time {
 // internal/template walks in place, so a result goes on a page as it is,
 // without a map per row.
 func (rs *ResultSet) Cell(row int, column string) any { return rs.Get(row, column) }
-
-// First returns the first row as a map, or nil for an empty result.
-func (rs *ResultSet) First() map[string]any {
-	if len(rs.Rows) == 0 {
-		return nil
-	}
-	m := make(map[string]any, len(rs.Columns))
-	for j, c := range rs.Columns {
-		m[c] = rs.Rows[0][j]
-	}
-	return m
-}

@@ -50,6 +50,26 @@
 //     are those of the materialising executor this replaced, statement
 //     for statement — sorted counts every matched row, whatever the
 //     heap compared.
+//   - Nothing is allocated per row. A row that displaces the top-K's
+//     worst is built in the evicted row's storage, and rows are cut
+//     from slabs that double, so ORDER BY ... LIMIT k allocates
+//     O(log k) whatever the table size. The fixed-size state of a
+//     SELECT (context, run, project sink) lives by value on the Conn,
+//     zeroed when Query returns: a parked connection pins no row, view
+//     or result. The sinks whose buffers grow with the rows they hold
+//     (ordered, aggregate) are pooled across connections instead — a
+//     server parks one connection per worker — and emptied by finish;
+//     an aggregate's kept rows are copied out in one allocation.
+//   - Result rows are the caller's, cells included. They share backing
+//     storage with their neighbours, so each is capped at its length
+//     (row[lo:hi:hi]): appending to one copies it. Columns is shared
+//     with the cached plan and read-only.
+//   - Comparisons are picked at prepare time from the column's declared
+//     type (compile.go): Int and String columns compare as int64s and
+//     strings with the operator pre-resolved; NULLs, mixed numerics and
+//     mistyped arguments fall back to the general compare, errors
+//     included. LIKE folds its pattern once per execution and runs
+//     %word% as a substring search.
 //   - index.go maintains the secondary indexes (hash for equality,
 //     ordered copy-on-write slabs for ranges and ordering)
 //     transactionally under both engines; CreateIndex bumps the

@@ -28,6 +28,11 @@ type execCtx struct {
 	// argBuf backs args for the usual short argument list, so the context
 	// and its arguments are one allocation.
 	argBuf [4]Value
+	// like is the LIKE pattern this execution last matched against.
+	like likePattern
+	// scratch is what a SELECT runs on: the connection's, or one
+	// runSelect allocates for a statement off a connection.
+	scratch *selectScratch
 }
 
 // resolveBindings maps the FROM/JOIN clauses onto tables.

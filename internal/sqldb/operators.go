@@ -3,6 +3,7 @@ package sqldb
 import (
 	"slices"
 	"strconv"
+	"sync"
 )
 
 // This file is the execution layer of the SELECT pipeline (see plan.go
@@ -95,10 +96,40 @@ type selectRun struct {
 	}
 }
 
+// selectScratch is the fixed-size state of one SELECT execution besides
+// its context: the run, and the sink of a plain SELECT. A connection
+// executes one statement at a time and holds context and scratch by
+// value, so that a point lookup allocates its result and nothing else;
+// Conn.Query zeroes both on the way out, and a parked connection
+// references no row, view, argument or result. A SELECT off a connection
+// (Snapshot.Query) allocates its own.
+//
+// The ordered and aggregate sinks are not here: their buffers grow with
+// the rows they hold, and a server parks a connection per worker. They
+// are pooled across connections instead (orderedSinks, aggSinks).
+type selectScratch struct {
+	run  selectRun
+	proj projectSink
+}
+
+// Sinks that hold rows while a statement runs, emptied and pooled by
+// their finish. One that grew past pooledRows rows is left to the
+// collector rather than kept at that size.
+var (
+	orderedSinks = sync.Pool{New: func() any { return new(orderedSink) }}
+	aggSinks     = sync.Pool{New: func() any { return new(aggSink) }}
+)
+
+const pooledRows = 4096
+
 // runSelect is the mode-independent SELECT core: bind the plan's tables
 // at ts, stream the matches into the sink, apply OFFSET/LIMIT.
 func (db *DB) runSelect(plan *selectPlan, ts int64, ec *execCtx) (*ResultSet, error) {
-	r := &selectRun{db: db, plan: plan, ec: ec}
+	if ec.scratch == nil {
+		ec.scratch = new(selectScratch)
+	}
+	r := &ec.scratch.run
+	r.db, r.plan, r.ec = db, plan, ec
 	if n := len(plan.bindings); n <= maxInlineTables {
 		r.views, r.rows = r.inline.views[:n], r.inline.rows[:n]
 		r.probes, r.counted = r.inline.probes[:n], r.inline.counted[:n]
@@ -109,28 +140,27 @@ func (db *DB) runSelect(plan *selectPlan, ts int64, ec *execCtx) (*ResultSet, er
 	for i, b := range plan.bindings {
 		r.views[i] = b.tbl.view(ts)
 	}
-	err := r.enumerate()
+	rs := &ResultSet{Columns: plan.columns}
+	err := r.enumerate(rs)
 	db.flushPlanRows(ec)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := r.sink.finish()
-	if err != nil {
+	if err := r.sink.finish(rs); err != nil {
 		return nil, err
 	}
-	rs := &ResultSet{Columns: plan.columns, Rows: rows}
 	applyLimit(rs, plan.limit, plan.offset)
 	return rs, nil
 }
 
-// enumerate runs the driving table's access path; visit extends each
-// candidate through the joins.
-func (r *selectRun) enumerate() error {
+// enumerate picks the sink, which builds rs's rows, and runs the driving
+// table's access path; visit extends each candidate through the joins.
+func (r *selectRun) enumerate(rs *ResultSet) error {
 	plan := r.plan
 	outer := plan.outer
 	if outer.kind == pathIndexOrder {
 		if oidx, ok := r.views[0].lookupOrdered(outer.colName); ok {
-			r.sink = newProjectSink(plan)
+			r.sink = r.projectSink(rs)
 			return r.walkOrdered(oidx)
 		}
 		// Ordered index gone (replaced by a hash index between planning
@@ -139,13 +169,26 @@ func (r *selectRun) enumerate() error {
 	}
 	switch {
 	case plan.aggregated():
-		r.sink = newAggSink(plan, &r.ec.cost)
+		s := aggSinks.Get().(*aggSink)
+		s.plan, s.cost = plan, &r.ec.cost
+		r.sink = s
 	case len(plan.sortKeys) > 0:
-		r.sink = newOrderedSink(plan, &r.ec.cost)
+		s := orderedSinks.Get().(*orderedSink)
+		s.plan, s.cost = plan, &r.ec.cost
+		s.top.reset(plan.sortKeys, plan.keep())
+		r.sink = s
 	default:
-		r.sink = newProjectSink(plan)
+		r.sink = r.projectSink(rs)
 	}
 	return r.db.drive(outer, r.views[0], r.ec, &r.probes[0], r)
+}
+
+// projectSink readies the sink of a plain SELECT, whose rows go straight
+// into rs.
+func (r *selectRun) projectSink(rs *ResultSet) *projectSink {
+	s := &r.ec.scratch.proj
+	s.items, s.keep, s.out = r.plan.items, r.plan.keep(), rs.one[:0]
+	return s
 }
 
 // walkOrdered is the index-order access path: walk the ordered index in
@@ -418,21 +461,38 @@ func (db *DB) driveRange(p accessPath, v tableView, ec *execCtx, vis rowVisitor)
 
 // rowSink consumes the fully matched combined rows of one execution.
 // rows is the enumerator's scratch and is overwritten by the next match:
-// a sink copies out what it keeps. finish returns the result rows before
-// OFFSET/LIMIT are applied.
+// a sink copies out what it keeps. finish stores the result rows, before
+// OFFSET/LIMIT are applied, in rs.Rows.
+//
+// Result rows belong to the caller. They are cut from storage shared
+// with their neighbours, so each is capped at its length: appending to
+// one reallocates it instead of writing into the next.
 type rowSink interface {
 	emit(rows [][]Value)
-	finish() ([][]Value, error)
+	finish(rs *ResultSet) error
 }
 
-// projectRow builds the output row of a plain SELECT, with room for
-// extra trailing values.
-func projectRow(items []outItem, extra int, rows [][]Value) []Value {
-	out := make([]Value, len(items), len(items)+extra)
-	for i, it := range items {
-		out[i] = rows[it.pos.bi][it.pos.ci]
+// rowSlab cuts rows of one width from slabs that double in size, so n
+// rows cost O(log n) allocations, and the one row of a point lookup
+// exactly one of its own size.
+type rowSlab struct {
+	free []Value
+	rows int // rows in the newest slab
+}
+
+// cut returns a zeroed row. room is how many more rows the caller can
+// ask for, this one included; negative means unknown.
+func (s *rowSlab) cut(width, room int) []Value {
+	if len(s.free) < width {
+		s.rows = max(2*s.rows, 1)
+		if room >= 0 {
+			s.rows = min(s.rows, room)
+		}
+		s.free = make([]Value, s.rows*width)
 	}
-	return out
+	row := s.free[:width:width]
+	s.free = s.free[width:]
+	return row
 }
 
 // projectSink appends each projected row straight to the result. It
@@ -442,21 +502,25 @@ func projectRow(items []outItem, extra int, rows [][]Value) []Value {
 type projectSink struct {
 	items []outItem
 	keep  int
-	out   [][]Value
-}
-
-func newProjectSink(p *selectPlan) *projectSink {
-	return &projectSink{items: p.items, keep: p.keep(), out: [][]Value{}}
+	slab  rowSlab
+	out   [][]Value // starts as the result's own one-row header
 }
 
 func (s *projectSink) emit(rows [][]Value) {
 	if s.keep >= 0 && len(s.out) >= s.keep {
 		return
 	}
-	s.out = append(s.out, projectRow(s.items, 0, rows))
+	row := s.slab.cut(len(s.items), s.keep-len(s.out))
+	for i, it := range s.items {
+		row[i] = rows[it.pos.bi][it.pos.ci]
+	}
+	s.out = append(s.out, row)
 }
 
-func (s *projectSink) finish() ([][]Value, error) { return s.out, nil }
+func (s *projectSink) finish(rs *ResultSet) error {
+	rs.Rows = s.out
+	return nil
+}
 
 // topEntry is one row the ordered sink holds, with its arrival number.
 type topEntry struct {
@@ -483,12 +547,16 @@ type topK struct {
 	err  error   // first comparison error
 }
 
-func newTopK(keys []sortKey, keep int) topK {
-	t := topK{keys: keys, keep: keep, cand: make([]Value, len(keys))}
-	if keep > 0 {
-		t.ents = make([]topEntry, 0, min(keep, 64))
-	}
-	return t
+// reset readies t for one execution, reusing its buffers.
+func (t *topK) reset(keys []sortKey, keep int) {
+	*t = topK{keys: keys, keep: keep, ents: t.ents[:0], cand: slices.Grow(t.cand[:0], len(keys))[:len(keys)]}
+}
+
+// release drops what the execution held and keeps the emptied buffers.
+func (t *topK) release() {
+	clear(t.ents)
+	clear(t.cand)
+	*t = topK{ents: t.ents[:0], cand: t.cand[:0]}
 }
 
 // order folds a key comparison into the sort direction.
@@ -513,12 +581,15 @@ func (t *topK) cmpEntries(a, b topEntry) int {
 	return a.seq - b.seq
 }
 
+// full reports whether keeping another row means dropping the root.
+func (t *topK) full() bool { return t.keep >= 0 && len(t.ents) >= t.keep }
+
 // offer counts one arriving row, whose key values the caller has put in
 // cand, and reports whether it makes the cut; if so the caller builds
 // the row and hands it to hold.
 func (t *topK) offer() bool {
 	t.n++
-	if t.keep < 0 || len(t.ents) < t.keep {
+	if !t.full() {
 		return true
 	}
 	if t.keep == 0 {
@@ -533,10 +604,10 @@ func (t *topK) offer() bool {
 	return false
 }
 
-// hold keeps the row just offered.
+// hold keeps the row just offered; when full, in place of the root.
 func (t *topK) hold(row []Value) {
 	e := topEntry{row: row, seq: t.n - 1}
-	if t.keep < 0 || len(t.ents) < t.keep {
+	if !t.full() {
 		t.ents = append(t.ents, e)
 		if len(t.ents) == t.keep {
 			for i := len(t.ents)/2 - 1; i >= 0; i-- {
@@ -565,29 +636,38 @@ func (t *topK) siftDown(i int) {
 	}
 }
 
-// sorted returns the held rows in order, each cut to width columns.
-func (t *topK) sorted(width int) ([][]Value, error) {
+// sorted stores the held rows in rs in order, each cut to width columns.
+func (t *topK) sorted(rs *ResultSet, width int) error {
 	slices.SortFunc(t.ents, t.cmpEntries)
-	out := make([][]Value, len(t.ents))
+	rs.Rows = rs.header(len(t.ents))
 	for i, e := range t.ents {
-		out[i] = e.row[:width:width]
+		rs.Rows[i] = e.row[:width:width]
 	}
-	return out, t.err
+	return t.err
 }
 
 // orderedSink is ORDER BY over a plain SELECT: Sort followed by Limit,
 // executed as a bounded stable top-K. A row is projected — with the sort
 // columns that are not projected carried as hidden trailing values —
-// only once its keys have made the cut. Every matched row still counts
-// as sorted: that is what the statement is charged for.
+// only once its keys have made the cut, and a row that displaces the
+// worst one held is built in that row's storage: LIMIT k allocates
+// O(log k) however many rows match. Every matched row still counts as
+// sorted: that is what the statement is charged for.
 type orderedSink struct {
 	plan *selectPlan
 	cost *costCounter
 	top  topK
+	slab rowSlab
 }
 
-func newOrderedSink(p *selectPlan, cost *costCounter) *orderedSink {
-	return &orderedSink{plan: p, cost: cost, top: newTopK(p.sortKeys, p.keep())}
+// release empties the sink and pools it.
+func (s *orderedSink) release() {
+	if cap(s.top.ents) > pooledRows {
+		return
+	}
+	s.top.release()
+	*s = orderedSink{top: s.top}
+	orderedSinks.Put(s)
 }
 
 func (s *orderedSink) emit(rows [][]Value) {
@@ -598,14 +678,26 @@ func (s *orderedSink) emit(rows [][]Value) {
 	if !s.top.offer() {
 		return
 	}
-	row := projectRow(s.plan.items, len(s.plan.hidden), rows)
-	for _, h := range s.plan.hidden {
-		row = append(row, rows[h.bi][h.ci])
+	items, hidden := s.plan.items, s.plan.hidden
+	var row []Value
+	if s.top.full() {
+		row = s.top.ents[0].row
+	} else {
+		row = s.slab.cut(len(items)+len(hidden), s.top.keep-len(s.top.ents))
+	}
+	for i, it := range items {
+		row[i] = rows[it.pos.bi][it.pos.ci]
+	}
+	for i, h := range hidden {
+		row[len(items)+i] = rows[h.bi][h.ci]
 	}
 	s.top.hold(row)
 }
 
-func (s *orderedSink) finish() ([][]Value, error) { return s.top.sorted(len(s.plan.items)) }
+func (s *orderedSink) finish(rs *ResultSet) error {
+	defer s.release()
+	return s.top.sorted(rs, len(s.plan.items))
+}
 
 // aggState accumulates one aggregate over one group.
 type aggState struct {
@@ -616,29 +708,31 @@ type aggState struct {
 	seen     bool
 }
 
-func (a *aggState) add(v Value) {
+// add folds v into the state of an aggregate of the given kind.
+func (a *aggState) add(kind aggKind, v Value) {
 	if v == nil {
 		return
 	}
 	a.count++
-	if n, ok := asNumber(v); ok {
-		a.sum += n
+	switch kind {
+	case aggSum, aggAvg:
+		if n, ok := asNumber(v); ok {
+			a.sum += n
+			_, isInt := v.(int64)
+			a.sumInts = isInt && (a.sumInts || !a.seen)
+		}
+		a.seen = true
+	case aggMin, aggMax:
 		if !a.seen {
-			a.sumInts = true
+			a.min, a.max, a.seen = v, v, true
+			return
 		}
-		if _, isInt := v.(int64); !isInt {
-			a.sumInts = false
+		if c, err := compare(v, a.min); err == nil && c < 0 {
+			a.min = v
 		}
-	}
-	if !a.seen {
-		a.min, a.max, a.seen = v, v, true
-		return
-	}
-	if c, err := compare(v, a.min); err == nil && c < 0 {
-		a.min = v
-	}
-	if c, err := compare(v, a.max); err == nil && c > 0 {
-		a.max = v
+		if c, err := compare(v, a.max); err == nil && c > 0 {
+			a.max = v
+		}
 	}
 }
 
@@ -664,154 +758,171 @@ func (a *aggState) result(kind aggKind) Value {
 	}
 }
 
-// aggGroup is one group's output row — its plain columns filled from the
-// group's first row — and its aggregate states.
-type aggGroup struct {
-	out    []Value
-	states []aggState
-}
-
 // aggSink is GROUP BY / aggregation: each matched row updates its
-// group's state in place and is otherwise not kept. Groups come out in
-// first-seen order, then through the same top-K as a plain ORDER BY.
+// group's state in place and is otherwise not kept. Groups are numbered
+// in first-seen order and come out in it, or through the same top-K as a
+// plain ORDER BY. Everything here is scratch — output rows included: the
+// rows that make the result are copied out by finish, so a statement
+// over g groups on a warm sink allocates its result and a string per
+// multi-column key.
 type aggSink struct {
 	plan    *selectPlan
 	cost    *costCounter
-	byValue map[Value]*aggGroup  // plan.groupByValue: keyed by the group column's value
-	byKey   map[string]*aggGroup // formatted multi-column (or Float/Time) key
-	key     []byte               // scratch for byKey
-	groups  []*aggGroup          // first-seen order
-
-	// Groups, their rows and their states are cut from slabs; every
-	// refill doubles (up to 32 groups), so g groups cost few allocations.
-	slab   []aggGroup
-	outs   []Value
-	states []aggState
-	refill int
+	byValue map[Value]int  // plan.groupByValue: keyed by the group column's value
+	byKey   map[string]int // formatted multi-column (or Float/Time) key
+	key     []byte         // scratch for byKey
+	n       int            // groups
+	outs    []Value        // group g's output row at g*len(plan.items), plain columns from its first row
+	states  []aggState     // group g's states at g*plan.aggStates
+	top     topK
 }
 
-func newAggSink(p *selectPlan, cost *costCounter) *aggSink {
-	s := &aggSink{plan: p, cost: cost}
-	switch {
-	case len(p.group) == 0:
-	case p.groupByValue:
-		s.byValue = make(map[Value]*aggGroup)
-	default:
-		s.byKey = make(map[string]*aggGroup)
+// release empties the sink and pools it.
+func (s *aggSink) release() {
+	if s.n > pooledRows {
+		return
 	}
-	return s
+	clear(s.byValue)
+	clear(s.byKey)
+	clear(s.outs)
+	clear(s.states)
+	s.top.release()
+	*s = aggSink{byValue: s.byValue, byKey: s.byKey, key: s.key[:0], outs: s.outs[:0], states: s.states[:0], top: s.top}
+	aggSinks.Put(s)
 }
 
-// newGroup appends a group whose plain columns come from rows (nil: the
+// out is group g's output row.
+func (s *aggSink) out(g int) []Value {
+	w := len(s.plan.items)
+	return s.outs[g*w : (g+1)*w]
+}
+
+// newGroup adds a group whose plain columns come from rows (nil: the
 // synthetic group of an empty input).
-func (s *aggSink) newGroup(rows [][]Value) *aggGroup {
-	nOut, nStates := len(s.plan.items), s.plan.aggStates
-	if len(s.slab) == 0 {
-		s.refill = min(max(2*s.refill, 1), 32)
-		s.slab = make([]aggGroup, s.refill)
-		s.outs = make([]Value, s.refill*nOut)
-		s.states = make([]aggState, s.refill*nStates)
-	}
-	g := &s.slab[0]
-	g.out, g.states = s.outs[:nOut:nOut], s.states[:nStates:nStates]
-	s.slab, s.outs, s.states = s.slab[1:], s.outs[nOut:], s.states[nStates:]
+func (s *aggSink) newGroup(rows [][]Value) int {
+	g := s.n
+	s.n++
+	s.outs = append(s.outs, make([]Value, len(s.plan.items))...)
+	s.states = append(s.states, make([]aggState, s.plan.aggStates)...)
 	if rows != nil {
+		out := s.out(g)
 		for i, it := range s.plan.items {
 			if it.kind == aggNone {
-				g.out[i] = rows[it.pos.bi][it.pos.ci]
+				out[i] = rows[it.pos.bi][it.pos.ci]
 			}
 		}
 	}
-	s.groups = append(s.groups, g)
 	return g
 }
 
 // groupOf finds or creates the group of a combined row.
-func (s *aggSink) groupOf(rows [][]Value) *aggGroup {
+func (s *aggSink) groupOf(rows [][]Value) int {
 	switch {
-	case s.byValue != nil:
+	case len(s.plan.group) == 0:
+		if s.n == 0 {
+			s.newGroup(rows)
+		}
+		return 0
+	case s.plan.groupByValue:
 		pos := s.plan.group[0]
 		v := rows[pos.bi][pos.ci]
-		g := s.byValue[v]
-		if g == nil {
+		g, ok := s.byValue[v]
+		if !ok {
+			if s.byValue == nil {
+				s.byValue = make(map[Value]int)
+			}
 			g = s.newGroup(rows)
 			s.byValue[v] = g
 		}
 		return g
-	case s.byKey != nil:
-		s.key = s.key[:0]
-		for _, pos := range s.plan.group {
-			switch v := rows[pos.bi][pos.ci].(type) {
-			case string:
-				s.key = append(s.key, v...)
-			case int64:
-				s.key = strconv.AppendInt(s.key, v, 10)
-			default:
-				s.key = append(s.key, FormatValue(v)...)
-			}
-			s.key = append(s.key, 0)
-		}
-		g := s.byKey[string(s.key)]
-		if g == nil {
-			g = s.newGroup(rows)
-			s.byKey[string(s.key)] = g
-		}
-		return g
 	}
-	if len(s.groups) == 0 {
-		return s.newGroup(rows)
+	s.key = s.key[:0]
+	for _, pos := range s.plan.group {
+		switch v := rows[pos.bi][pos.ci].(type) {
+		case string:
+			s.key = append(s.key, v...)
+		case int64:
+			s.key = strconv.AppendInt(s.key, v, 10)
+		default:
+			s.key = append(s.key, FormatValue(v)...)
+		}
+		s.key = append(s.key, 0)
 	}
-	return s.groups[0]
+	g, ok := s.byKey[string(s.key)]
+	if !ok {
+		if s.byKey == nil {
+			s.byKey = make(map[string]int)
+		}
+		g = s.newGroup(rows)
+		s.byKey[string(s.key)] = g
+	}
+	return g
 }
 
 func (s *aggSink) emit(rows [][]Value) {
 	s.cost.sorted++ // GROUP BY is charged like a sort
-	g := s.groupOf(rows)
+	states := s.states[s.groupOf(rows)*s.plan.aggStates:]
 	for _, it := range s.plan.items {
 		switch {
 		case it.kind == aggNone:
 		case it.star:
-			g.states[it.state].count++
+			states[it.state].count++
 		default:
-			g.states[it.state].add(rows[it.pos.bi][it.pos.ci])
+			states[it.state].add(it.kind, rows[it.pos.bi][it.pos.ci])
 		}
 	}
 }
 
-func (s *aggSink) finish() ([][]Value, error) {
+func (s *aggSink) finish(rs *ResultSet) error {
+	defer s.release()
 	// SQL semantics: an ungrouped aggregate over an empty set still
 	// yields one row (COUNT 0, SUM/AVG/MIN/MAX NULL, plain columns NULL).
-	if len(s.groups) == 0 && len(s.plan.group) == 0 {
+	if s.n == 0 && len(s.plan.group) == 0 {
 		s.newGroup(nil)
 	}
-	for _, g := range s.groups {
-		for i, it := range s.plan.items {
+	items, keep := s.plan.items, s.plan.keep()
+	for g := range s.n {
+		out, states := s.out(g), s.states[g*s.plan.aggStates:]
+		for i, it := range items {
 			if it.kind != aggNone {
-				g.out[i] = g.states[it.state].result(it.kind)
+				out[i] = states[it.state].result(it.kind)
 			}
 		}
 	}
-	keys := s.plan.sortKeys
-	if len(keys) == 0 {
-		out := make([][]Value, len(s.groups))
-		for i, g := range s.groups {
-			out[i] = g.out
+	var err error
+	if keys := s.plan.sortKeys; len(keys) > 0 {
+		// Aggregated queries order by output columns, including aggregate
+		// aliases (ORDER BY qty DESC).
+		s.top.reset(keys, keep)
+		s.cost.sorted += s.n
+		for g := range s.n {
+			out := s.out(g)
+			for i, k := range keys {
+				s.top.cand[i] = out[k.out]
+			}
+			if s.top.offer() {
+				s.top.hold(out)
+			}
 		}
-		return out, nil
+		err = s.top.sorted(rs, len(items))
+	} else {
+		n := s.n
+		if keep >= 0 {
+			n = min(n, keep)
+		}
+		rs.Rows = rs.header(n)
+		for g := range rs.Rows {
+			rs.Rows[g] = s.out(g)
+		}
 	}
-	// Aggregated queries order by output columns, including aggregate
-	// aliases (ORDER BY qty DESC).
-	top := newTopK(keys, s.plan.keep())
-	s.cost.sorted += len(s.groups)
-	for _, g := range s.groups {
-		for i, k := range keys {
-			top.cand[i] = g.out[k.out]
-		}
-		if top.offer() {
-			top.hold(g.out)
-		}
+	// The rows kept are the caller's: copy them out of the scratch.
+	flat := make([]Value, len(rs.Rows)*len(items))
+	for i, row := range rs.Rows {
+		lo, hi := i*len(items), (i+1)*len(items)
+		copy(flat[lo:hi], row)
+		rs.Rows[i] = flat[lo:hi:hi]
 	}
-	return top.sorted(len(s.plan.items))
+	return err
 }
 
 func applyLimit(rs *ResultSet, limit, offset int) {

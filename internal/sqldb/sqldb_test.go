@@ -446,12 +446,11 @@ func TestResultSetHelpers(t *testing.T) {
 	if rs.Cell(0, "b_title") != "TAOCP Volume 1" || rs.Cell(0, "nope") != nil || rs.Cell(1, "b_title") != nil {
 		t.Fatalf("Cell: %v, %v, %v", rs.Cell(0, "b_title"), rs.Cell(0, "nope"), rs.Cell(1, "b_title"))
 	}
-	if rs.First()["b_id"] != int64(1) {
-		t.Fatalf("First: %v", rs.First())
+	if rs.Int(0, "b_id") != 1 || rs.Float(0, "b_price") != 99.99 || rs.Str(0, "b_title") != "TAOCP Volume 1" {
+		t.Fatalf("Int/Float/Str: %v", rs.Rows[0])
 	}
-	empty := mustQuery(t, c, "SELECT * FROM book WHERE b_id = 999")
-	if empty.First() != nil {
-		t.Fatal("First on empty result should be nil")
+	if empty := mustQuery(t, c, "SELECT * FROM book WHERE b_id = 999"); empty.Len() != 0 || empty.Rows == nil {
+		t.Fatalf("empty result: %d rows, Rows %v", empty.Len(), empty.Rows)
 	}
 }
 
@@ -533,33 +532,6 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
-	}
-}
-
-func TestLikeMatch(t *testing.T) {
-	tests := []struct {
-		s, pat string
-		want   bool
-	}{
-		{"hello", "hello", true},
-		{"hello", "HELLO", true}, // case-insensitive
-		{"hello", "h%", true},
-		{"hello", "%o", true},
-		{"hello", "%ell%", true},
-		{"hello", "h_llo", true},
-		{"hello", "h_go", false},
-		{"hello", "%", true},
-		{"", "%", true},
-		{"", "_", false},
-		{"abc", "a%c", true},
-		{"abc", "a%b", false},
-		{"aXbXc", "a%b%c", true},
-		{"the go programming language", "%go%", true},
-	}
-	for _, tt := range tests {
-		if got := likeMatch(tt.s, tt.pat); got != tt.want {
-			t.Errorf("likeMatch(%q, %q) = %v, want %v", tt.s, tt.pat, got, tt.want)
-		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"stagedweb/internal/sqldb"
 	"stagedweb/internal/tpcw"
+	"stagedweb/internal/webtest"
 )
 
 // The statements of the TPC-W pages that dominate sqldb time, verbatim
@@ -43,11 +44,13 @@ var selectBenchmarks = []struct {
 // BenchmarkSelect is the per-statement layer ledger of the SELECT path
 // over the benchmark's browse_scan population (10 000 items, lock
 // engine, the paper's schema): for each statement, what a
-// statement-cache hit costs (prepare-hit) and what executing the cached
-// plan costs (exec), in ns and allocations. Conn.Query is the sum of the
-// two plus the connection's busy flag and the latency histogram. The
-// primary-key statements also get an exec-parallel row (ns per execution
-// with every core executing).
+// statement-cache hit costs (prepare-hit), what executing the cached
+// plan costs off a connection (exec), and what the whole of Conn.Query
+// costs on a reused connection (query), in ns and allocations. query is
+// less than the sum of the other two by what the connection's scratch
+// saves: exec allocates its context, run and sink, a connection does not.
+// The primary-key statements also get an exec-parallel row (ns per
+// execution with every core executing).
 func BenchmarkSelect(b *testing.B) {
 	db := openTPCW(b, false, false, tpcw.PopulateConfig{Items: 10000, Customers: 2500, Orders: 2000})
 	for _, bm := range selectBenchmarks {
@@ -70,6 +73,16 @@ func BenchmarkSelect(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				if _, err := p.Exec(bm.args...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(bm.name+"/query", func(b *testing.B) {
+			c := db.Connect()
+			defer c.Close()
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := c.Query(bm.sql, bm.args...); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -110,34 +123,49 @@ func queryAllocs(t *testing.T, db *sqldb.DB, sql string, args ...any) float64 {
 // TestSelectAllocCeilings pins what the hot statements may allocate, so
 // that a per-execution slice, closure or map creeping back into the
 // cached-statement path fails a test instead of a benchmark. The counts
-// are whole Conn.Query calls, result included; before the streaming
-// executor they were 23, 30 and (search, 10 000 items) 2 537.
+// are whole Conn.Query calls on a reused connection, result included;
+// before the streaming executor they were 23, 30 and (search, 10 000
+// items) 2 537, and before rows were recycled 7, 7 and 206.
 func TestSelectAllocCeilings(t *testing.T) {
 	small := openTPCW(t, false, false, tpcw.PopulateConfig{Items: 1000, Customers: 250, Orders: 200})
 	large := openTPCW(t, false, false, tpcw.PopulateConfig{Items: 10000, Customers: 250, Orders: 200})
-	point, pkjoin, search := selectBenchmarks[0], selectBenchmarks[1], selectBenchmarks[2]
-
-	// Argument vector and context, the boxed key, the run, the sink, the
-	// result and its one row: seven, whatever the width of the join.
-	if n := queryAllocs(t, small, point.sql, 742); n > 8 {
-		t.Errorf("PK point SELECT: %v allocations per query, ceiling 8", n)
-	}
-	if n := queryAllocs(t, small, pkjoin.sql, 742); n > 8 {
-		t.Errorf("PK join (product_detail): %v allocations per query, ceiling 8", n)
+	byName := map[string]int{}
+	for i, bm := range selectBenchmarks {
+		byName[bm.name] = i
 	}
 
-	// A LIKE scan with ORDER BY ... LIMIT 50 allocates per row it keeps,
-	// not per row it scans or matches: the 50 it returns plus the rows
-	// that displaced an earlier candidate, K·ln(matches/K) of them in
-	// expectation for titles in random order. Ten times the rows is
-	// 50·ln 10 = 115 more allocations, not ten times as many.
-	few := queryAllocs(t, small, search.sql, search.args...)
-	many := queryAllocs(t, large, search.sql, search.args...)
-	t.Logf("search_title: %v allocations over 1 000 items, %v over 10 000", few, many)
-	if few > 120 {
-		t.Errorf("search over 1 000 items: %v allocations per query, ceiling 120", few)
+	// The key boxed as an int64, the result, its one row: three, whatever
+	// the width of the join. Context, run and sink are the connection's.
+	for _, name := range []string{"point", "pkjoin"} {
+		bm := selectBenchmarks[byName[name]]
+		if n := queryAllocs(t, small, bm.sql, 742); n > 4 {
+			t.Errorf("%s: %v allocations per query, ceiling 4", name, n)
+		}
 	}
-	if many > few+230 {
-		t.Errorf("search allocations grow with the rows scanned: %v over 1 000 items, %v over 10 000", few, many)
+
+	if webtest.RaceEnabled {
+		return // the sinks below are pooled
+	}
+
+	// ORDER BY ... LIMIT 50 over a scan allocates for the 50 rows it
+	// returns — six slabs, each twice the last — the result and its
+	// header, and nothing per row scanned, matched or displaced from the
+	// top 50: ten times the table is not one allocation more.
+	for _, name := range []string{"search_title", "new_products"} {
+		bm := selectBenchmarks[byName[name]]
+		few := queryAllocs(t, small, bm.sql, bm.args...)
+		many := queryAllocs(t, large, bm.sql, bm.args...)
+		t.Logf("%s: %v allocations over 1 000 items, %v over 10 000", name, few, many)
+		if few > 12 || many != few {
+			t.Errorf("%s: %v allocations per query over 1 000 items, %v over 10 000; ceiling 12, and equal", name, few, many)
+		}
+	}
+
+	// Groups, their states and their rows are a pooled sink's; what is
+	// allocated is the result: rows of the top 50 in one piece, header,
+	// and the boxed SUM of each group that has one above 255.
+	bm := selectBenchmarks[byName["best_sellers"]]
+	if n := queryAllocs(t, small, bm.sql, bm.args...); n > 40 {
+		t.Errorf("best_sellers: %v allocations per query, ceiling 40", n)
 	}
 }

@@ -109,27 +109,72 @@ func cmpOrdered[T int64 | float64](a, b T) int {
 }
 
 // valuesEqual reports whether two values compare equal; incomparable
-// types are simply unequal.
+// types are simply unequal. Join keys and index entries are nearly always
+// two integers or two strings, which are settled without compare's double
+// type switch.
 func valuesEqual(a, b Value) bool {
+	switch av := a.(type) {
+	case int64:
+		if bv, ok := b.(int64); ok {
+			return av == bv
+		}
+	case string:
+		if bv, ok := b.(string); ok {
+			return av == bv
+		}
+	}
 	c, err := compare(a, b)
 	return err == nil && c == 0
 }
 
-// likeMatch implements SQL LIKE: '%' matches any run, '_' any single
-// byte. Matching is ASCII case-insensitive, as in MySQL's default
-// collation, and allocation-free (it runs once per scanned row in LIKE
-// queries).
-func likeMatch(s, pattern string) bool {
+// asciiLower maps 'A'..'Z' to 'a'..'z' and every other byte to itself.
+var asciiLower = func() (t [256]byte) {
+	for i := range t {
+		t[i] = byte(i)
+	}
+	for c := 'A'; c <= 'Z'; c++ {
+		t[c] = byte(c) + ('a' - 'A')
+	}
+	return t
+}()
+
+// likePattern is a SQL LIKE pattern prepared for matching row after row:
+// '%' matches any run, '_' any single byte, and matching is ASCII
+// case-insensitive, as in MySQL's default collation. The pattern is
+// folded once, when it is set; matching folds only the subject and
+// allocates nothing. The zero value is the empty pattern.
+type likePattern struct {
+	src      string // the pattern as given
+	folded   []byte // src with 'A'..'Z' lowered
+	contains bool   // src is %word% with no other wildcard: a substring search
+}
+
+// set prepares pattern, reusing p's buffer.
+func (p *likePattern) set(pattern string) {
+	p.src, p.folded = pattern, p.folded[:0]
+	for i := 0; i < len(pattern); i++ {
+		p.folded = append(p.folded, asciiLower[pattern[i]])
+	}
+	n := len(pattern)
+	p.contains = n >= 2 && pattern[0] == '%' && pattern[n-1] == '%' &&
+		!strings.ContainsAny(pattern[1:n-1], "%_")
+}
+
+func (p *likePattern) match(s string) bool {
+	pattern := p.folded
+	if p.contains {
+		return containsFold(s, pattern[1:len(pattern)-1])
+	}
 	// Iterative matching with backtracking on the last '%'.
 	si, pi := 0, 0
 	star, starSi := -1, 0
 	for si < len(s) {
 		switch {
-		case pi < len(pattern) && (pattern[pi] == '_' || lowerByte(pattern[pi]) == lowerByte(s[si])):
-			si++
-			pi++
 		case pi < len(pattern) && pattern[pi] == '%':
 			star, starSi = pi, si
+			pi++
+		case pi < len(pattern) && (pattern[pi] == '_' || pattern[pi] == asciiLower[s[si]]):
+			si++
 			pi++
 		case star >= 0:
 			pi = star + 1
@@ -145,11 +190,24 @@ func likeMatch(s, pattern string) bool {
 	return pi == len(pattern)
 }
 
-func lowerByte(c byte) byte {
-	if 'A' <= c && c <= 'Z' {
-		return c + ('a' - 'A')
+// containsFold reports whether s, folded, contains the folded word.
+func containsFold(s string, word []byte) bool {
+	if len(word) == 0 {
+		return true
 	}
-	return c
+	for i := 0; i+len(word) <= len(s); i++ {
+		if asciiLower[s[i]] != word[0] {
+			continue
+		}
+		j := 1
+		for j < len(word) && asciiLower[s[i+j]] == word[j] {
+			j++
+		}
+		if j == len(word) {
+			return true
+		}
+	}
+	return false
 }
 
 // asNumber coerces a value to float64 for aggregation.

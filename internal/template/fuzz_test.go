@@ -47,7 +47,7 @@ func FuzzRender(f *testing.F) {
 	data := map[string]any{
 		"title": "T", "v": `hé<"&'>llo`, "n": 4, "a": true, "b": false,
 		"words": []string{"x", "y"}, "m": map[string]int{"one": 1, "two": 2},
-		"rows": rows, "results": rows, "promotions": []map[string]any{rows.First()},
+		"rows": rows, "results": rows, "promotions": []map[string]any{{"i_id": int64(1), "i_title": "a <b> title"}}, "item": rows,
 		"lines": []any{map[string]any{"i_id": 9}}, "subjects": []any{"ARTS", "NON-FICTION"},
 		"name": "footer.html", "when": time.Date(2008, 6, 1, 0, 0, 0, 0, time.UTC),
 		"c_id": 7, "i_cost": 3.25, "subject": "science-fiction",

@@ -47,18 +47,18 @@ var subjectValues = func() []any {
 }()
 
 // promotions picks five items by rotating point lookups — the TPC-W
-// promotional display on home, cart, and search pages.
-func (a *App) promotions(db server.DBConn) ([]map[string]any, error) {
-	out := make([]map[string]any, 0, 5)
+// promotional display on home, cart, and search pages — and returns the
+// rows found as one result, which promo.html walks in place.
+func (a *App) promotions(db server.DBConn) (*sqldb.ResultSet, error) {
+	out := &sqldb.ResultSet{Rows: make([][]sqldb.Value, 0, 5)}
 	for k := 0; k < 5; k++ {
-		id := a.defaultItem()
-		rs, err := db.Query("SELECT i_id, i_title, i_thumbnail FROM item WHERE i_id = ?", id)
+		// An int64 is boxed once, here; an int again when sqldb normalizes it.
+		rs, err := db.Query("SELECT i_id, i_title, i_thumbnail FROM item WHERE i_id = ?", int64(a.defaultItem()))
 		if err != nil {
 			return nil, err
 		}
-		if rs.Len() > 0 {
-			out = append(out, rs.First())
-		}
+		out.Columns = rs.Columns
+		out.Rows = append(out.Rows, rs.Rows...)
 	}
 	return out, nil
 }
@@ -141,47 +141,50 @@ func (a *App) customerRegistration(r *server.Request) (*server.Result, error) {
 
 // lookupCustomer finds a customer by uname (indexed) or falls back to a
 // rotating default, mirroring the emulated browser's registered-user mix.
-func (a *App) lookupCustomer(db server.DBConn, q map[string]string) (map[string]any, error) {
+// The customer is row 0 of the result; no customer is an error.
+func (a *App) lookupCustomer(db server.DBConn, q map[string]string) (*sqldb.ResultSet, error) {
 	if uname := q["uname"]; uname != "" {
 		rs, err := db.Query("SELECT * FROM customer WHERE c_uname = ?", uname)
-		if err != nil {
-			return nil, err
-		}
-		if rs.Len() > 0 {
-			return rs.First(), nil
+		if err != nil || rs.Len() > 0 {
+			return rs, err
 		}
 	}
 	cid := intParam(q, "c_id", a.defaultCustomer())
 	rs, err := db.Query("SELECT * FROM customer WHERE c_id = ?", cid)
-	if err != nil {
-		return nil, err
+	if err == nil && rs.Len() == 0 {
+		err = fmt.Errorf("no customer %d", cid)
 	}
-	return rs.First(), nil
+	return rs, err
+}
+
+// putRow puts the cells of rs's first row, if it has one, on a page
+// under their column names.
+func putRow(data map[string]any, rs *sqldb.ResultSet) {
+	if rs.Len() > 0 {
+		for j, c := range rs.Columns {
+			data[c] = rs.Rows[0][j]
+		}
+	}
 }
 
 // buyRequest shows the order confirmation page: customer, billing
 // address, cart contents, and totals.
 func (a *App) buyRequest(r *server.Request) (*server.Result, error) {
 	cust, err := a.lookupCustomer(r.DB, r.Query)
-	if err != nil || cust == nil {
+	if err != nil {
 		return nil, errPage(PageBuyRequest, fmt.Errorf("customer lookup: %v", err))
 	}
-	data := map[string]any{
-		"c_id": cust["c_id"], "c_uname": cust["c_uname"],
-		"c_fname": cust["c_fname"], "c_lname": cust["c_lname"],
-		"c_discount": cust["c_discount"],
+	data := make(map[string]any, 16)
+	for _, c := range []string{"c_id", "c_uname", "c_fname", "c_lname", "c_discount"} {
+		data[c] = cust.Get(0, c)
 	}
 	addr, err := r.DB.Query(
 		`SELECT addr_street1, addr_city, addr_state, addr_zip, co_name FROM address
-		 JOIN country ON addr_co_id = co_id WHERE addr_id = ?`, cust["c_addr_id"])
+		 JOIN country ON addr_co_id = co_id WHERE addr_id = ?`, cust.Get(0, "c_addr_id"))
 	if err != nil {
 		return nil, errPage(PageBuyRequest, err)
 	}
-	if addr.Len() > 0 {
-		for k, v := range addr.First() {
-			data[k] = v
-		}
-	}
+	putRow(data, addr)
 	scID := intParam(r.Query, "sc_id", 0)
 	lines, subTotal, err := a.cartLines(r.DB, scID)
 	if err != nil {
@@ -258,25 +261,25 @@ func (a *App) orderInquiry(*server.Request) (*server.Result, error) {
 // orderDisplay shows the customer's most recent order.
 func (a *App) orderDisplay(r *server.Request) (*server.Result, error) {
 	cust, err := a.lookupCustomer(r.DB, r.Query)
-	if err != nil || cust == nil {
+	if err != nil {
 		return nil, errPage(PageOrderDisplay, fmt.Errorf("customer lookup: %v", err))
 	}
 	order, err := r.DB.Query(
-		"SELECT * FROM orders WHERE o_c_id = ? ORDER BY o_date DESC, o_id DESC LIMIT 1", cust["c_id"])
+		"SELECT * FROM orders WHERE o_c_id = ? ORDER BY o_date DESC, o_id DESC LIMIT 1", cust.Get(0, "c_id"))
 	if err != nil {
 		return nil, errPage(PageOrderDisplay, err)
 	}
 	if order.Len() == 0 {
 		return &server.Result{Template: "order_display.html", Data: map[string]any{}}, nil
 	}
-	data := order.First()
 	lines, err := r.DB.Query(
 		`SELECT ol_i_id, ol_qty, i_title, i_cost FROM order_line
-		 JOIN item ON ol_i_id = i_id WHERE ol_o_id = ?`, data["o_id"])
+		 JOIN item ON ol_i_id = i_id WHERE ol_o_id = ?`, order.Get(0, "o_id"))
 	if err != nil {
 		return nil, errPage(PageOrderDisplay, err)
 	}
-	data["lines"] = lines
+	data := map[string]any{"lines": lines}
+	putRow(data, order)
 	return &server.Result{Template: "order_display.html", Data: data}, nil
 }
 
@@ -387,7 +390,7 @@ func (a *App) productDetail(r *server.Request) (*server.Result, error) {
 	if rs.Len() == 0 {
 		return &server.Result{Status: 404, Body: "<html>no such item</html>"}, nil
 	}
-	return &server.Result{Template: "product_detail.html", Data: rs.First()}, nil
+	return &server.Result{Template: "product_detail.html", Data: map[string]any{"item": rs}}, nil
 }
 
 // adminRequest shows the item-edit form.
@@ -400,7 +403,7 @@ func (a *App) adminRequest(r *server.Request) (*server.Result, error) {
 	if rs.Len() == 0 {
 		return &server.Result{Status: 404, Body: "<html>no such item</html>"}, nil
 	}
-	return &server.Result{Template: "admin_request.html", Data: rs.First()}, nil
+	return &server.Result{Template: "admin_request.html", Data: map[string]any{"item": rs}}, nil
 }
 
 // adminResponse applies the item update. The statement itself is cheap —
@@ -430,10 +433,7 @@ func (a *App) adminResponse(r *server.Request) (*server.Result, error) {
 	if err != nil {
 		return nil, errPage(PageAdminResponse, err)
 	}
-	data := rs.First()
-	if data == nil {
-		data = map[string]any{"i_id": iID}
-	}
-	data["related"] = rel
+	data := map[string]any{"i_id": iID, "related": rel}
+	putRow(data, rs)
 	return &server.Result{Template: "admin_response.html", Data: data}, nil
 }

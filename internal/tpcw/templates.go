@@ -204,34 +204,36 @@ Username: <input name="uname"> Password: <input name="passwd" type="password">
 </table>
 {% endblock %}`,
 
+		// item is the one-row result of the page's lookup, walked where it
+		// is: the loops run once and bind the row.
 		"product_detail.html": `{% extends "base.html" %}
-{% block title %}{{ i_title }}{% endblock %}
-{% block content %}
-<h2>{{ i_title }}</h2>
-<img src="{{ i_image }}" alt="{{ i_title }}">
-<p>By {{ a_fname }} {{ a_lname }}</p>
-<p>Subject: {{ i_subject|title }} | Published {{ i_pub_date }}</p>
-<p>{{ i_desc }}</p>
-<p>SRP: ${{ i_srp|floatformat:2 }} <b>Our price: ${{ i_cost|floatformat:2 }}</b> ({{ i_stock }} in stock)</p>
+{% block title %}{% for i in item %}{{ i.i_title }}{% endfor %}{% endblock %}
+{% block content %}{% for i in item %}
+<h2>{{ i.i_title }}</h2>
+<img src="{{ i.i_image }}" alt="{{ i.i_title }}">
+<p>By {{ i.a_fname }} {{ i.a_lname }}</p>
+<p>Subject: {{ i.i_subject|title }} | Published {{ i.i_pub_date }}</p>
+<p>{{ i.i_desc }}</p>
+<p>SRP: ${{ i.i_srp|floatformat:2 }} <b>Our price: ${{ i.i_cost|floatformat:2 }}</b> ({{ i.i_stock }} in stock)</p>
 <form action="/shopping_cart" method="get">
-<input type="hidden" name="i_id" value="{{ i_id }}">
+<input type="hidden" name="i_id" value="{{ i.i_id }}">
 <input type="submit" value="Add to cart">
 </form>
-{% endblock %}`,
+{% endfor %}{% endblock %}`,
 
 		"admin_request.html": `{% extends "base.html" %}
 {% block title %}Admin Request{% endblock %}
-{% block content %}
-<h2>Edit item {{ i_id }}</h2>
-<p>{{ i_title }} — current price ${{ i_cost|floatformat:2 }}</p>
-<img src="{{ i_image }}" alt="">
+{% block content %}{% for i in item %}
+<h2>Edit item {{ i.i_id }}</h2>
+<p>{{ i.i_title }} — current price ${{ i.i_cost|floatformat:2 }}</p>
+<img src="{{ i.i_image }}" alt="">
 <form action="/admin_response" method="get">
-<input type="hidden" name="i_id" value="{{ i_id }}">
-New cost: <input name="cost" value="{{ i_cost|floatformat:2 }}">
-New image: <input name="image" value="{{ i_image }}">
+<input type="hidden" name="i_id" value="{{ i.i_id }}">
+New cost: <input name="cost" value="{{ i.i_cost|floatformat:2 }}">
+New image: <input name="image" value="{{ i.i_image }}">
 <input type="submit" value="Update">
 </form>
-{% endblock %}`,
+{% endfor %}{% endblock %}`,
 
 		"admin_response.html": `{% extends "base.html" %}
 {% block title %}Admin Confirm{% endblock %}
