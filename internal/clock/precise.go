@@ -2,6 +2,7 @@ package clock
 
 import (
 	"runtime"
+	"sync"
 	"time"
 )
 
@@ -35,11 +36,31 @@ func (Precise) Sleep(d time.Duration) {
 	if d >= spinThreshold {
 		// Sleep the bulk on the timer, spin the remainder.
 		deadline := time.Now().Add(d)
-		time.Sleep(d - spinThreshold/2)
+		timerSleep(d - spinThreshold/2)
 		spinUntil(deadline)
 		return
 	}
 	spinUntil(time.Now().Add(d))
+}
+
+// timers recycles the timers Sleep waits on. time.Sleep keeps a timer per
+// goroutine that the runtime frees when the goroutine exits, so a
+// short-lived goroutine — a server's per-connection one — would allocate
+// one on its first sleep.
+var timers = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
+}}
+
+// timerSleep is time.Sleep on a pooled timer. Reset on a stopped or
+// fired-and-drained timer leaves no stale tick in its channel (Go 1.23
+// timer semantics, which this module's go line selects).
+func timerSleep(d time.Duration) {
+	t := timers.Get().(*time.Timer)
+	t.Reset(d)
+	<-t.C
+	timers.Put(t)
 }
 
 func spinUntil(deadline time.Time) {

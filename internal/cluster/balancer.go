@@ -51,18 +51,11 @@ type breaker struct {
 }
 
 // job is a client connection's request in flight through the LB stage.
-// The connection makes one and reuses it, request and done channel
-// included, for every request it carries.
+// The connection makes one and reuses it for every request it carries.
 type job struct {
 	req  httpwire.Request
 	dec  Decision
 	conn string // the client's Connection choice, written into the relayed reply
-	// reply is the shard's reply as bytes, ready for the client, in a
-	// buffer from httpwire's pool. The job owns it from forward's return
-	// until handleConn has written it and given it back.
-	reply *[]byte
-	err   error
-	done  chan struct{} // capacity 1: forward signals, handleConn receives
 }
 
 // badGateway is what the client gets when no shard produced a reply.
@@ -79,7 +72,7 @@ type Balancer struct {
 	clk    clock.Clock
 	scale  clock.Timescale
 
-	lb    *stage.Stage[*job]
+	lb    *stage.Stage[struct{}] // forwarding slots; connections take one per request
 	graph *stage.Graph
 
 	routed  []atomic.Int64 // per-shard routed counts (fan-outs excluded)
@@ -162,11 +155,10 @@ func New(opts Options, shards []variant.Instance, route RouteFunc) (*Balancer, e
 		down:     make([]atomic.Bool, opts.Shards),
 		breakers: make([]breaker, opts.Shards),
 	}
-	b.lb = stage.New(stage.Config[*job]{
+	b.lb = stage.New(stage.Config[struct{}]{
 		Name:     "lb",
 		Workers:  opts.Workers,
 		QueueCap: opts.QueueCap,
-		Work:     b.forward,
 	})
 	b.graph = stage.NewGraph().Add(b.lb)
 	return b, nil
@@ -448,13 +440,13 @@ func (b *Balancer) noteForward(i int, ok, trial bool) {
 	}
 }
 
-// handleConn serves one client connection: parse, route through the LB
-// stage, relay the shard's reply bytes in one Write, honouring client
+// handleConn serves one client connection: parse, forward on an LB stage
+// slot, relay the shard's reply bytes in one Write, honouring client
 // keep-alive.
 func (b *Balancer) handleConn(conn net.Conn) {
 	defer func() { _ = conn.Close() }()
 	br := bufio.NewReader(conn)
-	j := &job{done: make(chan struct{}, 1)}
+	j := &job{}
 	for {
 		if err := j.req.Parse(br); err != nil {
 			return // client closed, or unparseable — drop the connection
@@ -464,38 +456,39 @@ func (b *Balancer) handleConn(conn net.Conn) {
 		if j.req.KeepAlive() {
 			j.conn = "keep-alive"
 		}
-		if err := b.lb.Submit(j); err != nil {
-			return // balancer stopping
+		if err := b.lb.Enter(); err != nil {
+			return // balancer stopping, or its line is full
 		}
-		<-j.done
-		if j.err != nil {
+		reply, err := b.forward(j)
+		b.lb.Leave()
+		if err != nil {
 			_, _ = conn.Write(badGateway)
 			return
 		}
-		_, err := conn.Write(*j.reply)
-		httpwire.PutBuffer(j.reply)
+		_, err = conn.Write(*reply)
+		httpwire.PutBuffer(reply)
 		if err != nil || j.conn == "close" {
 			return
 		}
 	}
 }
 
-// forward runs on an LB stage worker: pick the shard (or fan out) and
-// fetch the reply.
-func (b *Balancer) forward(j *job) {
-	defer func() { j.done <- struct{}{} }()
+// forward is the LB stage's work: pick the shard (or fan out) and fetch
+// the reply, as bytes ready for the client in a buffer from httpwire's
+// pool that the caller gives back once written.
+func (b *Balancer) forward(j *job) (*[]byte, error) {
 	if j.dec.Fanout {
 		b.fanoutN.Add(1)
-		j.reply, j.err = b.fanout(j)
-		return
+		return b.fanout(j)
 	}
 	shard := b.pick(j)
 	b.routeN.Add(1)
 	b.routed[shard].Add(1)
 	raw := httpwire.GetBuffer()
 	*raw = appendRequest((*raw)[:0], &j.req)
-	j.reply, j.err = b.send(shard, *raw, j.conn)
+	reply, err := b.send(shard, *raw, j.conn)
 	httpwire.PutBuffer(raw)
+	return reply, err
 }
 
 // pick chooses the shard for a single-shard request: ring owner for

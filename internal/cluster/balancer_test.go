@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -143,5 +144,28 @@ func TestClusterCustomerAffinity(t *testing.T) {
 		if resp.Status != 200 {
 			t.Errorf("order_display customer %d: status %d (routed off the owning shard?)", c, resp.Status)
 		}
+	}
+}
+
+// TestClusterStopLeavesNoGoroutines: after Stop, the balancer's client
+// connections, fan-out forwards and shard servers leave no goroutine
+// behind.
+func TestClusterStopLeavesNoGoroutines(t *testing.T) {
+	manual := clock.NewManual(time.Date(2009, 6, 29, 0, 0, 0, 0, time.UTC))
+	before := runtime.NumGoroutine()
+	b, addr := bootCluster(t, manual, 2, cluster.LBHash)
+	for _, path := range []string{
+		tpcw.PageHome,
+		tpcw.PageAdminResponse + "?i_id=7&cost=42.50", // fanned out
+		fmt.Sprintf("%s?uname=%s&passwd=pw3", tpcw.PageOrderDisplay, tpcw.Uname(3)),
+	} {
+		if resp, err := webtest.Get(addr, path); err != nil || resp.Status != 200 {
+			t.Fatalf("GET %s: %v %v", path, resp, err)
+		}
+	}
+	b.Stop()
+	if !webtest.WaitUntil(5*time.Second, func() bool { return runtime.NumGoroutine() <= before }) {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines after Stop, %d before Serve:\n%s", runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
 	}
 }

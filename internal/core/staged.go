@@ -9,11 +9,16 @@
 //	                           -> general dynamic requests  -> template
 //	                           -> lengthy dynamic requests  ->  rendering
 //
-// It is expressed as a stage.Graph over the generic stage runtime; the
-// connection mechanics (accept loop, buffered conns, two-phase parsing,
-// replies, cost charging) come from the shared server.Transport. Database
-// connections are bound only to the dynamic-request workers, so they are
-// never idle while templates render or static files are served. Dynamic
+// Each pool is a stage.Stage: the pool's thread count as slots, plus a
+// FIFO line of requests waiting for one. Each connection is served on its
+// own goroutine, which waits for a request's bytes holding no slot, then
+// walks the figure in order — the header slot, then a static slot or a
+// general/lengthy slot, then (for deferred pages) a rendering slot —
+// holding each only for that pool's work. The connection mechanics
+// (accept loop, buffered conns, two-phase parsing, replies, cost
+// charging) come from the shared server.Transport. Database connections
+// are used only on general/lengthy slots, so they are never held while
+// templates render or static files are served. Dynamic
 // requests are classified quick/lengthy by tracked mean data-generation
 // time (sched.Classifier, 2 s cutoff), dispatched per Table 1, and
 // protected from head-of-line blocking by the t_reserve feedback
@@ -106,9 +111,9 @@ type Config struct {
 	Clock clock.Clock
 	Scale clock.Timescale
 
-	// IdleTimeout bounds how long a header-parsing worker waits for the
-	// next request line on a connection (wall time), like CherryPy's
-	// socket timeout. Defaults to 10 s.
+	// IdleTimeout bounds how long a connection waits for its next
+	// request's bytes, and for the rest of a request line once they come
+	// (wall time), like CherryPy's socket timeout. Defaults to 10 s.
 	IdleTimeout time.Duration
 
 	// Cost models render/static worker time (paper time); zero charges
@@ -159,36 +164,20 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// task is a connection's current request on its way through the pools.
-// One is made when the connection is accepted and reused for every
-// request on it — a connection has one request in flight — so a hop from
-// pool to pool allocates nothing.
-type task struct {
-	c *server.Conn
-	// line is the phase-one parse; a static request carries nothing else
-	// to the static pool. line.Path is the page key.
-	line httpwire.RequestLine
-	// req is the fully header-parsed dynamic request.
-	req *httpwire.Request
-	// result is an unrendered template plus its data, on its way to the
-	// rendering pool.
-	result *server.Result
-	// park is awaitNextRequest bound to this task: made once, so that
-	// starting the park goroutine after each reply allocates no closure.
-	park func()
-}
-
 // Server is the staged (modified) web server.
 type Server struct {
 	cfg Config
 	tr  *server.Transport
+	dbc server.DBConn
 
+	// The five pools. A request holds a slot only while its goroutine does
+	// that pool's work; stages take no items, so their type is struct{}.
 	graph   *stage.Graph
-	header  *stage.Stage[*task]
-	static  *stage.Stage[*task]
-	general *stage.Stage[*task]
-	lengthy *stage.Stage[*task]
-	render  *stage.Stage[*task]
+	header  *stage.Stage[struct{}]
+	static  *stage.Stage[struct{}]
+	general *stage.Stage[struct{}]
+	lengthy *stage.Stage[struct{}]
+	render  *stage.Stage[struct{}]
 
 	dispatcher *sched.Dispatcher
 	controller *sched.Controller
@@ -202,10 +191,11 @@ type Server struct {
 	listener net.Listener
 	stopped  bool
 	stopOnce sync.Once
-	// parked tracks keep-alive connections awaiting their next request;
-	// Stop aborts them so shutdown never waits out the idle timeout.
-	parked map[*task]struct{}
-	parkWG sync.WaitGroup
+	// conns holds every open connection, so that Stop can abort the ones
+	// waiting for their next request instead of waiting out their idle
+	// timeout; connWG counts their goroutines.
+	conns  map[*server.Conn]struct{}
+	connWG sync.WaitGroup
 }
 
 // New validates the configuration and builds the staged server.
@@ -217,7 +207,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, errors.New("core: nil DB")
 	}
 	cfg.fillDefaults()
-	s := &Server{cfg: cfg, parked: make(map[*task]struct{})}
+	s := &Server{cfg: cfg, conns: make(map[*server.Conn]struct{})}
 	s.tr = server.NewTransport(server.TransportConfig{
 		IdleTimeout: cfg.IdleTimeout,
 		Clock:       cfg.Clock,
@@ -242,15 +232,6 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 
-	s.header = stage.New(stage.Config[*task]{
-		Name: StageHeader, Workers: cfg.HeaderWorkers, QueueCap: cfg.QueueCap,
-		Work: s.headerWork,
-	})
-	s.static = stage.New(stage.Config[*task]{
-		Name: StageStatic, Workers: cfg.StaticWorkers, QueueCap: cfg.QueueCap,
-		Work: s.staticWork,
-	})
-
 	// The database tier serves dynamic workers only: by default one
 	// backend with one pooled connection per dynamic worker, so their
 	// statements never wait; with replicas, reads route round-robin and
@@ -268,21 +249,16 @@ func New(cfg Config) (*Server, error) {
 		Scale:    cfg.Scale,
 		Async:    cfg.ReplAsync,
 	})
-	dbc := s.tier.Conn()
-	s.general = stage.New(stage.Config[*task]{
-		Name: StageGeneral, Workers: cfg.GeneralWorkers, QueueCap: cfg.QueueCap,
-		Work: func(t *task) { s.dynamicWork(t, dbc) },
-	})
-	s.lengthy = stage.New(stage.Config[*task]{
-		Name: StageLengthy, Workers: cfg.LengthyWorkers, QueueCap: cfg.QueueCap,
-		Work: func(t *task) { s.dynamicWork(t, dbc) },
-	})
-	s.render = stage.New(stage.Config[*task]{
-		Name: StageRender, Workers: cfg.RenderWorkers, QueueCap: cfg.QueueCap,
-		Work: s.renderWork,
-	})
+	s.dbc = s.tier.Conn()
 
-	// Stop drains in flow order: header first, render last.
+	pool := func(name string, workers int) *stage.Stage[struct{}] {
+		return stage.New(stage.Config[struct{}]{Name: name, Workers: workers, QueueCap: cfg.QueueCap})
+	}
+	s.header = pool(StageHeader, cfg.HeaderWorkers)
+	s.static = pool(StageStatic, cfg.StaticWorkers)
+	s.general = pool(StageGeneral, cfg.GeneralWorkers)
+	s.lengthy = pool(StageLengthy, cfg.LengthyWorkers)
+	s.render = pool(StageRender, cfg.RenderWorkers)
 	s.graph = stage.NewGraph().Add(s.header, s.static, s.general, s.lengthy, s.render)
 
 	// t_spare is the general pool's live spare-worker count.
@@ -297,8 +273,9 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Serve accepts connections on l until Stop. It blocks; run it in a
-// goroutine. The error is nil after a clean Stop.
+// Serve accepts connections on l until Stop, serving each on its own
+// goroutine. It blocks; run it in a goroutine. The error is nil after a
+// clean Stop.
 func (s *Server) Serve(l net.Listener) error {
 	s.mu.Lock()
 	if s.stopped {
@@ -318,25 +295,32 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 	s.mu.Unlock()
 	return s.tr.Accept(l, func(c *server.Conn) error {
-		t := &task{c: c}
-		t.park = func() { s.awaitNextRequest(t) }
-		return s.header.Submit(t)
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.stopped {
+			return stage.ErrClosed
+		}
+		s.conns[c] = struct{}{}
+		s.connWG.Add(1)
+		go s.serveConn(c)
+		return nil
 	})
 }
 
-// Stop shuts the pipeline down in flow order, draining each stage. It is
-// safe to call before, during, or after Serve, and is idempotent. Parked
-// keep-alive connections are aborted rather than left to age out their
-// idle timeout, so shutdown is prompt and leaves no park goroutines
-// behind.
+// Stop shuts the server down. It is safe to call before, during, or
+// after Serve, and is idempotent. Every open connection is aborted:
+// one waiting for its next request ends at once rather than aging out
+// its idle timeout, and one whose request has been read finishes every
+// remaining stage first. Stop returns once no connection goroutine is
+// left.
 func (s *Server) Stop() {
 	s.mu.Lock()
 	s.stopped = true
 	l := s.listener
 	ctl := s.controller
 	s.controller = nil
-	for t := range s.parked {
-		t.c.Abort()
+	for c := range s.conns {
+		c.Abort()
 	}
 	s.mu.Unlock()
 	if l != nil {
@@ -346,155 +330,153 @@ func (s *Server) Stop() {
 		ctl.Stop()
 	}
 	s.stopOnce.Do(func() {
+		s.connWG.Wait()
 		s.graph.Stop()
-		s.parkWG.Wait()
 		s.tier.Close()
 	})
 }
 
-// ---- pipeline stages ----
+// ---- the pipeline ----
 
-// headerWork is the header-parsing pool: phase-one parse, static/dynamic
-// classification, and (for dynamics) the full header+query parse plus the
-// Table 1 dispatch decision.
-func (s *Server) headerWork(t *task) {
-	var err error
-	if t.line, err = t.c.ReadRequestLine(); err != nil {
+// serveConn serves every request on one connection. Between requests it
+// waits for the next request's first byte holding no slot, as CherryPy's
+// listener does with select/poll: pool workers never camp on idle
+// sockets, so a handful of silent or keep-alive clients cannot pin a
+// pool. EOF, the idle timeout or an Abort from Stop end the connection.
+func (s *Server) serveConn(c *server.Conn) {
+	for c.AwaitReadable() == nil && s.serveRequest(c) {
+	}
+	s.mu.Lock()
+	delete(s.conns, c)
+	s.mu.Unlock()
+	c.Close()
+	s.connWG.Done()
+}
+
+// serveRequest walks one request through Figure 5, holding each pool's
+// slot only for that pool's work, and reports whether the connection
+// stays open for another request.
+func (s *Server) serveRequest(c *server.Conn) bool {
+	if s.header.Enter() != nil {
+		return false
+	}
+	line, req, next := s.parseHeader(c)
+	s.header.Leave()
+	switch next {
+	case nil:
+		return false
+	case s.static:
+		return s.serveStatic(c, line)
+	default:
+		return s.serveDynamic(c, next, req)
+	}
+}
+
+// parseHeader is the header-parsing pool's work: phase-one parse,
+// static/dynamic classification, and (for dynamics) the full
+// header+query parse plus the Table 1 dispatch decision. It returns the
+// pool the request goes to next, or nil when the connection is done.
+func (s *Server) parseHeader(c *server.Conn) (httpwire.RequestLine, *httpwire.Request, *stage.Stage[struct{}]) {
+	line, err := c.ReadRequestLine()
+	if err != nil {
 		// EOF between keep-alive requests is normal connection teardown.
-		t.c.Close()
-		return
+		return line, nil, nil
 	}
 	// Static requests carry their unparsed header tail to the static
 	// pool; "this is not an issue for static requests, so we let the
 	// threads which actually serve those static requests parse their
 	// headers" (Section 3.2).
-	target := s.static
-	if !t.line.IsStatic() {
-		// Dynamic: parse everything here so a thread with an open database
-		// connection never spends time on anything but generating data.
-		if t.req, err = t.c.FinishRequest(t.line); err != nil {
-			_ = t.c.WriteError(httpwire.StatusBadRequest, "bad request")
-			t.c.Close()
-			return
-		}
-		target = s.general
-		if s.dispatcher.Choose(t.line.Path) == sched.Lengthy {
-			target = s.lengthy
-		}
+	if line.IsStatic() {
+		return line, nil, s.static
 	}
-	if target.Submit(t) != nil {
-		t.c.Close()
-	}
-}
-
-// staticWork parses the header tail and serves the file.
-func (s *Server) staticWork(t *task) {
-	hdr, err := t.c.ReadHeaders()
+	// Dynamic: parse everything here so a thread with an open database
+	// connection never spends time on anything but generating data.
+	req, err := c.FinishRequest(line)
 	if err != nil {
-		t.c.Close()
-		return
+		_ = c.WriteError(httpwire.StatusBadRequest, "bad request")
+		return line, nil, nil
 	}
-	req := httpwire.Request{Line: t.line, Header: hdr}
-	s.recycle(t, s.tr.ServeStatic(t.c, s.cfg.App, t.line.Path, req.KeepAlive()))
+	if s.dispatcher.Choose(line.Path) == sched.Lengthy {
+		return line, req, s.lengthy
+	}
+	return line, req, s.general
 }
 
-// dynamicWork runs the page handler on a worker whose statements go
-// through the database tier, measures data-generation time on the
-// injected clock, and hands deferred results to the rendering pool.
-func (s *Server) dynamicWork(t *task, dbc server.DBConn) {
-	key := t.line.Path
+// serveStatic parses the header tail and serves the file on a static
+// pool slot.
+func (s *Server) serveStatic(c *server.Conn, line httpwire.RequestLine) bool {
+	if s.static.Enter() != nil {
+		return false
+	}
+	defer s.static.Leave()
+	hdr, err := c.ReadHeaders()
+	if err != nil {
+		return false
+	}
+	req := httpwire.Request{Line: line, Header: hdr}
+	return s.tr.ServeStatic(c, s.cfg.App, line.Path, req.KeepAlive())
+}
+
+// serveDynamic runs the page handler on a slot of the dispatched pool,
+// whose statements go through the database tier, measures
+// data-generation time on the injected clock, and takes deferred results
+// on to a rendering slot.
+func (s *Server) serveDynamic(c *server.Conn, pool *stage.Stage[struct{}], req *httpwire.Request) bool {
+	if pool.Enter() != nil {
+		return false
+	}
+	res, keep, direct := s.generate(c, req)
+	pool.Leave()
+	if direct {
+		return keep
+	}
+	if s.render.Enter() != nil {
+		return false
+	}
+	defer s.render.Leave()
+	// Rendered on a slot with no database connection, which is charged
+	// the render cost.
+	key := req.Line.Path
+	return s.tr.FinishDynamic(c, s.cfg.App, key, s.classOf(key), res, req.KeepAlive())
+}
+
+// generate is the dynamic pools' work. It returns a deferred result for
+// the rendering pool, or direct = true once it has replied itself (404,
+// 500, or a pre-rendered page) with keep saying whether the connection
+// stays open.
+func (s *Server) generate(c *server.Conn, req *httpwire.Request) (res *server.Result, keep, direct bool) {
+	key := req.Line.Path
 	handler, ok := s.cfg.App.Handler(key)
 	if !ok {
-		s.recycle(t, s.tr.DirectReply(t.c, key, s.classOf(key),
-			httpwire.StatusNotFound, []byte("not found"), "text/plain; charset=utf-8", false))
-		return
+		return nil, s.tr.DirectReply(c, key, s.classOf(key),
+			httpwire.StatusNotFound, []byte("not found"), "text/plain; charset=utf-8", false), true
 	}
 	start := s.cfg.Clock.Now()
 	res, err := handler(&server.Request{
 		Path:   key,
-		Query:  t.req.Query,
-		Header: t.req.Header,
-		DB:     dbc,
+		Query:  req.Query,
+		Header: req.Header,
+		DB:     s.dbc,
 	})
 	if err != nil {
-		s.recycle(t, s.tr.DirectReply(t.c, key, s.classOf(key),
-			httpwire.StatusInternalServerError, []byte("internal error"), "text/plain; charset=utf-8", false))
-		return
+		return nil, s.tr.DirectReply(c, key, s.classOf(key),
+			httpwire.StatusInternalServerError, []byte("internal error"), "text/plain; charset=utf-8", false), true
 	}
-
+	// The paper's measurement: "from when the request is acquired through
+	// when its unrendered template is placed in the template rendering
+	// queue" — an accurate database-time figure because rendering happens
+	// elsewhere. The request joins the render line as soon as this
+	// returns.
+	s.dispatcher.Classifier().Record(key, s.cfg.Scale.Paper(s.cfg.Clock.Since(start)))
 	if res.Deferred() {
-		// The paper's measurement: "from when the request is acquired
-		// through when its unrendered template is placed in the template
-		// rendering queue" — an accurate database-time figure because
-		// rendering happens elsewhere. (The render stage owns t from the
-		// Submit on.)
-		t.result = res
-		putErr := s.render.Submit(t)
-		s.dispatcher.Classifier().Record(key, s.cfg.Scale.Paper(s.cfg.Clock.Since(start)))
-		if putErr != nil {
-			t.c.Close()
-		}
-		return
+		return res, false, false
 	}
-
 	// Backward compatibility (Section 3.1): a handler that returns an
 	// already-rendered string is served directly by the dynamic worker —
 	// the scheduling benefit is lost for such pages, as the paper notes,
 	// and the render cost is charged here on the connection-holding
 	// worker.
-	s.dispatcher.Classifier().Record(key, s.cfg.Scale.Paper(s.cfg.Clock.Since(start)))
-	s.recycle(t, s.tr.FinishDynamic(t.c, s.cfg.App, key, s.classOf(key), res, t.req.KeepAlive()))
-}
-
-// renderWork renders the deferred template on a worker with no database
-// connection, charges the render cost there, and transmits.
-func (s *Server) renderWork(t *task) {
-	key := t.line.Path
-	s.recycle(t, s.tr.FinishDynamic(t.c, s.cfg.App, key, s.classOf(key), t.result, t.req.KeepAlive()))
-}
-
-// recycle parks a keep-alive connection until its next request's first
-// byte arrives, then re-enqueues it to the header-parsing pool; non-keep-
-// alive (or failed) connections close. The park goroutine plays the role
-// of the OS readiness notification (select/poll in CherryPy's listener):
-// header workers must never camp on idle sockets, or a handful of
-// keep-alive clients would pin the whole pool.
-func (s *Server) recycle(t *task, keep bool) {
-	t.req, t.result = nil, nil
-	if !keep {
-		t.c.Close()
-		return
-	}
-	s.mu.Lock()
-	if s.stopped {
-		s.mu.Unlock()
-		t.c.Close()
-		return
-	}
-	s.parked[t] = struct{}{}
-	s.parkWG.Add(1)
-	s.mu.Unlock()
-	go t.park()
-}
-
-// awaitNextRequest blocks until the connection has readable data (the
-// next pipelined request), then hands it back to the header stage. EOF,
-// timeout, an Abort from Stop, or a full/closed queue close the
-// connection; full-queue drops are counted as shed on the header stage.
-func (s *Server) awaitNextRequest(t *task) {
-	defer s.parkWG.Done()
-	err := t.c.AwaitReadable()
-	s.mu.Lock()
-	delete(s.parked, t)
-	stopped := s.stopped
-	s.mu.Unlock()
-	if err != nil || stopped {
-		t.c.Close()
-		return
-	}
-	if s.header.Offer(t) != nil {
-		t.c.Close()
-	}
+	return nil, s.tr.FinishDynamic(c, s.cfg.App, key, s.classOf(key), res, req.KeepAlive()), true
 }
 
 func (s *Server) classOf(key string) server.Class {
@@ -539,9 +521,6 @@ func (s *Server) DispatchCounts() (general, lengthy int64) {
 
 // Served reports the number of completed requests.
 func (s *Server) Served() int64 { return s.tr.Served() }
-
-// Shed reports keep-alive connections dropped due to a full header queue.
-func (s *Server) Shed() int64 { return s.header.ShedCount() }
 
 // String describes the server's pool configuration.
 func (s *Server) String() string {

@@ -32,18 +32,7 @@ func startStaged(t *testing.T, app *webtest.App, mutate func(*core.Config)) *tes
 // (when non-nil) before the server accepts on it.
 func startStagedOn(t *testing.T, app *webtest.App, mutate func(*core.Config), wrap func(net.Listener) net.Listener) *testEnv {
 	t.Helper()
-	db := sqldb.Open(sqldb.Options{Cost: sqldb.ZeroCostModel()})
-	db.MustCreateTable(sqldb.Schema{
-		Table:      "kv",
-		Columns:    []sqldb.Column{{Name: "id", Type: sqldb.Int}, {Name: "v", Type: sqldb.String}},
-		PrimaryKey: "id",
-	})
-	seed := db.Connect()
-	if _, err := seed.Exec("INSERT INTO kv (id, v) VALUES (1, 'hello-from-db')"); err != nil {
-		t.Fatal(err)
-	}
-	seed.Close()
-
+	db := kvDB(t)
 	cfg := core.Config{
 		App:            app,
 		DB:             db,
@@ -77,6 +66,23 @@ func startStagedOn(t *testing.T, app *webtest.App, mutate func(*core.Config), wr
 		}
 	})
 	return &testEnv{srv: s, addr: addr, db: db}
+}
+
+// kvDB is a zero-cost database with one row, which /hello reads.
+func kvDB(t *testing.T) *sqldb.DB {
+	t.Helper()
+	db := sqldb.Open(sqldb.Options{Cost: sqldb.ZeroCostModel()})
+	db.MustCreateTable(sqldb.Schema{
+		Table:      "kv",
+		Columns:    []sqldb.Column{{Name: "id", Type: sqldb.Int}, {Name: "v", Type: sqldb.String}},
+		PrimaryKey: "id",
+	})
+	seed := db.Connect()
+	if _, err := seed.Exec("INSERT INTO kv (id, v) VALUES (1, 'hello-from-db')"); err != nil {
+		t.Fatal(err)
+	}
+	seed.Close()
+	return db
 }
 
 func stagedApp() *webtest.App {

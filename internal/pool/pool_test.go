@@ -1,115 +1,122 @@
-package pool
+// Package pool_test holds the worker-pool and bounded-queue contract
+// tests of the paper's thread pools. The pools themselves are gone:
+// stage.Stage provides both halves, Workers slots standing in for the
+// pool's worker goroutines and the line of callers waiting for a slot
+// standing in for its FIFO queue. These tests pin that the contract
+// survived the move — bounded concurrency, spare tracking, FIFO order,
+// and a Stop that drains — and are run against stage.Stage.
+package pool_test
 
 import (
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"stagedweb/internal/stage"
 )
 
 func TestPoolProcessesAll(t *testing.T) {
-	q := NewQueue[int](16)
 	var sum atomic.Int64
-	p := New("test", 4, q, func(v int) { sum.Add(int64(v)) })
-	p.Start()
+	s := stage.New(stage.Config[int]{Name: "test", Workers: 4, QueueCap: 128,
+		Work: func(v int) { sum.Add(int64(v)) }})
+	s.Start()
 	total := 0
 	for i := 1; i <= 100; i++ {
-		if err := q.Put(i); err != nil {
+		if err := s.Submit(i); err != nil {
 			t.Fatal(err)
 		}
 		total += i
 	}
-	p.Stop()
+	s.Stop()
 	if got := sum.Load(); got != int64(total) {
 		t.Fatalf("sum = %d, want %d", got, total)
 	}
-	if got := p.Completed(); got != 100 {
+	if got := s.Stats().Completed; got != 100 {
 		t.Fatalf("Completed = %d, want 100", got)
 	}
 }
 
 func TestPoolSpareTracking(t *testing.T) {
-	q := NewQueue[chan struct{}](16)
-	p := New("test", 4, q, func(release chan struct{}) { <-release })
-	p.Start()
-	defer p.Stop()
+	s := stage.New(stage.Config[chan struct{}]{Name: "test", Workers: 4, QueueCap: 16,
+		Work: func(release chan struct{}) { <-release }})
+	defer s.Stop()
 
-	if got := p.Spare(); got != 4 {
+	if got := s.Spare(); got != 4 {
 		t.Fatalf("initial Spare = %d, want 4", got)
 	}
 
 	releases := make([]chan struct{}, 3)
 	for i := range releases {
 		releases[i] = make(chan struct{})
-		if err := q.Put(releases[i]); err != nil {
+		if err := s.Submit(releases[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, func() bool { return p.Busy() == 3 })
-	if got := p.Spare(); got != 1 {
+	waitFor(t, func() bool { return s.Stats().Busy == 3 })
+	if got := s.Spare(); got != 1 {
 		t.Fatalf("Spare with 3 busy = %d, want 1", got)
 	}
 	for _, r := range releases {
 		close(r)
 	}
-	waitFor(t, func() bool { return p.Spare() == 4 })
+	waitFor(t, func() bool { return s.Spare() == 4 })
 }
 
 func TestPoolStopWaitsForInFlight(t *testing.T) {
-	q := NewQueue[struct{}](1)
 	var finished atomic.Bool
 	started := make(chan struct{})
-	p := New("test", 1, q, func(struct{}) {
-		close(started)
-		time.Sleep(30 * time.Millisecond)
-		finished.Store(true)
-	})
-	p.Start()
-	if err := q.Put(struct{}{}); err != nil {
+	s := stage.New(stage.Config[struct{}]{Name: "test", Workers: 1, QueueCap: 1,
+		Work: func(struct{}) {
+			close(started)
+			time.Sleep(30 * time.Millisecond)
+			finished.Store(true)
+		}})
+	if err := s.Submit(struct{}{}); err != nil {
 		t.Fatal(err)
 	}
 	<-started
-	p.Stop()
+	s.Stop()
 	if !finished.Load() {
 		t.Fatal("Stop returned before in-flight work finished")
 	}
 }
 
 func TestPoolStopDrainsQueue(t *testing.T) {
-	q := NewQueue[int](64)
 	var n atomic.Int64
-	p := New("test", 2, q, func(int) { n.Add(1) })
+	s := stage.New(stage.Config[int]{Name: "test", Workers: 2, QueueCap: 64,
+		Work: func(int) { n.Add(1) }})
 	for i := 0; i < 50; i++ {
-		if err := q.Put(i); err != nil {
+		if err := s.Submit(i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	p.Start()
-	p.Stop()
+	s.Start()
+	s.Stop()
 	if got := n.Load(); got != 50 {
 		t.Fatalf("processed %d, want 50 (Stop must drain)", got)
 	}
 }
 
+// A stage launches nothing on Start, so the lifecycle check lives on the
+// graph that starts and stops it.
 func TestPoolDoubleStartPanics(t *testing.T) {
-	q := NewQueue[int](1)
-	p := New("test", 1, q, func(int) {})
-	p.Start()
-	defer p.Stop()
+	g := stage.NewGraph().Add(stage.New(stage.Config[int]{Name: "test", Workers: 1}))
+	g.Start()
+	defer g.Stop()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("double Start did not panic")
 		}
 	}()
-	p.Start()
+	g.Start()
 }
 
 func TestPoolInvalidConfigPanics(t *testing.T) {
-	q := NewQueue[int](1)
 	for name, fn := range map[string]func(){
-		"zero size": func() { New("x", 0, q, func(int) {}) },
-		"nil work":  func() { New[int]("x", 1, q, nil) },
-		"nil queue": func() { New("x", 1, nil, func(int) {}) },
+		"zero size":     func() { stage.New(stage.Config[int]{Name: "x", Workers: 0}) },
+		"negative size": func() { stage.New(stage.Config[int]{Name: "x", Workers: -1}) },
+		"no name":       func() { stage.New(stage.Config[int]{Workers: 1}) },
 	} {
 		func() {
 			defer func() {
@@ -123,42 +130,38 @@ func TestPoolInvalidConfigPanics(t *testing.T) {
 }
 
 func TestPoolBoundedConcurrency(t *testing.T) {
-	q := NewQueue[struct{}](128)
 	var cur, peak atomic.Int64
 	var mu sync.Mutex
-	p := New("test", 3, q, func(struct{}) {
-		c := cur.Add(1)
-		mu.Lock()
-		if c > peak.Load() {
-			peak.Store(c)
-		}
-		mu.Unlock()
-		time.Sleep(time.Millisecond)
-		cur.Add(-1)
-	})
-	p.Start()
+	s := stage.New(stage.Config[struct{}]{Name: "test", Workers: 3, QueueCap: 128,
+		Work: func(struct{}) {
+			c := cur.Add(1)
+			mu.Lock()
+			if c > peak.Load() {
+				peak.Store(c)
+			}
+			mu.Unlock()
+			time.Sleep(time.Millisecond)
+			cur.Add(-1)
+		}})
 	for i := 0; i < 60; i++ {
-		if err := q.Put(struct{}{}); err != nil {
+		if err := s.Submit(struct{}{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	p.Stop()
+	s.Stop()
 	if got := peak.Load(); got > 3 {
 		t.Fatalf("peak concurrency %d exceeds pool size 3", got)
 	}
 }
 
 func TestPoolAccessors(t *testing.T) {
-	q := NewQueue[int](2)
-	p := New("header-parsing", 5, q, func(int) {})
-	if p.Name() != "header-parsing" {
-		t.Fatalf("Name = %q", p.Name())
+	s := stage.New(stage.Config[int]{Name: "header-parsing", Workers: 5, QueueCap: 2})
+	if s.Name() != "header-parsing" {
+		t.Fatalf("Name = %q", s.Name())
 	}
-	if p.Size() != 5 {
-		t.Fatalf("Size = %d", p.Size())
-	}
-	if p.Queue() != q {
-		t.Fatal("Queue accessor mismatch")
+	st := s.Stats()
+	if st.Name != "header-parsing" || st.Workers != 5 || st.QueueCap != 2 {
+		t.Fatalf("Stats = %+v", st)
 	}
 }
 

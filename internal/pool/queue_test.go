@@ -1,249 +1,239 @@
-package pool
+package pool_test
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"stagedweb/internal/stage"
 )
 
+// The queue is the stage's line: while the one slot is held, every
+// Submitted item waits in it, and each Leave hands the slot to the
+// oldest. Put is joining the line, Get is being handed the slot.
+
 func TestQueueFIFO(t *testing.T) {
-	q := NewQueue[int](4)
+	got := make(chan int, 4)
+	s := stage.New(stage.Config[int]{Name: "fifo", Workers: 1, QueueCap: 4,
+		Work: func(v int) { got <- v }})
+	mustEnter(t, s)
 	for i := 1; i <= 4; i++ {
-		if err := q.Put(i); err != nil {
-			t.Fatalf("Put(%d): %v", i, err)
+		if err := s.Submit(i); err != nil {
+			t.Fatalf("Submit(%d): %v", i, err)
 		}
 	}
+	s.Leave()
+	s.Stop()
 	for i := 1; i <= 4; i++ {
-		got, ok := q.Get()
-		if !ok || got != i {
-			t.Fatalf("Get = %d,%v, want %d,true", got, ok, i)
+		if v := <-got; v != i {
+			t.Fatalf("item %d ran at position %d", v, i)
 		}
 	}
 }
 
 func TestQueueWrapAround(t *testing.T) {
-	q := NewQueue[int](2)
+	out := make(chan int)
+	s := stage.New(stage.Config[int]{Name: "wrap", Workers: 1, QueueCap: 2,
+		Work: func(v int) { out <- v }})
 	mustPut := func(v int) {
 		t.Helper()
-		if err := q.Put(v); err != nil {
+		if err := s.Submit(v); err != nil {
 			t.Fatal(err)
 		}
 	}
 	mustGet := func(want int) {
 		t.Helper()
-		got, ok := q.Get()
-		if !ok || got != want {
-			t.Fatalf("Get = %d,%v, want %d,true", got, ok, want)
+		select {
+		case got := <-out:
+			if got != want {
+				t.Fatalf("got %d, want %d", got, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("item %d never ran", want)
 		}
 	}
+	mustEnter(t, s)
 	mustPut(1)
 	mustPut(2)
+	s.Leave()
 	mustGet(1)
 	mustPut(3) // wraps
 	mustGet(2)
 	mustGet(3)
-	if q.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", q.Len())
+	s.Stop()
+	if d := s.Depth(); d != 0 {
+		t.Fatalf("Depth = %d, want 0", d)
 	}
 }
 
+// A caller finding every slot held waits in line until one is handed over.
 func TestQueuePutBlocksWhenFull(t *testing.T) {
-	q := NewQueue[int](1)
-	if err := q.Put(1); err != nil {
-		t.Fatal(err)
-	}
+	s := stage.New(stage.Config[int]{Name: "full", Workers: 1, QueueCap: 1})
+	mustEnter(t, s)
 	done := make(chan error, 1)
-	go func() { done <- q.Put(2) }()
+	go func() { done <- s.Enter() }()
 	select {
 	case <-done:
-		t.Fatal("Put returned while queue full")
+		t.Fatal("Enter returned while every slot was held")
 	case <-time.After(20 * time.Millisecond):
 	}
-	if got, ok := q.Get(); !ok || got != 1 {
-		t.Fatalf("Get = %d,%v", got, ok)
-	}
+	s.Leave()
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("unblocked Put: %v", err)
+			t.Fatalf("unblocked Enter: %v", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Put never unblocked")
+		t.Fatal("Enter never unblocked")
 	}
+	s.Leave()
+	s.Stop()
 }
 
-func TestQueueGetBlocksWhenEmpty(t *testing.T) {
-	q := NewQueue[int](1)
-	got := make(chan int, 1)
-	go func() {
-		v, _ := q.Get()
-		got <- v
-	}()
-	select {
-	case <-got:
-		t.Fatal("Get returned on empty queue")
-	case <-time.After(20 * time.Millisecond):
-	}
-	if err := q.Put(42); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case v := <-got:
-		if v != 42 {
-			t.Fatalf("Get = %d, want 42", v)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Get never unblocked")
-	}
-}
-
+// A full line turns the caller away at once instead of blocking it.
 func TestQueueTryPut(t *testing.T) {
-	q := NewQueue[int](1)
-	ok, err := q.TryPut(1)
-	if !ok || err != nil {
-		t.Fatalf("TryPut = %v,%v, want true,nil", ok, err)
+	s := stage.New(stage.Config[int]{Name: "try", Workers: 1, QueueCap: 1, Work: func(int) {}})
+	mustEnter(t, s)
+	if err := s.Submit(1); err != nil {
+		t.Fatalf("Submit with room in line = %v, want nil", err)
 	}
-	ok, err = q.TryPut(2)
-	if ok || err != nil {
-		t.Fatalf("TryPut on full = %v,%v, want false,nil", ok, err)
+	if err := s.Submit(2); !errors.Is(err, stage.ErrShed) {
+		t.Fatalf("Submit on full line = %v, want ErrShed", err)
 	}
-	q.Close()
-	if _, err := q.TryPut(3); err != ErrClosed {
-		t.Fatalf("TryPut on closed = %v, want ErrClosed", err)
-	}
-}
-
-func TestQueueCloseUnblocksPut(t *testing.T) {
-	q := NewQueue[int](1)
-	if err := q.Put(1); err != nil {
-		t.Fatal(err)
-	}
-	errCh := make(chan error, 1)
-	go func() { errCh <- q.Put(2) }()
-	time.Sleep(10 * time.Millisecond)
-	q.Close()
-	select {
-	case err := <-errCh:
-		if err != ErrClosed {
-			t.Fatalf("Put after close = %v, want ErrClosed", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Put never unblocked by Close")
+	s.Leave()
+	s.Stop()
+	if err := s.Submit(3); !errors.Is(err, stage.ErrClosed) {
+		t.Fatalf("Submit on stopped stage = %v, want ErrClosed", err)
 	}
 }
 
+// Stop admits everyone already in line, in order, and nobody after.
 func TestQueueCloseDrains(t *testing.T) {
-	q := NewQueue[int](4)
-	_ = q.Put(1)
-	_ = q.Put(2)
-	q.Close()
-	if v, ok := q.Get(); !ok || v != 1 {
-		t.Fatalf("Get = %d,%v, want 1,true", v, ok)
+	got := make(chan int, 2)
+	s := stage.New(stage.Config[int]{Name: "drain", Workers: 1, QueueCap: 4,
+		Work: func(v int) { got <- v }})
+	mustEnter(t, s)
+	_ = s.Submit(1)
+	_ = s.Submit(2)
+	stopped := make(chan struct{})
+	go func() {
+		s.Stop()
+		close(stopped)
+	}()
+	waitFor(t, func() bool { return s.Stats().Closed })
+	s.Leave()
+	<-stopped
+	if v := <-got; v != 1 {
+		t.Fatalf("first drained = %d, want 1", v)
 	}
-	if v, ok := q.Get(); !ok || v != 2 {
-		t.Fatalf("Get = %d,%v, want 2,true", v, ok)
+	if v := <-got; v != 2 {
+		t.Fatalf("second drained = %d, want 2", v)
 	}
-	if _, ok := q.Get(); ok {
-		t.Fatal("Get after drain should report !ok")
+	if err := s.Enter(); !errors.Is(err, stage.ErrClosed) {
+		t.Fatalf("Enter after drain = %v, want ErrClosed", err)
 	}
 }
 
 func TestQueueCloseIdempotent(t *testing.T) {
-	q := NewQueue[int](1)
-	q.Close()
-	q.Close()
-	if _, ok := q.Get(); ok {
-		t.Fatal("Get on closed empty queue should report !ok")
+	s := stage.New(stage.Config[int]{Name: "idem", Workers: 1})
+	s.Stop()
+	s.Stop()
+	if err := s.Enter(); !errors.Is(err, stage.ErrClosed) {
+		t.Fatalf("Enter on stopped stage = %v, want ErrClosed", err)
+	}
+	if !s.Stats().Closed {
+		t.Fatal("Stats().Closed = false after Stop")
 	}
 }
 
 func TestQueueStats(t *testing.T) {
-	q := NewQueue[int](4)
-	_ = q.Put(1)
-	_ = q.Put(2)
-	_, _ = q.Get()
-	s := q.Stats()
-	if s.Enqueued != 2 || s.Dequeued != 1 || s.Len != 1 || s.MaxLen != 2 || s.Cap != 4 || s.Closed {
-		t.Fatalf("Stats = %+v", s)
+	release := make(chan struct{})
+	s := stage.New(stage.Config[int]{Name: "stats", Workers: 1, QueueCap: 4,
+		Work: func(int) { <-release }})
+	mustEnter(t, s)
+	_ = s.Submit(1)
+	_ = s.Submit(2)
+	s.Leave() // hands the slot to item 1; item 2 still waits
+	// Enqueued counts the first caller too, which found a free slot.
+	st := s.Stats()
+	if st.Enqueued != 3 || st.Dequeued != 2 || st.Depth != 1 || st.MaxDepth != 2 || st.QueueCap != 4 || st.Closed {
+		t.Fatalf("Stats = %+v", st)
 	}
+	close(release)
+	s.Stop()
 }
 
-func TestQueueInvalidCapacityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero capacity did not panic")
-		}
-	}()
-	NewQueue[int](0)
-}
-
+// Eight producers contend for four slots; the line holds every producer
+// that has to wait, so none is shed and every value gets through.
 func TestQueueConcurrentProducersConsumers(t *testing.T) {
-	q := NewQueue[int](8)
+	s := stage.New(stage.Config[int]{Name: "prodcons", Workers: 4, QueueCap: 8})
 	const producers, perP = 8, 200
 	var consumed sync.Map
 	var wg sync.WaitGroup
-
-	var consumerWG sync.WaitGroup
-	consumerWG.Add(4)
-	for i := 0; i < 4; i++ {
-		go func() {
-			defer consumerWG.Done()
-			for {
-				v, ok := q.Get()
-				if !ok {
-					return
-				}
-				consumed.Store(v, true)
-			}
-		}()
-	}
-
 	wg.Add(producers)
 	for p := 0; p < producers; p++ {
 		go func(base int) {
 			defer wg.Done()
 			for i := 0; i < perP; i++ {
-				if err := q.Put(base*perP + i); err != nil {
-					t.Errorf("Put: %v", err)
+				if err := s.Enter(); err != nil {
+					t.Errorf("Enter: %v", err)
 					return
 				}
+				consumed.Store(base*perP+i, true)
+				s.Leave()
 			}
 		}(p)
 	}
 	wg.Wait()
-	q.Close()
-	consumerWG.Wait()
+	s.Stop()
 
 	count := 0
 	consumed.Range(func(_, _ any) bool { count++; return true })
 	if count != producers*perP {
 		t.Fatalf("consumed %d distinct items, want %d", count, producers*perP)
 	}
+	if st := s.Stats(); st.Completed != producers*perP || st.Shed != 0 {
+		t.Fatalf("Stats = %+v", st)
+	}
 }
 
-// Property: for any sequence of puts below capacity, gets return the same
-// sequence (FIFO order preserved).
+// Property: for any sequence of items that fits the line, the slot is
+// handed to them in the order they joined it.
 func TestQueueFIFOProperty(t *testing.T) {
 	f := func(items []int16) bool {
 		if len(items) == 0 {
 			return true
 		}
-		q := NewQueue[int16](len(items))
+		got := make(chan int16, len(items))
+		s := stage.New(stage.Config[int16]{Name: "prop", Workers: 1, QueueCap: len(items),
+			Work: func(v int16) { got <- v }})
+		if s.Enter() != nil {
+			return false
+		}
 		for _, it := range items {
-			if err := q.Put(it); err != nil {
+			if s.Submit(it) != nil {
 				return false
 			}
 		}
+		s.Leave()
+		s.Stop()
 		for _, want := range items {
-			got, ok := q.Get()
-			if !ok || got != want {
+			if <-got != want {
 				return false
 			}
 		}
-		return q.Len() == 0
+		return s.Depth() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func mustEnter[T any](t *testing.T, s *stage.Stage[T]) {
+	t.Helper()
+	if err := s.Enter(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -59,9 +59,10 @@ type BaselineConfig struct {
 
 // Baseline is the unmodified thread-per-request server (Figure 4 of the
 // paper), expressed as a one-stage graph: a single listener feeding a
-// single bounded queue drained by a single pool of workers, each of
-// which parses, queries, renders, and writes an entire request while
-// holding its database connection.
+// single pool of Workers slots behind a bounded FIFO queue. Each
+// connection's session runs on its own goroutine once that goroutine
+// holds a slot, and parses, queries, renders, and writes every request
+// while holding its database connection.
 type Baseline struct {
 	cfg     BaselineConfig
 	tr      *Transport
@@ -137,7 +138,14 @@ func (s *Baseline) Serve(l net.Listener) error {
 	s.listener = l
 	s.graph.Start()
 	s.mu.Unlock()
-	return s.tr.Accept(l, func(c *Conn) error { return s.workers.Submit(c) })
+	return s.tr.Accept(l, func(c *Conn) error {
+		err := s.workers.Submit(c)
+		if errors.Is(err, stage.ErrShed) {
+			c.Close() // a full accept queue turns the connection away
+			return nil
+		}
+		return err
+	})
 }
 
 // Stop closes the listener and drains the worker pool. It is safe to

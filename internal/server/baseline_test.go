@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -363,4 +364,31 @@ func TestBaselineGracefulShutdown(t *testing.T) {
 	}
 	// Stop is idempotent.
 	env.srv.Stop()
+}
+
+// TestBaselineStopLeavesNoGoroutines: after Stop, no session goroutine
+// outlives its connection.
+func TestBaselineStopLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	env := startBaselineEnv(t, testApp(), 2, nil)
+	c, err := webtest.Dial(env.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/hello", "/img/flowers.gif", "/nosuch"} {
+		if resp, err := c.Do(path, true); err != nil || resp.Status == 0 {
+			t.Fatalf("GET %s: %v %v", path, resp, err)
+		}
+	}
+	c.Close()
+	for i := 0; i < 4; i++ {
+		if _, err := webtest.Get(env.addr, "/hello"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	env.srv.Stop()
+	if !webtest.WaitUntil(5*time.Second, func() bool { return runtime.NumGoroutine() <= before }) {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines after Stop, %d before Serve:\n%s", runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+	}
 }

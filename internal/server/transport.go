@@ -164,8 +164,8 @@ func (c *Conn) ReadRequest() (*httpwire.Request, error) {
 	return req, nil
 }
 
-// AwaitReadable blocks until the connection has readable bytes (the next
-// pipelined request) or the idle timeout passes. It plays the role of
+// AwaitReadable blocks until the connection has readable bytes (a
+// request's first byte) or the idle timeout passes. It plays the role of
 // the OS readiness notification (select/poll in CherryPy's listener).
 func (c *Conn) AwaitReadable() error {
 	_ = c.nc.SetReadDeadline(time.Now().Add(c.t.idleTimeout))

@@ -10,7 +10,6 @@ import (
 // stages of heterogeneous item types.
 type Member interface {
 	Name() string
-	Start()
 	Stop()
 	Depth() int
 	Stats() Stats
@@ -50,24 +49,21 @@ func (g *Graph) Add(members ...Member) *Graph {
 	return g
 }
 
-// Start launches every stage. It panics if called twice.
+// Start fixes the topology: Add after Start panics, as does a second
+// Start. Stages take callers from New, so nothing is launched.
 func (g *Graph) Start() {
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	if g.started {
-		g.mu.Unlock()
 		panic("stage: graph started twice")
 	}
 	g.started = true
-	stages := g.stages
-	g.mu.Unlock()
-	for _, m := range stages {
-		m.Start()
-	}
 }
 
-// Stop drains the graph in flow order: each stage's queue is closed and
-// its workers awaited before the next stage is stopped, so in-flight
-// requests complete their remaining downstream hops. Idempotent.
+// Stop drains the graph in flow order: each stage refuses new callers
+// and waits for its slot holders and its line before the next stage is
+// stopped, so in-flight work completes its remaining downstream hops.
+// Idempotent.
 func (g *Graph) Stop() {
 	g.mu.Lock()
 	if g.stopped {

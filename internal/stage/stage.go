@@ -1,148 +1,226 @@
 // Package stage implements the generic stage-graph runtime both server
 // variants are built on.
 //
-// A Stage couples a bounded pool.Queue with a fixed-size pool.Pool of
-// workers and tracks the per-stage gauges the DSN'09 evaluation reads:
-// queue depth (Figures 7 and 8), busy/spare workers (t_spare), completed
-// items, and shed items. A Graph owns an ordered set of stages, starts
-// them together, drains them in flow order on Stop, and exposes one
-// uniform stats snapshot for harnesses and operational tooling.
+// A Stage is the paper's thread pool reduced to what it bounds: Workers
+// slots and a FIFO line of callers waiting for one. It owns no
+// goroutines. A caller takes a slot on its own goroutine with Enter,
+// does the stage's work, and gives the slot back with Leave, which hands
+// it straight to the oldest waiter; Submit does the same on a new
+// goroutine for callers that hand work off. The stage tracks the gauges
+// the DSN'09 evaluation reads: line depth (Figures 7 and 8), busy/spare
+// slots (t_spare), completed and shed callers. A Graph owns an ordered
+// set of stages, stops them in flow order, and exposes one uniform
+// stats snapshot for harnesses and operational tooling.
 //
-// The paper's fixed five-pool topology (package core) and the
-// thread-per-request baseline (package server) are both expressed as
-// graphs over this runtime; new topology variants are configuration, not
-// new server code.
+// The paper's fixed five-pool topology (package core), the
+// thread-per-request baseline (package server) and the balancer's LB
+// stage (package cluster) are all expressed over this runtime.
 package stage
 
 import (
 	"errors"
 	"fmt"
-
-	"stagedweb/internal/metrics"
-	"stagedweb/internal/pool"
+	"sync"
+	"sync/atomic"
 )
 
-// Backpressure selects what Submit does when the stage queue is full.
-type Backpressure int
-
-const (
-	// Block makes Submit wait for queue space — the CherryPy behaviour
-	// the paper models, where the listener blocks on the synchronized
-	// queue.
-	Block Backpressure = iota
-	// Shed makes Submit drop the item when the queue is full (counted in
-	// Stats.Shed). Load-shedding stages use this to bound latency.
-	Shed
-)
-
-// ErrClosed reports a submit to a stopped stage.
+// ErrClosed reports an Enter or Submit on a stopped stage.
 var ErrClosed = errors.New("stage: closed")
 
-// ErrShed reports an item dropped by a Shed-policy stage (or Offer) on a
-// full queue.
+// ErrShed reports a caller turned away because the stage's line was full.
 var ErrShed = errors.New("stage: shed on full queue")
 
 // Config describes one stage.
 type Config[T any] struct {
 	// Name identifies the stage in stats and panics. Required.
 	Name string
-	// Workers is the fixed worker count. Required, positive.
+	// Workers is the number of slots: how many callers may be inside the
+	// stage at once. Required, positive.
 	Workers int
-	// QueueCap bounds the stage queue. Defaults to 4096.
+	// QueueCap bounds the line of callers waiting for a slot; a caller
+	// arriving at a full line is shed. Defaults to 4096.
 	QueueCap int
-	// Backpressure selects Submit's full-queue behaviour (default Block).
-	Backpressure Backpressure
-	// Work processes one item on a stage worker. Required.
+	// Work processes one Submitted item while its goroutine holds a slot.
+	// Stages used only through Enter and Leave leave it nil.
 	Work func(T)
 }
 
-// Stage is one node of the graph: a bounded queue drained by a fixed
-// worker pool.
+// Stage is one node of the graph: Workers slots and a bounded FIFO line
+// of callers waiting for one.
 type Stage[T any] struct {
-	name   string
-	policy Backpressure
-	queue  *pool.Queue[T]
-	pool   *pool.Pool[T]
-	shed   metrics.Counter
+	name    string
+	workers int
+	work    func(T)
+
+	// busy counts held slots. It is written under mu and read without it,
+	// so that t_spare costs the dispatcher one load.
+	busy atomic.Int64
+
+	mu sync.Mutex
+	// line is a ring of the waiters' wake channels, oldest at head.
+	line    []chan struct{}
+	head    int
+	depth   int
+	closed  bool
+	drained chan struct{} // made by Stop, closed when the last slot is left
+
+	enqueued  int64
+	dequeued  int64
+	completed int64
+	shed      int64
+	maxDepth  int
 }
 
-// New builds an unstarted stage. It panics on an invalid configuration,
-// mirroring pool.New.
+// New builds a stage. It panics on an invalid configuration.
 func New[T any](cfg Config[T]) *Stage[T] {
 	if cfg.Name == "" {
 		panic("stage: empty name")
 	}
+	if cfg.Workers <= 0 {
+		panic(fmt.Sprintf("stage %q: non-positive worker count %d", cfg.Name, cfg.Workers))
+	}
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 4096
 	}
-	s := &Stage[T]{
-		name:   cfg.Name,
-		policy: cfg.Backpressure,
-		queue:  pool.NewQueue[T](cfg.QueueCap),
+	return &Stage[T]{
+		name:    cfg.Name,
+		workers: cfg.Workers,
+		work:    cfg.Work,
+		line:    make([]chan struct{}, cfg.QueueCap),
 	}
-	s.pool = pool.New(cfg.Name, cfg.Workers, s.queue, cfg.Work)
-	return s
 }
 
-// Start launches the stage workers. It panics if called twice.
-func (s *Stage[T]) Start() { s.pool.Start() }
+// wakes recycles waiters' wake channels, so that waiting for a slot
+// allocates nothing once the pool is warm. A channel goes back only
+// after its one hand-over has been received, so it is always empty.
+var wakes = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
 
-// Stop closes the stage queue and waits for the workers to drain it and
-// finish in-flight work. Idempotent.
-func (s *Stage[T]) Stop() { s.pool.Stop() }
+// Enter takes a slot for the calling goroutine, waiting in line behind
+// every earlier caller when none is free. A full line sheds the caller
+// (ErrShed); a stopped stage reports ErrClosed. A nil error obliges the
+// caller to Leave.
+func (s *Stage[T]) Enter() error {
+	wake, err := s.join()
+	await(wake)
+	return err
+}
 
-// Submit enqueues item following the stage's backpressure policy: Block
-// stages wait for space, Shed stages drop (returning ErrShed) when full.
-// ErrClosed reports a stopped stage.
+// join takes a free slot at once (returning a nil channel) or a place at
+// the back of the line, whose channel receives the slot.
+func (s *Stage[T]) join() (chan struct{}, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, fmt.Errorf("%w: %s", ErrClosed, s.name)
+	}
+	if s.busy.Load() < int64(s.workers) {
+		s.enqueued++
+		s.dequeued++
+		s.busy.Add(1)
+		return nil, nil
+	}
+	if s.depth == len(s.line) {
+		s.shed++
+		return nil, fmt.Errorf("%w: %s", ErrShed, s.name)
+	}
+	wake := wakes.Get().(chan struct{})
+	s.line[(s.head+s.depth)%len(s.line)] = wake
+	s.depth++
+	s.enqueued++
+	s.maxDepth = max(s.maxDepth, s.depth)
+	return wake, nil
+}
+
+// await blocks until a line place's slot is handed over; a nil channel
+// already holds one.
+func await(wake chan struct{}) {
+	if wake != nil {
+		<-wake
+		wakes.Put(wake)
+	}
+}
+
+// Leave gives the caller's slot back: straight to the oldest waiter if
+// there is one, otherwise to the free count.
+func (s *Stage[T]) Leave() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.completed++
+	if s.depth > 0 {
+		wake := s.line[s.head]
+		s.line[s.head] = nil
+		s.head = (s.head + 1) % len(s.line)
+		s.depth--
+		s.dequeued++
+		wake <- struct{}{} // buffered: never blocks
+		return
+	}
+	if s.busy.Add(-1) == 0 && s.drained != nil {
+		close(s.drained)
+	}
+}
+
+// Submit runs Work(item) on a new goroutine once that goroutine holds a
+// slot, and returns without waiting for it; the caller never runs Work.
+// The item joins the line before Submit returns, so a full line sheds it
+// (ErrShed) and a stopped stage refuses it (ErrClosed) synchronously.
 func (s *Stage[T]) Submit(item T) error {
-	if s.policy == Shed {
-		return s.Offer(item)
+	wake, err := s.join()
+	if err != nil {
+		return err
 	}
-	if err := s.queue.Put(item); err != nil {
-		return fmt.Errorf("%w: %s", ErrClosed, s.name)
-	}
+	go s.run(wake, item)
 	return nil
 }
 
-// Offer enqueues item without ever blocking, regardless of policy. A full
-// queue sheds the item (counted, ErrShed); a stopped stage reports
-// ErrClosed.
-func (s *Stage[T]) Offer(item T) error {
-	ok, err := s.queue.TryPut(item)
-	if err != nil {
-		return fmt.Errorf("%w: %s", ErrClosed, s.name)
+func (s *Stage[T]) run(wake chan struct{}, item T) {
+	await(wake)
+	s.work(item)
+	s.Leave()
+}
+
+// Start is a no-op: a stage has no goroutines to launch, and its slots
+// are open from New. It exists so that callers that start what they
+// build need not know that.
+func (s *Stage[T]) Start() {}
+
+// Stop refuses new callers and waits until every slot holder, and every
+// caller already in line, has left. Idempotent.
+func (s *Stage[T]) Stop() {
+	s.mu.Lock()
+	s.closed = true
+	if s.busy.Load() == 0 {
+		s.mu.Unlock()
+		return
 	}
-	if !ok {
-		s.shed.Inc()
-		return fmt.Errorf("%w: %s", ErrShed, s.name)
+	if s.drained == nil {
+		s.drained = make(chan struct{})
 	}
-	return nil
+	drained := s.drained
+	s.mu.Unlock()
+	<-drained
 }
 
 // Name reports the stage name.
 func (s *Stage[T]) Name() string { return s.name }
 
-// Workers reports the configured worker count.
-func (s *Stage[T]) Workers() int { return s.pool.Size() }
-
-// Busy reports workers currently executing work.
-func (s *Stage[T]) Busy() int { return s.pool.Busy() }
-
-// Spare reports idle workers — the paper's t_spare when read on the
+// Spare reports free slots — the paper's t_spare when read on the
 // general dynamic stage.
-func (s *Stage[T]) Spare() int { return s.pool.Spare() }
+func (s *Stage[T]) Spare() int { return s.workers - int(s.busy.Load()) }
 
-// Depth reports the current queue length — the quantity plotted in
-// Figures 7 and 8.
-func (s *Stage[T]) Depth() int { return s.queue.Len() }
+// Depth reports how many callers are waiting in line — the quantity
+// plotted in Figures 7 and 8.
+func (s *Stage[T]) Depth() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.depth
+}
 
-// Completed reports items fully processed by this stage.
-func (s *Stage[T]) Completed() int64 { return s.pool.Completed() }
-
-// ShedCount reports items dropped on a full queue.
-func (s *Stage[T]) ShedCount() int64 { return s.shed.Value() }
-
-// Stats is one stage's uniform snapshot.
+// Stats is one stage's uniform snapshot. Every caller that joins the line
+// counts in Enqueued, including one that finds a free slot at once, and
+// in Dequeued when it takes its slot, so Enqueued == Dequeued + Depth.
+// Completed counts Leaves, MaxDepth is the line's high-water mark, and
+// Shed counts callers turned away by a full line.
 type Stats struct {
 	Name      string
 	Workers   int
@@ -160,25 +238,27 @@ type Stats struct {
 
 // Stats snapshots the stage's gauges and counters.
 func (s *Stage[T]) Stats() Stats {
-	qs := s.queue.Stats()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	busy := int(s.busy.Load())
 	return Stats{
 		Name:      s.name,
-		Workers:   s.pool.Size(),
-		Busy:      s.pool.Busy(),
-		Spare:     s.pool.Spare(),
-		Depth:     qs.Len,
-		QueueCap:  qs.Cap,
-		MaxDepth:  qs.MaxLen,
-		Enqueued:  qs.Enqueued,
-		Dequeued:  qs.Dequeued,
-		Completed: s.pool.Completed(),
-		Shed:      s.shed.Value(),
-		Closed:    qs.Closed,
+		Workers:   s.workers,
+		Busy:      busy,
+		Spare:     s.workers - busy,
+		Depth:     s.depth,
+		QueueCap:  len(s.line),
+		MaxDepth:  s.maxDepth,
+		Enqueued:  s.enqueued,
+		Dequeued:  s.dequeued,
+		Completed: s.completed,
+		Shed:      s.shed,
+		Closed:    s.closed,
 	}
 }
 
 // String renders a compact one-line view, e.g.
-// "general[workers:21 busy:3 depth:0]".
+// "general[workers:21 busy:3 depth:0/4096 completed:9 shed:0]".
 func (s Stats) String() string {
 	return fmt.Sprintf("%s[workers:%d busy:%d depth:%d/%d completed:%d shed:%d]",
 		s.Name, s.Workers, s.Busy, s.Depth, s.QueueCap, s.Completed, s.Shed)
