@@ -52,50 +52,11 @@ const (
 	SeriesThroughputLengthy = "throughput.lengthy"
 )
 
-// ServerKind is the legacy closed enum of server variants.
-//
-// Deprecated: name variants by their registry name instead
-// (variant.Unmodified, variant.Modified, ...); the registry is open
-// where this enum is not. Config.Kind still resolves through the
-// registry so old call sites keep working.
-type ServerKind int
-
-const (
-	// Unmodified is the baseline thread-per-request server.
-	Unmodified ServerKind = iota + 1
-	// Modified is the staged multi-pool server (the paper's proposal).
-	Modified
-	// ModifiedNoReserve is the staged server with the t_reserve feedback
-	// controller ablated (reserve pinned to zero).
-	ModifiedNoReserve
-)
-
-func (k ServerKind) String() string {
-	switch k {
-	case Unmodified:
-		return variant.Unmodified
-	case Modified:
-		return variant.Modified
-	case ModifiedNoReserve:
-		return variant.ModifiedNoReserve
-	default:
-		return "unknown"
-	}
-}
-
-// Staged reports whether the kind is a staged-server variant.
-func (k ServerKind) Staged() bool { return k == Modified || k == ModifiedNoReserve }
-
 // Config describes one experimental run. All durations are paper time.
 type Config struct {
 	// Variant is the registered name of the server variant under test
 	// (see internal/variant).
 	Variant string `json:"variant"`
-	// Kind is the deprecated enum selector, consulted only when Variant
-	// is empty.
-	//
-	// Deprecated: set Variant.
-	Kind ServerKind `json:"-"`
 
 	Scale clock.Timescale `json:"scale"`
 
@@ -189,14 +150,10 @@ type Config struct {
 	Set variant.Settings `json:"set,omitempty"`
 }
 
-// VariantName resolves the variant under test: Variant if set, else the
-// deprecated Kind.
+// VariantName resolves the variant under test.
 func (c Config) VariantName() (string, error) {
 	if c.Variant != "" {
 		return c.Variant, nil
-	}
-	if c.Kind != 0 {
-		return c.Kind.String(), nil
 	}
 	return "", fmt.Errorf("harness: config names no variant")
 }

@@ -292,30 +292,6 @@ func seriesNames(res *Result) []string {
 	return names
 }
 
-// TestServerKindShim exercises the deprecated enum path: a config that
-// names no variant but sets Kind still resolves through the registry.
-func TestServerKindShim(t *testing.T) {
-	if Unmodified.String() != variant.Unmodified || Modified.String() != variant.Modified ||
-		ModifiedNoReserve.String() != variant.ModifiedNoReserve {
-		t.Fatal("kind names diverge from registry names")
-	}
-	if !Modified.Staged() || !ModifiedNoReserve.Staged() || Unmodified.Staged() {
-		t.Fatal("Staged() wrong")
-	}
-	cfg := QuickConfig("", clock.Timescale(400))
-	cfg.Kind = Modified
-	cfg.EBs = 10
-	cfg.RampUp, cfg.Measure, cfg.CoolDown = 2*time.Second, 15*time.Second, 2*time.Second
-	cfg.Populate = tpcw.PopulateConfig{Items: 100, Customers: 30, Orders: 20}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Variant != variant.Modified {
-		t.Fatalf("kind did not resolve: %q", res.Variant)
-	}
-}
-
 func TestTable2Rendering(t *testing.T) {
 	tspare := []int{35, 24, 17, 21, 30, 36, 38, 37, 35, 39}
 	treserve := []int{20, 20, 20, 26, 31, 32, 30, 26, 21, 20}

@@ -47,7 +47,6 @@ func Matrix(base Config, variants []string, loads []LoadSpec) []Scenario {
 		for _, ld := range loads {
 			cfg := base.With(func(c *Config) {
 				c.Variant = v
-				c.Kind = 0
 				c.Load = ld.Profile
 				c.LoadSet = ld.Set.Clone()
 			})

@@ -49,7 +49,8 @@ func (db *DB) CloneSnapshot() (*DB, int64) {
 // shared, not copied — they are immutable (copy-on-write), so the clone
 // and the original can never observe each other's additions. String boxes
 // are shared too, and immutable: the clone's dictionaries start as copies
-// of the original's, so the rows it adds keep sharing them.
+// of the original's, so the rows it adds keep sharing them, and its
+// versions keep their codes, which those copies still give out.
 func (t *table) cloneAt(ts int64) *table {
 	nt := &table{
 		schema:   t.schema,
@@ -57,7 +58,8 @@ func (t *table) cloneAt(ts int64) *table {
 		nextAuto: t.nextAuto,
 		indexes:  make(map[string]*hashIndex, len(t.indexes)),
 		ordered:  make(map[string]*orderedIndex, len(t.ordered)),
-		dicts:    make([]map[string]Value, len(t.dicts)),
+		dicts:    make([]map[string]dictEntry, len(t.dicts)),
+		codeSlot: t.codeSlot,
 	}
 	for ci, d := range t.dicts {
 		nt.dicts[ci] = maps.Clone(d) // nil stays nil: a plain column
@@ -71,7 +73,7 @@ func (t *table) cloneAt(ts int64) *table {
 	for id := 0; id < src.n; id++ {
 		head := reaped
 		if v := src.at(id).version(ts); v != nil {
-			head = &rowVersion{data: append([]Value(nil), v.data...), key: v.key}
+			head = &rowVersion{data: append([]Value(nil), v.data...), key: v.key, codes: v.codes}
 			live++
 		}
 		arena.at(id).head.Store(head)

@@ -142,7 +142,13 @@ func TestCloneReplayReproducesLayout(t *testing.T) {
 		t.Fatalf("%d live rows in %d slots: the script left no tombstone", live, pv.size())
 	}
 	for id := 0; id < pv.size(); id++ {
-		prow, crow := pv.row(id), cv.row(id)
+		var prow, crow []Value
+		if v := pv.version(id); v != nil {
+			prow = v.data
+		}
+		if v := cv.version(id); v != nil {
+			crow = v.data
+		}
 		if len(prow) != len(crow) || (prow != nil && (prow[0] != crow[0] || prow[1] != crow[1])) {
 			t.Fatalf("slot %d: primary %v, clone %v", id, prow, crow)
 		}

@@ -1,0 +1,360 @@
+package sqldb_test
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"stagedweb/internal/sqldb"
+)
+
+// A string predicate on a column whose row versions carry dictionary
+// codes is evaluated once per distinct value per execution. These tests
+// hold it to the plain evaluation: a twin database whose dictionaries are
+// used up before its rows arrive carries no code at all, and must answer
+// every statement with the same rows, in the same order, and the same
+// error.
+
+// codedQuerier is what the differential runs statements on: a connection
+// or a snapshot.
+type codedQuerier interface {
+	Query(sql string, args ...any) (*sqldb.ResultSet, error)
+}
+
+// codedDB opens the two-table schema the differential runs on: p's p_s
+// (few values, NULLs) and p_t (crosses the dictionary cut-off half way
+// through the table) and a's a_lname (on the inner side of a
+// primary-key join) are coded. p_a has a hash index and p_n an ordered
+// one, so that coded predicates are re-checked on every access path. A
+// twin's dictionaries are used up first: 255 junk strings per String
+// column, inserted and deleted, so that every row it is loaded with
+// carries code 0.
+func codedDB(t *testing.T, mvcc, twin bool) (*sqldb.DB, *sqldb.Conn) {
+	t.Helper()
+	db := sqldb.Open(sqldb.Options{Cost: sqldb.ZeroCostModel(), MVCC: mvcc})
+	db.MustCreateTable(sqldb.Schema{Table: "a", PrimaryKey: "a_id", Columns: []sqldb.Column{
+		{Name: "a_id", Type: sqldb.Int}, {Name: "a_lname", Type: sqldb.String}}})
+	db.MustCreateTable(sqldb.Schema{Table: "p", PrimaryKey: "p_id", Indexes: []string{"p_a"}, Ordered: []string{"p_n"},
+		Columns: []sqldb.Column{
+			{Name: "p_id", Type: sqldb.Int}, {Name: "p_s", Type: sqldb.String}, {Name: "p_a", Type: sqldb.Int},
+			{Name: "p_t", Type: sqldb.String}, {Name: "p_n", Type: sqldb.Int}}})
+	c := db.Connect()
+	t.Cleanup(c.Close)
+	if twin {
+		for i := 1; i <= 255; i++ {
+			junk := fmt.Sprint("\x00junk", i)
+			codedExec(t, c, "INSERT INTO a (a_id, a_lname) VALUES (?, ?)", -i, junk)
+			codedExec(t, c, "INSERT INTO p (p_id, p_s, p_a, p_t, p_n) VALUES (?, ?, 0, ?, 0)", -i, junk, junk)
+		}
+		codedExec(t, c, "DELETE FROM a WHERE a_id < 0")
+		codedExec(t, c, "DELETE FROM p WHERE p_id < 0")
+	}
+	return db, c
+}
+
+func codedExec(t *testing.T, c *sqldb.Conn, sql string, args ...any) {
+	t.Helper()
+	if _, err := c.Exec(sql, args...); err != nil {
+		t.Fatalf("%s %v: %v", sql, args, err)
+	}
+}
+
+var codedLnames = []string{"Anders", "Brandt", "Chan", "Dumas", "Evans", "Fanon", "Grant", "Hanks", "Ito", "Jansen", "Klee", "Lang"}
+
+// codedLoad fills both tables: 40 authors over 12 last names and some
+// NULLs, 600 rows of p over 9 subjects and some NULLs, and a p_t that
+// holds 400 distinct strings, so that rows 400 on repeat in uncoded rows
+// the values rows 0–199 hold coded.
+func codedLoad(t *testing.T, c *sqldb.Conn) {
+	t.Helper()
+	for i := 1; i <= 40; i++ {
+		var lname any = codedLnames[i%len(codedLnames)]
+		if i%13 == 0 {
+			lname = nil
+		}
+		codedExec(t, c, "INSERT INTO a (a_id, a_lname) VALUES (?, ?)", i, lname)
+	}
+	for i := 0; i < 600; i++ {
+		var s any = fmt.Sprint("s", i%9)
+		if i%11 == 0 {
+			s = nil
+		}
+		codedExec(t, c, "INSERT INTO p (p_id, p_s, p_a, p_t, p_n) VALUES (?, ?, ?, ?, ?)",
+			i, s, 1+i%40, fmt.Sprintf("t%03d", i*7%400), i)
+	}
+}
+
+// codedStatements lists each statement with the arguments it runs with,
+// one after the other on the same connection: a value in the dictionary,
+// one that is not, a mistyped one, NULL.
+var codedStatements = []struct {
+	sql  string
+	args [][]any
+}{
+	{"SELECT p_id, p_s FROM p WHERE p_s = ?", [][]any{{"s3"}, {"s4"}, {"s35"}, {7}, {nil}}},
+	{"SELECT p_id, p_s FROM p WHERE p_s != ?", [][]any{{"s3"}, {"s35"}, {7}, {nil}}},
+	{"SELECT p_id, p_s FROM p WHERE p_s < ?", [][]any{{"s3"}, {"s35"}, {7}, {nil}}},
+	{"SELECT p_id, p_s FROM p WHERE p_s >= ?", [][]any{{"s3"}, {"s35"}, {7}}},
+	{"SELECT p_id, p_s FROM p WHERE p_s LIKE ?", [][]any{{"%3%"}, {"S%"}, {"%x%"}, {7}, {nil}}},
+	{"SELECT p_id, p_s FROM p WHERE p_s NOT LIKE ?", [][]any{{"%3%"}, {"%x%"}, {7}}},
+	{"SELECT p_id FROM p WHERE p_s = 's5'", [][]any{nil}},
+	{"SELECT p_id FROM p WHERE p_s <= 's2'", [][]any{nil}},
+	{"SELECT p_id FROM p WHERE p_s > 3", [][]any{nil}},
+	{"SELECT p_id, p_t FROM p WHERE p_t = ?", [][]any{{"t007"}, {"t399"}, {"t400"}, {7}}},
+	{"SELECT p_id, p_t FROM p WHERE p_t != ?", [][]any{{"t007"}, {"t400"}}},
+	{"SELECT p_id, p_t FROM p WHERE p_t < ?", [][]any{{"t100"}, {"t3999"}, {7}}},
+	{"SELECT p_id, p_t FROM p WHERE p_t >= ?", [][]any{{"t350"}, {"t3505"}}},
+	{"SELECT p_id, p_t FROM p WHERE p_t LIKE ?", [][]any{{"%0_"}, {"T1%"}, {"%q%"}}},
+	{"SELECT p_id, p_t FROM p WHERE p_t NOT LIKE ?", [][]any{{"%1%"}, {"%q%"}}},
+	{"SELECT p_id, p_s, p_t FROM p WHERE p_s != ? AND p_t >= ? ORDER BY p_t DESC, p_id LIMIT 7", [][]any{{"s1", "t200"}, {"s2", "t300"}, {"s2", 7}}},
+	{"SELECT p_s, COUNT(*) AS n, MIN(p_t) AS lo FROM p WHERE p_t < ? GROUP BY p_s", [][]any{{"t150"}, {"t300"}}},
+	{"SELECT p_id FROM p WHERE NOT (p_s = ?) OR p_t LIKE ?", [][]any{{"s1", "%5%"}, {"s2", "%6%"}}},
+	{"SELECT p_id, p_s FROM p WHERE p_a = ? AND p_s LIKE ?", [][]any{{5, "%4%"}, {6, "%4%"}, {7, "%s%"}}},
+	{"SELECT p_id, p_t FROM p WHERE p_n >= ? AND p_t < ?", [][]any{{450, "t200"}, {100, "t300"}}},
+	{"SELECT p_id, p_s FROM p WHERE p_s = ? ORDER BY p_n DESC LIMIT 4", [][]any{{"s6"}, {"s7"}}},
+	{"SELECT p_id, a_lname FROM p JOIN a ON p_a = a_id WHERE a_lname LIKE ?", [][]any{{"%an%"}, {"%AN%"}, {"%zz%"}, {7}}},
+	{"SELECT p_id, a_lname, p_s FROM p JOIN a ON p_a = a_id WHERE a_lname = ? AND p_s = ?", [][]any{{"Grant", "s2"}, {"Chan", "s3"}, {"Nobody", "s3"}, {"Chan", 7}}},
+	{"SELECT a_lname, COUNT(*) AS n FROM p JOIN a ON p_a = a_id WHERE a_lname >= ? GROUP BY a_lname ORDER BY n DESC, a_lname LIMIT 5", [][]any{{"Hanks"}, {"B"}}},
+}
+
+// codedAnswer is a statement's result, or its error, as text.
+func codedAnswer(q codedQuerier, sql string, args []any) string {
+	rs, err := q.Query(sql, args...)
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	return fmt.Sprint(rs.Rows)
+}
+
+// codedCompare runs every statement on got and want and reports where
+// they answer differently; it returns how many statements matched rows.
+func codedCompare(t *testing.T, what string, got, want codedQuerier) int {
+	t.Helper()
+	matched := 0
+	for _, st := range codedStatements {
+		for _, args := range st.args {
+			g, w := codedAnswer(got, st.sql, args), codedAnswer(want, st.sql, args)
+			if g != w {
+				t.Errorf("%s: %s %v:\n got %.300s\nwant %.300s", what, st.sql, args, g, w)
+			}
+			if g != "[]" && !strings.HasPrefix(g, "error") {
+				matched++
+			}
+		}
+	}
+	return matched
+}
+
+// codedReplay applies the log's entries after asOf on c.
+func codedReplay(t *testing.T, log *sqldb.ReplLog, asOf int64, c *sqldb.Conn) {
+	t.Helper()
+	entries, _ := log.Since(asOf)
+	for _, e := range entries {
+		args := make([]any, len(e.Args))
+		for i, a := range e.Args {
+			args[i] = a
+		}
+		codedExec(t, c, e.SQL, args...)
+	}
+}
+
+// codedChanges are the writes after the first comparison: the coded
+// column updated to a new value and to one already coded, the crossing
+// column updated, a join-side update, deletes and inserts.
+var codedChanges = []struct {
+	sql  string
+	args []any
+}{
+	{"UPDATE p SET p_s = ? WHERE p_n < 100", []any{"s-new"}},
+	{"UPDATE p SET p_s = ? WHERE p_n >= 500", []any{"s2"}},
+	{"UPDATE p SET p_s = NULL WHERE p_n >= 300 AND p_n < 310", nil},
+	{"UPDATE p SET p_t = ? WHERE p_n >= 200 AND p_n < 260", []any{"t001"}},
+	{"UPDATE a SET a_lname = ? WHERE a_id < 5", []any{"Newman"}},
+	{"DELETE FROM p WHERE p_n >= 120 AND p_n < 140", nil},
+	{"INSERT INTO p (p_id, p_s, p_a, p_t, p_n) VALUES (?, ?, ?, ?, ?)", []any{1000, "s3", 3, "t007", 1000}},
+	{"INSERT INTO p (p_id, p_s, p_a, p_t, p_n) VALUES (?, ?, ?, ?, ?)", []any{1001, "s-later", 4, "t-later", 1001}},
+}
+
+// TestCodedPredicatesMatchPlainEvaluation is the differential: the coded
+// database and its uncoded twin, under both engines, after loading, at a
+// snapshot taken before the writes and at the latest timestamp after
+// them, and on a clone of the coded database that replayed the writes
+// from the replication log.
+func TestCodedPredicatesMatchPlainEvaluation(t *testing.T) {
+	for _, mvcc := range []bool{false, true} {
+		t.Run(fmt.Sprintf("mvcc=%v", mvcc), func(t *testing.T) {
+			db, c := codedDB(t, mvcc, false)
+			twin, tc := codedDB(t, mvcc, true)
+			codedLoad(t, c)
+			codedLoad(t, tc)
+			for _, col := range [][2]string{{"p", "p_s"}, {"p", "p_t"}, {"a", "a_lname"}} {
+				coded, err := sqldb.CodedRows(db, col[0], col[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				uncoded, _ := sqldb.CodedRows(twin, col[0], col[1])
+				if coded == 0 || uncoded != 0 {
+					t.Fatalf("%s.%s: %d coded rows, twin %d; want some and none", col[0], col[1], coded, uncoded)
+				}
+			}
+			if coded, _ := sqldb.CodedRows(db, "p", "p_t"); coded != 255 {
+				t.Fatalf("p.p_t: %d coded rows, want the 255 before the cut-off", coded)
+			}
+			if n := codedCompare(t, "loaded", c, tc); n < len(codedStatements) {
+				t.Fatalf("only %d executions returned rows: the statements test little", n)
+			}
+
+			log := db.EnableReplLog()
+			clone, asOf := db.CloneSnapshot()
+			snap, twinSnap := db.Snapshot(), twin.Snapshot()
+			defer snap.Close()
+			defer twinSnap.Close()
+			for _, w := range codedChanges {
+				codedExec(t, c, w.sql, w.args...)
+				codedExec(t, tc, w.sql, w.args...)
+			}
+			codedCompare(t, "snapshot before the writes", snap, twinSnap)
+			codedCompare(t, "latest", c, tc)
+
+			cc := clone.Connect()
+			defer cc.Close()
+			codedReplay(t, log, asOf, cc)
+			codedCompare(t, "clone after replay", cc, tc)
+			for name, d := range map[string]*sqldb.DB{"coded": db, "twin": twin, "clone": clone} {
+				if errs := sqldb.CodeErrors(d); len(errs) > 0 {
+					t.Errorf("%s: %d versions disagree with their dictionaries: %v", name, len(errs), errs[:min(len(errs), 5)])
+				}
+			}
+		})
+	}
+}
+
+// TestVersionCodesMatchDictionaries: every version, old ones included,
+// carries the code its column's dictionary gives its cell — made by
+// insert, by update (the coded column changed or not), by CloneSnapshot,
+// and by a replica replaying the log — on a column that keeps its
+// dictionary and on one that crosses the cut-off.
+func TestVersionCodesMatchDictionaries(t *testing.T) {
+	for _, mvcc := range []bool{false, true} {
+		t.Run(fmt.Sprintf("mvcc=%v", mvcc), func(t *testing.T) {
+			db, c := codedDB(t, mvcc, false)
+			log := db.EnableReplLog()
+			snap := db.Snapshot() // keeps old versions in the chains
+			defer snap.Close()
+			codedLoad(t, c)
+			clone, asOf := db.CloneSnapshot()
+			if errs := sqldb.CodeErrors(clone); len(errs) > 0 {
+				t.Fatalf("clone: %v", errs)
+			}
+			for _, w := range codedChanges {
+				codedExec(t, c, w.sql, w.args...)
+			}
+			codedExec(t, c, "UPDATE p SET p_n = ? WHERE p_n = 150", 2000) // codes carried over unchanged
+			cc := clone.Connect()
+			defer cc.Close()
+			codedReplay(t, log, asOf, cc)
+			for name, d := range map[string]*sqldb.DB{"primary": db, "replica": clone} {
+				if errs := sqldb.CodeErrors(d); len(errs) > 0 {
+					t.Errorf("%s: %v", name, errs)
+				}
+			}
+		})
+	}
+}
+
+// TestCodedPredicatesAtSnapshotsWhileDictionaryFills runs snapshot
+// readers against a writer that inserts new distinct strings up to and
+// past a column's cut-off, repeats old ones and updates rows. At every
+// snapshot, each coded predicate must return what the same snapshot's
+// scan, filtered here, holds. Run under -race.
+func TestCodedPredicatesAtSnapshotsWhileDictionaryFills(t *testing.T) {
+	for _, mvcc := range []bool{false, true} {
+		t.Run(fmt.Sprintf("mvcc=%v", mvcc), func(t *testing.T) {
+			db := sqldb.Open(sqldb.Options{Cost: sqldb.ZeroCostModel(), MVCC: mvcc})
+			db.MustCreateTable(sqldb.Schema{Table: "r", PrimaryKey: "id", Columns: []sqldb.Column{
+				{Name: "id", Type: sqldb.Int}, {Name: "s", Type: sqldb.String}}})
+			w := db.Connect()
+			defer w.Close()
+			var stop atomic.Bool
+			var checks atomic.Int64
+			var wg sync.WaitGroup
+			for r := 0; r < 3; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(r)))
+					// At least one check each, however soon the writer is done.
+					for {
+						if !codedSnapshotAgrees(t, db, rng) {
+							return
+						}
+						checks.Add(1)
+						if stop.Load() {
+							return
+						}
+					}
+				}()
+			}
+			rng := rand.New(rand.NewSource(1))
+			for i := 0; i < 400; i++ {
+				codedExec(t, w, "INSERT INTO r (id, s) VALUES (?, ?)", i, fmt.Sprint("v", i))
+				codedExec(t, w, "INSERT INTO r (id, s) VALUES (?, ?)", 1000+i, fmt.Sprint("v", rng.Intn(i+1)))
+				if i%4 == 0 {
+					codedExec(t, w, "UPDATE r SET s = ? WHERE id = ?", fmt.Sprint("v", rng.Intn(i+1)), rng.Intn(i+1))
+				}
+			}
+			stop.Store(true)
+			wg.Wait()
+			if checks.Load() == 0 {
+				t.Fatal("no reader finished a check")
+			}
+			if errs := sqldb.CodeErrors(db); len(errs) > 0 {
+				t.Errorf("%v", errs)
+			}
+		})
+	}
+}
+
+// codedSnapshotAgrees takes a snapshot and compares three coded
+// predicates on r.s with its whole table filtered in Go.
+func codedSnapshotAgrees(t *testing.T, db *sqldb.DB, rng *rand.Rand) bool {
+	snap := db.Snapshot()
+	defer snap.Close()
+	all, err := snap.Query("SELECT id, s FROM r")
+	if err != nil {
+		t.Error(err)
+		return false
+	}
+	v := fmt.Sprint("v", rng.Intn(420))
+	digit := fmt.Sprint(rng.Intn(10))
+	for _, p := range []struct {
+		sql  string
+		arg  string
+		keep func(string) bool
+	}{
+		{"SELECT id, s FROM r WHERE s = ?", v, func(s string) bool { return s == v }},
+		{"SELECT id, s FROM r WHERE s < ?", v, func(s string) bool { return s < v }},
+		{"SELECT id, s FROM r WHERE s LIKE ?", "%" + digit + "%", func(s string) bool { return strings.Contains(s, digit) }},
+	} {
+		var want [][]sqldb.Value
+		for _, row := range all.Rows {
+			if p.keep(row[1].(string)) {
+				want = append(want, row)
+			}
+		}
+		rs, err := snap.Query(p.sql, p.arg)
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		if !slices.EqualFunc(rs.Rows, want, func(a, b []sqldb.Value) bool { return slices.Equal(a, b) }) {
+			t.Errorf("snapshot %d: %q %q returned %d rows, the filtered scan %d", snap.TS(), p.sql, p.arg, rs.Len(), len(want))
+			return false
+		}
+	}
+	return true
+}

@@ -22,6 +22,16 @@ type operandFn func(rows [][]Value, ec *execCtx) (Value, error)
 type compiledPred struct {
 	eval  func(rows [][]Value, ec *execCtx) (bool, error)
 	depth int // deepest binding index referenced
+
+	// coded marks a SELECT conjunct that compares a coded column (see
+	// table.codeSlot) with a literal or placeholder. Its result is a
+	// function of the cell alone within one execution, so on a row whose
+	// version carries a code for the column, codes[slot] of the version
+	// bound at depth, it is evaluated once per code: memo|code indexes
+	// the execution's codeMemo.
+	coded bool
+	slot  int8
+	memo  int
 }
 
 // splitAnd flattens top-level AND nodes into conjuncts.
@@ -35,7 +45,9 @@ func splitAnd(e boolExpr, out []boolExpr) []boolExpr {
 
 // compileWhere compiles a WHERE tree into per-depth predicate lists:
 // preds[i] holds the conjuncts that can run once bindings 0..i are bound.
-func compileWhere(e boolExpr, bindings []binding) ([][]compiledPred, error) {
+// coded counts the coded conjuncts compiled so far; nil (a DML read
+// phase, which keeps no memo) codes none.
+func compileWhere(e boolExpr, bindings []binding, coded *int) ([][]compiledPred, error) {
 	preds := make([][]compiledPred, len(bindings))
 	if e == nil {
 		return preds, nil
@@ -45,9 +57,67 @@ func compileWhere(e boolExpr, bindings []binding) ([][]compiledPred, error) {
 		if err != nil {
 			return nil, err
 		}
+		if coded != nil {
+			cp.code(conj, bindings, coded)
+		}
 		preds[cp.depth] = append(preds[cp.depth], cp)
 	}
 	return preds, nil
+}
+
+// code marks cp coded if its conjunct compares a column with a code slot
+// with a literal or placeholder: =, !=, <, <=, >, >=, LIKE or NOT LIKE.
+func (cp *compiledPred) code(conj boolExpr, bindings []binding, coded *int) {
+	var col colRef
+	var rhs operand
+	switch t := conj.(type) {
+	case cmpExpr:
+		col, rhs = t.Col, t.Rhs
+	case likeExpr:
+		col, rhs = t.Col, t.Rhs
+	default:
+		return
+	}
+	if !rhs.IsLit && !rhs.IsPlacehold {
+		return
+	}
+	bi, ci, err := resolveCol(bindings, col)
+	if err != nil || bindings[bi].tbl.codeSlot[ci] < 0 {
+		return
+	}
+	cp.coded, cp.slot, cp.memo = true, bindings[bi].tbl.codeSlot[ci], *coded<<8
+	*coded++
+}
+
+// Entries of a codeMemo.
+const (
+	memoUnknown uint8 = iota
+	memoFalse
+	memoTrue
+)
+
+// codeMemo holds a SELECT execution's coded conjuncts' results by code:
+// entry memo|code is memoUnknown until the conjunct has been evaluated on
+// a row carrying that code. It references nothing, so a connection keeps
+// its memo from statement to statement, and an execution clears only the
+// entries its own conjuncts use.
+type codeMemo []uint8
+
+// reset readies the memo for an execution with n coded conjuncts.
+func (m *codeMemo) reset(n int) {
+	if len(*m) < n<<8 {
+		*m = make(codeMemo, n<<8)
+		return
+	}
+	clear((*m)[:n<<8])
+}
+
+// memoOf is the memo entry that remembers result ok.
+func memoOf(ok bool) uint8 {
+	if ok {
+		return memoTrue
+	}
+	return memoFalse
 }
 
 // compileBool compiles one boolean node.

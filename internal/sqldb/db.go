@@ -433,9 +433,12 @@ type Conn struct {
 	busy   bool
 	closed bool
 
-	// The state of the SELECT in flight; busy guards it.
+	// The state of the SELECT in flight; busy guards it. memo outlives the
+	// statement (it references nothing), so that a coded SELECT on a
+	// reused connection allocates none.
 	ec      execCtx
 	scratch selectScratch
+	memo    codeMemo
 }
 
 // Connect opens a new connection.
@@ -501,7 +504,7 @@ func (c *Conn) Query(sql string, args ...any) (*ResultSet, error) {
 	switch t := s.(type) {
 	case *selectStmt:
 		defer func() { c.ec, c.scratch = execCtx{}, selectScratch{} }()
-		c.ec.scratch = &c.scratch
+		c.ec.scratch, c.ec.memo = &c.scratch, &c.memo
 		if err := c.ec.bind(args); err != nil {
 			return nil, err
 		}

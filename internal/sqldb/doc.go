@@ -100,9 +100,15 @@
 // and added to PlanRowsRead once, when its read pass ends.
 //
 // At commit, every String cell is replaced by the box its column's
-// dictionary holds for the same string, so equal strings share one box
-// and a column of few values is compared in cache. A column drops its
-// dictionary for good on its 257th distinct string.
+// dictionary holds for the same string, so equal strings share one box.
+// The dictionary numbers its strings 1..255 in first-seen order, and a
+// version carries the codes of its cells in a table's first 8 String
+// columns (0: NULL or none), which makes it 64 bytes, one cache line. A
+// SELECT conjunct comparing such a column with a literal or placeholder
+// (=, !=, <, <=, >, >=, LIKE, NOT LIKE) reads the code from the version
+// the access path already holds and runs once per distinct value per
+// execution. A column drops its dictionary for good on its 256th distinct
+// string; rows committed after that carry code 0 and compare as before.
 //
 // Two concurrency disciplines
 // interpret that storage, selected by Options.MVCC / DB.SetMVCC:

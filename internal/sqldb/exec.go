@@ -33,6 +33,9 @@ type execCtx struct {
 	// scratch is what a SELECT runs on: the connection's, or one
 	// runSelect allocates for a statement off a connection.
 	scratch *selectScratch
+	// memo is the SELECT's codeMemo, likewise; runSelect readies it for a
+	// plan with coded conjuncts and leaves it alone otherwise.
+	memo *codeMemo
 }
 
 // resolveBindings maps the FROM/JOIN clauses onto tables.
@@ -230,7 +233,7 @@ func (db *DB) planDML(table string, where boolExpr, cols []string, vals []operan
 		return nil, err
 	}
 	bindings := []binding{{ref: tableRef{Table: table}, tbl: tbl}}
-	preds, err := compileWhere(where, bindings)
+	preds, err := compileWhere(where, bindings, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -282,7 +285,8 @@ func (db *DB) flushPlanRows(ec *execCtx) {
 	ec.planRows = 0
 }
 
-func (r *dmlRun) visit(id int, row []Value) error {
+func (r *dmlRun) visit(id int, rv *rowVersion) error {
+	row := rv.data
 	r.rows[0] = row
 	rows := r.rows[:]
 	for _, pred := range r.plan.preds {

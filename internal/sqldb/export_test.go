@@ -102,14 +102,90 @@ func StringDict(db *DB, table, column string) (entries int, shared bool, err err
 		return -1, false, nil
 	}
 	boxes := make(map[unsafe.Pointer]bool, len(d))
-	for _, box := range d {
-		boxes[boxOf(box)] = true
+	for _, e := range d {
+		boxes[boxOf(e.box)] = true
 	}
 	arena := t.slots.Load()
 	for id := 0; id < arena.n; id++ {
-		if row := arena.at(id).visible(latestTS); row != nil && row[ci] != nil && !boxes[boxOf(row[ci])] {
+		if v := arena.at(id).version(latestTS); v != nil && v.data[ci] != nil && !boxes[boxOf(v.data[ci])] {
 			return len(d), false, nil
 		}
 	}
 	return len(d), true, nil
+}
+
+// CodedRows counts the rows visible at the latest timestamp whose version
+// carries a code for column.
+func CodedRows(db *DB, table, column string) (int, error) {
+	t, err := db.lookupTable(table)
+	if err != nil {
+		return 0, err
+	}
+	ci := t.schema.colIndex(column)
+	if ci < 0 || t.codeSlot[ci] < 0 {
+		return 0, fmt.Errorf("CodedRows: %s.%s has no code slot", table, column)
+	}
+	arena := t.slots.Load()
+	n := 0
+	for id := 0; id < arena.n; id++ {
+		if v := arena.at(id).version(latestTS); v != nil && v.codes[t.codeSlot[ci]] != 0 {
+			n++
+		}
+	}
+	return n, nil
+}
+
+// CodeErrors lists every version, old ones included, whose codes
+// disagree with its table's dictionaries. While a column keeps its
+// dictionary, a version's code for it must be the one the dictionary
+// gives its cell (0 for NULL); once the dictionary is gone, a NULL must
+// carry 0, and no string two codes nor a code two strings.
+func CodeErrors(db *DB) []string {
+	db.commitMu.Lock()
+	defer db.commitMu.Unlock()
+	var errs []string
+	for name, t := range db.tables {
+		arena := t.slots.Load()
+		for ci, slot := range t.codeSlot {
+			if slot < 0 {
+				continue
+			}
+			col := name + "." + t.schema.Columns[ci].Name
+			d := t.dicts[ci]
+			byCode, byString := map[uint8]Value{}, map[Value]uint8{}
+			for id := 0; id < arena.n; id++ {
+				for v := arena.at(id).head.Load(); v != nil; v = v.prev.Load() {
+					if v.data == nil {
+						continue
+					}
+					cell, code := v.data[ci], v.codes[slot]
+					switch {
+					case cell == nil:
+						if code != 0 {
+							errs = append(errs, fmt.Sprintf("%s slot %d: NULL with code %d", col, id, code))
+						}
+					case d != nil:
+						if want := d[cell.(string)].code; code != want {
+							errs = append(errs, fmt.Sprintf("%s slot %d: %q with code %d, dictionary %d", col, id, cell, code, want))
+						}
+					case code != 0:
+						if s, ok := byCode[code]; ok && s != cell {
+							errs = append(errs, fmt.Sprintf("%s: code %d for %q and %q", col, code, s, cell))
+						}
+						if c, ok := byString[cell]; ok && c != code {
+							errs = append(errs, fmt.Sprintf("%s: %q with codes %d and %d", col, cell, c, code))
+						}
+						byCode[code], byString[cell] = cell, code
+					}
+				}
+			}
+		}
+	}
+	return errs
+}
+
+// ParseSQL is the parser alone, for FuzzParse.
+func ParseSQL(sql string) error {
+	_, err := parseSQL(sql)
+	return err
 }

@@ -94,7 +94,7 @@ func TestMVCCConflictDetection(t *testing.T) {
 	if !ok {
 		t.Fatal("pk 3 not found")
 	}
-	newRow := append([]Value(nil), view.row(id)...)
+	newRow := append([]Value(nil), view.version(id).data...)
 	newRow[2] = int64(7)
 
 	// Another writer commits to the same row after our snapshot.
@@ -268,7 +268,7 @@ func TestLookupIndexStableSnapshot(t *testing.T) {
 	// And the view still resolves exactly its snapshot's rows through it.
 	live := 0
 	for _, id := range ids {
-		if view.row(id) != nil {
+		if view.version(id) != nil {
 			live++
 		}
 	}

@@ -75,7 +75,8 @@ func (db *DB) planOf(s *selectStmt) (*selectPlan, error) {
 const maxInlineTables = 4
 
 // selectRun is the per-execution state of one SELECT: the table views at
-// the statement's snapshot, the combined row under construction, and the
+// the statement's snapshot, the combined row under construction (with the
+// version each binding's row came from, for coded predicates), and the
 // sink.
 type selectRun struct {
 	db   *DB
@@ -84,13 +85,15 @@ type selectRun struct {
 	sink rowSink
 
 	views   []tableView
-	rows    [][]Value // rows[i] is binding i's row of the current combination
-	probes  [][]int   // per-depth scratch for ordered-index equality probes
-	counted []bool    // join steps already counted in the plan probes
+	rows    [][]Value     // rows[i] is binding i's row of the current combination
+	vers    []*rowVersion // vers[i] is the version rows[i] is the data of
+	probes  [][]int       // per-depth scratch for ordered-index equality probes
+	counted []bool        // join steps already counted in the plan probes
 
 	inline struct {
 		views   [maxInlineTables]tableView
 		rows    [maxInlineTables][]Value
+		vers    [maxInlineTables]*rowVersion
 		probes  [maxInlineTables][]int
 		counted [maxInlineTables]bool
 	}
@@ -131,14 +134,20 @@ func (db *DB) runSelect(plan *selectPlan, ts int64, ec *execCtx) (*ResultSet, er
 	r := &ec.scratch.run
 	r.db, r.plan, r.ec = db, plan, ec
 	if n := len(plan.bindings); n <= maxInlineTables {
-		r.views, r.rows = r.inline.views[:n], r.inline.rows[:n]
+		r.views, r.rows, r.vers = r.inline.views[:n], r.inline.rows[:n], r.inline.vers[:n]
 		r.probes, r.counted = r.inline.probes[:n], r.inline.counted[:n]
 	} else {
-		r.views, r.rows = make([]tableView, n), make([][]Value, n)
+		r.views, r.rows, r.vers = make([]tableView, n), make([][]Value, n), make([]*rowVersion, n)
 		r.probes, r.counted = make([][]int, n), make([]bool, n)
 	}
 	for i, b := range plan.bindings {
 		r.views[i] = b.tbl.view(ts)
+	}
+	if plan.codedPreds > 0 {
+		if ec.memo == nil {
+			ec.memo = new(codeMemo)
+		}
+		ec.memo.reset(plan.codedPreds)
 	}
 	rs := &ResultSet{Columns: plan.columns}
 	err := r.enumerate(rs)
@@ -208,15 +217,15 @@ func (r *selectRun) walkOrdered(oidx *orderedIndex) error {
 		}
 		iterated++
 		r.ec.cost.probes++
-		row := r.views[0].row(e.id)
+		rv := r.views[0].version(e.id)
 		// Entry-vs-visible re-check: an updated row has entries at both
 		// its old and new position; emitting it anywhere but its current
 		// value's position would break the order (and duplicate the row).
-		if row == nil || !valuesEqual(row[ci], e.val) {
+		if rv == nil || !valuesEqual(rv.data[ci], e.val) {
 			continue
 		}
 		before := r.ec.cost.matched
-		if err := r.visit(e.id, row); err != nil {
+		if err := r.visit(e.id, rv); err != nil {
 			return err
 		}
 		if now := r.ec.cost.matched; outer.stop >= 0 && now > before && now >= outer.stop {
@@ -228,8 +237,8 @@ func (r *selectRun) walkOrdered(oidx *orderedIndex) error {
 }
 
 // visit receives one candidate row of the driving table.
-func (r *selectRun) visit(_ int, row []Value) error {
-	r.rows[0] = row
+func (r *selectRun) visit(_ int, rv *rowVersion) error {
+	r.rows[0], r.vers[0] = rv.data, rv
 	ok, err := r.applyPreds(0)
 	if err != nil || !ok {
 		return err
@@ -237,12 +246,35 @@ func (r *selectRun) visit(_ int, row []Value) error {
 	return r.join(1)
 }
 
-// applyPreds evaluates the depth-i conjuncts on the partial row.
+// applyPreds evaluates the depth-i conjuncts on the partial row. A coded
+// conjunct on a row whose version carries a code for its column is
+// evaluated on the first such row only, and its result remembered for the
+// rest; an error is not remembered.
 func (r *selectRun) applyPreds(i int) (bool, error) {
-	for _, p := range r.plan.preds[i] {
+	preds := r.plan.preds[i]
+	for k := range preds {
+		p := &preds[k]
+		var memo *uint8
+		if p.coded {
+			if code := r.vers[i].codes[p.slot]; code != 0 {
+				memo = &(*r.ec.memo)[p.memo|int(code)]
+				if *memo == memoTrue {
+					continue
+				}
+				if *memo == memoFalse {
+					return false, nil
+				}
+			}
+		}
 		ok, err := p.eval(r.rows, r.ec)
-		if err != nil || !ok {
+		if err != nil {
 			return false, err
+		}
+		if memo != nil {
+			*memo = memoOf(ok)
+		}
+		if !ok {
+			return false, nil
 		}
 	}
 	return true, nil
@@ -271,12 +303,12 @@ func (r *selectRun) join(i int) error {
 	var err error
 	switch {
 	case jp.innerPK:
-		if _, v := r.db.probePK(inner, outerVal, r.ec); v != nil {
-			err = r.bind(i, v.data)
+		if _, rv := r.db.probePK(inner, outerVal, r.ec); rv != nil {
+			err = r.bind(i, rv)
 		}
 	case jp.indexed:
 		for _, id := range r.db.probeIndex(inner, jp.innerName, outerVal, r.ec, &r.probes[i]) {
-			if err = r.joinRow(i, jp, inner.row(id), outerVal); err != nil {
+			if err = r.joinRow(i, jp, inner.version(id), outerVal); err != nil {
 				break
 			}
 		}
@@ -285,28 +317,28 @@ func (r *selectRun) join(i int) error {
 		r.ec.cost.scanned += n
 		r.ec.planRows += int64(n)
 		for id := 0; id < n && err == nil; id++ {
-			err = r.joinRow(i, jp, inner.row(id), outerVal)
+			err = r.joinRow(i, jp, inner.version(id), outerVal)
 		}
 	}
-	r.rows[i] = nil
+	r.rows[i], r.vers[i] = nil, nil
 	return err
 }
 
-// joinRow binds row if it satisfies the join equality. The equality is
-// always checked here: index buckets are stale-tolerant hints, so an id
+// joinRow binds rv if its row satisfies the join equality. The equality
+// is always checked here: index buckets are stale-tolerant hints, so an id
 // may point at a row whose visible version no longer (or, at this
 // snapshot, does not yet) match. (probePK checks its key itself.)
-func (r *selectRun) joinRow(i int, jp *joinStep, row []Value, outerVal Value) error {
-	if row == nil || !valuesEqual(row[jp.innerCol], outerVal) {
+func (r *selectRun) joinRow(i int, jp *joinStep, rv *rowVersion, outerVal Value) error {
+	if rv == nil || !valuesEqual(rv.data[jp.innerCol], outerVal) {
 		return nil
 	}
-	return r.bind(i, row)
+	return r.bind(i, rv)
 }
 
-// bind makes row binding i's side of the combination and extends it if
-// the depth-i conjuncts hold.
-func (r *selectRun) bind(i int, row []Value) error {
-	r.rows[i] = row
+// bind makes rv's row binding i's side of the combination and extends it
+// if the depth-i conjuncts hold.
+func (r *selectRun) bind(i int, rv *rowVersion) error {
+	r.rows[i], r.vers[i] = rv.data, rv
 	ok, err := r.applyPreds(i)
 	if err != nil || !ok {
 		return err
@@ -320,7 +352,7 @@ func (r *selectRun) bind(i int, row []Value) error {
 // id and the row version visible in the view. Candidates are hints — the
 // visitor re-checks its predicates.
 type rowVisitor interface {
-	visit(id int, row []Value) error
+	visit(id int, rv *rowVersion) error
 }
 
 // pathValue resolves an access path's bound operand row-independently.
@@ -351,7 +383,7 @@ func (db *DB) drive(p accessPath, v tableView, ec *execCtx, probeBuf *[]int, vis
 		if val, ok := pathValue(p.eq, ec); ok {
 			db.planIndex.Inc()
 			if id, rv := db.probePK(v, val, ec); rv != nil {
-				return vis.visit(id, rv.data)
+				return vis.visit(id, rv)
 			}
 			return nil
 		}
@@ -359,8 +391,8 @@ func (db *DB) drive(p accessPath, v tableView, ec *execCtx, probeBuf *[]int, vis
 		if val, ok := pathValue(p.eq, ec); ok {
 			db.planIndex.Inc()
 			for _, id := range db.probeIndex(v, p.colName, val, ec, probeBuf) {
-				if row := v.row(id); row != nil {
-					if err := vis.visit(id, row); err != nil {
+				if rv := v.version(id); rv != nil {
+					if err := vis.visit(id, rv); err != nil {
 						return err
 					}
 				}
@@ -378,8 +410,8 @@ func (db *DB) drive(p accessPath, v tableView, ec *execCtx, probeBuf *[]int, vis
 	db.planScans.Inc()
 	ec.planRows += int64(n)
 	for id := 0; id < n; id++ {
-		if row := v.row(id); row != nil {
-			if err := vis.visit(id, row); err != nil {
+		if rv := v.version(id); rv != nil {
+			if err := vis.visit(id, rv); err != nil {
 				return err
 			}
 		}
@@ -484,11 +516,11 @@ func (db *DB) driveRange(p accessPath, v tableView, ec *execCtx, vis rowVisitor)
 	ec.planRows += int64(visited)
 	ci := oidx.col
 	for _, e := range es {
-		row := v.row(e.id)
-		if row == nil || !valuesEqual(row[ci], e.val) {
+		rv := v.version(e.id)
+		if rv == nil || !valuesEqual(rv.data[ci], e.val) {
 			continue
 		}
-		if err := vis.visit(e.id, row); err != nil {
+		if err := vis.visit(e.id, rv); err != nil {
 			return true, err
 		}
 	}

@@ -192,8 +192,8 @@ func TestPKProbeWhileGrowing(t *testing.T) {
 					t.Errorf("key %d: no pk entry", key)
 					return
 				}
-				if row := view.row(id); row == nil || row[0] != key {
-					t.Errorf("key %d: slot %d holds %v", key, id, row)
+				if rv := view.version(id); rv == nil || rv.data[0] != key {
+					t.Errorf("key %d: slot %d holds %v", key, id, rv)
 					return
 				}
 				rs, err := c.Query("SELECT v FROM g WHERE id = ?", key)

@@ -141,6 +141,7 @@ type selectPlan struct {
 	bindings     []binding
 	locks        []*table         // distinct tables in name order (lock engine)
 	preds        [][]compiledPred // WHERE conjuncts by the join depth they run at
+	codedPreds   int              // coded conjuncts among them (compiledPred.coded)
 	columns      []string         // output column names
 	items        []outItem        // one per output column
 	aggStates    int              // aggregate items among them
@@ -214,7 +215,7 @@ func (db *DB) planSelect(s *selectStmt) (*selectPlan, error) {
 	}
 	p.outer = db.chooseAccessPath(s, bindings)
 	p.orderByIndex = p.outer.kind == pathIndexOrder
-	if p.preds, err = compileWhere(s.Where, bindings); err != nil {
+	if p.preds, err = compileWhere(s.Where, bindings, &p.codedPreds); err != nil {
 		return nil, err
 	}
 	if err := p.compileOutput(s); err != nil {

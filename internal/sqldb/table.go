@@ -21,14 +21,23 @@ const latestTS = int64(math.MaxInt64)
 //
 // key is data[pkCol] unboxed, for a table with a primary key: a probe
 // checks the key it followed in the version it already loaded, instead of
-// loading the row's cells and then the key's box. It keeps the version in
-// the 48-byte size class.
+// loading the row's cells and then the key's box. codes[s] is the
+// dictionary code of the cell in the String column with code slot s (see
+// table.codeSlot), or 0 for none: a predicate on that column reads it from
+// the version it already loaded and evaluates once per distinct string
+// (compiledPred.coded). The 56 bytes put a version in the 64-byte size
+// class, whose objects are line-aligned: one version, one cache line.
 type rowVersion struct {
 	data  []Value
 	begin int64
 	key   int64
 	prev  atomic.Pointer[rowVersion]
+	codes [codeSlots]uint8
 }
+
+// codeSlots is how many String columns of a table carry codes in their
+// row versions: the first ones, in schema order.
+const codeSlots = 8
 
 // rowSlot is the stable identity of a row: a fixed slot index plus the
 // head of its version chain. Slots are append-only; a deleted row keeps
@@ -60,22 +69,9 @@ func (a *slotArena) at(id int) *rowSlot {
 	return &a.chunks[id/slotChunkSize][id%slotChunkSize]
 }
 
-// visible returns the row data as of snapshot ts: the newest version
+// version returns the row version as of snapshot ts: the newest version
 // with begin <= ts, or nil if the row did not exist (or was deleted) at
 // ts. Lock-free; safe concurrently with writers installing new heads.
-func (s *rowSlot) visible(ts int64) []Value {
-	for v := s.head.Load(); v != nil; v = v.prev.Load() {
-		if v.begin <= ts {
-			return v.data
-		}
-	}
-	return nil
-}
-
-// version is visible's version rather than its data: the newest version
-// with begin <= ts, or nil where visible returns nil. (visible keeps its
-// own loop: written as a wrapper of this one, tableView.row is too large
-// to inline into the scan loop.)
 func (s *rowSlot) version(ts int64) *rowVersion {
 	for v := s.head.Load(); v != nil; v = v.prev.Load() {
 		if v.begin <= ts {
@@ -127,11 +123,16 @@ type table struct {
 
 	// dicts[ci] maps every string committed to String column ci to the
 	// one box all its cells share, so that a column of few distinct
-	// values compares against boxes that stay in cache. It holds while
-	// the column has seen at most maxDictValues distinct strings; on the
-	// next one it is dropped for good (nil), as it is from the start for
-	// a column of any other type. Guarded by db.commitMu.
-	dicts []map[string]Value
+	// values compares against boxes that stay in cache, and to its code:
+	// 1, 2, ... in first-seen order, never reused. It holds while the
+	// column has seen at most maxDictValues distinct strings; on the next
+	// one it is dropped for good (nil), as it is from the start for a
+	// column of any other type, and rows committed after that carry code
+	// 0. Guarded by db.commitMu.
+	dicts []map[string]dictEntry
+	// codeSlot[ci] is where in rowVersion.codes String column ci's codes
+	// go, or -1 for a column without a slot. Fixed at creation.
+	codeSlot []int8
 
 	// tombs queues the slots whose tombstone is still linked to the
 	// version it deleted, oldest first; guarded by db.commitMu. See
@@ -163,15 +164,22 @@ func (idx *hashIndex) add(v Value, id int) {
 
 func newTable(s Schema) *table {
 	t := &table{
-		schema:  s,
-		pkCol:   -1,
-		indexes: make(map[string]*hashIndex, len(s.Indexes)),
-		ordered: make(map[string]*orderedIndex, len(s.Ordered)),
-		dicts:   make([]map[string]Value, len(s.Columns)),
+		schema:   s,
+		pkCol:    -1,
+		indexes:  make(map[string]*hashIndex, len(s.Indexes)),
+		ordered:  make(map[string]*orderedIndex, len(s.Ordered)),
+		dicts:    make([]map[string]dictEntry, len(s.Columns)),
+		codeSlot: make([]int8, len(s.Columns)),
 	}
+	next := int8(0) // the next free code slot
 	for ci, col := range s.Columns {
+		t.codeSlot[ci] = -1
 		if col.Type == String {
-			t.dicts[ci] = make(map[string]Value)
+			t.dicts[ci] = make(map[string]dictEntry)
+			if next < codeSlots {
+				t.codeSlot[ci] = next
+				next++
+			}
 		}
 	}
 	if s.PrimaryKey != "" {
@@ -202,14 +210,6 @@ type tableView struct {
 // view captures a read view at ts.
 func (t *table) view(ts int64) tableView {
 	return tableView{tbl: t, ts: ts, slots: t.slots.Load()}
-}
-
-// row returns the visible data for a slot id, or nil.
-func (v tableView) row(id int) []Value {
-	if uint(id) >= uint(v.slots.n) {
-		return nil
-	}
-	return v.slots.at(id).visible(v.ts)
 }
 
 // version returns the visible version of a slot id, or nil.
@@ -363,8 +363,8 @@ func (t *table) applyInsert(row []Value, ts int64) int {
 			t.nextAuto = key
 		}
 	}
-	t.intern(row)
-	id := t.appendSlot(&rowVersion{data: row, begin: ts, key: key})
+	codes := t.intern(row)
+	id := t.appendSlot(&rowVersion{data: row, begin: ts, key: key, codes: codes})
 	if t.pk != nil {
 		t.pk.set(key, id)
 	}
@@ -404,7 +404,7 @@ func (t *table) checkUpdate(id int, newRow []Value) error {
 // timestamp ts, pruning chain versions older than horizon. The caller
 // has run checkUpdate; this cannot fail.
 func (t *table) applyUpdate(id int, newRow []Value, ts, horizon int64) {
-	t.intern(newRow)
+	codes := t.intern(newRow)
 	slot := t.slotAt(id)
 	cur := slot.head.Load()
 	old := cur.data
@@ -449,20 +449,28 @@ func (t *table) applyUpdate(id int, newRow []Value, ts, horizon int64) {
 		}
 		t.idxMu.Unlock()
 	}
-	nv := &rowVersion{data: newRow, begin: ts, key: newKey}
+	nv := &rowVersion{data: newRow, begin: ts, key: newKey, codes: codes}
 	nv.prev.Store(cur)
 	slot.head.Store(nv)
 	pruneChain(cur, horizon)
 }
 
 // maxDictValues is how many distinct strings a String column may hold
-// and keep its dictionary (see table.dicts).
-const maxDictValues = 256
+// and keep its dictionary (see table.dicts): as many as a one-byte code
+// can name besides 0.
+const maxDictValues = 255
+
+// dictEntry is what a String column's dictionary holds for one string.
+type dictEntry struct {
+	box  Value
+	code uint8
+}
 
 // intern replaces every String cell of a row about to be committed by
 // the box its column's dictionary already holds for that string, adding
-// the ones it does not. Caller holds db.commitMu.
-func (t *table) intern(row []Value) {
+// the ones it does not, and returns the row's codes. Caller holds
+// db.commitMu.
+func (t *table) intern(row []Value) (codes [codeSlots]uint8) {
 	for ci, d := range t.dicts {
 		if d == nil {
 			continue
@@ -471,14 +479,21 @@ func (t *table) intern(row []Value) {
 		if !ok {
 			continue // NULL
 		}
-		if box, ok := d[s]; ok {
-			row[ci] = box
-		} else if len(d) < maxDictValues {
-			d[s] = row[ci]
-		} else {
-			t.dicts[ci] = nil
+		e, ok := d[s]
+		if !ok {
+			if len(d) == maxDictValues {
+				t.dicts[ci] = nil
+				continue
+			}
+			e = dictEntry{box: row[ci], code: uint8(len(d) + 1)}
+			d[s] = e
+		}
+		row[ci] = e.box
+		if slot := t.codeSlot[ci]; slot >= 0 {
+			codes[slot] = e.code
 		}
 	}
+	return codes
 }
 
 // applyDelete installs a tombstone for slot id at commit timestamp ts.
@@ -557,8 +572,8 @@ func (t *table) buildIndex(col string, ordered bool) error {
 	if ordered {
 		es := make([]idxEntry, 0, arena.n)
 		for id := 0; id < arena.n; id++ {
-			if data := arena.at(id).visible(latestTS); data != nil {
-				es = append(es, idxEntry{val: data[ci], id: id})
+			if v := arena.at(id).version(latestTS); v != nil {
+				es = append(es, idxEntry{val: v.data[ci], id: id})
 			}
 		}
 		idx := newOrderedIndex(ci)
@@ -571,8 +586,8 @@ func (t *table) buildIndex(col string, ordered bool) error {
 	}
 	idx := &hashIndex{col: ci, m: make(map[Value][]int)}
 	for id := 0; id < arena.n; id++ {
-		if data := arena.at(id).visible(latestTS); data != nil {
-			idx.add(data[ci], id)
+		if v := arena.at(id).version(latestTS); v != nil {
+			idx.add(v.data[ci], id)
 		}
 	}
 	t.idxMu.Lock()

@@ -150,15 +150,26 @@ func TestTPCWStatementCosts(t *testing.T) {
 // TestTPCWStatementCostsCoverHandlers keeps the table honest: every SQL
 // literal in handlers.go must appear in it.
 func TestTPCWStatementCostsCoverHandlers(t *testing.T) {
-	f, err := parser.ParseFile(token.NewFileSet(), "../tpcw/handlers.go", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	covered := map[string]bool{}
 	for _, st := range tpcwStatements {
 		covered[normalizeSQL(st.sql)] = true
 	}
-	found := 0
+	for _, s := range handlerSQL(t) {
+		if !covered[s] {
+			t.Errorf("handlers.go statement has no recorded cost: %q", s)
+		}
+	}
+}
+
+// handlerSQL is every SQL literal in internal/tpcw/handlers.go,
+// normalized.
+func handlerSQL(t testing.TB) []string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), "../tpcw/handlers.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var found []string
 	ast.Inspect(f, func(n ast.Node) bool {
 		lit, ok := n.(*ast.BasicLit)
 		if !ok || lit.Kind != token.STRING {
@@ -171,14 +182,12 @@ func TestTPCWStatementCostsCoverHandlers(t *testing.T) {
 		s = normalizeSQL(s)
 		switch strings.SplitN(s, " ", 2)[0] {
 		case "SELECT", "INSERT", "UPDATE", "DELETE":
-			found++
-			if !covered[s] {
-				t.Errorf("handlers.go statement has no recorded cost: %q", s)
-			}
+			found = append(found, s)
 		}
 		return true
 	})
-	if found < 20 {
-		t.Fatalf("found only %d SQL literals in handlers.go; the extraction is broken", found)
+	if len(found) < 20 {
+		t.Fatalf("found only %d SQL literals in handlers.go; the extraction is broken", len(found))
 	}
+	return found
 }

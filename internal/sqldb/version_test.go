@@ -199,11 +199,15 @@ func TestPKProbeAtSnapshotsWhileKeysReused(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					for !stop.Load() {
+					// At least one check each, however soon the writer is done.
+					for {
 						if !snapshotAgrees(t, db, keys) {
 							return
 						}
 						checks.Add(1)
+						if stop.Load() {
+							return
+						}
 					}
 				}()
 			}
