@@ -2,7 +2,8 @@
 // TPC-W browsing mix over registered server variants and prints the
 // paper's tables and figures. Variants come from the internal/variant
 // registry, so a newly registered topology is available here with zero
-// edits (-variants name1,name2,...).
+// edits (-variants name1,name2,...). Every -exp mode is one row of the
+// experiments table below; adding an experiment is adding a row.
 //
 // Usage:
 //
@@ -36,7 +37,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -51,6 +52,69 @@ import (
 	"stagedweb/internal/variant"
 )
 
+// experiment is one -exp mode: a row of the experiments table.
+type experiment struct {
+	name string
+	// standalone rows run alone; -exp all selects every other row.
+	standalone bool
+	// mixes marks a row that sweeps the TPC-W mixes itself, and profile
+	// names the load profile a row runs itself: such a row rejects -mix,
+	// or -load.
+	mixes   bool
+	profile string
+	// build turns the parsed flags into the row's plan.
+	build func(*setup) (plan, error)
+	// report appends the sweep's per-cell report after the tables.
+	report bool
+}
+
+// plan is what a row builds from the flags: the cells to sweep, the
+// line that announces them, and how to print the finished sweep. A plan
+// without cells needs no runs and prints at once.
+type plan struct {
+	intro string
+	cells []harness.Scenario
+	print func(*harness.SweepResult)
+}
+
+// experiments is every -exp mode, in the order their tables print. The
+// paper's tables and figures share one sweep: one cell per variant.
+var experiments = []experiment{
+	{name: "table2", build: func(s *setup) (plan, error) {
+		return plan{print: func(*harness.SweepResult) { fmt.Fprintln(s.out, table2()) }}, nil
+	}},
+	{name: "table3", build: paper(harness.Table3), report: true},
+	{name: "table4", build: paper(harness.Table4), report: true},
+	{name: "fig7", build: paper(func(base, _ *harness.Result) string { return harness.Figure7(base) }), report: true},
+	{name: "fig8", build: paper(func(_, test *harness.Result) string { return harness.Figure8(test) }), report: true},
+	{name: "fig9", build: paper(harness.Figure9), report: true},
+	{name: "fig10", build: paper(harness.Figure10), report: true},
+	{name: "spike", standalone: true, profile: load.Spike, build: spikePlan},
+	{name: "scaleout", standalone: true, mixes: true, build: scaleoutPlan},
+	{name: "mvcc", standalone: true, mixes: true, build: mvccPlan},
+	{name: "planner", standalone: true, mixes: true, build: plannerPlan},
+	{name: "shard", standalone: true, profile: load.OpenLoop, build: shardPlan, report: true},
+	{name: "faults", standalone: true, build: faultsPlan, report: true},
+}
+
+// setup is the parsed command line the rows build their plans from.
+type setup struct {
+	out                     io.Writer
+	exp, variants, loadProf string
+	mix, ebsSweep           string
+	replicas, shards        string
+	csvDir, jsonDir         string
+	scale                   float64
+	quick                   bool
+	ebs, dbConns, parallel  int
+	measure                 time.Duration
+	seed                    int64
+	sets, loadSets          variant.SettingsFlag
+	names                   []string // selected variants; the first is the baseline
+	// noted is set once the paper group has said it needs two variants.
+	noted bool
+}
+
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -59,67 +123,69 @@ func main() {
 }
 
 func run(args []string, out io.Writer) error {
+	s := &setup{out: out}
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	var (
-		exp      = fs.String("exp", "all", "experiments: all, table2, table3, table4, fig7, fig8, fig9, fig10 (comma-separated); spike runs the flash-crowd comparison; scaleout runs the replica sweep; mvcc runs the storage-engine sweep; planner runs the secondary-index sweep; shard runs the cluster shard sweep; faults runs the fault-injection comparison")
-		scale    = fs.Float64("scale", 100, "timescale: paper seconds per wall second")
-		ebs      = fs.Int("ebs", 0, "emulated browsers (0 = config default)")
-		measure  = fs.Duration("measure", 0, "measurement window in paper time (0 = config default)")
-		quick    = fs.Bool("quick", false, "use the reduced quick configuration")
-		csvDir   = fs.String("csv", "", "directory to write per-series CSVs into")
-		jsonDir  = fs.String("json", "", "directory to write per-scenario result JSON into")
-		seed     = fs.Int64("seed", 1, "workload seed")
-		variants = fs.String("variants", variant.Unmodified+","+variant.Modified,
-			"comma-separated registered variants; the first is the comparison baseline (registered: "+strings.Join(variant.Names(), ", ")+")")
-		loadProf = fs.String("load", "", "load profile driving the client side (registered: "+strings.Join(load.Names(), ", ")+"; empty = steady)")
-		mix      = fs.String("mix", "", "TPC-W page mix: "+strings.Join(tpcw.MixNames(), ", ")+" (empty = browsing)")
-		ebsSweep = fs.String("ebs-sweep", "", "comma-separated EB levels (e.g. 100,200,300,400): run the saturation ramp across every variant")
-		replicas = fs.String("replicas", "1,2,4", "comma-separated replica counts swept by -exp scaleout and -exp mvcc (-exp shard uses the first level only)")
-		shards   = fs.String("shards", "1,2,4", "comma-separated shard counts swept by -exp shard")
-		dbConns  = fs.Int("dbconns", 0, "connections per database backend in -exp scaleout, -exp mvcc, and -exp shard (0 = auto: dynamic budget / 6)")
-		parallel = fs.Int("parallel", 1, "concurrent sweep runs (>1 trades timing fidelity for wall time)")
-		sets     variant.SettingsFlag
-		loadSets variant.SettingsFlag
-	)
-	fs.Var(&sets, "set", "variant setting `key=value` (repeatable), e.g. -set cutoff=3s")
-	fs.Var(&loadSets, "load-set", "load-profile setting `key=value` (repeatable), e.g. -load-set burst=300")
+	fs.StringVar(&s.exp, "exp", "all", "comma-separated experiments: all, "+strings.Join(rowNames(false), ", ")+
+		"; all runs every one of them, while "+strings.Join(rowNames(true), ", ")+" each run alone")
+	fs.Float64Var(&s.scale, "scale", 100, "timescale: paper seconds per wall second")
+	fs.IntVar(&s.ebs, "ebs", 0, "emulated browsers (0 = config default)")
+	fs.DurationVar(&s.measure, "measure", 0, "measurement window in paper time (0 = config default)")
+	fs.BoolVar(&s.quick, "quick", false, "use the reduced quick configuration")
+	fs.StringVar(&s.csvDir, "csv", "", "directory to write per-series CSVs into")
+	fs.StringVar(&s.jsonDir, "json", "", "directory to write per-scenario result JSON into")
+	fs.Int64Var(&s.seed, "seed", 1, "workload seed")
+	fs.StringVar(&s.variants, "variants", variant.Unmodified+","+variant.Modified,
+		"comma-separated registered variants; the first is the comparison baseline (registered: "+strings.Join(variant.Names(), ", ")+")")
+	fs.StringVar(&s.loadProf, "load", "", "load profile driving the client side (registered: "+strings.Join(load.Names(), ", ")+"; empty = steady)")
+	fs.StringVar(&s.mix, "mix", "", "TPC-W page mix: "+strings.Join(tpcw.MixNames(), ", ")+" (empty = browsing)")
+	fs.StringVar(&s.ebsSweep, "ebs-sweep", "", "comma-separated EB levels (e.g. 100,200,300,400): run the saturation ramp across every variant")
+	fs.StringVar(&s.replicas, "replicas", "1,2,4", "comma-separated replica counts swept by -exp scaleout and -exp mvcc (-exp shard uses the first level only)")
+	fs.StringVar(&s.shards, "shards", "1,2,4", "comma-separated shard counts swept by -exp shard")
+	fs.IntVar(&s.dbConns, "dbconns", 0, "connections per database backend in -exp scaleout, -exp mvcc, and -exp shard (0 = auto: dynamic budget / 6)")
+	fs.IntVar(&s.parallel, "parallel", 1, "concurrent sweep runs (>1 trades timing fidelity for wall time)")
+	fs.Var(&s.sets, "set", "variant setting `key=value` (repeatable), e.g. -set cutoff=3s")
+	fs.Var(&s.loadSets, "load-set", "load-profile setting `key=value` (repeatable), e.g. -load-set burst=300")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	overrides := sets.Settings
-	names := splitList(*variants)
-	if len(names) == 0 {
+	if s.names = splitList(s.variants); len(s.names) == 0 {
 		return fmt.Errorf("no variants selected")
 	}
-	if *loadProf != "" {
-		if _, ok := load.Lookup(*loadProf); !ok {
+	if s.loadProf != "" {
+		if _, ok := load.Lookup(s.loadProf); !ok {
 			return fmt.Errorf("unknown load profile %q (registered: %s)",
-				*loadProf, strings.Join(load.Names(), ", "))
+				s.loadProf, strings.Join(load.Names(), ", "))
 		}
 	}
-
-	build := func(name string) harness.Config {
-		var cfg harness.Config
-		if *quick {
-			cfg = harness.QuickConfig(name, clock.Timescale(*scale))
-		} else {
-			cfg = harness.PaperConfig(name, clock.Timescale(*scale))
-		}
-		if *ebs > 0 {
-			cfg.EBs = *ebs
-		}
-		if *measure > 0 {
-			cfg.Measure = *measure
-		}
-		cfg.Seed = *seed
-		cfg.Set = overrides.Clone()
-		cfg.Load = *loadProf
-		cfg.LoadSet = loadSets.Settings.Clone()
-		cfg.Mix = *mix
-		return cfg
+	rows, err := s.pick()
+	if err != nil {
+		return err
 	}
 
-	ctx := context.Background()
+	// Rows that need no runs print at once; the rest share one sweep
+	// (only the paper group has more than one row).
+	var cells []harness.Scenario
+	var prints []func(*harness.SweepResult)
+	report := false
+	for _, e := range rows {
+		p, err := e.build(s)
+		if err != nil {
+			return err
+		}
+		if p.cells == nil {
+			p.print(nil)
+			continue
+		}
+		if cells == nil {
+			cells = p.cells
+			fmt.Fprintln(out, p.intro)
+		}
+		prints = append(prints, p.print)
+		report = report || e.report
+	}
+	if cells == nil {
+		return nil
+	}
 	progress := func(sc harness.Scenario, res *harness.Result, err error) {
 		if err != nil {
 			fmt.Fprintf(out, "  %s failed: %v\n", sc.Name, err)
@@ -128,295 +194,272 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "  %s done in %v wall (%d interactions)\n",
 			sc.Name, res.WallDuration.Round(time.Millisecond), res.TotalInteractions)
 	}
-	opts := harness.SweepOptions{Parallelism: *parallel, OnResult: progress}
-
-	want := map[string]bool{}
-	for _, e := range splitList(*exp) {
-		want[e] = true
-	}
-	all := want["all"]
-
-	// The EB ramp is its own mode: variants × load levels, reported as
-	// the saturation-knee table. It cannot be combined with the spike
-	// mode — reject instead of silently dropping one of them.
-	if *ebsSweep != "" {
-		if want["spike"] || want["scaleout"] || want["mvcc"] || want["planner"] || want["shard"] || want["faults"] {
-			return fmt.Errorf("-ebs-sweep and -exp %s are separate modes; run them separately", *exp)
-		}
-		levels, err := parseInts(*ebsSweep)
-		if err != nil {
-			return fmt.Errorf("-ebs-sweep: %w", err)
-		}
-		return runEBSweep(ctx, out, opts, build, names, levels, *csvDir, *jsonDir)
-	}
-
-	// The replica sweep is its own mode too: every variant at every
-	// replica count, under both the read-heavy browsing mix and the
-	// write-heavy ordering mix.
-	if want["scaleout"] {
-		if len(want) > 1 {
-			return fmt.Errorf("-exp scaleout is a standalone mode; run other experiments separately")
-		}
-		if *mix != "" {
-			return fmt.Errorf("-exp scaleout sweeps the browsing and ordering mixes itself; drop -mix %s", *mix)
-		}
-		levels, err := parseInts(*replicas)
-		if err != nil {
-			return fmt.Errorf("-replicas: %w", err)
-		}
-		return runScaleout(ctx, out, opts, build, names, levels, *dbConns, *csvDir, *jsonDir)
-	}
-
-	// The cluster sweep is its own mode: one variant behind the
-	// consistent-hash balancer at every shard count, held at a fixed
-	// replica count, under the open-loop profile — offered load does not
-	// shrink when one shard saturates, so added shards turn directly
-	// into completed work.
-	if want["shard"] {
-		if len(want) > 1 {
-			return fmt.Errorf("-exp shard is a standalone mode; run other experiments separately")
-		}
-		if *loadProf != "" {
-			return fmt.Errorf("-exp shard runs the open-loop profile; drop -load %s (use -load-set to tune rate/session)", *loadProf)
-		}
-		levels, err := parseInts(*shards)
-		if err != nil {
-			return fmt.Errorf("-shards: %w", err)
-		}
-		repl, err := parseInts(*replicas)
-		if err != nil {
-			return fmt.Errorf("-replicas: %w", err)
-		}
-		return runShard(ctx, out, opts, build, names[0], levels, repl[0],
-			*dbConns, loadSets.Settings, *csvDir, *jsonDir)
-	}
-
-	// The dependability pack is its own mode: one variant on the sharded
-	// replicated stack, {no-fault, replica-kill, shard-down} × {sync,
-	// async}, reporting failover behavior and recovery time per cell.
-	if want["faults"] {
-		if len(want) > 1 {
-			return fmt.Errorf("-exp faults is a standalone mode; run other experiments separately")
-		}
-		return runFaults(ctx, out, opts, build, names[0], *dbConns, *csvDir, *jsonDir)
-	}
-
-	// The storage-engine sweep is its own mode: one variant across
-	// {lock/sync, mvcc/sync, mvcc/async} engines, both TPC-W mixes, and
-	// every replica count.
-	if want["mvcc"] {
-		if len(want) > 1 {
-			return fmt.Errorf("-exp mvcc is a standalone mode; run other experiments separately")
-		}
-		if *mix != "" {
-			return fmt.Errorf("-exp mvcc sweeps the browsing and ordering mixes itself; drop -mix %s", *mix)
-		}
-		levels, err := parseInts(*replicas)
-		if err != nil {
-			return fmt.Errorf("-replicas: %w", err)
-		}
-		return runMVCC(ctx, out, opts, build, names[0], levels, *dbConns, *csvDir, *jsonDir)
-	}
-
-	// The planner sweep is its own mode: one variant under both TPC-W
-	// mixes with the extra secondary indexes off and on, re-running the
-	// paper's quick/lengthy page classification under indexing.
-	if want["planner"] {
-		if len(want) > 1 {
-			return fmt.Errorf("-exp planner is a standalone mode; run other experiments separately")
-		}
-		if *mix != "" {
-			return fmt.Errorf("-exp planner sweeps the browsing and ordering mixes itself; drop -mix %s", *mix)
-		}
-		return runPlanner(ctx, out, opts, build, names[0], *dbConns, *csvDir, *jsonDir)
-	}
-
-	// The flash-crowd comparison is its own mode (not part of -exp all):
-	// every variant meets the spike profile, and the report reads the
-	// client.* series through the burst. It cannot be combined with the
-	// table/figure experiments or a -load override — reject instead of
-	// silently dropping either.
-	if want["spike"] {
-		if len(want) > 1 {
-			return fmt.Errorf("-exp spike is a standalone mode; run other experiments separately")
-		}
-		if *loadProf != "" {
-			return fmt.Errorf("-exp spike runs the spike profile; drop -load %s (use -load-set to tune the burst)", *loadProf)
-		}
-		return runSpike(ctx, out, opts, build, names, loadSets.Settings, *csvDir, *jsonDir)
-	}
-
-	// Table 2 needs no server runs: replay the paper's t_spare trace
-	// through the reserve controller.
-	if all || want["table2"] {
-		fmt.Fprintln(out, table2())
-	}
-	needRuns := all || want["table3"] || want["table4"] ||
-		want["fig7"] || want["fig8"] || want["fig9"] || want["fig10"]
-	if !needRuns {
-		return nil
-	}
-
-	scenarios := make([]harness.Scenario, 0, len(names))
-	for _, name := range names {
-		scenarios = append(scenarios, harness.Scenario{Name: name, Config: build(name)})
-	}
-	fmt.Fprintf(out, "running %d variant(s) (%d EBs, %v measured, scale %.0fx)...\n",
-		len(scenarios), scenarios[0].Config.EBs, scenarios[0].Config.Measure, *scale)
-	// A failed cell must not discard the completed ones: render whatever
+	// A failed cell must not discard the completed ones: print whatever
 	// ran, emit its artifacts, and surface the error at the end.
-	sw, sweepErr := harness.SweepWith(ctx, opts, scenarios)
+	sw, sweepErr := harness.SweepWith(context.Background(),
+		harness.SweepOptions{Parallelism: s.parallel, OnResult: progress}, cells)
 	fmt.Fprintln(out)
-
-	// Tables and figures compare the first two variants; further
-	// variants still run, land in the report, and emit artifacts.
-	if base, test := sw.Result(names[0]), resultAt(sw, names, 1); base != nil && test != nil {
-		if all || want["table3"] {
-			fmt.Fprintln(out, harness.Table3(base, test))
-		}
-		if all || want["table4"] {
-			fmt.Fprintln(out, harness.Table4(base, test))
-		}
-		if all || want["fig7"] {
-			fmt.Fprintln(out, harness.Figure7(base))
-		}
-		if all || want["fig8"] {
-			fmt.Fprintln(out, harness.Figure8(test))
-		}
-		if all || want["fig9"] {
-			fmt.Fprintln(out, harness.Figure9(base, test))
-		}
-		if all || want["fig10"] {
-			fmt.Fprintln(out, harness.Figure10(base, test))
-		}
-	} else if len(names) < 2 {
-		fmt.Fprintln(out, "(tables and figures compare two variants; pass -variants base,test to render them)")
+	for _, show := range prints {
+		show(sw)
 	}
-	fmt.Fprintln(out, sw.Report())
-	return errors.Join(sweepErr, writeArtifacts(out, *csvDir, *jsonDir, sw))
+	if report {
+		fmt.Fprintln(out, sw.Report())
+	}
+	return errors.Join(sweepErr, writeArtifacts(out, s.csvDir, s.jsonDir, sw))
 }
 
-// resultAt returns the i-th selected variant's result, nil when fewer
-// variants were selected or that cell failed.
-func resultAt(sw *harness.SweepResult, names []string, i int) *harness.Result {
-	if i >= len(names) {
-		return nil
+// pick resolves -exp to the rows to run, in table order, or to the EB
+// ramp when -ebs-sweep is set. It enforces the table's two rules: a
+// standalone row runs alone (and not with -ebs-sweep), and no row is
+// given an axis it sweeps itself.
+func (s *setup) pick() ([]experiment, error) {
+	want := map[string]bool{}
+	for _, name := range splitList(s.exp) {
+		if name != "all" && !slices.ContainsFunc(experiments, func(e experiment) bool { return e.name == name }) {
+			return nil, fmt.Errorf("unknown experiment %q (have: all, %s)", name,
+				strings.Join(append(rowNames(false), rowNames(true)...), ", "))
+		}
+		want[name] = true
 	}
-	return sw.Result(names[i])
+	var rows []experiment
+	for _, e := range experiments {
+		if want[e.name] || want["all"] && !e.standalone {
+			rows = append(rows, e)
+		}
+	}
+	if len(rows) == 0 {
+		return nil, fmt.Errorf("no experiments selected")
+	}
+	for _, e := range rows {
+		switch {
+		case !e.standalone:
+		case s.ebsSweep != "":
+			return nil, fmt.Errorf("-ebs-sweep and -exp %s are separate modes; run them separately", s.exp)
+		case len(rows) > 1:
+			return nil, fmt.Errorf("-exp %s is a standalone mode; run other experiments separately", e.name)
+		}
+	}
+	if s.ebsSweep != "" {
+		return []experiment{{name: "ebs-sweep", build: ebRampPlan}}, nil
+	}
+	for _, e := range rows {
+		if e.mixes && s.mix != "" {
+			return nil, fmt.Errorf("-exp %s sweeps the browsing and ordering mixes itself; drop -mix %s", e.name, s.mix)
+		}
+		if e.profile != "" && s.loadProf != "" {
+			return nil, fmt.Errorf("-exp %s runs the %s profile; drop -load %s (use -load-set to tune it)",
+				e.name, e.profile, s.loadProf)
+		}
+	}
+	return rows, nil
 }
 
-// runSpike runs the variant × spike-profile matrix and reports how each
+// rowNames lists the names of the standalone rows, or of the others.
+func rowNames(standalone bool) []string {
+	var names []string
+	for _, e := range experiments {
+		if e.standalone == standalone {
+			names = append(names, e.name)
+		}
+	}
+	return names
+}
+
+// config returns a variant's base config with every flag applied.
+func (s *setup) config(name string) harness.Config {
+	cfg := harness.PaperConfig(name, clock.Timescale(s.scale))
+	if s.quick {
+		cfg = harness.QuickConfig(name, clock.Timescale(s.scale))
+	}
+	if s.ebs > 0 {
+		cfg.EBs = s.ebs
+	}
+	if s.measure > 0 {
+		cfg.Measure = s.measure
+	}
+	cfg.Seed = s.seed
+	cfg.Set = s.sets.Settings.Clone()
+	cfg.Load = s.loadProf
+	cfg.LoadSet = s.loadSets.Settings.Clone()
+	cfg.Mix = s.mix
+	return cfg
+}
+
+// tier returns the variant's config with the per-backend connection pool
+// sized for a database-tier sweep: -dbconns when set, else a sixth of the
+// dynamic-worker budget, so that connection acquisition (db.wait) and
+// engine capacity, not worker counts, bound throughput.
+func (s *setup) tier(name string) harness.Config {
+	cfg := s.config(name)
+	cfg.DBConns = s.dbConns
+	if cfg.DBConns <= 0 {
+		cfg.DBConns = 8
+		if budget := cfg.GeneralWorkers + cfg.LengthyWorkers; budget > 0 {
+			cfg.DBConns = max(2, budget/6)
+		}
+	}
+	return cfg
+}
+
+// paper plans one of the paper's tables or figures: one cell per
+// variant, rendered from the first two. Further variants still run,
+// land in the report, and emit artifacts.
+func paper(render func(base, test *harness.Result) string) func(*setup) (plan, error) {
+	return func(s *setup) (plan, error) {
+		cells := make([]harness.Scenario, 0, len(s.names))
+		for _, name := range s.names {
+			cells = append(cells, harness.Scenario{Name: name, Config: s.config(name)})
+		}
+		return plan{
+			intro: fmt.Sprintf("running %d variant(s) (%d EBs, %v measured, scale %.0fx)...",
+				len(cells), cells[0].Config.EBs, cells[0].Config.Measure, s.scale),
+			cells: cells,
+			print: func(sw *harness.SweepResult) {
+				switch {
+				case len(s.names) < 2:
+					if !s.noted {
+						s.noted = true
+						fmt.Fprintln(s.out, "(tables and figures compare two variants; pass -variants base,test to render them)")
+					}
+				case sw.Result(s.names[0]) != nil && sw.Result(s.names[1]) != nil:
+					fmt.Fprintln(s.out, render(sw.Result(s.names[0]), sw.Result(s.names[1])))
+				}
+			},
+		}, nil
+	}
+}
+
+// spikePlan runs the variant × spike-profile matrix and reports how each
 // topology rode out the flash crowd: completed work, failures, the peak
 // offered population, and the worst per-second client WIRT.
-func runSpike(ctx context.Context, out io.Writer, opts harness.SweepOptions,
-	build func(string) harness.Config, names []string, loadSet variant.Settings,
-	csvDir, jsonDir string) error {
-	scenarios := harness.Matrix(build(""), names,
-		[]harness.LoadSpec{{Profile: load.Spike, Set: loadSet}})
-	fmt.Fprintf(out, "flash crowd: %d variant(s) through the spike profile...\n", len(names))
-	sw, sweepErr := harness.SweepWith(ctx, opts, scenarios)
-
-	fmt.Fprintf(out, "\nspike comparison (client.* series through the burst)\n")
-	fmt.Fprintf(out, "%-28s %13s %8s %9s %12s\n",
-		"variant", "interactions", "errors", "peak-ebs", "worst-wirt")
-	fmt.Fprintln(out, strings.Repeat("-", 74))
-	for _, name := range names {
-		res := sw.Result(name + "/" + load.Spike)
-		if res == nil {
-			fmt.Fprintf(out, "%-28s (failed)\n", name)
-			continue
-		}
-		fmt.Fprintf(out, "%-28s %13d %8d %9.0f %10.2fs\n",
-			name, res.TotalInteractions, res.Errors,
-			harness.SeriesMax(res.Series[load.ProbeActive]),
-			harness.SeriesMax(res.Series[load.ProbeWIRT]))
-	}
-	if len(names) >= 2 {
-		fmt.Fprintf(out, "throughput gain through the crowd: %+.1f%%\n",
-			sw.GainPercent(names[0]+"/"+load.Spike, names[1]+"/"+load.Spike))
-	}
-	fmt.Fprintln(out)
-	return errors.Join(sweepErr, writeArtifacts(out, csvDir, jsonDir, sw))
+func spikePlan(s *setup) (plan, error) {
+	out, names := s.out, s.names
+	cells := harness.Matrix(s.config(""), names, []harness.LoadSpec{{Profile: load.Spike, Set: s.loadSets.Settings}})
+	return plan{
+		intro: fmt.Sprintf("flash crowd: %d variant(s) through the spike profile...", len(names)),
+		cells: cells,
+		print: func(sw *harness.SweepResult) {
+			fmt.Fprintf(out, "spike comparison (client.* series through the burst)\n")
+			cellTable(out, sw, "%-28s %13s %8s %9s %12s\n", "%-28s %13d %8d %9.0f %10.2fs\n", 74,
+				[]any{"variant", "interactions", "errors", "peak-ebs", "worst-wirt"}, names, cellNames(cells),
+				func(res *harness.Result) []any {
+					return []any{res.TotalInteractions, res.Errors,
+						harness.SeriesMax(res.Series[load.ProbeActive]), harness.SeriesMax(res.Series[load.ProbeWIRT])}
+				})
+			if len(names) >= 2 {
+				fmt.Fprintf(out, "throughput gain through the crowd: %+.1f%%\n",
+					sw.GainPercent(names[0]+"/"+load.Spike, names[1]+"/"+load.Spike))
+			}
+			fmt.Fprintln(out)
+		},
+	}, nil
 }
 
-// runScaleout runs every variant at every replica count under the
-// read-heavy browsing mix and the write-heavy ordering mix, with the
-// per-backend connection pool deliberately scarcer than the worker pools
-// so the database tier — not the workers — is the ceiling. Browsing
-// throughput should rise with replica count (reads route round-robin
-// across backends); ordering throughput pays the synchronous write
-// fan-out on every backend.
-func runScaleout(ctx context.Context, out io.Writer, opts harness.SweepOptions,
-	build func(string) harness.Config, names []string, levels []int, dbConns int,
-	csvDir, jsonDir string) error {
-	mixes := []string{"browsing", "ordering"}
-	cellName := func(name, mix string, level int) string {
-		return fmt.Sprintf("%s/%s/replicas=%d", name, mix, level)
+// mixes are the two TPC-W mixes the database-tier rows sweep: read-heavy
+// browsing and write-heavy ordering.
+var mixes = []string{"browsing", "ordering"}
+
+// scaleoutPlan runs every variant at every replica count under both
+// mixes, with the per-backend connection pool deliberately scarcer than
+// the worker pools so the database tier — not the workers — is the
+// ceiling. Browsing throughput should rise with replica count (reads
+// route round-robin across backends); ordering throughput pays the
+// synchronous write fan-out on every backend.
+func scaleoutPlan(s *setup) (plan, error) {
+	levels, err := parseInts(s.replicas)
+	if err != nil {
+		return plan{}, fmt.Errorf("-replicas: %w", err)
 	}
-	var scenarios []harness.Scenario
-	for _, name := range names {
+	cellName := func(col string, level int) string { return fmt.Sprintf("%s/replicas=%d", col, level) }
+	var cols []string
+	var cells []harness.Scenario
+	for _, name := range s.names {
 		for _, mix := range mixes {
+			cols = append(cols, name+"/"+mix)
 			for _, level := range levels {
-				cfg := build(name).With(func(c *harness.Config) {
-					c.Mix = mix
-					c.Replicas = level
-					c.DBConns = dbConns
-					if c.DBConns <= 0 {
-						// Auto: a sixth of the dynamic-worker budget, so
-						// connection acquisition (db.wait) and engine
-						// capacity, not worker counts, bound throughput.
-						if budget := c.GeneralWorkers + c.LengthyWorkers; budget > 0 {
-							c.DBConns = max(2, budget/6)
-						} else {
-							c.DBConns = 8
-						}
-					}
-				})
-				scenarios = append(scenarios, harness.Scenario{
-					Name:   cellName(name, mix, level),
-					Config: cfg,
+				cells = append(cells, harness.Scenario{
+					Name: cellName(name+"/"+mix, level),
+					Config: s.tier(name).With(func(c *harness.Config) {
+						c.Mix = mix
+						c.Replicas = level
+					}),
 				})
 			}
 		}
 	}
-	fmt.Fprintf(out, "scale-out: %d variant(s) x {browsing, ordering} x %d replica levels...\n",
-		len(names), len(levels))
-	sw, sweepErr := harness.SweepWith(ctx, opts, scenarios)
+	out := s.out
+	return plan{
+		intro: fmt.Sprintf("scale-out: %d variant(s) x {browsing, ordering} x %d replica levels...",
+			len(s.names), len(levels)),
+		cells: cells,
+		print: func(sw *harness.SweepResult) {
+			fmt.Fprintf(out, "replica scale-out (interactions per measurement window)\n")
+			levelTable(out, sw, "replicas", 9, 22, cols, levels, cellName, false)
+			if len(levels) >= 2 {
+				lo, hi := levels[0], levels[len(levels)-1]
+				for _, col := range cols {
+					fmt.Fprintf(out, "%s gain at %d vs %d replicas: %+.1f%%\n",
+						col, hi, lo, sw.GainPercent(cellName(col, lo), cellName(col, hi)))
+				}
+			}
+			fmt.Fprintln(out)
+		},
+	}, nil
+}
 
-	fmt.Fprintf(out, "\nreplica scale-out (interactions per measurement window)\n")
-	fmt.Fprintf(out, "%9s", "replicas")
-	for _, name := range names {
-		for _, mix := range mixes {
-			fmt.Fprintf(out, " %22s", name+"/"+mix)
-		}
+// levelTable prints interactions per cell: a column per label, a line per
+// level under the axis heading, and cell(label, level) naming each cell.
+// With gain set, a last column shows the second label's throughput gain
+// over the first at each level.
+func levelTable(out io.Writer, sw *harness.SweepResult, axis string, axisWidth, width int, cols []string,
+	levels []int, cell func(string, int) string, gain bool) {
+	fmt.Fprintf(out, "%*s", axisWidth, axis)
+	for _, col := range cols {
+		fmt.Fprintf(out, " %*s", width, col)
+	}
+	if gain {
+		fmt.Fprintf(out, " %8s", "gain")
 	}
 	fmt.Fprintln(out)
 	for _, level := range levels {
-		fmt.Fprintf(out, "%9d", level)
-		for _, name := range names {
-			for _, mix := range mixes {
-				res := sw.Result(cellName(name, mix, level))
-				if res == nil {
-					fmt.Fprintf(out, " %22s", "-")
-					continue
-				}
-				fmt.Fprintf(out, " %22d", res.TotalInteractions)
+		fmt.Fprintf(out, "%*d", axisWidth, level)
+		for _, col := range cols {
+			if res := sw.Result(cell(col, level)); res != nil {
+				fmt.Fprintf(out, " %*d", width, res.TotalInteractions)
+			} else {
+				fmt.Fprintf(out, " %*s", width, "-")
 			}
+		}
+		if gain {
+			fmt.Fprintf(out, " %+7.1f%%", sw.GainPercent(cell(cols[0], level), cell(cols[1], level)))
 		}
 		fmt.Fprintln(out)
 	}
-	if len(levels) >= 2 {
-		lo, hi := levels[0], levels[len(levels)-1]
-		for _, name := range names {
-			for _, mix := range mixes {
-				fmt.Fprintf(out, "%s gain at %d vs %d replicas: %+.1f%%\n",
-					name+"/"+mix, hi, lo,
-					sw.GainPercent(cellName(name, mix, lo), cellName(name, mix, hi)))
-			}
+}
+
+// cellTable prints a header, a rule, and one line per label: the label
+// and vals of the matching cell's result through rowFmt, whose first verb
+// takes the label, or "(failed)" when that cell has no result.
+func cellTable(out io.Writer, sw *harness.SweepResult, headFmt, rowFmt string, rule int, heads []any,
+	labels, cells []string, vals func(*harness.Result) []any) {
+	fmt.Fprintf(out, headFmt, heads...)
+	fmt.Fprintln(out, strings.Repeat("-", rule))
+	labelFmt, _, _ := strings.Cut(rowFmt, " ")
+	for i, label := range labels {
+		if res := sw.Result(cells[i]); res != nil {
+			fmt.Fprintf(out, rowFmt, append([]any{label}, vals(res)...)...)
+		} else {
+			fmt.Fprintf(out, labelFmt+" (failed)\n", label)
 		}
 	}
-	fmt.Fprintln(out)
-	return errors.Join(sweepErr, writeArtifacts(out, csvDir, jsonDir, sw))
+}
+
+func cellNames(cells []harness.Scenario) []string {
+	names := make([]string, len(cells))
+	for i, c := range cells {
+		names[i] = c.Name
+	}
+	return names
 }
 
 // engineModes are the storage-engine configurations swept by -exp mvcc:
@@ -433,104 +476,67 @@ var engineModes = []struct {
 	{"mvcc/async", true, "async"},
 }
 
-// runMVCC runs one variant across every storage-engine mode, both TPC-W
+// mvccPlan runs one variant across every storage-engine mode, both TPC-W
 // mixes, and every replica count. Under the read-heavy browsing mix,
 // mvcc modes should beat lock/sync as replicas grow (snapshot reads
 // never wait on writers); under the write-heavy ordering mix, repl=async
 // should keep DML latency flat as replicas grow while repl=sync pays a
 // per-replica apply wait. The db.conflicts and db.repllag series in each
 // cell's artifacts show what the engine actually did.
-func runMVCC(ctx context.Context, out io.Writer, opts harness.SweepOptions,
-	build func(string) harness.Config, name string, levels []int, dbConns int,
-	csvDir, jsonDir string) error {
-	mixes := []string{"browsing", "ordering"}
-	cellName := func(engine, mix string, level int) string {
-		return fmt.Sprintf("%s/%s/%s/replicas=%d", name, engine, mix, level)
+func mvccPlan(s *setup) (plan, error) {
+	levels, err := parseInts(s.replicas)
+	if err != nil {
+		return plan{}, fmt.Errorf("-replicas: %w", err)
 	}
-	var scenarios []harness.Scenario
+	name := s.names[0]
+	cellName := func(col string, level int) string {
+		return fmt.Sprintf("%s/%s/replicas=%d", name, col, level)
+	}
+	var cols []string
+	var cells []harness.Scenario
 	for _, eng := range engineModes {
 		for _, mix := range mixes {
+			cols = append(cols, eng.key+"/"+mix)
 			for _, level := range levels {
-				eng := eng
-				cfg := build(name).With(func(c *harness.Config) {
-					c.Mix = mix
-					c.Replicas = level
-					c.MVCC = eng.mvcc
-					c.Repl = eng.repl
-					c.DBConns = dbConns
-					if c.DBConns <= 0 {
-						// Same auto-sizing as -exp scaleout: keep the tier,
-						// not the worker pools, as the ceiling.
-						if budget := c.GeneralWorkers + c.LengthyWorkers; budget > 0 {
-							c.DBConns = max(2, budget/6)
-						} else {
-							c.DBConns = 8
-						}
-					}
-				})
-				scenarios = append(scenarios, harness.Scenario{
-					Name:   cellName(eng.key, mix, level),
-					Config: cfg,
+				cells = append(cells, harness.Scenario{
+					Name: cellName(eng.key+"/"+mix, level),
+					Config: s.tier(name).With(func(c *harness.Config) {
+						c.Mix = mix
+						c.Replicas = level
+						c.MVCC = eng.mvcc
+						c.Repl = eng.repl
+					}),
 				})
 			}
 		}
 	}
-	fmt.Fprintf(out, "storage engines: %s x %d engine modes x {browsing, ordering} x %d replica levels...\n",
-		name, len(engineModes), len(levels))
-	sw, sweepErr := harness.SweepWith(ctx, opts, scenarios)
+	out := s.out
+	return plan{
+		intro: fmt.Sprintf("storage engines: %s x %d engine modes x {browsing, ordering} x %d replica levels...",
+			name, len(engineModes), len(levels)),
+		cells: cells,
+		print: func(sw *harness.SweepResult) {
+			fmt.Fprintf(out, "storage-engine sweep (interactions per measurement window)\n")
+			levelTable(out, sw, "replicas", 9, 20, cols, levels, cellName, false)
 
-	fmt.Fprintf(out, "\nstorage-engine sweep (interactions per measurement window)\n")
-	fmt.Fprintf(out, "%9s", "replicas")
-	for _, eng := range engineModes {
-		for _, mix := range mixes {
-			fmt.Fprintf(out, " %20s", eng.key+"/"+mix)
-		}
-	}
-	fmt.Fprintln(out)
-	for _, level := range levels {
-		fmt.Fprintf(out, "%9d", level)
-		for _, eng := range engineModes {
+			fmt.Fprintf(out, "\nengine behavior (sampled db.* series per cell)\n")
+			cellTable(out, sw, "%-40s %12s %12s %12s\n", "%-40s %12.0f %12.0f %12.0f\n", 80,
+				[]any{"cell", "conflicts", "snapshots", "max-repllag"}, cellNames(cells), cellNames(cells),
+				func(res *harness.Result) []any {
+					return []any{harness.SeriesMax(res.Series[variant.ProbeDBConflicts]),
+						harness.SeriesMax(res.Series[variant.ProbeDBSnapshots]),
+						harness.SeriesMax(res.Series[variant.ProbeDBReplLag])}
+				})
+			hi := levels[len(levels)-1]
 			for _, mix := range mixes {
-				res := sw.Result(cellName(eng.key, mix, level))
-				if res == nil {
-					fmt.Fprintf(out, " %20s", "-")
-					continue
+				for _, eng := range []string{"mvcc/sync", "mvcc/async"} {
+					fmt.Fprintf(out, "%s gain over lock/sync at %d replicas (%s): %+.1f%%\n",
+						eng, hi, mix, sw.GainPercent(cellName("lock/sync/"+mix, hi), cellName(eng+"/"+mix, hi)))
 				}
-				fmt.Fprintf(out, " %20d", res.TotalInteractions)
 			}
-		}
-		fmt.Fprintln(out)
-	}
-
-	fmt.Fprintf(out, "\nengine behavior (sampled db.* series per cell)\n")
-	fmt.Fprintf(out, "%-40s %12s %12s %12s\n", "cell", "conflicts", "snapshots", "max-repllag")
-	fmt.Fprintln(out, strings.Repeat("-", 80))
-	for _, eng := range engineModes {
-		for _, mix := range mixes {
-			for _, level := range levels {
-				res := sw.Result(cellName(eng.key, mix, level))
-				if res == nil {
-					continue
-				}
-				fmt.Fprintf(out, "%-40s %12.0f %12.0f %12.0f\n",
-					cellName(eng.key, mix, level),
-					harness.SeriesMax(res.Series[variant.ProbeDBConflicts]),
-					harness.SeriesMax(res.Series[variant.ProbeDBSnapshots]),
-					harness.SeriesMax(res.Series[variant.ProbeDBReplLag]))
-			}
-		}
-	}
-	hi := levels[len(levels)-1]
-	for _, mix := range mixes {
-		fmt.Fprintf(out, "mvcc/sync gain over lock/sync at %d replicas (%s): %+.1f%%\n",
-			hi, mix,
-			sw.GainPercent(cellName("lock/sync", mix, hi), cellName("mvcc/sync", mix, hi)))
-		fmt.Fprintf(out, "mvcc/async gain over lock/sync at %d replicas (%s): %+.1f%%\n",
-			hi, mix,
-			sw.GainPercent(cellName("lock/sync", mix, hi), cellName("mvcc/async", mix, hi)))
-	}
-	fmt.Fprintln(out)
-	return errors.Join(sweepErr, writeArtifacts(out, csvDir, jsonDir, sw))
+			fmt.Fprintln(out)
+		},
+	}, nil
 }
 
 // plannerCutoffPaperSec is the paper's quick/lengthy page boundary in
@@ -538,7 +544,7 @@ func runMVCC(ctx context.Context, out io.Writer, opts harness.SweepOptions,
 // quick class (general pool), over it in the lengthy class.
 const plannerCutoffPaperSec = 2.0
 
-// runPlanner runs one variant under both TPC-W mixes with the extra
+// plannerPlan runs one variant under both TPC-W mixes with the extra
 // secondary indexes off and on, re-running the paper's quick/lengthy
 // page classification under indexing. With indexes on, the planner
 // turns the best-sellers window and the subject listings into index
@@ -547,103 +553,83 @@ const plannerCutoffPaperSec = 2.0
 // quick pool. The title/author LIKE searches stay scans, so some
 // lengthy pages must not move. The db.plan.* series in each cell's
 // artifacts show what the planner actually chose.
-func runPlanner(ctx context.Context, out io.Writer, opts harness.SweepOptions,
-	build func(string) harness.Config, name string, dbConns int,
-	csvDir, jsonDir string) error {
-	mixes := []string{"browsing", "ordering"}
+func plannerPlan(s *setup) (plan, error) {
+	name := s.names[0]
 	idxModes := []string{"off", "on"}
 	cellName := func(mix, ix string) string {
 		return fmt.Sprintf("%s/%s/indexes=%s", name, mix, ix)
 	}
-	var scenarios []harness.Scenario
+	var cells []harness.Scenario
 	for _, mix := range mixes {
 		for _, ix := range idxModes {
-			mix, ix := mix, ix
-			cfg := build(name).With(func(c *harness.Config) {
-				c.Mix = mix
-				c.Indexes = ix == "on"
-				// Light load: the quick/lengthy classification is about each
-				// page's service demand, and a saturated run buries that
-				// under queueing delay. A fifth of the configured browsers
-				// keeps every pool below its knee so the means measure the
-				// queries, not the queues.
-				c.EBs = max(8, c.EBs/5)
-				c.DBConns = dbConns
-				if c.DBConns <= 0 {
-					// Same auto-sizing as -exp scaleout: keep the tier, not
-					// the worker pools, as the ceiling.
-					if budget := c.GeneralWorkers + c.LengthyWorkers; budget > 0 {
-						c.DBConns = max(2, budget/6)
-					} else {
-						c.DBConns = 8
-					}
+			cells = append(cells, harness.Scenario{
+				Name: cellName(mix, ix),
+				Config: s.tier(name).With(func(c *harness.Config) {
+					c.Mix = mix
+					c.Indexes = ix == "on"
+					// Light load: the quick/lengthy classification is about
+					// each page's service demand, and a saturated run buries
+					// that under queueing delay. A fifth of the configured
+					// browsers keeps every pool below its knee so the means
+					// measure the queries, not the queues.
+					c.EBs = max(8, c.EBs/5)
+				}),
+			})
+		}
+	}
+	out := s.out
+	return plan{
+		intro: fmt.Sprintf("query planner: %s x {browsing, ordering} x {indexes off, on}...", name),
+		cells: cells,
+		print: func(sw *harness.SweepResult) {
+			fmt.Fprintf(out, "planner behavior (sampled db.plan.* series per cell)\n")
+			cellTable(out, sw, "%-36s %13s %10s %10s %12s\n", "%-36s %13d %10.0f %10.0f %12.0f\n", 86,
+				[]any{"cell", "interactions", "scans", "idx-paths", "rows-read"}, cellNames(cells), cellNames(cells),
+				func(res *harness.Result) []any {
+					return []any{res.TotalInteractions,
+						harness.SeriesMax(res.Series[variant.ProbeDBPlanScan]),
+						harness.SeriesMax(res.Series[variant.ProbeDBPlanIndex]),
+						harness.SeriesMax(res.Series[variant.ProbeDBPlanRows])}
+				})
+
+			// The quick/lengthy boundary, re-run under indexing: per-page
+			// mean WIRT with indexes off vs on, against the paper's 2 s cutoff.
+			for _, mix := range mixes {
+				off, on := sw.Result(cellName(mix, "off")), sw.Result(cellName(mix, "on"))
+				if off == nil || on == nil {
+					continue
 				}
-			})
-			scenarios = append(scenarios, harness.Scenario{
-				Name:   cellName(mix, ix),
-				Config: cfg,
-			})
-		}
-	}
-	fmt.Fprintf(out, "query planner: %s x {browsing, ordering} x {indexes off, on}...\n", name)
-	sw, sweepErr := harness.SweepWith(ctx, opts, scenarios)
-
-	fmt.Fprintf(out, "\nplanner behavior (sampled db.plan.* series per cell)\n")
-	fmt.Fprintf(out, "%-36s %13s %10s %10s %12s\n",
-		"cell", "interactions", "scans", "idx-paths", "rows-read")
-	fmt.Fprintln(out, strings.Repeat("-", 86))
-	for _, mix := range mixes {
-		for _, ix := range idxModes {
-			res := sw.Result(cellName(mix, ix))
-			if res == nil {
-				fmt.Fprintf(out, "%-36s (failed)\n", cellName(mix, ix))
-				continue
+				fmt.Fprintf(out, "\nquick/lengthy boundary under indexing (%s mix, cutoff %.0fs)\n",
+					mix, plannerCutoffPaperSec)
+				fmt.Fprintf(out, "%-36s %12s %12s %9s %18s\n",
+					"web page name", "indexes=off", "indexes=on", "speedup", "class")
+				fmt.Fprintln(out, strings.Repeat("-", 92))
+				crossed := 0
+				for _, page := range tpcw.Pages {
+					o, n := off.Pages[page], on.Pages[page]
+					if o.Count == 0 || n.Count == 0 {
+						continue
+					}
+					speedup := "-"
+					if n.MeanPaperSec > 0 {
+						speedup = fmt.Sprintf("%8.1fx", o.MeanPaperSec/n.MeanPaperSec)
+					}
+					class := classify(o.MeanPaperSec) + " -> " + classify(n.MeanPaperSec)
+					if o.MeanPaperSec > plannerCutoffPaperSec && n.MeanPaperSec <= plannerCutoffPaperSec {
+						class += "  <-- crossed"
+						crossed++
+					}
+					fmt.Fprintf(out, "%-36s %12.2f %12.2f %9s %18s\n",
+						tpcw.PageTitle(page), o.MeanPaperSec, n.MeanPaperSec, speedup, class)
+				}
+				fmt.Fprintf(out, "pages crossing the %.0fs cutoff with indexes on (%s): %d\n",
+					plannerCutoffPaperSec, mix, crossed)
+				fmt.Fprintf(out, "throughput gain from indexing (%s): %+.1f%%\n",
+					mix, sw.GainPercent(cellName(mix, "off"), cellName(mix, "on")))
 			}
-			fmt.Fprintf(out, "%-36s %13d %10.0f %10.0f %12.0f\n",
-				cellName(mix, ix), res.TotalInteractions,
-				harness.SeriesMax(res.Series[variant.ProbeDBPlanScan]),
-				harness.SeriesMax(res.Series[variant.ProbeDBPlanIndex]),
-				harness.SeriesMax(res.Series[variant.ProbeDBPlanRows]))
-		}
-	}
-
-	// The quick/lengthy boundary, re-run under indexing: per-page mean
-	// WIRT with indexes off vs on, against the paper's 2 s cutoff.
-	for _, mix := range mixes {
-		off, on := sw.Result(cellName(mix, "off")), sw.Result(cellName(mix, "on"))
-		if off == nil || on == nil {
-			continue
-		}
-		fmt.Fprintf(out, "\nquick/lengthy boundary under indexing (%s mix, cutoff %.0fs)\n",
-			mix, plannerCutoffPaperSec)
-		fmt.Fprintf(out, "%-36s %12s %12s %9s %18s\n",
-			"web page name", "indexes=off", "indexes=on", "speedup", "class")
-		fmt.Fprintln(out, strings.Repeat("-", 92))
-		crossed := 0
-		for _, page := range tpcw.Pages {
-			o, n := off.Pages[page], on.Pages[page]
-			if o.Count == 0 || n.Count == 0 {
-				continue
-			}
-			speedup := "-"
-			if n.MeanPaperSec > 0 {
-				speedup = fmt.Sprintf("%8.1fx", o.MeanPaperSec/n.MeanPaperSec)
-			}
-			class := classify(o.MeanPaperSec) + " -> " + classify(n.MeanPaperSec)
-			if o.MeanPaperSec > plannerCutoffPaperSec && n.MeanPaperSec <= plannerCutoffPaperSec {
-				class += "  <-- crossed"
-				crossed++
-			}
-			fmt.Fprintf(out, "%-36s %12.2f %12.2f %9s %18s\n",
-				tpcw.PageTitle(page), o.MeanPaperSec, n.MeanPaperSec, speedup, class)
-		}
-		fmt.Fprintf(out, "pages crossing the %.0fs cutoff with indexes on (%s): %d\n",
-			plannerCutoffPaperSec, mix, crossed)
-		fmt.Fprintf(out, "throughput gain from indexing (%s): %+.1f%%\n",
-			mix, sw.GainPercent(cellName(mix, "off"), cellName(mix, "on")))
-	}
-	fmt.Fprintln(out)
-	return errors.Join(sweepErr, writeArtifacts(out, csvDir, jsonDir, sw))
+			fmt.Fprintln(out)
+		},
+	}, nil
 }
 
 // classify names a page's side of the quick/lengthy boundary.
@@ -654,19 +640,26 @@ func classify(meanPaperSec float64) string {
 	return "quick"
 }
 
-// runShard runs one variant behind the consistent-hash balancer at
-// every shard count, holding the replica count fixed, under the
-// open-loop profile. Every cell — shards=1 included — routes through
-// the balancer, so the sweep isolates the shard count: under a
-// saturating Poisson arrival rate, throughput should rise monotonically
-// with shards (each shard owns a customer slice plus a full worker and
-// database stack of its own). The shard.route / shard.fanout /
-// shard.imbalance series in each cell's artifacts show what the
-// balancer actually did.
-func runShard(ctx context.Context, out io.Writer, opts harness.SweepOptions,
-	build func(string) harness.Config, name string, levels []int, replicas int,
-	dbConns int, loadSet variant.Settings, csvDir, jsonDir string) error {
-	set := loadSet.Clone()
+// shardPlan runs one variant behind the consistent-hash balancer at
+// every shard count, holding the replica count at the first -replicas
+// level, under the open-loop profile: offered load does not shrink when
+// one shard saturates, so added shards turn directly into completed
+// work. Every cell — shards=1 included — routes through the balancer,
+// so the sweep isolates the shard count: each shard owns a customer
+// slice plus a full worker and database stack of its own. The
+// shard.route / shard.fanout / shard.imbalance series in each cell's
+// artifacts show what the balancer actually did.
+func shardPlan(s *setup) (plan, error) {
+	levels, err := parseInts(s.shards)
+	if err != nil {
+		return plan{}, fmt.Errorf("-shards: %w", err)
+	}
+	repl, err := parseInts(s.replicas)
+	if err != nil {
+		return plan{}, fmt.Errorf("-replicas: %w", err)
+	}
+	replicas := repl[0]
+	set := s.loadSets.Settings.Clone()
 	if set == nil {
 		set = variant.Settings{}
 	}
@@ -675,52 +668,36 @@ func runShard(ctx context.Context, out io.Writer, opts harness.SweepOptions,
 		// single shard, so added shards have queued work to absorb.
 		set["rate"] = "8"
 	}
-	base := build(name).With(func(c *harness.Config) {
-		c.Replicas = replicas
-		c.DBConns = dbConns
-		if c.DBConns <= 0 {
-			// Same auto-sizing as -exp scaleout: keep the tier, not the
-			// worker pools, as the ceiling.
-			if budget := c.GeneralWorkers + c.LengthyWorkers; budget > 0 {
-				c.DBConns = max(2, budget/6)
-			} else {
-				c.DBConns = 8
+	name := s.names[0]
+	base := s.tier(name).With(func(c *harness.Config) { c.Replicas = replicas })
+	cells := harness.ShardMatrix(base, levels, []int{replicas}, []harness.LoadSpec{{Profile: load.OpenLoop, Set: set}})
+	out := s.out
+	return plan{
+		intro: fmt.Sprintf("cluster: %s x %d shard levels at %d replica(s) under %s arrivals...",
+			name, len(levels), replicas, load.OpenLoop),
+		cells: cells,
+		print: func(sw *harness.SweepResult) {
+			fmt.Fprintf(out, "shard scale-out (interactions per measurement window)\n")
+			names := cellNames(cells)
+			labels := make([]string, len(levels))
+			for i, m := range levels {
+				labels[i] = strconv.Itoa(m)
 			}
-		}
-	})
-	scenarios := harness.ShardMatrix(base, levels, []int{replicas},
-		[]harness.LoadSpec{{Profile: load.OpenLoop, Set: set}})
-	fmt.Fprintf(out, "cluster: %s x %d shard levels at %d replica(s) under %s arrivals...\n",
-		name, len(levels), replicas, load.OpenLoop)
-	sw, sweepErr := harness.SweepWith(ctx, opts, scenarios)
-
-	cellName := func(m int) string {
-		return fmt.Sprintf("shards=%d/replicas=%d/%s", m, replicas, load.OpenLoop)
-	}
-	fmt.Fprintf(out, "\nshard scale-out (interactions per measurement window)\n")
-	fmt.Fprintf(out, "%7s %13s %8s %10s %10s %10s\n",
-		"shards", "interactions", "errors", "routed", "fanned-out", "imbalance")
-	fmt.Fprintln(out, strings.Repeat("-", 64))
-	for _, m := range levels {
-		res := sw.Result(cellName(m))
-		if res == nil {
-			fmt.Fprintf(out, "%7d (failed)\n", m)
-			continue
-		}
-		fmt.Fprintf(out, "%7d %13d %8d %10.0f %10.0f %10.2f\n",
-			m, res.TotalInteractions, res.Errors,
-			harness.SeriesMax(res.Series[cluster.ProbeShardRoute]),
-			harness.SeriesMax(res.Series[cluster.ProbeShardFanout]),
-			harness.SeriesMax(res.Series[cluster.ProbeShardImbalance]))
-	}
-	if len(levels) >= 2 {
-		lo, hi := levels[0], levels[len(levels)-1]
-		fmt.Fprintf(out, "throughput gain at %d vs %d shards: %+.1f%%\n",
-			hi, lo, sw.GainPercent(cellName(lo), cellName(hi)))
-	}
-	fmt.Fprintln(out)
-	fmt.Fprintln(out, sw.Report())
-	return errors.Join(sweepErr, writeArtifacts(out, csvDir, jsonDir, sw))
+			cellTable(out, sw, "%7s %13s %8s %10s %10s %10s\n", "%7s %13d %8d %10.0f %10.0f %10.2f\n", 64,
+				[]any{"shards", "interactions", "errors", "routed", "fanned-out", "imbalance"}, labels, names,
+				func(res *harness.Result) []any {
+					return []any{res.TotalInteractions, res.Errors,
+						harness.SeriesMax(res.Series[cluster.ProbeShardRoute]),
+						harness.SeriesMax(res.Series[cluster.ProbeShardFanout]),
+						harness.SeriesMax(res.Series[cluster.ProbeShardImbalance])}
+				})
+			if len(levels) >= 2 {
+				fmt.Fprintf(out, "throughput gain at %d vs %d shards: %+.1f%%\n",
+					levels[len(levels)-1], levels[0], sw.GainPercent(names[0], names[len(names)-1]))
+			}
+			fmt.Fprintln(out)
+		},
+	}, nil
 }
 
 // faultModes are the dependability cells swept by -exp faults: a
@@ -737,142 +714,102 @@ var faultModes = []struct {
 	{"shard-down", faults.ShardDown},
 }
 
-// runFaults runs one variant on the full sharded, replicated stack
+// faultsPlan runs one variant on the full sharded, replicated stack
 // through the dependability pack: {no-fault, replica-kill, shard-down}
 // × {sync, async}. Faults strike one paper minute into the measurement
 // window and heal a minute later; the report shows what the failover
 // machinery did (injections, replica ejections and resyncs, balancer
 // retries and breaker opens) and how long SLO attainment took to come
 // back.
-func runFaults(ctx context.Context, out io.Writer, opts harness.SweepOptions,
-	build func(string) harness.Config, name string, dbConns int,
-	csvDir, jsonDir string) error {
+func faultsPlan(s *setup) (plan, error) {
+	name := s.names[0]
 	repls := []string{"sync", "async"}
 	cellName := func(mode, repl string) string { return mode + "/" + repl }
-	var scenarios []harness.Scenario
+	var cells []harness.Scenario
 	for _, mode := range faultModes {
 		for _, repl := range repls {
-			mode, repl := mode, repl
-			cfg := build(name).With(func(c *harness.Config) {
-				c.Shards = 2
-				c.Replicas = 2
-				c.Repl = repl
-				c.DBConns = dbConns
-				if c.DBConns <= 0 {
-					// Same auto-sizing as -exp scaleout: keep the tier, not
-					// the worker pools, as the ceiling.
-					if budget := c.GeneralWorkers + c.LengthyWorkers; budget > 0 {
-						c.DBConns = max(2, budget/6)
-					} else {
-						c.DBConns = 8
+			cells = append(cells, harness.Scenario{
+				Name: cellName(mode.key, repl),
+				Config: s.tier(name).With(func(c *harness.Config) {
+					c.Shards = 2
+					c.Replicas = 2
+					c.Repl = repl
+					if mode.plan != "" {
+						c.Faults = mode.plan
+						c.FaultSet = variant.Settings{"at": "60s", "restart": "60s"}
 					}
-				}
-				if mode.plan != "" {
-					c.Faults = mode.plan
-					c.FaultSet = variant.Settings{"at": "60s", "restart": "60s"}
-				}
-			})
-			scenarios = append(scenarios, harness.Scenario{
-				Name:   cellName(mode.key, repl),
-				Config: cfg,
+				}),
 			})
 		}
 	}
-	fmt.Fprintf(out, "dependability: %s x %d fault modes x {sync, async} at 2 shards, 2 replicas...\n",
-		name, len(faultModes))
-	sw, sweepErr := harness.SweepWith(ctx, opts, scenarios)
-
-	fmt.Fprintf(out, "\nfault injection (failover machinery and recovery per cell)\n")
-	fmt.Fprintf(out, "%-24s %13s %8s %9s %8s %8s %8s %8s %9s\n",
-		"cell", "interactions", "errors", "injected", "ejected", "resyncs", "retries", "breaker", "recovery")
-	fmt.Fprintln(out, strings.Repeat("-", 104))
-	for _, mode := range faultModes {
-		for _, repl := range repls {
-			res := sw.Result(cellName(mode.key, repl))
-			if res == nil {
-				fmt.Fprintf(out, "%-24s (failed)\n", cellName(mode.key, repl))
-				continue
-			}
-			rec := "-"
-			if res.FaultPlan != "" {
-				switch {
-				case res.FaultPaperSec < 0:
-					rec = "no-inj"
-				case res.RecoveryPaperSec < 0:
-					rec = "never"
-				default:
-					rec = fmt.Sprintf("%.0fs", res.RecoveryPaperSec)
+	out := s.out
+	return plan{
+		intro: fmt.Sprintf("dependability: %s x %d fault modes x {sync, async} at 2 shards, 2 replicas...",
+			name, len(faultModes)),
+		cells: cells,
+		print: func(sw *harness.SweepResult) {
+			fmt.Fprintf(out, "fault injection (failover machinery and recovery per cell)\n")
+			cellTable(out, sw, "%-24s %13s %8s %9s %8s %8s %8s %8s %9s\n",
+				"%-24s %13d %8d %9.0f %8.0f %8.0f %8.0f %8.0f %9s\n", 104,
+				[]any{"cell", "interactions", "errors", "injected", "ejected", "resyncs", "retries", "breaker", "recovery"},
+				cellNames(cells), cellNames(cells),
+				func(res *harness.Result) []any {
+					rec := "-"
+					switch {
+					case res.FaultPlan == "":
+					case res.FaultPaperSec < 0:
+						rec = "no-inj"
+					case res.RecoveryPaperSec < 0:
+						rec = "never"
+					default:
+						rec = fmt.Sprintf("%.0fs", res.RecoveryPaperSec)
+					}
+					return []any{res.TotalInteractions, res.Errors,
+						harness.SeriesMax(res.Series[faults.ProbeInjected]),
+						harness.SeriesMax(res.Series[variant.ProbeDBEjected]),
+						harness.SeriesMax(res.Series[variant.ProbeDBResync]),
+						harness.SeriesMax(res.Series[cluster.ProbeLBRetry]),
+						harness.SeriesMax(res.Series[cluster.ProbeLBBreaker]), rec}
+				})
+			for _, repl := range repls {
+				for _, mode := range faultModes[1:] {
+					fmt.Fprintf(out, "%s throughput cost (%s): %+.1f%%\n", mode.key, repl,
+						sw.GainPercent(cellName("none", repl), cellName(mode.key, repl)))
 				}
 			}
-			fmt.Fprintf(out, "%-24s %13d %8d %9.0f %8.0f %8.0f %8.0f %8.0f %9s\n",
-				cellName(mode.key, repl), res.TotalInteractions, res.Errors,
-				harness.SeriesMax(res.Series[faults.ProbeInjected]),
-				harness.SeriesMax(res.Series[variant.ProbeDBEjected]),
-				harness.SeriesMax(res.Series[variant.ProbeDBResync]),
-				harness.SeriesMax(res.Series[cluster.ProbeLBRetry]),
-				harness.SeriesMax(res.Series[cluster.ProbeLBBreaker]),
-				rec)
-		}
-	}
-	for _, repl := range repls {
-		fmt.Fprintf(out, "replica-kill throughput cost (%s): %+.1f%%\n", repl,
-			sw.GainPercent(cellName("none", repl), cellName("replica-kill", repl)))
-		fmt.Fprintf(out, "shard-down throughput cost (%s): %+.1f%%\n", repl,
-			sw.GainPercent(cellName("none", repl), cellName("shard-down", repl)))
-	}
-	fmt.Fprintln(out)
-	fmt.Fprintln(out, sw.Report())
-	return errors.Join(sweepErr, writeArtifacts(out, csvDir, jsonDir, sw))
+			fmt.Fprintln(out)
+		},
+	}, nil
 }
 
-// runEBSweep runs every variant at every EB level and prints the
+// ebRampPlan runs every variant at every EB level and prints the
 // saturation-knee table, with throughput gain of the second variant over
 // the first at each level.
-func runEBSweep(ctx context.Context, out io.Writer, opts harness.SweepOptions,
-	build func(string) harness.Config, names []string, levels []int, csvDir, jsonDir string) error {
-	var scenarios []harness.Scenario
+func ebRampPlan(s *setup) (plan, error) {
+	levels, err := parseInts(s.ebsSweep)
+	if err != nil {
+		return plan{}, fmt.Errorf("-ebs-sweep: %w", err)
+	}
+	names, out := s.names, s.out
+	cellName := func(name string, level int) string { return fmt.Sprintf("%s/ebs=%d", name, level) }
+	var cells []harness.Scenario
 	for _, name := range names {
 		for _, level := range levels {
-			cfg := build(name).With(func(c *harness.Config) { c.EBs = level })
-			scenarios = append(scenarios, harness.Scenario{
-				Name:   fmt.Sprintf("%s/ebs=%d", name, level),
-				Config: cfg,
+			cells = append(cells, harness.Scenario{
+				Name:   cellName(name, level),
+				Config: s.config(name).With(func(c *harness.Config) { c.EBs = level }),
 			})
 		}
 	}
-	fmt.Fprintf(out, "EB ramp: %d variant(s) x %d load levels...\n", len(names), len(levels))
-	// Keep partial results on a failed cell; the table prints "-" for it
-	// and the error surfaces after the artifacts are written.
-	sw, sweepErr := harness.SweepWith(ctx, opts, scenarios)
-
-	fmt.Fprintf(out, "\nEB ramp (interactions per measurement window; the knee is where gains flatten)\n")
-	fmt.Fprintf(out, "%6s", "ebs")
-	for _, name := range names {
-		fmt.Fprintf(out, " %18s", name)
-	}
-	if len(names) >= 2 {
-		fmt.Fprintf(out, " %8s", "gain")
-	}
-	fmt.Fprintln(out)
-	for _, level := range levels {
-		fmt.Fprintf(out, "%6d", level)
-		for _, name := range names {
-			res := sw.Result(fmt.Sprintf("%s/ebs=%d", name, level))
-			if res == nil {
-				fmt.Fprintf(out, " %18s", "-")
-				continue
-			}
-			fmt.Fprintf(out, " %18d", res.TotalInteractions)
-		}
-		if len(names) >= 2 {
-			fmt.Fprintf(out, " %+7.1f%%", sw.GainPercent(
-				fmt.Sprintf("%s/ebs=%d", names[0], level),
-				fmt.Sprintf("%s/ebs=%d", names[1], level)))
-		}
-		fmt.Fprintln(out)
-	}
-	fmt.Fprintln(out)
-	return errors.Join(sweepErr, writeArtifacts(out, csvDir, jsonDir, sw))
+	return plan{
+		intro: fmt.Sprintf("EB ramp: %d variant(s) x %d load levels...", len(names), len(levels)),
+		cells: cells,
+		print: func(sw *harness.SweepResult) {
+			fmt.Fprintf(out, "EB ramp (interactions per measurement window; the knee is where gains flatten)\n")
+			levelTable(out, sw, "ebs", 6, 18, names, levels, cellName, len(names) >= 2)
+			fmt.Fprintln(out)
+		},
+	}, nil
 }
 
 // writeArtifacts emits per-scenario JSON results and per-series CSVs,
@@ -884,31 +821,20 @@ func writeArtifacts(out io.Writer, csvDir, jsonDir string, sw *harness.SweepResu
 		}
 		base := sanitize(r.Scenario.Name)
 		if jsonDir != "" {
-			if err := os.MkdirAll(jsonDir, 0o755); err != nil {
-				return err
-			}
-			if err := writeFile(filepath.Join(jsonDir, base+".json"), func(f *os.File) error {
-				return harness.WriteJSON(f, r.Result)
+			if err := writeFile(jsonDir, base+".json", func(w io.Writer) error {
+				return harness.WriteJSON(w, r.Result)
 			}); err != nil {
 				return err
 			}
 		}
-		if csvDir != "" {
-			if err := os.MkdirAll(csvDir, 0o755); err != nil {
+		for name, series := range r.Result.Series {
+			if csvDir == "" {
+				break
+			}
+			if err := writeFile(csvDir, base+"_"+sanitize(name)+".csv", func(w io.Writer) error {
+				return harness.WriteCSV(w, series)
+			}); err != nil {
 				return err
-			}
-			seriesNames := make([]string, 0, len(r.Result.Series))
-			for name := range r.Result.Series {
-				seriesNames = append(seriesNames, name)
-			}
-			sort.Strings(seriesNames)
-			for _, name := range seriesNames {
-				s := r.Result.Series[name]
-				if err := writeFile(filepath.Join(csvDir, base+"_"+sanitize(name)+".csv"), func(f *os.File) error {
-					return harness.WriteCSV(f, s)
-				}); err != nil {
-					return err
-				}
 			}
 		}
 	}
@@ -921,8 +847,12 @@ func writeArtifacts(out io.Writer, csvDir, jsonDir string, sw *harness.SweepResu
 	return nil
 }
 
-func writeFile(path string, write func(*os.File) error) error {
-	f, err := os.Create(path)
+// writeFile creates dir if need be and writes one file into it.
+func writeFile(dir, name string, write func(io.Writer) error) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	f, err := os.Create(filepath.Join(dir, name))
 	if err != nil {
 		return err
 	}

@@ -2,10 +2,9 @@
 // name spaces: probe/series names sampled into Result.Series and
 // settings keys decoded through variant.Decoder. The probenames and
 // settingskeys analyzers check every use site against these lists, and
-// catalog_test cross-checks the lists against the declaring constants,
-// the README tables, and the CI artifact assertions — so a name cannot
-// be registered, sampled, asserted, or documented without appearing
-// everywhere it must.
+// catalog_test cross-checks the lists against the declaring constants
+// and the README tables — so a name cannot be registered, sampled, or
+// documented without appearing everywhere it must.
 //
 // Adding a probe or settings key is a three-line change: declare the
 // constant (or decoder call) where it is used, add it here with a short

@@ -8,16 +8,16 @@
 //
 //   - every variant.Probe composite literal takes its Name from a named
 //     string constant (no inline literals — the constant is what the
-//     README and CI reference);
+//     README and the experiment tests reference);
 //   - every probe-name constant (a string constant whose name starts
 //     with Probe or Series) is dotted-lowercase and appears in the
 //     canonical catalog (internal/analysis/catalog);
 //   - no two probe-name constants in a package share a value.
 //
 // The reverse direction — catalog entries nobody declares, names the
-// harness samples but CI or the README never mention — is covered by
-// the catalog package's tests, which cross-check this list against the
-// declaring sources, the README table, and .github/workflows/ci.yml.
+// harness samples but the README never mentions — is covered by the
+// catalog package's tests, which cross-check this list against the
+// declaring sources and the README table.
 package probenames
 
 import (

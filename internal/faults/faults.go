@@ -99,69 +99,25 @@ type Injector interface {
 	Events() []Event
 }
 
-// Plan is a named fault recipe.
-type Plan interface {
-	// Name is the registry key ("replica-kill", "shard-down", ...).
-	Name() string
-	// Build validates settings against the running system and returns
-	// an unstarted Injector.
-	Build(Env) (Injector, error)
-}
-
-// funcPlan adapts a build function into a Plan.
-type funcPlan struct {
-	name  string
-	build func(Env) (Injector, error)
-}
-
-func (p funcPlan) Name() string                    { return p.name }
-func (p funcPlan) Build(env Env) (Injector, error) { return p.build(env) }
+// Plan is a named fault recipe: its Name is the registry key
+// ("replica-kill", "shard-down", ...), and Build validates settings
+// against the running system and returns an unstarted Injector.
+type Plan = variant.Recipe[Env, Injector]
 
 // New wraps a name and a build function as a Plan.
-func New(name string, build func(Env) (Injector, error)) Plan {
-	return funcPlan{name: name, build: build}
-}
+func New(name string, build func(Env) (Injector, error)) Plan { return variant.NewRecipe(name, build) }
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Plan{}
-)
+var registry = variant.NewRegistry[Plan]("fault plan")
 
-// Register adds a plan to the process-wide registry. It panics on an
-// empty or duplicate name: registration happens at init time, and a
-// collision is a programming error.
-func Register(p Plan) {
-	name := p.Name()
-	if name == "" {
-		panic("faults: empty plan name")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("faults: duplicate registration of %q", name))
-	}
-	registry[name] = p
-}
+// Register adds a plan to the process-wide registry; it panics on an
+// empty or duplicate name.
+func Register(p Plan) { registry.Register(p) }
 
 // Lookup finds a registered plan by name.
-func Lookup(name string) (Plan, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	p, ok := registry[name]
-	return p, ok
-}
+func Lookup(name string) (Plan, bool) { return registry.Lookup(name) }
 
 // Names lists the registered plan names, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+func Names() []string { return registry.Names() }
 
 // DecodeSettings splits the fault-owned settings out of a config's
 // explicit settings and decodes them (against the harness-lowered

@@ -73,12 +73,10 @@ type Config struct {
 	// "ordering"); empty means browsing, the paper's workload.
 	Mix string `json:"mix,omitempty"`
 
-	// EBs is the base population, lowered into the load profile's "ebs"
-	// setting as an advisory default.
-	//
-	// Deprecated: express population through Load/LoadSet; EBs remains
-	// as the steady-state shim and as the base level profiles scale
-	// from.
+	// EBs is the base emulated-browser population: -ebs sets it, and
+	// QuickConfig and PaperConfig size it. The harness lowers it into the
+	// load profile's advisory "ebs" setting, the level every profile
+	// scales from; an explicit LoadSet "ebs" wins.
 	EBs      int           `json:"ebs"`
 	RampUp   time.Duration `json:"ramp_up_ns"`
 	Measure  time.Duration `json:"measure_ns"`
@@ -158,8 +156,8 @@ func (c Config) VariantName() (string, error) {
 	return "", fmt.Errorf("harness: config names no variant")
 }
 
-// LoadName resolves the load profile under test: Load if set, else the
-// steady shim over the deprecated EBs field.
+// LoadName resolves the load profile under test: Load if set, else
+// steady, the paper's fixed closed-loop population of EBs browsers.
 func (c Config) LoadName() string {
 	if c.Load != "" {
 		return c.Load
@@ -243,8 +241,8 @@ func encodeKV(set variant.Settings) string {
 	return strings.Join(parts, ",")
 }
 
-// loadDefaults lowers the deprecated EBs field into advisory profile
-// settings, the same way settings() lowers pool sizes for variants.
+// loadDefaults lowers EBs into the advisory "ebs" profile setting, the
+// same way settings() lowers pool sizes for variants.
 func (c Config) loadDefaults() variant.Settings {
 	s := variant.Settings{}
 	if c.EBs > 0 {

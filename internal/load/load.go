@@ -14,10 +14,6 @@
 package load
 
 import (
-	"fmt"
-	"sort"
-	"sync"
-
 	"stagedweb/internal/clock"
 	"stagedweb/internal/tpcw"
 	"stagedweb/internal/variant"
@@ -70,8 +66,8 @@ type Env struct {
 	// harness.Config.LoadSet). A key the profile does not understand is
 	// a build error — typos must not pass silently.
 	Set variant.Settings
-	// Defaults holds advisory settings (the harness lowers the
-	// deprecated Config.EBs into "ebs" here). A profile applies the keys
+	// Defaults holds advisory settings (the harness lowers Config.EBs,
+	// the base population, into "ebs" here). A profile applies the keys
 	// it understands and ignores the rest.
 	Defaults variant.Settings
 }
@@ -99,65 +95,22 @@ type Driver interface {
 	Probes() []variant.Probe
 }
 
-// Profile is a named load recipe.
-type Profile interface {
-	// Name is the registry key ("steady", "spike", ...).
-	Name() string
-	// Build constructs a runnable Driver from the environment.
-	Build(Env) (Driver, error)
-}
-
-// funcProfile adapts a build function into a Profile.
-type funcProfile struct {
-	name  string
-	build func(Env) (Driver, error)
-}
-
-func (p funcProfile) Name() string                  { return p.name }
-func (p funcProfile) Build(env Env) (Driver, error) { return p.build(env) }
+// Profile is a named load recipe: its Name is the registry key
+// ("steady", "spike", ...), and Build constructs a runnable Driver from
+// the environment.
+type Profile = variant.Recipe[Env, Driver]
 
 // New wraps a name and a build function as a Profile.
-func New(name string, build func(Env) (Driver, error)) Profile {
-	return funcProfile{name: name, build: build}
-}
+func New(name string, build func(Env) (Driver, error)) Profile { return variant.NewRecipe(name, build) }
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Profile{}
-)
+var registry = variant.NewRegistry[Profile]("load profile")
 
-// Register adds a profile to the process-wide registry. It panics on an
-// empty or duplicate name: registration happens at init time, and a
-// collision is a programming error.
-func Register(p Profile) {
-	name := p.Name()
-	if name == "" {
-		panic("load: empty profile name")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("load: duplicate registration of %q", name))
-	}
-	registry[name] = p
-}
+// Register adds a profile to the process-wide registry; it panics on an
+// empty or duplicate name.
+func Register(p Profile) { registry.Register(p) }
 
 // Lookup finds a registered profile by name.
-func Lookup(name string) (Profile, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	p, ok := registry[name]
-	return p, ok
-}
+func Lookup(name string) (Profile, bool) { return registry.Lookup(name) }
 
 // Names lists the registered profile names, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+func Names() []string { return registry.Names() }

@@ -54,7 +54,7 @@ func TestUnknownSettingRejected(t *testing.T) {
 }
 
 // TestSchedules pins the population schedules the built-in profiles
-// compute, including the defaults lowered from the harness EBs shim.
+// compute, including the defaults lowered from the harness Config.EBs.
 func TestSchedules(t *testing.T) {
 	env := testEnv()
 	env.Defaults = variant.Settings{"ebs": "100"}

@@ -15,10 +15,7 @@
 package variant
 
 import (
-	"fmt"
 	"net"
-	"sort"
-	"sync"
 
 	"stagedweb/internal/clock"
 	"stagedweb/internal/server"
@@ -83,27 +80,13 @@ type Env struct {
 	Defaults Settings
 }
 
-// Variant is a named server topology recipe.
-type Variant interface {
-	// Name is the registry key ("modified", "unmodified", ...).
-	Name() string
-	// Build constructs a runnable Instance from the environment.
-	Build(Env) (Instance, error)
-}
-
-// funcVariant adapts a build function into a Variant.
-type funcVariant struct {
-	name  string
-	build func(Env) (Instance, error)
-}
-
-func (v funcVariant) Name() string                    { return v.name }
-func (v funcVariant) Build(env Env) (Instance, error) { return v.build(env) }
+// Variant is a named server topology recipe: its Name is the registry
+// key ("modified", "unmodified", ...), and Build constructs a runnable
+// Instance from the environment.
+type Variant = Recipe[Env, Instance]
 
 // New wraps a name and a build function as a Variant.
-func New(name string, build func(Env) (Instance, error)) Variant {
-	return funcVariant{name: name, build: build}
-}
+func New(name string, build func(Env) (Instance, error)) Variant { return NewRecipe(name, build) }
 
 // Derive returns a variant that builds base with the forced settings
 // layered over the caller's — a topology defined purely by
@@ -116,43 +99,14 @@ func Derive(name string, base Variant, force Settings) Variant {
 	})
 }
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Variant{}
-)
+var registry = NewRegistry[Variant]("variant")
 
-// Register adds a variant to the process-wide registry. It panics on an
-// empty or duplicate name: registration happens at init time, and a
-// collision is a programming error.
-func Register(v Variant) {
-	name := v.Name()
-	if name == "" {
-		panic("variant: empty variant name")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("variant: duplicate registration of %q", name))
-	}
-	registry[name] = v
-}
+// Register adds a variant to the process-wide registry; it panics on an
+// empty or duplicate name.
+func Register(v Variant) { registry.Register(v) }
 
 // Lookup finds a registered variant by name.
-func Lookup(name string) (Variant, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	v, ok := registry[name]
-	return v, ok
-}
+func Lookup(name string) (Variant, bool) { return registry.Lookup(name) }
 
 // Names lists the registered variant names, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+func Names() []string { return registry.Names() }
