@@ -28,7 +28,8 @@
 // under repl=async), and every statement acquires a pooled per-backend
 // connection through an instrumented path (the db.* probe series). It
 // absorbs and replaces the former internal/dbpool package. Both server
-// variants take replicas=N / dbconns=K purely as configuration, and
+// variants take replicas=N / dbconns=K purely as configuration (the
+// variant builds the tier and hands the server a connection), and
 // cmd/experiments -exp scaleout sweeps replica counts under the
 // browsing and ordering mixes.
 //

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"stagedweb/internal/core"
+	"stagedweb/internal/dbtier"
 	"stagedweb/internal/server"
 	"stagedweb/internal/sqldb"
 	"stagedweb/internal/template"
@@ -182,9 +183,12 @@ func run() error {
 <ol>{% for p in posts %}<li>{{ p.p_title }}</li>{% endfor %}</ol>{% endblock %}`,
 	})
 
+	tier := dbtier.New(db, dbtier.Options{Conns: 4 + 1})
+	defer tier.Close()
 	srv, err := core.New(core.Config{
-		App: app, DB: db,
-		GeneralWorkers: 4, LengthyWorkers: 1, MinReserve: 1,
+		App: app, DB: tier.Conn(),
+		HeaderWorkers: 8, StaticWorkers: 16, GeneralWorkers: 4, LengthyWorkers: 1, RenderWorkers: 16,
+		MinReserve: 1,
 	})
 	if err != nil {
 		return err

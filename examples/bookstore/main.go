@@ -14,6 +14,7 @@ import (
 
 	"stagedweb/internal/clock"
 	"stagedweb/internal/core"
+	"stagedweb/internal/dbtier"
 	"stagedweb/internal/server"
 	"stagedweb/internal/sqldb"
 	"stagedweb/internal/tpcw"
@@ -55,9 +56,11 @@ func run() error {
 		counts.Items, counts.Customers, counts.Orders, counts.OrderLines)
 
 	app := tpcw.NewApp(counts, nil)
+	tier := dbtier.New(db, dbtier.Options{Conns: 16 + 4, Clock: clock.Precise{}, Scale: scale})
+	defer tier.Close()
 	srv, err := core.New(core.Config{
-		App: app, DB: db,
-		GeneralWorkers: 16, LengthyWorkers: 4,
+		App: app, DB: tier.Conn(),
+		HeaderWorkers: 8, StaticWorkers: 16, GeneralWorkers: 16, LengthyWorkers: 4, RenderWorkers: 16,
 		MinReserve: 4,
 		Scale:      scale,
 		Clock:      clock.Precise{},

@@ -15,6 +15,7 @@ import (
 	"os"
 
 	"stagedweb/internal/core"
+	"stagedweb/internal/dbtier"
 	"stagedweb/internal/server"
 	"stagedweb/internal/sqldb"
 	"stagedweb/internal/template"
@@ -96,12 +97,17 @@ func run() error {
 </body></html>`)
 
 	// 3. The staged server: listener + five pools, database connections
-	// bound to the dynamic workers only.
+	// bound to the dynamic workers only — one pooled connection each.
+	tier := dbtier.New(db, dbtier.Options{Conns: 8 + 2})
+	defer tier.Close()
 	srv, err := core.New(core.Config{
 		App:            app,
-		DB:             db,
+		DB:             tier.Conn(),
+		HeaderWorkers:  8,
+		StaticWorkers:  16,
 		GeneralWorkers: 8,
 		LengthyWorkers: 2,
+		RenderWorkers:  16,
 		MinReserve:     2,
 	})
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 
 	"stagedweb/internal/clock"
 	"stagedweb/internal/core"
+	"stagedweb/internal/dbtier"
 	"stagedweb/internal/server"
 	"stagedweb/internal/sqldb"
 	"stagedweb/internal/webtest"
@@ -45,9 +46,11 @@ func TestClassifierSeesInjectedClockDurations(t *testing.T) {
 		return &server.Result{Template: "page.html", Data: map[string]any{"n": rs.Len()}}, nil
 	})
 
+	tier := dbtier.New(db, dbtier.Options{Conns: 3, Clock: manual})
+	defer tier.Close()
 	srv, err := core.New(core.Config{
 		App:            app,
-		DB:             db,
+		DB:             tier.Conn(),
 		Clock:          manual,
 		Scale:          clock.RealTime,
 		NoReserve:      true, // no controller ticker: the only manual waiter is the query's cost sleep
@@ -131,6 +134,7 @@ func TestStopClosesParkedKeepAlives(t *testing.T) {
 	if _, err := br.ReadByte(); err == nil || os.IsTimeout(err) {
 		t.Fatalf("parked connection still open after Stop (read err = %v)", err)
 	}
+	env.tier.Close()
 	if n := env.db.OpenConns(); n != 0 {
 		t.Fatalf("%d database connections still open after Stop", n)
 	}

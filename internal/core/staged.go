@@ -33,12 +33,10 @@ import (
 	"time"
 
 	"stagedweb/internal/clock"
-	"stagedweb/internal/dbtier"
 	"stagedweb/internal/httpwire"
 	"stagedweb/internal/metrics"
 	"stagedweb/internal/sched"
 	"stagedweb/internal/server"
-	"stagedweb/internal/sqldb"
 	"stagedweb/internal/stage"
 )
 
@@ -58,35 +56,20 @@ const (
 type Config struct {
 	// App is the application to serve.
 	App server.App
-	// DB is the primary database. The server fronts it with a dbtier
-	// (Replicas backends, DBConns pooled connections per backend), and
-	// only dynamic workers execute statements through it — rendering and
-	// static pools never touch a connection, the paper's point.
-	DB *sqldb.DB
-	// Replicas is the total number of database backends (primary
-	// included); values below 1 mean 1 — no replication.
-	Replicas int
-	// DBConns is the connection pool size per backend. It defaults to
-	// GeneralWorkers + LengthyWorkers, the dynamic-worker budget, so by
-	// default acquisition never waits.
-	DBConns int
-	// MVCC switches the primary's storage engine to snapshot reads plus
-	// optimistic first-writer-wins writes. False keeps per-table
-	// reader-writer locks, the paper's concurrency model.
-	MVCC bool
-	// ReplAsync ships the replication log to replicas asynchronously:
-	// writers stop waiting for replica apply and replicas serve
-	// bounded-stale reads. False keeps the synchronous contract — every
-	// replica has applied a write before Exec returns.
-	ReplAsync bool
+	// DB is the database connection the dynamic workers execute their
+	// statements through — in the built-in variants a dbtier connection
+	// with one pooled engine connection per dynamic worker by default.
+	// Rendering and static pools never touch it, the paper's point.
+	DB server.DBConn
 
-	// Pool sizes. The paper sizes the general pool at four times the
-	// lengthy pool. Zero values take the defaults below.
-	HeaderWorkers  int // default 8
-	StaticWorkers  int // default 16
-	GeneralWorkers int // default 64
-	LengthyWorkers int // default 16
-	RenderWorkers  int // default 16
+	// Pool sizes, each positive. The paper sizes the general pool at four
+	// times the lengthy pool; the modified variant defaults them to
+	// 8/16/64/16/16.
+	HeaderWorkers  int
+	StaticWorkers  int
+	GeneralWorkers int
+	LengthyWorkers int
+	RenderWorkers  int
 
 	// QueueCap bounds every stage queue. Defaults to 4096.
 	QueueCap int
@@ -126,21 +109,6 @@ type Config struct {
 }
 
 func (c *Config) fillDefaults() {
-	if c.HeaderWorkers <= 0 {
-		c.HeaderWorkers = 8
-	}
-	if c.StaticWorkers <= 0 {
-		c.StaticWorkers = 16
-	}
-	if c.GeneralWorkers <= 0 {
-		c.GeneralWorkers = 64
-	}
-	if c.LengthyWorkers <= 0 {
-		c.LengthyWorkers = 16
-	}
-	if c.RenderWorkers <= 0 {
-		c.RenderWorkers = 16
-	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 4096
 	}
@@ -168,7 +136,6 @@ func (c *Config) fillDefaults() {
 type Server struct {
 	cfg Config
 	tr  *server.Transport
-	dbc server.DBConn
 
 	// The five pools. A request holds a slot only while its goroutine does
 	// that pool's work; stages take no items, so their type is struct{}.
@@ -181,7 +148,6 @@ type Server struct {
 
 	dispatcher *sched.Dispatcher
 	controller *sched.Controller
-	tier       *dbtier.Tier
 
 	// Per-target dispatch decision counts, fed by the dispatcher hook.
 	dispatchedGeneral metrics.Counter
@@ -205,6 +171,11 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.DB == nil {
 		return nil, errors.New("core: nil DB")
+	}
+	for _, n := range []int{cfg.HeaderWorkers, cfg.StaticWorkers, cfg.GeneralWorkers, cfg.LengthyWorkers, cfg.RenderWorkers} {
+		if n <= 0 {
+			return nil, fmt.Errorf("core: invalid pool size %d", n)
+		}
 	}
 	cfg.fillDefaults()
 	s := &Server{cfg: cfg, conns: make(map[*server.Conn]struct{})}
@@ -231,25 +202,6 @@ func New(cfg Config) (*Server, error) {
 			rc.SetMax(maxR)
 		}
 	}
-
-	// The database tier serves dynamic workers only: by default one
-	// backend with one pooled connection per dynamic worker, so their
-	// statements never wait; with replicas, reads route round-robin and
-	// writes fan out synchronously.
-	if cfg.DBConns <= 0 {
-		cfg.DBConns = cfg.GeneralWorkers + cfg.LengthyWorkers
-	}
-	if cfg.MVCC {
-		cfg.DB.SetMVCC(true)
-	}
-	s.tier = dbtier.New(cfg.DB, dbtier.Options{
-		Replicas: cfg.Replicas,
-		Conns:    cfg.DBConns,
-		Clock:    cfg.Clock,
-		Scale:    cfg.Scale,
-		Async:    cfg.ReplAsync,
-	})
-	s.dbc = s.tier.Conn()
 
 	pool := func(name string, workers int) *stage.Stage[struct{}] {
 		return stage.New(stage.Config[struct{}]{Name: name, Workers: workers, QueueCap: cfg.QueueCap})
@@ -332,7 +284,6 @@ func (s *Server) Stop() {
 	s.stopOnce.Do(func() {
 		s.connWG.Wait()
 		s.graph.Stop()
-		s.tier.Close()
 	})
 }
 
@@ -456,7 +407,7 @@ func (s *Server) generate(c *server.Conn, req *httpwire.Request) (res *server.Re
 		Path:   key,
 		Query:  req.Query,
 		Header: req.Header,
-		DB:     s.dbc,
+		DB:     s.cfg.DB,
 	})
 	if err != nil {
 		return nil, s.tr.DirectReply(c, key, s.classOf(key),
@@ -490,9 +441,6 @@ func (s *Server) classOf(key string) server.Class {
 
 // Graph exposes the stage graph for uniform stats snapshots.
 func (s *Server) Graph() *stage.Graph { return s.graph }
-
-// Tier exposes the database tier for the db.* probes.
-func (s *Server) Tier() *dbtier.Tier { return s.tier }
 
 // QueueLens reports the current length of every stage queue, keyed by
 // stage name. The general and lengthy entries are Figures 8(a) and 8(b).

@@ -11,16 +11,19 @@ import (
 
 	"stagedweb/internal/clock"
 	"stagedweb/internal/core"
+	"stagedweb/internal/dbtier"
 	"stagedweb/internal/server"
 	"stagedweb/internal/sqldb"
 	"stagedweb/internal/webtest"
 )
 
-// testEnv is a running staged server plus its database.
+// testEnv is a running staged server plus its database and the tier
+// fronting it.
 type testEnv struct {
 	srv  *core.Server
 	addr string
 	db   *sqldb.DB
+	tier *dbtier.Tier
 }
 
 func startStaged(t *testing.T, app *webtest.App, mutate func(*core.Config)) *testEnv {
@@ -35,7 +38,6 @@ func startStagedOn(t *testing.T, app *webtest.App, mutate func(*core.Config), wr
 	db := kvDB(t)
 	cfg := core.Config{
 		App:            app,
-		DB:             db,
 		HeaderWorkers:  2,
 		StaticWorkers:  2,
 		GeneralWorkers: 4,
@@ -46,6 +48,9 @@ func startStagedOn(t *testing.T, app *webtest.App, mutate func(*core.Config), wr
 	if mutate != nil {
 		mutate(&cfg)
 	}
+	tier := dbtier.New(db, dbtier.Options{Conns: cfg.GeneralWorkers + cfg.LengthyWorkers, Clock: cfg.Clock, Scale: cfg.Scale})
+	t.Cleanup(tier.Close) // after the server stops: cleanups run last-in first-out
+	cfg.DB = tier.Conn()
 	s, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +70,7 @@ func startStagedOn(t *testing.T, app *webtest.App, mutate func(*core.Config), wr
 			t.Errorf("Serve: %v", err)
 		}
 	})
-	return &testEnv{srv: s, addr: addr, db: db}
+	return &testEnv{srv: s, addr: addr, db: db, tier: tier}
 }
 
 // kvDB is a zero-cost database with one row, which /hello reads.
@@ -381,19 +386,34 @@ func TestStagedManyConcurrentClients(t *testing.T) {
 }
 
 func TestStagedConfigValidation(t *testing.T) {
-	db := sqldb.Open(sqldb.Options{Cost: sqldb.ZeroCostModel()})
-	if _, err := core.New(core.Config{DB: db}); err == nil {
-		t.Fatal("nil App accepted")
+	conn := sqldb.Open(sqldb.Options{Cost: sqldb.ZeroCostModel()}).Connect()
+	defer conn.Close()
+	valid := core.Config{App: stagedApp(), DB: conn,
+		HeaderWorkers: 1, StaticWorkers: 1, GeneralWorkers: 1, LengthyWorkers: 1, RenderWorkers: 1}
+	for name, mutate := range map[string]func(*core.Config){
+		"nil App":              func(c *core.Config) { c.App = nil },
+		"nil DB":               func(c *core.Config) { c.DB = nil },
+		"zero lengthy pool":    func(c *core.Config) { c.LengthyWorkers = 0 },
+		"negative render pool": func(c *core.Config) { c.RenderWorkers = -1 },
+	} {
+		cfg := valid
+		mutate(&cfg)
+		if _, err := core.New(cfg); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
-	if _, err := core.New(core.Config{App: stagedApp()}); err == nil {
-		t.Fatal("nil DB accepted")
+	s, err := core.New(valid)
+	if err != nil {
+		t.Fatalf("valid config rejected: %v", err)
 	}
+	s.Stop()
 }
 
 // TestStagedGracefulShutdownDrains stops the pipeline with requests in
 // flight and asserts — via the stage graph's stats and the database's
-// open-connection gauge — that every stage drained in flow order, no
-// workers stayed busy, and the dynamic pools released their connections.
+// open-connection gauge, once the tier is closed — that every stage
+// drained in flow order, no workers stayed busy, and the dynamic pools
+// released their connections.
 func TestStagedGracefulShutdownDrains(t *testing.T) {
 	release := make(chan struct{})
 	app := stagedApp()
@@ -446,6 +466,7 @@ func TestStagedGracefulShutdownDrains(t *testing.T) {
 			t.Errorf("stage %s not drained: %+v", st.Name, st)
 		}
 	}
+	env.tier.Close()
 	if n := env.db.OpenConns(); n != 0 {
 		t.Errorf("database connections leaked: %d still open", n)
 	}

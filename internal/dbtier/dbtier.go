@@ -7,15 +7,12 @@
 // replays committed statements in commit order on its own non-pooled
 // connection.
 //
-// Fan-out contract change (vs the apply-hook design): replication now
-// happens AFTER primary commit, outside every lock, instead of
-// synchronously under the primary's table write lock. Two modes pick
-// the consistency point:
+// Replication happens after primary commit, outside every lock. Two
+// modes pick the consistency point:
 //
 //   - sync (default): Exec returns once every in-rotation replica has
-//     applied the statement's CommitTS. Readers anywhere see the write —
-//     the old external behavior — but the wait overlaps across replicas
-//     and no longer serializes the whole tier under a table lock.
+//     applied the statement's CommitTS, so readers anywhere see the
+//     write; the wait overlaps across replicas.
 //   - async: Exec returns at primary commit, waiting only if the
 //     slowest replica is more than MaxLag commits behind (bounded
 //     staleness backpressure). Replica reads may briefly return stale
@@ -51,6 +48,10 @@
 // the pools, so replication never starves read capacity. Because a
 // pooled connection executes one statement at a time, the per-backend
 // pool size is also the engine's statement concurrency.
+//
+// The servers never build a tier: internal/variant does, sizing the pools
+// from the variant's worker budget, hands the server a Conn, and closes
+// the tier once the server has stopped.
 package dbtier
 
 import (
@@ -860,9 +861,6 @@ func (t *Tier) Size() int { return t.poolSize }
 // Async reports whether the tier replicates asynchronously.
 func (t *Tier) Async() bool { return t.async }
 
-// Primary returns the primary engine.
-func (t *Tier) Primary() *sqldb.DB { return t.backends[0].db() }
-
 // Backends lists every engine, primary first. Resyncs swap replica
 // engines, so the slice reflects the tier at the time of the call.
 func (t *Tier) Backends() []*sqldb.DB {
@@ -896,83 +894,13 @@ func (t *Tier) WaitCount() int64 { return t.waits.Value() }
 // through the tier's clock).
 func (t *Tier) WaitTimes() *metrics.Histogram { return &t.waitTime }
 
-// QueryCount reports statements executed across all backends; replayed
-// writes count once per backend they were applied to.
-func (t *Tier) QueryCount() int64 {
+// Sum adds one engine counter over every backend, replayed writes
+// counting once per backend that applied them:
+// t.Sum((*sqldb.DB).PlanScans) is the tier's full-scan count.
+func (t *Tier) Sum(counter func(*sqldb.DB) int64) int64 {
 	var n int64
 	for _, b := range t.backends {
-		n += b.db().QueryCount()
-	}
-	return n
-}
-
-// Conflicts reports first-writer-wins aborts across all backends
-// (replicas replay single-threaded, so in practice this is the
-// primary's count).
-func (t *Tier) Conflicts() int64 {
-	var n int64
-	for _, b := range t.backends {
-		n += b.db().Conflicts()
-	}
-	return n
-}
-
-// SnapshotReads reports MVCC snapshot-served statements across all
-// backends.
-func (t *Tier) SnapshotReads() int64 {
-	var n int64
-	for _, b := range t.backends {
-		n += b.db().SnapshotReads()
-	}
-	return n
-}
-
-// PlanScans reports full-scan access paths executed across all
-// backends.
-func (t *Tier) PlanScans() int64 {
-	var n int64
-	for _, b := range t.backends {
-		n += b.db().PlanScans()
-	}
-	return n
-}
-
-// PlanIndexLookups reports index access paths executed across all
-// backends.
-func (t *Tier) PlanIndexLookups() int64 {
-	var n int64
-	for _, b := range t.backends {
-		n += b.db().PlanIndexLookups()
-	}
-	return n
-}
-
-// PlanRowsRead reports row versions visited by access paths across all
-// backends.
-func (t *Tier) PlanRowsRead() int64 {
-	var n int64
-	for _, b := range t.backends {
-		n += b.db().PlanRowsRead()
-	}
-	return n
-}
-
-// StmtCacheHits reports prepared-statement cache hits across all
-// backends.
-func (t *Tier) StmtCacheHits() int64 {
-	var n int64
-	for _, b := range t.backends {
-		n += b.db().StmtCacheHits()
-	}
-	return n
-}
-
-// StmtCacheMisses reports prepared-statement cache misses across all
-// backends.
-func (t *Tier) StmtCacheMisses() int64 {
-	var n int64
-	for _, b := range t.backends {
-		n += b.db().StmtCacheMisses()
+		n += counter(b.db())
 	}
 	return n
 }

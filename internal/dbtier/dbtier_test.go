@@ -189,7 +189,7 @@ func TestCloseReleasesConnections(t *testing.T) {
 	if _, err := c.Exec("DELETE FROM kv WHERE id = 1"); err != ErrTierClosed {
 		t.Fatalf("Exec after Close = %v, want ErrTierClosed", err)
 	}
-	// The apply hook is removed: direct primary writes no longer replay.
+	// The replication log is detached: direct primary writes no longer replay.
 	pc := db.Connect()
 	defer pc.Close()
 	if _, err := pc.Exec("INSERT INTO kv (id, v) VALUES (100, 'late')"); err != nil {

@@ -63,10 +63,9 @@ func TestExperimentShape(t *testing.T) {
 		unmod.TotalInteractions, mod.TotalInteractions, ThroughputGainPercent(unmod, mod))
 
 	// Shape 1 (Table 4 / Figure 9): the modified server completes at
-	// least comparable work overall; the paper reports +31.3%. A 15%
-	// tolerance absorbs scheduler noise when the whole test suite runs
-	// in parallel; cmd/experiments reproduces the headline number under
-	// controlled conditions.
+	// least 85% of the baseline's interactions. That is a floor, not the
+	// paper's +31.3%: on this calibration the sign of the overall gain is
+	// an open question (ROADMAP item 1), so no run here reproduces it.
 	if float64(mod.TotalInteractions) < 0.85*float64(unmod.TotalInteractions) {
 		t.Errorf("modified server much slower overall: %d vs %d",
 			mod.TotalInteractions, unmod.TotalInteractions)

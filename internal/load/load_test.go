@@ -6,6 +6,7 @@ import (
 
 	"stagedweb/internal/clock"
 	"stagedweb/internal/core"
+	"stagedweb/internal/dbtier"
 	"stagedweb/internal/sqldb"
 	"stagedweb/internal/tpcw"
 	"stagedweb/internal/variant"
@@ -193,8 +194,10 @@ func startBookstore(t *testing.T) (addr string, counts tpcw.Counts) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tier := dbtier.New(db, dbtier.Options{Conns: 6, Scale: clock.Timescale(1000)})
+	t.Cleanup(tier.Close)
 	srv, err := core.New(core.Config{
-		App: tpcw.NewApp(counts, nil), DB: db,
+		App: tpcw.NewApp(counts, nil), DB: tier.Conn(),
 		HeaderWorkers: 2, StaticWorkers: 2, GeneralWorkers: 4, LengthyWorkers: 2, RenderWorkers: 2,
 		MinReserve: 1,
 		Scale:      clock.Timescale(1000),

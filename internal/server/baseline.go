@@ -8,9 +8,7 @@ import (
 	"time"
 
 	"stagedweb/internal/clock"
-	"stagedweb/internal/dbtier"
 	"stagedweb/internal/httpwire"
-	"stagedweb/internal/sqldb"
 	"stagedweb/internal/stage"
 )
 
@@ -18,29 +16,13 @@ import (
 type BaselineConfig struct {
 	// App is the application to serve.
 	App App
-	// DB is the primary database. The server fronts it with a dbtier
-	// (Replicas backends, DBConns pooled connections per backend) and
-	// workers execute their statements through it — with the defaults
-	// (one backend, one connection per worker) this is exactly the
-	// paper's convention of a worker owning a connection.
-	DB *sqldb.DB
-	// Workers is the size of the single thread pool (and the default
-	// database connection budget).
+	// DB is the database connection workers execute their statements
+	// through — in the built-in variant a dbtier connection with one pooled
+	// engine connection per worker by default, the paper's convention of a
+	// worker owning a connection.
+	DB DBConn
+	// Workers is the size of the single thread pool.
 	Workers int
-	// Replicas is the total number of database backends (primary
-	// included); values below 1 mean 1 — no replication.
-	Replicas int
-	// DBConns is the connection pool size per backend; it defaults to
-	// Workers, so acquisition only ever waits when configured scarcer
-	// than the worker pool.
-	DBConns int
-	// MVCC switches the primary's storage engine to snapshot reads plus
-	// optimistic first-writer-wins writes. False keeps per-table
-	// reader-writer locks, the paper's concurrency model.
-	MVCC bool
-	// ReplAsync ships the replication log to replicas asynchronously
-	// instead of making writers wait for every replica to apply.
-	ReplAsync bool
 	// QueueCap bounds the accept queue. Defaults to 4096.
 	QueueCap int
 	// IdleTimeout bounds how long a worker waits for the next request on
@@ -68,7 +50,6 @@ type Baseline struct {
 	tr      *Transport
 	graph   *stage.Graph
 	workers *stage.Stage[*Conn]
-	tier    *dbtier.Tier
 
 	mu       sync.Mutex
 	listener net.Listener
@@ -99,28 +80,11 @@ func NewBaseline(cfg BaselineConfig) (*Baseline, error) {
 		OnComplete:  cfg.OnComplete,
 	})
 
-	// The database tier fronts the primary: by default one backend with
-	// one pooled connection per worker, so a worker's statements never
-	// wait — the paper's one-connection-per-thread convention.
-	if cfg.DBConns <= 0 {
-		cfg.DBConns = cfg.Workers
-	}
-	if cfg.MVCC {
-		cfg.DB.SetMVCC(true)
-	}
-	s.tier = dbtier.New(cfg.DB, dbtier.Options{
-		Replicas: cfg.Replicas,
-		Conns:    cfg.DBConns,
-		Clock:    cfg.Clock,
-		Scale:    cfg.Scale,
-		Async:    cfg.ReplAsync,
-	})
-	dbc := s.tier.Conn()
 	s.workers = stage.New(stage.Config[*Conn]{
 		Name:     "baseline",
 		Workers:  cfg.Workers,
 		QueueCap: cfg.QueueCap,
-		Work:     func(c *Conn) { s.serveConn(c, dbc) },
+		Work:     s.serveConn,
 	})
 	s.graph = stage.NewGraph().Add(s.workers)
 	return s, nil
@@ -158,14 +122,8 @@ func (s *Baseline) Stop() {
 	if l != nil {
 		_ = l.Close()
 	}
-	s.stopOnce.Do(func() {
-		s.graph.Stop()
-		s.tier.Close()
-	})
+	s.stopOnce.Do(s.graph.Stop)
 }
-
-// Tier exposes the database tier for the db.* probes.
-func (s *Baseline) Tier() *dbtier.Tier { return s.tier }
 
 // QueueLen reports the single request queue's length — the series plotted
 // in Figure 7.
@@ -179,7 +137,7 @@ func (s *Baseline) Graph() *stage.Graph { return s.graph }
 
 // serveConn handles every request on one connection (keep-alive loop),
 // all on the same worker with the same database connection.
-func (s *Baseline) serveConn(c *Conn, dbc DBConn) {
+func (s *Baseline) serveConn(c *Conn) {
 	defer c.Close()
 	for {
 		req, err := c.ReadRequest()
@@ -206,7 +164,7 @@ func (s *Baseline) serveConn(c *Conn, dbc DBConn) {
 			}
 			continue
 		}
-		res, err := handler(&Request{Path: req.Line.Path, Query: req.Query, Header: req.Header, DB: dbc})
+		res, err := handler(&Request{Path: req.Line.Path, Query: req.Query, Header: req.Header, DB: s.cfg.DB})
 		if err != nil {
 			if !s.tr.DirectReply(c, req.Line.Path, ClassQuick, httpwire.StatusInternalServerError, []byte("internal error"), plainText, false) {
 				return

@@ -9,16 +9,19 @@ import (
 	"testing"
 	"time"
 
+	"stagedweb/internal/dbtier"
 	"stagedweb/internal/server"
 	"stagedweb/internal/sqldb"
 	"stagedweb/internal/webtest"
 )
 
-// baselineEnv is a running baseline server plus its database.
+// baselineEnv is a running baseline server plus its database and the
+// tier fronting it.
 type baselineEnv struct {
 	srv  *server.Baseline
 	addr string
 	db   *sqldb.DB
+	tier *dbtier.Tier
 }
 
 // startBaseline boots a baseline server around app and returns its
@@ -43,9 +46,11 @@ func startBaselineEnv(t *testing.T, app *webtest.App, workers int, onComplete fu
 	}
 	seed.Close()
 
+	tier := dbtier.New(db, dbtier.Options{Conns: workers})
+	t.Cleanup(tier.Close) // after the server stops: cleanups run last-in first-out
 	s, err := server.NewBaseline(server.BaselineConfig{
 		App:        app,
-		DB:         db,
+		DB:         tier.Conn(),
 		Workers:    workers,
 		OnComplete: onComplete,
 	})
@@ -64,7 +69,7 @@ func startBaselineEnv(t *testing.T, app *webtest.App, workers int, onComplete fu
 			t.Errorf("Serve: %v", err)
 		}
 	})
-	return &baselineEnv{srv: s, addr: addr, db: db}
+	return &baselineEnv{srv: s, addr: addr, db: db, tier: tier}
 }
 
 func testApp() *webtest.App {
@@ -293,12 +298,13 @@ func TestBaselineConcurrentClients(t *testing.T) {
 }
 
 func TestBaselineConfigValidation(t *testing.T) {
-	db := sqldb.Open(sqldb.Options{Cost: sqldb.ZeroCostModel()})
+	conn := sqldb.Open(sqldb.Options{Cost: sqldb.ZeroCostModel()}).Connect()
+	defer conn.Close()
 	app := testApp()
 	for name, cfg := range map[string]server.BaselineConfig{
-		"nil app":      {DB: db, Workers: 1},
+		"nil app":      {DB: conn, Workers: 1},
 		"nil db":       {App: app, Workers: 1},
-		"zero workers": {App: app, DB: db},
+		"zero workers": {App: app, DB: conn},
 	} {
 		if _, err := server.NewBaseline(cfg); err == nil {
 			t.Errorf("%s accepted", name)
@@ -308,8 +314,8 @@ func TestBaselineConfigValidation(t *testing.T) {
 
 // TestBaselineGracefulShutdown stops the server with requests in flight
 // and asserts — via the stage graph's stats and the database's open-
-// connection gauge — that the queue drained, no workers stayed busy, and
-// every database connection was released.
+// connection gauge, once the tier is closed — that the queue drained, no
+// workers stayed busy, and every database connection was released.
 func TestBaselineGracefulShutdown(t *testing.T) {
 	release := make(chan struct{})
 	app := testApp()
@@ -356,6 +362,7 @@ func TestBaselineGracefulShutdown(t *testing.T) {
 			t.Errorf("stage %s not drained: %+v", st.Name, st)
 		}
 	}
+	env.tier.Close()
 	if n := env.db.OpenConns(); n != 0 {
 		t.Errorf("database connections leaked: %d still open", n)
 	}

@@ -20,7 +20,7 @@ func (db *DB) Clone() *DB {
 // starts at commit timestamp zero with single-version rows (tombstoned
 // slots preserved).
 //
-// The statement cache, apply hook, and replication log are not copied.
+// The statement cache and replication log are not copied.
 func (db *DB) CloneSnapshot() (*DB, int64) {
 	clone := &DB{
 		tables:    make(map[string]*table, 16),

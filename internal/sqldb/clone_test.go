@@ -172,41 +172,6 @@ func TestCloneReplayReproducesLayout(t *testing.T) {
 	}
 }
 
-func TestApplyHookFiresUnderWriteLock(t *testing.T) {
-	db, c := cloneTestDB(t)
-	type applied struct {
-		sql  string
-		args []Value
-	}
-	var got []applied
-	db.SetApplyHook(func(sql string, args []Value) {
-		got = append(got, applied{sql, args})
-	})
-
-	mustExec(t, c, "UPDATE item SET i_cost = ? WHERE i_id = ?", 5.5, 2)
-	if _, err := c.Query("SELECT i_id FROM item WHERE i_id = 2"); err != nil {
-		t.Fatal(err)
-	}
-	mustExec(t, c, "DELETE FROM item WHERE i_id = 3")
-
-	if len(got) != 2 {
-		t.Fatalf("hook fired %d times, want 2 (SELECTs must not fire it)", len(got))
-	}
-	if got[0].sql != "UPDATE item SET i_cost = ? WHERE i_id = ?" {
-		t.Fatalf("hook sql = %q", got[0].sql)
-	}
-	if len(got[0].args) != 2 || got[0].args[0] != 5.5 || got[0].args[1] != int64(2) {
-		t.Fatalf("hook args = %#v", got[0].args)
-	}
-
-	// Removing the hook stops delivery.
-	db.SetApplyHook(nil)
-	mustExec(t, c, "DELETE FROM item WHERE i_id = 4")
-	if len(got) != 2 {
-		t.Fatalf("hook fired after removal")
-	}
-}
-
 // TestCostDefaultsToDefaultModel pins the Options contract: nil means
 // DefaultCostModel (as the docs always promised), while an explicitly
 // zeroed model stays free.

@@ -32,17 +32,6 @@ type Options struct {
 	StmtCacheSize int
 }
 
-// ApplyFunc observes a successfully committed DML statement. The hook
-// is invoked with the statement's original SQL and its normalized
-// arguments inside the engine's commit critical section (db.commitMu) —
-// after the statement's versions are installed, before any later
-// statement can commit — so hook order is exactly commit order.
-// Replaying the statements in hook order onto a replica that started
-// from the same state reproduces the primary byte for byte (including
-// auto-assigned primary keys). In lock mode the target table's write
-// lock is also still held, preserving the pre-MVCC contract.
-type ApplyFunc func(sql string, args []Value)
-
 // DB is the embedded database engine. It is safe for concurrent use by
 // any number of connections.
 type DB struct {
@@ -76,11 +65,6 @@ type DB struct {
 	// chain an active reader is walking.
 	snapMu    sync.Mutex
 	snapCount map[int64]int
-
-	// applyHook, when set, observes every committed DML statement (see
-	// ApplyFunc). Stored atomically so SetApplyHook is safe against
-	// concurrent statements.
-	applyHook atomic.Pointer[ApplyFunc]
 
 	// idxEpoch counts index-availability changes (CreateIndex). Cached
 	// plans carry the epoch they were built under; a bump invalidates
@@ -126,9 +110,6 @@ func Open(opts Options) *DB {
 // database; statements already in flight finish under the discipline
 // they started with.
 func (db *DB) SetMVCC(on bool) { db.mvcc.Store(on) }
-
-// MVCCEnabled reports the current concurrency discipline.
-func (db *DB) MVCCEnabled() bool { return db.mvcc.Load() }
 
 // CommitTS reports the newest commit timestamp: the count of committed
 // DML statements over the database's lifetime.
@@ -194,33 +175,14 @@ func (db *DB) DisableReplLog() {
 // ReplLog returns the attached replication log, or nil.
 func (db *DB) ReplLog() *ReplLog { return db.log.Load() }
 
-// SetApplyHook installs (or, with nil, removes) the DML observation hook.
-// See ApplyFunc for the delivery contract.
-func (db *DB) SetApplyHook(fn ApplyFunc) {
-	if fn == nil {
-		db.applyHook.Store(nil)
-		return
-	}
-	db.applyHook.Store(&fn)
-}
-
-// fireApply delivers a committed DML statement to the hook. Callers
-// hold commitMu.
-func (db *DB) fireApply(ec *execCtx) {
-	if fn := db.applyHook.Load(); fn != nil {
-		(*fn)(ec.sql, ec.args)
-	}
-}
-
-// finishCommit completes a DML commit: append to the replication log,
-// publish the new commit timestamp, deliver the hook. Caller holds
-// commitMu and has already installed the statement's versions at ts.
+// finishCommit completes a DML commit: append to the replication log and
+// publish the new commit timestamp. Caller holds commitMu and has
+// already installed the statement's versions at ts.
 func (db *DB) finishCommit(ec *execCtx, ts int64) {
 	if l := db.log.Load(); l != nil {
 		l.append(LogEntry{TS: ts, SQL: ec.sql, Args: ec.args})
 	}
 	db.commitTS.Store(ts)
-	db.fireApply(ec)
 }
 
 // pinCurrent registers an active reader at the current commit timestamp

@@ -23,7 +23,7 @@ type execCtx struct {
 	// visited and flushPlanRows has not yet added to db.planRows: the
 	// per-row path bumps a field of its own, never a shared cache line.
 	planRows int64
-	// sql is the original statement text, kept for the DML apply hook.
+	// sql is the original statement text, kept for the replication log.
 	sql string
 	// argBuf backs args for the usual short argument list, so the context
 	// and its arguments are one allocation.
@@ -359,7 +359,7 @@ func (db *DB) execWrite(p *dmlPlan, set []string, ec *execCtx) (ExecResult, erro
 // statement before anything is installed, so a statement is never
 // half-applied. Primary-key checks also run before any install for the
 // same all-or-nothing guarantee. A statement that matched zero rows
-// still commits (timestamp, log entry, hook) — replicas replay the
+// still commits (timestamp, log entry) — replicas replay the
 // no-op, keeping the log contiguous.
 func (db *DB) commitWrites(tbl *table, snapTS int64, updates []rowWrite, deletes []int, ec *execCtx, validate bool) (ExecResult, error) {
 	db.commitMu.Lock()

@@ -468,6 +468,8 @@ func TestReplLog(t *testing.T) {
 	base := db.CommitTS()
 
 	mustExec(t, c, "UPDATE hot SET h_val = ? WHERE h_id = ?", 1, 1)
+	// A SELECT between the DMLs appends nothing.
+	mustQuery(t, c, "SELECT h_val FROM hot WHERE h_id = ?", 1)
 	mustExec(t, c, "DELETE FROM hot WHERE h_id = ?", 2)
 	// A zero-row statement still logs: timestamps stay dense.
 	mustExec(t, c, "UPDATE hot SET h_val = ? WHERE h_id = ?", 1, 100000)
@@ -483,6 +485,10 @@ func TestReplLog(t *testing.T) {
 	}
 	if entries[1].SQL != "DELETE FROM hot WHERE h_id = ?" {
 		t.Fatalf("entry SQL = %q", entries[1].SQL)
+	}
+	// Arguments arrive normalized to engine Values: a Go int is an int64.
+	if args := entries[0].Args; len(args) != 2 || args[0] != int64(1) || args[1] != int64(1) {
+		t.Fatalf("entry args = %#v", args)
 	}
 
 	// Blocking tail: a drained consumer wakes on the next append.

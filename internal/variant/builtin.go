@@ -7,6 +7,7 @@ import (
 	"stagedweb/internal/core"
 	"stagedweb/internal/dbtier"
 	"stagedweb/internal/server"
+	"stagedweb/internal/sqldb"
 	"stagedweb/internal/stage"
 )
 
@@ -86,35 +87,58 @@ type TierProvider interface {
 
 // tierProbes builds the db.* probe set over a database tier.
 func tierProbes(t *dbtier.Tier) []Probe {
+	sum := func(counter func(*sqldb.DB) int64) func() float64 {
+		return func() float64 { return float64(t.Sum(counter)) }
+	}
 	return []Probe{
 		{ProbeDBInUse, func() float64 { return float64(t.InUse()) }},
 		{ProbeDBWait, func() float64 { return float64(t.WaitCount()) }},
-		{ProbeDBQueries, func() float64 { return float64(t.QueryCount()) }},
-		{ProbeDBConflicts, func() float64 { return float64(t.Conflicts()) }},
-		{ProbeDBSnapshots, func() float64 { return float64(t.SnapshotReads()) }},
+		{ProbeDBQueries, sum((*sqldb.DB).QueryCount)},
+		{ProbeDBConflicts, sum((*sqldb.DB).Conflicts)},
+		{ProbeDBSnapshots, sum((*sqldb.DB).SnapshotReads)},
 		{ProbeDBReplLag, func() float64 { return float64(t.ReplLag()) }},
-		{ProbeDBStmtHits, func() float64 { return float64(t.StmtCacheHits()) }},
-		{ProbeDBStmtMiss, func() float64 { return float64(t.StmtCacheMisses()) }},
+		{ProbeDBStmtHits, sum((*sqldb.DB).StmtCacheHits)},
+		{ProbeDBStmtMiss, sum((*sqldb.DB).StmtCacheMisses)},
 		{ProbeDBEjected, func() float64 { return float64(t.Ejected()) }},
 		{ProbeDBResync, func() float64 { return float64(t.Resyncs()) }},
-		{ProbeDBPlanScan, func() float64 { return float64(t.PlanScans()) }},
-		{ProbeDBPlanIndex, func() float64 { return float64(t.PlanIndexLookups()) }},
-		{ProbeDBPlanRows, func() float64 { return float64(t.PlanRowsRead()) }},
+		{ProbeDBPlanScan, sum((*sqldb.DB).PlanScans)},
+		{ProbeDBPlanIndex, sum((*sqldb.DB).PlanIndexLookups)},
+		{ProbeDBPlanRows, sum((*sqldb.DB).PlanRowsRead)},
 	}
 }
 
-// dbEngineSettings decodes the storage-engine settings shared by every
-// variant: mvcc (snapshot reads + optimistic writes, default off), repl
-// (replica apply mode, sync|async, default sync), and indexes (extra
-// TPC-W secondary indexes, on|off, default off). The indexes key is
-// consumed here only so builders validate it; the harness acts on it
-// before the variant is built (see IndexesEnabled), because the extra
-// indexes must exist on the primary before replicas are cloned from it.
-func dbEngineSettings(d *Decoder) (mvcc, replAsync bool) {
-	mvcc = d.Bool("mvcc", false)
-	replAsync = d.Enum("repl", "sync", "sync", "async") == "async"
+// openTier is the one place a variant's database tier is built. It
+// decodes the tier settings both variants share (replicas; dbconns,
+// which defaults to the worker budget; mvcc; repl; indexes), finishes the
+// decoder, and builds the tier over env.DB only once every setting is
+// valid and env has an App and a DB, so a failed build starts no tier
+// goroutine. indexes is decoded only to validate it: the harness acts on
+// it during population (IndexesEnabled), before replicas are cloned.
+func openTier(env Env, d *Decoder, name string, budget int) (*dbtier.Tier, error) {
+	replicas := d.Int("replicas", 1)
+	conns := d.Int("dbconns", budget)
+	mvcc := d.Bool("mvcc", false)
+	async := d.Enum("repl", "sync", "sync", "async") == "async"
 	d.Bool("indexes", false)
-	return mvcc, replAsync
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
+	}
+	if env.App == nil || env.DB == nil {
+		return nil, fmt.Errorf("%s: nil App or DB", name)
+	}
+	if conns <= 0 {
+		return nil, fmt.Errorf("%s: dbconns=%d: want a positive connection pool size", name, conns)
+	}
+	if mvcc {
+		env.DB.SetMVCC(true)
+	}
+	return dbtier.New(env.DB, dbtier.Options{
+		Replicas: replicas,
+		Conns:    conns,
+		Clock:    env.Clock,
+		Scale:    env.Scale,
+		Async:    async,
+	}), nil
 }
 
 // IndexesEnabled reports whether the indexes=on|off setting asks for
@@ -135,7 +159,9 @@ func init() {
 	Register(Derive(ModifiedNoReserve, modified, Settings{"noreserve": "true"}))
 }
 
-// instance is the shared Instance implementation for the built-ins.
+// instance is the shared Instance implementation for the built-ins. It
+// owns the tier its server was handed: Stop stops the server, then
+// closes the tier.
 type instance struct {
 	serve  func(net.Listener) error
 	stop   func()
@@ -145,36 +171,28 @@ type instance struct {
 }
 
 func (i *instance) Serve(l net.Listener) error { return i.serve(l) }
-func (i *instance) Stop()                      { i.stop() }
+func (i *instance) Stop()                      { i.stop(); i.tier.Close() }
 func (i *instance) Graph() *stage.Graph        { return i.graph }
 func (i *instance) Probes() []Probe            { return i.probes }
 func (i *instance) DBTier() *dbtier.Tier       { return i.tier }
 
 // buildUnmodified constructs the thread-per-request baseline.
 //
-// Settings: workers (pool size == default connection budget, default
-// 80), queuecap (accept queue bound), replicas (database backends,
-// default 1), dbconns (connection pool size per backend, default
-// workers), mvcc (storage engine concurrency control, on|off), repl
-// (replica apply mode, sync|async).
+// Settings: workers (pool size, default 80), queuecap (accept queue
+// bound), and the tier settings of openTier, whose dbconns defaults to
+// workers.
 func buildUnmodified(env Env) (Instance, error) {
 	d := NewDecoder(env)
 	workers := d.Int("workers", 80)
 	queueCap := d.Int("queuecap", 0)
-	replicas := d.Int("replicas", 1)
-	dbConns := d.Int("dbconns", 0)
-	mvcc, replAsync := dbEngineSettings(d)
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%s: %w", Unmodified, err)
+	tier, err := openTier(env, d, Unmodified, workers)
+	if err != nil {
+		return nil, err
 	}
 	srv, err := server.NewBaseline(server.BaselineConfig{
 		App:        env.App,
-		DB:         env.DB,
+		DB:         tier.Conn(),
 		Workers:    workers,
-		Replicas:   replicas,
-		DBConns:    dbConns,
-		MVCC:       mvcc,
-		ReplAsync:  replAsync,
 		QueueCap:   queueCap,
 		Cost:       env.Cost,
 		Clock:      env.Clock,
@@ -182,64 +200,60 @@ func buildUnmodified(env Env) (Instance, error) {
 		OnComplete: env.OnComplete,
 	})
 	if err != nil {
+		tier.Close()
 		return nil, err
 	}
 	return &instance{
 		serve: srv.Serve,
 		stop:  srv.Stop,
 		graph: srv.Graph(),
-		tier:  srv.Tier(),
+		tier:  tier,
 		probes: append([]Probe{
 			{ProbeQueueSingle, func() float64 { return float64(srv.QueueLen()) }},
 			{ProbeServed, func() float64 { return float64(srv.Served()) }},
-		}, tierProbes(srv.Tier())...),
+		}, tierProbes(tier)...),
 	}, nil
 }
 
 // buildModified constructs the staged five-pool server.
 //
-// Settings: header, static, general, lengthy, render (pool sizes),
-// queuecap, minreserve, cutoff (quick/lengthy boundary, paper time),
-// noreserve (ablate the t_reserve controller), replicas (database
-// backends, default 1), dbconns (connection pool size per backend,
-// default general+lengthy), mvcc (storage engine concurrency control,
-// on|off), repl (replica apply mode, sync|async).
+// Settings: header, static, general, lengthy, render (pool sizes, default
+// 8/16/64/16/16), queuecap, minreserve, cutoff (quick/lengthy boundary,
+// paper time), noreserve (ablate the t_reserve controller), and the tier
+// settings of openTier, whose dbconns defaults to general+lengthy.
 func buildModified(env Env) (Instance, error) {
 	d := NewDecoder(env)
-	mvcc, replAsync := dbEngineSettings(d)
 	cfg := core.Config{
 		App:            env.App,
-		DB:             env.DB,
-		HeaderWorkers:  d.Int("header", 0),
-		StaticWorkers:  d.Int("static", 0),
-		GeneralWorkers: d.Int("general", 0),
-		LengthyWorkers: d.Int("lengthy", 0),
-		RenderWorkers:  d.Int("render", 0),
+		HeaderWorkers:  d.Int("header", 8),
+		StaticWorkers:  d.Int("static", 16),
+		GeneralWorkers: d.Int("general", 64),
+		LengthyWorkers: d.Int("lengthy", 16),
+		RenderWorkers:  d.Int("render", 16),
 		QueueCap:       d.Int("queuecap", 0),
 		MinReserve:     d.Int("minreserve", 0),
 		Cutoff:         d.Duration("cutoff", 0),
 		NoReserve:      d.Bool("noreserve", false),
-		Replicas:       d.Int("replicas", 1),
-		DBConns:        d.Int("dbconns", 0),
-		MVCC:           mvcc,
-		ReplAsync:      replAsync,
 		Clock:          env.Clock,
 		Scale:          env.Scale,
 		Cost:           env.Cost,
 		OnComplete:     env.OnComplete,
 	}
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%s: %w", Modified, err)
+	tier, err := openTier(env, d, Modified, cfg.GeneralWorkers+cfg.LengthyWorkers)
+	if err != nil {
+		return nil, err
 	}
+	cfg.DB = tier.Conn()
 	srv, err := core.New(cfg)
 	if err != nil {
+		tier.Close()
 		return nil, err
 	}
 	return &instance{
 		serve: srv.Serve,
 		stop:  srv.Stop,
 		graph: srv.Graph(),
-		tier:  srv.Tier(),
+		tier:  tier,
 		probes: append([]Probe{
 			{ProbeQueueGeneral, func() float64 { return float64(srv.GeneralQueueLen()) }},
 			{ProbeQueueLengthy, func() float64 { return float64(srv.LengthyQueueLen()) }},
@@ -248,6 +262,6 @@ func buildModified(env Env) (Instance, error) {
 			{ProbeDispatchGeneral, func() float64 { g, _ := srv.DispatchCounts(); return float64(g) }},
 			{ProbeDispatchLengthy, func() float64 { _, le := srv.DispatchCounts(); return float64(le) }},
 			{ProbeServed, func() float64 { return float64(srv.Served()) }},
-		}, tierProbes(srv.Tier())...),
+		}, tierProbes(tier)...),
 	}, nil
 }

@@ -113,34 +113,57 @@ func TestBuildModifiedAndDerived(t *testing.T) {
 }
 
 // TestReplicasSetting proves the database tier is pure configuration on
-// both built-in variants: replicas=N builds N backends, the db.* probes
-// appear, and nonsense values fail the strict decoder.
+// both built-in variants, and that the variant owns it: replicas=N builds
+// N backends, dbconns sizes each pool and defaults to the worker budget,
+// the db.* probes appear, Stop closes every pooled connection, and
+// nonsense values fail the strict decoder before any tier is built.
 func TestReplicasSetting(t *testing.T) {
-	for name, set := range map[string]Settings{
-		Unmodified: {"workers": "2", "replicas": "3", "dbconns": "2"},
-		Modified:   {"general": "4", "lengthy": "2", "replicas": "3", "dbconns": "2"},
+	for _, tc := range []struct {
+		variant string
+		set     Settings
+		conns   int
+	}{
+		{Unmodified, Settings{"workers": "2", "replicas": "3", "dbconns": "2"}, 2},
+		{Modified, Settings{"general": "4", "lengthy": "2", "replicas": "3", "dbconns": "2"}, 2},
+		{Unmodified, Settings{"replicas": "3"}, 80},
+		{Modified, Settings{"replicas": "3"}, 64 + 16},
 	} {
-		v, _ := Lookup(name)
-		inst, err := v.Build(testEnv(set))
+		v, _ := Lookup(tc.variant)
+		env := testEnv(tc.set)
+		inst, err := v.Build(env)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s %v: %v", tc.variant, tc.set, err)
+		}
+		tier := inst.(TierProvider).DBTier()
+		if tier.Replicas() != 3 || tier.Size() != tc.conns {
+			t.Errorf("%s %v: %d backends of %d connections, want 3 of %d",
+				tc.variant, tc.set, tier.Replicas(), tier.Size(), tc.conns)
 		}
 		probes := probeNames(inst)
 		for _, want := range []string{ProbeDBInUse, ProbeDBWait, ProbeDBQueries} {
 			if !probes[want] {
-				t.Errorf("%s probes miss %s: %v", name, want, probes)
+				t.Errorf("%s probes miss %s: %v", tc.variant, want, probes)
 			}
 		}
 		inst.Stop()
+		if n := env.DB.OpenConns(); n != 0 {
+			t.Errorf("%s %v: %d primary connections open after Stop", tc.variant, tc.set, n)
+		}
 	}
-	v, _ := Lookup(Modified)
-	if _, err := v.Build(testEnv(Settings{"replicas": "frog"})); err == nil ||
-		!strings.Contains(err.Error(), "replicas") {
-		t.Errorf("malformed replicas accepted: %v", err)
-	}
-	if _, err := v.Build(testEnv(Settings{"dbconns": "many"})); err == nil ||
-		!strings.Contains(err.Error(), "dbconns") {
-		t.Errorf("malformed dbconns accepted: %v", err)
+	for _, name := range []string{Unmodified, Modified} {
+		v, _ := Lookup(name)
+		for key, set := range map[string]Settings{
+			"replicas": {"replicas": "frog"},
+			"dbconns":  {"replicas": "3", "dbconns": "many"},
+		} {
+			env := testEnv(set)
+			if _, err := v.Build(env); err == nil || !strings.Contains(err.Error(), key) {
+				t.Errorf("%s: malformed %s accepted: %v", name, key, err)
+			}
+			if env.DB.OpenConns() != 0 || env.DB.ReplLog() != nil {
+				t.Errorf("%s: malformed %s built a tier", name, key)
+			}
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"stagedweb/internal/dbtier"
 	"stagedweb/internal/server"
 	"stagedweb/internal/sqldb"
 )
@@ -72,7 +73,9 @@ func TestEndToEndAgainstBaseline(t *testing.T) {
 	app := NewApp().AddPage("/ping", func(r *server.Request) (*server.Result, error) {
 		return &server.Result{Body: "pong"}, nil
 	})
-	srv, err := server.NewBaseline(server.BaselineConfig{App: app, DB: db, Workers: 2})
+	tier := dbtier.New(db, dbtier.Options{Conns: 2})
+	defer tier.Close()
+	srv, err := server.NewBaseline(server.BaselineConfig{App: app, DB: tier.Conn(), Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"stagedweb/internal/clock"
 	"stagedweb/internal/core"
+	"stagedweb/internal/dbtier"
 	"stagedweb/internal/sqldb"
 	"stagedweb/internal/tpcw"
 	"stagedweb/internal/webtest"
@@ -25,8 +26,10 @@ func startBookstore(t *testing.T) (addr string, counts tpcw.Counts) {
 		t.Fatal(err)
 	}
 	app := tpcw.NewApp(counts, nil)
+	tier := dbtier.New(db, dbtier.Options{Conns: 6, Scale: clock.Timescale(1000)})
+	t.Cleanup(tier.Close)
 	srv, err := core.New(core.Config{
-		App: app, DB: db,
+		App: app, DB: tier.Conn(),
 		HeaderWorkers: 2, StaticWorkers: 2, GeneralWorkers: 4, LengthyWorkers: 2, RenderWorkers: 2,
 		MinReserve: 1,
 		Scale:      clock.Timescale(1000),
