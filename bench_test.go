@@ -15,19 +15,20 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"strconv"
 	"testing"
 	"time"
 
 	"stagedweb/internal/clock"
 	"stagedweb/internal/dbtier"
 	"stagedweb/internal/harness"
-	"stagedweb/internal/load"
 	"stagedweb/internal/sched"
 	"stagedweb/internal/server"
 	"stagedweb/internal/sqldb"
 	"stagedweb/internal/template"
 	"stagedweb/internal/tpcw"
 	"stagedweb/internal/variant"
+	"stagedweb/internal/workload"
 )
 
 // miniConfig is a reduced experiment sized for benchmark iterations
@@ -160,14 +161,14 @@ func BenchmarkSpikeProfile(b *testing.B) {
 		b.Run(v, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res := runMini(b, v, func(cfg *harness.Config) {
-					cfg.Load = load.Spike
+					cfg.Load = workload.Spike
 					cfg.LoadSet = variant.Settings{
 						"burst": "120", "at": "45s", "width": "30s",
 					}
 				})
 				b.ReportMetric(float64(res.TotalInteractions), "interactions")
-				b.ReportMetric(harness.SeriesMax(res.Series[load.ProbeActive]), "peak-ebs")
-				b.ReportMetric(harness.SeriesMax(res.Series[load.ProbeWIRT]), "worst-wirt-sec")
+				b.ReportMetric(harness.SeriesMax(res.Series[workload.ProbeActive]), "peak-ebs")
+				b.ReportMetric(harness.SeriesMax(res.Series[workload.ProbeWIRT]), "worst-wirt-sec")
 			}
 		})
 	}
@@ -183,8 +184,8 @@ func BenchmarkScaleoutReplicas(b *testing.B) {
 		b.Run(fmt.Sprintf("replicas=%d", replicas), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res := runMini(b, variant.Modified, func(cfg *harness.Config) {
-					cfg.Replicas = replicas
-					cfg.DBConns = 4
+					cfg.Defaults["replicas"] = strconv.Itoa(replicas)
+					cfg.Defaults["dbconns"] = "4"
 				})
 				b.ReportMetric(float64(res.TotalInteractions), "interactions")
 				b.ReportMetric(harness.SeriesMax(res.Series[variant.ProbeDBWait]), "db-waits")
@@ -363,7 +364,7 @@ func BenchmarkAblationSinglePool(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res := runMini(b, variant.Modified, func(cfg *harness.Config) {
 					if !split {
-						cfg.Cutoff = time.Hour // nothing classifies lengthy
+						cfg.Defaults["cutoff"] = time.Hour.String() // nothing classifies lengthy
 					}
 				})
 				b.ReportMetric(float64(res.TotalInteractions), "interactions")
@@ -381,8 +382,8 @@ func BenchmarkAblationPoolRatio(b *testing.B) {
 		b.Run(fmt.Sprintf("lengthy-%d-of-%d", lengthy, budget), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res := runMini(b, variant.Modified, func(cfg *harness.Config) {
-					cfg.GeneralWorkers = budget - lengthy
-					cfg.LengthyWorkers = lengthy
+					cfg.Defaults["general"] = strconv.Itoa(budget - lengthy)
+					cfg.Defaults["lengthy"] = strconv.Itoa(lengthy)
 				})
 				b.ReportMetric(float64(res.TotalInteractions), "interactions")
 				b.ReportMetric(res.Pages[tpcw.PageBestSellers].MeanPaperSec, "bestsellers-sec")
@@ -398,7 +399,7 @@ func BenchmarkAblationCutoff(b *testing.B) {
 		b.Run(cutoff.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res := runMini(b, variant.Modified, func(cfg *harness.Config) {
-					cfg.Cutoff = cutoff
+					cfg.Defaults["cutoff"] = cutoff.String()
 				})
 				b.ReportMetric(res.Pages[tpcw.PageHome].MeanPaperSec, "home-sec")
 				b.ReportMetric(float64(res.TotalInteractions), "interactions")

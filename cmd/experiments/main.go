@@ -46,10 +46,10 @@ import (
 	"stagedweb/internal/cluster"
 	"stagedweb/internal/faults"
 	"stagedweb/internal/harness"
-	"stagedweb/internal/load"
 	"stagedweb/internal/sched"
 	"stagedweb/internal/tpcw"
 	"stagedweb/internal/variant"
+	"stagedweb/internal/workload"
 )
 
 // experiment is one -exp mode: a row of the experiments table.
@@ -62,6 +62,10 @@ type experiment struct {
 	// or -load.
 	mixes   bool
 	profile string
+	// sweeps lists the -set keys a row sweeps itself, and loadSweeps the
+	// -load-set keys: an explicit setting of one would override every
+	// cell of the axis, so such a row rejects it.
+	sweeps, loadSweeps []string
 	// build turns the parsed flags into the row's plan.
 	build func(*setup) (plan, error)
 	// report appends the sweep's per-cell report after the tables.
@@ -89,12 +93,14 @@ var experiments = []experiment{
 	{name: "fig8", build: paper(func(_, test *harness.Result) string { return harness.Figure8(test) }), report: true},
 	{name: "fig9", build: paper(harness.Figure9), report: true},
 	{name: "fig10", build: paper(harness.Figure10), report: true},
-	{name: "spike", standalone: true, profile: load.Spike, build: spikePlan},
-	{name: "scaleout", standalone: true, mixes: true, build: scaleoutPlan},
-	{name: "mvcc", standalone: true, mixes: true, build: mvccPlan},
-	{name: "planner", standalone: true, mixes: true, build: plannerPlan},
-	{name: "shard", standalone: true, profile: load.OpenLoop, build: shardPlan, report: true},
-	{name: "faults", standalone: true, build: faultsPlan, report: true},
+	{name: "spike", standalone: true, profile: workload.Spike, build: spikePlan},
+	{name: "scaleout", standalone: true, mixes: true, sweeps: []string{"replicas"}, build: scaleoutPlan},
+	{name: "mvcc", standalone: true, mixes: true, sweeps: []string{"replicas", "mvcc", "repl"}, build: mvccPlan},
+	{name: "planner", standalone: true, mixes: true, sweeps: []string{"indexes"}, build: plannerPlan},
+	{name: "shard", standalone: true, profile: workload.OpenLoop, sweeps: []string{"shards", "replicas"},
+		build: shardPlan, report: true},
+	{name: "faults", standalone: true, sweeps: []string{"shards", "replicas", "repl", "faults", "faultset"},
+		build: faultsPlan, report: true},
 }
 
 // setup is the parsed command line the rows build their plans from.
@@ -106,7 +112,7 @@ type setup struct {
 	csvDir, jsonDir         string
 	scale                   float64
 	quick                   bool
-	ebs, dbConns, parallel  int
+	ebs, parallel           int
 	measure                 time.Duration
 	seed                    int64
 	sets, loadSets          variant.SettingsFlag
@@ -136,12 +142,11 @@ func run(args []string, out io.Writer) error {
 	fs.Int64Var(&s.seed, "seed", 1, "workload seed")
 	fs.StringVar(&s.variants, "variants", variant.Unmodified+","+variant.Modified,
 		"comma-separated registered variants; the first is the comparison baseline (registered: "+strings.Join(variant.Names(), ", ")+")")
-	fs.StringVar(&s.loadProf, "load", "", "load profile driving the client side (registered: "+strings.Join(load.Names(), ", ")+"; empty = steady)")
+	fs.StringVar(&s.loadProf, "load", "", "load profile driving the client side (registered: "+strings.Join(workload.Names(), ", ")+"; empty = steady)")
 	fs.StringVar(&s.mix, "mix", "", "TPC-W page mix: "+strings.Join(tpcw.MixNames(), ", ")+" (empty = browsing)")
 	fs.StringVar(&s.ebsSweep, "ebs-sweep", "", "comma-separated EB levels (e.g. 100,200,300,400): run the saturation ramp across every variant")
 	fs.StringVar(&s.replicas, "replicas", "1,2,4", "comma-separated replica counts swept by -exp scaleout and -exp mvcc (-exp shard uses the first level only)")
 	fs.StringVar(&s.shards, "shards", "1,2,4", "comma-separated shard counts swept by -exp shard")
-	fs.IntVar(&s.dbConns, "dbconns", 0, "connections per database backend in -exp scaleout, -exp mvcc, and -exp shard (0 = auto: dynamic budget / 6)")
 	fs.IntVar(&s.parallel, "parallel", 1, "concurrent sweep runs (>1 trades timing fidelity for wall time)")
 	fs.Var(&s.sets, "set", "variant setting `key=value` (repeatable), e.g. -set cutoff=3s")
 	fs.Var(&s.loadSets, "load-set", "load-profile setting `key=value` (repeatable), e.g. -load-set burst=300")
@@ -152,9 +157,9 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("no variants selected")
 	}
 	if s.loadProf != "" {
-		if _, ok := load.Lookup(s.loadProf); !ok {
+		if _, ok := workload.Lookup(s.loadProf); !ok {
 			return fmt.Errorf("unknown load profile %q (registered: %s)",
-				s.loadProf, strings.Join(load.Names(), ", "))
+				s.loadProf, strings.Join(workload.Names(), ", "))
 		}
 	}
 	rows, err := s.pick()
@@ -240,9 +245,19 @@ func (s *setup) pick() ([]experiment, error) {
 		}
 	}
 	if s.ebsSweep != "" {
-		return []experiment{{name: "ebs-sweep", build: ebRampPlan}}, nil
+		rows = []experiment{{name: "ebs-sweep", loadSweeps: []string{"ebs"}, build: ebRampPlan}}
 	}
 	for _, e := range rows {
+		for _, k := range e.sweeps {
+			if _, ok := s.sets.Settings[k]; ok {
+				return nil, fmt.Errorf("%s sweeps %s itself; drop -set %s", e.name, k, k)
+			}
+		}
+		for _, k := range e.loadSweeps {
+			if _, ok := s.loadSets.Settings[k]; ok {
+				return nil, fmt.Errorf("%s sweeps %s itself; drop -load-set %s", e.name, k, k)
+			}
+		}
 		if e.mixes && s.mix != "" {
 			return nil, fmt.Errorf("-exp %s sweeps the browsing and ordering mixes itself; drop -mix %s", e.name, s.mix)
 		}
@@ -286,18 +301,15 @@ func (s *setup) config(name string) harness.Config {
 }
 
 // tier returns the variant's config with the per-backend connection pool
-// sized for a database-tier sweep: -dbconns when set, else a sixth of the
-// dynamic-worker budget, so that connection acquisition (db.wait) and
-// engine capacity, not worker counts, bound throughput.
+// sized for a database-tier sweep: a sixth of the dynamic-worker budget
+// (general + lengthy), at least 2, so that connection acquisition
+// (db.wait) and engine capacity, not worker counts, bound throughput.
+// -set dbconns=K overrides it.
 func (s *setup) tier(name string) harness.Config {
 	cfg := s.config(name)
-	cfg.DBConns = s.dbConns
-	if cfg.DBConns <= 0 {
-		cfg.DBConns = 8
-		if budget := cfg.GeneralWorkers + cfg.LengthyWorkers; budget > 0 {
-			cfg.DBConns = max(2, budget/6)
-		}
-	}
+	general, _ := strconv.Atoi(cfg.Defaults["general"])
+	lengthy, _ := strconv.Atoi(cfg.Defaults["lengthy"])
+	cfg.Defaults["dbconns"] = strconv.Itoa(max(2, (general+lengthy)/6))
 	return cfg
 }
 
@@ -334,7 +346,7 @@ func paper(render func(base, test *harness.Result) string) func(*setup) (plan, e
 // offered population, and the worst per-second client WIRT.
 func spikePlan(s *setup) (plan, error) {
 	out, names := s.out, s.names
-	cells := harness.Matrix(s.config(""), names, []harness.LoadSpec{{Profile: load.Spike, Set: s.loadSets.Settings}})
+	cells := harness.Matrix(s.config(""), names, []harness.LoadSpec{{Profile: workload.Spike, Set: s.loadSets.Settings}})
 	return plan{
 		intro: fmt.Sprintf("flash crowd: %d variant(s) through the spike profile...", len(names)),
 		cells: cells,
@@ -344,11 +356,11 @@ func spikePlan(s *setup) (plan, error) {
 				[]any{"variant", "interactions", "errors", "peak-ebs", "worst-wirt"}, names, cellNames(cells),
 				func(res *harness.Result) []any {
 					return []any{res.TotalInteractions, res.Errors,
-						harness.SeriesMax(res.Series[load.ProbeActive]), harness.SeriesMax(res.Series[load.ProbeWIRT])}
+						harness.SeriesMax(res.Series[workload.ProbeActive]), harness.SeriesMax(res.Series[workload.ProbeWIRT])}
 				})
 			if len(names) >= 2 {
 				fmt.Fprintf(out, "throughput gain through the crowd: %+.1f%%\n",
-					sw.GainPercent(names[0]+"/"+load.Spike, names[1]+"/"+load.Spike))
+					sw.GainPercent(names[0]+"/"+workload.Spike, names[1]+"/"+workload.Spike))
 			}
 			fmt.Fprintln(out)
 		},
@@ -381,7 +393,7 @@ func scaleoutPlan(s *setup) (plan, error) {
 					Name: cellName(name+"/"+mix, level),
 					Config: s.tier(name).With(func(c *harness.Config) {
 						c.Mix = mix
-						c.Replicas = level
+						c.Defaults["replicas"] = strconv.Itoa(level)
 					}),
 				})
 			}
@@ -467,13 +479,11 @@ func cellNames(cells []harness.Scenario) []string {
 // fan-out, MVCC snapshot reads with the same synchronous contract, and
 // MVCC with asynchronous log shipping.
 var engineModes = []struct {
-	key  string
-	mvcc bool
-	repl string
+	key, mvcc, repl string
 }{
-	{"lock/sync", false, "sync"},
-	{"mvcc/sync", true, "sync"},
-	{"mvcc/async", true, "async"},
+	{"lock/sync", "off", "sync"},
+	{"mvcc/sync", "on", "sync"},
+	{"mvcc/async", "on", "async"},
 }
 
 // mvccPlan runs one variant across every storage-engine mode, both TPC-W
@@ -502,9 +512,9 @@ func mvccPlan(s *setup) (plan, error) {
 					Name: cellName(eng.key+"/"+mix, level),
 					Config: s.tier(name).With(func(c *harness.Config) {
 						c.Mix = mix
-						c.Replicas = level
-						c.MVCC = eng.mvcc
-						c.Repl = eng.repl
+						c.Defaults["replicas"] = strconv.Itoa(level)
+						c.Defaults["mvcc"] = eng.mvcc
+						c.Defaults["repl"] = eng.repl
 					}),
 				})
 			}
@@ -566,7 +576,7 @@ func plannerPlan(s *setup) (plan, error) {
 				Name: cellName(mix, ix),
 				Config: s.tier(name).With(func(c *harness.Config) {
 					c.Mix = mix
-					c.Indexes = ix == "on"
+					c.Defaults["indexes"] = ix
 					// Light load: the quick/lengthy classification is about
 					// each page's service demand, and a saturated run buries
 					// that under queueing delay. A fifth of the configured
@@ -659,22 +669,27 @@ func shardPlan(s *setup) (plan, error) {
 		return plan{}, fmt.Errorf("-replicas: %w", err)
 	}
 	replicas := repl[0]
-	set := s.loadSets.Settings.Clone()
-	if set == nil {
-		set = variant.Settings{}
-	}
-	if _, ok := set["rate"]; !ok {
-		// Default arrival rate: enough Poisson sessions to saturate a
-		// single shard, so added shards have queued work to absorb.
-		set["rate"] = "8"
-	}
 	name := s.names[0]
-	base := s.tier(name).With(func(c *harness.Config) { c.Replicas = replicas })
-	cells := harness.ShardMatrix(base, levels, []int{replicas}, []harness.LoadSpec{{Profile: load.OpenLoop, Set: set}})
+	var cells []harness.Scenario
+	for _, m := range levels {
+		cells = append(cells, harness.Scenario{
+			Name: fmt.Sprintf("shards=%d/replicas=%d/%s", m, replicas, workload.OpenLoop),
+			Config: s.tier(name).With(func(c *harness.Config) {
+				c.Defaults["shards"] = strconv.Itoa(m)
+				c.Defaults["replicas"] = strconv.Itoa(replicas)
+				c.Load = workload.OpenLoop
+				if _, ok := c.LoadSet["rate"]; !ok {
+					// Default arrival rate: enough Poisson sessions to saturate
+					// a single shard, so added shards have queued work to absorb.
+					c.LoadSet["rate"] = "8"
+				}
+			}),
+		})
+	}
 	out := s.out
 	return plan{
 		intro: fmt.Sprintf("cluster: %s x %d shard levels at %d replica(s) under %s arrivals...",
-			name, len(levels), replicas, load.OpenLoop),
+			name, len(levels), replicas, workload.OpenLoop),
 		cells: cells,
 		print: func(sw *harness.SweepResult) {
 			fmt.Fprintf(out, "shard scale-out (interactions per measurement window)\n")
@@ -731,12 +746,12 @@ func faultsPlan(s *setup) (plan, error) {
 			cells = append(cells, harness.Scenario{
 				Name: cellName(mode.key, repl),
 				Config: s.tier(name).With(func(c *harness.Config) {
-					c.Shards = 2
-					c.Replicas = 2
-					c.Repl = repl
+					c.Defaults["shards"] = "2"
+					c.Defaults["replicas"] = "2"
+					c.Defaults["repl"] = repl
 					if mode.plan != "" {
-						c.Faults = mode.plan
-						c.FaultSet = variant.Settings{"at": "60s", "restart": "60s"}
+						c.Defaults["faults"] = mode.plan
+						c.Defaults["faultset"] = "at=60s,restart=60s"
 					}
 				}),
 			})

@@ -11,8 +11,8 @@ import (
 	"stagedweb/internal/cluster"
 	"stagedweb/internal/faults"
 	"stagedweb/internal/harness"
-	"stagedweb/internal/load"
 	"stagedweb/internal/variant"
+	"stagedweb/internal/workload"
 )
 
 // artifact is one artifact check of an experiment row: the glob must
@@ -37,7 +37,7 @@ func TestExperimentsSmoke(t *testing.T) {
 		t.Skip("race-detector overhead swamps the paper-time calibration; " +
 			"run without -race for the experiment smoke")
 	}
-	clientProbes := []string{load.ProbeActive, load.ProbeOffered, load.ProbeErrors, load.ProbeWIRT}
+	clientProbes := []string{workload.ProbeActive, workload.ProbeOffered, workload.ProbeErrors, workload.ProbeWIRT}
 	for _, tc := range []struct {
 		name      string
 		args      []string
@@ -247,6 +247,17 @@ func TestExperimentsFlagValidation(t *testing.T) {
 	if err := run([]string{"-exp", "mvcc", "-ebs-sweep", "10,20"}, &buf); err == nil ||
 		!strings.Contains(err.Error(), "separate modes") {
 		t.Errorf("-exp mvcc -ebs-sweep accepted: %v", err)
+	}
+	// A row rejects an explicit setting of an axis it sweeps: the
+	// setting would run every cell of the axis at one value.
+	for _, args := range [][]string{
+		{"-exp", "scaleout", "-set", "replicas=3"},
+		{"-exp", "faults", "-set", "repl=async"},
+		{"-ebs-sweep", "10,20", "-load-set", "ebs=5"},
+	} {
+		if err := run(args, &buf); err == nil || !strings.Contains(err.Error(), "sweeps") {
+			t.Errorf("%v accepted: %v", args, err)
+		}
 	}
 	// Table 2 needs no server runs and must work for any -variants.
 	buf.Reset()

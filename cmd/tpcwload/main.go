@@ -24,9 +24,9 @@ import (
 	"time"
 
 	"stagedweb/internal/clock"
-	"stagedweb/internal/load"
 	"stagedweb/internal/tpcw"
 	"stagedweb/internal/variant"
+	"stagedweb/internal/workload"
 )
 
 func main() {
@@ -41,7 +41,7 @@ func run(args []string) error {
 	var (
 		addr      = fs.String("addr", "127.0.0.1:8080", "server address")
 		ebs       = fs.Int("ebs", 100, "base emulated-browser population")
-		loadProf  = fs.String("load", load.Steady, "load profile (registered: "+strings.Join(load.Names(), ", ")+")")
+		loadProf  = fs.String("load", workload.Steady, "load profile (registered: "+strings.Join(workload.Names(), ", ")+")")
 		mixName   = fs.String("mix", "", "TPC-W page mix: "+strings.Join(tpcw.MixNames(), ", ")+" (empty = browsing)")
 		duration  = fs.Duration("duration", time.Minute, "run duration (paper time)")
 		scale     = fs.Float64("scale", 1, "timescale (match the server's)")
@@ -55,36 +55,38 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	p, ok := load.Lookup(*loadProf)
+	p, ok := workload.Lookup(*loadProf)
 	if !ok {
 		return fmt.Errorf("unknown load profile %q (registered: %s)",
-			*loadProf, strings.Join(load.Names(), ", "))
+			*loadProf, strings.Join(workload.Names(), ", "))
 	}
 	mix, err := tpcw.MixByName(*mixName)
 	if err != nil {
 		return err
 	}
 	ts := clock.Timescale(*scale)
-	drv, err := p.Build(load.Env{
-		Addr:        *addr,
-		Scale:       ts,
-		Mix:         mix,
-		Customers:   *customers,
-		Items:       *items,
-		FetchImages: *images,
-		Seed:        *seed,
-		Set:         loadSets.Settings,
-		Defaults:    variant.Settings{"ebs": fmt.Sprint(*ebs)},
+	gen, err := p.Build(workload.Env{
+		Config: workload.Config{
+			Addr:        *addr,
+			EBs:         *ebs,
+			Scale:       ts,
+			Mix:         mix,
+			Customers:   *customers,
+			Items:       *items,
+			FetchImages: *images,
+			Seed:        *seed,
+		},
+		Set: loadSets.Settings,
 	})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("driving %s load against %s for %v (paper time)...\n", *loadProf, *addr, *duration)
-	drv.Start()
+	gen.Start()
 	time.Sleep(ts.Wall(*duration)) //lint:allow wallclock(CLI run duration elapses on the operator's wall clock)
-	drv.Stop()
+	gen.Stop()
 
-	stats := drv.Stats()
+	stats := gen.Stats()
 	fmt.Printf("\n%-28s %8s %8s %12s %12s %12s\n", "page", "count", "errors", "mean (s)", "p90 (s)", "max (s)")
 	for _, p := range stats.Pages() {
 		fmt.Printf("%-28s %8d %8d %12.3f %12.3f %12.3f\n",

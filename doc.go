@@ -14,10 +14,10 @@
 // embedded relational database with table locks and a latency cost model
 // (internal/sqldb), an HTTP/1.1 wire implementation with two-phase
 // header parsing (internal/httpwire), the TPC-W bookstore, its page
-// mixes, and a dynamic emulated-browser fleet (internal/tpcw,
-// internal/workload), a load-profile registry that makes offered load —
-// steady state, flash crowds, ramps, diurnal waves, open-loop arrivals —
-// a named first-class value (internal/load), and the experiment harness
+// mixes, and a dynamic emulated-browser fleet whose load-profile
+// registry makes offered load — steady state, flash crowds, ramps,
+// diurnal waves, open-loop arrivals — a named first-class value
+// (internal/tpcw, internal/workload), and the experiment harness
 // that regenerates the paper's tables and figures (internal/harness).
 //
 // Scaling past one database, internal/dbtier fronts a primary plus N-1

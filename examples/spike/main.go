@@ -21,8 +21,8 @@ import (
 
 	"stagedweb/internal/clock"
 	"stagedweb/internal/harness"
-	"stagedweb/internal/load"
 	"stagedweb/internal/variant"
+	"stagedweb/internal/workload"
 )
 
 func main() {
@@ -41,7 +41,7 @@ func run() error {
 
 	// The crowd: triple the population for 45 paper-seconds, one minute
 	// into the run.
-	crowd := harness.LoadSpec{Profile: load.Spike, Set: variant.Settings{
+	crowd := harness.LoadSpec{Profile: workload.Spike, Set: variant.Settings{
 		"burst": "80",
 		"at":    "1m",
 		"width": "45s",
@@ -61,9 +61,9 @@ func run() error {
 		fmt.Printf("\n== %s: %d interactions, %d errors ==\n",
 			sc.Name, res.TotalInteractions, res.Errors)
 		fmt.Print(harness.AsciiPlot("active EBs (client.active)", "EBs",
-			res.Series[load.ProbeActive], 64, 8))
+			res.Series[workload.ProbeActive], 64, 8))
 		fmt.Print(harness.AsciiPlot("per-second client WIRT (client.wirt)", "paper-s",
-			res.Series[load.ProbeWIRT], 64, 8))
+			res.Series[workload.ProbeWIRT], 64, 8))
 		if s := res.Series[variant.ProbeReserve]; s != nil {
 			fmt.Print(harness.AsciiPlot("t_reserve (sched.reserve)", "workers", s, 64, 8))
 		}

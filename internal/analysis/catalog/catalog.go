@@ -24,8 +24,8 @@ var SettingsKeyRE = regexp.MustCompile(`^[a-z][a-z0-9]*$`)
 
 // Probes maps every registered probe/series name to a one-line
 // description. Sources: variant.Instance.Probes registrations
-// (internal/variant/builtin.go), client-side driver probes
-// (internal/load), fault-injector probes (internal/faults), and the
+// (internal/variant/builtin.go), client-side load-generator probes
+// (internal/workload), fault-injector probes (internal/faults), and the
 // harness-owned throughput series (internal/harness).
 var Probes = map[string]string{
 	// Server-side probes (internal/variant/builtin.go).
@@ -63,11 +63,11 @@ var Probes = map[string]string{
 	// Fault-injector probes (internal/faults).
 	"fault.injected": "fault plan: injections executed so far",
 
-	// Client-side probes (internal/load).
+	// Client-side probes (internal/workload).
 	"client.active":  "emulated browsers currently running",
-	"client.offered": "offered request rate at the driver",
-	"client.errors":  "failed interactions at the driver",
-	"client.wirt":    "rolling worst interaction response time (sec)",
+	"client.offered": "interactions begun since the previous sample",
+	"client.errors":  "failed interactions at the generator",
+	"client.wirt":    "mean interaction response time since the previous sample (sec)",
 
 	// Harness-owned series (internal/harness); the "throughput."
 	// prefix is reserved for the harness.
@@ -81,7 +81,7 @@ var Probes = map[string]string{
 // SettingsKeys maps every key decodable through variant.Decoder to a
 // one-line description. Sources: the variant registry
 // (internal/variant/builtin.go) and the load-profile registry
-// (internal/load/builtin.go). Test-only keys in *_test.go files are
+// (internal/workload/profile.go). Test-only keys in *_test.go files are
 // exempt — the analyzers skip test files.
 var SettingsKeys = map[string]string{
 	// Variant settings (internal/variant/builtin.go).
@@ -114,7 +114,7 @@ var SettingsKeys = map[string]string{
 	"every":    "conn-drop repeat interval (paper time)",
 	"conns":    "connections leaked per tier (0 = all idle)",
 
-	// Load-profile settings (internal/load/builtin.go).
+	// Load-profile settings (internal/workload/profile.go).
 	"ebs":     "base emulated-browser population",
 	"to":      "step/ramp target population",
 	"at":      "step/spike/fault onset (paper time)",

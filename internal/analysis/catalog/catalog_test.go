@@ -42,7 +42,7 @@ func TestShapes(t *testing.T) {
 // fails (it would be a series nobody can sample).
 func TestProbesMatchDeclaringConstants(t *testing.T) {
 	declared := map[string]string{}
-	for _, dir := range []string{"internal/variant", "internal/load", "internal/harness", "internal/cluster", "internal/faults"} {
+	for _, dir := range []string{"internal/variant", "internal/workload", "internal/harness", "internal/cluster", "internal/faults"} {
 		for name, val := range probeConstants(t, filepath.Join(repoRoot, dir)) {
 			declared[val] = name
 		}
@@ -67,7 +67,7 @@ func TestProbesMatchDeclaringConstants(t *testing.T) {
 func TestSettingsKeysMatchDecoderCalls(t *testing.T) {
 	decodeRE := regexp.MustCompile(`\.(Bool|Int|Float|Enum|Duration|String)\("([a-z][a-z0-9]*)"`)
 	decoded := map[string]bool{}
-	for _, dir := range []string{"internal/variant", "internal/load", "internal/cluster", "internal/faults"} {
+	for _, dir := range []string{"internal/variant", "internal/workload", "internal/cluster", "internal/faults"} {
 		for _, src := range nonTestSources(t, filepath.Join(repoRoot, dir)) {
 			for _, m := range decodeRE.FindAllStringSubmatch(src, -1) {
 				decoded[m[2]] = true

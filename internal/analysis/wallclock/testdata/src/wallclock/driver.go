@@ -1,5 +1,5 @@
-// Package wallclock mirrors the pre-fix internal/load/driver.go
-// population controller — the real bug this analyzer was built to
+// Package wallclock mirrors the load generator's pre-fix population
+// controller (today workload.Generator.control) — the real bug this analyzer was built to
 // catch: pacing a paper-time schedule with the wall clock, so a
 // clock.Manual run re-targets the fleet on the wrong timeline.
 package wallclock

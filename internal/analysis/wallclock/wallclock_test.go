@@ -7,8 +7,8 @@ import (
 	"stagedweb/internal/analysis/framework"
 )
 
-// TestFixtures proves the analyzer catches the pre-fix
-// internal/load/driver.go violation (the fixture mirrors that control
+// TestFixtures proves the analyzer catches the load generator's pre-fix
+// population-controller violation (the fixture mirrors that control
 // loop) and stays silent on time.Time method calls and duration
 // arithmetic.
 func TestFixtures(t *testing.T) {

@@ -1,5 +1,6 @@
 // Package faults makes failure a first-class experiment input,
-// mirroring internal/load on the dependability side: a Plan is a named
+// mirroring the load profiles of internal/workload on the dependability
+// side: a Plan is a named
 // fault recipe that builds a running Injector from an environment (the
 // database tiers and cluster balancer under test, a clock, a
 // timescale, generic settings), and a process-wide registry maps names

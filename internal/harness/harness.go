@@ -6,18 +6,20 @@
 // Figures 7–10).
 //
 // Both axes are values, not cases: Run looks Config.Variant up in the
-// internal/variant registry and Config.Load up in the internal/load
-// registry, builds them, and samples every probe each exports into a
-// named metrics.Series (server-side queue.*/sched.*, client-side
+// internal/variant registry and Config.Load up in the internal/workload
+// profile registry, builds them, and samples every probe each exports
+// into a named metrics.Series (server-side queue.*/sched.*, client-side
 // client.*) — so a newly registered topology or workload shape needs
-// zero harness edits. Sweeps over a scenario matrix (variants × load
-// profiles × setting mutations) are first-class too; see Scenario,
+// zero harness edits. Every server-side input (pool sizes, database
+// tier, cluster, fault plan) is a settings key: Config.Defaults holds
+// the experiment's values and Config.Set the explicit overrides, and
+// Run passes both through. Sweeps over a scenario matrix (variants ×
+// load profiles × setting mutations) are first-class too; see Scenario,
 // Sweep, and Matrix.
 package harness
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -25,13 +27,13 @@ import (
 	"stagedweb/internal/clock"
 	"stagedweb/internal/cluster"
 	"stagedweb/internal/faults"
-	"stagedweb/internal/load"
 	"stagedweb/internal/metrics"
 	"stagedweb/internal/server"
 	"stagedweb/internal/sqldb"
 	"stagedweb/internal/tpcw"
 	"stagedweb/internal/variant"
 	"stagedweb/internal/webtest"
+	"stagedweb/internal/workload"
 )
 
 // Series names the harness computes from completion events, alongside
@@ -61,7 +63,7 @@ type Config struct {
 	Scale clock.Timescale `json:"scale"`
 
 	// Workload: the offered load is a registered load profile (see
-	// internal/load), configured like a variant.
+	// internal/workload), configured like a variant.
 	//
 	// Load is the profile name; empty means "steady" (the paper's fixed
 	// closed-loop population).
@@ -74,9 +76,9 @@ type Config struct {
 	Mix string `json:"mix,omitempty"`
 
 	// EBs is the base emulated-browser population: -ebs sets it, and
-	// QuickConfig and PaperConfig size it. The harness lowers it into the
-	// load profile's advisory "ebs" setting, the level every profile
-	// scales from; an explicit LoadSet "ebs" wins.
+	// QuickConfig and PaperConfig size it. It is the default of the load
+	// profile's "ebs" setting, the level every profile scales from; an
+	// explicit LoadSet "ebs" wins.
 	EBs      int           `json:"ebs"`
 	RampUp   time.Duration `json:"ramp_up_ns"`
 	Measure  time.Duration `json:"measure_ns"`
@@ -94,66 +96,21 @@ type Config struct {
 	// Work models render/static worker time (CPython-calibrated).
 	Work server.WorkCost `json:"work"`
 
-	// Typed sizing knobs, lowered into variant settings as defaults: a
-	// variant applies the keys it understands and ignores the rest.
-	// Baseline sizing: worker count == database connection budget.
-	BaselineWorkers int `json:"baseline_workers,omitempty"`
-	// Staged sizing.
-	HeaderWorkers  int           `json:"header_workers,omitempty"`
-	StaticWorkers  int           `json:"static_workers,omitempty"`
-	GeneralWorkers int           `json:"general_workers,omitempty"`
-	LengthyWorkers int           `json:"lengthy_workers,omitempty"`
-	RenderWorkers  int           `json:"render_workers,omitempty"`
-	MinReserve     int           `json:"min_reserve,omitempty"`
-	Cutoff         time.Duration `json:"cutoff_ns,omitempty"`
-	// Database-tier sizing (both variants): total backends (primary +
-	// read replicas; 0 or 1 means a single database) and the connection
-	// pool size per backend (0 means the variant's worker budget).
-	Replicas int `json:"replicas,omitempty"`
-	DBConns  int `json:"db_conns,omitempty"`
-	// Storage engine (both variants): MVCC switches the primary to
-	// snapshot reads + optimistic writes ("mvcc" setting); Repl picks
-	// the replica apply mode, "sync" (default) or "async" ("repl"
-	// setting).
-	MVCC bool   `json:"mvcc,omitempty"`
-	Repl string `json:"repl,omitempty"`
-	// Indexes builds the extra TPC-W secondary indexes after population
-	// ("indexes" setting) — the planner experiment's schema axis. The
-	// paper's deliberately index-starved schema is the default.
-	Indexes bool `json:"indexes,omitempty"`
-	// Cluster tier (see internal/cluster): Shards > 0 fronts that many
-	// shard-owning variant instances with the consistent-hash balancer
-	// (lowered into the "shards" setting; even shards=1 routes through
-	// the balancer so sharded sweeps compare like with like). Zero means
-	// no cluster layer at all. LB picks the key-less routing policy
-	// ("lb" setting): cluster.LBHash (default) or cluster.LBRR.
-	Shards int    `json:"shards,omitempty"`
-	LB     string `json:"lb,omitempty"`
-	// Fault injection (see internal/faults): Faults names a registered
-	// fault plan started when the measurement window opens (lowered into
-	// the "faults" setting; empty or "none" runs fault-free), FaultSet
-	// holds the plan's settings (lowered into "faultset"; unknown keys
-	// are build errors).
-	Faults   string           `json:"faults,omitempty"`
-	FaultSet variant.Settings `json:"fault_set,omitempty"`
-
 	// SLO is the paper-time WIRT threshold for the Result's
 	// SLO-attainment figure; zero takes 3 s (the TPC-W web interaction
 	// response-time constraint for most pages).
 	SLO time.Duration `json:"slo_ns,omitempty"`
 
-	// Set holds explicit variant-setting overrides, layered over the
-	// typed fields above. Unlike the typed fields, a key the variant
-	// does not understand is a build error.
+	// Set holds explicit setting overrides (-set key=value). A key the
+	// variant does not understand is a build error.
 	Set variant.Settings `json:"set,omitempty"`
-}
-
-// VariantName resolves the variant under test.
-func (c Config) VariantName() (string, error) {
-	if c.Variant != "" {
-		return c.Variant, nil
-	}
-	return "", fmt.Errorf("harness: config names no variant")
+	// Defaults holds the experiment's settings under the README's key
+	// names: pool sizes (workers, header, ..., minreserve, cutoff), the
+	// database tier (replicas, dbconns, mvcc, repl, indexes), the
+	// cluster (shards, lb) and the fault plan (faults, faultset). Set
+	// wins over it, and a variant applies the keys it understands and
+	// ignores the rest, so one config can drive any topology.
+	Defaults variant.Settings `json:"defaults,omitempty"`
 }
 
 // LoadName resolves the load profile under test: Load if set, else
@@ -162,93 +119,28 @@ func (c Config) LoadName() string {
 	if c.Load != "" {
 		return c.Load
 	}
-	return load.Steady
+	return workload.Steady
 }
 
-// With returns a copy of the config with the mutations applied. The Set
-// and LoadSet maps are cloned (and allocated if nil) first, so scenario
-// mutations can write them freely without aliasing the base config.
+// With returns a copy of the config with the mutations applied. The Set,
+// LoadSet and Defaults maps are cloned (and allocated if nil) first, so
+// scenario mutations can write them freely without aliasing the base
+// config.
 func (c Config) With(muts ...func(*Config)) Config {
-	c.Set = c.Set.Clone()
-	if c.Set == nil {
-		c.Set = variant.Settings{}
-	}
-	c.LoadSet = c.LoadSet.Clone()
-	if c.LoadSet == nil {
-		c.LoadSet = variant.Settings{}
-	}
+	c.Set, c.LoadSet, c.Defaults = writable(c.Set), writable(c.LoadSet), writable(c.Defaults)
 	for _, mut := range muts {
 		mut(&c)
 	}
 	return c
 }
 
-// settings lowers the typed sizing fields into variant settings.
-func (c Config) settings() variant.Settings {
-	s := variant.Settings{}
-	put := func(key string, v int) {
-		if v > 0 {
-			s[key] = fmt.Sprint(v)
-		}
+// writable returns a copy of s that a mutation may write, allocated
+// when s is nil.
+func writable(s variant.Settings) variant.Settings {
+	if s == nil {
+		return variant.Settings{}
 	}
-	put("workers", c.BaselineWorkers)
-	put("header", c.HeaderWorkers)
-	put("static", c.StaticWorkers)
-	put("general", c.GeneralWorkers)
-	put("lengthy", c.LengthyWorkers)
-	put("render", c.RenderWorkers)
-	put("minreserve", c.MinReserve)
-	put("replicas", c.Replicas)
-	put("dbconns", c.DBConns)
-	put("shards", c.Shards)
-	if c.LB != "" {
-		s["lb"] = c.LB
-	}
-	if c.Cutoff > 0 {
-		s["cutoff"] = c.Cutoff.String()
-	}
-	if c.MVCC {
-		s["mvcc"] = "on"
-	}
-	if c.Indexes {
-		s["indexes"] = "on"
-	}
-	if c.Repl != "" {
-		s["repl"] = c.Repl
-	}
-	if c.Faults != "" {
-		s["faults"] = c.Faults
-	}
-	if len(c.FaultSet) > 0 {
-		s["faultset"] = encodeKV(c.FaultSet)
-	}
-	return s
-}
-
-// encodeKV flattens a settings map into the "key=value,key=value" form
-// the faultset setting carries, in sorted key order so the lowering is
-// deterministic.
-func encodeKV(set variant.Settings) string {
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = k + "=" + set[k]
-	}
-	return strings.Join(parts, ",")
-}
-
-// loadDefaults lowers EBs into the advisory "ebs" profile setting, the
-// same way settings() lowers pool sizes for variants.
-func (c Config) loadDefaults() variant.Settings {
-	s := variant.Settings{}
-	if c.EBs > 0 {
-		s["ebs"] = fmt.Sprint(c.EBs)
-	}
-	return s
+	return s.Clone()
 }
 
 // PaperConfig returns the full-paper-scale configuration for the named
@@ -288,13 +180,10 @@ func PaperConfig(variantName string, scale clock.Timescale) Config {
 			StaticBase:  5 * time.Millisecond,
 			StaticPerKB: time.Millisecond,
 		},
-		BaselineWorkers: 48,
-		HeaderWorkers:   32,
-		StaticWorkers:   32,
-		GeneralWorkers:  40,
-		LengthyWorkers:  10,
-		RenderWorkers:   32,
-		MinReserve:      10,
+		Defaults: variant.Settings{
+			"workers": "48", "header": "32", "static": "32", "general": "40",
+			"lengthy": "10", "render": "32", "minreserve": "10",
+		},
 	}
 }
 
@@ -317,14 +206,10 @@ func QuickConfig(variantName string, scale clock.Timescale) Config {
 		Populate:    tpcw.PopulateConfig{Items: 2000, Customers: 600, Orders: 520},
 		Cost:        cost,
 		Work:        server.DefaultWorkCost(),
-
-		BaselineWorkers: 26,
-		HeaderWorkers:   16,
-		StaticWorkers:   16,
-		GeneralWorkers:  21,
-		LengthyWorkers:  5,
-		RenderWorkers:   16,
-		MinReserve:      5,
+		Defaults: variant.Settings{
+			"workers": "26", "header": "16", "static": "16", "general": "21",
+			"lengthy": "5", "render": "16", "minreserve": "5",
+		},
 	}
 }
 
@@ -381,7 +266,7 @@ type Result struct {
 
 	// Series holds every time series of the run, keyed by name: the
 	// harness's throughput series ("throughput.*", one bucket per paper
-	// minute) and one series per variant or load-driver probe
+	// minute) and one series per variant or load-generator probe
 	// ("queue.*", "sched.*", "client.*", ..., sampled once per paper
 	// second).
 	Series map[string]*metrics.Series `json:"series"`
@@ -392,9 +277,9 @@ type Result struct {
 
 // Run executes one experiment.
 func Run(cfg Config) (*Result, error) {
-	name, err := cfg.VariantName()
-	if err != nil {
-		return nil, err
+	name := cfg.Variant
+	if name == "" {
+		return nil, fmt.Errorf("harness: config names no variant")
 	}
 	v, ok := variant.Lookup(name)
 	if !ok {
@@ -402,10 +287,10 @@ func Run(cfg Config) (*Result, error) {
 			name, strings.Join(variant.Names(), ", "))
 	}
 	loadName := cfg.LoadName()
-	prof, ok := load.Lookup(loadName)
+	prof, ok := workload.Lookup(loadName)
 	if !ok {
 		return nil, fmt.Errorf("harness: unknown load profile %q (registered: %s)",
-			loadName, strings.Join(load.Names(), ", "))
+			loadName, strings.Join(workload.Names(), ", "))
 	}
 	mix, err := tpcw.MixByName(cfg.Mix)
 	if err != nil {
@@ -419,7 +304,7 @@ func Run(cfg Config) (*Result, error) {
 	// The fault plan splits off first: the "faults"/"faultset" settings
 	// are experiment inputs, not server configuration, and must never
 	// reach the cluster or variant decoders.
-	faultPlan, faultSet, runSet, err := faults.DecodeSettings(cfg.Set, cfg.settings())
+	faultPlan, faultSet, runSet, err := faults.DecodeSettings(cfg.Set, cfg.Defaults)
 	if err != nil {
 		return nil, err
 	}
@@ -429,7 +314,7 @@ func Run(cfg Config) (*Result, error) {
 	// untouched. clustered is true whenever a shards setting is present
 	// (even shards=1), so a sharded sweep's baseline cell pays the same
 	// balancer hop as its scaled cells.
-	clusterOpts, shardSet, clustered, err := cluster.DecodeSettings(runSet, cfg.settings())
+	clusterOpts, shardSet, clustered, err := cluster.DecodeSettings(runSet, cfg.Defaults)
 	if err != nil {
 		return nil, err
 	}
@@ -471,7 +356,7 @@ func Run(cfg Config) (*Result, error) {
 		// The indexes=on axis builds its extra indexes on each shard's
 		// primary before any variant is constructed, so replicas cloned
 		// from it inherit them (CloneSnapshot copies index structures).
-		if variant.IndexesEnabled(cfg.Set, cfg.settings()) {
+		if variant.IndexesEnabled(cfg.Set, cfg.Defaults) {
 			if err := tpcw.CreateExtraIndexes(db); err != nil {
 				return nil, err
 			}
@@ -549,7 +434,7 @@ func Run(cfg Config) (*Result, error) {
 			Cost:       cfg.Work,
 			OnComplete: onComplete,
 			Set:        set,
-			Defaults:   cfg.settings(),
+			Defaults:   cfg.Defaults,
 		})
 	}
 	var inst variant.Instance
@@ -616,21 +501,22 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	// The load profile builds the client-side driver against the
-	// listener's address — harness.Run never constructs a workload
-	// fleet directly.
-	drv, err := prof.Build(load.Env{
-		Addr:             addr,
-		Clock:            clock.Precise{},
-		Scale:            cfg.Scale,
-		Mix:              mix,
-		Customers:        counts.Customers,
-		Items:            counts.Items,
-		FetchImages:      cfg.FetchImages,
-		ThinkExponential: cfg.ThinkExponential,
-		Seed:             cfg.Seed,
-		Set:              cfg.LoadSet,
-		Defaults:         cfg.loadDefaults(),
+	// The load profile builds the client-side generator against the
+	// listener's address; EBs is the default of its "ebs" setting.
+	gen, err := prof.Build(workload.Env{
+		Config: workload.Config{
+			Addr:             addr,
+			EBs:              cfg.EBs,
+			Clock:            clock.Precise{},
+			Scale:            cfg.Scale,
+			Mix:              mix,
+			Customers:        counts.Customers,
+			Items:            counts.Items,
+			FetchImages:      cfg.FetchImages,
+			ThinkExponential: cfg.ThinkExponential,
+			Seed:             cfg.Seed,
+		},
+		Set: cfg.LoadSet,
 	})
 	if err != nil {
 		inst.Stop()
@@ -638,10 +524,10 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	// Every probe the variant instance, the load driver, and the fault
+	// Every probe the variant instance, the load generator, and the fault
 	// injector export becomes a sampled series, one sample per paper
 	// second.
-	probes := append(inst.Probes(), drv.Probes()...)
+	probes := append(inst.Probes(), gen.Probes()...)
 	if inj != nil {
 		probes = append(probes, inj.Probes()...)
 	}
@@ -661,43 +547,43 @@ func Run(cfg Config) (*Result, error) {
 		samplers = append(samplers, metrics.StartSampler(clk, second, p.Gauge, res.Series[p.Name]))
 	}
 
-	// Windowed SLO attainment: the driver's cumulative within/total
+	// Windowed SLO attainment: the generator's cumulative within/total
 	// counter pair, sampled once per paper second, is the signal the
 	// recovery column is computed from after the run.
 	slo := cfg.SLO
 	if slo <= 0 {
 		slo = 3 * time.Second
 	}
-	drv.Stats().SetSLOThreshold(cfg.Scale.Wall(slo))
+	gen.Stats().SetSLOThreshold(cfg.Scale.Wall(slo))
 	sloWithin := metrics.NewSeries(measureStart, second, metrics.AggLast)
 	sloTotal := metrics.NewSeries(measureStart, second, metrics.AggLast)
 	samplers = append(samplers,
 		metrics.StartSampler(clk, second, func() float64 {
-			w, _ := drv.Stats().SLOCounts()
+			w, _ := gen.Stats().SLOCounts()
 			return float64(w)
 		}, sloWithin),
 		metrics.StartSampler(clk, second, func() float64 {
-			_, t := drv.Stats().SLOCounts()
+			_, t := gen.Stats().SLOCounts()
 			return float64(t)
 		}, sloTotal))
 
 	// Drive load: ramp-up (not recorded), measure, cool-down. The fault
 	// schedule arms when the measurement window opens, so plan offsets
 	// are paper time from the start of measurement.
-	drv.Stats().SetRecording(false)
-	drv.Start()
+	gen.Stats().SetRecording(false)
+	gen.Start()
 
 	time.Sleep(time.Until(measureStart))
-	drv.Stats().Reset()
-	drv.Stats().SetRecording(true)
+	gen.Stats().Reset()
+	gen.Stats().SetRecording(true)
 	if inj != nil {
 		inj.Start()
 	}
 	time.Sleep(cfg.Scale.Wall(cfg.Measure))
-	drv.Stats().SetRecording(false)
+	gen.Stats().SetRecording(false)
 	time.Sleep(cfg.Scale.Wall(cfg.CoolDown))
 
-	drv.Stop()
+	gen.Stop()
 	if inj != nil {
 		inj.Stop()
 	}
@@ -713,7 +599,7 @@ func Run(cfg Config) (*Result, error) {
 	countMu.Lock()
 	defer countMu.Unlock()
 	for _, page := range tpcw.Pages {
-		client := drv.Stats().Page(page)
+		client := gen.Stats().Page(page)
 		count := pageCounts[page]
 		if clustered {
 			count = client.Count
@@ -726,13 +612,13 @@ func Run(cfg Config) (*Result, error) {
 		}
 		res.TotalInteractions += count
 	}
-	res.Errors = drv.Stats().Errors()
+	res.Errors = gen.Stats().Errors()
 
 	// Tail latency and SLO attainment over the whole interaction stream.
-	res.P99PaperSec = cfg.Scale.PaperSeconds(drv.Stats().OverallQuantile(0.99))
-	res.P999PaperSec = cfg.Scale.PaperSeconds(drv.Stats().OverallQuantile(0.999))
+	res.P99PaperSec = cfg.Scale.PaperSeconds(gen.Stats().OverallQuantile(0.99))
+	res.P999PaperSec = cfg.Scale.PaperSeconds(gen.Stats().OverallQuantile(0.999))
 	res.SLOPaperSec = slo.Seconds()
-	res.SLOAttained = drv.Stats().FractionWithin(cfg.Scale.Wall(slo))
+	res.SLOAttained = gen.Stats().FractionWithin(cfg.Scale.Wall(slo))
 
 	// Fault outcome: when the first injection landed and how long SLO
 	// attainment took to come back.

@@ -7,11 +7,11 @@ import (
 	"time"
 
 	"stagedweb/internal/clock"
-	"stagedweb/internal/load"
 	"stagedweb/internal/metrics"
 	"stagedweb/internal/sqldb"
 	"stagedweb/internal/tpcw"
 	"stagedweb/internal/variant"
+	"stagedweb/internal/workload"
 )
 
 // testConfig is a miniature experiment that still exhibits the paper's
@@ -146,7 +146,7 @@ func TestExperimentShape(t *testing.T) {
 }
 
 // TestClusterRun drives a sharded run end to end through the public
-// config surface: Config.Shards puts the consistent-hash balancer in
+// config surface: the shards setting puts the consistent-hash balancer in
 // front of shard-owning instances, the balancer's routing series land
 // in Result.Series next to the aggregated server series, and the tail
 // statistics are populated.
@@ -163,8 +163,8 @@ func TestClusterRun(t *testing.T) {
 	cfg.Measure = time.Minute
 	cfg.CoolDown = 5 * time.Second
 	cfg.Populate = tpcw.PopulateConfig{Items: 300, Customers: 120, Orders: 100}
-	cfg.Shards = 2
-	cfg.LB = "hash"
+	cfg.Defaults["shards"] = "2"
+	cfg.Defaults["lb"] = "hash"
 
 	res, err := Run(cfg)
 	if err != nil {
@@ -198,7 +198,7 @@ func TestClusterRun(t *testing.T) {
 
 	// The strict settings surface covers the cluster keys: a bad lb
 	// policy is a build error, not a silent fallback.
-	bad := cfg.With(func(c *Config) { c.LB = "random" })
+	bad := cfg.With(func(c *Config) { c.Defaults["lb"] = "random" })
 	if _, err := Run(bad); err == nil {
 		t.Error("lb=random accepted")
 	}
@@ -237,7 +237,7 @@ func TestRunValidation(t *testing.T) {
 	}
 	cfg = QuickConfig(variant.Modified, clock.Timescale(1000))
 	cfg.Populate = tpcw.PopulateConfig{Items: 10, Customers: 2, Orders: 2}
-	cfg.Load = load.Spike
+	cfg.Load = workload.Spike
 	cfg.LoadSet = variant.Settings{"bogus": "1"}
 	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "bogus") {
 		t.Fatalf("unknown load setting accepted: %v", err)
@@ -260,22 +260,22 @@ func TestLoadProfileRun(t *testing.T) {
 	cfg.Measure = 40 * time.Second
 	cfg.CoolDown = 5 * time.Second
 	cfg.Populate = tpcw.PopulateConfig{Items: 200, Customers: 60, Orders: 50}
-	cfg.Load = load.Spike
+	cfg.Load = workload.Spike
 	cfg.LoadSet = variant.Settings{"burst": "15", "at": "10s", "width": "20s"}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{load.ProbeActive, load.ProbeOffered, load.ProbeErrors, load.ProbeWIRT} {
+	for _, name := range []string{workload.ProbeActive, workload.ProbeOffered, workload.ProbeErrors, workload.ProbeWIRT} {
 		if res.Series[name] == nil {
 			t.Fatalf("client series %q missing (have %v)", name, seriesNames(res))
 		}
 	}
-	if res.Config.Load != load.Spike {
+	if res.Config.Load != workload.Spike {
 		t.Fatalf("result config load = %q", res.Config.Load)
 	}
 	// The sampler must see the burst: 10 base + 15 burst EBs.
-	if peak := SeriesMax(res.Series[load.ProbeActive]); peak < 20 {
+	if peak := SeriesMax(res.Series[workload.ProbeActive]); peak < 20 {
 		t.Errorf("peak active EBs = %v, want ~25 during the burst", peak)
 	}
 	if res.TotalInteractions == 0 {
@@ -374,7 +374,7 @@ func TestThroughputGain(t *testing.T) {
 
 func TestPaperAndQuickConfigs(t *testing.T) {
 	p := PaperConfig(variant.Modified, clock.DefaultScale)
-	if p.EBs != 400 || p.Measure != 50*time.Minute || p.GeneralWorkers != 4*p.LengthyWorkers {
+	if p.EBs != 400 || p.Measure != 50*time.Minute || p.Defaults["general"] != "40" || p.Defaults["lengthy"] != "10" {
 		t.Fatalf("paper config wrong: %+v", p)
 	}
 	q := QuickConfig(variant.Unmodified, clock.DefaultScale)
@@ -392,12 +392,16 @@ func TestConfigWithClonesSettings(t *testing.T) {
 	derived := base.With(func(c *Config) {
 		c.EBs = 7
 		c.Set["general"] = "4"
+		c.Defaults["replicas"] = "2"
 	})
-	if derived.EBs != 7 || derived.Set["general"] != "4" {
+	if derived.EBs != 7 || derived.Set["general"] != "4" || derived.Defaults["replicas"] != "2" {
 		t.Fatalf("mutation lost: %+v", derived)
 	}
 	if base.Set["general"] != "8" || base.EBs == 7 {
 		t.Fatal("With mutated the base config")
+	}
+	if _, ok := base.Defaults["replicas"]; ok {
+		t.Fatal("With aliased the base config's Defaults")
 	}
 	// A nil Set must be allocated so mutations can write it directly.
 	fresh := QuickConfig(variant.Modified, clock.DefaultScale).

@@ -30,8 +30,8 @@ type Scenario struct {
 // LoadSpec names one load-profile cell of a scenario matrix: a
 // registered profile plus its settings.
 type LoadSpec struct {
-	// Profile is the registered load-profile name (load.Steady,
-	// load.Spike, ...); empty means steady.
+	// Profile is the registered load-profile name (workload.Steady,
+	// workload.Spike, ...); empty means steady.
 	Profile string
 	// Set holds the profile settings for this cell.
 	Set variant.Settings
@@ -51,38 +51,6 @@ func Matrix(base Config, variants []string, loads []LoadSpec) []Scenario {
 				c.LoadSet = ld.Set.Clone()
 			})
 			out = append(out, Scenario{Name: v + "/" + cfg.LoadName(), Config: cfg})
-		}
-	}
-	return out
-}
-
-// ShardMatrix builds the shards × replicas × load-profile scenario grid
-// from a base config: one cell per combination, named
-// "shards=M/replicas=R/profile". Every cell — shards=1 included — runs
-// through the cluster balancer, so cells differ only in shard count,
-// not in topology. Empty shards or replicas axes collapse to the base
-// config's value.
-func ShardMatrix(base Config, shards, replicas []int, loads []LoadSpec) []Scenario {
-	if len(shards) == 0 {
-		shards = []int{base.Shards}
-	}
-	if len(replicas) == 0 {
-		replicas = []int{base.Replicas}
-	}
-	out := make([]Scenario, 0, len(shards)*len(replicas)*len(loads))
-	for _, m := range shards {
-		for _, r := range replicas {
-			for _, ld := range loads {
-				m, r := m, r
-				cfg := base.With(func(c *Config) {
-					c.Shards = m
-					c.Replicas = r
-					c.Load = ld.Profile
-					c.LoadSet = ld.Set.Clone()
-				})
-				name := fmt.Sprintf("shards=%d/replicas=%d/%s", m, r, cfg.LoadName())
-				out = append(out, Scenario{Name: name, Config: cfg})
-			}
 		}
 	}
 	return out

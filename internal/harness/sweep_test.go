@@ -9,10 +9,10 @@ import (
 	"time"
 
 	"stagedweb/internal/clock"
-	"stagedweb/internal/load"
 	"stagedweb/internal/metrics"
 	"stagedweb/internal/tpcw"
 	"stagedweb/internal/variant"
+	"stagedweb/internal/workload"
 )
 
 // sweepConfig is a tiny run (well under a second of wall time) so sweep
@@ -82,7 +82,7 @@ func TestMatrix(t *testing.T) {
 	spikeSet := variant.Settings{"burst": "30"}
 	cells := Matrix(base,
 		[]string{variant.Unmodified, variant.Modified},
-		[]LoadSpec{{}, {Profile: load.Spike, Set: spikeSet}})
+		[]LoadSpec{{}, {Profile: workload.Spike, Set: spikeSet}})
 	if len(cells) != 4 {
 		t.Fatalf("cells = %d, want 4", len(cells))
 	}
@@ -98,11 +98,11 @@ func TestMatrix(t *testing.T) {
 	if cells[1].Config.Variant != variant.Unmodified || cells[3].Config.Variant != variant.Modified {
 		t.Error("variants misassigned")
 	}
-	if cells[3].Config.Load != load.Spike || cells[3].Config.LoadSet["burst"] != "30" {
+	if cells[3].Config.Load != workload.Spike || cells[3].Config.LoadSet["burst"] != "30" {
 		t.Errorf("spike cell config wrong: %+v", cells[3].Config)
 	}
 	// The empty LoadSpec lowers to steady with no settings carried over.
-	if cells[0].Config.LoadName() != load.Steady || len(cells[0].Config.LoadSet) != 0 {
+	if cells[0].Config.LoadName() != workload.Steady || len(cells[0].Config.LoadSet) != 0 {
 		t.Errorf("steady cell config wrong: %+v", cells[0].Config)
 	}
 	// Mutating a cell's settings must not alias the base or siblings.

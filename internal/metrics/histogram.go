@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 )
@@ -200,10 +199,4 @@ func (h *Histogram) Snapshot() Snapshot {
 		s.P99 = cp.Quantile(0.99)
 	}
 	return s
-}
-
-// SortDurations sorts a duration slice ascending; exported here so tests
-// and the harness share one helper.
-func SortDurations(ds []time.Duration) {
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
 }

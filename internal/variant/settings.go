@@ -10,8 +10,8 @@ import (
 
 // Settings is the generic key=value configuration surface of a variant:
 // what `-set key=value` sets on the command line, what scenario
-// mutations override in a sweep, and what the harness's typed sizing
-// fields lower into. Values are strings; builders decode them through a
+// mutations override in a sweep, and what the harness's Config.Defaults
+// holds. Values are strings; builders decode them through a
 // Decoder, which makes unknown explicit keys build errors.
 type Settings map[string]string
 
@@ -110,8 +110,8 @@ func NewDecoder(env Env) *Decoder {
 
 // NewSettingsDecoder returns a Decoder over explicit overrides and
 // advisory defaults directly — for registries that reuse the settings
-// surface without a variant Env (internal/load's profiles decode their
-// recipes through this).
+// surface without a variant Env (internal/workload's load profiles
+// decode their recipes through this).
 func NewSettingsDecoder(explicit, defaults Settings) *Decoder {
 	return &Decoder{explicit: explicit, defaults: defaults, used: map[string]bool{}}
 }

@@ -74,9 +74,9 @@ type Env struct {
 	// harness.Config.Set, scenario mutations). A key the variant does
 	// not understand is a build error — typos must not pass silently.
 	Set Settings
-	// Defaults holds advisory settings (the harness's typed sizing
-	// fields). A variant applies the keys it understands and ignores
-	// the rest, so one experiment config can drive any topology.
+	// Defaults holds advisory settings (harness.Config.Defaults). A
+	// variant applies the keys it understands and ignores the rest, so
+	// one experiment config can drive any topology.
 	Defaults Settings
 }
 

@@ -1,4 +1,4 @@
-package load
+package workload
 
 import (
 	"fmt"
@@ -7,7 +7,24 @@ import (
 	"time"
 
 	"stagedweb/internal/variant"
-	"stagedweb/internal/workload"
+)
+
+// Probe names every Generator exports. The "client." prefix is reserved
+// for these, next to the server-side "queue."/"sched." families.
+const (
+	// ProbeActive is the live EB count (closed-loop fleet plus open-loop
+	// sessions) — the instantaneous offered population.
+	ProbeActive = "client.active"
+	// ProbeOffered is the number of interactions begun since the
+	// previous sample; at the harness's one-sample-per-paper-second
+	// cadence it reads as offered load in interactions per paper second.
+	ProbeOffered = "client.offered"
+	// ProbeErrors is the cumulative failed-interaction count.
+	ProbeErrors = "client.errors"
+	// ProbeWIRT is the mean client-side web interaction response time,
+	// in paper seconds, of interactions completed since the previous
+	// sample (zero when none completed).
+	ProbeWIRT = "client.wirt"
 )
 
 // Registered names of the built-in profiles.
@@ -30,58 +47,95 @@ const (
 	OpenLoop = "open-loop"
 )
 
-// defaultEBs is the base population when neither settings nor the
-// harness's lowered defaults name one.
-const defaultEBs = 100
-
-func init() {
-	Register(New(Steady, buildSteady))
-	Register(New(Step, buildStep))
-	Register(New(Ramp, buildRamp))
-	Register(New(Spike, buildSpike))
-	Register(New(Wave, buildWave))
-	Register(New(OpenLoop, buildOpenLoop))
+// Env is everything a Profile needs to build a Generator: the fleet's
+// Config, whose EBs is the default for the "ebs" setting (100 when
+// zero), and the profile's settings.
+type Env struct {
+	Config
+	// Set holds explicit profile settings (CLI -load-set key=value,
+	// harness.Config.LoadSet). A key the profile does not understand is
+	// a build error — typos must not pass silently.
+	Set variant.Settings
 }
 
-// baseGen builds the EB fleet every profile drives.
-func baseGen(env Env, ebs int) *workload.Generator {
-	return workload.New(workload.Config{
-		Addr:             env.Addr,
-		EBs:              ebs,
-		Mix:              env.Mix,
-		Scale:            env.Scale,
-		Customers:        env.Customers,
-		Items:            env.Items,
-		FetchImages:      env.FetchImages,
-		ThinkExponential: env.ThinkExponential,
-		Seed:             env.Seed,
-		Clock:            env.clk(),
-	})
+// defaultEBs is the base population when neither the settings nor
+// Config.EBs name one.
+const defaultEBs = 100
+
+// baseEBs is the default of the "ebs" setting.
+func (e Env) baseEBs() int {
+	if e.EBs > 0 {
+		return e.EBs
+	}
+	return defaultEBs
+}
+
+// Profile is a named load recipe: its Name is the registry key
+// ("steady", "spike", ...), and Build constructs an unstarted Generator
+// from the environment.
+type Profile = variant.Recipe[Env, *Generator]
+
+// NewProfile wraps a name and a build function as a Profile.
+func NewProfile(name string, build func(Env) (*Generator, error)) Profile {
+	return variant.NewRecipe(name, build)
+}
+
+var registry = variant.NewRegistry[Profile]("load profile")
+
+// Register adds a profile to the process-wide registry; it panics on an
+// empty or duplicate name.
+func Register(p Profile) { registry.Register(p) }
+
+// Lookup finds a registered profile by name.
+func Lookup(name string) (Profile, bool) { return registry.Lookup(name) }
+
+// Names lists the registered profile names, sorted.
+func Names() []string { return registry.Names() }
+
+func init() {
+	Register(NewProfile(Steady, buildSteady))
+	Register(NewProfile(Step, buildStep))
+	Register(NewProfile(Ramp, buildRamp))
+	Register(NewProfile(Spike, buildSpike))
+	Register(NewProfile(Wave, buildWave))
+	Register(NewProfile(OpenLoop, buildOpenLoop))
+}
+
+// Scheduled builds a Generator of ebs browsers whose closed-loop
+// population follows schedule — paper time since Start mapped to a
+// target EB count, evaluated once per paper second. It is the building
+// block the step/ramp/spike/wave built-ins compose, exported so custom
+// profiles can too; pass a nil schedule for a fixed fleet.
+func Scheduled(env Env, ebs int, schedule func(time.Duration) int) (*Generator, error) {
+	env.EBs = ebs
+	g := New(env.Config)
+	g.schedule = schedule
+	return g, nil
 }
 
 // buildSteady constructs the fixed closed-loop fleet (current paper
 // behavior).
 //
 // Settings: ebs (population).
-func buildSteady(env Env) (Driver, error) {
-	d := variant.NewSettingsDecoder(env.Set, env.Defaults)
-	ebs := d.Int("ebs", defaultEBs)
+func buildSteady(env Env) (*Generator, error) {
+	d := variant.NewSettingsDecoder(env.Set, nil)
+	ebs := d.Int("ebs", env.baseEBs())
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("%s: %w", Steady, err)
 	}
 	if ebs <= 0 {
 		return nil, fmt.Errorf("%s: ebs must be positive", Steady)
 	}
-	return newDriver(baseGen(env, ebs), env.Scale, env.clk()), nil
+	return Scheduled(env, ebs, nil)
 }
 
 // buildStep constructs a population step.
 //
 // Settings: ebs (initial population), to (population after the step),
 // at (paper time of the step since load start, default 1m).
-func buildStep(env Env) (Driver, error) {
-	d := variant.NewSettingsDecoder(env.Set, env.Defaults)
-	ebs := d.Int("ebs", defaultEBs)
+func buildStep(env Env) (*Generator, error) {
+	d := variant.NewSettingsDecoder(env.Set, nil)
+	ebs := d.Int("ebs", env.baseEBs())
 	to := d.Int("to", 2*ebs)
 	at := d.Duration("at", time.Minute)
 	if err := d.Finish(); err != nil {
@@ -103,9 +157,9 @@ func buildStep(env Env) (Driver, error) {
 // Settings: ebs (start population), to (end population, may be lower),
 // over (ramp duration, default 2m), delay (hold at the start level
 // first, default 0).
-func buildRamp(env Env) (Driver, error) {
-	d := variant.NewSettingsDecoder(env.Set, env.Defaults)
-	from := d.Int("ebs", defaultEBs)
+func buildRamp(env Env) (*Generator, error) {
+	d := variant.NewSettingsDecoder(env.Set, nil)
+	from := d.Int("ebs", env.baseEBs())
 	to := d.Int("to", 2*from)
 	over := d.Duration("over", 2*time.Minute)
 	delay := d.Duration("delay", 0)
@@ -136,9 +190,9 @@ func buildRamp(env Env) (Driver, error) {
 // Settings: ebs (base population), burst (extra EBs during the burst,
 // default 2×ebs), at (burst start in paper time since load start,
 // default 1m), width (burst duration, default 30s).
-func buildSpike(env Env) (Driver, error) {
-	d := variant.NewSettingsDecoder(env.Set, env.Defaults)
-	base := d.Int("ebs", defaultEBs)
+func buildSpike(env Env) (*Generator, error) {
+	d := variant.NewSettingsDecoder(env.Set, nil)
+	base := d.Int("ebs", env.baseEBs())
 	burst := d.Int("burst", 2*base)
 	at := d.Duration("at", time.Minute)
 	width := d.Duration("width", 30*time.Second)
@@ -163,9 +217,9 @@ func buildSpike(env Env) (Driver, error) {
 //
 // Settings: ebs (mean population), amp (amplitude, default ebs/2),
 // period (one full cycle in paper time, default 2m).
-func buildWave(env Env) (Driver, error) {
-	d := variant.NewSettingsDecoder(env.Set, env.Defaults)
-	mean := d.Int("ebs", defaultEBs)
+func buildWave(env Env) (*Generator, error) {
+	d := variant.NewSettingsDecoder(env.Set, nil)
+	mean := d.Int("ebs", env.baseEBs())
 	amp := d.Int("amp", mean/2)
 	period := d.Duration("period", 2*time.Minute)
 	if err := d.Finish(); err != nil {
@@ -191,8 +245,8 @@ func buildWave(env Env) (Driver, error) {
 //
 // Settings: rate (session arrivals per paper second), session (mean
 // exponential session lifetime in paper time, default 1m).
-func buildOpenLoop(env Env) (Driver, error) {
-	d := variant.NewSettingsDecoder(env.Set, env.Defaults)
+func buildOpenLoop(env Env) (*Generator, error) {
+	d := variant.NewSettingsDecoder(env.Set, nil)
 	rate := d.Float("rate", 2)
 	session := d.Duration("session", time.Minute)
 	if err := d.Finish(); err != nil {
@@ -202,11 +256,22 @@ func buildOpenLoop(env Env) (Driver, error) {
 		return nil, fmt.Errorf("%s: rate and session must be positive", OpenLoop)
 	}
 	// The fleet starts empty; every EB is an arriving session.
-	drv := newDriver(baseGen(env, 0), env.Scale, env.clk())
-	drv.arrive = &arrivals{
+	env.EBs = 0
+	g := New(env.Config)
+	g.arrive = &arrivals{
 		rate:    rate,
 		session: session,
 		rng:     rand.New(rand.NewSource(env.Seed*31 + 17)),
 	}
-	return drv, nil
+	return g, nil
+}
+
+// arrivals is a Poisson session arrival process: sessions arrive at
+// rate per paper second and live for an exponentially distributed
+// paper-time lifetime with mean session — the open-loop workload class
+// where offered load does not slow down when the server does.
+type arrivals struct {
+	rate    float64       // sessions per paper second
+	session time.Duration // mean session lifetime, paper time
+	rng     *rand.Rand
 }

@@ -1,16 +1,11 @@
-package load
+package workload
 
 import (
 	"testing"
 	"time"
 
 	"stagedweb/internal/clock"
-	"stagedweb/internal/core"
-	"stagedweb/internal/dbtier"
-	"stagedweb/internal/sqldb"
-	"stagedweb/internal/tpcw"
 	"stagedweb/internal/variant"
-	"stagedweb/internal/webtest"
 )
 
 func TestRegistry(t *testing.T) {
@@ -26,21 +21,21 @@ func TestRegistry(t *testing.T) {
 }
 
 // build resolves and builds a named profile, failing the test on error.
-func build(t *testing.T, name string, env Env) *driver {
+func build(t *testing.T, name string, env Env) *Generator {
 	t.Helper()
 	p, ok := Lookup(name)
 	if !ok {
 		t.Fatalf("profile %q not registered", name)
 	}
-	d, err := p.Build(env)
+	g, err := p.Build(env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d.(*driver)
+	return g
 }
 
 func testEnv() Env {
-	return Env{Addr: "127.0.0.1:0", Scale: clock.Timescale(1000), Seed: 1}
+	return Env{Config: Config{Addr: "127.0.0.1:0", Scale: clock.Timescale(1000), Seed: 1}}
 }
 
 func TestUnknownSettingRejected(t *testing.T) {
@@ -55,10 +50,10 @@ func TestUnknownSettingRejected(t *testing.T) {
 }
 
 // TestSchedules pins the population schedules the built-in profiles
-// compute, including the defaults lowered from the harness Config.EBs.
+// compute, including the ebs default taken from Env.EBs.
 func TestSchedules(t *testing.T) {
 	env := testEnv()
-	env.Defaults = variant.Settings{"ebs": "100"}
+	env.EBs = 100
 
 	spike := build(t, Spike, env)
 	env.Set = variant.Settings{"burst": "50", "at": "2m", "width": "1m"}
@@ -69,10 +64,12 @@ func TestSchedules(t *testing.T) {
 	ramp := build(t, Ramp, env)
 	env.Set = variant.Settings{"amp": "60", "period": "80s"}
 	wave := build(t, Wave, env)
+	env.Set, env.EBs = nil, 30
+	step30 := build(t, Step, env)
 
 	cases := []struct {
 		name string
-		d    *driver
+		g    *Generator
 		at   time.Duration
 		want int
 	}{
@@ -87,6 +84,9 @@ func TestSchedules(t *testing.T) {
 		// step defaults: to=2x at 1m.
 		{"step-before", step, 59 * time.Second, 100},
 		{"step-after", step, 61 * time.Second, 200},
+		// Env.EBs 30 moves the step's default levels with it.
+		{"step30-before", step30, 59 * time.Second, 30},
+		{"step30-after", step30, 61 * time.Second, 60},
 		// ramp 100 -> 40 over 100s after a 10s delay.
 		{"ramp-hold", ramp, 5 * time.Second, 100},
 		{"ramp-mid", ramp, 60 * time.Second, 70},
@@ -97,7 +97,7 @@ func TestSchedules(t *testing.T) {
 		{"wave-trough", wave, 60 * time.Second, 40},
 	}
 	for _, c := range cases {
-		if got := c.d.schedule(c.at); got != c.want {
+		if got := c.g.schedule(c.at); got != c.want {
 			t.Errorf("%s: schedule(%v) = %d, want %d", c.name, c.at, got, c.want)
 		}
 	}
@@ -142,7 +142,7 @@ func TestProfileValidation(t *testing.T) {
 }
 
 // TestScheduleFollowsInjectedManualClock is the regression test for the
-// wallclock bug this PR fixed: driver.control paced population
+// wallclock bug of an earlier controller, which paced population
 // schedules with time.Now/time.Since, so under clock.Manual the fleet
 // re-targeted on the wall timeline instead of the advanced one. With
 // the injected clock, advancing a Manual clock past the step time must
@@ -150,30 +150,32 @@ func TestProfileValidation(t *testing.T) {
 func TestScheduleFollowsInjectedManualClock(t *testing.T) {
 	mc := clock.NewManual(time.Unix(100, 0))
 	env := Env{
-		// Nothing listens here: EBs fail their dial instantly and park
-		// in think() — on the same manual clock.
-		Addr:  "127.0.0.1:1",
-		Scale: clock.RealTime,
-		Seed:  1,
-		Clock: mc,
-		Set:   variant.Settings{"ebs": "2", "to": "5", "at": "3s"},
+		Config: Config{
+			// Nothing listens here: EBs fail their dial instantly and park
+			// in think() — on the same manual clock.
+			Addr:  "127.0.0.1:1",
+			Scale: clock.RealTime,
+			Seed:  1,
+			Clock: mc,
+		},
+		Set: variant.Settings{"ebs": "2", "to": "5", "at": "3s"},
 	}
-	d := build(t, Step, env)
-	d.Start()
-	defer d.Stop()
+	g := build(t, Step, env)
+	g.Start()
+	defer g.Stop()
 
-	if got := d.gen.Active(); got != 2 {
+	if got := g.tele.active.Load(); got != 2 {
 		t.Fatalf("initial fleet = %d, want 2", got)
 	}
 	// Wait for the control loop's ticker to register, then advance
-	// paper time second by second. The wall-paced pre-fix driver would
+	// paper time second by second. The wall-paced pre-fix controller would
 	// need 3+ real seconds to take the step; the injected clock takes
 	// it as soon as the advanced timeline crosses at=3s.
 	mc.BlockUntilWaiters(1)
 	deadline := time.Now().Add(10 * time.Second)
-	for d.gen.Active() != 5 {
+	for g.tele.active.Load() != 5 {
 		if time.Now().After(deadline) {
-			t.Fatalf("fleet = %d after advancing past the step, want 5 (schedule not on the injected clock)", d.gen.Active())
+			t.Fatalf("fleet = %d after advancing past the step, want 5 (schedule not on the injected clock)", g.tele.active.Load())
 		}
 		mc.Advance(time.Second)
 		time.Sleep(2 * time.Millisecond) // let the control loop drain the tick
@@ -181,37 +183,6 @@ func TestScheduleFollowsInjectedManualClock(t *testing.T) {
 	if since := mc.Since(time.Unix(100, 0)); since < 3*time.Second {
 		t.Fatalf("step taken after only %v of manual time", since)
 	}
-}
-
-// startBookstore boots a staged server with a small TPC-W population.
-func startBookstore(t *testing.T) (addr string, counts tpcw.Counts) {
-	t.Helper()
-	db := sqldb.Open(sqldb.Options{Cost: sqldb.ZeroCostModel()})
-	if err := tpcw.CreateTables(db); err != nil {
-		t.Fatal(err)
-	}
-	counts, err := tpcw.Populate(db, tpcw.PopulateConfig{Items: 150, Customers: 40, Orders: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tier := dbtier.New(db, dbtier.Options{Conns: 6, Scale: clock.Timescale(1000)})
-	t.Cleanup(tier.Close)
-	srv, err := core.New(core.Config{
-		App: tpcw.NewApp(counts, nil), DB: tier.Conn(),
-		HeaderWorkers: 2, StaticWorkers: 2, GeneralWorkers: 4, LengthyWorkers: 2, RenderWorkers: 2,
-		MinReserve: 1,
-		Scale:      clock.Timescale(1000),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, addr, err := webtest.Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = srv.Serve(l) }()
-	t.Cleanup(srv.Stop)
-	return addr, counts
 }
 
 // TestSpikeDriverEndToEnd runs the spike profile against a live server
@@ -223,11 +194,13 @@ func TestSpikeDriverEndToEnd(t *testing.T) {
 	addr, counts := startBookstore(t)
 	p, _ := Lookup(Spike)
 	d, err := p.Build(Env{
-		Addr:      addr,
-		Scale:     clock.Timescale(1000),
-		Customers: counts.Customers,
-		Items:     counts.Items,
-		Seed:      5,
+		Config: Config{
+			Addr:      addr,
+			Scale:     clock.Timescale(1000),
+			Customers: counts.Customers,
+			Items:     counts.Items,
+			Seed:      5,
+		},
 		Set: variant.Settings{
 			"ebs": "3", "burst": "7", "at": "2s", "width": "1h",
 		},
@@ -237,7 +210,7 @@ func TestSpikeDriverEndToEnd(t *testing.T) {
 	}
 	probes := d.Probes()
 	if len(probes) != 4 {
-		t.Fatalf("driver exports %d probes, want 4", len(probes))
+		t.Fatalf("generator exports %d probes, want 4", len(probes))
 	}
 	gauges := map[string]func() float64{}
 	for _, p := range probes {
@@ -278,12 +251,14 @@ func TestOpenLoopDriverEndToEnd(t *testing.T) {
 	addr, counts := startBookstore(t)
 	p, _ := Lookup(OpenLoop)
 	d, err := p.Build(Env{
-		Addr:      addr,
-		Scale:     clock.Timescale(1000),
-		Customers: counts.Customers,
-		Items:     counts.Items,
-		Seed:      6,
-		Set:       variant.Settings{"rate": "2", "session": "5s"},
+		Config: Config{
+			Addr:      addr,
+			Scale:     clock.Timescale(1000),
+			Customers: counts.Customers,
+			Items:     counts.Items,
+			Seed:      6,
+		},
+		Set: variant.Settings{"rate": "2", "session": "5s"},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -143,13 +143,6 @@ func (s *Stats) counter(page string) *int64 {
 // Errors reports the number of failed interactions.
 func (s *Stats) Errors() int64 { return s.errTotal.Load() }
 
-// PageErrors reports one page's failed-interaction count.
-func (s *Stats) PageErrors(page string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pageErrorsLocked(page)
-}
-
 // PageResult is one page's client-side summary.
 type PageResult struct {
 	Page   string

@@ -99,7 +99,7 @@ func TestSetTargetGrowShrink(t *testing.T) {
 	waitActive(t, g, 6)
 	g.SetTarget(1)
 	waitActive(t, g, 1)
-	if g.Started() == 0 {
+	if g.tele.offered.Load() == 0 {
 		t.Fatal("no interactions offered")
 	}
 }
@@ -121,8 +121,8 @@ func TestSpawnSessionExpires(t *testing.T) {
 	})
 	g.Start()
 	defer g.Stop()
-	if g.Active() != 0 {
-		t.Fatalf("fleet not empty at start: %d", g.Active())
+	if g.tele.active.Load() != 0 {
+		t.Fatalf("fleet not empty at start: %d", g.tele.active.Load())
 	}
 	g.SpawnSession(5 * time.Second) // 5 ms wall at scale 1000
 	waitActive(t, g, 1)
@@ -133,9 +133,9 @@ func TestSpawnSessionExpires(t *testing.T) {
 func waitActive(t *testing.T, g *Generator, want int64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for g.Active() != want {
+	for g.tele.active.Load() != want {
 		if time.Now().After(deadline) {
-			t.Fatalf("active = %d, want %d", g.Active(), want)
+			t.Fatalf("active = %d, want %d", g.tele.active.Load(), want)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

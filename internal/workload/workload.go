@@ -5,12 +5,16 @@
 // interaction response time (WIRT) at the client side — exactly how the
 // paper's evaluation measures Table 3.
 //
-// The fleet is dynamic: SetTarget grows or shrinks the closed-loop
-// population at run time (step/ramp/spike/wave load profiles), and
-// SpawnSession starts self-retiring sessions for open-loop arrival
-// processes. Offered-load telemetry (active EBs, interactions begun,
-// failures, recent WIRT) is exported ungated for the harness's client.*
-// probe series; internal/load packages both into named load profiles.
+// The offered load is a value: a Profile is a named recipe that builds
+// a Generator from an Env (the fleet's Config plus generic key=value
+// settings), and a process-wide registry maps names to recipes, as
+// internal/variant does for servers. The built-in profiles (steady,
+// step, ramp, spike, wave, open-loop) are registered in profile.go. A
+// Generator's fleet is dynamic: a population schedule re-targets the
+// closed-loop fleet once per paper second, or a Poisson arrival process
+// starts self-retiring sessions. Offered-load telemetry (active EBs,
+// interactions begun, failures, recent WIRT) is exported ungated as the
+// client.* probes the harness samples next to the server's series.
 package workload
 
 import (
@@ -26,6 +30,7 @@ import (
 	"stagedweb/internal/clock"
 	"stagedweb/internal/httpwire"
 	"stagedweb/internal/tpcw"
+	"stagedweb/internal/variant"
 	"stagedweb/internal/webtest"
 )
 
@@ -36,6 +41,7 @@ type Config struct {
 	// EBs is the initial closed-loop population (the paper uses 400).
 	// Zero starts an empty fleet — open-loop profiles add sessions via
 	// SpawnSession; SetTarget adjusts the population later either way.
+	// In a profile's Env it is the default of the "ebs" setting.
 	EBs int
 	// Mix is the page distribution; nil selects the browsing mix.
 	Mix *tpcw.Mix
@@ -123,13 +129,24 @@ type telemetry struct {
 	wirtN   atomic.Int64 // completed interactions
 }
 
-// Generator runs the EB fleet.
+// Generator runs the EB fleet, plus an optional population schedule
+// or open-loop arrival process.
 type Generator struct {
 	cfg   Config
 	stats *Stats
 	tele  telemetry
 	stop  chan struct{}
 	wg    sync.WaitGroup
+
+	// schedule maps paper time since Start to a target closed-loop
+	// population; it is evaluated once per paper second. Nil leaves the
+	// fleet fixed.
+	schedule func(time.Duration) int
+	// arrive, when set, is a Poisson session arrival process (schedule
+	// must be nil).
+	arrive *arrivals
+	// done closes when the controller running schedule or arrive exits.
+	done chan struct{}
 
 	mu     sync.Mutex
 	fleet  []chan struct{} // per-EB retire channels, in spawn order
@@ -139,14 +156,55 @@ type Generator struct {
 // New builds an unstarted generator.
 func New(cfg Config) *Generator {
 	cfg.fillDefaults()
-	return &Generator{cfg: cfg, stats: newStats(), stop: make(chan struct{})}
+	return &Generator{cfg: cfg, stats: newStats(), stop: make(chan struct{}), done: make(chan struct{})}
 }
 
 // Stats exposes the client-side measurements.
 func (g *Generator) Stats() *Stats { return g.stats }
 
-// Start launches the initial EB fleet.
-func (g *Generator) Start() { g.SetTarget(g.cfg.EBs) }
+// Start launches the initial EB fleet and the population schedule or
+// arrival process. It does not block.
+func (g *Generator) Start() {
+	g.SetTarget(g.cfg.EBs)
+	go g.control()
+}
+
+// control runs the population schedule or arrival process until Stop.
+func (g *Generator) control() {
+	defer close(g.done)
+	clk, scale := g.cfg.Clock, g.cfg.Scale
+	switch {
+	case g.schedule != nil:
+		// Pace on the injected clock: under clock.Manual the schedule
+		// re-targets exactly when the test advances time, and under a
+		// dilated experiment clock paper seconds stay paper seconds.
+		// (This controller once used time.Now/time.Since here and
+		// silently ran manual-clock fleets on the wall timeline —
+		// the bug the wallclock analyzer now prevents.)
+		tick := clk.NewTicker(scale.Wall(time.Second))
+		defer tick.Stop()
+		start := clk.Now()
+		for {
+			select {
+			case <-g.stop:
+				return
+			case <-tick.C():
+				g.SetTarget(g.schedule(scale.Paper(clk.Since(start))))
+			}
+		}
+	case g.arrive != nil:
+		a := g.arrive
+		for {
+			gap := time.Duration(a.rng.ExpFloat64() / a.rate * float64(time.Second))
+			select {
+			case <-g.stop:
+				return
+			case <-clk.After(scale.Wall(gap)):
+			}
+			g.SpawnSession(time.Duration(a.rng.ExpFloat64() * float64(a.session)))
+		}
+	}
+}
 
 // SetTarget grows or shrinks the closed-loop fleet toward n browsers.
 // Growth spawns fresh EBs, each deterministically seeded; shrinkage
@@ -207,56 +265,43 @@ func (g *Generator) launch(quit chan struct{}) {
 	}()
 }
 
-// Stop signals every EB and waits for them to finish their in-flight
-// interaction.
+// Stop signals the controller and every EB, waits for the controller to
+// exit — so no EB is launched while the fleet is awaited — and then for
+// every EB to finish its in-flight interaction. Call once, after Start.
 func (g *Generator) Stop() {
 	close(g.stop)
+	<-g.done
 	g.wg.Wait()
 }
 
-// Active reports the live EB count (closed-loop fleet plus open-loop
-// sessions still running).
-func (g *Generator) Active() int64 { return g.tele.active.Load() }
-
-// Started reports cumulative interactions begun since Start, ungated by
-// the recording window.
-func (g *Generator) Started() int64 { return g.tele.offered.Load() }
-
-// Failed reports cumulative failed interactions, ungated.
-func (g *Generator) Failed() int64 { return g.tele.failed.Load() }
-
-// OfferedRateGauge returns a stateful gauge reporting interactions
-// begun since its previous call — sampled once per paper second it
-// reads as offered load in interactions per paper second.
-func (g *Generator) OfferedRateGauge() func() float64 {
+// Probes lists the four client.* gauges. The offered and WIRT gauges
+// are stateful: each reading covers the interactions since the previous
+// one, so sampled once per paper second they read as per-second rates.
+func (g *Generator) Probes() []variant.Probe {
 	var mu sync.Mutex
-	var last int64
-	return func() float64 {
-		mu.Lock()
-		defer mu.Unlock()
-		cur := g.tele.offered.Load()
-		d := cur - last
-		last = cur
-		return float64(d)
-	}
-}
-
-// WIRTGauge returns a stateful gauge reporting the mean web interaction
-// response time, in paper seconds, of interactions completed since its
-// previous call (zero when none completed).
-func (g *Generator) WIRTGauge() func() float64 {
-	var mu sync.Mutex
-	var lastNS, lastN int64
-	return func() float64 {
-		mu.Lock()
-		defer mu.Unlock()
-		ns, n := g.tele.wirtNS.Load(), g.tele.wirtN.Load()
-		dNS, dN := ns-lastNS, n-lastN
-		lastNS, lastN = ns, n
-		if dN == 0 {
-			return 0
-		}
-		return g.cfg.Scale.PaperSeconds(time.Duration(dNS / dN))
+	var lastOffered, lastNS, lastN int64
+	return []variant.Probe{
+		{Name: ProbeActive, Gauge: func() float64 { return float64(g.tele.active.Load()) }},
+		{Name: ProbeOffered, Gauge: func() float64 {
+			mu.Lock()
+			defer mu.Unlock()
+			cur := g.tele.offered.Load()
+			d := cur - lastOffered
+			lastOffered = cur
+			return float64(d)
+		}},
+		{Name: ProbeErrors, Gauge: func() float64 { return float64(g.tele.failed.Load()) }},
+		{Name: ProbeWIRT, Gauge: func() float64 {
+			mu.Lock()
+			defer mu.Unlock()
+			ns, n := g.tele.wirtNS.Load(), g.tele.wirtN.Load()
+			dNS, dN := ns-lastNS, n-lastN
+			lastNS, lastN = ns, n
+			if dN == 0 {
+				return 0
+			}
+			return g.cfg.Scale.PaperSeconds(time.Duration(dNS / dN))
+		}},
 	}
 }
 

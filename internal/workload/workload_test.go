@@ -118,9 +118,6 @@ func TestStatsPageErrors(t *testing.T) {
 	if got := s.Errors(); got != 3 {
 		t.Fatalf("Errors = %d, want 3", got)
 	}
-	if got := s.PageErrors("/home"); got != 2 {
-		t.Fatalf("PageErrors(/home) = %d, want 2", got)
-	}
 	if got := s.Page("/home"); got.Count != 1 || got.Errors != 2 {
 		t.Fatalf("Page(/home) = %+v, want count 1 errors 2", got)
 	}
@@ -138,7 +135,7 @@ func TestStatsPageErrors(t *testing.T) {
 		}
 	}
 	s.Reset()
-	if s.PageErrors("/home") != 0 || s.Errors() != 0 {
+	if s.Page("/home").Errors != 0 || s.Errors() != 0 {
 		t.Fatal("Reset did not clear errors")
 	}
 }
