@@ -133,7 +133,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.StringVar(&s.exp, "exp", "all", "comma-separated experiments: all, "+strings.Join(rowNames(false), ", ")+
 		"; all runs every one of them, while "+strings.Join(rowNames(true), ", ")+" each run alone")
-	fs.Float64Var(&s.scale, "scale", 100, "timescale: paper seconds per wall second")
+	fs.Float64Var(&s.scale, "scale", float64(clock.DefaultScale), "timescale: paper seconds per wall second")
 	fs.IntVar(&s.ebs, "ebs", 0, "emulated browsers (0 = config default)")
 	fs.DurationVar(&s.measure, "measure", 0, "measurement window in paper time (0 = config default)")
 	fs.BoolVar(&s.quick, "quick", false, "use the reduced quick configuration")

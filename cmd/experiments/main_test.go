@@ -202,9 +202,9 @@ func TestExperimentsFlagValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "standalone") {
 		t.Errorf("-exp spike,table3 accepted: %v", err)
 	}
-	if err := run([]string{"-exp", "spike", "-load", "wave"}, &buf); err == nil ||
+	if err := run([]string{"-exp", "spike", "-load", "steady"}, &buf); err == nil ||
 		!strings.Contains(err.Error(), "spike profile") {
-		t.Errorf("-exp spike -load wave accepted: %v", err)
+		t.Errorf("-exp spike -load steady accepted: %v", err)
 	}
 	if err := run([]string{"-exp", "spike", "-ebs-sweep", "10,20"}, &buf); err == nil ||
 		!strings.Contains(err.Error(), "separate modes") {

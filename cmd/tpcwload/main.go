@@ -1,9 +1,8 @@
 // Command tpcwload drives a TPC-W workload against a running poolserv
 // instance and reports client-side response times. The offered load is
-// a registered load profile (steady, step, ramp, spike, wave,
-// open-loop) configured through generic -load-set key=value settings,
-// and the page mix is selectable — the same registry the experiment
-// harness uses.
+// a registered load profile (steady, spike, open-loop) configured
+// through generic -load-set key=value settings, and the page mix is
+// selectable — the same registry the experiment harness uses.
 //
 // Usage:
 //

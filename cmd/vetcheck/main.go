@@ -1,20 +1,20 @@
-// Command vetcheck is the repo's invariant checker: a multichecker over
-// the four custom analyzers in internal/analysis plus the lintallow
-// escape-comment auditor.
+// Command vetcheck is the repo's invariant checker: the four custom
+// analyzers in internal/analysis plus the lintallow escape-comment
+// auditor, run over package patterns:
 //
-// Two modes share the same analyzers:
+//	go run ./cmd/vetcheck ./...
 //
-//	go vet -vettool=$(pwd)/vetcheck ./...   # unit mode, driven by the go command
-//	go run ./cmd/vetcheck ./...             # standalone mode, direct package patterns
-//
-// Unit mode speaks the go vet tool protocol (-V=full / -flags /
-// <unit>.cfg) so results integrate with the build cache; standalone
-// mode loads packages itself via `go list -export`. Both exit nonzero
-// if any diagnostic is reported. See the README "Static analysis"
-// section for the invariants and the //lint:allow escape-hatch syntax.
+// It loads the packages itself through framework.Standalone (`go list
+// -export`), prints every diagnostic, and exits 1 if there is any. See
+// the README "Static analysis" section for the invariants and the
+// //lint:allow escape-hatch syntax.
 package main
 
 import (
+	"flag"
+	"fmt"
+	"os"
+
 	"stagedweb/internal/analysis/framework"
 	"stagedweb/internal/analysis/locksleep"
 	"stagedweb/internal/analysis/probenames"
@@ -22,8 +22,8 @@ import (
 	"stagedweb/internal/analysis/wallclock"
 )
 
-// Analyzers is the suite vetcheck runs, exported for the self-check
-// test that asserts the repo is clean.
+// analyzers is the suite vetcheck runs, shared with the self-check test
+// that asserts the repo is clean.
 func analyzers() []*framework.Analyzer {
 	suite := []*framework.Analyzer{
 		wallclock.Analyzer,
@@ -39,5 +39,27 @@ func analyzers() []*framework.Analyzer {
 }
 
 func main() {
-	framework.Main("vetcheck", analyzers()...)
+	suite := analyzers()
+	flag.Usage = func() {
+		fmt.Fprintln(os.Stderr, "usage: vetcheck [package pattern ...]")
+		for _, a := range suite {
+			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
+		}
+	}
+	flag.Parse()
+	patterns := flag.Args()
+	if len(patterns) == 0 {
+		patterns = []string{"."}
+	}
+	findings, err := framework.Standalone("", suite, patterns...)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	for _, f := range findings {
+		fmt.Fprintln(os.Stderr, f)
+	}
+	if len(findings) > 0 {
+		os.Exit(1)
+	}
 }

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"go/ast"
+	"go/types"
+	"sort"
+	"strings"
 	"testing"
 
 	"stagedweb/internal/analysis/framework"
@@ -17,5 +21,243 @@ func TestRepoAnalyzesClean(t *testing.T) {
 	}
 	for _, f := range findings {
 		t.Errorf("%s", f)
+	}
+}
+
+// keptForTests lists the exported names of the main module whose only
+// readers are tests, each with the reason it stays. Every other
+// exported name must have a reader in non-test code of this module or
+// of the benchmark module. Keys are import path (without the module
+// prefix), optional receiver type, and name.
+var keptForTests = map[string]string{
+	"internal/analysis/analysistest.Run":      "the fixture runner every analyzer's test calls",
+	"internal/clock.Manual.BlockUntilWaiters": "the deterministic test clock: wait until sleepers register",
+	"internal/clock.Manual.Set":               "the deterministic test clock: jump to an absolute time",
+	"internal/dbtier.Tier.Backends":           "the replica-convergence tests compare every engine directly",
+	"internal/dbtier.Tier.Sync":               "the replica oracle: a barrier before comparing primary and replicas",
+	"internal/dbtier.Tier.ReplayErrors":       "the replica replay-failure oracle of the replication tests",
+	"internal/harness.SeriesMean":             "the root benchmarks report series means through it",
+	"internal/sqldb.DB.OpenConns":             "backs the connection-leak assertions of the server, tier and variant tests",
+	"internal/sqldb.DB.ReplLog":               "the variant tests assert a failed build leaves the database unreplicated",
+	"internal/sqldb.DB.Snapshot":              "the MVCC tests' reference read, and the hook for an isolation checker",
+	"internal/sqldb.DB.TableSize":             "row-count oracle of the clone, replica, failover and population tests",
+	"internal/sqldb.Snapshot.Close":           "part of DB.Snapshot's read view",
+	"internal/sqldb.Snapshot.Query":           "part of DB.Snapshot's read view",
+	"internal/sqldb.Snapshot.TS":              "part of DB.Snapshot's read view",
+	"internal/webtest.App.AddStatic":          "webtest's test helpers stay until the package becomes test-only",
+	"internal/webtest.App.AddTemplate":        "webtest's test helpers stay until the package becomes test-only",
+	"internal/webtest.RaceEnabled":            "webtest's test helpers stay until the package becomes test-only",
+	"internal/webtest.WaitUntil":              "webtest's test helpers stay until the package becomes test-only",
+}
+
+// TestEveryExportedNameHasAReader is the dead-surface check: it loads
+// the main module and the benchmark module, collects every exported
+// func, method and package-level const, var and type declared in the
+// main module's non-test files, and fails on any that no non-test file
+// of either module uses. A method that satisfies an interface visible
+// to its users (error, fmt.Stringer, flag.Value, the module's own
+// interfaces) counts as read. Struct fields are out of scope.
+func TestEveryExportedNameHasAReader(t *testing.T) {
+	s := &surface{defs: map[string]string{}, reads: map[string]bool{}}
+	collector := &framework.Analyzer{Name: "deadsurface", Doc: "collect exported definitions and their uses", Run: s.collect}
+	for _, run := range []struct{ dir, pattern string }{
+		{"", "stagedweb/..."},
+		{"../../benchmark", "./..."},
+	} {
+		if _, err := framework.Standalone(run.dir, []*framework.Analyzer{collector}, run.pattern); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !s.reads["internal/stage.Stage.Start"] {
+		t.Error("benchmark module not loaded: stage.Stage.Start, read only by benchmark/, has no reader")
+	}
+
+	var dead []string
+	for key := range s.defs {
+		if !s.reads[key] && keptForTests[key] == "" {
+			dead = append(dead, key)
+		}
+	}
+	sort.Strings(dead)
+	for _, key := range dead {
+		t.Errorf("%s: %s has no reader outside tests; delete it, or add it to keptForTests with a reason", s.defs[key], key)
+	}
+	for key, reason := range keptForTests {
+		switch {
+		case reason == "":
+			t.Errorf("keptForTests[%s] has no reason", key)
+		case s.defs[key] == "":
+			t.Errorf("keptForTests[%s] names nothing declared; drop the entry", key)
+		case s.reads[key]:
+			t.Errorf("keptForTests[%s] has a non-test reader; drop the entry", key)
+		}
+	}
+}
+
+// mainModule is the import path prefix of the module under check; the
+// benchmark module shares it, so it is excluded by name.
+const mainModule = "stagedweb"
+
+func inMainModule(path string) bool {
+	return (path == mainModule || strings.HasPrefix(path, mainModule+"/")) && !strings.HasPrefix(path, mainModule+"/benchmark")
+}
+
+// surface accumulates, across both loads, the exported definitions of
+// the main module (key → position) and the keys some non-test file
+// reads. Keys are strings because each load type-checks its own copy
+// of every package.
+type surface struct {
+	defs  map[string]string
+	reads map[string]bool
+}
+
+// key names obj as "path.Name" or "path.Recv.Name", or "" when obj is
+// outside the main module.
+func key(obj types.Object) string {
+	if fn, ok := obj.(*types.Func); ok {
+		obj = fn.Origin()
+	}
+	if obj.Pkg() == nil || !inMainModule(obj.Pkg().Path()) {
+		return ""
+	}
+	path := strings.TrimPrefix(strings.TrimPrefix(obj.Pkg().Path(), mainModule), "/")
+	if fn, ok := obj.(*types.Func); ok {
+		if recv := fn.Signature().Recv(); recv != nil {
+			t := recv.Type()
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			named, ok := t.(*types.Named)
+			if !ok {
+				return "" // an interface method: read through its implementations
+			}
+			return path + "." + named.Origin().Obj().Name() + "." + obj.Name()
+		}
+	}
+	return path + "." + obj.Name()
+}
+
+// collect records one package's exported definitions and its uses.
+// Standalone loads non-test files only, so every use seen here is a
+// reader outside tests.
+func (s *surface) collect(pass *framework.Pass) error {
+	if inMainModule(pass.Pkg.Path()) {
+		for _, f := range pass.Files {
+			for _, decl := range f.Decls {
+				for _, id := range declaredNames(decl) {
+					if obj := pass.TypesInfo.Defs[id]; obj != nil && id.IsExported() {
+						if k := key(obj); k != "" {
+							s.defs[k] = pass.Fset.Position(id.Pos()).String()
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, obj := range pass.TypesInfo.Uses {
+		if k := key(obj); k != "" {
+			s.reads[k] = true
+		}
+	}
+	s.satisfiedInterfaces(pass)
+	return nil
+}
+
+// declaredNames returns the identifiers a top-level declaration binds:
+// a func or method name, or each const, var and type spec name.
+func declaredNames(decl ast.Decl) []*ast.Ident {
+	switch d := decl.(type) {
+	case *ast.FuncDecl:
+		return []*ast.Ident{d.Name}
+	case *ast.GenDecl:
+		var ids []*ast.Ident
+		for _, spec := range d.Specs {
+			switch sp := spec.(type) {
+			case *ast.ValueSpec:
+				ids = append(ids, sp.Names...)
+			case *ast.TypeSpec:
+				ids = append(ids, sp.Name)
+			}
+		}
+		return ids
+	}
+	return nil
+}
+
+// satisfiedInterfaces marks as read every main-module method that
+// implements a method of an interface visible from pass.Pkg: declared
+// in it or in a package it imports, directly or not, written as a
+// literal in it, or the predeclared error. Within one pass the package
+// and its imports share one type universe, so types.Implements is
+// exact.
+func (s *surface) satisfiedInterfaces(pass *framework.Pass) {
+	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	var named []*types.Named
+	seen := map[*types.Package]bool{}
+	var walk func(*types.Package)
+	walk = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		scope := p.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			n, ok := tn.Type().(*types.Named)
+			if !ok {
+				continue
+			}
+			if it, ok := n.Underlying().(*types.Interface); ok {
+				if n.TypeParams().Len() == 0 && it.NumMethods() > 0 {
+					ifaces = append(ifaces, it)
+				}
+			} else if inMainModule(p.Path()) && n.NumMethods() > 0 {
+				named = append(named, n)
+			}
+		}
+		for _, imp := range p.Imports() {
+			walk(imp)
+		}
+	}
+	walk(pass.Pkg)
+	// Expression types add interface literals and the instantiations
+	// of generic types, which satisfy interfaces only once instantiated.
+	for _, tv := range pass.TypesInfo.Types {
+		t := types.Unalias(tv.Type)
+		if p, ok := t.(*types.Pointer); ok {
+			t = types.Unalias(p.Elem())
+		}
+		switch t := t.(type) {
+		case *types.Interface:
+			if t.NumMethods() > 0 {
+				ifaces = append(ifaces, t)
+			}
+		case *types.Named:
+			if t.TypeArgs().Len() > 0 && inMainModule(t.Obj().Pkg().Path()) {
+				named = append(named, t)
+			}
+		}
+	}
+	for _, n := range named {
+		if n.TypeParams().Len() > n.TypeArgs().Len() {
+			continue
+		}
+		ptr := types.NewPointer(n)
+		for _, it := range ifaces {
+			if !types.Implements(ptr, it) {
+				continue
+			}
+			for i := 0; i < it.NumMethods(); i++ {
+				m := it.Method(i)
+				if obj, _, _ := types.LookupFieldOrMethod(ptr, false, m.Pkg(), m.Name()); obj != nil {
+					if k := key(obj); k != "" {
+						s.reads[k] = true
+					}
+				}
+			}
+		}
 	}
 }

@@ -75,10 +75,11 @@
 // The invariants none of this encodes in types — timing flows through
 // the injected clock.Clock, nothing sleeps while holding a lock, probe
 // names and settings keys stay in their canonical catalogs — are
-// machine-checked by cmd/vetcheck, a multichecker of four custom
-// analyzers (internal/analysis) that CI runs via go vet -vettool on
-// every push. Genuinely wall-bound sites are exempted in place with
-// //lint:allow analyzer(reason) comments; see the README's "Static
+// machine-checked by cmd/vetcheck, four custom analyzers
+// (internal/analysis) that CI runs with `go run ./cmd/vetcheck ./...` on
+// every push; its tests also fail on any exported name that nothing
+// outside tests reads. Genuinely wall-bound sites are exempted in place
+// with //lint:allow analyzer(reason) comments; see the README's "Static
 // analysis" section.
 //
 // See README.md for the architecture, a walkthrough, design notes, and

@@ -116,14 +116,9 @@ var SettingsKeys = map[string]string{
 
 	// Load-profile settings (internal/workload/profile.go).
 	"ebs":     "base emulated-browser population",
-	"to":      "step/ramp target population",
-	"at":      "step/spike/fault onset (paper time)",
-	"over":    "ramp duration (paper time)",
-	"delay":   "ramp start delay (paper time)",
+	"at":      "spike/fault onset (paper time)",
 	"burst":   "spike peak population",
 	"width":   "spike width (paper time)",
-	"amp":     "wave amplitude (population)",
-	"period":  "wave period (paper time)",
 	"rate":    "open-loop session arrivals per paper second",
 	"session": "open-loop mean session lifetime (paper time)",
 }

@@ -1,9 +1,10 @@
 // Package framework is a dependency-free miniature of
 // golang.org/x/tools/go/analysis: just enough of the Analyzer/Pass API
-// to write this repository's invariant checkers, plus two drivers — a
-// unitchecker speaking the `go vet -vettool` command-line protocol
-// (unitchecker.go) and a standalone loader that analyzes package
-// patterns directly via `go list -export` (standalone.go).
+// to write this repository's invariant checkers, plus one way to run
+// them, Standalone (standalone.go), which loads package patterns via
+// `go list -export` and type-checks them from source. One run sees
+// every package of a load, so a test can collect across a whole
+// program, which a per-package vet tool cannot.
 //
 // The repo vendors nothing: the container image bakes in only the Go
 // toolchain, so the usual x/tools dependency is off the table. The API
@@ -79,15 +80,6 @@ func callee(info *types.Info, call *ast.CallExpr) types.Object {
 
 // Callee is the exported resolver the analyzers share.
 func Callee(info *types.Info, call *ast.CallExpr) types.Object { return callee(info, call) }
-
-// IsPkgFunc reports whether obj is the package-level function path.name
-// (e.g. "time".Sleep).
-func IsPkgFunc(obj types.Object, path, name string) bool {
-	if obj == nil || obj.Pkg() == nil {
-		return false
-	}
-	return obj.Pkg().Path() == path && obj.Name() == name
-}
 
 // NamedType reports whether t (after pointer indirection) is the named
 // type path.name.

@@ -16,8 +16,8 @@ import (
 	"strings"
 )
 
-// listedPackage is the subset of `go list -json` output the drivers
-// consume.
+// listedPackage is the subset of `go list -json` output Standalone
+// consumes.
 type listedPackage struct {
 	ImportPath string
 	Dir        string
@@ -25,14 +25,12 @@ type listedPackage struct {
 	Standard   bool
 	DepOnly    bool
 	GoFiles    []string
-	ImportMap  map[string]string
-	Module     *struct{ Path string }
 }
 
 // goList runs `go list -export -json -deps patterns...` in dir and
 // decodes the concatenated JSON stream. -export makes the go command
 // emit (and if necessary build) gc export data for every package in the
-// dependency closure, which is what lets the drivers type-check without
+// dependency closure, which is what lets Standalone type-check without
 // re-compiling anything from source.
 func goList(dir string, patterns ...string) ([]*listedPackage, error) {
 	args := append([]string{"list", "-export", "-json", "-deps"}, patterns...)

@@ -8,9 +8,9 @@ import (
 // Standalone loads the packages matching patterns (relative to dir, ""
 // meaning the current directory) with `go list -export -json -deps`,
 // type-checks each non-dependency package from source against the
-// toolchain's export data, and applies every analyzer. It is the driver
-// behind `vetcheck ./...` and the analysistest fixture runner; the same
-// analyzers run unmodified under `go vet -vettool` via unitchecker.go.
+// toolchain's export data, and applies every analyzer. It runs
+// `go run ./cmd/vetcheck ./...`, the repo self-check and the
+// dead-surface test in cmd/vetcheck.
 func Standalone(dir string, analyzers []*Analyzer, patterns ...string) ([]Finding, error) {
 	pkgs, err := goList(dir, patterns...)
 	if err != nil {

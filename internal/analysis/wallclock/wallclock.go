@@ -8,8 +8,9 @@
 // deterministically under clock.Manual and time-dilated under
 // clock.Precise. Wall-clock calls that leak past the injection point
 // re-anchor some component to real time and silently break both —
-// exactly the class of bug fixed in PR 4 (request timing) and PR 6
-// (QueryTimes). This analyzer makes the discipline machine-checked.
+// exactly the class of bug once fixed in request timing and in a
+// per-statement latency histogram. This analyzer makes the discipline
+// machine-checked.
 //
 // Built-in exemptions, per the invariant's charter: internal/clock
 // itself (the wrapper has to call time), socket deadlines in

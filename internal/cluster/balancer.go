@@ -12,6 +12,7 @@ import (
 
 	"stagedweb/internal/clock"
 	"stagedweb/internal/httpwire"
+	"stagedweb/internal/server"
 	"stagedweb/internal/stage"
 	"stagedweb/internal/variant"
 )
@@ -74,6 +75,7 @@ type Balancer struct {
 
 	lb    *stage.Stage[struct{}] // forwarding slots; connections take one per request
 	graph *stage.Graph
+	tr    *server.Transport // client connections: idle timeout, abort on Stop
 
 	routed  []atomic.Int64 // per-shard routed counts (fan-outs excluded)
 	routeN  atomic.Int64   // total single-shard routed requests
@@ -92,7 +94,6 @@ type Balancer struct {
 	pools    []*backendPool
 	started  bool
 	stopped  bool
-	connWG   sync.WaitGroup
 }
 
 var _ variant.Instance = (*Balancer)(nil)
@@ -161,6 +162,7 @@ func New(opts Options, shards []variant.Instance, route RouteFunc) (*Balancer, e
 		QueueCap: opts.QueueCap,
 	})
 	b.graph = stage.NewGraph().Add(b.lb)
+	b.tr = server.NewTransport(server.TransportConfig{Clock: opts.Clock, Scale: opts.Scale})
 	return b, nil
 }
 
@@ -190,29 +192,19 @@ func (b *Balancer) Serve(l net.Listener) error {
 	b.started = true
 	b.mu.Unlock()
 	b.graph.Start()
-
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			b.mu.Lock()
-			stopped := b.stopped
-			b.mu.Unlock()
-			if stopped {
-				return nil
-			}
-			return err
-		}
-		b.connWG.Add(1)
-		go func() {
-			defer b.connWG.Done()
-			b.handleConn(conn)
-		}()
-	}
+	return b.tr.Accept(l, func(c *server.Conn) error {
+		go b.handleConn(c)
+		return nil
+	})
 }
 
-// Stop shuts the balancer down: no new client connections, the LB stage
-// drained, every shard instance stopped, backend pools closed.
-// Idempotent, and safe before, during, or after Serve.
+// Stop shuts the balancer down: no new client connections, open ones
+// aborted once their request is relayed, the LB stage drained, every
+// shard instance stopped, backend pools closed. A client connection
+// whose first request has not arrived may still deliver it, so a client
+// that dialled and sent nothing holds Stop for up to the idle timeout
+// (server.Transport.Shutdown). Idempotent, and safe before, during, or
+// after Serve.
 func (b *Balancer) Stop() {
 	b.mu.Lock()
 	if b.stopped {
@@ -227,10 +219,10 @@ func (b *Balancer) Stop() {
 	if l != nil {
 		_ = l.Close()
 	}
+	b.tr.Shutdown()
 	if started {
 		b.graph.Stop()
 	}
-	b.connWG.Wait()
 	// Close the backend pools before stopping the shards: idle pooled
 	// keep-alive connections would otherwise pin the shard servers'
 	// connection handlers until their idle timeout.
@@ -347,11 +339,6 @@ func (b *Balancer) SetShardDown(i int, down bool) error {
 	return nil
 }
 
-// ShardDown reports whether shard i is currently marked down.
-func (b *Balancer) ShardDown(i int) bool {
-	return i >= 0 && i < len(b.down) && b.down[i].Load()
-}
-
 // ResetBackendConns closes every idle pooled keep-alive connection to
 // every shard (the conn-drop fault plan), reporting how many were
 // dropped. Pools refill on demand; forwards caught on a dropped
@@ -366,15 +353,6 @@ func (b *Balancer) ResetBackendConns() int {
 	}
 	return n
 }
-
-// Retries reports cumulative forward re-attempts.
-func (b *Balancer) Retries() int64 { return b.retryN.Load() }
-
-// BreakerOpens reports cumulative circuit-breaker opens.
-func (b *Balancer) BreakerOpens() int64 { return b.breakerN.Load() }
-
-// HalfOpens reports cumulative half-open trial forwards.
-func (b *Balancer) HalfOpens() int64 { return b.halfOpenN.Load() }
 
 // breakerRejects reports whether shard i's breaker keeps it out of the
 // key-less failover rotation: open and cooling down, or open past the
@@ -443,13 +421,12 @@ func (b *Balancer) noteForward(i int, ok, trial bool) {
 // handleConn serves one client connection: parse, forward on an LB stage
 // slot, relay the shard's reply bytes in one Write, honouring client
 // keep-alive.
-func (b *Balancer) handleConn(conn net.Conn) {
-	defer func() { _ = conn.Close() }()
-	br := bufio.NewReader(conn)
+func (b *Balancer) handleConn(c *server.Conn) {
+	defer c.Close()
 	j := &job{}
 	for {
-		if err := j.req.Parse(br); err != nil {
-			return // client closed, or unparseable — drop the connection
+		if err := c.Parse(&j.req); err != nil {
+			return // client closed or idled out, unparseable, or Stop aborted it
 		}
 		j.dec = b.route(j.req.Line.Path, j.req.Query)
 		j.conn = "close"
@@ -462,10 +439,10 @@ func (b *Balancer) handleConn(conn net.Conn) {
 		reply, err := b.forward(j)
 		b.lb.Leave()
 		if err != nil {
-			_, _ = conn.Write(badGateway)
+			_, _ = c.Write(badGateway)
 			return
 		}
-		_, err = conn.Write(*reply)
+		_, err = c.Write(*reply)
 		httpwire.PutBuffer(reply)
 		if err != nil || j.conn == "close" {
 			return

@@ -28,7 +28,7 @@ func bootCluster(t *testing.T, manual *clock.Manual, n int, lb string) (*cluster
 // backoffs, and breaker cooldowns so failure paths fire in test time.
 func bootClusterOpts(t *testing.T, clk clock.Clock, opts cluster.Options) (*cluster.Balancer, string) {
 	t.Helper()
-	insts := buildShardInsts(t, clk, opts.Shards, opts.VNodes)
+	insts := buildShardInsts(t, clk, variant.Unmodified, opts.Shards, opts.VNodes)
 	b, err := cluster.New(opts, insts, func(path string, q map[string]string) cluster.Decision {
 		key, fanout := tpcw.ShardKey(path, q)
 		return cluster.Decision{Key: key, Fanout: fanout}
@@ -51,9 +51,9 @@ func bootClusterOpts(t *testing.T, clk clock.Clock, opts cluster.Options) (*clus
 	return b, addr
 }
 
-// buildShardInsts builds n unmodified-variant shard instances over
+// buildShardInsts builds n shard instances of the named variant over
 // consistently-partitioned TPC-W databases, all on the given clock.
-func buildShardInsts(t *testing.T, clk clock.Clock, n, vnodes int) []variant.Instance {
+func buildShardInsts(t *testing.T, clk clock.Clock, name string, n, vnodes int) []variant.Instance {
 	t.Helper()
 	ring, err := cluster.NewRing(n, vnodes)
 	if err != nil {
@@ -74,9 +74,9 @@ func buildShardInsts(t *testing.T, clk clock.Clock, n, vnodes int) []variant.Ins
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, ok := variant.Lookup(variant.Unmodified)
+		v, ok := variant.Lookup(name)
 		if !ok {
-			t.Fatal("unmodified variant not registered")
+			t.Fatalf("variant %q not registered", name)
 		}
 		insts[s], err = v.Build(variant.Env{
 			App:   tpcw.NewApp(counts, clk),
@@ -167,5 +167,53 @@ func TestClusterStopLeavesNoGoroutines(t *testing.T) {
 	if !webtest.WaitUntil(5*time.Second, func() bool { return runtime.NumGoroutine() <= before }) {
 		buf := make([]byte, 1<<16)
 		t.Fatalf("%d goroutines after Stop, %d before Serve:\n%s", runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// TestStopEndsIdleKeepAlive: a client that finished one keep-alive
+// exchange and went quiet holds up no instance's Stop — the baseline,
+// the staged server or a one-shard balancer — for more than a second,
+// and leaves no goroutine behind.
+func TestStopEndsIdleKeepAlive(t *testing.T) {
+	for _, kind := range []string{variant.Unmodified, variant.Modified, "balancer"} {
+		t.Run(kind, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			var inst variant.Instance
+			if kind == "balancer" {
+				b, err := cluster.New(cluster.Options{Shards: 1}, buildShardInsts(t, clock.Real{}, variant.Modified, 1, 0),
+					func(string, map[string]string) cluster.Decision { return cluster.Decision{} })
+				if err != nil {
+					t.Fatal(err)
+				}
+				inst = b
+			} else {
+				inst = buildShardInsts(t, clock.Real{}, kind, 1, 0)[0]
+			}
+			l, addr, err := webtest.Listen()
+			if err != nil {
+				t.Fatal(err)
+			}
+			served := make(chan struct{})
+			go func() { defer close(served); _ = inst.Serve(l) }()
+			c, err := webtest.Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if resp, err := c.Do(tpcw.PageHome, true); err != nil || resp.Status != 200 {
+				t.Fatalf("keep-alive exchange: %v %v", resp, err)
+			}
+
+			start := time.Now()
+			inst.Stop()
+			<-served
+			if elapsed := time.Since(start); elapsed > time.Second {
+				t.Errorf("Stop took %v with an idle keep-alive client", elapsed)
+			}
+			if !webtest.WaitUntil(5*time.Second, func() bool { return runtime.NumGoroutine() <= before }) {
+				buf := make([]byte, 1<<16)
+				t.Fatalf("%d goroutines after Stop, %d before Serve:\n%s", runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+			}
+		})
 	}
 }

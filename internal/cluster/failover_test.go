@@ -166,7 +166,7 @@ func TestBreakerOpensOnFailingShard(t *testing.T) {
 	// Shard 0 is real; shard 1 answers every forward with a slammed
 	// connection. Small retry budget and a 2-failure breaker threshold
 	// keep the test to a handful of requests.
-	insts := buildShardInsts(t, clock.Real{}, shards, 0)
+	insts := buildShardInsts(t, clock.Real{}, variant.Unmodified, shards, 0)
 	insts[1].Stop()
 	insts[1] = newUnresponsiveShard()
 	b, err := cluster.New(cluster.Options{
@@ -204,17 +204,17 @@ func TestBreakerOpensOnFailingShard(t *testing.T) {
 			t.Fatalf("request %d to the broken shard: %v, err %v (want 502)", i, resp, err)
 		}
 	}
-	if got := b.Retries(); got < 2 {
-		t.Errorf("Retries = %d, want >= 2 (one per burned retry budget)", got)
+	if got := probe(t, b, cluster.ProbeLBRetry); got < 2 {
+		t.Errorf("lb.retry = %d, want >= 2 (one per burned retry budget)", got)
 	}
-	if got := b.BreakerOpens(); got < 1 {
-		t.Fatalf("BreakerOpens = %d, want >= 1", got)
+	if got := probe(t, b, cluster.ProbeLBBreaker); got < 1 {
+		t.Fatalf("lb.breaker = %d, want >= 1", got)
 	}
 
 	// Breaker open: the next request fails fast without a forward, and
 	// healthy traffic (keyed to shard 0, and key-less routed around the
 	// open breaker) is unaffected.
-	retriesBefore := b.Retries()
+	retriesBefore := probe(t, b, cluster.ProbeLBRetry)
 	start := time.Now()
 	if resp, err := webtest.Get(addr, orderDisplayPath(deadC)); err != nil || resp.Status != 502 {
 		t.Fatalf("breaker-open request: %v, err %v (want 502)", resp, err)
@@ -222,7 +222,7 @@ func TestBreakerOpensOnFailingShard(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("breaker-open request took %v — not a fast failure", elapsed)
 	}
-	if got := b.Retries(); got != retriesBefore {
+	if got := probe(t, b, cluster.ProbeLBRetry); got != retriesBefore {
 		t.Errorf("breaker-open request still forwarded: retries %d -> %d", retriesBefore, got)
 	}
 	if resp, err := webtest.Get(addr, orderDisplayPath(liveC)); err != nil || resp.Status != 200 {
@@ -295,7 +295,7 @@ func (r *recoverableShard) Probes() []variant.Probe { return nil }
 // cooldown; the shard only rejoins once a probe succeeds.
 func TestBreakerHalfOpenProbeReadmits(t *testing.T) {
 	const shards = 2
-	insts := buildShardInsts(t, clock.Real{}, shards, 0)
+	insts := buildShardInsts(t, clock.Real{}, variant.Unmodified, shards, 0)
 	insts[1].Stop()
 	flaky := newRecoverableShard()
 	insts[1] = flaky
@@ -341,11 +341,11 @@ func TestBreakerHalfOpenProbeReadmits(t *testing.T) {
 			t.Fatalf("request %d to broken shard: status %d, want 502", i, got)
 		}
 	}
-	if got := b.BreakerOpens(); got < 1 {
-		t.Fatalf("BreakerOpens = %d, want >= 1", got)
+	if got := probe(t, b, cluster.ProbeLBBreaker); got < 1 {
+		t.Fatalf("lb.breaker = %d, want >= 1", got)
 	}
-	if got := b.HalfOpens(); got != 0 {
-		t.Fatalf("HalfOpens = %d before any cooldown expired", got)
+	if got := probe(t, b, cluster.ProbeLBHalfOpen); got != 0 {
+		t.Fatalf("lb.halfopen = %d before any cooldown expired", got)
 	}
 
 	// Cooldown expires with the shard still broken: the next request is
@@ -354,11 +354,11 @@ func TestBreakerHalfOpenProbeReadmits(t *testing.T) {
 	if got := get(); got != 502 {
 		t.Fatalf("failed trial: status %d, want 502", got)
 	}
-	if got := b.HalfOpens(); got != 1 {
-		t.Fatalf("HalfOpens = %d after expired cooldown, want 1 (the trial)", got)
+	if got := probe(t, b, cluster.ProbeLBHalfOpen); got != 1 {
+		t.Fatalf("lb.halfopen = %d after expired cooldown, want 1 (the trial)", got)
 	}
-	if got := b.BreakerOpens(); got < 2 {
-		t.Fatalf("BreakerOpens = %d, want >= 2 (failed trial re-arms the cooldown)", got)
+	if got := probe(t, b, cluster.ProbeLBBreaker); got < 2 {
+		t.Fatalf("lb.breaker = %d, want >= 2 (failed trial re-arms the cooldown)", got)
 	}
 
 	// Timer expiry alone never re-admits: inside the re-armed cooldown
@@ -366,8 +366,8 @@ func TestBreakerHalfOpenProbeReadmits(t *testing.T) {
 	if got := get(); got != 502 {
 		t.Fatalf("request inside re-armed cooldown: status %d, want 502", got)
 	}
-	if got := b.HalfOpens(); got != 1 {
-		t.Fatalf("HalfOpens = %d, want 1 — breaker admitted a request on timer expiry alone", got)
+	if got := probe(t, b, cluster.ProbeLBHalfOpen); got != 1 {
+		t.Fatalf("lb.halfopen = %d, want 1 — breaker admitted a request on timer expiry alone", got)
 	}
 
 	// The shard recovers. It still serves nothing until the next trial
@@ -377,8 +377,8 @@ func TestBreakerHalfOpenProbeReadmits(t *testing.T) {
 	if got := get(); got != 200 {
 		t.Fatalf("successful trial: status %d, want 200 (probe response relayed)", got)
 	}
-	if got := b.HalfOpens(); got != 2 {
-		t.Fatalf("HalfOpens = %d after recovery, want 2", got)
+	if got := probe(t, b, cluster.ProbeLBHalfOpen); got != 2 {
+		t.Fatalf("lb.halfopen = %d after recovery, want 2", got)
 	}
 	// Breaker closed: traffic flows normally, no further trials.
 	for i := 0; i < 3; i++ {
@@ -386,7 +386,19 @@ func TestBreakerHalfOpenProbeReadmits(t *testing.T) {
 			t.Fatalf("request %d after re-admission: status %d, want 200", i, got)
 		}
 	}
-	if got := b.HalfOpens(); got != 2 {
-		t.Fatalf("HalfOpens = %d after breaker closed, want 2", got)
+	if got := probe(t, b, cluster.ProbeLBHalfOpen); got != 2 {
+		t.Fatalf("lb.halfopen = %d after breaker closed, want 2", got)
 	}
+}
+
+// probe reads one of the balancer's probe gauges by name.
+func probe(t *testing.T, b *cluster.Balancer, name string) int64 {
+	t.Helper()
+	for _, p := range b.Probes() {
+		if p.Name == name {
+			return int64(p.Gauge())
+		}
+	}
+	t.Fatalf("balancer has no probe %q", name)
+	return 0
 }

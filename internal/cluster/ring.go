@@ -56,7 +56,6 @@ func fnv1a(key string) uint64 {
 // about 1/(M+1) of the key space, not a full reshuffle.
 type Ring struct {
 	points []ringPoint // sorted by hash
-	shards int
 }
 
 type ringPoint struct {
@@ -78,7 +77,7 @@ func NewRing(shards, vnodes int) (*Ring, error) {
 	if vnodes <= 0 {
 		vnodes = DefaultVNodes
 	}
-	r := &Ring{shards: shards, points: make([]ringPoint, 0, shards*vnodes)}
+	r := &Ring{points: make([]ringPoint, 0, shards*vnodes)}
 	for s := 0; s < shards; s++ {
 		for v := 0; v < vnodes; v++ {
 			r.points = append(r.points, ringPoint{
@@ -97,9 +96,6 @@ func NewRing(shards, vnodes int) (*Ring, error) {
 	})
 	return r, nil
 }
-
-// Shards reports the shard count the ring was built over.
-func (r *Ring) Shards() int { return r.shards }
 
 // Owner maps a key to its owning shard: the first ring point at or
 // clockwise of the key's hash, wrapping at the top.

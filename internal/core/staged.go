@@ -157,11 +157,6 @@ type Server struct {
 	listener net.Listener
 	stopped  bool
 	stopOnce sync.Once
-	// conns holds every open connection, so that Stop can abort the ones
-	// waiting for their next request instead of waiting out their idle
-	// timeout; connWG counts their goroutines.
-	conns  map[*server.Conn]struct{}
-	connWG sync.WaitGroup
 }
 
 // New validates the configuration and builds the staged server.
@@ -178,7 +173,7 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	cfg.fillDefaults()
-	s := &Server{cfg: cfg, conns: make(map[*server.Conn]struct{})}
+	s := &Server{cfg: cfg}
 	s.tr = server.NewTransport(server.TransportConfig{
 		IdleTimeout: cfg.IdleTimeout,
 		Clock:       cfg.Clock,
@@ -252,28 +247,25 @@ func (s *Server) Serve(l net.Listener) error {
 		if s.stopped {
 			return stage.ErrClosed
 		}
-		s.conns[c] = struct{}{}
-		s.connWG.Add(1)
 		go s.serveConn(c)
 		return nil
 	})
 }
 
 // Stop shuts the server down. It is safe to call before, during, or
-// after Serve, and is idempotent. Every open connection is aborted:
-// one waiting for its next request ends at once rather than aging out
-// its idle timeout, and one whose request has been read finishes every
-// remaining stage first. Stop returns once no connection goroutine is
-// left.
+// after Serve, and is idempotent. Every open connection is aborted (see
+// server.Transport.Shutdown): one waiting for its next request ends at
+// once rather than aging out its idle timeout, and one whose request has
+// been read finishes every remaining stage first. The exception is a
+// connection whose first request has not arrived: it may still deliver
+// it, so a client that dialled and sent nothing holds Stop for up to the
+// idle timeout. Stop returns once no connection goroutine is left.
 func (s *Server) Stop() {
 	s.mu.Lock()
 	s.stopped = true
 	l := s.listener
 	ctl := s.controller
 	s.controller = nil
-	for c := range s.conns {
-		c.Abort()
-	}
 	s.mu.Unlock()
 	if l != nil {
 		_ = l.Close()
@@ -282,7 +274,7 @@ func (s *Server) Stop() {
 		ctl.Stop()
 	}
 	s.stopOnce.Do(func() {
-		s.connWG.Wait()
+		s.tr.Shutdown()
 		s.graph.Stop()
 	})
 }
@@ -297,11 +289,7 @@ func (s *Server) Stop() {
 func (s *Server) serveConn(c *server.Conn) {
 	for c.AwaitReadable() == nil && s.serveRequest(c) {
 	}
-	s.mu.Lock()
-	delete(s.conns, c)
-	s.mu.Unlock()
 	c.Close()
-	s.connWG.Done()
 }
 
 // serveRequest walks one request through Figure 5, holding each pool's

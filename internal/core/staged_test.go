@@ -441,9 +441,12 @@ func TestStagedGracefulShutdownDrains(t *testing.T) {
 	// Wait for every request to be in: one still dialling when Stop closes
 	// the listener is refused, not dropped.
 	if !webtest.WaitUntil(5*time.Second, func() bool {
-		g, _ := env.srv.Graph().Stage("general")
-		st := g.Stats()
-		return st.Busy == 3 && st.Depth >= inFlight-3
+		for _, st := range env.srv.Graph().Stats() {
+			if st.Name == core.StageGeneral {
+				return st.Busy == 3 && st.Depth >= inFlight-3
+			}
+		}
+		return false
 	}) {
 		t.Fatal("general stage never saturated")
 	}

@@ -855,12 +855,6 @@ func (t *Tier) queryOn(b *backend, sql string, args ...any) (*sqldb.ResultSet, e
 // Replicas reports the number of backend engines, primary included.
 func (t *Tier) Replicas() int { return len(t.backends) }
 
-// Size reports the connection pool size per backend.
-func (t *Tier) Size() int { return t.poolSize }
-
-// Async reports whether the tier replicates asynchronously.
-func (t *Tier) Async() bool { return t.async }
-
 // Backends lists every engine, primary first. Resyncs swap replica
 // engines, so the slice reflects the tier at the time of the call.
 func (t *Tier) Backends() []*sqldb.DB {
@@ -869,18 +863,6 @@ func (t *Tier) Backends() []*sqldb.DB {
 		out[i] = b.db()
 	}
 	return out
-}
-
-// ActiveBackends reports how many backends are in the read rotation,
-// primary included.
-func (t *Tier) ActiveBackends() int {
-	n := 1 // the primary is always in rotation
-	for _, r := range t.replicas {
-		if r.b.state.Load() == stateActive {
-			n++
-		}
-	}
-	return n
 }
 
 // InUse reports how many pooled connections are currently executing,

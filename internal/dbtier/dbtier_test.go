@@ -161,8 +161,8 @@ func TestAcquireWaitMetrics(t *testing.T) {
 	if tier.WaitCount() != 1 {
 		t.Fatalf("WaitCount = %d, want 1", tier.WaitCount())
 	}
-	if tier.WaitTimes().Count() != 1 {
-		t.Fatalf("wait-time histogram count = %d, want 1", tier.WaitTimes().Count())
+	if tier.WaitTimes().Snapshot().Count != 1 {
+		t.Fatalf("wait-time histogram count = %d, want 1", tier.WaitTimes().Snapshot().Count)
 	}
 	if tier.InUse() != 0 {
 		t.Fatalf("InUse after release = %d, want 0", tier.InUse())

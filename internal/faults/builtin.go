@@ -80,17 +80,17 @@ func buildReplicaKill(env Env) (Injector, error) {
 		}
 	}
 	in := NewInjector(env)
-	in.add(step{at: at, action: fmt.Sprintf("kill replica backend %d", target), run: func() {
+	in.Add(at, 0, fmt.Sprintf("kill replica backend %d", target), func() {
 		for _, t := range tiers {
 			_ = t.KillBackend(target)
 		}
-	}})
+	})
 	if restart > 0 {
-		in.add(step{at: at + restart, action: fmt.Sprintf("restart replica backend %d", target), run: func() {
+		in.Add(at+restart, 0, fmt.Sprintf("restart replica backend %d", target), func() {
 			for _, t := range tiers {
 				_ = t.RestartBackend(target)
 			}
-		}})
+		})
 	}
 	return in, nil
 }
@@ -123,13 +123,13 @@ func buildShardDown(env Env) (Injector, error) {
 		return nil, fmt.Errorf("faults: %s: target %d out of range (cluster has %d shards)", ShardDown, target, b.Shards())
 	}
 	in := NewInjector(env)
-	in.add(step{at: at, action: fmt.Sprintf("shard %d down", target), run: func() {
+	in.Add(at, 0, fmt.Sprintf("shard %d down", target), func() {
 		_ = b.SetShardDown(target, true)
-	}})
+	})
 	if restart > 0 {
-		in.add(step{at: at + restart, action: fmt.Sprintf("shard %d up", target), run: func() {
+		in.Add(at+restart, 0, fmt.Sprintf("shard %d up", target), func() {
 			_ = b.SetShardDown(target, false)
-		}})
+		})
 	}
 	return in, nil
 }
@@ -161,17 +161,17 @@ func buildSlowBackend(env Env) (Injector, error) {
 		}
 	}
 	in := NewInjector(env)
-	in.add(step{at: at, action: fmt.Sprintf("slow backend %d by %v", target, slow), run: func() {
+	in.Add(at, 0, fmt.Sprintf("slow backend %d by %v", target, slow), func() {
 		for _, t := range tiers {
 			_ = t.SetBackendDelay(target, slow)
 		}
-	}})
+	})
 	if restart > 0 {
-		in.add(step{at: at + restart, action: fmt.Sprintf("unslow backend %d", target), run: func() {
+		in.Add(at+restart, 0, fmt.Sprintf("unslow backend %d", target), func() {
 			for _, t := range tiers {
 				_ = t.SetBackendDelay(target, 0)
 			}
-		}})
+		})
 	}
 	return in, nil
 }
@@ -197,9 +197,9 @@ func buildConnDrop(env Env) (Injector, error) {
 		return nil, fmt.Errorf("faults: %s: every must be positive, got %v", ConnDrop, every)
 	}
 	in := NewInjector(env)
-	in.add(step{at: at, repeat: every, action: "drop pooled backend connections", run: func() {
+	in.Add(at, every, "drop pooled backend connections", func() {
 		b.ResetBackendConns()
-	}})
+	})
 	return in, nil
 }
 
@@ -223,17 +223,17 @@ func buildLeak(env Env) (Injector, error) {
 		return nil, err
 	}
 	in := NewInjector(env)
-	in.add(step{at: at, action: fmt.Sprintf("leak %d primary connections", conns), run: func() {
+	in.Add(at, 0, fmt.Sprintf("leak %d primary connections", conns), func() {
 		for _, t := range tiers {
 			t.LeakConns(conns)
 		}
-	}})
+	})
 	if restart > 0 {
-		in.add(step{at: at + restart, action: "release leaked connections", run: func() {
+		in.Add(at+restart, 0, "release leaked connections", func() {
 			for _, t := range tiers {
 				t.ReleaseLeaked()
 			}
-		}})
+		})
 	}
 	return in, nil
 }

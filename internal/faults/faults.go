@@ -217,13 +217,11 @@ func NewInjector(env Env) *StepInjector {
 	}
 }
 
-func (in *StepInjector) add(s step) { in.steps = append(in.steps, s) }
-
-// Add schedules a one-shot step: at the paper-time offset, run the
-// action (recorded under the given label in Events). Repeating steps
-// stay internal to the built-in plans.
-func (in *StepInjector) Add(at time.Duration, action string, run func()) {
-	in.add(step{at: at, action: action, run: run})
+// Add schedules a step: at the paper-time offset, run the action
+// (recorded under the given label in Events), then again every repeat
+// while the injector runs; a zero repeat makes it one-shot.
+func (in *StepInjector) Add(at, repeat time.Duration, action string, run func()) {
+	in.steps = append(in.steps, step{at: at, repeat: repeat, action: action, run: run})
 }
 
 // Start implements Injector.

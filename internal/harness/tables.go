@@ -65,28 +65,3 @@ func Table2(tspare, treserve []int) string {
 	}
 	return sb.String()
 }
-
-// Summary renders a one-paragraph comparison of two runs.
-func Summary(unmod, mod *Result) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "unmodified: %d interactions, %d errors, wall %v\n",
-		unmod.TotalInteractions, unmod.Errors, unmod.WallDuration.Round(1e7))
-	fmt.Fprintf(&sb, "modified:   %d interactions, %d errors, wall %v\n",
-		mod.TotalInteractions, mod.Errors, mod.WallDuration.Round(1e7))
-	fmt.Fprintf(&sb, "throughput gain: %+.1f%%\n", ThroughputGainPercent(unmod, mod))
-	faster, slower := 0, 0
-	for _, page := range tpcw.Pages {
-		u, m := unmod.Pages[page], mod.Pages[page]
-		if u.Count == 0 || m.Count == 0 {
-			continue
-		}
-		switch {
-		case m.MeanPaperSec < u.MeanPaperSec:
-			faster++
-		case m.MeanPaperSec > u.MeanPaperSec:
-			slower++
-		}
-	}
-	fmt.Fprintf(&sb, "pages faster on modified: %d, slower: %d (paper: 11 faster of 14)\n", faster, slower)
-	return sb.String()
-}

@@ -122,7 +122,7 @@ func ParseRequestLine(line string) (RequestLine, error) {
 type Field struct{ Name, Value string }
 
 // Header is a case-insensitive single-valued header list, in the order
-// the fields were sent or set. Names are stored in canonical form (e.g.
+// the fields were sent. Names are stored in canonical form (e.g.
 // "Content-Length"); when a name repeats, the last field wins.
 type Header []Field
 
@@ -135,19 +135,6 @@ func (h Header) Get(key string) string {
 		}
 	}
 	return ""
-}
-
-// Set stores value under the canonical form of key, in place of the
-// field Get would return or else at the end.
-func (h *Header) Set(key, value string) {
-	key = CanonicalKey(key)
-	for i := len(*h) - 1; i >= 0; i-- {
-		if (*h)[i].Name == key {
-			(*h)[i].Value = value
-			return
-		}
-	}
-	*h = append(*h, Field{key, value})
 }
 
 // ReadHeaders reads the header block (phase two), up to and including the

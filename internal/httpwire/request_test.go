@@ -195,7 +195,7 @@ func TestKeepAliveSemantics(t *testing.T) {
 	for _, tt := range tests {
 		req := &Request{Line: RequestLine{Proto: tt.proto}, Header: Header{}}
 		if tt.connHdr != "" {
-			req.Header.Set("Connection", tt.connHdr)
+			req.Header = Header{{"Connection", tt.connHdr}}
 		}
 		if got := req.KeepAlive(); got != tt.want {
 			t.Errorf("KeepAlive(%s, %q) = %v, want %v", tt.proto, tt.connHdr, got, tt.want)
@@ -238,8 +238,7 @@ func TestCanonicalKeyCanonicalInputDoesNotAllocate(t *testing.T) {
 			t.Errorf("CanonicalKey(%q) allocates %v times", key, n)
 		}
 	}
-	h := Header{}
-	h.Set("Content-Length", "12")
+	h := Header{{"Content-Length", "12"}}
 	if n := testing.AllocsPerRun(100, func() { _ = h.Get("Content-Length") }); n != 0 {
 		t.Errorf("Header.Get allocates %v times", n)
 	}

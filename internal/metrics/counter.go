@@ -4,7 +4,7 @@
 // queue-length and throughput figures of the DSN'09 evaluation.
 //
 // All types are safe for concurrent use and allocation-free on the hot
-// paths (Counter.Add, Gauge.Set, Histogram.Observe).
+// paths (Counter.Add, Gauge.Inc, Histogram.Observe).
 package metrics
 
 import "sync/atomic"
@@ -29,20 +29,11 @@ func (c *Counter) Inc() { c.n.Add(1) }
 // Value reports the current count.
 func (c *Counter) Value() int64 { return c.n.Load() }
 
-// Reset zeroes the counter (used at the start of a measurement window).
-func (c *Counter) Reset() { c.n.Store(0) }
-
 // Gauge is an instantaneous value such as the number of spare workers in a
 // pool or the current length of a queue. The zero value is ready to use.
 type Gauge struct {
 	v atomic.Int64
 }
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adjusts the gauge by delta (may be negative).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
 // Inc increments the gauge by one.
 func (g *Gauge) Inc() { g.v.Add(1) }

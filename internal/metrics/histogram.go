@@ -70,44 +70,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.mu.Unlock()
 }
 
-// Count reports the number of observations.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Sum reports the total of all observations.
-func (h *Histogram) Sum() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
-// Mean reports the average observation, or 0 with no observations.
-func (h *Histogram) Mean() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / time.Duration(h.count)
-}
-
-// Min reports the smallest observation, or 0 with no observations.
-func (h *Histogram) Min() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.min
-}
-
-// Max reports the largest observation.
-func (h *Histogram) Max() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.max
-}
-
 // Quantile reports an approximate q-quantile (0 <= q <= 1) as the upper
 // bound of the bucket containing it, or 0 with no observations.
 func (h *Histogram) Quantile(q float64) time.Duration {

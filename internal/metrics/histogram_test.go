@@ -10,7 +10,7 @@ import (
 
 func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
-	if h.Count() != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 {
+	if s := h.Snapshot(); s.Count != 0 || s.Mean != 0 || s.Min != 0 || s.Max != 0 {
 		t.Fatal("empty histogram must report zeros")
 	}
 	if q := h.Quantile(0.5); q != 0 {
@@ -21,14 +21,14 @@ func TestHistogramEmpty(t *testing.T) {
 func TestHistogramSingleObservation(t *testing.T) {
 	var h Histogram
 	h.Observe(100 * time.Millisecond)
-	if h.Count() != 1 {
-		t.Fatalf("Count = %d, want 1", h.Count())
+	if h.Snapshot().Count != 1 {
+		t.Fatalf("Count = %d, want 1", h.Snapshot().Count)
 	}
-	if h.Mean() != 100*time.Millisecond {
-		t.Fatalf("Mean = %v, want 100ms", h.Mean())
+	if h.Snapshot().Mean != 100*time.Millisecond {
+		t.Fatalf("Mean = %v, want 100ms", h.Snapshot().Mean)
 	}
-	if h.Min() != h.Max() || h.Min() != 100*time.Millisecond {
-		t.Fatalf("Min/Max = %v/%v, want 100ms", h.Min(), h.Max())
+	if h.Snapshot().Min != h.Snapshot().Max || h.Snapshot().Min != 100*time.Millisecond {
+		t.Fatalf("Min/Max = %v/%v, want 100ms", h.Snapshot().Min, h.Snapshot().Max)
 	}
 }
 
@@ -58,10 +58,10 @@ func TestHistogramMean(t *testing.T) {
 	var h Histogram
 	h.Observe(time.Second)
 	h.Observe(3 * time.Second)
-	if got := h.Mean(); got != 2*time.Second {
+	if got := h.Snapshot().Mean; got != 2*time.Second {
 		t.Fatalf("Mean = %v, want 2s", got)
 	}
-	if got := h.Sum(); got != 4*time.Second {
+	if got := h.Snapshot().Sum; got != 4*time.Second {
 		t.Fatalf("Sum = %v, want 4s", got)
 	}
 }
@@ -69,8 +69,8 @@ func TestHistogramMean(t *testing.T) {
 func TestHistogramNegativeClamped(t *testing.T) {
 	var h Histogram
 	h.Observe(-time.Second)
-	if h.Min() != 0 {
-		t.Fatalf("Min = %v, want 0", h.Min())
+	if h.Snapshot().Min != 0 {
+		t.Fatalf("Min = %v, want 0", h.Snapshot().Min)
 	}
 }
 
@@ -89,8 +89,8 @@ func TestHistogramQuantileApproximation(t *testing.T) {
 	if p99 < 80*time.Millisecond || p99 > 100*time.Millisecond {
 		t.Fatalf("P99 = %v, want ~99ms within bucket error", p99)
 	}
-	if q := h.Quantile(1); q != h.Max() {
-		t.Fatalf("Quantile(1) = %v, want max %v", q, h.Max())
+	if q := h.Quantile(1); q != h.Snapshot().Max {
+		t.Fatalf("Quantile(1) = %v, want max %v", q, h.Snapshot().Max)
 	}
 }
 
@@ -108,7 +108,7 @@ func TestHistogramReset(t *testing.T) {
 	var h Histogram
 	h.Observe(time.Second)
 	h.Reset()
-	if h.Count() != 0 || h.Sum() != 0 || h.Max() != 0 {
+	if s := h.Snapshot(); s.Count != 0 || s.Sum != 0 || s.Max != 0 {
 		t.Fatal("Reset did not clear state")
 	}
 }
@@ -148,7 +148,7 @@ func TestHistogramConcurrent(t *testing.T) {
 		}(int64(i))
 	}
 	wg.Wait()
-	if got := h.Count(); got != goroutines*perG {
+	if got := h.Snapshot().Count; got != goroutines*perG {
 		t.Fatalf("Count = %d, want %d", got, goroutines*perG)
 	}
 }
@@ -163,7 +163,8 @@ func TestHistogramInvariantsProperty(t *testing.T) {
 		for _, u := range raw {
 			h.Observe(time.Duration(u%10_000_000) * time.Microsecond)
 		}
-		mean, lo, hi := h.Mean(), h.Min(), h.Max()
+		s := h.Snapshot()
+		mean, lo, hi := s.Mean, s.Min, s.Max
 		if mean < lo || mean > hi {
 			return false
 		}

@@ -61,9 +61,6 @@ func NewSeries(start time.Time, width time.Duration, agg Agg) *Series {
 	return &Series{start: start, width: width, agg: agg}
 }
 
-// Start reports the series anchor time.
-func (s *Series) Start() time.Time { return s.start }
-
 // Width reports the bucket width.
 func (s *Series) Width() time.Duration { return s.width }
 
@@ -119,13 +116,6 @@ func (s *Series) Points() []Point {
 		pts[i] = Point{Offset: time.Duration(i) * s.width, Value: v}
 	}
 	return pts
-}
-
-// Len reports the number of buckets with at least the last observation.
-func (s *Series) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.values)
 }
 
 // seriesJSON is the artifact shape of a Series: the start time is

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -59,7 +60,7 @@ func TestSeriesMean(t *testing.T) {
 func TestSeriesDropsEarlyObservations(t *testing.T) {
 	s := NewSeries(tsEpoch, time.Second, AggSum)
 	s.Observe(tsEpoch.Add(-time.Second), 100) // ramp-up traffic
-	if s.Len() != 0 {
+	if len(s.Points()) != 0 {
 		t.Fatal("observation before start must be dropped")
 	}
 }
@@ -90,15 +91,15 @@ func TestSeriesInvalidWidthPanics(t *testing.T) {
 func TestSamplerCollectsOnTicks(t *testing.T) {
 	clk := clock.NewManual(tsEpoch)
 	s := NewSeries(tsEpoch, time.Second, AggLast)
-	var g Gauge
-	sampler := StartSampler(clk, time.Second, func() float64 { return float64(g.Value()) }, s)
+	var g atomic.Int64
+	sampler := StartSampler(clk, time.Second, func() float64 { return float64(g.Load()) }, s)
 	defer sampler.Stop()
 
 	clk.BlockUntilWaiters(1)
-	g.Set(4)
+	g.Store(4)
 	clk.Advance(time.Second)
 	waitForLen(t, s, 2) // bucket for t=1s exists once sampled
-	g.Set(7)
+	g.Store(7)
 	clk.Advance(time.Second)
 	waitForLen(t, s, 3)
 
@@ -114,9 +115,9 @@ func TestSamplerCollectsOnTicks(t *testing.T) {
 func waitForLen(t *testing.T, s *Series, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for s.Len() < n {
+	for len(s.Points()) < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("series never reached %d buckets (have %d)", n, s.Len())
+			t.Fatalf("series never reached %d buckets (have %d)", n, len(s.Points()))
 		}
 		time.Sleep(100 * time.Microsecond)
 	}

@@ -62,9 +62,6 @@ func (r *ReserveController) Reserve() int {
 	return r.reserve
 }
 
-// Min reports the configured minimum reserve.
-func (r *ReserveController) Min() int { return r.min }
-
 // Update folds one t_spare measurement into t_reserve and returns the new
 // value. This is the exact rule reproduced by Table 2 of the paper.
 func (r *ReserveController) Update(tspare int) int {

@@ -112,8 +112,12 @@ func (s *Baseline) Serve(l net.Listener) error {
 	})
 }
 
-// Stop closes the listener and drains the worker pool. It is safe to
-// call before, during, or after Serve, and is idempotent.
+// Stop closes the listener, aborts every open connection and drains the
+// worker pool. A connection still waiting for its first request, as a
+// queued one is, may deliver it first, so a client that dialled and sent
+// nothing holds Stop for up to the idle timeout (see
+// Transport.Shutdown). It is safe to call before, during, or after
+// Serve, and is idempotent.
 func (s *Baseline) Stop() {
 	s.mu.Lock()
 	s.stopped = true
@@ -122,7 +126,10 @@ func (s *Baseline) Stop() {
 	if l != nil {
 		_ = l.Close()
 	}
-	s.stopOnce.Do(s.graph.Stop)
+	s.stopOnce.Do(func() {
+		s.tr.Shutdown()
+		s.graph.Stop()
+	})
 }
 
 // QueueLen reports the single request queue's length — the series plotted

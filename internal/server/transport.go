@@ -50,8 +50,15 @@ type Transport struct {
 	cost        WorkCost
 	onComplete  func(CompletionEvent)
 
-	accepted metrics.Counter
-	served   metrics.Counter
+	served metrics.Counter
+
+	// conns holds every open connection, so that Shutdown can abort the
+	// ones waiting for their next request instead of waiting out their
+	// idle timeout; connWG counts them until they close.
+	mu      sync.Mutex
+	conns   map[*Conn]struct{}
+	closing bool
+	connWG  sync.WaitGroup
 }
 
 // NewTransport fills defaults and builds the transport.
@@ -71,6 +78,7 @@ func NewTransport(cfg TransportConfig) *Transport {
 		scale:       cfg.Scale,
 		cost:        cfg.Cost,
 		onComplete:  cfg.OnComplete,
+		conns:       make(map[*Conn]struct{}),
 	}
 }
 
@@ -97,17 +105,28 @@ type Conn struct {
 
 	closed  atomic.Bool
 	aborted atomic.Bool
+	begun   atomic.Bool // a request has arrived, so Abort applies
 }
 
 // errAborted reports a connection unparked by Abort during shutdown.
 var errAborted = errors.New("server: connection aborted")
 
-// NewConn wraps nc with pooled buffers. Callers must Close the Conn to
-// return them.
+// NewConn wraps nc with pooled buffers and tracks it until Close, which
+// callers must call to return the buffers. A connection wrapped after
+// Shutdown began is aborted from the start.
 func (t *Transport) NewConn(nc net.Conn) *Conn {
 	br := readerPool.Get().(*bufio.Reader)
 	br.Reset(nc)
-	return &Conn{t: t, nc: nc, br: br}
+	c := &Conn{t: t, nc: nc, br: br}
+	t.mu.Lock()
+	if t.closing {
+		c.aborted.Store(true)
+	} else {
+		t.conns[c] = struct{}{}
+		t.connWG.Add(1)
+	}
+	t.mu.Unlock()
+	return c
 }
 
 // Close closes the network connection and returns the buffers to their
@@ -120,6 +139,30 @@ func (c *Conn) Close() {
 	c.br.Reset(nil)
 	readerPool.Put(c.br)
 	c.br = nil
+	t := c.t
+	t.mu.Lock()
+	if _, ok := t.conns[c]; ok {
+		delete(t.conns, c)
+		t.connWG.Done()
+	}
+	t.mu.Unlock()
+}
+
+// Shutdown aborts every open connection, and every one wrapped from now
+// on, then waits until all of them are closed. A connection waiting for
+// its next request ends at once rather than aging out its idle timeout,
+// and one whose request has been read is finished by its owner first.
+// The exception is a connection whose first request has not arrived: it
+// may still deliver it (see Abort), so a client that dialled and sent
+// nothing holds Shutdown for up to the idle timeout.
+func (t *Transport) Shutdown() {
+	t.mu.Lock()
+	t.closing = true
+	for c := range t.conns {
+		c.Abort()
+	}
+	t.mu.Unlock()
+	t.connWG.Wait()
 }
 
 // ReadRequestLine marks the request acquired and reads its first line
@@ -155,41 +198,68 @@ func (c *Conn) FinishRequest(line httpwire.RequestLine) (*httpwire.Request, erro
 // everything themselves.
 func (c *Conn) ReadRequest() (*httpwire.Request, error) {
 	c.Acquired = c.t.clk.Now()
-	_ = c.nc.SetReadDeadline(time.Now().Add(c.t.idleTimeout))
-	req, err := httpwire.ReadRequest(c.br)
-	if err != nil {
+	req := new(httpwire.Request)
+	if err := c.Parse(req); err != nil {
 		return nil, err
 	}
-	_ = c.nc.SetReadDeadline(time.Time{})
 	return req, nil
 }
+
+// Parse reads the next request into req, which the caller reuses (see
+// httpwire.Request.Parse), bounded by the idle timeout and by Abort.
+func (c *Conn) Parse(req *httpwire.Request) error {
+	if err := c.armIdle(); err != nil {
+		return err
+	}
+	if err := req.Parse(c.br); err != nil {
+		return err
+	}
+	c.begun.Store(true)
+	_ = c.nc.SetReadDeadline(time.Time{})
+	return nil
+}
+
+// Write writes p to the connection as it is, for a caller that relays
+// bytes rather than replying.
+func (c *Conn) Write(p []byte) (int, error) { return c.nc.Write(p) }
 
 // AwaitReadable blocks until the connection has readable bytes (a
 // request's first byte) or the idle timeout passes. It plays the role of
 // the OS readiness notification (select/poll in CherryPy's listener).
 func (c *Conn) AwaitReadable() error {
-	_ = c.nc.SetReadDeadline(time.Now().Add(c.t.idleTimeout))
-	// Re-check after arming the deadline: an Abort that ran before this
-	// point is seen here; one that runs after re-expires the deadline we
-	// just set. Either way the park cannot outlive the abort.
-	if c.aborted.Load() {
-		return errAborted
+	if err := c.armIdle(); err != nil {
+		return err
 	}
 	if _, err := c.br.Peek(1); err != nil {
 		return err
 	}
+	c.begun.Store(true)
 	_ = c.nc.SetReadDeadline(time.Time{})
 	return nil
 }
 
-// Abort expires the connection's read deadline so any goroutine blocked
-// in AwaitReadable (or a read) fails promptly and closes the connection
-// itself. Servers use it to unpark keep-alive connections on shutdown:
-// unlike calling Close from a second goroutine, Abort never races the
-// parked reader's use of the pooled buffers.
+// armIdle arms the idle timeout for the wait on the next request, or
+// reports errAborted. Checking after arming the deadline: an Abort that
+// ran before this point is seen here; one that runs after re-expires the
+// deadline just set. Either way the wait cannot outlive the abort.
+func (c *Conn) armIdle() error {
+	_ = c.nc.SetReadDeadline(time.Now().Add(c.t.idleTimeout))
+	if c.aborted.Load() && c.begun.Load() {
+		return errAborted
+	}
+	return nil
+}
+
+// Abort ends the connection's wait for its next request: a goroutine
+// blocked in AwaitReadable or Parse, or about to block there, fails
+// promptly and closes the connection itself. A connection whose first
+// request has not arrived is left to deliver it, bounded by the idle
+// timeout: its client dialled before shutdown, so the request is in
+// flight. Unlike calling Close from a second goroutine, Abort never
+// races the reader's use of the pooled buffers.
 func (c *Conn) Abort() {
 	c.aborted.Store(true)
-	if c.closed.Load() {
+	if c.closed.Load() || !c.begun.Load() {
 		return
 	}
 	_ = c.nc.SetReadDeadline(time.Now().Add(-time.Second))
@@ -201,7 +271,7 @@ func (c *Conn) WriteError(status int, msg string) error {
 	return httpwire.WriteError(c.nc, status, msg)
 }
 
-// Accept runs the accept loop: accept, count, wrap, hand to sink. A sink
+// Accept runs the accept loop: accept, wrap, hand to sink. A sink
 // error means the server is shutting down; the connection is closed and
 // the loop exits cleanly. The returned error is nil after a clean Stop.
 func (t *Transport) Accept(l net.Listener, sink func(*Conn) error) error {
@@ -213,7 +283,6 @@ func (t *Transport) Accept(l net.Listener, sink func(*Conn) error) error {
 			}
 			return err
 		}
-		t.accepted.Inc()
 		c := t.NewConn(nc)
 		if err := sink(c); err != nil {
 			c.Close()
@@ -228,9 +297,6 @@ func (t *Transport) Charge(paperCost time.Duration) {
 		t.clk.Sleep(t.scale.Wall(paperCost))
 	}
 }
-
-// Accepted reports connections accepted.
-func (t *Transport) Accepted() int64 { return t.accepted.Value() }
 
 // Served reports completed requests.
 func (t *Transport) Served() int64 { return t.served.Value() }

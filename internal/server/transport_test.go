@@ -65,3 +65,50 @@ func TestTransportAwaitReadableSeesData(t *testing.T) {
 		t.Fatalf("AwaitReadable: %v", err)
 	}
 }
+
+// TestTransportShutdownSparesFirstRequest pins Shutdown's timing: a
+// connection waiting for its next request after a keep-alive exchange
+// ends at once, while one whose client dialled but has sent nothing is
+// left to deliver its first request, so Shutdown returns when that
+// connection's idle timeout runs out.
+func TestTransportShutdownSparesFirstRequest(t *testing.T) {
+	const idle = 400 * time.Millisecond
+	tr := server.NewTransport(server.TransportConfig{IdleTimeout: idle})
+	serve := func(nc net.Conn) <-chan time.Time {
+		c := tr.NewConn(nc)
+		ended := make(chan time.Time, 1)
+		go func() {
+			for c.AwaitReadable() == nil {
+				if _, err := c.ReadRequest(); err != nil {
+					break
+				}
+			}
+			c.Close()
+			ended <- time.Now()
+		}()
+		return ended
+	}
+	keepAlive, ka := net.Pipe()
+	defer keepAlive.Close()
+	silent, si := net.Pipe()
+	defer silent.Close()
+	dialled := time.Now()
+	kaEnded, siEnded := serve(ka), serve(si)
+	if _, err := keepAlive.Write([]byte("GET / HTTP/1.1\r\nHost: x\r\n\r\n")); err != nil {
+		t.Fatal(err)
+	}
+
+	start := time.Now()
+	tr.Shutdown()
+	took := time.Since(start)
+	kaEnd, siEnd := <-kaEnded, <-siEnded
+	if !kaEnd.Before(siEnd) {
+		t.Errorf("the idle keep-alive connection ended %v after the silent one", kaEnd.Sub(siEnd))
+	}
+	if waited := siEnd.Sub(dialled); waited < idle {
+		t.Errorf("the silent connection ended %v after it was wrapped, before its %v idle timeout", waited, idle)
+	}
+	if took > idle+time.Second {
+		t.Errorf("Shutdown took %v with a %v idle timeout", took, idle)
+	}
+}

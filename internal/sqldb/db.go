@@ -3,10 +3,8 @@ package sqldb
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"stagedweb/internal/clock"
 	"stagedweb/internal/metrics"
@@ -73,7 +71,6 @@ type DB struct {
 	idxEpoch atomic.Int64
 
 	queries       metrics.Counter // statements executed
-	queryTime     metrics.Histogram
 	conflicts     metrics.Counter // first-writer-wins aborts (before retry)
 	snapshotReads metrics.Counter // statements served from an MVCC snapshot
 	planScans     metrics.Counter // full-scan access paths executed
@@ -136,19 +133,11 @@ func (db *DB) PlanIndexLookups() int64 { return db.planIndex.Value() }
 // slots plus index-probed rows) — the planner's honest I/O volume.
 func (db *DB) PlanRowsRead() int64 { return db.planRows.Value() }
 
-// IndexEpoch reports the index-availability generation; it bumps on
-// every CreateIndex, invalidating cached plans.
-func (db *DB) IndexEpoch() int64 { return db.idxEpoch.Load() }
-
 // StmtCacheHits reports prepared-statement cache hits.
 func (db *DB) StmtCacheHits() int64 { return db.stmts.hits.Value() }
 
 // StmtCacheMisses reports prepared-statement cache misses.
 func (db *DB) StmtCacheMisses() int64 { return db.stmts.misses.Value() }
-
-// StmtCacheLen reports resident prepared statements (bounded by the LRU
-// capacity).
-func (db *DB) StmtCacheLen() int { return db.stmts.len() }
 
 // EnableReplLog attaches (or returns the existing) replication log.
 // Entries start at the current commit timestamp, so a replica cloned
@@ -279,18 +268,6 @@ func (db *DB) MustCreateTable(s Schema) {
 	}
 }
 
-// TableNames lists the registered tables, sorted.
-func (db *DB) TableNames() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	names := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // TableSize reports the number of live rows in a table.
 func (db *DB) TableSize(name string) (int, error) {
 	tbl, err := db.lookupTable(name)
@@ -302,11 +279,6 @@ func (db *DB) TableSize(name string) (int, error) {
 
 // QueryCount reports the number of statements executed.
 func (db *DB) QueryCount() int64 { return db.queries.Value() }
-
-// QueryTimes exposes the per-statement latency histogram, measured on
-// the injected clock — so under clock.Manual or a compressed timescale
-// the recorded durations are the modeled ones, not wall time.
-func (db *DB) QueryTimes() *metrics.Histogram { return &db.queryTime }
 
 func (db *DB) lookupTable(name string) (*table, error) {
 	db.mu.RLock()
@@ -455,8 +427,6 @@ func (c *Conn) Query(sql string, args ...any) (*ResultSet, error) {
 		return nil, err
 	}
 	defer c.exit()
-	start := c.db.clk.Now()
-	defer func() { c.db.queryTime.Observe(c.db.clk.Since(start)) }()
 	c.db.queries.Inc()
 
 	s, err := c.db.prepare(sql)
@@ -497,8 +467,6 @@ func (c *Conn) Exec(sql string, args ...any) (ExecResult, error) {
 		return ExecResult{}, err
 	}
 	defer c.exit()
-	start := c.db.clk.Now()
-	defer func() { c.db.queryTime.Observe(c.db.clk.Since(start)) }()
 	c.db.queries.Inc()
 
 	s, err := c.db.prepare(sql)
@@ -626,14 +594,6 @@ func (rs *ResultSet) Str(row int, name string) string {
 		return v
 	}
 	return ""
-}
-
-// TimeVal returns a time cell (zero time when NULL or mistyped).
-func (rs *ResultSet) TimeVal(row int, name string) time.Time {
-	if v, ok := rs.Get(row, name).(time.Time); ok {
-		return v
-	}
-	return time.Time{}
 }
 
 // Cell is Get as a plain any. Len and Cell are the row-set shape

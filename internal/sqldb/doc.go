@@ -126,5 +126,5 @@
 //
 // Either way every commit appends to the optional versioned replication
 // log (DB.EnableReplLog), which internal/dbtier ships to replicas, and
-// DB.Snapshot / DB.SnapshotAt expose pinned time-travel read views.
+// DB.Snapshot exposes a read view pinned at the current timestamp.
 package sqldb

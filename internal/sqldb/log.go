@@ -67,14 +67,6 @@ func (l *ReplLog) Since(after int64) ([]LogEntry, <-chan struct{}) {
 	return l.entries[idx:], l.changed
 }
 
-// LatestTS reports the commit timestamp of the newest entry (or the
-// base when the log is empty).
-func (l *ReplLog) LatestTS() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.base + int64(len(l.entries))
-}
-
 // Base reports the TS of the newest entry ever truncated (or the
 // enable point): the oldest catch-up point still replayable from the
 // log. A replica whose applied watermark is below Base cannot catch up
@@ -83,13 +75,6 @@ func (l *ReplLog) Base() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.base
-}
-
-// Len reports the number of retained entries.
-func (l *ReplLog) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.entries)
 }
 
 // TruncateThrough drops entries with TS <= ts. The tier calls this with

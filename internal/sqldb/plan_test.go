@@ -187,12 +187,12 @@ func TestCreateIndexReplansCachedStatements(t *testing.T) {
 		t.Fatalf("pre-index plan = %q, want scan", got)
 	}
 
-	epoch := db.IndexEpoch()
+	epoch := db.idxEpoch.Load()
 	if err := db.CreateIndex("t", "grp", false); err != nil {
 		t.Fatal(err)
 	}
-	if db.IndexEpoch() != epoch+1 {
-		t.Fatalf("IndexEpoch = %d, want %d", db.IndexEpoch(), epoch+1)
+	if db.idxEpoch.Load() != epoch+1 {
+		t.Fatalf("index epoch = %d, want %d", db.idxEpoch.Load(), epoch+1)
 	}
 
 	// The same SQL text must now execute through the index: the cached

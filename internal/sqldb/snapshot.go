@@ -14,20 +14,11 @@ import (
 // collection: writers keep every version a pinned reader could still
 // resolve. Close the snapshot when done — a leaked snapshot holds
 // version chains on hot rows alive indefinitely. Versions committed
-// and pruned before the snapshot was created are gone; SnapshotAt with
-// a timestamp older than the prune horizon resolves those rows at
-// their oldest retained version.
+// and pruned before the snapshot was created are gone.
 type Snapshot struct {
 	db        *DB
 	ts        int64
 	closeOnce sync.Once
-}
-
-// SnapshotAt returns a read view pinned at an explicit commit
-// timestamp.
-func (db *DB) SnapshotAt(ts int64) *Snapshot {
-	db.pinSnapshot(ts)
-	return &Snapshot{db: db, ts: ts}
 }
 
 // Snapshot returns a read view pinned at the current commit timestamp.

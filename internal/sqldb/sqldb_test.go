@@ -1,6 +1,8 @@
 package sqldb
 
 import (
+	"maps"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -440,8 +442,8 @@ func TestResultSetHelpers(t *testing.T) {
 	if rs.Get(99, "b_id") != nil || rs.Get(0, "nope") != nil {
 		t.Fatal("out-of-range Get should be nil")
 	}
-	if rs.TimeVal(0, "b_pub").IsZero() {
-		t.Fatal("TimeVal zero")
+	if pub, _ := rs.Get(0, "b_pub").(time.Time); pub.IsZero() {
+		t.Fatal("time cell zero")
 	}
 	if rs.Cell(0, "b_title") != "TAOCP Volume 1" || rs.Cell(0, "nope") != nil || rs.Cell(1, "b_title") != nil {
 		t.Fatalf("Cell: %v, %v, %v", rs.Cell(0, "b_title"), rs.Cell(0, "nope"), rs.Cell(1, "b_title"))
@@ -489,9 +491,9 @@ func TestSchemaValidation(t *testing.T) {
 
 func TestTableNamesAndSize(t *testing.T) {
 	db, _ := newTestDB(t)
-	names := db.TableNames()
+	names := slices.Sorted(maps.Keys(db.tables))
 	if len(names) != 2 || names[0] != "author" || names[1] != "book" {
-		t.Fatalf("TableNames = %v", names)
+		t.Fatalf("tables = %v", names)
 	}
 	n, err := db.TableSize("book")
 	if err != nil || n != 4 {
@@ -565,7 +567,7 @@ func TestStatementCache(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, cached := db.stmts.get(q, db.IndexEpoch()); !cached {
+	if _, cached := db.stmts.get(q, db.idxEpoch.Load()); !cached {
 		t.Fatal("statement not cached")
 	}
 	if db.StmtCacheHits() < 9 {

@@ -21,14 +21,13 @@ type Member interface {
 type Graph struct {
 	mu      sync.Mutex
 	stages  []Member
-	byName  map[string]Member
 	started bool
 	stopped bool
 }
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
-	return &Graph{byName: make(map[string]Member, 8)}
+	return &Graph{}
 }
 
 // Add appends stages in flow order. It panics on a duplicate name or
@@ -40,10 +39,11 @@ func (g *Graph) Add(members ...Member) *Graph {
 		panic("stage: Add after Start")
 	}
 	for _, m := range members {
-		if _, dup := g.byName[m.Name()]; dup {
-			panic(fmt.Sprintf("stage: duplicate stage %q", m.Name()))
+		for _, have := range g.stages {
+			if have.Name() == m.Name() {
+				panic(fmt.Sprintf("stage: duplicate stage %q", m.Name()))
+			}
 		}
-		g.byName[m.Name()] = m
 		g.stages = append(g.stages, m)
 	}
 	return g
@@ -76,14 +76,6 @@ func (g *Graph) Stop() {
 	for _, m := range stages {
 		m.Stop()
 	}
-}
-
-// Stage looks a member up by name.
-func (g *Graph) Stage(name string) (Member, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	m, ok := g.byName[name]
-	return m, ok
 }
 
 // Stats snapshots every stage in flow order.

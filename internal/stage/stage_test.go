@@ -365,12 +365,6 @@ func TestGraphLifecycleAndStats(t *testing.T) {
 	if d := g.Depths(); d["a"] != 0 || d["b"] != 0 {
 		t.Fatalf("Depths = %v", d)
 	}
-	if _, ok := g.Stage("a"); !ok {
-		t.Fatal("Stage(a) not found")
-	}
-	if _, ok := g.Stage("zzz"); ok {
-		t.Fatal("Stage(zzz) found")
-	}
 	if s := g.String(); !strings.Contains(s, "a:2 -> b:2") {
 		t.Fatalf("String = %q", s)
 	}

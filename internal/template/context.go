@@ -30,11 +30,6 @@ type binding struct {
 	value any
 }
 
-// NewContext returns a context whose outermost scope is data (may be nil).
-func NewContext(data map[string]any) *Context {
-	return &Context{data: data}
-}
-
 // Push adds an inner scope.
 func (c *Context) Push() {
 	c.marks = append(c.marks, len(c.binds))

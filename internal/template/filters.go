@@ -70,15 +70,6 @@ func (fs *FilterSet) Get(name string) (FilterFunc, bool) {
 	return fn, ok
 }
 
-// Names returns the registered filter names (unsorted).
-func (fs *FilterSet) Names() []string {
-	names := make([]string, 0, len(fs.m))
-	for n := range fs.m {
-		names = append(names, n)
-	}
-	return names
-}
-
 func noArgAppend(name string, fn func(dst []byte, s string) []byte) appendFilter {
 	return func(dst []byte, v any, _ any, hasArg bool) ([]byte, error) {
 		if hasArg {

@@ -227,8 +227,8 @@ func TestHTMLEscapeFastPath(t *testing.T) {
 
 func TestFilterSetNames(t *testing.T) {
 	fs := NewFilterSet()
-	if len(fs.Names()) < 20 {
-		t.Fatalf("expected at least 20 builtin filters, got %d", len(fs.Names()))
+	if len(fs.m) < 20 {
+		t.Fatalf("expected at least 20 builtin filters, got %d", len(fs.m))
 	}
 	if _, ok := fs.Get("upper"); !ok {
 		t.Fatal("upper filter missing")

@@ -55,17 +55,6 @@ func (s *Set) AddAll(sources map[string]string) {
 	}
 }
 
-// Names returns the registered template names (unsorted).
-func (s *Set) Names() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	names := make([]string, 0, len(s.sources))
-	for n := range s.sources {
-		names = append(names, n)
-	}
-	return names
-}
-
 // Get returns the parsed template for name, parsing and caching it on
 // first use.
 func (s *Set) Get(name string) (*Template, error) {

@@ -171,7 +171,7 @@ func TestResolveAttrMapFastPath(t *testing.T) {
 }
 
 func TestContextScopes(t *testing.T) {
-	c := NewContext(map[string]any{"a": 1})
+	c := &Context{data: map[string]any{"a": 1}}
 	c.Push()
 	c.Set("a", 2)
 	if v, _ := c.Lookup("a"); v != 2 {

@@ -151,12 +151,6 @@ func (a *App) Static(path string) ([]byte, string, bool) {
 // Templates implements server.App.
 func (a *App) Templates() *template.Set { return a.set }
 
-// Items reports the configured item population.
-func (a *App) Items() int { return a.items }
-
-// Customers reports the configured customer population.
-func (a *App) Customers() int { return a.customers }
-
 // ---- parameter helpers ----
 
 // intParam parses query[name]; fallback is used when absent or invalid.

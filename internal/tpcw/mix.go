@@ -140,13 +140,3 @@ func (m *Mix) Pick(rng *rand.Rand) string {
 	}
 	return m.pages[len(m.pages)-1]
 }
-
-// Weight reports a page's weight (0 when absent).
-func (m *Mix) Weight(page string) float64 { return m.weight[page] }
-
-// Pages lists the mix's pages in declaration order.
-func (m *Mix) Pages() []string {
-	out := make([]string, len(m.pages))
-	copy(out, m.pages)
-	return out
-}

@@ -23,8 +23,8 @@ func TestMixFrequencies(t *testing.T) {
 				counts[m.Pick(rng)]++
 			}
 			var total float64
-			for _, page := range m.Pages() {
-				want := m.Weight(page)
+			for _, page := range m.pages {
+				want := m.weight[page]
 				total += want
 				got := float64(counts[page]) / draws * 100
 				if diff := got - want; diff < -0.5 || diff > 0.5 {

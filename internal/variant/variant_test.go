@@ -135,9 +135,9 @@ func TestReplicasSetting(t *testing.T) {
 			t.Fatalf("%s %v: %v", tc.variant, tc.set, err)
 		}
 		tier := inst.(TierProvider).DBTier()
-		if tier.Replicas() != 3 || tier.Size() != tc.conns {
-			t.Errorf("%s %v: %d backends of %d connections, want 3 of %d",
-				tc.variant, tc.set, tier.Replicas(), tier.Size(), tc.conns)
+		if conns := tier.Backends()[0].OpenConns(); tier.Replicas() != 3 || conns != int64(tc.conns) {
+			t.Errorf("%s %v: %d backends, the primary with %d connections, want 3 and %d",
+				tc.variant, tc.set, tier.Replicas(), conns, tc.conns)
 		}
 		probes := probeNames(inst)
 		for _, want := range []string{ProbeDBInUse, ProbeDBWait, ProbeDBQueries} {

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
@@ -31,16 +30,9 @@ const (
 const (
 	// Steady is the paper's workload: a fixed closed-loop population.
 	Steady = "steady"
-	// Step jumps the population from ebs to a new level at a set time.
-	Step = "step"
-	// Ramp grows (or shrinks) the population linearly — the saturation
-	// ramp as a single run instead of an -ebs-sweep matrix.
-	Ramp = "ramp"
 	// Spike is a flash crowd: a base population plus a burst of extra
 	// EBs inside a window.
 	Spike = "spike"
-	// Wave is a compressed diurnal sinusoid around a mean population.
-	Wave = "wave"
 	// OpenLoop replaces the closed population with Poisson session
 	// arrivals: offered load that does not slow down when the server
 	// does.
@@ -94,17 +86,14 @@ func Names() []string { return registry.Names() }
 
 func init() {
 	Register(NewProfile(Steady, buildSteady))
-	Register(NewProfile(Step, buildStep))
-	Register(NewProfile(Ramp, buildRamp))
 	Register(NewProfile(Spike, buildSpike))
-	Register(NewProfile(Wave, buildWave))
 	Register(NewProfile(OpenLoop, buildOpenLoop))
 }
 
 // Scheduled builds a Generator of ebs browsers whose closed-loop
 // population follows schedule — paper time since Start mapped to a
 // target EB count, evaluated once per paper second. It is the building
-// block the step/ramp/spike/wave built-ins compose, exported so custom
+// block the steady and spike built-ins compose, exported so custom
 // profiles can too; pass a nil schedule for a fixed fleet.
 func Scheduled(env Env, ebs int, schedule func(time.Duration) int) (*Generator, error) {
 	env.EBs = ebs
@@ -127,62 +116,6 @@ func buildSteady(env Env) (*Generator, error) {
 		return nil, fmt.Errorf("%s: ebs must be positive", Steady)
 	}
 	return Scheduled(env, ebs, nil)
-}
-
-// buildStep constructs a population step.
-//
-// Settings: ebs (initial population), to (population after the step),
-// at (paper time of the step since load start, default 1m).
-func buildStep(env Env) (*Generator, error) {
-	d := variant.NewSettingsDecoder(env.Set, nil)
-	ebs := d.Int("ebs", env.baseEBs())
-	to := d.Int("to", 2*ebs)
-	at := d.Duration("at", time.Minute)
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%s: %w", Step, err)
-	}
-	if ebs <= 0 || to < 0 {
-		return nil, fmt.Errorf("%s: ebs must be positive and to non-negative", Step)
-	}
-	return Scheduled(env, ebs, func(t time.Duration) int {
-		if t >= at {
-			return to
-		}
-		return ebs
-	})
-}
-
-// buildRamp constructs a linear population ramp.
-//
-// Settings: ebs (start population), to (end population, may be lower),
-// over (ramp duration, default 2m), delay (hold at the start level
-// first, default 0).
-func buildRamp(env Env) (*Generator, error) {
-	d := variant.NewSettingsDecoder(env.Set, nil)
-	from := d.Int("ebs", env.baseEBs())
-	to := d.Int("to", 2*from)
-	over := d.Duration("over", 2*time.Minute)
-	delay := d.Duration("delay", 0)
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%s: %w", Ramp, err)
-	}
-	if from <= 0 || to < 0 {
-		return nil, fmt.Errorf("%s: ebs must be positive and to non-negative", Ramp)
-	}
-	if over <= 0 {
-		return nil, fmt.Errorf("%s: over must be positive", Ramp)
-	}
-	return Scheduled(env, from, func(t time.Duration) int {
-		switch {
-		case t <= delay:
-			return from
-		case t >= delay+over:
-			return to
-		default:
-			frac := float64(t-delay) / float64(over)
-			return from + int(math.Round(frac*float64(to-from)))
-		}
-	})
 }
 
 // buildSpike constructs a flash crowd.
@@ -210,34 +143,6 @@ func buildSpike(env Env) (*Generator, error) {
 			return base + burst
 		}
 		return base
-	})
-}
-
-// buildWave constructs a compressed diurnal sinusoid.
-//
-// Settings: ebs (mean population), amp (amplitude, default ebs/2),
-// period (one full cycle in paper time, default 2m).
-func buildWave(env Env) (*Generator, error) {
-	d := variant.NewSettingsDecoder(env.Set, nil)
-	mean := d.Int("ebs", env.baseEBs())
-	amp := d.Int("amp", mean/2)
-	period := d.Duration("period", 2*time.Minute)
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%s: %w", Wave, err)
-	}
-	if mean <= 0 || amp < 0 {
-		return nil, fmt.Errorf("%s: ebs must be positive and amp non-negative", Wave)
-	}
-	if period <= 0 {
-		return nil, fmt.Errorf("%s: period must be positive", Wave)
-	}
-	return Scheduled(env, mean, func(t time.Duration) int {
-		phase := 2 * math.Pi * float64(t) / float64(period)
-		n := mean + int(math.Round(float64(amp)*math.Sin(phase)))
-		if n < 0 {
-			n = 0
-		}
-		return n
 	})
 }
 

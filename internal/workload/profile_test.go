@@ -10,7 +10,7 @@ import (
 
 func TestRegistry(t *testing.T) {
 	names := Names()
-	for _, want := range []string{Steady, Step, Ramp, Spike, Wave, OpenLoop} {
+	for _, want := range []string{Steady, Spike, OpenLoop} {
 		if _, ok := Lookup(want); !ok {
 			t.Errorf("built-in profile %q not registered (have %v)", want, names)
 		}
@@ -58,14 +58,8 @@ func TestSchedules(t *testing.T) {
 	spike := build(t, Spike, env)
 	env.Set = variant.Settings{"burst": "50", "at": "2m", "width": "1m"}
 	spikeSet := build(t, Spike, env)
-	env.Set = nil
-	step := build(t, Step, env)
-	env.Set = variant.Settings{"to": "40", "over": "100s", "delay": "10s"}
-	ramp := build(t, Ramp, env)
-	env.Set = variant.Settings{"amp": "60", "period": "80s"}
-	wave := build(t, Wave, env)
 	env.Set, env.EBs = nil, 30
-	step30 := build(t, Step, env)
+	spike30 := build(t, Spike, env)
 
 	cases := []struct {
 		name string
@@ -81,20 +75,9 @@ func TestSchedules(t *testing.T) {
 		{"spike-set-before", spikeSet, time.Minute, 100},
 		{"spike-set-during", spikeSet, 150 * time.Second, 150},
 		{"spike-set-after", spikeSet, 3 * time.Minute, 100},
-		// step defaults: to=2x at 1m.
-		{"step-before", step, 59 * time.Second, 100},
-		{"step-after", step, 61 * time.Second, 200},
-		// Env.EBs 30 moves the step's default levels with it.
-		{"step30-before", step30, 59 * time.Second, 30},
-		{"step30-after", step30, 61 * time.Second, 60},
-		// ramp 100 -> 40 over 100s after a 10s delay.
-		{"ramp-hold", ramp, 5 * time.Second, 100},
-		{"ramp-mid", ramp, 60 * time.Second, 70},
-		{"ramp-done", ramp, 3 * time.Minute, 40},
-		// wave: mean at phase 0, mean+amp at period/4, floor at 0.
-		{"wave-zero", wave, 0, 100},
-		{"wave-crest", wave, 20 * time.Second, 160},
-		{"wave-trough", wave, 60 * time.Second, 40},
+		// Env.EBs 30 moves the spike's default levels with it.
+		{"spike30-before", spike30, 59 * time.Second, 30},
+		{"spike30-during", spike30, 61 * time.Second, 90},
 	}
 	for _, c := range cases {
 		if got := c.g.schedule(c.at); got != c.want {
@@ -117,16 +100,9 @@ func TestProfileValidation(t *testing.T) {
 		set     variant.Settings
 	}{
 		{Steady, variant.Settings{"ebs": "0"}},
-		{Step, variant.Settings{"ebs": "-3"}},
-		{Step, variant.Settings{"to": "-1"}},
-		{Ramp, variant.Settings{"over": "0s"}},
-		{Ramp, variant.Settings{"ebs": "0"}},
 		{Spike, variant.Settings{"width": "0s"}},
 		{Spike, variant.Settings{"burst": "-5"}},
 		{Spike, variant.Settings{"ebs": "0"}},
-		{Wave, variant.Settings{"period": "0s"}},
-		{Wave, variant.Settings{"ebs": "0"}},
-		{Wave, variant.Settings{"amp": "-1"}},
 		{OpenLoop, variant.Settings{"rate": "0"}},
 		{OpenLoop, variant.Settings{"session": "0s"}},
 		{OpenLoop, variant.Settings{"rate": "frog"}},
@@ -145,7 +121,7 @@ func TestProfileValidation(t *testing.T) {
 // wallclock bug of an earlier controller, which paced population
 // schedules with time.Now/time.Since, so under clock.Manual the fleet
 // re-targeted on the wall timeline instead of the advanced one. With
-// the injected clock, advancing a Manual clock past the step time must
+// the injected clock, advancing a Manual clock past the burst onset must
 // grow the fleet without any real seconds elapsing.
 func TestScheduleFollowsInjectedManualClock(t *testing.T) {
 	mc := clock.NewManual(time.Unix(100, 0))
@@ -158,9 +134,9 @@ func TestScheduleFollowsInjectedManualClock(t *testing.T) {
 			Seed:  1,
 			Clock: mc,
 		},
-		Set: variant.Settings{"ebs": "2", "to": "5", "at": "3s"},
+		Set: variant.Settings{"ebs": "2", "burst": "3", "at": "3s", "width": "1h"},
 	}
-	g := build(t, Step, env)
+	g := build(t, Spike, env)
 	g.Start()
 	defer g.Stop()
 
@@ -169,19 +145,19 @@ func TestScheduleFollowsInjectedManualClock(t *testing.T) {
 	}
 	// Wait for the control loop's ticker to register, then advance
 	// paper time second by second. The wall-paced pre-fix controller would
-	// need 3+ real seconds to take the step; the injected clock takes
+	// need 3+ real seconds to start the burst; the injected clock starts
 	// it as soon as the advanced timeline crosses at=3s.
 	mc.BlockUntilWaiters(1)
 	deadline := time.Now().Add(10 * time.Second)
 	for g.tele.active.Load() != 5 {
 		if time.Now().After(deadline) {
-			t.Fatalf("fleet = %d after advancing past the step, want 5 (schedule not on the injected clock)", g.tele.active.Load())
+			t.Fatalf("fleet = %d after advancing past the burst onset, want 5 (schedule not on the injected clock)", g.tele.active.Load())
 		}
 		mc.Advance(time.Second)
 		time.Sleep(2 * time.Millisecond) // let the control loop drain the tick
 	}
 	if since := mc.Since(time.Unix(100, 0)); since < 3*time.Second {
-		t.Fatalf("step taken after only %v of manual time", since)
+		t.Fatalf("burst started after only %v of manual time", since)
 	}
 }
 

@@ -9,7 +9,7 @@
 // a Generator from an Env (the fleet's Config plus generic key=value
 // settings), and a process-wide registry maps names to recipes, as
 // internal/variant does for servers. The built-in profiles (steady,
-// step, ramp, spike, wave, open-loop) are registered in profile.go. A
+// spike, open-loop) are registered in profile.go. A
 // Generator's fleet is dynamic: a population schedule re-targets the
 // closed-loop fleet once per paper second, or a Poisson arrival process
 // starts self-retiring sessions. Offered-load telemetry (active EBs,
