@@ -198,8 +198,10 @@ type Tier struct {
 	// under it.
 	stateMu sync.Mutex
 
-	// progCh broadcasts replica apply progress: closed and replaced
-	// whenever any replica advances, waking CommitTS / lag waiters.
+	// progCh broadcasts replica apply progress to CommitTS / lag
+	// waiters: made when a waiter takes it, closed and cleared when any
+	// replica next advances. Nil while no one waits, so an advance with
+	// no waiter allocates nothing.
 	progMu sync.Mutex
 	progCh chan struct{}
 
@@ -260,7 +262,6 @@ func New(primary *sqldb.DB, opts Options) *Tier {
 		failThreshold:  int32(opts.FailThreshold),
 		slowThreshold:  opts.SlowThreshold,
 		done:           make(chan struct{}),
-		progCh:         make(chan struct{}),
 	}
 	if opts.Replicas > 1 {
 		// Enable the log before cloning: every commit after a clone's
@@ -662,14 +663,19 @@ func (t *Tier) ReleaseLeaked() int {
 // notifyProgress wakes everything blocked on replica apply progress.
 func (t *Tier) notifyProgress() {
 	t.progMu.Lock()
-	close(t.progCh)
-	t.progCh = make(chan struct{})
+	if t.progCh != nil {
+		close(t.progCh)
+		t.progCh = nil
+	}
 	t.progMu.Unlock()
 }
 
-// progress returns the current progress broadcast channel.
+// progress returns the channel the next notifyProgress closes.
 func (t *Tier) progress() <-chan struct{} {
 	t.progMu.Lock()
+	if t.progCh == nil {
+		t.progCh = make(chan struct{})
+	}
 	ch := t.progCh
 	t.progMu.Unlock()
 	return ch

@@ -160,3 +160,31 @@ func TestLogTruncation(t *testing.T) {
 		t.Fatalf("log retained %d entries; truncation not advancing", len(tail))
 	}
 }
+
+// TestProgressWakesLateWaiter: advances with no waiter make and close no
+// channel, and a waiter that takes the channel after several of them
+// still wakes on the next one.
+func TestProgressWakesLateWaiter(t *testing.T) {
+	tier := &Tier{}
+	for i := 0; i < 3; i++ {
+		tier.notifyProgress()
+	}
+	if tier.progCh != nil {
+		t.Fatal("advances with no waiter left a channel")
+	}
+	ch := tier.progress()
+	if again := tier.progress(); again != ch {
+		t.Fatal("two waiters between advances took different channels")
+	}
+	select {
+	case <-ch:
+		t.Fatal("channel closed before the next advance")
+	default:
+	}
+	tier.notifyProgress()
+	select {
+	case <-ch:
+	default:
+		t.Fatal("the next advance did not wake the waiter")
+	}
+}

@@ -1,6 +1,9 @@
 package sqldb
 
-import "maps"
+import (
+	"maps"
+	"slices"
+)
 
 // Clone returns a new DB with the same clock, timescale, cost model,
 // and concurrency mode, and a deep copy of db's schema and contents.
@@ -45,12 +48,13 @@ func (db *DB) CloneSnapshot() (*DB, int64) {
 // cloneAt deep-copies one table as of commit timestamp ts, flattening
 // each slot's version chain to a single version at timestamp zero.
 // Caller holds the owning DB's commitMu, so no writer mutates the slot
-// arena, the index maps, or nextAuto during the copy. Index buckets are
-// shared, not copied — they are immutable (copy-on-write), so the clone
-// and the original can never observe each other's additions. String boxes
-// are shared too, and immutable: the clone's dictionaries start as copies
-// of the original's, so the rows it adds keep sharing them, and its
-// versions keep their codes, which those copies still give out.
+// arena, the index maps, or nextAuto during the copy. Index buckets and
+// ordered runs are shared, not copied, each capped at its length: both
+// sides append past it, the clone into fresh copies, so neither can
+// observe the other's additions. String boxes are shared too, and
+// immutable: the clone's dictionaries start as copies of the original's,
+// so the rows it adds keep sharing them, and its versions keep their
+// codes, which those copies still give out.
 func (t *table) cloneAt(ts int64) *table {
 	nt := &table{
 		schema:   t.schema,
@@ -84,7 +88,11 @@ func (t *table) cloneAt(ts int64) *table {
 		nt.pk = t.pk.clone()
 	}
 	for name, idx := range t.indexes {
-		nt.indexes[name] = &hashIndex{col: idx.col, m: maps.Clone(idx.m)}
+		m := make(map[Value][]int, len(idx.m))
+		for v, b := range idx.m {
+			m[v] = slices.Clip(b)
+		}
+		nt.indexes[name] = &hashIndex{col: idx.col, m: m}
 	}
 	for name, idx := range t.ordered {
 		nt.ordered[name] = idx.clone()

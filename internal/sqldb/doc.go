@@ -71,7 +71,8 @@
 //     included. LIKE folds its pattern once per execution and runs
 //     %word% as a substring search.
 //   - index.go maintains the secondary indexes (hash for equality,
-//     ordered copy-on-write slabs for ranges and ordering)
+//     ordered sorted runs for ranges and ordering, both appended to in
+//     place past the lengths their readers hold)
 //     transactionally under both engines; CreateIndex bumps the
 //     database's index epoch, which invalidates cached plans so every
 //     statement is replanned against the new physical schema.

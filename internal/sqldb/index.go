@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -12,12 +13,18 @@ import (
 // never removed, so every access path re-checks the predicate against
 // the visible row.
 //
-// The published state is immutable and swapped atomically: writers
-// (serialized by db.commitMu) insert into a small sorted buffer
-// copy-on-write and merge it into the sorted base once it reaches
-// mergeThreshold, so maintenance is a short copy per write instead of an
-// O(n) slab copy. Readers load one pointer and work over slices
-// that are never mutated afterwards.
+// The published state is a header swapped atomically over two sorted
+// runs: a base and a small buffer that is folded into it once it reaches
+// mergeThreshold. Writers are serialized by db.commitMu. A reader loads
+// one header and reads no further than the lengths it holds, so a writer
+// may append past them in place, the way table.appendSlot grows the slot
+// arena: an entry that sorts after the buffer's last goes into the
+// buffer's spare capacity, and a full buffer that sorts after the base's
+// last goes onto the end of the base. Anything else copies: an entry
+// that sorts inside the buffer copies the buffer, and a full buffer that
+// does not sort after the base is merged with it into a new base. The
+// elements a header covers are never written again, and no two indexes
+// share spare capacity (see clone).
 type orderedIndex struct {
 	col   int
 	state atomic.Pointer[orderedState]
@@ -30,7 +37,8 @@ type idxEntry struct {
 	id  int
 }
 
-// orderedState is one immutable published generation of the index.
+// orderedState is one published generation of the index. Its fields are
+// never modified; what later generations append lies past its lengths.
 type orderedState struct {
 	base []idxEntry // sorted by (val, id)
 	buf  []idxEntry // recent additions, sorted by (val, id), small
@@ -78,15 +86,31 @@ func (idx *orderedIndex) add(v Value, id int) {
 	if found {
 		return
 	}
-	nbuf := make([]idxEntry, len(st.buf)+1)
-	copy(nbuf, st.buf[:at])
-	nbuf[at] = e
-	copy(nbuf[at+1:], st.buf[at:])
+	var nbuf []idxEntry
+	if at == len(st.buf) {
+		nbuf = append(st.buf, e) // sorts last: past every reader's length
+	} else {
+		// A copy, sized as append sizes it: the slack of its size class,
+		// which make would hide, is room for the next entry that sorts last.
+		nbuf = slices.Grow([]idxEntry(nil), len(st.buf)+1)[:len(st.buf)+1]
+		copy(nbuf, st.buf[:at])
+		nbuf[at] = e
+		copy(nbuf[at+1:], st.buf[at:])
+	}
 	if len(nbuf) < mergeThreshold {
 		idx.state.Store(&orderedState{base: st.base, buf: nbuf, distinct: st.distinct})
 		return
 	}
-	idx.state.Store(baseState(mergeEntries(st.base, nbuf)))
+	if n := len(st.base); n > 0 && !entryLess(st.base[n-1], nbuf[0]) {
+		idx.state.Store(baseState(mergeEntries(st.base, nbuf)))
+		return
+	}
+	// The buffer sorts after the whole base (ascending keys): the merge
+	// is a concatenation, grown in place while the base has room.
+	idx.state.Store(&orderedState{
+		base:     append(st.base, nbuf...),
+		distinct: st.distinct + newValues(st.base, nbuf),
+	})
 }
 
 // findEntry returns the position of e in the (val, id)-sorted run s, or
@@ -99,13 +123,24 @@ func findEntry(s []idxEntry, e idxEntry) (int, bool) {
 // baseState is the state whose base is the (val, id)-sorted run es and
 // whose buffer is empty.
 func baseState(es []idxEntry) *orderedState {
-	distinct := 0
+	return &orderedState{base: es, distinct: newValues(nil, es)}
+}
+
+// newValues counts the entries of the sorted run es whose value differs
+// from the one before it, where the one before es[0] is the last of the
+// sorted run before, if before is not empty.
+func newValues(before, es []idxEntry) int {
+	n := 0
 	for i := range es {
-		if i == 0 || !valuesEqual(es[i].val, es[i-1].val) {
-			distinct++
+		prev := before
+		if i > 0 {
+			prev = es[:i]
+		}
+		if len(prev) == 0 || !valuesEqual(es[i].val, prev[len(prev)-1].val) {
+			n++
 		}
 	}
-	return &orderedState{base: es, distinct: distinct}
+	return n
 }
 
 // build sets the index's contents to es (duplicate-free, any order),
@@ -127,9 +162,6 @@ func (idx *orderedIndex) build(es []idxEntry) {
 func sortEntries(es []idxEntry) {
 	sort.Slice(es, func(i, j int) bool { return entryLess(es[i], es[j]) })
 }
-
-// entries reports the total entry count (hints, not live rows).
-func (st *orderedState) entries() int { return len(st.base) + len(st.buf) }
 
 // distinctVals estimates the number of distinct indexed values.
 func (st *orderedState) distinctVals() int {
@@ -193,68 +225,114 @@ func (st *orderedState) eq(v Value, ids []int) (_ []int, visited int) {
 	return ids, visited
 }
 
-// rangeEntries returns the entries whose value lies inside the bounds
-// (hasLo/hasHi false = unbounded on that side), in ascending (val, id)
-// order, plus the number of entries visited. NULL-valued entries are
-// excluded: SQL comparisons against NULL are never true. Entries (not
-// bare ids) are returned so the executor can re-check each entry value
-// against the visible row — a row whose key was updated has entries
-// under both its old and new value, and only the one matching the
-// visible row may produce it.
-func (st *orderedState) rangeEntries(lo Value, loExcl bool, hasLo bool, hi Value, hiExcl bool, hasHi bool) (es []idxEntry, visited int) {
-	inRange := func(v Value) bool {
-		if v == nil {
+// keyRange is the bounds of a range read; an unset has* leaves that
+// side unbounded.
+type keyRange struct {
+	lo, hi         Value
+	loExcl, hiExcl bool
+	hasLo, hasHi   bool
+}
+
+// holds reports whether v lies inside r. NULL never does: SQL comparisons
+// against NULL are never true.
+func (r *keyRange) holds(v Value) bool {
+	if v == nil {
+		return false
+	}
+	if r.hasLo {
+		c := cmpVal(v, r.lo)
+		if c < 0 || (r.loExcl && c == 0) {
 			return false
 		}
-		if hasLo {
-			c := cmpVal(v, lo)
-			if c < 0 || (loExcl && c == 0) {
-				return false
-			}
-		}
-		if hasHi {
-			c := cmpVal(v, hi)
-			if c > 0 || (hiExcl && c == 0) {
-				return false
-			}
-		}
-		return true
 	}
+	if r.hasHi {
+		c := cmpVal(v, r.hi)
+		if c > 0 || (r.hiExcl && c == 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// inRange returns the entries of a range read over r, in ascending
+// (val, id) order, plus the number of entries it visits: the base run
+// between r's bounds and the whole buffer, whose entries are kept by
+// r.holds. Entries (not bare ids) are read so the executor can re-check
+// each entry value against the visible row — a row whose key was updated
+// has entries under both its old and new value, and only the one
+// matching the visible row may produce it.
+func (st *orderedState) inRange(r *keyRange) (_ runs, visited int) {
 	start, end := 0, len(st.base)
-	if hasLo {
-		start = lowerBound(st.base, lo, loExcl)
+	if r.hasLo {
+		start = lowerBound(st.base, r.lo, r.loExcl)
 	}
-	if hasHi {
-		end = upperBound(st.base, hi, hiExcl)
+	if r.hasHi {
+		end = upperBound(st.base, r.hi, r.hiExcl)
 	}
 	if start > end {
 		start = end
 	}
-	var fromBuf []idxEntry
-	for _, e := range st.buf {
-		if inRange(e.val) {
-			fromBuf = append(fromBuf, e)
-		}
-		visited++
+	return runs{base: st.base[start:end], buf: st.buf, within: r}, end - start + len(st.buf)
+}
+
+// all returns every entry, NULL-valued ones included (ORDER BY sorts
+// NULLs first, matching compare).
+func (st *orderedState) all() runs { return runs{base: st.base, buf: st.buf} }
+
+// runs reads two (val, id)-sorted runs, from either end, as the one run
+// mergeEntries would build from them, without building it. within, if
+// set, drops the buffer entries outside it as first reaches them: range
+// reads run ascending.
+type runs struct {
+	base, buf []idxEntry
+	within    *keyRange
+}
+
+// first removes and returns the smallest entry left.
+func (r *runs) first() (idxEntry, bool) {
+	for r.within != nil && len(r.buf) > 0 && !r.within.holds(r.buf[0].val) {
+		r.buf = r.buf[1:]
 	}
-	visited += end - start
-	return mergeEntries(st.base[start:end], fromBuf), visited
+	if len(r.buf) > 0 && (len(r.base) == 0 || entryLess(r.buf[0], r.base[0])) {
+		e := r.buf[0]
+		r.buf = r.buf[1:]
+		return e, true
+	}
+	if len(r.base) == 0 {
+		return idxEntry{}, false
+	}
+	e := r.base[0]
+	r.base = r.base[1:]
+	return e, true
 }
 
-// allEntries returns every entry in ascending (val, id) order — unlike
-// rangeEntries it keeps NULL-valued entries (ORDER BY sorts NULLs
-// first, matching compare) — plus the visit count. Descending callers
-// iterate the result backwards.
-func (st *orderedState) allEntries() (es []idxEntry, visited int) {
-	return mergeEntries(st.base, st.buf), st.entries()
+// last removes and returns the largest entry left.
+func (r *runs) last() (idxEntry, bool) {
+	nb, nf := len(r.base), len(r.buf)
+	if nf > 0 && (nb == 0 || !entryLess(r.buf[nf-1], r.base[nb-1])) {
+		e := r.buf[nf-1]
+		r.buf = r.buf[:nf-1]
+		return e, true
+	}
+	if nb == 0 {
+		return idxEntry{}, false
+	}
+	e := r.base[nb-1]
+	r.base = r.base[:nb-1]
+	return e, true
 }
 
-// mergeEntries merges two (val, id)-sorted runs. The base run is
-// returned as-is when the buffer contributes nothing.
+// next removes and returns the largest entry left when desc, else the
+// smallest.
+func (r *runs) next(desc bool) (idxEntry, bool) {
+	if desc {
+		return r.last()
+	}
+	return r.first()
+}
+
+// mergeEntries merges two (val, id)-sorted runs into a new one.
 func mergeEntries(base, buf []idxEntry) []idxEntry {
-	if len(buf) == 0 {
-		return base
-	}
 	out := make([]idxEntry, 0, len(base)+len(buf))
 	i, j := 0, 0
 	for i < len(base) && j < len(buf) {
@@ -271,10 +349,12 @@ func mergeEntries(base, buf []idxEntry) []idxEntry {
 	return out
 }
 
-// clone shares the immutable published state with the clone; the first
-// add on either side diverges copy-on-write.
+// clone shares the published runs with the clone, each capped at its
+// length: the clone's appends copy, and cannot write into the capacity
+// the original appends into.
 func (idx *orderedIndex) clone() *orderedIndex {
+	st := idx.state.Load()
 	n := &orderedIndex{col: idx.col}
-	n.state.Store(idx.state.Load())
+	n.state.Store(&orderedState{base: slices.Clip(st.base), buf: slices.Clip(st.buf), distinct: st.distinct})
 	return n
 }

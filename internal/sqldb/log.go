@@ -28,11 +28,11 @@ type ReplLog struct {
 	mu      sync.Mutex
 	base    int64 // TS of the newest entry ever truncated (or the enable point)
 	entries []LogEntry
-	changed chan struct{} // closed and replaced on every append
+	changed chan struct{} // what a drained Since handed out; the next append closes it
 }
 
 func newReplLog(base int64) *ReplLog {
-	return &ReplLog{base: base, changed: make(chan struct{})}
+	return &ReplLog{base: base}
 }
 
 // append adds one committed entry. Called with the owning DB's commitMu
@@ -45,15 +45,20 @@ func (l *ReplLog) append(e LogEntry) {
 		panic(fmt.Sprintf("sqldb: replication log gap: got TS %d, want %d", e.TS, want))
 	}
 	l.entries = append(l.entries, e)
-	close(l.changed)
-	l.changed = make(chan struct{})
+	if l.changed != nil {
+		close(l.changed)
+		l.changed = nil
+	}
 	l.mu.Unlock()
 }
 
-// Since returns the entries with TS > after, plus a channel that is
-// closed on the next append — so a consumer that drained the log can
-// block for more without polling. The returned slice is stable: entries
-// are never mutated in place.
+// Since returns the entries with TS > after. With none left, it returns a
+// channel that is closed on the next append instead — so a consumer that
+// drained the log can block for more without polling; with entries, the
+// channel is nil, and the consumer calls again once it has applied them.
+// A channel is made only for a consumer that may wait on it, and an
+// append with no one waiting closes nothing. The returned slice is
+// stable: entries are never mutated in place.
 func (l *ReplLog) Since(after int64) ([]LogEntry, <-chan struct{}) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -61,10 +66,13 @@ func (l *ReplLog) Since(after int64) ([]LogEntry, <-chan struct{}) {
 	if idx < 0 {
 		idx = 0 // truncated past the cursor; should not happen under watermark discipline
 	}
-	if idx >= int64(len(l.entries)) {
-		return nil, l.changed
+	if idx < int64(len(l.entries)) {
+		return l.entries[idx:], nil
 	}
-	return l.entries[idx:], l.changed
+	if l.changed == nil {
+		l.changed = make(chan struct{})
+	}
+	return nil, l.changed
 }
 
 // Base reports the TS of the newest entry ever truncated (or the

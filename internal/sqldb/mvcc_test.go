@@ -429,6 +429,38 @@ func TestStmtCacheLRU(t *testing.T) {
 	}
 }
 
+// TestReplLogWakesLateConsumer: appends with no drained consumer make
+// and close no channel, a Since that returns entries hands none out, and
+// a consumer that drains the log after several appends still wakes on
+// the next one.
+func TestReplLogWakesLateConsumer(t *testing.T) {
+	l := newReplLog(0)
+	for ts := int64(1); ts <= 3; ts++ {
+		l.append(LogEntry{TS: ts})
+	}
+	if l.changed != nil {
+		t.Fatal("appends with no consumer waiting left a channel")
+	}
+	if es, ch := l.Since(1); len(es) != 2 || ch != nil {
+		t.Fatalf("Since with entries left: %d entries, channel %v", len(es), ch)
+	}
+	es, ch := l.Since(3)
+	if len(es) != 0 || ch == nil {
+		t.Fatalf("drained Since: %d entries, channel %v", len(es), ch)
+	}
+	select {
+	case <-ch:
+		t.Fatal("channel closed before the next append")
+	default:
+	}
+	l.append(LogEntry{TS: 4})
+	select {
+	case <-ch:
+	default:
+		t.Fatal("the next append did not wake the consumer")
+	}
+}
+
 func TestReplLog(t *testing.T) {
 	db, c := mvccTestDB(t, true)
 	l := db.EnableReplLog()

@@ -207,14 +207,10 @@ func (r *selectRun) projectSink(rs *ResultSet) *projectSink {
 func (r *selectRun) walkOrdered(oidx *orderedIndex) error {
 	outer := r.plan.outer
 	r.db.planIndex.Inc()
-	es, _ := oidx.state.Load().allEntries()
+	es := oidx.state.Load().all()
 	ci := oidx.col
 	iterated := 0
-	for i := range es {
-		e := es[i]
-		if outer.desc {
-			e = es[len(es)-1-i]
-		}
+	for e, ok := es.next(outer.desc); ok; e, ok = es.next(outer.desc) {
 		iterated++
 		r.ec.cost.probes++
 		rv := r.views[0].version(e.id)
@@ -472,7 +468,7 @@ func (v tableView) holdsKey(rv *rowVersion, key int64, exact bool, val Value) bo
 }
 
 // probeIndex resolves an equality through a secondary index and charges
-// probe costs. The result is either an immutable hash bucket or *buf
+// probe costs. The result is either a capped hash bucket or *buf
 // (see lookupIndex); hints again.
 func (db *DB) probeIndex(v tableView, col string, val Value, ec *execCtx, buf *[]int) []int {
 	ids, visited, ok := v.lookupIndex(col, val, buf)
@@ -495,27 +491,25 @@ func (db *DB) driveRange(p accessPath, v tableView, ec *execCtx, vis rowVisitor)
 	if !ok {
 		return false, nil
 	}
-	var lo, hi Value
-	hasLo, hasHi := p.lo != nil, p.hi != nil
-	var loExcl, hiExcl bool
-	if hasLo {
-		if lo, ok = pathValue(p.lo.rhs, ec); !ok {
+	r := keyRange{hasLo: p.lo != nil, hasHi: p.hi != nil}
+	if r.hasLo {
+		if r.lo, ok = pathValue(p.lo.rhs, ec); !ok {
 			return false, nil
 		}
-		loExcl = p.lo.excl
+		r.loExcl = p.lo.excl
 	}
-	if hasHi {
-		if hi, ok = pathValue(p.hi.rhs, ec); !ok {
+	if r.hasHi {
+		if r.hi, ok = pathValue(p.hi.rhs, ec); !ok {
 			return false, nil
 		}
-		hiExcl = p.hi.excl
+		r.hiExcl = p.hi.excl
 	}
-	es, visited := oidx.state.Load().rangeEntries(lo, loExcl, hasLo, hi, hiExcl, hasHi)
+	es, visited := oidx.state.Load().inRange(&r)
 	db.planIndex.Inc()
 	ec.cost.probes += visited + 1
 	ec.planRows += int64(visited)
 	ci := oidx.col
-	for _, e := range es {
+	for e, ok := es.first(); ok; e, ok = es.first() {
 		rv := v.version(e.id)
 		if rv == nil || !valuesEqual(rv.data[ci], e.val) {
 			continue

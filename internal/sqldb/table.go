@@ -3,6 +3,7 @@ package sqldb
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -140,16 +141,18 @@ type table struct {
 	tombs []int
 }
 
-// hashIndex is a secondary equality index with immutable buckets: add
-// replaces the bucket slice instead of appending in place, so a bucket
-// returned to a reader is a stable snapshot forever.
+// hashIndex is a secondary equality index whose buckets grow in place:
+// add appends into a bucket's spare capacity, past the length of every
+// copy of it already handed out, so a bucket a reader holds keeps exactly
+// the entries it had (see lookupIndex and cloneAt).
 type hashIndex struct {
 	col int
 	m   map[Value][]int
 }
 
-// add registers id under v, copy-on-write. Duplicate ids (a value that
-// flipped away and back across updates) are collapsed.
+// add registers id under v. Duplicate ids (a value that flipped away and
+// back across updates) are collapsed. Callers hold idxMu for writing, or
+// own the index alone.
 func (idx *hashIndex) add(v Value, id int) {
 	old := idx.m[v]
 	for _, got := range old {
@@ -157,9 +160,7 @@ func (idx *hashIndex) add(v Value, id int) {
 			return
 		}
 	}
-	nb := make([]int, len(old), len(old)+1)
-	copy(nb, old)
-	idx.m[v] = append(nb, id)
+	idx.m[v] = append(old, id)
 }
 
 func newTable(s Schema) *table {
@@ -230,20 +231,20 @@ func (v tableView) lookupPK(key int64) (int, bool) { return v.tbl.pkHint(key) }
 
 // lookupIndex returns the slot hints for an indexed column value,
 // trying the hash index first, then the ordered index. A hash bucket is
-// returned as it is: buckets are immutable snapshots, never mutated
-// after being handed out, so only the map access itself needs idxMu —
-// and it does need it, commits write that map. An ordered probe appends
-// its hits to (*buf)[:0] and returns that, so a caller that keeps buf
-// between probes allocates nothing; the result is valid until buf's next
-// use. visited is the number of index entries inspected (== len(ids) for
-// a hash bucket, possibly more for an ordered probe), for honest probe
-// pricing.
+// returned capped at its length: later adds write only past it, and a
+// caller appending to it copies, so only the map access itself needs
+// idxMu — and it does need it, commits write that map. An ordered probe
+// appends its hits to (*buf)[:0] and returns that, so a caller that keeps
+// buf between probes allocates nothing; the result is valid until buf's
+// next use. visited is the number of index entries inspected (== len(ids)
+// for a hash bucket, possibly more for an ordered probe), for honest
+// probe pricing.
 func (v tableView) lookupIndex(col string, val Value, buf *[]int) (ids []int, visited int, ok bool) {
 	t := v.tbl
 	t.idxMu.RLock()
 	idx, hok := t.indexes[col]
 	if hok {
-		ids = idx.m[val]
+		ids = slices.Clip(idx.m[val])
 	}
 	oidx, ook := t.ordered[col]
 	t.idxMu.RUnlock()
