@@ -28,10 +28,11 @@ type compiledPred struct {
 	// function of the cell alone within one execution, so on a row whose
 	// version carries a code for the column, codes[slot] of the version
 	// bound at depth, it is evaluated once per code: memo|code indexes
-	// the execution's codeMemo.
+	// the execution's codeMemo. col is the column's index in its row.
 	coded bool
 	slot  int8
 	memo  int
+	col   int
 }
 
 // splitAnd flattens top-level AND nodes into conjuncts.
@@ -85,7 +86,7 @@ func (cp *compiledPred) code(conj boolExpr, bindings []binding, coded *int) {
 	if err != nil || bindings[bi].tbl.codeSlot[ci] < 0 {
 		return
 	}
-	cp.coded, cp.slot, cp.memo = true, bindings[bi].tbl.codeSlot[ci], *coded<<8
+	cp.coded, cp.slot, cp.memo, cp.col = true, bindings[bi].tbl.codeSlot[ci], *coded<<8, ci
 	*coded++
 }
 
@@ -97,19 +98,27 @@ const (
 )
 
 // codeMemo holds a SELECT execution's coded conjuncts' results by code:
-// entry memo|code is memoUnknown until the conjunct has been evaluated on
-// a row carrying that code. It references nothing, so a connection keeps
-// its memo from statement to statement, and an execution clears only the
-// entries its own conjuncts use.
-type codeMemo []uint8
+// entry results[memo|code] is memoUnknown until the conjunct has been
+// evaluated on a row, or a dictionary string, carrying that code. Beside
+// them it keeps the scratch of the execution's sieves (selectRun.sieve):
+// one bitset per join depth, and the row a conjunct is evaluated on per
+// string, which holds a cell only while it is. It references nothing
+// between statements, so a connection keeps its memo from statement to
+// statement, and an execution clears only the entries its own conjuncts
+// use.
+type codeMemo struct {
+	results []uint8
+	sieves  [][]uint64
+	cell    []Value
+}
 
 // reset readies the memo for an execution with n coded conjuncts.
 func (m *codeMemo) reset(n int) {
-	if len(*m) < n<<8 {
-		*m = make(codeMemo, n<<8)
+	if len(m.results) < n<<8 {
+		m.results = make([]uint8, n<<8)
 		return
 	}
-	clear((*m)[:n<<8])
+	clear(m.results[:n<<8])
 }
 
 // memoOf is the memo entry that remembers result ok.

@@ -333,6 +333,9 @@ func (db *DB) prepare(sql string) (stmt, error) {
 // MySQL server does; in MVCC mode it is called with no locks held — the
 // latency is still charged, but nobody queues behind it.
 func (db *DB) chargeCost(ec *execCtx) {
+	if ec.load {
+		return
+	}
 	d := ec.cost.total(db.cost)
 	if d > 0 {
 		db.clk.Sleep(db.ts.Wall(d))
@@ -366,6 +369,7 @@ type Conn struct {
 	mu     sync.Mutex
 	busy   bool
 	closed bool
+	load   bool // a Loader connection: statements charge no paper time
 
 	// The state of the SELECT in flight; busy guards it. memo outlives the
 	// statement (it references nothing), so that a coded SELECT on a
@@ -379,6 +383,17 @@ type Conn struct {
 func (db *DB) Connect() *Conn {
 	db.open.Add(1)
 	return &Conn{db: db}
+}
+
+// Loader opens a connection whose statements skip the cost model: they
+// count their work, commit, and reach the replication log as on any
+// connection, and sleep none of it. It is the way to fill a database
+// before it serves, so that set-up takes the time the engine takes and
+// no paper time.
+func (db *DB) Loader() *Conn {
+	c := db.Connect()
+	c.load = true
+	return c
 }
 
 // OpenConns reports connections opened and not yet closed — the gauge
@@ -436,7 +451,7 @@ func (c *Conn) Query(sql string, args ...any) (*ResultSet, error) {
 	switch t := s.(type) {
 	case *selectStmt:
 		defer func() { c.ec, c.scratch = execCtx{}, selectScratch{} }()
-		c.ec.scratch, c.ec.memo = &c.scratch, &c.memo
+		c.ec.scratch, c.ec.memo, c.ec.load = &c.scratch, &c.memo, c.load
 		if err := c.ec.bind(args); err != nil {
 			return nil, err
 		}
@@ -477,7 +492,7 @@ func (c *Conn) Exec(sql string, args ...any) (ExecResult, error) {
 	if err != nil {
 		return ExecResult{}, err
 	}
-	ec.sql = sql
+	ec.sql, ec.load = sql, c.load
 	for attempt := 0; ; attempt++ {
 		var res ExecResult
 		switch t := s.(type) {

@@ -111,6 +111,26 @@
 // execution. A column drops its dictionary for good on its 256th distinct
 // string; rows committed after that carry code 0 and compare as before.
 //
+// Codes also index their own rows (postings.go). A coded column that a
+// SELECT filters on gets postings, built on first use under the commit
+// critical section by walking every slot's version chain: per code, the
+// set of slots some version of which has carried that code, with code 0
+// for NULL and strings past the cut-off. A commit adds a slot to its
+// code's set before it publishes the version, and nothing takes it out,
+// so a set is a stale-tolerant hint like every index here and holds at
+// every snapshot. When the first conjunct of a full scan, or of a
+// primary-key join step, is coded, the execution evaluates it once per
+// dictionary string and takes the union of the sets of the codes that
+// pass with code 0's. The scan is charged for every slot, as before, and
+// visits only the union's, in slot order; the join step rejects a probe
+// whose slot is outside the union, unless the key has had other slots,
+// for the one probe it has already charged, without loading the slot.
+// Only the first conjunct sieves, so no other conjunct's error is hidden.
+// A column whose dictionary was gone before its postings were built, a
+// string the conjunct errors on, and a union over three quarters of the
+// table leave the plain loop. Postings cost 8 bytes per 64 slots per
+// code of each column they are built for; a clone builds its own.
+//
 // Two concurrency disciplines
 // interpret that storage, selected by Options.MVCC / DB.SetMVCC:
 //

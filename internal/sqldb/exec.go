@@ -36,6 +36,9 @@ type execCtx struct {
 	// memo is the SELECT's codeMemo, likewise; runSelect readies it for a
 	// plan with coded conjuncts and leaves it alone otherwise.
 	memo *codeMemo
+	// load marks a statement of a Loader connection, which chargeCost
+	// leaves unslept.
+	load bool
 }
 
 // resolveBindings maps the FROM/JOIN clauses onto tables.
@@ -269,7 +272,7 @@ type dmlRun struct {
 // readPhase runs the statement's read phase against view.
 func (db *DB) readPhase(p *dmlPlan, set []string, view tableView, ec *execCtx) (*dmlRun, error) {
 	r := &dmlRun{plan: p, set: set, ec: ec}
-	err := db.drive(db.cheapestPath(p.tbl, p.cands), view, ec, &r.probes, r)
+	err := db.drive(db.cheapestPath(p.tbl, p.cands), view, ec, &r.probes, nil, r)
 	db.flushPlanRows(ec)
 	return r, err
 }

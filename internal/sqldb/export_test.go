@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"slices"
 	"unsafe"
 )
 
@@ -176,6 +177,61 @@ func CodeErrors(db *DB) []string {
 							errs = append(errs, fmt.Sprintf("%s: %q with codes %d and %d", col, cell, c, code))
 						}
 						byCode[code], byString[cell] = cell, code
+					}
+				}
+			}
+		}
+	}
+	return errs
+}
+
+// PostingsBuilt lists the coded columns, as table.column in order, whose
+// postings have been built.
+func PostingsBuilt(db *DB) []string {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	var built []string
+	for name, t := range db.tables {
+		for ci, s := range t.codeSlot {
+			if s < 0 {
+				continue
+			}
+			if p := t.posts[s].Load(); p != nil && p != noPostings {
+				built = append(built, name+"."+t.schema.Columns[ci].Name)
+			}
+		}
+	}
+	slices.Sort(built)
+	return built
+}
+
+// PostingErrors lists every version, old ones included, that is missing
+// from the set of its code in its column's built postings, and every code
+// whose box is not the one the column's dictionary gives out.
+func PostingErrors(db *DB) []string {
+	db.commitMu.Lock()
+	defer db.commitMu.Unlock()
+	var errs []string
+	for name, t := range db.tables {
+		arena := t.slots.Load()
+		for ci, s := range t.codeSlot {
+			if s < 0 {
+				continue
+			}
+			p := t.posts[s].Load()
+			if p == nil || p == noPostings {
+				continue
+			}
+			col := name + "." + t.schema.Columns[ci].Name
+			for str, e := range t.dicts[ci] {
+				if int(e.code) > len(p.boxes) || p.boxes[e.code-1] != Value(str) {
+					errs = append(errs, fmt.Sprintf("%s: code %d is %q in the dictionary", col, e.code, str))
+				}
+			}
+			for id := 0; id < arena.n; id++ {
+				for v := arena.at(id).head.Load(); v != nil; v = v.prev.Load() {
+					if c := v.codes[s]; v.data != nil && (int(c) >= len(p.sets) || p.sets[c][id>>6].Load()&(1<<(id&63)) == 0) {
+						errs = append(errs, fmt.Sprintf("%s slot %d: a version with code %d outside its set", col, id, c))
 					}
 				}
 			}

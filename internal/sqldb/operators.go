@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"math/bits"
 	"slices"
 	"strconv"
 	"sync"
@@ -76,8 +77,8 @@ const maxInlineTables = 4
 
 // selectRun is the per-execution state of one SELECT: the table views at
 // the statement's snapshot, the combined row under construction (with the
-// version each binding's row came from, for coded predicates), and the
-// sink.
+// version each binding's row came from, for coded predicates), the sieve
+// of each depth that has one, and the sink.
 type selectRun struct {
 	db   *DB
 	plan *selectPlan
@@ -89,6 +90,7 @@ type selectRun struct {
 	vers    []*rowVersion // vers[i] is the version rows[i] is the data of
 	probes  [][]int       // per-depth scratch for ordered-index equality probes
 	counted []bool        // join steps already counted in the plan probes
+	sieves  [][]uint64    // per depth: the slots worth visiting, or nil for all (see sieve)
 
 	inline struct {
 		views   [maxInlineTables]tableView
@@ -96,6 +98,7 @@ type selectRun struct {
 		vers    [maxInlineTables]*rowVersion
 		probes  [maxInlineTables][]int
 		counted [maxInlineTables]bool
+		sieves  [maxInlineTables][]uint64
 	}
 }
 
@@ -135,10 +138,10 @@ func (db *DB) runSelect(plan *selectPlan, ts int64, ec *execCtx) (*ResultSet, er
 	r.db, r.plan, r.ec = db, plan, ec
 	if n := len(plan.bindings); n <= maxInlineTables {
 		r.views, r.rows, r.vers = r.inline.views[:n], r.inline.rows[:n], r.inline.vers[:n]
-		r.probes, r.counted = r.inline.probes[:n], r.inline.counted[:n]
+		r.probes, r.counted, r.sieves = r.inline.probes[:n], r.inline.counted[:n], r.inline.sieves[:n]
 	} else {
 		r.views, r.rows, r.vers = make([]tableView, n), make([][]Value, n), make([]*rowVersion, n)
-		r.probes, r.counted = make([][]int, n), make([]bool, n)
+		r.probes, r.counted, r.sieves = make([][]int, n), make([]bool, n), make([][]uint64, n)
 	}
 	for i, b := range plan.bindings {
 		r.views[i] = b.tbl.view(ts)
@@ -189,7 +192,17 @@ func (r *selectRun) enumerate(rs *ResultSet) error {
 	default:
 		r.sink = r.projectSink(rs)
 	}
-	return r.db.drive(outer, r.views[0], r.ec, &r.probes[0], r)
+	// A full scan visits, and a primary-key join step probes, only the
+	// slots its sieve holds.
+	if outer.kind == pathScan {
+		r.sieves[0] = r.sieve(0)
+	}
+	for i := 1; i < len(r.views); i++ {
+		if r.plan.joins[i-1].innerPK {
+			r.sieves[i] = r.sieve(i)
+		}
+	}
+	return r.db.drive(outer, r.views[0], r.ec, &r.probes[0], r.sieves[0], r)
 }
 
 // projectSink readies the sink of a plain SELECT, whose rows go straight
@@ -253,7 +266,7 @@ func (r *selectRun) applyPreds(i int) (bool, error) {
 		var memo *uint8
 		if p.coded {
 			if code := r.vers[i].codes[p.slot]; code != 0 {
-				memo = &(*r.ec.memo)[p.memo|int(code)]
+				memo = &r.ec.memo.results[p.memo|int(code)]
 				if *memo == memoTrue {
 					continue
 				}
@@ -299,7 +312,7 @@ func (r *selectRun) join(i int) error {
 	var err error
 	switch {
 	case jp.innerPK:
-		if _, rv := r.db.probePK(inner, outerVal, r.ec); rv != nil {
+		if _, rv := r.db.probePK(inner, outerVal, r.ec, r.sieves[i]); rv != nil {
 			err = r.bind(i, rv)
 		}
 	case jp.indexed:
@@ -371,14 +384,16 @@ func pathValue(op operand, ec *execCtx) (Value, bool) {
 // candidate row to vis and charging honest scan/probe costs. Index paths
 // degrade to the scan when the index or a bound value is unavailable at
 // execution time. probeBuf is scratch for ordered-index equality probes.
-// Shared by the SELECT driving table and the DML read phases (indexes
-// change DML predicate evaluation too).
-func (db *DB) drive(p accessPath, v tableView, ec *execCtx, probeBuf *[]int, vis rowVisitor) error {
+// A scan with a sieve (selectRun.sieve) is charged for every slot and
+// visits only the sieve's, in slot order. Shared by the SELECT driving
+// table and the DML read phases (indexes change DML predicate evaluation
+// too).
+func (db *DB) drive(p accessPath, v tableView, ec *execCtx, probeBuf *[]int, sieve []uint64, vis rowVisitor) error {
 	switch p.kind {
 	case pathPK:
 		if val, ok := pathValue(p.eq, ec); ok {
 			db.planIndex.Inc()
-			if id, rv := db.probePK(v, val, ec); rv != nil {
+			if id, rv := db.probePK(v, val, ec, nil); rv != nil {
 				return vis.visit(id, rv)
 			}
 			return nil
@@ -405,6 +420,19 @@ func (db *DB) drive(p accessPath, v tableView, ec *execCtx, probeBuf *[]int, vis
 	ec.cost.scanned += n
 	db.planScans.Inc()
 	ec.planRows += int64(n)
+	if sieve != nil {
+		for w, held := range sieve {
+			for ; held != 0; held &= held - 1 {
+				id := w<<6 | bits.TrailingZeros64(held)
+				if rv := v.version(id); rv != nil {
+					if err := vis.visit(id, rv); err != nil {
+						return err
+					}
+				}
+			}
+		}
+		return nil
+	}
 	for id := 0; id < n; id++ {
 		if rv := v.version(id); rv != nil {
 			if err := vis.visit(id, rv); err != nil {
@@ -420,8 +448,10 @@ func (db *DB) drive(p accessPath, v tableView, ec *execCtx, probeBuf *[]int, vis
 // charges one probe for the slot the index names, which is all it takes
 // unless the key was given out again after v's snapshot, and one more for
 // each older slot of the key it tries then (pkIndex.movedFrom, the only
-// path that takes a lock).
-func (db *DB) probePK(v tableView, val Value, ec *execCtx) (int, *rowVersion) {
+// path that takes a lock). With a sieve, a key whose slot is outside it
+// and has no older slot is rejected without loading the slot: no version
+// it holds can pass the join step's first conjunct.
+func (db *DB) probePK(v tableView, val Value, ec *execCtx, sieve []uint64) (int, *rowVersion) {
 	ec.cost.probes++
 	ec.planRows++
 	key, exact := val.(int64)
@@ -434,6 +464,9 @@ func (db *DB) probePK(v tableView, val Value, ec *execCtx) (int, *rowVersion) {
 	}
 	id, ok := v.lookupPK(key)
 	if !ok {
+		return 0, nil
+	}
+	if sieve != nil && !sieved(sieve, id) && len(v.tbl.pk.movedFrom(key)) == 0 {
 		return 0, nil
 	}
 	if rv := v.version(id); v.holdsKey(rv, key, exact, val) {

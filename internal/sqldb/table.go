@@ -134,6 +134,10 @@ type table struct {
 	// codeSlot[ci] is where in rowVersion.codes String column ci's codes
 	// go, or -1 for a column without a slot. Fixed at creation.
 	codeSlot []int8
+	// posts[s] is the postings of the column with code slot s: nil until
+	// first used, then published for lock-free readers and kept up to date
+	// under db.commitMu. A clone builds its own.
+	posts [codeSlots]atomic.Pointer[postings]
 
 	// tombs queues the slots whose tombstone is still linked to the
 	// version it deleted, oldest first; guarded by db.commitMu. See
@@ -365,6 +369,7 @@ func (t *table) applyInsert(row []Value, ts int64) int {
 		}
 	}
 	codes := t.intern(row)
+	t.post(t.slots.Load().n, &codes)
 	id := t.appendSlot(&rowVersion{data: row, begin: ts, key: key, codes: codes})
 	if t.pk != nil {
 		t.pk.set(key, id)
@@ -450,6 +455,7 @@ func (t *table) applyUpdate(id int, newRow []Value, ts, horizon int64) {
 		}
 		t.idxMu.Unlock()
 	}
+	t.post(id, &codes)
 	nv := &rowVersion{data: newRow, begin: ts, key: newKey, codes: codes}
 	nv.prev.Store(cur)
 	slot.head.Store(nv)
@@ -488,6 +494,9 @@ func (t *table) intern(row []Value) (codes [codeSlots]uint8) {
 			}
 			e = dictEntry{box: row[ci], code: uint8(len(d) + 1)}
 			d[s] = e
+			if slot := t.codeSlot[ci]; slot >= 0 {
+				t.addCode(slot, e.box)
+			}
 		}
 		row[ci] = e.box
 		if slot := t.codeSlot[ci]; slot >= 0 {

@@ -26,6 +26,9 @@ var selectBenchmarks = []struct {
 	{name: "search_title", args: []any{"%the%"},
 		sql: `SELECT i_id, i_title, i_thumbnail, i_cost, a_fname, a_lname FROM item
 		 JOIN author ON i_a_id = a_id WHERE i_title LIKE ? ORDER BY i_title LIMIT 50`},
+	{name: "search_subject", args: []any{"ARTS"},
+		sql: `SELECT i_id, i_title, i_thumbnail, i_cost, a_fname, a_lname FROM item
+		 JOIN author ON i_a_id = a_id WHERE i_subject = ? ORDER BY i_title LIMIT 50`},
 	{name: "search_author", args: []any{"%an%"},
 		sql: `SELECT i_id, i_title, i_thumbnail, i_cost, a_fname, a_lname FROM item
 		 JOIN author ON i_a_id = a_id WHERE a_lname LIKE ? ORDER BY i_title LIMIT 50`},

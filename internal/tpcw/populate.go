@@ -73,10 +73,13 @@ func Populate(db *sqldb.DB, cfg PopulateConfig) (Counts, error) {
 // it doesn't own, drawing the same random values either way, so shard
 // slices are disjoint, union to the full dataset, and stay stable as
 // the shard count changes.
+//
+// The rows go in through a db.Loader connection, so loading charges no
+// paper time: a database is set up before anything is measured on it.
 func PopulateShard(db *sqldb.DB, cfg PopulateConfig, owns func(cID int) bool) (Counts, error) {
 	cfg.fillDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	c := db.Connect()
+	c := db.Loader()
 	defer c.Close()
 
 	var counts Counts
