@@ -36,6 +36,7 @@ var Probes = map[string]string{
 	"sched.spare":       "staged: spare dynamic workers right now",
 	"dispatch.general":  "staged: requests dispatched to general workers",
 	"dispatch.lengthy":  "staged: requests dispatched to lengthy workers",
+	"dispatch.lent":     "staged: general slots lent to lengthy waiters",
 	"served.total":      "completed interactions since start",
 	"db.inuse":          "database tier: connections checked out",
 	"db.wait":           "database tier: acquisitions that had to wait",

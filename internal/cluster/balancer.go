@@ -433,7 +433,7 @@ func (b *Balancer) handleConn(c *server.Conn) {
 		if j.req.KeepAlive() {
 			j.conn = "keep-alive"
 		}
-		if err := b.lb.Enter(); err != nil {
+		if _, err := b.lb.Enter(); err != nil {
 			return // balancer stopping, or its line is full
 		}
 		reply, err := b.forward(j)

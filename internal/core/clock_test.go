@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -137,5 +138,89 @@ func TestStopClosesParkedKeepAlives(t *testing.T) {
 	env.tier.Close()
 	if n := env.db.OpenConns(); n != 0 {
 		t.Fatalf("%d database connections still open after Stop", n)
+	}
+}
+
+// TestReserveControllerCountsLengthyAsSpare: the reserve controller reads
+// a general slot held by a request Table 1 classified lengthy as spare,
+// since the reserve already gave that capacity up, and only slots held
+// by quick requests as a spike. Three lengthy requests and one quick one
+// fill the general pool: read raw, t_spare 0 is under t_reserve 1 and the
+// grow rule takes the reserve to its cap; read as the controller must,
+// it is 3 and the reserve stays at its minimum. Four quick requests still
+// grow it.
+func TestReserveControllerCountsLengthyAsSpare(t *testing.T) {
+	manual := clock.NewManual(time.Unix(1_700_000_000, 0))
+	app := stagedApp()
+	slowGate, quickGate, spikeGate := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	for path, gate := range map[string]chan struct{}{"/slow": slowGate, "/quick": quickGate, "/spike": spikeGate} {
+		app.AddPage(path, func(*server.Request) (*server.Result, error) {
+			<-gate
+			return &server.Result{Body: "done"}, nil
+		})
+	}
+	env := startStaged(t, app, func(cfg *core.Config) {
+		cfg.Clock = manual
+		cfg.Scale = clock.RealTime
+		cfg.GeneralWorkers = 4
+		cfg.LengthyWorkers = 1
+		cfg.MinReserve = 1
+	})
+	env.srv.Classifier().Record("/slow", 3*time.Second)
+	openSlow := sync.OnceFunc(func() { close(slowGate) })
+	openQuick := sync.OnceFunc(func() { close(quickGate) })
+	openSpike := sync.OnceFunc(func() { close(spikeGate) })
+	t.Cleanup(func() { openSlow(); openQuick(); openSpike() }) // before the server stops
+
+	var wg sync.WaitGroup
+	get := func(path string, spareAfter int) {
+		t.Helper()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := webtest.Get(env.addr, path); err != nil {
+				t.Errorf("GET %s: %v", path, err)
+			}
+		}()
+		waitUntil(t, func() bool { return env.srv.Spare() == spareAfter })
+	}
+	// t_spare 4, 3, 2 exceed t_reserve 1: Table 1 sends each lengthy
+	// request to the general pool.
+	for i := 1; i <= 3; i++ {
+		get("/slow", 4-i)
+	}
+	get("/quick", 0)
+	if g, l, _ := env.srv.DispatchCounts(); g != 4 || l != 0 {
+		t.Fatalf("dispatched general %d, lengthy %d; want 4, 0", g, l)
+	}
+	for tick := 0; tick < 4; tick++ {
+		manual.Advance(time.Second)
+		time.Sleep(5 * time.Millisecond) // let the controller take the tick
+		if r := env.srv.Reserve(); r != 1 {
+			t.Fatalf("tick %d: t_reserve grew to %d while lengthy requests held the general slots", tick, r)
+		}
+	}
+	openSlow()
+	openQuick()
+	wg.Wait()
+	waitUntil(t, func() bool { return env.srv.Spare() == 4 })
+
+	for i := 1; i <= 4; i++ {
+		get("/spike", 4-i)
+	}
+	manual.Advance(time.Second)
+	waitUntil(t, func() bool { return env.srv.Reserve() > 1 })
+	openSpike()
+	wg.Wait()
+}
+
+func waitUntil(t *testing.T, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal("condition not reached")
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 }

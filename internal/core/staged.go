@@ -23,6 +23,16 @@
 // time (sched.Classifier, 2 s cutoff), dispatched per Table 1, and
 // protected from head-of-line blocking by the t_reserve feedback
 // controller (sched.ReserveController, updated once per paper second).
+//
+// Table 1 is applied at arrival and again at release: a general slot
+// freed while the general line is empty goes to the newest request in the
+// lengthy line when t_spare after the release exceeds t_reserve
+// (stage.Stage.LendTo, sched.Dispatcher.Overflow), and otherwise is
+// freed. The lengthy pool keeps serving its own line oldest-first. The
+// controller samples t_spare with the general slots held by requests
+// Table 1 classified lengthy counted as spare: that is capacity the
+// reserve already gave up, and read as busy it would look like a
+// quick-traffic spike.
 package core
 
 import (
@@ -30,6 +40,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"stagedweb/internal/clock"
@@ -81,8 +92,10 @@ type Config struct {
 	// value used in the paper's Table 2).
 	MinReserve int
 	// NoReserve disables the t_reserve feedback controller entirely (the
-	// ablation variant): t_reserve is pinned to zero and lengthy requests
-	// enter the general pool whenever it has any spare worker, so quick
+	// ablation variant): t_reserve is pinned to zero, so lengthy requests
+	// enter the general pool whenever it has any spare worker and every
+	// general slot freed with the general line empty goes to a waiting
+	// lengthy request. The server is then fully work-conserving, and quick
 	// pages lose their protection.
 	NoReserve bool
 	// ControllerInterval is the t_reserve update period in paper time
@@ -148,6 +161,9 @@ type Server struct {
 
 	dispatcher *sched.Dispatcher
 	controller *sched.Controller
+	// lengthyOnGeneral counts the general slots held by requests Table 1
+	// classified lengthy, sent there at arrival or lent one at release.
+	lengthyOnGeneral atomic.Int64
 
 	// Per-target dispatch decision counts, fed by the dispatcher hook.
 	dispatchedGeneral metrics.Counter
@@ -217,6 +233,9 @@ func New(cfg Config) (*Server, error) {
 			s.dispatchedGeneral.Inc()
 		}
 	})
+	// Table 1 at release: a freed general slot goes to the newest lengthy
+	// waiter while t_spare after the release exceeds t_reserve.
+	s.general.LendTo(s.lengthy, s.dispatcher.Overflow)
 	return s, nil
 }
 
@@ -237,7 +256,7 @@ func (s *Server) Serve(l net.Listener) error {
 			s.cfg.Clock,
 			s.cfg.Scale.Wall(s.cfg.ControllerInterval),
 			s.dispatcher.ReserveController(),
-			s.general.Spare,
+			s.controllerSpare,
 		)
 	}
 	s.mu.Unlock()
@@ -296,10 +315,10 @@ func (s *Server) serveConn(c *server.Conn) {
 // slot only for that pool's work, and reports whether the connection
 // stays open for another request.
 func (s *Server) serveRequest(c *server.Conn) bool {
-	if s.header.Enter() != nil {
+	if _, err := s.header.Enter(); err != nil {
 		return false
 	}
-	line, req, next := s.parseHeader(c)
+	line, req, next, lengthy := s.parseHeader(c)
 	s.header.Leave()
 	switch next {
 	case nil:
@@ -307,44 +326,47 @@ func (s *Server) serveRequest(c *server.Conn) bool {
 	case s.static:
 		return s.serveStatic(c, line)
 	default:
-		return s.serveDynamic(c, next, req)
+		return s.serveDynamic(c, next, lengthy, req)
 	}
 }
 
 // parseHeader is the header-parsing pool's work: phase-one parse,
 // static/dynamic classification, and (for dynamics) the full
 // header+query parse plus the Table 1 dispatch decision. It returns the
-// pool the request goes to next, or nil when the connection is done.
-func (s *Server) parseHeader(c *server.Conn) (httpwire.RequestLine, *httpwire.Request, *stage.Stage[struct{}]) {
+// pool the request goes to next, or nil when the connection is done, and
+// whether Table 1 classified a dynamic request lengthy.
+func (s *Server) parseHeader(c *server.Conn) (httpwire.RequestLine, *httpwire.Request, *stage.Stage[struct{}], bool) {
 	line, err := c.ReadRequestLine()
 	if err != nil {
 		// EOF between keep-alive requests is normal connection teardown.
-		return line, nil, nil
+		return line, nil, nil, false
 	}
 	// Static requests carry their unparsed header tail to the static
 	// pool; "this is not an issue for static requests, so we let the
 	// threads which actually serve those static requests parse their
 	// headers" (Section 3.2).
 	if line.IsStatic() {
-		return line, nil, s.static
+		return line, nil, s.static, false
 	}
 	// Dynamic: parse everything here so a thread with an open database
 	// connection never spends time on anything but generating data.
 	req, err := c.FinishRequest(line)
 	if err != nil {
 		_ = c.WriteError(httpwire.StatusBadRequest, "bad request")
-		return line, nil, nil
+		return line, nil, nil, false
 	}
-	if s.dispatcher.Choose(line.Path) == sched.Lengthy {
-		return line, req, s.lengthy
+	next := s.general
+	target, lengthy := s.dispatcher.Choose(line.Path)
+	if target == sched.Lengthy {
+		next = s.lengthy
 	}
-	return line, req, s.general
+	return line, req, next, lengthy
 }
 
 // serveStatic parses the header tail and serves the file on a static
 // pool slot.
 func (s *Server) serveStatic(c *server.Conn, line httpwire.RequestLine) bool {
-	if s.static.Enter() != nil {
+	if _, err := s.static.Enter(); err != nil {
 		return false
 	}
 	defer s.static.Leave()
@@ -356,20 +378,28 @@ func (s *Server) serveStatic(c *server.Conn, line httpwire.RequestLine) bool {
 	return s.tr.ServeStatic(c, s.cfg.App, line.Path, req.KeepAlive())
 }
 
-// serveDynamic runs the page handler on a slot of the dispatched pool,
-// whose statements go through the database tier, measures
-// data-generation time on the injected clock, and takes deferred results
-// on to a rendering slot.
-func (s *Server) serveDynamic(c *server.Conn, pool *stage.Stage[struct{}], req *httpwire.Request) bool {
-	if pool.Enter() != nil {
+// serveDynamic runs the page handler on a slot of the dispatched pool, or
+// on the general slot lent to it, whose statements go through the
+// database tier, measures data-generation time on the injected clock,
+// and takes deferred results on to a rendering slot.
+func (s *Server) serveDynamic(c *server.Conn, pool *stage.Stage[struct{}], lengthy bool, req *httpwire.Request) bool {
+	held, err := pool.Enter()
+	if err != nil {
 		return false
 	}
+	onGeneral := lengthy && held == s.general
+	if onGeneral {
+		s.lengthyOnGeneral.Add(1)
+	}
 	res, keep, direct := s.generate(c, req)
-	pool.Leave()
+	if onGeneral {
+		s.lengthyOnGeneral.Add(-1)
+	}
+	held.Leave()
 	if direct {
 		return keep
 	}
-	if s.render.Enter() != nil {
+	if _, err := s.render.Enter(); err != nil {
 		return false
 	}
 	defer s.render.Leave()
@@ -443,16 +473,24 @@ func (s *Server) LengthyQueueLen() int { return s.lengthy.Depth() }
 // Spare reports the general pool's current spare workers (t_spare).
 func (s *Server) Spare() int { return s.general.Spare() }
 
+// controllerSpare is the t_spare the reserve controller samples: the
+// general pool's spare slots plus those held by requests Table 1
+// classified lengthy.
+func (s *Server) controllerSpare() int {
+	return s.general.Spare() + int(s.lengthyOnGeneral.Load())
+}
+
 // Reserve reports the controller's current t_reserve.
 func (s *Server) Reserve() int { return s.dispatcher.ReserveController().Reserve() }
 
 // Classifier exposes the page classifier (for diagnostics and tests).
 func (s *Server) Classifier() *sched.Classifier { return s.dispatcher.Classifier() }
 
-// DispatchCounts reports Table 1 decisions by target pool, fed by the
-// dispatcher hook.
-func (s *Server) DispatchCounts() (general, lengthy int64) {
-	return s.dispatchedGeneral.Value(), s.dispatchedLengthy.Value()
+// DispatchCounts reports Table 1 decisions: at arrival by target pool,
+// fed by the dispatcher hook, and at release the general slots lent to
+// lengthy waiters.
+func (s *Server) DispatchCounts() (general, lengthy, lent int64) {
+	return s.dispatchedGeneral.Value(), s.dispatchedLengthy.Value(), s.general.Stats().Lent
 }
 
 // Served reports the number of completed requests.

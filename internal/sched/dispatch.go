@@ -27,6 +27,15 @@ func (t Target) String() string {
 //	quick request                              -> general pool
 //	lengthy request and t_spare >  t_reserve   -> general pool
 //	lengthy request and t_spare <= t_reserve   -> lengthy pool
+//
+// The table is applied at arrival (Choose) and again whenever the general
+// pool releases a slot with its own line empty: Overflow, the second row,
+// decides whether that slot goes to a lengthy request already waiting in
+// line. The staged server hands such a slot to the newest lengthy waiter
+// while the lengthy pool serves its own line oldest-first, so the line
+// drains from both ends, in the manner of adaptive LIFO under overload
+// (Maurer, "Fail at Scale", ACM Queue 13(8), 2015): about half the
+// lengthy pages skip the line instead of every one waiting it out.
 type Dispatcher struct {
 	cls   *Classifier
 	rc    *ReserveController
@@ -51,24 +60,31 @@ func NewDispatcher(cls *Classifier, rc *ReserveController, spare func() int) *Di
 // before dispatching begins; the field is read without synchronization.
 func (d *Dispatcher) SetHook(fn Hook) { d.hook = fn }
 
-// Choose picks the pool for a dynamic request identified by its page key.
-func (d *Dispatcher) Choose(key string) Target {
-	t := d.choose(key)
+// Choose picks the pool for a dynamic request identified by its page key,
+// and reports whether the request classified lengthy: a lengthy request
+// sent to the general pool holds a slot the reserve gave up.
+func (d *Dispatcher) Choose(key string) (t Target, lengthy bool) {
+	t, lengthy = d.choose(key)
 	if d.hook != nil {
 		d.hook(key, t)
 	}
-	return t
+	return t, lengthy
 }
 
-func (d *Dispatcher) choose(key string) Target {
+func (d *Dispatcher) choose(key string) (Target, bool) {
 	if !d.cls.Lengthy(key) {
-		return General
+		return General, false
 	}
-	if d.spare() > d.rc.Reserve() {
-		return General
+	if d.Overflow(d.spare()) {
+		return General, true
 	}
-	return Lengthy
+	return Lengthy, true
 }
+
+// Overflow is Table 1's second row: whether a lengthy request may take a
+// general slot when the general pool has spare slots free, that is
+// whether t_spare exceeds t_reserve.
+func (d *Dispatcher) Overflow(spare int) bool { return spare > d.rc.Reserve() }
 
 // Classifier exposes the dispatcher's classifier (for recording
 // measurements and for diagnostics).

@@ -18,7 +18,12 @@ import (
 //     difference, never below the minimum — a slow decay, to avoid
 //     prematurely assuming the spike ended.
 //
-// Update is called once per (paper) second by the controller loop.
+// Update is called once per (paper) second by the controller loop. What
+// it samples is the caller's: the staged server counts the general slots
+// held by requests Table 1 classified lengthy as spare, since the reserve
+// already gave that capacity up. Read as busy, a lengthy request sent to
+// or lent a general slot looks like a quick-traffic spike, and the grow
+// rule locks the overflow out.
 type ReserveController struct {
 	mu      sync.Mutex
 	min     int
@@ -92,7 +97,8 @@ type Controller struct {
 }
 
 // StartController updates rc from spare() every interval on clk (the
-// paper uses one second of paper time) until Stop is called.
+// paper uses one second of paper time) until Stop is called. spare is
+// the t_spare the controller reads (see ReserveController).
 func StartController(clk clock.Clock, interval time.Duration, rc *ReserveController, spare func() int) *Controller {
 	c := &Controller{stop: make(chan struct{}), done: make(chan struct{})}
 	tk := clk.NewTicker(interval)

@@ -188,9 +188,15 @@ func TestDispatchRules(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			spare = tt.tspare
-			if got := d.Choose(tt.key); got != tt.want {
-				t.Fatalf("Choose(%s) with tspare=%d treserve=%d = %v, want %v",
-					tt.key, tt.tspare, rc.Reserve(), got, tt.want)
+			got, lengthy := d.Choose(tt.key)
+			if got != tt.want || lengthy != (tt.key == "lengthy_page") {
+				t.Fatalf("Choose(%s) with tspare=%d treserve=%d = %v, %v; want %v, %v",
+					tt.key, tt.tspare, rc.Reserve(), got, lengthy, tt.want, tt.key == "lengthy_page")
+			}
+			// The rule the general pool applies when it releases a slot is
+			// the one Choose applied to a lengthy request.
+			if d.Overflow(tt.tspare) != (tt.tspare > 20) {
+				t.Fatalf("Overflow(%d) with treserve=%d = %v", tt.tspare, rc.Reserve(), d.Overflow(tt.tspare))
 			}
 		})
 	}

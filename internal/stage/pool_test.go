@@ -229,7 +229,7 @@ func TestQueuePutBlocksWhenFull(t *testing.T) {
 	s := stage.New(stage.Config[int]{Name: "full", Workers: 1, QueueCap: 1})
 	mustEnter(t, s)
 	done := make(chan error, 1)
-	go func() { done <- s.Enter() }()
+	go func() { _, err := s.Enter(); done <- err }()
 	select {
 	case <-done:
 		t.Fatal("Enter returned while every slot was held")
@@ -287,7 +287,7 @@ func TestQueueCloseDrains(t *testing.T) {
 	if v := <-got; v != 2 {
 		t.Fatalf("second drained = %d, want 2", v)
 	}
-	if err := s.Enter(); !errors.Is(err, stage.ErrClosed) {
+	if _, err := s.Enter(); !errors.Is(err, stage.ErrClosed) {
 		t.Fatalf("Enter after drain = %v, want ErrClosed", err)
 	}
 }
@@ -296,7 +296,7 @@ func TestQueueCloseIdempotent(t *testing.T) {
 	s := stage.New(stage.Config[int]{Name: "idem", Workers: 1})
 	s.Stop()
 	s.Stop()
-	if err := s.Enter(); !errors.Is(err, stage.ErrClosed) {
+	if _, err := s.Enter(); !errors.Is(err, stage.ErrClosed) {
 		t.Fatalf("Enter on stopped stage = %v, want ErrClosed", err)
 	}
 	if !s.Stats().Closed {
@@ -333,7 +333,7 @@ func TestQueueConcurrentProducersConsumers(t *testing.T) {
 		go func(base int) {
 			defer wg.Done()
 			for i := 0; i < perP; i++ {
-				if err := s.Enter(); err != nil {
+				if _, err := s.Enter(); err != nil {
 					t.Errorf("Enter: %v", err)
 					return
 				}
@@ -365,7 +365,7 @@ func TestQueueFIFOProperty(t *testing.T) {
 		got := make(chan int16, len(items))
 		s := stage.New(stage.Config[int16]{Name: "prop", Workers: 1, QueueCap: len(items),
 			Work: func(v int16) { got <- v }})
-		if s.Enter() != nil {
+		if _, err := s.Enter(); err != nil {
 			return false
 		}
 		for _, it := range items {
@@ -389,7 +389,7 @@ func TestQueueFIFOProperty(t *testing.T) {
 
 func mustEnter[T any](t *testing.T, s *stage.Stage[T]) {
 	t.Helper()
-	if err := s.Enter(); err != nil {
+	if _, err := s.Enter(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -6,9 +6,11 @@
 // goroutines. A caller takes a slot on its own goroutine with Enter,
 // does the stage's work, and gives the slot back with Leave, which hands
 // it straight to the oldest waiter; Submit does the same on a new
-// goroutine for callers that hand work off. The stage tracks the gauges
+// goroutine for callers that hand work off. A stage may lend the slots
+// it frees to another stage's line (LendTo), newest waiter first, and
+// Enter tells a caller whose slot it holds. The stage tracks the gauges
 // the DSN'09 evaluation reads: line depth (Figures 7 and 8), busy/spare
-// slots (t_spare), completed and shed callers. A Graph owns an ordered
+// slots (t_spare), completed, shed and lent slots. A Graph owns an ordered
 // set of stages, stops them in flow order, and exposes one uniform
 // stats snapshot for harnesses and operational tooling.
 //
@@ -52,13 +54,20 @@ type Stage[T any] struct {
 	workers int
 	work    func(T)
 
-	// busy counts held slots. It is written under mu and read without it,
-	// so that t_spare costs the dispatcher one load.
+	// busy counts held slots, lent ones included. It is written under mu
+	// and read without it, so that t_spare costs the dispatcher one load.
 	busy atomic.Int64
 
+	// borrower's waiters get the slots this stage frees while lend holds,
+	// and lender is the stage that lends to this one's waiters (LendTo).
+	// They are set before the stages take callers and read without mu.
+	borrower, lender *Stage[T]
+	lend             func(spare int) bool
+
 	mu sync.Mutex
-	// line is a ring of the waiters' wake channels, oldest at head.
-	line    []chan struct{}
+	// line is a ring of the waiters' wake channels, oldest at head. A
+	// channel receives true when the slot it is handed is the lender's.
+	line    []chan bool
 	head    int
 	depth   int
 	closed  bool
@@ -68,6 +77,7 @@ type Stage[T any] struct {
 	dequeued  int64
 	completed int64
 	shed      int64
+	lent      int64
 	maxDepth  int
 }
 
@@ -86,28 +96,46 @@ func New[T any](cfg Config[T]) *Stage[T] {
 		name:    cfg.Name,
 		workers: cfg.Workers,
 		work:    cfg.Work,
-		line:    make([]chan struct{}, cfg.QueueCap),
+		line:    make([]chan bool, cfg.QueueCap),
 	}
+}
+
+// LendTo makes s lend the slots it frees to to's waiters. A slot s frees
+// while its own line is empty goes to the newest caller in to's line,
+// provided lend holds for s's spare count after the release; otherwise
+// it is freed. The caller learns from Enter that it holds a slot of s,
+// and Leaves s. to keeps handing its own slots to its oldest waiter, so
+// its line drains from both ends. lend runs with both stages' locks
+// held, so it must not block or call either stage. Call LendTo before
+// either stage takes callers.
+func (s *Stage[T]) LendTo(to *Stage[T], lend func(spare int) bool) {
+	if to == s || to.lender != nil || lend == nil {
+		panic(fmt.Sprintf("stage %q: invalid lending to %q", s.name, to.name))
+	}
+	s.borrower, s.lend, to.lender = to, lend, s
 }
 
 // wakes recycles waiters' wake channels, so that waiting for a slot
 // allocates nothing once the pool is warm. A channel goes back only
 // after its one hand-over has been received, so it is always empty.
-var wakes = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
+var wakes = sync.Pool{New: func() any { return make(chan bool, 1) }}
 
 // Enter takes a slot for the calling goroutine, waiting in line behind
-// every earlier caller when none is free. A full line sheds the caller
-// (ErrShed); a stopped stage reports ErrClosed. A nil error obliges the
-// caller to Leave.
-func (s *Stage[T]) Enter() error {
+// every earlier caller when none is free, and returns the stage whose
+// slot it holds: s, or s's lender when that lent it one (LendTo). A full
+// line sheds the caller (ErrShed); a stopped stage reports ErrClosed. A
+// nil error obliges the caller to Leave the stage returned.
+func (s *Stage[T]) Enter() (*Stage[T], error) {
 	wake, err := s.join()
-	await(wake)
-	return err
+	if err != nil {
+		return nil, err
+	}
+	return s.await(wake), nil
 }
 
 // join takes a free slot at once (returning a nil channel) or a place at
 // the back of the line, whose channel receives the slot.
-func (s *Stage[T]) join() (chan struct{}, error) {
+func (s *Stage[T]) join() (chan bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -123,7 +151,7 @@ func (s *Stage[T]) join() (chan struct{}, error) {
 		s.shed++
 		return nil, fmt.Errorf("%w: %s", ErrShed, s.name)
 	}
-	wake := wakes.Get().(chan struct{})
+	wake := wakes.Get().(chan bool)
 	s.line[(s.head+s.depth)%len(s.line)] = wake
 	s.depth++
 	s.enqueued++
@@ -131,17 +159,24 @@ func (s *Stage[T]) join() (chan struct{}, error) {
 	return wake, nil
 }
 
-// await blocks until a line place's slot is handed over; a nil channel
-// already holds one.
-func await(wake chan struct{}) {
-	if wake != nil {
-		<-wake
-		wakes.Put(wake)
+// await blocks until a line place's slot is handed over and returns the
+// stage that slot belongs to; a nil channel already holds one of s's.
+func (s *Stage[T]) await(wake chan bool) *Stage[T] {
+	if wake == nil {
+		return s
 	}
+	lent := <-wake
+	wakes.Put(wake)
+	if lent {
+		return s.lender
+	}
+	return s
 }
 
 // Leave gives the caller's slot back: straight to the oldest waiter if
-// there is one, otherwise to the free count.
+// there is one, else lent to the newest waiter in the borrower's line
+// when lend allows (LendTo), otherwise to the free count. A lent slot
+// stays busy here until its new holder Leaves.
 func (s *Stage[T]) Leave() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -152,12 +187,34 @@ func (s *Stage[T]) Leave() {
 		s.head = (s.head + 1) % len(s.line)
 		s.depth--
 		s.dequeued++
-		wake <- struct{}{} // buffered: never blocks
+		wake <- false // buffered: never blocks
+		return
+	}
+	if s.borrower != nil && s.borrower.borrow(s.lend, s.workers-int(s.busy.Load())+1) {
+		s.lent++
 		return
 	}
 	if s.busy.Add(-1) == 0 && s.drained != nil {
 		close(s.drained)
 	}
+}
+
+// borrow hands a lender's slot to the newest caller in s's line, if there
+// is one and lend holds for the lender's spare count, and reports whether
+// it did. The lender holds its own mu, which is always taken first.
+func (s *Stage[T]) borrow(lend func(spare int) bool, spare int) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.depth == 0 || !lend(spare) {
+		return false
+	}
+	s.depth--
+	tail := (s.head + s.depth) % len(s.line)
+	wake := s.line[tail]
+	s.line[tail] = nil
+	s.dequeued++
+	wake <- true // buffered: never blocks
+	return true
 }
 
 // Submit runs Work(item) on a new goroutine once that goroutine holds a
@@ -173,10 +230,10 @@ func (s *Stage[T]) Submit(item T) error {
 	return nil
 }
 
-func (s *Stage[T]) run(wake chan struct{}, item T) {
-	await(wake)
+func (s *Stage[T]) run(wake chan bool, item T) {
+	held := s.await(wake)
 	s.work(item)
-	s.Leave()
+	held.Leave()
 }
 
 // Start is a no-op: a stage has no goroutines to launch, and its slots
@@ -218,9 +275,11 @@ func (s *Stage[T]) Depth() int {
 
 // Stats is one stage's uniform snapshot. Every caller that joins the line
 // counts in Enqueued, including one that finds a free slot at once, and
-// in Dequeued when it takes its slot, so Enqueued == Dequeued + Depth.
-// Completed counts Leaves, MaxDepth is the line's high-water mark, and
-// Shed counts callers turned away by a full line.
+// in Dequeued when it takes its slot, a lent one included, so Enqueued ==
+// Dequeued + Depth. Completed counts Leaves, those of the holders of lent
+// slots included, MaxDepth is the line's high-water mark, Shed counts
+// callers turned away by a full line, and Lent counts the slots this
+// stage passed to its borrower's waiters.
 type Stats struct {
 	Name      string
 	Workers   int
@@ -233,6 +292,7 @@ type Stats struct {
 	Dequeued  int64
 	Completed int64
 	Shed      int64
+	Lent      int64
 	Closed    bool
 }
 
@@ -253,6 +313,7 @@ func (s *Stage[T]) Stats() Stats {
 		Dequeued:  s.dequeued,
 		Completed: s.completed,
 		Shed:      s.shed,
+		Lent:      s.lent,
 		Closed:    s.closed,
 	}
 }

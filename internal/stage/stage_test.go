@@ -51,7 +51,7 @@ func TestStageSubmitAfterStop(t *testing.T) {
 	if err := s.Submit(1); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit after Stop = %v, want ErrClosed", err)
 	}
-	if err := s.Enter(); !errors.Is(err, ErrClosed) {
+	if _, err := s.Enter(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Enter after Stop = %v, want ErrClosed", err)
 	}
 }
@@ -60,13 +60,13 @@ func TestStageSubmitAfterStop(t *testing.T) {
 // have waited itself (Enter) or on a new goroutine (Submit).
 func TestStageShedPolicy(t *testing.T) {
 	s := New(Config[int]{Name: "sheddy", Workers: 1, QueueCap: 1, Work: func(int) {}})
-	if err := s.Enter(); err != nil {
+	if _, err := s.Enter(); err != nil {
 		t.Fatal(err)
 	}
 	// The one slot is held; the next caller fills the line.
 	waiter := enterInBackground(t, s)
 	waitFor(t, func() bool { return s.Depth() == 1 })
-	if err := s.Enter(); !errors.Is(err, ErrShed) {
+	if _, err := s.Enter(); !errors.Is(err, ErrShed) {
 		t.Fatalf("Enter on a full line = %v, want ErrShed", err)
 	}
 	if err := s.Submit(3); !errors.Is(err, ErrShed) {
@@ -89,14 +89,14 @@ func TestStageShedPolicy(t *testing.T) {
 // non-blocking Offer did that and such a stage otherwise blocked.
 func TestStageOfferShedsOnBlockStage(t *testing.T) {
 	s := New(Config[int]{Name: "blocky", Workers: 1, QueueCap: 1, Work: func(int) {}})
-	if err := s.Enter(); err != nil {
+	if _, err := s.Enter(); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Submit(2); err != nil {
 		t.Fatal(err)
 	}
 	shed := make(chan error, 1)
-	go func() { shed <- s.Enter() }()
+	go func() { _, err := s.Enter(); shed <- err }()
 	select {
 	case err := <-shed:
 		if !errors.Is(err, ErrShed) {
@@ -118,7 +118,7 @@ func TestStageGauges(t *testing.T) {
 		t.Fatalf("idle gauges: %+v", st)
 	}
 	for i := 0; i < 2; i++ {
-		if err := s.Enter(); err != nil {
+		if _, err := s.Enter(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -157,7 +157,7 @@ func TestStageSlotLimitHammer(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				if err := s.Enter(); err != nil {
+				if _, err := s.Enter(); err != nil {
 					t.Error(err)
 					return
 				}
@@ -190,7 +190,7 @@ func TestStageSlotLimitHammer(t *testing.T) {
 func TestStageFIFOHandOver(t *testing.T) {
 	s := New(Config[int]{Name: "fifo", Workers: 1, QueueCap: 4})
 	for round := 0; round < 4; round++ {
-		if err := s.Enter(); err != nil {
+		if _, err := s.Enter(); err != nil {
 			t.Fatal(err)
 		}
 		const waiters = 3
@@ -201,7 +201,7 @@ func TestStageFIFOHandOver(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if err := s.Enter(); err != nil {
+				if _, err := s.Enter(); err != nil {
 					t.Error(err)
 					return
 				}
@@ -239,7 +239,7 @@ func TestStageStatsExact(t *testing.T) {
 	}
 	check("idle", 0, 0, 0, 0, 0, 0)
 	for i := 0; i < 2; i++ {
-		if err := s.Enter(); err != nil {
+		if _, err := s.Enter(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -270,7 +270,7 @@ func TestStageStatsExact(t *testing.T) {
 func TestStageStopWaitsForHoldersAndWaiters(t *testing.T) {
 	var ran atomic.Bool
 	s := New(Config[int]{Name: "drain", Workers: 1, Work: func(int) { ran.Store(true) }})
-	if err := s.Enter(); err != nil {
+	if _, err := s.Enter(); err != nil {
 		t.Fatal(err)
 	}
 	w := enterInBackground(t, s)
@@ -284,7 +284,7 @@ func TestStageStopWaitsForHoldersAndWaiters(t *testing.T) {
 		close(stopped)
 	}()
 	waitFor(t, func() bool { return s.Stats().Closed })
-	if err := s.Enter(); !errors.Is(err, ErrClosed) {
+	if _, err := s.Enter(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Enter during Stop = %v, want ErrClosed", err)
 	}
 	if err := s.Submit(2); !errors.Is(err, ErrClosed) {
@@ -311,6 +311,333 @@ func TestStageStopWaitsForHoldersAndWaiters(t *testing.T) {
 		t.Fatalf("after Stop: %+v", st)
 	}
 	s.Stop() // idempotent
+}
+
+// lendingPair builds a general stage that lends to a lengthy one while
+// lend holds, as the staged server's general and lengthy pools do.
+func lendingPair(generalWorkers, lengthyWorkers int, lend func(spare int) bool) (general, lengthy *Stage[int]) {
+	general = New(Config[int]{Name: "general", Workers: generalWorkers, QueueCap: 64})
+	lengthy = New(Config[int]{Name: "lengthy", Workers: lengthyWorkers, QueueCap: 64})
+	general.LendTo(lengthy, lend)
+	return general, lengthy
+}
+
+// mustHold takes a slot of s on the test goroutine and checks that it is
+// s's own.
+func mustHold(t *testing.T, s *Stage[int]) {
+	t.Helper()
+	held, err := s.Enter()
+	if err != nil || held != s {
+		t.Fatalf("Enter on %s = %v, %v", s.Name(), held, err)
+	}
+}
+
+// queueWaiters puts n background callers in s's line, in order.
+func queueWaiters(t *testing.T, s *Stage[int], n int) []*waiter {
+	t.Helper()
+	base := s.Depth()
+	ws := make([]*waiter, n)
+	for i := range ws {
+		ws[i] = enterInBackground(t, s)
+		waitFor(t, func() bool { return s.Depth() == base+i+1 })
+	}
+	return ws
+}
+
+// TestStageLendsToNewestWaiter: a slot the lender frees with its own line
+// empty goes to the newest caller in the borrower's line, whose Enter
+// reports the lender; the borrower's own releases still go oldest-first.
+func TestStageLendsToNewestWaiter(t *testing.T) {
+	general, lengthy := lendingPair(1, 1, func(int) bool { return true })
+	mustHold(t, general)
+	mustHold(t, lengthy)
+	ws := queueWaiters(t, lengthy, 3)
+
+	general.Leave()
+	ws[2].await(t)
+	if ws[2].held != general {
+		t.Fatalf("lent slot reported as %s's, want general's", ws[2].held.Name())
+	}
+	if g := general.Stats(); g.Busy != 1 || g.Lent != 1 {
+		t.Fatalf("a lent slot left general's busy count: %+v", g)
+	}
+	if ws[0].isInside() || ws[1].isInside() {
+		t.Fatal("an older waiter took the lent slot")
+	}
+
+	lengthy.Leave()
+	ws[0].await(t)
+	if ws[0].held != lengthy {
+		t.Fatalf("lengthy's own slot reported as %s's", ws[0].held.Name())
+	}
+	if ws[1].isInside() {
+		t.Fatal("lengthy handed its slot to a newer waiter")
+	}
+
+	// The lent holder gives the slot back to general; with lengthy's line
+	// still holding ws[1], general lends it again.
+	close(ws[2].release)
+	ws[1].await(t)
+	if ws[1].held != general {
+		t.Fatalf("second lent slot reported as %s's", ws[1].held.Name())
+	}
+	close(ws[0].release)
+	close(ws[1].release)
+	general.Stop()
+	lengthy.Stop()
+	if g, l := general.Stats(), lengthy.Stats(); g.Lent != 2 || g.Busy != 0 || l.Lent != 0 || l.Busy != 0 {
+		t.Fatalf("after both stopped: %+v, %+v", g, l)
+	}
+}
+
+// TestStageServesOwnLineBeforeLending: a waiter in the lender's own line
+// always gets the freed slot before the borrower's line is looked at.
+func TestStageServesOwnLineBeforeLending(t *testing.T) {
+	var asked atomic.Int64
+	general, lengthy := lendingPair(1, 1, func(int) bool { asked.Add(1); return true })
+	mustHold(t, general)
+	mustHold(t, lengthy)
+	lw := queueWaiters(t, lengthy, 1)[0]
+	gw := queueWaiters(t, general, 1)[0]
+
+	general.Leave()
+	gw.await(t)
+	if gw.held != general {
+		t.Fatalf("general's waiter holds %s's slot", gw.held.Name())
+	}
+	if lw.isInside() || asked.Load() != 0 || general.Stats().Lent != 0 {
+		t.Fatalf("general lent with its own line waiting (asked %d, lent %d)", asked.Load(), general.Stats().Lent)
+	}
+
+	// general's line is empty now: its next release is lent.
+	close(gw.release)
+	lw.await(t)
+	if lw.held != general || general.Stats().Lent != 1 {
+		t.Fatalf("lengthy's waiter holds %s's slot, lent %d", lw.held.Name(), general.Stats().Lent)
+	}
+	close(lw.release)
+	lengthy.Leave()
+	general.Stop()
+	lengthy.Stop()
+}
+
+// TestStageFreesSlotWhenLendingRefused: when the check fails for the
+// spare count after the release, the slot is freed and the borrower's
+// waiter stays in line; a later change of the check lends nothing until
+// the next release, since nothing polls.
+func TestStageFreesSlotWhenLendingRefused(t *testing.T) {
+	var allow atomic.Bool
+	var spares []int
+	general, lengthy := lendingPair(2, 1, func(spare int) bool {
+		spares = append(spares, spare) // called under general's lock
+		return allow.Load()
+	})
+	mustHold(t, general)
+	mustHold(t, general)
+	mustHold(t, lengthy)
+	w := queueWaiters(t, lengthy, 1)[0]
+
+	general.Leave()
+	if g := general.Stats(); g.Busy != 1 || g.Lent != 0 || lengthy.Depth() != 1 || w.isInside() {
+		t.Fatalf("refused lend: general %+v, lengthy depth %d", g, lengthy.Depth())
+	}
+	allow.Store(true)
+	time.Sleep(10 * time.Millisecond)
+	if w.isInside() || lengthy.Depth() != 1 {
+		t.Fatal("a waiter took a free slot with no release")
+	}
+	general.Leave()
+	w.await(t)
+	if w.held != general {
+		t.Fatalf("waiter holds %s's slot", w.held.Name())
+	}
+	// Each check saw the spare count after its release: 1 of 2, then 2.
+	if len(spares) != 2 || spares[0] != 1 || spares[1] != 2 {
+		t.Fatalf("lend checked spare counts %v, want [1 2]", spares)
+	}
+	if g := general.Stats(); g.Busy != 1 || g.Lent != 1 || g.Spare != 1 {
+		t.Fatalf("after the lend: %+v", g)
+	}
+	close(w.release)
+	lengthy.Leave()
+	general.Stop()
+	lengthy.Stop()
+}
+
+// TestStageStopWaitsForLentHolder: a lent slot stays busy on the lender,
+// so the lender's Stop returns only once its holder has left; a
+// Submitted item that is lent a slot gives it back to the lender too.
+func TestStageStopWaitsForLentHolder(t *testing.T) {
+	general, lengthy := lendingPair(1, 1, func(int) bool { return true })
+	mustHold(t, general)
+	mustHold(t, lengthy)
+	w := queueWaiters(t, lengthy, 1)[0]
+	general.Leave()
+	w.await(t)
+
+	stopped := make(chan struct{})
+	go func() {
+		general.Stop()
+		close(stopped)
+	}()
+	waitFor(t, func() bool { return general.Stats().Closed })
+	select {
+	case <-stopped:
+		t.Fatal("general's Stop returned while its lent slot was held")
+	case <-time.After(10 * time.Millisecond):
+	}
+	close(w.release)
+	<-stopped
+	if g, l := general.Stats(), lengthy.Stats(); g.Busy != 0 || g.Completed != 2 || l.Busy != 1 || l.Completed != 0 {
+		t.Fatalf("after the lent holder left: %+v, %+v", g, l)
+	}
+	lengthy.Leave()
+	lengthy.Stop()
+
+	ran := make(chan struct{})
+	general = New(Config[int]{Name: "general", Workers: 1})
+	lengthy = New(Config[int]{Name: "lengthy", Workers: 1, Work: func(int) { close(ran) }})
+	general.LendTo(lengthy, func(int) bool { return true })
+	mustHold(t, general)
+	mustHold(t, lengthy)
+	if err := lengthy.Submit(1); err != nil {
+		t.Fatal(err)
+	}
+	general.Leave()
+	<-ran
+	general.Stop()
+	if g, l := general.Stats(), lengthy.Stats(); g.Busy != 0 || g.Completed != 2 || g.Lent != 1 || l.Busy != 1 || l.Depth != 0 {
+		t.Fatalf("after the lent Submit: %+v, %+v", g, l)
+	}
+	lengthy.Leave()
+	lengthy.Stop()
+}
+
+// TestStageLendingStatsExact walks a lending pair through a known
+// sequence and checks both stages' counters at each step: a lent slot
+// counts in the borrower's Dequeued and, when its holder leaves, in the
+// lender's Completed, and stays in the lender's Busy throughout.
+func TestStageLendingStatsExact(t *testing.T) {
+	general, lengthy := lendingPair(2, 1, func(int) bool { return true })
+	type want struct {
+		busy, depth int
+		enq, deq    int64
+		done, lent  int64
+	}
+	check := func(step string, s *Stage[int], w want) {
+		t.Helper()
+		st := s.Stats()
+		if st.Busy != w.busy || st.Spare != st.Workers-w.busy || st.Depth != w.depth ||
+			st.Enqueued != w.enq || st.Dequeued != w.deq || st.Completed != w.done || st.Lent != w.lent {
+			t.Fatalf("%s: %s = %+v, want %+v", step, s.Name(), st, w)
+		}
+		if st.Enqueued != st.Dequeued+int64(st.Depth) {
+			t.Fatalf("%s: %s: Enqueued != Dequeued + Depth: %+v", step, s.Name(), st)
+		}
+	}
+	mustHold(t, general)
+	mustHold(t, general)
+	mustHold(t, lengthy)
+	ws := queueWaiters(t, lengthy, 2)
+	check("full", general, want{busy: 2, enq: 2, deq: 2})
+	check("full", lengthy, want{busy: 1, depth: 2, enq: 3, deq: 1})
+
+	general.Leave()
+	ws[1].await(t)
+	check("lent", general, want{busy: 2, enq: 2, deq: 2, done: 1, lent: 1})
+	check("lent", lengthy, want{busy: 1, depth: 1, enq: 3, deq: 2})
+
+	lengthy.Leave()
+	ws[0].await(t)
+	check("handed over", general, want{busy: 2, enq: 2, deq: 2, done: 1, lent: 1})
+	check("handed over", lengthy, want{busy: 1, enq: 3, deq: 3, done: 1})
+
+	close(ws[1].release)
+	waitFor(t, func() bool { return general.Stats().Completed == 2 })
+	check("lent holder left", general, want{busy: 1, enq: 2, deq: 2, done: 2, lent: 1})
+
+	close(ws[0].release)
+	waitFor(t, func() bool { return lengthy.Stats().Completed == 2 })
+	check("lengthy drained", lengthy, want{enq: 3, deq: 3, done: 2})
+
+	general.Leave()
+	general.Stop()
+	lengthy.Stop()
+	check("stopped", general, want{enq: 2, deq: 2, done: 3, lent: 1})
+	check("stopped", lengthy, want{enq: 3, deq: 3, done: 2})
+}
+
+// TestStageLendingHammer: callers of both stages contend while the lend
+// check flips. General's slots, lent ones included, are never more than
+// its Workers, lengthy's own never more than its, and every Enter is
+// matched by exactly one Leave on the stage it reported.
+func TestStageLendingHammer(t *testing.T) {
+	const goroutines, rounds, gWorkers, lWorkers = 32, 200, 3, 1
+	var flip atomic.Int64
+	general, lengthy := lendingPair(gWorkers, lWorkers, func(spare int) bool {
+		if spare < 1 || spare > gWorkers {
+			t.Errorf("lend asked with spare %d of %d", spare, gWorkers)
+		}
+		return flip.Add(1)%3 != 0
+	})
+	var inside [2]atomic.Int64 // 0: general's slots, 1: lengthy's
+	var entered [2]atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				s := general
+				if (g+r)%2 == 0 {
+					s = lengthy
+				}
+				held, err := s.Enter()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if held != s && (s != lengthy || held != general) {
+					t.Errorf("Enter on %s reported %s", s.Name(), held.Name())
+					return
+				}
+				i, limit := 0, int64(gWorkers)
+				if held == lengthy {
+					i, limit = 1, lWorkers
+				}
+				entered[i].Add(1)
+				if n := inside[i].Add(1); n > limit {
+					t.Errorf("%d callers inside %s's %d slots", n, held.Name(), limit)
+				}
+				if r%16 == 0 {
+					for _, st := range []Stats{general.Stats(), lengthy.Stats()} {
+						if st.Enqueued != st.Dequeued+int64(st.Depth) || st.Busy > st.Workers || st.Busy < 0 {
+							t.Errorf("unbalanced snapshot: %+v", st)
+						}
+					}
+				}
+				inside[i].Add(-1)
+				held.Leave()
+			}
+		}()
+	}
+	wg.Wait()
+	if g := general.Stats(); g.Busy != 0 {
+		t.Fatalf("general busy %d with every caller gone", g.Busy)
+	}
+	general.Stop()
+	lengthy.Stop()
+	g, l := general.Stats(), lengthy.Stats()
+	if g.Completed != entered[0].Load() || l.Completed != entered[1].Load() {
+		t.Fatalf("Leaves %d/%d, Enters reporting general/lengthy %d/%d",
+			g.Completed, l.Completed, entered[0].Load(), entered[1].Load())
+	}
+	if g.Busy != 0 || l.Busy != 0 || g.Depth != 0 || l.Depth != 0 ||
+		g.Enqueued+l.Enqueued != goroutines*rounds || g.Completed+l.Completed != goroutines*rounds ||
+		g.Completed != g.Dequeued+g.Lent || l.Dequeued != l.Completed+g.Lent {
+		t.Fatalf("after the hammer: %+v, %+v", g, l)
+	}
+	t.Logf("general lent %d of %d lengthy entries", g.Lent, l.Dequeued)
 }
 
 func TestGraphLifecycleAndStats(t *testing.T) {
@@ -404,23 +731,47 @@ func (n *stopNoter) Stop() {
 }
 
 // waiter is a background caller of Enter: inside is closed once it holds
-// a slot, and it Leaves when release is closed.
+// a slot of the stage held, and it Leaves that stage when release is
+// closed.
 type waiter struct {
 	inside, release chan struct{}
+	held            *Stage[int] // set before inside is closed
 }
 
 func enterInBackground(t *testing.T, s *Stage[int]) *waiter {
 	w := &waiter{inside: make(chan struct{}), release: make(chan struct{})}
 	go func() {
-		if err := s.Enter(); err != nil {
+		held, err := s.Enter()
+		if err != nil {
 			t.Errorf("background Enter: %v", err)
 			return
 		}
+		w.held = held
 		close(w.inside)
 		<-w.release
-		s.Leave()
+		held.Leave()
 	}()
 	return w
+}
+
+// await waits until w holds a slot, failing the test after 5 s.
+func (w *waiter) await(t *testing.T) {
+	t.Helper()
+	select {
+	case <-w.inside:
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter never got a slot")
+	}
+}
+
+// isInside reports whether w holds a slot yet.
+func (w *waiter) isInside() bool {
+	select {
+	case <-w.inside:
+		return true
+	default:
+		return false
+	}
 }
 
 func waitFor(t *testing.T, cond func() bool) {

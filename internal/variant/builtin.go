@@ -38,6 +38,9 @@ const (
 	ProbeDispatchGeneral = "dispatch.general"
 	// ProbeDispatchLengthy counts Table 1 dispatches to the lengthy pool.
 	ProbeDispatchLengthy = "dispatch.lengthy"
+	// ProbeDispatchLent counts general slots lent to lengthy waiters when
+	// Table 1 held at their release.
+	ProbeDispatchLent = "dispatch.lent"
 	// ProbeServed counts completed requests.
 	ProbeServed = "served.total"
 	// ProbeDBInUse is the database tier's in-use connection gauge.
@@ -259,8 +262,9 @@ func buildModified(env Env) (Instance, error) {
 			{ProbeQueueLengthy, func() float64 { return float64(srv.LengthyQueueLen()) }},
 			{ProbeReserve, func() float64 { return float64(srv.Reserve()) }},
 			{ProbeSpare, func() float64 { return float64(srv.Spare()) }},
-			{ProbeDispatchGeneral, func() float64 { g, _ := srv.DispatchCounts(); return float64(g) }},
-			{ProbeDispatchLengthy, func() float64 { _, le := srv.DispatchCounts(); return float64(le) }},
+			{ProbeDispatchGeneral, func() float64 { g, _, _ := srv.DispatchCounts(); return float64(g) }},
+			{ProbeDispatchLengthy, func() float64 { _, le, _ := srv.DispatchCounts(); return float64(le) }},
+			{ProbeDispatchLent, func() float64 { _, _, lent := srv.DispatchCounts(); return float64(lent) }},
 			{ProbeServed, func() float64 { return float64(srv.Served()) }},
 		}, tierProbes(tier)...),
 	}, nil
