@@ -1,13 +1,15 @@
-// Command vetcheck is the repo's invariant checker: the four custom
-// analyzers in internal/analysis plus the lintallow escape-comment
-// auditor, run over package patterns:
+// Command vetcheck is the repo's invariant checker: the wallclock and
+// locksleep analyzers in internal/analysis plus the lintallow
+// escape-comment auditor, run over package patterns:
 //
 //	go run ./cmd/vetcheck ./...
 //
 // It loads the packages itself through framework.Standalone (`go list
 // -export`), prints every diagnostic, and exits 1 if there is any. See
 // the README "Static analysis" section for the invariants and the
-// //lint:allow escape-hatch syntax.
+// //lint:allow escape-hatch syntax. Its tests add the whole-program
+// checks: the module analyzes clean, every exported name has a reader,
+// and the README documents every probe name and settings key.
 package main
 
 import (
@@ -17,8 +19,6 @@ import (
 
 	"stagedweb/internal/analysis/framework"
 	"stagedweb/internal/analysis/locksleep"
-	"stagedweb/internal/analysis/probenames"
-	"stagedweb/internal/analysis/settingskeys"
 	"stagedweb/internal/analysis/wallclock"
 )
 
@@ -28,8 +28,6 @@ func analyzers() []*framework.Analyzer {
 	suite := []*framework.Analyzer{
 		wallclock.Analyzer,
 		locksleep.Analyzer,
-		probenames.Analyzer,
-		settingskeys.Analyzer,
 	}
 	names := make([]string, len(suite))
 	for i, a := range suite {

@@ -73,12 +73,12 @@
 // replication modes. See the README's "Dependability" section.
 //
 // The invariants none of this encodes in types — timing flows through
-// the injected clock.Clock, nothing sleeps while holding a lock, probe
-// names and settings keys stay in their canonical catalogs — are
-// machine-checked by cmd/vetcheck, four custom analyzers
+// the injected clock.Clock, nothing sleeps while holding a lock — are
+// machine-checked by cmd/vetcheck, two custom analyzers
 // (internal/analysis) that CI runs with `go run ./cmd/vetcheck ./...` on
 // every push; its tests also fail on any exported name that nothing
-// outside tests reads. Genuinely wall-bound sites are exempted in place
+// outside tests reads, and on any probe name or settings key the README
+// tables do not document. Genuinely wall-bound sites are exempted in place
 // with //lint:allow analyzer(reason) comments; see the README's "Static
 // analysis" section.
 //

@@ -275,7 +275,7 @@ func (b *Balancer) Probes() []variant.Probe {
 	for _, a := range order {
 		gauges := a.gauges
 		probes = append(probes, variant.Probe{
-			Name: a.name, //lint:allow probenames(aggregated names originate from the shard instances' own registered probe constants)
+			Name: a.name,
 			Gauge: func() float64 {
 				var sum float64
 				for _, g := range gauges {
