@@ -8,8 +8,9 @@
 // -export`), prints every diagnostic, and exits 1 if there is any. See
 // the README "Static analysis" section for the invariants and the
 // //lint:allow escape-hatch syntax. Its tests add the whole-program
-// checks: the module analyzes clean, every exported name has a reader,
-// and the README documents every probe name and settings key.
+// checks: the module analyzes clean and every exported name has a
+// reader. The tests of internal/analysis/catalog hold every probe name
+// and settings key to the README.
 package main
 
 import (

@@ -2,13 +2,7 @@ package main
 
 import (
 	"go/ast"
-	"go/constant"
-	"go/token"
 	"go/types"
-	"maps"
-	"os"
-	"regexp"
-	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -266,225 +260,4 @@ func (s *surface) satisfiedInterfaces(pass *framework.Pass) {
 			}
 		}
 	}
-}
-
-// computedProbeNames lists the functions that build a variant.Probe
-// whose Name is not a constant, each with the reason its names are
-// covered anyway. Keys are spelled as in keptForTests.
-var computedProbeNames = map[string]string{
-	"internal/cluster.Balancer.Probes": "re-exports each shard's own probes, summed across shards, under the shard's names",
-}
-
-var (
-	// probeNameShape is dotted lowercase with at least two segments
-	// ("db.inuse", not "dbInUse").
-	probeNameShape = regexp.MustCompile(`^[a-z][a-z0-9]*(\.[a-z0-9]+)+$`)
-	// settingsKeyShape is one lowercase word ("minreserve", not
-	// "min-reserve" or "minReserve").
-	settingsKeyShape = regexp.MustCompile(`^[a-z][a-z0-9]*$`)
-	// decodeMethods are the variant.Decoder methods whose first
-	// argument is a settings key.
-	decodeMethods = map[string]bool{"Int": true, "Bool": true, "Float": true, "Enum": true, "Duration": true, "String": true}
-)
-
-// TestReadmeDocumentsEveryName holds the module's two string-keyed name
-// spaces to README.md in both directions. From non-test code it
-// collects every name the harness can sample (the Probe*/Series* string
-// constants and the constant Name of every variant.Probe literal) and
-// every key passed to a variant.Decoder method. From the README it
-// reads the first column of each table headed "Series", and the
-// settings table's "Key" column and each "Settings" column. A name on
-// one side only fails, as do a badly shaped name, two probe constants
-// with one value, a decoder key that is not a constant, and a computed
-// probe name outside computedProbeNames.
-func TestReadmeDocumentsEveryName(t *testing.T) {
-	n := &names{probes: map[string]string{}, keys: map[string]string{}, consts: map[string]string{}, computed: map[string]bool{}}
-	collector := &framework.Analyzer{Name: "names", Doc: "collect probe names and settings keys", Run: n.collect}
-	findings, err := framework.Standalone("", []*framework.Analyzer{collector}, "stagedweb/...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range findings {
-		t.Errorf("%s", f)
-	}
-	readme, err := os.ReadFile("../../README.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	docProbes, docKeys := readmeNames(string(readme))
-	compareNames(t, "probe name", n.probes, docProbes)
-	compareNames(t, "settings key", n.keys, docKeys)
-	for site, reason := range computedProbeNames {
-		switch {
-		case reason == "":
-			t.Errorf("computedProbeNames[%s] has no reason", site)
-		case !n.computed[site]:
-			t.Errorf("computedProbeNames[%s] builds no probe with a computed name; drop the entry", site)
-		}
-	}
-}
-
-// compareNames fails on a name the code declares and the README does
-// not document, and on a documented name no code declares.
-func compareNames(t *testing.T, kind string, code map[string]string, readme map[string]bool) {
-	t.Helper()
-	for _, name := range slices.Sorted(maps.Keys(code)) {
-		if !readme[name] {
-			t.Errorf("%s: %s %q has no row in a README table", code[name], kind, name)
-		}
-	}
-	for _, name := range slices.Sorted(maps.Keys(readme)) {
-		if _, ok := code[name]; !ok {
-			t.Errorf("README documents %s %q, which no code declares", kind, name)
-		}
-	}
-}
-
-// names accumulates, across the packages of one load, the probe names
-// and settings keys (each → position of its first use) and the probe
-// constants (value → the first constant's name).
-type names struct {
-	probes, keys map[string]string
-	consts       map[string]string
-	computed     map[string]bool // computedProbeNames sites seen
-}
-
-// collect records one package's names and reports any that break the
-// rules TestReadmeDocumentsEveryName states.
-func (n *names) collect(pass *framework.Pass) error {
-	path := strings.TrimPrefix(strings.TrimPrefix(pass.Pkg.Path(), mainModule), "/")
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			site := path
-			if fd, ok := decl.(*ast.FuncDecl); ok {
-				site = key(pass.TypesInfo.Defs[fd.Name])
-			}
-			ast.Inspect(decl, func(node ast.Node) bool {
-				switch node := node.(type) {
-				case *ast.ValueSpec:
-					n.probeConstants(pass, node)
-				case *ast.CompositeLit:
-					n.probeLiteral(pass, site, node)
-				case *ast.CallExpr:
-					n.decoderKey(pass, node)
-				}
-				return true
-			})
-		}
-	}
-	return nil
-}
-
-func (n *names) probeConstants(pass *framework.Pass, spec *ast.ValueSpec) {
-	for _, id := range spec.Names {
-		c, ok := pass.TypesInfo.Defs[id].(*types.Const)
-		if !ok || c.Val().Kind() != constant.String || !strings.HasPrefix(id.Name, "Probe") && !strings.HasPrefix(id.Name, "Series") {
-			continue
-		}
-		val := constant.StringVal(c.Val())
-		if first, dup := n.consts[val]; dup {
-			pass.Reportf(id.Pos(), "duplicate probe name %q: const %s has it too", val, first)
-			continue
-		}
-		n.consts[val] = id.Name
-		n.probe(pass, id.Pos(), val)
-	}
-}
-
-func (n *names) probeLiteral(pass *framework.Pass, site string, lit *ast.CompositeLit) {
-	tv, ok := pass.TypesInfo.Types[lit]
-	if !ok || !framework.NamedType(tv.Type, "stagedweb/internal/variant", "Probe") || len(lit.Elts) == 0 {
-		return
-	}
-	name := lit.Elts[0] // positional: Name is the first field
-	if _, keyed := name.(*ast.KeyValueExpr); keyed {
-		name = nil
-		for _, elt := range lit.Elts {
-			if kv := elt.(*ast.KeyValueExpr); kv.Key.(*ast.Ident).Name == "Name" {
-				name = kv.Value
-			}
-		}
-		if name == nil {
-			return
-		}
-	}
-	switch val := pass.TypesInfo.Types[name].Value; {
-	case val != nil && val.Kind() == constant.String:
-		n.probe(pass, name.Pos(), constant.StringVal(val))
-	case computedProbeNames[site] != "":
-		n.computed[site] = true
-	default:
-		pass.Reportf(name.Pos(), "probe name is computed, not a constant: use a constant, or list %s in computedProbeNames with a reason", site)
-	}
-}
-
-func (n *names) probe(pass *framework.Pass, pos token.Pos, val string) {
-	if !probeNameShape.MatchString(val) {
-		pass.Reportf(pos, "probe name %q is not dotted lowercase (want e.g. %q)", val, "db.inuse")
-	} else if n.probes[val] == "" {
-		n.probes[val] = pass.Fset.Position(pos).String()
-	}
-}
-
-func (n *names) decoderKey(pass *framework.Pass, call *ast.CallExpr) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || !decodeMethods[sel.Sel.Name] || len(call.Args) == 0 {
-		return
-	}
-	if tv, ok := pass.TypesInfo.Types[sel.X]; !ok || !framework.NamedType(tv.Type, "stagedweb/internal/variant", "Decoder") {
-		return
-	}
-	arg := call.Args[0]
-	val := pass.TypesInfo.Types[arg].Value
-	if val == nil || val.Kind() != constant.String {
-		pass.Reportf(arg.Pos(), "settings key is computed, not a constant")
-		return
-	}
-	switch k := constant.StringVal(val); {
-	case !settingsKeyShape.MatchString(k):
-		pass.Reportf(arg.Pos(), "settings key %q is not a lowercase word (want e.g. %q)", k, "minreserve")
-	case n.keys[k] == "":
-		n.keys[k] = pass.Fset.Position(arg.Pos()).String()
-	}
-}
-
-// readmeNames reads the README's tables. The first column of a table
-// headed "Series" gives sampled names; the "Key" column of the settings
-// table and every "Settings" column give settings keys. Each name is
-// one backquoted token; a series token may share a prefix across
-// names, as `throughput.all/static` does for throughput.all and
-// throughput.static.
-func readmeNames(readme string) (probes, keys map[string]bool) {
-	probes, keys = map[string]bool{}, map[string]bool{}
-	tick := regexp.MustCompile("`([^`]+)`")
-	var header []string
-	for _, line := range strings.Split(readme, "\n") {
-		if !strings.HasPrefix(line, "|") {
-			header = nil
-			continue
-		}
-		cells := strings.Split(strings.Trim(strings.ReplaceAll(line, `\|`, "/"), "| "), "|")
-		for i := range cells {
-			cells[i] = strings.TrimSpace(cells[i])
-		}
-		if header == nil {
-			header = cells
-			continue
-		}
-		for i, cell := range cells[:min(len(cells), len(header))] {
-			for _, m := range tick.FindAllStringSubmatch(cell, -1) {
-				switch tok := m[1]; {
-				case i == 0 && header[0] == "Series":
-					first, _, _ := strings.Cut(tok, "/")
-					prefix := first[:strings.LastIndex(first, ".")+1]
-					for _, leaf := range strings.Split(tok[len(prefix):], "/") {
-						probes[prefix+leaf] = true
-					}
-				case i == 0 && header[0] == "Key", strings.HasPrefix(header[i], "Settings"):
-					keys[tok] = true
-				}
-			}
-		}
-	}
-	return probes, keys
 }

@@ -77,8 +77,8 @@
 // machine-checked by cmd/vetcheck, two custom analyzers
 // (internal/analysis) that CI runs with `go run ./cmd/vetcheck ./...` on
 // every push; its tests also fail on any exported name that nothing
-// outside tests reads, and on any probe name or settings key the README
-// tables do not document. Genuinely wall-bound sites are exempted in place
+// outside tests reads, and internal/analysis/catalog's tests on any
+// probe name or settings key the README tables do not document. Genuinely wall-bound sites are exempted in place
 // with //lint:allow analyzer(reason) comments; see the README's "Static
 // analysis" section.
 //
