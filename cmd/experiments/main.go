@@ -1,9 +1,9 @@
 // Command experiments reproduces the DSN'09 evaluation: it sweeps the
-// TPC-W browsing mix over registered server variants and prints the
-// paper's tables and figures. Variants come from the internal/variant
-// registry, so a newly registered topology is available here with zero
-// edits (-variants name1,name2,...). Every -exp mode is one row of the
-// experiments table below; adding an experiment is adding a row.
+// TPC-W browsing mix over server variants and prints the paper's tables
+// and figures. Variants come from the internal/variant table, so a new
+// entry there is available here with zero edits (-variants
+// name1,name2,...). Every -exp mode is one row of the experiments table
+// below; adding an experiment is adding a row.
 //
 // Usage:
 //
@@ -112,7 +112,7 @@ type setup struct {
 	csvDir, jsonDir         string
 	scale                   float64
 	quick                   bool
-	ebs, parallel           int
+	ebs                     int
 	measure                 time.Duration
 	seed                    int64
 	sets, loadSets          variant.SettingsFlag
@@ -141,13 +141,12 @@ func run(args []string, out io.Writer) error {
 	fs.StringVar(&s.jsonDir, "json", "", "directory to write per-scenario result JSON into")
 	fs.Int64Var(&s.seed, "seed", 1, "workload seed")
 	fs.StringVar(&s.variants, "variants", variant.Unmodified+","+variant.Modified,
-		"comma-separated registered variants; the first is the comparison baseline (registered: "+strings.Join(variant.Names(), ", ")+")")
-	fs.StringVar(&s.loadProf, "load", "", "load profile driving the client side (registered: "+strings.Join(workload.Names(), ", ")+"; empty = steady)")
+		"comma-separated variants; the first is the comparison baseline (have: "+strings.Join(variant.Names(), ", ")+")")
+	fs.StringVar(&s.loadProf, "load", "", "load profile driving the client side (have: "+strings.Join(workload.Names(), ", ")+"; empty = steady)")
 	fs.StringVar(&s.mix, "mix", "", "TPC-W page mix: "+strings.Join(tpcw.MixNames(), ", ")+" (empty = browsing)")
 	fs.StringVar(&s.ebsSweep, "ebs-sweep", "", "comma-separated EB levels (e.g. 100,200,300,400): run the saturation ramp across every variant")
 	fs.StringVar(&s.replicas, "replicas", "1,2,4", "comma-separated replica counts swept by -exp scaleout and -exp mvcc (-exp shard uses the first level only)")
 	fs.StringVar(&s.shards, "shards", "1,2,4", "comma-separated shard counts swept by -exp shard")
-	fs.IntVar(&s.parallel, "parallel", 1, "concurrent sweep runs (>1 trades timing fidelity for wall time)")
 	fs.Var(&s.sets, "set", "variant setting `key=value` (repeatable), e.g. -set cutoff=3s")
 	fs.Var(&s.loadSets, "load-set", "load-profile setting `key=value` (repeatable), e.g. -load-set burst=300")
 	if err := fs.Parse(args); err != nil {
@@ -158,7 +157,7 @@ func run(args []string, out io.Writer) error {
 	}
 	if s.loadProf != "" {
 		if _, ok := workload.Lookup(s.loadProf); !ok {
-			return fmt.Errorf("unknown load profile %q (registered: %s)",
+			return fmt.Errorf("unknown load profile %q (have: %s)",
 				s.loadProf, strings.Join(workload.Names(), ", "))
 		}
 	}
@@ -201,8 +200,7 @@ func run(args []string, out io.Writer) error {
 	}
 	// A failed cell must not discard the completed ones: print whatever
 	// ran, emit its artifacts, and surface the error at the end.
-	sw, sweepErr := harness.SweepWith(context.Background(),
-		harness.SweepOptions{Parallelism: s.parallel, OnResult: progress}, cells)
+	sw, sweepErr := harness.Sweep(context.Background(), cells, progress)
 	fmt.Fprintln(out)
 	for _, show := range prints {
 		show(sw)

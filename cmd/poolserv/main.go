@@ -1,18 +1,18 @@
-// Command poolserv serves the TPC-W bookstore with any registered
-// server variant. It is the interactive face of the reproduction: start
-// it, point a browser or cmd/tpcwload at it, and watch the queue and
-// scheduling state.
+// Command poolserv serves the TPC-W bookstore with any server variant.
+// It is the interactive face of the reproduction: start it, point a
+// browser or cmd/tpcwload at it, and watch the queue and scheduling
+// state.
 //
-// -mode is a registry lookup (plus the aliases staged/baseline), and
+// -mode names a variant (modified, unmodified, modified-noreserve), and
 // variant knobs are generic -set key=value overrides — unknown keys are
 // startup errors, so typos do not pass silently:
 //
-//	poolserv -mode staged   -addr :8080
-//	poolserv -mode baseline -addr :8080 -workers 80
-//	poolserv -mode staged -items 10000 -scale 100 -stats 2s
+//	poolserv -mode modified   -addr :8080
+//	poolserv -mode unmodified -addr :8080 -set workers=80
+//	poolserv -mode modified -items 10000 -scale 100 -stats 2s
 //	poolserv -mode modified-noreserve          # t_reserve ablated
-//	poolserv -mode staged -set minreserve=15 -set cutoff=3s
-//	poolserv -mode staged -set general=32 -set lengthy=8 -set queuecap=1024
+//	poolserv -mode modified -set minreserve=15 -set cutoff=3s
+//	poolserv -mode modified -set general=32 -set lengthy=8 -set queuecap=1024
 package main
 
 import (
@@ -21,7 +21,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -40,46 +39,15 @@ func main() {
 	}
 }
 
-// modeAliases maps the historical -mode names onto registry names.
-var modeAliases = map[string]string{
-	"staged":   variant.Modified,
-	"baseline": variant.Unmodified,
-}
-
-func collectSettings(fs *flag.FlagSet, workers, general, lengthy *int, noReserve *bool, sets variant.Settings) variant.Settings {
-	// Legacy sizing flags become settings only when explicitly passed,
-	// so a variant that does not understand them ("-mode baseline
-	// -general 32") fails loudly instead of ignoring them. Explicit
-	// -set pairs win over the legacy aliases.
-	settings := variant.Settings{}
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "workers":
-			settings["workers"] = strconv.Itoa(*workers)
-		case "general":
-			settings["general"] = strconv.Itoa(*general)
-		case "lengthy":
-			settings["lengthy"] = strconv.Itoa(*lengthy)
-		case "noreserve":
-			settings["noreserve"] = strconv.FormatBool(*noReserve)
-		}
-	})
-	return settings.Merge(sets)
-}
-
 func run(args []string) error {
 	fs := flag.NewFlagSet("poolserv", flag.ContinueOnError)
 	var (
-		mode      = fs.String("mode", "staged", "server variant: a registered name ("+strings.Join(variant.Names(), ", ")+") or the aliases staged/baseline")
+		mode      = fs.String("mode", variant.Modified, "server variant ("+strings.Join(variant.Names(), ", ")+")")
 		addr      = fs.String("addr", "127.0.0.1:8080", "listen address")
 		items     = fs.Int("items", 10000, "item population")
 		customers = fs.Int("customers", 2880, "customer population")
 		orders    = fs.Int("orders", 2592, "order population")
 		scale     = fs.Float64("scale", 1, "timescale (1 = real time)")
-		workers   = fs.Int("workers", 80, "baseline worker/connection count (alias for -set workers=N)")
-		general   = fs.Int("general", 64, "staged general dynamic workers (alias for -set general=N)")
-		lengthy   = fs.Int("lengthy", 16, "staged lengthy dynamic workers (alias for -set lengthy=N)")
-		noReserve = fs.Bool("noreserve", false, "staged: disable the t_reserve controller (alias for -set noreserve=true)")
 		statsEach = fs.Duration("stats", 0, "print server stats every interval (0 = off)")
 		sets      variant.SettingsFlag
 	)
@@ -88,15 +56,10 @@ func run(args []string) error {
 		return err
 	}
 
-	name := *mode
-	if alias, ok := modeAliases[name]; ok {
-		name = alias
-	}
-	v, ok := variant.Lookup(name)
+	v, ok := variant.Lookup(*mode)
 	if !ok {
-		return fmt.Errorf("unknown mode %q (registered variants: %s)", *mode, strings.Join(variant.Names(), ", "))
+		return fmt.Errorf("unknown mode %q (have: %s)", *mode, strings.Join(variant.Names(), ", "))
 	}
-	settings := collectSettings(fs, workers, general, lengthy, noReserve, sets.Settings)
 
 	ts := clock.Timescale(*scale)
 	db := sqldb.Open(sqldb.Options{Timescale: ts})
@@ -121,14 +84,14 @@ func run(args []string) error {
 		DB:    db,
 		Scale: ts,
 		Cost:  server.DefaultWorkCost(),
-		Set:   settings,
+		Set:   sets.Settings,
 	})
 	if err != nil {
 		_ = l.Close()
 		return err
 	}
 	defer inst.Stop()
-	fmt.Printf("%s server on http://%s (try /home, /best_sellers?subject=ARTS)\n", name, l.Addr())
+	fmt.Printf("%s server on http://%s (try /home, /best_sellers?subject=ARTS)\n", *mode, l.Addr())
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)

@@ -1,65 +1,22 @@
 package main
 
 import (
-	"flag"
+	"strings"
 	"testing"
 
 	"stagedweb/internal/variant"
 )
 
-// newTestFlags mirrors run()'s flag definitions for collectSettings.
-func newTestFlags() (*flag.FlagSet, *int, *int, *int, *bool, *variant.SettingsFlag) {
-	fs := flag.NewFlagSet("poolserv", flag.ContinueOnError)
-	workers := fs.Int("workers", 80, "")
-	general := fs.Int("general", 64, "")
-	lengthy := fs.Int("lengthy", 16, "")
-	noReserve := fs.Bool("noreserve", false, "")
-	var sets variant.SettingsFlag
-	fs.Var(&sets, "set", "")
-	return fs, workers, general, lengthy, noReserve, &sets
-}
-
-func TestCollectSettings(t *testing.T) {
-	fs, w, g, le, nr, sets := newTestFlags()
-	if err := fs.Parse([]string{"-general", "32", "-noreserve", "-set", "minreserve=15", "-set", "cutoff=3s"}); err != nil {
-		t.Fatal(err)
+// TestUnknownMode: a -mode that names no variant fails before the
+// database is populated, and the error lists every variant name.
+func TestUnknownMode(t *testing.T) {
+	err := run([]string{"-mode", "staged"})
+	if err == nil {
+		t.Fatal("unknown mode accepted")
 	}
-	got := collectSettings(fs, w, g, le, nr, sets.Settings)
-	want := variant.Settings{"general": "32", "noreserve": "true", "minreserve": "15", "cutoff": "3s"}
-	if len(got) != len(want) {
-		t.Fatalf("settings = %v, want %v", got, want)
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Errorf("settings[%s] = %q, want %q", k, got[k], v)
-		}
-	}
-	// Defaulted legacy flags must NOT leak into settings: -workers was
-	// never passed, so a non-baseline variant is not poisoned by it.
-	if _, leaked := got["workers"]; leaked {
-		t.Error("unset -workers leaked into settings")
-	}
-
-	// An explicit -set wins over its legacy alias.
-	fs, w, g, le, nr, sets = newTestFlags()
-	if err := fs.Parse([]string{"-general", "32", "-set", "general=8"}); err != nil {
-		t.Fatal(err)
-	}
-	if got := collectSettings(fs, w, g, le, nr, sets.Settings); got["general"] != "8" {
-		t.Errorf("-set did not override legacy flag: %v", got)
-	}
-
-	// Malformed -set pairs fail at flag-parse time.
-	fs, _, _, _, _, _ = newTestFlags()
-	if err := fs.Parse([]string{"-set", "nonsense"}); err == nil {
-		t.Error("malformed -set accepted")
-	}
-}
-
-func TestModeAliases(t *testing.T) {
-	for alias, want := range modeAliases {
-		if _, ok := variant.Lookup(want); !ok {
-			t.Errorf("alias %q points at unregistered variant %q", alias, want)
+	for _, name := range variant.Names() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list %q", err, name)
 		}
 	}
 }

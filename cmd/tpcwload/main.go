@@ -1,8 +1,8 @@
 // Command tpcwload drives a TPC-W workload against a running poolserv
 // instance and reports client-side response times. The offered load is
-// a registered load profile (steady, spike, open-loop) configured
-// through generic -load-set key=value settings, and the page mix is
-// selectable — the same registry the experiment harness uses.
+// a load profile (steady, spike, open-loop) configured through generic
+// -load-set key=value settings, and the page mix is selectable — the
+// same profile table the experiment harness uses.
 //
 // Usage:
 //
@@ -40,7 +40,7 @@ func run(args []string) error {
 	var (
 		addr      = fs.String("addr", "127.0.0.1:8080", "server address")
 		ebs       = fs.Int("ebs", 100, "base emulated-browser population")
-		loadProf  = fs.String("load", workload.Steady, "load profile (registered: "+strings.Join(workload.Names(), ", ")+")")
+		loadProf  = fs.String("load", workload.Steady, "load profile ("+strings.Join(workload.Names(), ", ")+")")
 		mixName   = fs.String("mix", "", "TPC-W page mix: "+strings.Join(tpcw.MixNames(), ", ")+" (empty = browsing)")
 		duration  = fs.Duration("duration", time.Minute, "run duration (paper time)")
 		scale     = fs.Float64("scale", 1, "timescale (match the server's)")
@@ -56,7 +56,7 @@ func run(args []string) error {
 	}
 	p, ok := workload.Lookup(*loadProf)
 	if !ok {
-		return fmt.Errorf("unknown load profile %q (registered: %s)",
+		return fmt.Errorf("unknown load profile %q (have: %s)",
 			*loadProf, strings.Join(workload.Names(), ", "))
 	}
 	mix, err := tpcw.MixByName(*mixName)

@@ -37,6 +37,7 @@ var keptForTests = map[string]string{
 	"internal/dbtier.Tier.Sync":               "the replica oracle: a barrier before comparing primary and replicas",
 	"internal/dbtier.Tier.ReplayErrors":       "the replica replay-failure oracle of the replication tests",
 	"internal/harness.SeriesMean":             "the root benchmarks report series means through it",
+	"internal/sqldb.DB.MustCreateTable":       "the schema setup of eighteen test files",
 	"internal/sqldb.DB.OpenConns":             "backs the connection-leak assertions of the server, tier and variant tests",
 	"internal/sqldb.DB.ReplLog":               "the variant tests assert a failed build leaves the database unreplicated",
 	"internal/sqldb.DB.Snapshot":              "the MVCC tests' reference read, and the hook for an isolation checker",
@@ -46,6 +47,7 @@ var keptForTests = map[string]string{
 	"internal/sqldb.Snapshot.TS":              "part of DB.Snapshot's read view",
 	"internal/webtest.App.AddStatic":          "webtest's test helpers stay until the package becomes test-only",
 	"internal/webtest.App.AddTemplate":        "webtest's test helpers stay until the package becomes test-only",
+	"internal/webtest.Get":                    "the one-shot GET of seven test files, and the only non-test reader of Dial and Client.Do",
 	"internal/webtest.RaceEnabled":            "webtest's test helpers stay until the package becomes test-only",
 	"internal/webtest.WaitUntil":              "webtest's test helpers stay until the package becomes test-only",
 }

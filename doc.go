@@ -14,11 +14,11 @@
 // embedded relational database with table locks and a latency cost model
 // (internal/sqldb), an HTTP/1.1 wire implementation with two-phase
 // header parsing (internal/httpwire), the TPC-W bookstore, its page
-// mixes, and a dynamic emulated-browser fleet whose load-profile
-// registry makes offered load — steady state, flash crowds, ramps,
-// diurnal waves, open-loop arrivals — a named first-class value
-// (internal/tpcw, internal/workload), and the experiment harness
-// that regenerates the paper's tables and figures (internal/harness).
+// mixes, and a dynamic emulated-browser fleet whose load-profile table
+// makes offered load — steady state, flash crowds, open-loop arrivals —
+// a named first-class value (internal/tpcw, internal/workload), and the
+// experiment harness that regenerates the paper's tables and figures
+// (internal/harness).
 //
 // Scaling past one database, internal/dbtier fronts a primary plus N-1
 // cloned read replicas behind the same Conn-shaped Query/Exec surface
@@ -56,7 +56,7 @@
 // arrivals.
 //
 // Failure itself is a named, replayable input: internal/faults is a
-// fault-plan registry symmetric with the load profiles (replica-kill,
+// fault-plan table symmetric with the load profiles (replica-kill,
 // shard-down, slow-backend, conn-drop, leak), scheduling every
 // injection on the injected clock in paper time so plans replay
 // deterministically under clock.Manual. The system survives them by

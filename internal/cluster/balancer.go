@@ -28,9 +28,17 @@ var ErrShardDown = errors.New("cluster: shard down")
 // wedging reply-after-all forever on a dead shard.
 var ErrFanoutDeadline = errors.New("cluster: fan-out deadline exceeded")
 
+// lbWorkers is the LB stage's slot count. Fan-out requests hold a slot
+// while every shard answers, so it bounds concurrent cross-shard work
+// too.
+const lbWorkers = 16
+
+// fanoutDeadline bounds how long a cross-shard fan-out waits for every
+// shard, in paper time, before degrading to the responses in hand.
+const fanoutDeadline = 10 * time.Second
+
 // Failover defaults, in paper time where durations.
 const (
-	defaultFanoutDeadline   = 10 * time.Second
 	defaultRetries          = 2
 	defaultRetryBackoff     = 100 * time.Millisecond
 	defaultBreakerThreshold = 5
@@ -115,17 +123,11 @@ func New(opts Options, shards []variant.Instance, route RouteFunc) (*Balancer, e
 	default:
 		return nil, fmt.Errorf("cluster: unknown lb policy %q (want %s|%s)", opts.LB, LBHash, LBRR)
 	}
-	if opts.Workers <= 0 {
-		opts.Workers = 16
-	}
 	if opts.Clock == nil {
 		opts.Clock = clock.Real{}
 	}
 	if opts.Scale <= 0 {
 		opts.Scale = clock.RealTime
-	}
-	if opts.FanoutDeadline == 0 {
-		opts.FanoutDeadline = defaultFanoutDeadline
 	}
 	if opts.Retries == 0 {
 		opts.Retries = defaultRetries
@@ -141,7 +143,7 @@ func New(opts Options, shards []variant.Instance, route RouteFunc) (*Balancer, e
 	if opts.BreakerCooldown <= 0 {
 		opts.BreakerCooldown = defaultBreakerCooldown
 	}
-	ring, err := NewRing(opts.Shards, opts.VNodes)
+	ring, err := NewRing(opts.Shards, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -156,11 +158,7 @@ func New(opts Options, shards []variant.Instance, route RouteFunc) (*Balancer, e
 		down:     make([]atomic.Bool, opts.Shards),
 		breakers: make([]breaker, opts.Shards),
 	}
-	b.lb = stage.New(stage.Config[struct{}]{
-		Name:     "lb",
-		Workers:  opts.Workers,
-		QueueCap: opts.QueueCap,
-	})
+	b.lb = stage.New(stage.Config[struct{}]{Name: "lb", Workers: lbWorkers})
 	b.graph = stage.NewGraph().Add(b.lb)
 	b.tr = server.NewTransport(server.TransportConfig{Clock: opts.Clock, Scale: opts.Scale})
 	return b, nil
@@ -522,10 +520,7 @@ func (b *Balancer) fanout(j *job) (*[]byte, error) {
 	}
 	replies := make([]*[]byte, n)
 	errs := make([]error, n)
-	var deadline <-chan time.Time
-	if d := b.opts.FanoutDeadline; d > 0 {
-		deadline = b.clk.After(b.scale.Wall(d))
-	}
+	deadline := b.clk.After(b.scale.Wall(fanoutDeadline))
 	timedOut := false
 	for got := 0; got < n && !timedOut; {
 		select {

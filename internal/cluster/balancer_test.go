@@ -24,11 +24,11 @@ func bootCluster(t *testing.T, manual *clock.Manual, n int, lb string) (*cluster
 }
 
 // bootClusterOpts is bootCluster with the full balancer option surface
-// exposed — the failover tests shorten fan-out deadlines, retry
-// backoffs, and breaker cooldowns so failure paths fire in test time.
+// exposed — the failover tests compress the timescale and shorten retry
+// backoffs and breaker cooldowns so failure paths fire in test time.
 func bootClusterOpts(t *testing.T, clk clock.Clock, opts cluster.Options) (*cluster.Balancer, string) {
 	t.Helper()
-	insts := buildShardInsts(t, clk, variant.Unmodified, opts.Shards, opts.VNodes)
+	insts := buildShardInsts(t, clk, variant.Unmodified, opts.Shards)
 	b, err := cluster.New(opts, insts, func(path string, q map[string]string) cluster.Decision {
 		key, fanout := tpcw.ShardKey(path, q)
 		return cluster.Decision{Key: key, Fanout: fanout}
@@ -53,9 +53,9 @@ func bootClusterOpts(t *testing.T, clk clock.Clock, opts cluster.Options) (*clus
 
 // buildShardInsts builds n shard instances of the named variant over
 // consistently-partitioned TPC-W databases, all on the given clock.
-func buildShardInsts(t *testing.T, clk clock.Clock, name string, n, vnodes int) []variant.Instance {
+func buildShardInsts(t *testing.T, clk clock.Clock, name string, n int) []variant.Instance {
 	t.Helper()
-	ring, err := cluster.NewRing(n, vnodes)
+	ring, err := cluster.NewRing(n, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func buildShardInsts(t *testing.T, clk clock.Clock, name string, n, vnodes int) 
 		}
 		v, ok := variant.Lookup(name)
 		if !ok {
-			t.Fatalf("variant %q not registered", name)
+			t.Fatalf("variant %q does not look up", name)
 		}
 		insts[s], err = v.Build(variant.Env{
 			App:   tpcw.NewApp(counts, clk),
@@ -180,14 +180,14 @@ func TestStopEndsIdleKeepAlive(t *testing.T) {
 			before := runtime.NumGoroutine()
 			var inst variant.Instance
 			if kind == "balancer" {
-				b, err := cluster.New(cluster.Options{Shards: 1}, buildShardInsts(t, clock.Real{}, variant.Modified, 1, 0),
+				b, err := cluster.New(cluster.Options{Shards: 1}, buildShardInsts(t, clock.Real{}, variant.Modified, 1),
 					func(string, map[string]string) cluster.Decision { return cluster.Decision{} })
 				if err != nil {
 					t.Fatal(err)
 				}
 				inst = b
 			} else {
-				inst = buildShardInsts(t, clock.Real{}, kind, 1, 0)[0]
+				inst = buildShardInsts(t, clock.Real{}, kind, 1)[0]
 			}
 			l, addr, err := webtest.Listen()
 			if err != nil {

@@ -8,7 +8,7 @@ import (
 	"stagedweb/internal/variant"
 )
 
-// Registered load-balancer policies for key-less requests.
+// Load-balancer policies for key-less requests.
 const (
 	// LBHash routes a key-less request by hashing its request target on
 	// the ring — deterministic, so identical requests always land on the
@@ -57,25 +57,12 @@ type Options struct {
 	Shards int
 	// LB is the key-less routing policy, LBHash (default) or LBRR.
 	LB string
-	// VNodes is the virtual-node count per shard (0 = DefaultVNodes).
-	VNodes int
-	// Workers is the LB stage's worker count (0 = 16). Fan-out requests
-	// hold a worker while every shard answers, so the pool bounds
-	// concurrent cross-shard work too.
-	Workers int
-	// QueueCap bounds the LB stage queue (0 = stage default).
-	QueueCap int
 	// Clock schedules the balancer's paper-time deadlines (fan-out
 	// deadline, retry backoff, breaker cooldown); nil means clock.Real.
 	Clock clock.Clock
 	// Scale converts those paper-time deadlines to wall time; <= 0
 	// means clock.RealTime.
 	Scale clock.Timescale
-	// FanoutDeadline bounds how long a cross-shard fan-out waits for
-	// every shard, in paper time, before degrading to the responses in
-	// hand. Zero means the 10 s default; negative disables the deadline
-	// (the old reply-after-all-forever behavior).
-	FanoutDeadline time.Duration
 	// Retries is how many times a failed forward is re-attempted after
 	// backoff. Zero means the default of 2; negative disables retries.
 	Retries int

@@ -166,7 +166,7 @@ func TestBreakerOpensOnFailingShard(t *testing.T) {
 	// Shard 0 is real; shard 1 answers every forward with a slammed
 	// connection. Small retry budget and a 2-failure breaker threshold
 	// keep the test to a handful of requests.
-	insts := buildShardInsts(t, clock.Real{}, variant.Unmodified, shards, 0)
+	insts := buildShardInsts(t, clock.Real{}, variant.Unmodified, shards)
 	insts[1].Stop()
 	insts[1] = newUnresponsiveShard()
 	b, err := cluster.New(cluster.Options{
@@ -295,7 +295,7 @@ func (r *recoverableShard) Probes() []variant.Probe { return nil }
 // cooldown; the shard only rejoins once a probe succeeds.
 func TestBreakerHalfOpenProbeReadmits(t *testing.T) {
 	const shards = 2
-	insts := buildShardInsts(t, clock.Real{}, variant.Unmodified, shards, 0)
+	insts := buildShardInsts(t, clock.Real{}, variant.Unmodified, shards)
 	insts[1].Stop()
 	flaky := newRecoverableShard()
 	insts[1] = flaky

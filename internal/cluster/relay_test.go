@@ -184,7 +184,7 @@ func realShards(t *testing.T, n int) []variant.Instance {
 	t.Helper()
 	v, ok := variant.Lookup(variant.Modified)
 	if !ok {
-		t.Fatal("modified variant not registered")
+		t.Fatal("modified variant does not look up")
 	}
 	echo := func(r *server.Request) (*server.Result, error) {
 		return &server.Result{Body: "id=" + r.Header.Get("X-Bench-Id") + " agent=" + r.Header.Get("User-Agent") +

@@ -63,9 +63,9 @@ type ringPoint struct {
 	shard int
 }
 
-// DefaultVNodes is the virtual-node count per shard when Options.VNodes
-// is zero. 64 points per shard keeps the max/mean load ratio low
-// (see TestRingSpread) while the ring stays small enough to search fast.
+// DefaultVNodes is the virtual-node count per shard. 64 points per shard
+// keeps the max/mean load ratio low (see TestRingSpread) while the ring
+// stays small enough to search fast.
 const DefaultVNodes = 64
 
 // NewRing builds a ring over shards shards with vnodes virtual points

@@ -49,9 +49,11 @@ func TestClassifierSeesInjectedClockDurations(t *testing.T) {
 
 	tier := dbtier.New(db, dbtier.Options{Conns: 3, Clock: manual})
 	defer tier.Close()
+	var classes completedClasses
 	srv, err := core.New(core.Config{
 		App:            app,
 		DB:             tier.Conn(),
+		OnComplete:     classes.record,
 		Clock:          manual,
 		Scale:          clock.RealTime,
 		NoReserve:      true, // no controller ticker: the only manual waiter is the query's cost sleep
@@ -84,8 +86,8 @@ func TestClassifierSeesInjectedClockDurations(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if !srv.Classifier().Lengthy("/slow") {
-		t.Fatalf("classifier mean for /slow = quick; 3 s of injected-clock data generation was not recorded")
+	if classes.of(t, "/slow") != server.ClassLengthy {
+		t.Fatalf("/slow completed quick; 3 s of injected-clock data generation was not recorded")
 	}
 }
 
@@ -148,7 +150,8 @@ func TestStopClosesParkedKeepAlives(t *testing.T) {
 // fill the general pool: read raw, t_spare 0 is under t_reserve 1 and the
 // grow rule takes the reserve to its cap; read as the controller must,
 // it is 3 and the reserve stays at its minimum. Four quick requests still
-// grow it.
+// grow it. A first /slow request held for 3 s of manual time teaches the
+// classifier that /slow is lengthy.
 func TestReserveControllerCountsLengthyAsSpare(t *testing.T) {
 	manual := clock.NewManual(time.Unix(1_700_000_000, 0))
 	app := stagedApp()
@@ -166,7 +169,6 @@ func TestReserveControllerCountsLengthyAsSpare(t *testing.T) {
 		cfg.LengthyWorkers = 1
 		cfg.MinReserve = 1
 	})
-	env.srv.Classifier().Record("/slow", 3*time.Second)
 	openSlow := sync.OnceFunc(func() { close(slowGate) })
 	openQuick := sync.OnceFunc(func() { close(quickGate) })
 	openSpike := sync.OnceFunc(func() { close(spikeGate) })
@@ -184,14 +186,23 @@ func TestReserveControllerCountsLengthyAsSpare(t *testing.T) {
 		}()
 		waitUntil(t, func() bool { return env.srv.Spare() == spareAfter })
 	}
+	// The controller's ticks in those 3 s read t_spare 3, over t_reserve
+	// 1, so the reserve stays at its minimum.
+	get("/slow", 3)
+	manual.Advance(3 * time.Second)
+	slowGate <- struct{}{}
+	wg.Wait()
+	waitUntil(t, func() bool { return env.srv.Spare() == 4 })
+	g0, l0, _ := env.srv.DispatchCounts()
+
 	// t_spare 4, 3, 2 exceed t_reserve 1: Table 1 sends each lengthy
 	// request to the general pool.
 	for i := 1; i <= 3; i++ {
 		get("/slow", 4-i)
 	}
 	get("/quick", 0)
-	if g, l, _ := env.srv.DispatchCounts(); g != 4 || l != 0 {
-		t.Fatalf("dispatched general %d, lengthy %d; want 4, 0", g, l)
+	if g, l, _ := env.srv.DispatchCounts(); g-g0 != 4 || l-l0 != 0 {
+		t.Fatalf("dispatched general %d, lengthy %d; want 4, 0", g-g0, l-l0)
 	}
 	for tick := 0; tick < 4; tick++ {
 		manual.Advance(time.Second)

@@ -460,10 +460,6 @@ func (s *Server) classOf(key string) server.Class {
 // Graph exposes the stage graph for uniform stats snapshots.
 func (s *Server) Graph() *stage.Graph { return s.graph }
 
-// QueueLens reports the current length of every stage queue, keyed by
-// stage name. The general and lengthy entries are Figures 8(a) and 8(b).
-func (s *Server) QueueLens() map[string]int { return s.graph.Depths() }
-
 // GeneralQueueLen reports the general dynamic queue length (Figure 8a).
 func (s *Server) GeneralQueueLen() int { return s.general.Depth() }
 
@@ -482,9 +478,6 @@ func (s *Server) controllerSpare() int {
 
 // Reserve reports the controller's current t_reserve.
 func (s *Server) Reserve() int { return s.dispatcher.ReserveController().Reserve() }
-
-// Classifier exposes the page classifier (for diagnostics and tests).
-func (s *Server) Classifier() *sched.Classifier { return s.dispatcher.Classifier() }
 
 // DispatchCounts reports Table 1 decisions: at arrival by target pool,
 // fed by the dispatcher hook, and at release the general slots lent to

@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -215,19 +216,56 @@ func TestStagedClassifierLearnsLengthy(t *testing.T) {
 		time.Sleep(30 * time.Millisecond) // 3s of paper time at scale 100
 		return &server.Result{Body: "slow done"}, nil
 	})
+	var classes completedClasses
 	env := startStaged(t, app, func(cfg *core.Config) {
 		cfg.Scale = clock.Timescale(100) // 30ms wall = 3s paper > 2s cutoff
+		cfg.OnComplete = classes.record
 	})
-	if _, err := webtest.Get(env.addr, "/slow"); err != nil {
-		t.Fatal(err)
+	for _, page := range []string{"/slow", "/hello"} {
+		if _, err := webtest.Get(env.addr, page); err != nil {
+			t.Fatal(err)
+		}
 	}
-	cls := env.srv.Classifier()
-	if !cls.Lengthy("/slow") {
-		t.Fatalf("mean %v not classified lengthy", cls.Mean("/slow"))
+	if classes.of(t, "/slow") != server.ClassLengthy {
+		t.Fatal("/slow not classified lengthy")
 	}
-	if cls.Lengthy("/hello") {
+	if classes.of(t, "/hello") != server.ClassQuick {
 		t.Fatal("/hello misclassified lengthy")
 	}
+}
+
+// completedClasses keeps the class of each page's latest completion
+// event: the classifier's verdict once that request's own
+// data-generation time is recorded.
+type completedClasses struct {
+	mu sync.Mutex
+	m  map[string]server.Class
+}
+
+func (c *completedClasses) record(ev server.CompletionEvent) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.m == nil {
+		c.m = map[string]server.Class{}
+	}
+	c.m[ev.Page] = ev.Class
+}
+
+// of waits for page's completion event, which fires after the reply is
+// written, and returns its class.
+func (c *completedClasses) of(t *testing.T, page string) server.Class {
+	t.Helper()
+	var class server.Class
+	if !webtest.WaitUntil(5*time.Second, func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		var ok bool
+		class, ok = c.m[page]
+		return ok
+	}) {
+		t.Fatalf("no completion event for %s", page)
+	}
+	return class
 }
 
 // TestStagedQuickUnaffectedByLengthyFlood is the paper's headline
@@ -281,11 +319,12 @@ func TestStagedQuickUnaffectedByLengthyFlood(t *testing.T) {
 
 func TestStagedQueueLensAndIntrospection(t *testing.T) {
 	env := startStaged(t, stagedApp(), nil)
-	lens := env.srv.QueueLens()
-	for _, k := range []string{"header", "static", "general", "lengthy", "render"} {
-		if _, ok := lens[k]; !ok {
-			t.Fatalf("QueueLens missing %q: %v", k, lens)
-		}
+	var names []string
+	for _, st := range env.srv.Graph().Stats() {
+		names = append(names, st.Name)
+	}
+	if want := []string{"header", "static", "general", "lengthy", "render"}; !slices.Equal(names, want) {
+		t.Fatalf("stages %v, want %v", names, want)
 	}
 	if env.srv.GeneralQueueLen() != 0 || env.srv.LengthyQueueLen() != 0 {
 		t.Fatal("queues should be empty at idle")

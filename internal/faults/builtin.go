@@ -9,7 +9,7 @@ import (
 	"stagedweb/internal/variant"
 )
 
-// Built-in plan names.
+// Plan names.
 const (
 	// ReplicaKill kills one read replica backend mid-run, optionally
 	// restarting it after a delay.
@@ -28,12 +28,13 @@ const (
 	Leak = "leak"
 )
 
-func init() {
-	Register(New(ReplicaKill, buildReplicaKill))
-	Register(New(ShardDown, buildShardDown))
-	Register(New(SlowBackend, buildSlowBackend))
-	Register(New(ConnDrop, buildConnDrop))
-	Register(New(Leak, buildLeak))
+// plans is the table Lookup and Names read.
+var plans = map[string]Plan{
+	ReplicaKill: buildReplicaKill,
+	ShardDown:   buildShardDown,
+	SlowBackend: buildSlowBackend,
+	ConnDrop:    buildConnDrop,
+	Leak:        buildLeak,
 }
 
 // Shared setting defaults: faults strike half a paper-minute into the

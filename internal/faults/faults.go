@@ -1,19 +1,16 @@
 // Package faults makes failure a first-class experiment input,
 // mirroring the load profiles of internal/workload on the dependability
-// side: a Plan is a named
-// fault recipe that builds a running Injector from an environment (the
-// database tiers and cluster balancer under test, a clock, a
-// timescale, generic settings), and a process-wide registry maps names
-// to recipes.
+// side: a Plan builds a running Injector from an environment (the
+// database tiers and cluster balancer under test, a clock, a timescale,
+// generic settings), and a fixed table maps names to plans.
 //
 // The experiment layers above — internal/harness, cmd/experiments —
 // never switch on a failure shape. They look a plan name up via the
 // faults= setting, build it against the running system, start it when
 // the measurement window opens, and sample its fault.injected probe
-// next to every other series. The built-in plans (replica-kill,
-// shard-down, slow-backend, conn-drop, leak) are registered in
-// builtin.go; a new failure scenario is one Register call and is
-// immediately runnable, sweepable, and plottable everywhere.
+// next to every other series. The plans (replica-kill, shard-down,
+// slow-backend, conn-drop, leak) are in builtin.go; a new failure
+// scenario is one more entry in its table.
 //
 // Every schedule runs on the injected clock.Clock at paper-time
 // offsets, so a plan replays deterministically under clock.Manual:
@@ -23,6 +20,8 @@ package faults
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -100,33 +99,29 @@ type Injector interface {
 	Events() []Event
 }
 
-// Plan is a named fault recipe: its Name is the registry key
-// ("replica-kill", "shard-down", ...), and Build validates settings
-// against the running system and returns an unstarted Injector.
-type Plan = variant.Recipe[Env, Injector]
+// Plan validates settings against the running system and returns an
+// unstarted Injector.
+type Plan func(Env) (Injector, error)
 
-// New wraps a name and a build function as a Plan.
-func New(name string, build func(Env) (Injector, error)) Plan { return variant.NewRecipe(name, build) }
+// Build runs the plan's build function.
+func (p Plan) Build(env Env) (Injector, error) { return p(env) }
 
-var registry = variant.NewRegistry[Plan]("fault plan")
+// Lookup finds a plan by name.
+func Lookup(name string) (Plan, bool) {
+	p, ok := plans[name]
+	return p, ok
+}
 
-// Register adds a plan to the process-wide registry; it panics on an
-// empty or duplicate name.
-func Register(p Plan) { registry.Register(p) }
-
-// Lookup finds a registered plan by name.
-func Lookup(name string) (Plan, bool) { return registry.Lookup(name) }
-
-// Names lists the registered plan names, sorted.
-func Names() []string { return registry.Names() }
+// Names lists the plan names, sorted.
+func Names() []string { return slices.Sorted(maps.Keys(plans)) }
 
 // DecodeSettings splits the fault-owned settings out of a config's
 // explicit settings and decodes them (against the harness-lowered
-// defaults): faults (a registered plan name; "" or "none" disables
-// injection) and faultset ("key=value,key=value" plan settings). It
-// returns the plan name ("" when disabled), the parsed plan settings,
-// and a copy of the explicit settings with the fault keys removed —
-// what the cluster and variant layers should see.
+// defaults): faults (a plan name; "" or "none" disables injection) and
+// faultset ("key=value,key=value" plan settings). It returns the plan
+// name ("" when disabled), the parsed plan settings, and a copy of the
+// explicit settings with the fault keys removed — what the cluster and
+// variant layers should see.
 func DecodeSettings(explicit, defaults variant.Settings) (string, variant.Settings, variant.Settings, error) {
 	faultKeys := []string{"faults", "faultset"}
 	own := variant.Settings{}
@@ -186,9 +181,8 @@ type step struct {
 // clock. Each step gets its own goroutine, so a long-delay step never
 // holds up an earlier one; all delays are nominal paper offsets
 // converted through the timescale, which is what makes replays
-// deterministic under clock.Manual. It is the scaffolding every
-// built-in plan is made of, exported so plans registered outside this
-// package can reuse it.
+// deterministic under clock.Manual. It is the scaffolding every plan
+// is made of.
 type StepInjector struct {
 	clk   clock.Clock
 	scale clock.Timescale

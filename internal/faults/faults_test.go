@@ -1,6 +1,7 @@
 package faults_test
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -12,10 +13,17 @@ import (
 )
 
 func TestRegistryHasBuiltins(t *testing.T) {
-	for _, name := range []string{faults.ReplicaKill, faults.ShardDown, faults.SlowBackend, faults.ConnDrop, faults.Leak} {
+	want := []string{faults.ConnDrop, faults.Leak, faults.ReplicaKill, faults.ShardDown, faults.SlowBackend}
+	if got := faults.Names(); !slices.Equal(got, want) {
+		t.Errorf("Names() = %v, want the sorted %v", got, want)
+	}
+	for _, name := range want {
 		if _, ok := faults.Lookup(name); !ok {
-			t.Errorf("built-in plan %q is not registered", name)
+			t.Errorf("plan %q does not look up", name)
 		}
+	}
+	if _, ok := faults.Lookup("no-such-plan"); ok {
+		t.Error("bogus lookup succeeded")
 	}
 }
 
@@ -104,7 +112,7 @@ func replayReplicaKill(t *testing.T) ([]faults.Event, int64, int64) {
 
 	plan, ok := faults.Lookup(faults.ReplicaKill)
 	if !ok {
-		t.Fatal("replica-kill not registered")
+		t.Fatal("replica-kill does not look up")
 	}
 	inj, err := plan.Build(faults.Env{
 		Clock:   mc,

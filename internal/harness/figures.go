@@ -10,16 +10,10 @@ import (
 	"stagedweb/internal/variant"
 )
 
-// AsciiPlot renders a series as a terminal plot: value on the y axis,
-// series offset on the x axis, compressed to the given width. It is the
-// harness's stand-in for the paper's gnuplot figures. The x axis is
-// labeled in wall time; use AsciiPlotScaled to label in paper time.
-func AsciiPlot(title, yLabel string, s *metrics.Series, width, height int) string {
-	return AsciiPlotScaled(title, yLabel, s, width, height, clock.RealTime)
-}
-
-// AsciiPlotScaled is AsciiPlot with the x axis converted to paper time
-// through the given timescale.
+// AsciiPlotScaled renders a series as a terminal plot: value on the y
+// axis, series offset on the x axis, converted to paper time through the
+// given timescale and compressed to the given width. It is the harness's
+// stand-in for the paper's gnuplot figures.
 func AsciiPlotScaled(title, yLabel string, s *metrics.Series, width, height int, scale clock.Timescale) string {
 	if width <= 0 {
 		width = 64

@@ -1,21 +1,19 @@
 // Package harness runs the paper's experiments end to end: it boots a
-// database and a registered server variant, drives a registered load
-// profile of emulated browsers against it, applies the ramp-up /
-// measure / cool-down discipline of Section 4.1, and collects every
-// series and table the DSN'09 evaluation reports (Tables 3 and 4,
-// Figures 7–10).
+// database and a named server variant, drives a named load profile of
+// emulated browsers against it, applies the ramp-up / measure /
+// cool-down discipline of Section 4.1, and collects every series and
+// table the DSN'09 evaluation reports (Tables 3 and 4, Figures 7–10).
 //
 // Both axes are values, not cases: Run looks Config.Variant up in the
-// internal/variant registry and Config.Load up in the internal/workload
-// profile registry, builds them, and samples every probe each exports
-// into a named metrics.Series (server-side queue.*/sched.*, client-side
-// client.*) — so a newly registered topology or workload shape needs
-// zero harness edits. Every server-side input (pool sizes, database
-// tier, cluster, fault plan) is a settings key: Config.Defaults holds
-// the experiment's values and Config.Set the explicit overrides, and
-// Run passes both through. Sweeps over a scenario matrix (variants ×
-// load profiles × setting mutations) are first-class too; see Scenario,
-// Sweep, and Matrix.
+// internal/variant table and Config.Load up in the internal/workload
+// profile table, builds them, and samples every probe each exports into
+// a named metrics.Series (server-side queue.*/sched.*, client-side
+// client.*) — so a new table entry in either needs zero harness edits.
+// Every server-side input (pool sizes, database tier, cluster, fault
+// plan) is a settings key: Config.Defaults holds the experiment's values
+// and Config.Set the explicit overrides, and Run passes both through.
+// Sweeps over a scenario matrix (variants × load profiles × setting
+// mutations) are first-class too; see Scenario, Sweep, and Matrix.
 package harness
 
 import (
@@ -56,13 +54,13 @@ const (
 
 // Config describes one experimental run. All durations are paper time.
 type Config struct {
-	// Variant is the registered name of the server variant under test
-	// (see internal/variant).
+	// Variant is the name of the server variant under test (see
+	// internal/variant).
 	Variant string `json:"variant"`
 
 	Scale clock.Timescale `json:"scale"`
 
-	// Workload: the offered load is a registered load profile (see
+	// Workload: the offered load is a named load profile (see
 	// internal/workload), configured like a variant.
 	//
 	// Load is the profile name; empty means "steady" (the paper's fixed
@@ -230,7 +228,7 @@ type PageStat struct {
 // Result is everything one run produces. WriteJSON serializes it in
 // full (config, tables, series) for artifacts.
 type Result struct {
-	// Variant is the registered name of the variant that ran.
+	// Variant is the name of the variant that ran.
 	Variant string `json:"variant"`
 	Config  Config `json:"config"`
 
@@ -283,13 +281,13 @@ func Run(cfg Config) (*Result, error) {
 	}
 	v, ok := variant.Lookup(name)
 	if !ok {
-		return nil, fmt.Errorf("harness: unknown variant %q (registered: %s)",
+		return nil, fmt.Errorf("harness: unknown variant %q (have: %s)",
 			name, strings.Join(variant.Names(), ", "))
 	}
 	loadName := cfg.LoadName()
 	prof, ok := workload.Lookup(loadName)
 	if !ok {
-		return nil, fmt.Errorf("harness: unknown load profile %q (registered: %s)",
+		return nil, fmt.Errorf("harness: unknown load profile %q (have: %s)",
 			loadName, strings.Join(workload.Names(), ", "))
 	}
 	mix, err := tpcw.MixByName(cfg.Mix)
@@ -322,7 +320,7 @@ func Run(cfg Config) (*Result, error) {
 	var ring *cluster.Ring
 	if clustered {
 		nShards = clusterOpts.Shards
-		ring, err = cluster.NewRing(nShards, clusterOpts.VNodes)
+		ring, err = cluster.NewRing(nShards, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -313,7 +313,7 @@ func TestAsciiPlot(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		s.Observe(start.Add(time.Duration(i)*time.Second), float64(i%10))
 	}
-	out := AsciiPlot("test plot", "units", s, 40, 8)
+	out := AsciiPlotScaled("test plot", "units", s, 40, 8, clock.RealTime)
 	if !strings.Contains(out, "test plot") || !strings.Contains(out, "*") {
 		t.Fatalf("plot malformed:\n%s", out)
 	}
@@ -322,7 +322,7 @@ func TestAsciiPlot(t *testing.T) {
 		t.Fatalf("plot has %d lines, want 11:\n%s", len(lines), out)
 	}
 	empty := metrics.NewSeries(start, time.Second, metrics.AggSum)
-	if out := AsciiPlot("empty", "u", empty, 10, 4); !strings.Contains(out, "no data") {
+	if out := AsciiPlotScaled("empty", "u", empty, 10, 4, clock.RealTime); !strings.Contains(out, "no data") {
 		t.Fatalf("empty plot: %s", out)
 	}
 }
@@ -415,8 +415,8 @@ func TestConfigWithClonesSettings(t *testing.T) {
 	}
 }
 
-// TestNoReserveVariant exercises the topology variant registered purely
-// as configuration: the staged server with the t_reserve controller
+// TestNoReserveVariant exercises the topology variant defined purely as
+// configuration: the staged server with the t_reserve controller
 // ablated. The reserve series must stay pinned at zero while the run
 // still completes work through the staged pipeline.
 func TestNoReserveVariant(t *testing.T) {

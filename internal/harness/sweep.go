@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"stagedweb/internal/variant"
@@ -27,10 +26,10 @@ type Scenario struct {
 	Config Config `json:"config"`
 }
 
-// LoadSpec names one load-profile cell of a scenario matrix: a
-// registered profile plus its settings.
+// LoadSpec names one load-profile cell of a scenario matrix: a load
+// profile plus its settings.
 type LoadSpec struct {
-	// Profile is the registered load-profile name (workload.Steady,
+	// Profile is the load-profile name (workload.Steady,
 	// workload.Spike, ...); empty means steady.
 	Profile string
 	// Set holds the profile settings for this cell.
@@ -38,9 +37,8 @@ type LoadSpec struct {
 }
 
 // Matrix builds the variant × load-profile scenario grid from a base
-// config: one cell per pair, named "variant/profile". Both registries
-// are open, so any topology can meet any workload shape with no new
-// harness code.
+// config: one cell per pair, named "variant/profile", so any topology
+// meets any workload shape with no new harness code.
 func Matrix(base Config, variants []string, loads []LoadSpec) []Scenario {
 	out := make([]Scenario, 0, len(variants)*len(loads))
 	for _, v := range variants {
@@ -138,31 +136,15 @@ func recoveryCell(res *Result) string {
 	}
 }
 
-// SweepOptions tunes a sweep.
-type SweepOptions struct {
-	// Parallelism bounds concurrently executing runs; values below 2
-	// run sequentially. Concurrent runs share the host's cores, so
-	// timing fidelity degrades — keep sweeps sequential when the
-	// numbers matter and parallel when shape-scanning a large matrix.
-	Parallelism int
-	// OnResult, when set, is invoked as each scenario finishes (in
-	// completion order) — progress reporting for CLIs. Calls are
-	// serialized.
-	OnResult func(Scenario, *Result, error)
-}
-
-// Sweep executes the scenario matrix sequentially. See SweepWith.
-func Sweep(ctx context.Context, scenarios []Scenario) (*SweepResult, error) {
-	return SweepWith(ctx, SweepOptions{}, scenarios)
-}
-
-// SweepWith executes every scenario, honouring ctx between runs (a run
-// in flight is not interrupted — experiments are short at the usual
-// timescales). The returned SweepResult always has one entry per
-// scenario in input order; the error joins every per-run failure plus
-// the context's, so partial results remain usable alongside a non-nil
-// error.
-func SweepWith(ctx context.Context, opts SweepOptions, scenarios []Scenario) (*SweepResult, error) {
+// Sweep executes every scenario in order, honouring ctx between runs (a
+// run in flight is not interrupted — experiments are short at the usual
+// timescales). onResult, when set, is called as each scenario finishes —
+// progress reporting for CLIs. Runs never overlap: concurrent cells
+// would charge each other's CPU as paper time. The returned SweepResult
+// always has one entry per scenario in input order; the error joins
+// every per-run failure plus the context's, so partial results remain
+// usable alongside a non-nil error.
+func Sweep(ctx context.Context, scenarios []Scenario, onResult func(Scenario, *Result, error)) (*SweepResult, error) {
 	seen := make(map[string]bool, len(scenarios))
 	for _, sc := range scenarios {
 		if sc.Name == "" {
@@ -175,53 +157,24 @@ func SweepWith(ctx context.Context, opts SweepOptions, scenarios []Scenario) (*S
 	}
 
 	sr := &SweepResult{Runs: make([]SweepRun, len(scenarios))}
-	workers := opts.Parallelism
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(scenarios) {
-		workers = len(scenarios)
-	}
-
-	var (
-		mu   sync.Mutex // guards OnResult
-		wg   sync.WaitGroup
-		sem  = make(chan struct{}, workers)
-		errs = make([]error, len(scenarios)+1)
-	)
+	errs := make([]error, len(scenarios)+1)
 	for i, sc := range scenarios {
 		sr.Runs[i] = SweepRun{Scenario: sc}
-		skip := ctx.Err()
-		if skip == nil {
-			select {
-			case <-ctx.Done():
-				skip = ctx.Err()
-			case sem <- struct{}{}:
-			}
-		}
-		if skip != nil {
-			sr.Runs[i].Err = skip
-			errs[i] = fmt.Errorf("%s: %w", sc.Name, skip)
+		if err := ctx.Err(); err != nil {
+			sr.Runs[i].Err = err
+			errs[i] = fmt.Errorf("%s: %w", sc.Name, err)
 			continue
 		}
-		wg.Add(1)
-		go func(i int, sc Scenario) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			res, err := Run(sc.Config)
-			if err != nil {
-				err = fmt.Errorf("%s: %w", sc.Name, err)
-			}
-			sr.Runs[i].Result, sr.Runs[i].Err = res, err
-			errs[i] = err
-			if opts.OnResult != nil {
-				mu.Lock()
-				opts.OnResult(sc, res, err)
-				mu.Unlock()
-			}
-		}(i, sc)
+		res, err := Run(sc.Config)
+		if err != nil {
+			err = fmt.Errorf("%s: %w", sc.Name, err)
+		}
+		sr.Runs[i].Result, sr.Runs[i].Err = res, err
+		errs[i] = err
+		if onResult != nil {
+			onResult(sc, res, err)
+		}
 	}
-	wg.Wait()
 	errs[len(scenarios)] = ctx.Err()
 	return sr, errors.Join(errs...)
 }

@@ -41,9 +41,8 @@ func TestSweepMatrix(t *testing.T) {
 		})},
 	}
 	var order []string
-	sw, err := SweepWith(context.Background(), SweepOptions{
-		OnResult: func(sc Scenario, res *Result, err error) { order = append(order, sc.Name) },
-	}, scenarios)
+	sw, err := Sweep(context.Background(), scenarios,
+		func(sc Scenario, res *Result, err error) { order = append(order, sc.Name) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,35 +114,18 @@ func TestMatrix(t *testing.T) {
 	}
 }
 
-func TestSweepParallel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep integration skipped in -short mode")
-	}
-	scenarios := []Scenario{
-		{Name: "a", Config: sweepConfig(variant.Unmodified)},
-		{Name: "b", Config: sweepConfig(variant.Modified)},
-	}
-	sw, err := SweepWith(context.Background(), SweepOptions{Parallelism: 2}, scenarios)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sw.Result("a") == nil || sw.Result("b") == nil {
-		t.Fatal("parallel sweep dropped a result")
-	}
-}
-
 func TestSweepValidationAndCancel(t *testing.T) {
 	dup := []Scenario{{Name: "x", Config: sweepConfig(variant.Modified)}, {Name: "x", Config: sweepConfig(variant.Modified)}}
-	if _, err := Sweep(context.Background(), dup); err == nil {
+	if _, err := Sweep(context.Background(), dup, nil); err == nil {
 		t.Fatal("duplicate scenario names accepted")
 	}
-	if _, err := Sweep(context.Background(), []Scenario{{Config: sweepConfig(variant.Modified)}}); err == nil {
+	if _, err := Sweep(context.Background(), []Scenario{{Config: sweepConfig(variant.Modified)}}, nil); err == nil {
 		t.Fatal("empty scenario name accepted")
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sw, err := Sweep(ctx, []Scenario{{Name: "x", Config: sweepConfig(variant.Modified)}})
+	sw, err := Sweep(ctx, []Scenario{{Name: "x", Config: sweepConfig(variant.Modified)}}, nil)
 	if err == nil {
 		t.Fatal("cancelled sweep reported success")
 	}
@@ -158,7 +140,7 @@ func TestSweepValidationAndCancel(t *testing.T) {
 	sw, err = Sweep(context.Background(), []Scenario{
 		{Name: "bad", Config: bad},
 		{Name: "good", Config: good},
-	})
+	}, nil)
 	if err == nil || !strings.Contains(err.Error(), "no-such-variant") {
 		t.Fatalf("bad cell error lost: %v", err)
 	}

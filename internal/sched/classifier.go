@@ -16,7 +16,6 @@
 package sched
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -51,9 +50,6 @@ func NewClassifier(cutoff time.Duration) *Classifier {
 	return &Classifier{cutoff: cutoff, stats: make(map[string]*pageStat, 32)}
 }
 
-// Cutoff reports the quick/lengthy boundary.
-func (c *Classifier) Cutoff() time.Duration { return c.cutoff }
-
 // Record adds one data-generation time observation (paper time) for key.
 func (c *Classifier) Record(key string, dataGen time.Duration) {
 	if dataGen < 0 {
@@ -85,27 +81,4 @@ func (c *Classifier) Mean(key string) time.Duration {
 		return 0
 	}
 	return st.total / time.Duration(st.count)
-}
-
-// PageStat is an exported snapshot of one page's history.
-type PageStat struct {
-	Key   string
-	Count int64
-	Mean  time.Duration
-}
-
-// Snapshot returns per-page statistics sorted by key.
-func (c *Classifier) Snapshot() []PageStat {
-	c.mu.Lock()
-	out := make([]PageStat, 0, len(c.stats))
-	for key, st := range c.stats {
-		ps := PageStat{Key: key, Count: st.count}
-		if st.count > 0 {
-			ps.Mean = st.total / time.Duration(st.count)
-		}
-		out = append(out, ps)
-	}
-	c.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
 }

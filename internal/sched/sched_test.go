@@ -128,20 +128,6 @@ func TestClassifierNegativeClamped(t *testing.T) {
 	}
 }
 
-func TestClassifierSnapshotSorted(t *testing.T) {
-	c := NewClassifier(DefaultCutoff)
-	c.Record("zeta", time.Second)
-	c.Record("alpha", time.Second)
-	c.Record("alpha", 3*time.Second)
-	snap := c.Snapshot()
-	if len(snap) != 2 || snap[0].Key != "alpha" || snap[1].Key != "zeta" {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-	if snap[0].Count != 2 || snap[0].Mean != 2*time.Second {
-		t.Fatalf("alpha stats = %+v", snap[0])
-	}
-}
-
 func TestClassifierConcurrent(t *testing.T) {
 	c := NewClassifier(DefaultCutoff)
 	var wg sync.WaitGroup
@@ -150,15 +136,16 @@ func TestClassifierConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 500; j++ {
-				c.Record("page", time.Millisecond)
+				c.Record("page", time.Duration(i)*time.Millisecond)
 				_ = c.Lengthy("page")
 			}
 		}()
 	}
 	wg.Wait()
-	snap := c.Snapshot()
-	if snap[0].Count != 4000 {
-		t.Fatalf("count = %d, want 4000", snap[0].Count)
+	// 500 records each of 0..7 ms: a lost count or a lost addition moves
+	// the mean off 3.5 ms.
+	if got := c.Mean("page"); got != 3500*time.Microsecond {
+		t.Fatalf("Mean = %v, want 3.5ms", got)
 	}
 }
 

@@ -260,8 +260,8 @@ func (db *DB) CreateIndex(table, col string, ordered bool) error {
 	return nil
 }
 
-// MustCreateTable is CreateTable, panicking on error; used by schema
-// definitions whose correctness is static.
+// MustCreateTable is CreateTable, panicking on error; for test schemas
+// whose correctness is static.
 func (db *DB) MustCreateTable(s Schema) {
 	if err := db.CreateTable(s); err != nil {
 		panic(err)

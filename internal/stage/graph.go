@@ -90,19 +90,6 @@ func (g *Graph) Stats() []Stats {
 	return out
 }
 
-// Depths reports every stage's queue depth keyed by stage name — the
-// QueueLens view the harness samples.
-func (g *Graph) Depths() map[string]int {
-	g.mu.Lock()
-	stages := g.stages
-	g.mu.Unlock()
-	out := make(map[string]int, len(stages))
-	for _, m := range stages {
-		out[m.Name()] = m.Depth()
-	}
-	return out
-}
-
 // String renders the topology, e.g. "header:8 -> static:16 -> ...".
 func (g *Graph) String() string {
 	g.mu.Lock()

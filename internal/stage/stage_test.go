@@ -689,9 +689,6 @@ func TestGraphLifecycleAndStats(t *testing.T) {
 			t.Fatalf("stage %s not drained: %+v", st.Name, st)
 		}
 	}
-	if d := g.Depths(); d["a"] != 0 || d["b"] != 0 {
-		t.Fatalf("Depths = %v", d)
-	}
 	if s := g.String(); !strings.Contains(s, "a:2 -> b:2") {
 		t.Fatalf("String = %q", s)
 	}

@@ -54,16 +54,6 @@ func NewFilterSet() *FilterSet {
 	return fs
 }
 
-// Register adds or replaces a filter. Replacing a built-in that has an
-// append form drops that form with it: the name means fn from now on.
-func (fs *FilterSet) Register(name string, fn FilterFunc) {
-	if name == "" || fn == nil {
-		panic("template: invalid filter registration")
-	}
-	fs.m[name] = fn
-	delete(fs.app, name)
-}
-
 // Get looks up a filter by name.
 func (fs *FilterSet) Get(name string) (FilterFunc, bool) {
 	fn, ok := fs.m[name]

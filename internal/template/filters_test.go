@@ -237,20 +237,3 @@ func TestFilterSetNames(t *testing.T) {
 		t.Fatal("unknown filter found")
 	}
 }
-
-func TestFilterRegisterInvalid(t *testing.T) {
-	fs := NewFilterSet()
-	for name, fn := range map[string]func(){
-		"empty name": func() { fs.Register("", func(v any, _ any, _ bool) (any, error) { return v, nil }) },
-		"nil fn":     func() { fs.Register("x", nil) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}

@@ -7,15 +7,11 @@ import (
 
 // Template is a parsed, immutable template ready for concurrent renders.
 type Template struct {
-	name    string
 	set     *Set
 	nodes   nodeList
 	extends string              // parent template name, "" if none
 	blocks  map[string]nodeList // blocks defined at any depth
 }
-
-// Name reports the template's registered name.
-func (t *Template) Name() string { return t.name }
 
 // parser consumes the token stream.
 type parser struct {
@@ -40,7 +36,7 @@ func parse(name, src string, filters *FilterSet) (*Template, error) {
 	if stop != "" {
 		return nil, p.errf("unexpected {%% %s %%}", stop)
 	}
-	return &Template{name: name, nodes: nodes, extends: p.extends, blocks: p.blocks}, nil
+	return &Template{nodes: nodes, extends: p.extends, blocks: p.blocks}, nil
 }
 
 func (p *parser) errf(format string, args ...any) error {

@@ -244,27 +244,6 @@ func TestAppendFiltersMatchTheirFilterFunc(t *testing.T) {
 	}
 }
 
-// TestReRegisteredFilterLosesOnlyTheFastPath: Register over a built-in
-// that has an append form must make the name mean the new function, in
-// trailing position too.
-func TestReRegisteredFilterLosesOnlyTheFastPath(t *testing.T) {
-	s := NewSet()
-	s.Filters().Register("title", func(v any, _ any, _ bool) (any, error) {
-		return Safe("<T>" + Stringify(v) + "</T>"), nil
-	})
-	s.Add("t", `{{ v|title }} {{ v|title|upper }} {{ v|urlencode }}`)
-	got, err := s.Render("t", map[string]any{"v": "a b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := "<T>a b</T> &lt;T&gt;A B&lt;/T&gt; a%20b"; got != want {
-		t.Fatalf("got %q, want %q", got, want)
-	}
-	if got := render(t, `{{ v|title }}`, map[string]any{"v": "a b"}); got != "A B" {
-		t.Fatalf("another set's title changed too: %q", got)
-	}
-}
-
 // TestRenderAppend: the page goes onto the end of dst; a render that
 // fails half-way down leaves dst as it was given; and a buffer recycled
 // after a failure renders intact.

@@ -5,7 +5,7 @@ import (
 	"sync"
 )
 
-// Set is a named collection of templates sharing one filter registry —
+// Set is a named collection of templates sharing one filter set —
 // the equivalent of Django's template loader. Sources are registered with
 // Add and parsed lazily, once, on first use; parsed templates are cached
 // and safe for concurrent rendering, which is exactly what the modified
@@ -30,11 +30,6 @@ func NewSet() *Set {
 		filters: NewFilterSet(),
 	}
 }
-
-// Filters exposes the set's filter registry for custom registrations.
-// Register custom filters before the first Get/Render; parsed templates
-// are cached with the filters resolved.
-func (s *Set) Filters() *FilterSet { return s.filters }
 
 // Add registers (or replaces) a template source and invalidates any
 // cached parse of it.

@@ -402,21 +402,6 @@ type errUnexpected string
 
 func (e errUnexpected) Error() string { return "unexpected output: " + string(e) }
 
-func TestCustomFilter(t *testing.T) {
-	s := NewSet()
-	s.Filters().Register("shout", func(v any, _ any, _ bool) (any, error) {
-		return strings.ToUpper(Stringify(v)) + "!", nil
-	})
-	s.Add("t", "{{ word|shout }}")
-	out, err := s.Render("t", map[string]any{"word": "go"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != "GO!" {
-		t.Fatalf("got %q", out)
-	}
-}
-
 func TestStringLiteralWithSpaces(t *testing.T) {
 	got := render(t, `{{ x|default:"no value here" }}`, nil)
 	if got != "no value here" {

@@ -11,14 +11,14 @@ import (
 	"stagedweb/internal/stage"
 )
 
-// Registered names of the built-in variants.
+// Names of the variants.
 const (
 	// Unmodified is the baseline thread-per-request server.
 	Unmodified = "unmodified"
 	// Modified is the staged multi-pool server (the paper's proposal).
 	Modified = "modified"
 	// ModifiedNoReserve is the staged server with the t_reserve feedback
-	// controller ablated — derived from Modified purely by settings.
+	// controller ablated: Modified with noreserve=true forced.
 	ModifiedNoReserve = "modified-noreserve"
 )
 
@@ -153,13 +153,11 @@ func IndexesEnabled(explicit, defaults Settings) bool {
 	return d.Bool("indexes", false)
 }
 
-func init() {
-	Register(New(Unmodified, buildUnmodified))
-	modified := New(Modified, buildModified)
-	Register(modified)
-	// The ablation topology is pure configuration: the same recipe with
-	// the reserve controller forced off. No new server code.
-	Register(Derive(ModifiedNoReserve, modified, Settings{"noreserve": "true"}))
+// variants is the table Lookup and Names read.
+var variants = map[string]Variant{
+	Unmodified:        buildUnmodified,
+	Modified:          buildModified,
+	ModifiedNoReserve: buildModifiedNoReserve,
 }
 
 // instance is the shared Instance implementation for the built-ins. It
@@ -268,4 +266,12 @@ func buildModified(env Env) (Instance, error) {
 			{ProbeServed, func() float64 { return float64(srv.Served()) }},
 		}, tierProbes(tier)...),
 	}, nil
+}
+
+// buildModifiedNoReserve is the t_reserve ablation: the staged server
+// with noreserve=true merged over the caller's settings, so it wins over
+// an explicit noreserve=false.
+func buildModifiedNoReserve(env Env) (Instance, error) {
+	env.Set = env.Set.Merge(Settings{"noreserve": "true"})
+	return buildModified(env)
 }

@@ -109,9 +109,8 @@ func NewDecoder(env Env) *Decoder {
 }
 
 // NewSettingsDecoder returns a Decoder over explicit overrides and
-// advisory defaults directly — for registries that reuse the settings
-// surface without a variant Env (internal/workload's load profiles
-// decode their recipes through this).
+// advisory defaults directly — for the load profiles and fault plans,
+// which reuse the settings surface without a variant Env.
 func NewSettingsDecoder(explicit, defaults Settings) *Decoder {
 	return &Decoder{explicit: explicit, defaults: defaults, used: map[string]bool{}}
 }
@@ -183,7 +182,7 @@ func (d *Decoder) Bool(key string, def bool) bool {
 
 // String reads a free-form string setting, returning def when unset.
 // Prefer Enum when the value set is closed; String is for open-ended
-// values like a fault-plan name validated against a registry.
+// values like a fault-plan name validated against the plan table.
 func (d *Decoder) String(key, def string) string {
 	v, ok := d.lookup(key)
 	if !ok {

@@ -1,21 +1,21 @@
 // Package variant makes server topologies first-class values: a Variant
-// is a named recipe that builds a runnable server Instance from an
-// environment (application, database, clocks, cost models, generic
-// settings), and a process-wide registry maps names to recipes.
+// builds a runnable server Instance from an environment (application,
+// database, clocks, cost models, generic settings), and a fixed table
+// maps names to variants.
 //
 // The point of the indirection is that the experiment layers above —
 // internal/harness, cmd/experiments, cmd/poolserv — never switch on a
 // server type. They look a name up, build it, serve it, and sample its
-// Probes into time series. Adding a topology is one Register call; every
-// sweep, table, figure, CLI mode, and JSON artifact picks it up with
-// zero edits elsewhere. The built-in variants (unmodified, modified,
-// modified-noreserve) are registered in builtin.go; the ablation variant
-// is derived from the modified recipe purely through settings, proving
-// that topologies are configuration, not code.
+// Probes into time series. The table holds the paper's two servers
+// (unmodified, modified) and the t_reserve ablation (modified-noreserve),
+// which is the modified server with noreserve=true forced over its
+// settings; all three are in builtin.go.
 package variant
 
 import (
+	"maps"
 	"net"
+	"slices"
 
 	"stagedweb/internal/clock"
 	"stagedweb/internal/server"
@@ -80,33 +80,17 @@ type Env struct {
 	Defaults Settings
 }
 
-// Variant is a named server topology recipe: its Name is the registry
-// key ("modified", "unmodified", ...), and Build constructs a runnable
-// Instance from the environment.
-type Variant = Recipe[Env, Instance]
+// Variant builds a runnable Instance from the environment.
+type Variant func(Env) (Instance, error)
 
-// New wraps a name and a build function as a Variant.
-func New(name string, build func(Env) (Instance, error)) Variant { return NewRecipe(name, build) }
+// Build runs the variant's build function.
+func (v Variant) Build(env Env) (Instance, error) { return v(env) }
 
-// Derive returns a variant that builds base with the forced settings
-// layered over the caller's — a topology defined purely by
-// configuration. The forced settings win over Env.Set, so a derived
-// variant cannot be un-derived from the command line.
-func Derive(name string, base Variant, force Settings) Variant {
-	return New(name, func(env Env) (Instance, error) {
-		env.Set = env.Set.Merge(force)
-		return base.Build(env)
-	})
+// Lookup finds a variant by name.
+func Lookup(name string) (Variant, bool) {
+	v, ok := variants[name]
+	return v, ok
 }
 
-var registry = NewRegistry[Variant]("variant")
-
-// Register adds a variant to the process-wide registry; it panics on an
-// empty or duplicate name.
-func Register(v Variant) { registry.Register(v) }
-
-// Lookup finds a registered variant by name.
-func Lookup(name string) (Variant, bool) { return registry.Lookup(name) }
-
-// Names lists the registered variant names, sorted.
-func Names() []string { return registry.Names() }
+// Names lists the variant names, sorted.
+func Names() []string { return slices.Sorted(maps.Keys(variants)) }

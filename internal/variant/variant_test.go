@@ -1,6 +1,7 @@
 package variant
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,50 +18,18 @@ func testEnv(set Settings) Env {
 }
 
 func TestRegistryBuiltins(t *testing.T) {
-	names := Names()
-	for _, want := range []string{Unmodified, Modified, ModifiedNoReserve} {
-		if _, ok := Lookup(want); !ok {
-			t.Errorf("builtin %q not registered", want)
-		}
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("Names() misses %q: %v", want, names)
+	want := []string{Modified, ModifiedNoReserve, Unmodified}
+	if got := Names(); !slices.Equal(got, want) {
+		t.Errorf("Names() = %v, want the sorted %v", got, want)
+	}
+	for _, name := range want {
+		if _, ok := Lookup(name); !ok {
+			t.Errorf("%q does not look up", name)
 		}
 	}
 	if _, ok := Lookup("no-such-variant"); ok {
 		t.Error("bogus lookup succeeded")
 	}
-	if !sortedStrings(names) {
-		t.Errorf("Names() unsorted: %v", names)
-	}
-}
-
-func sortedStrings(s []string) bool {
-	for i := 1; i < len(s); i++ {
-		if s[i] < s[i-1] {
-			return false
-		}
-	}
-	return true
-}
-
-func TestRegisterPanics(t *testing.T) {
-	mustPanic := func(name string, v Variant) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: Register did not panic", name)
-			}
-		}()
-		Register(v)
-	}
-	mustPanic("empty", New("", nil))
-	mustPanic("duplicate", New(Modified, nil))
 }
 
 func TestBuildUnmodified(t *testing.T) {
@@ -99,16 +68,22 @@ func TestBuildModifiedAndDerived(t *testing.T) {
 		t.Errorf("minreserve setting ignored: t_reserve = %v", got)
 	}
 
-	// The derived ablation pins t_reserve at zero even when the caller
-	// tries to configure a reserve — forced settings win.
+	// The ablation pins t_reserve at zero even when the caller tries to
+	// configure a reserve or to turn the controller back on: its
+	// noreserve=true wins over the caller's settings.
 	nv, _ := Lookup(ModifiedNoReserve)
-	ninst, err := nv.Build(testEnv(Settings{"general": "4", "lengthy": "2", "minreserve": "9"}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ninst.Stop()
-	if got := gauge(ninst, ProbeReserve)(); got != 0 {
-		t.Errorf("noreserve variant has t_reserve = %v", got)
+	for _, set := range []Settings{
+		{"general": "4", "lengthy": "2", "minreserve": "9"},
+		{"general": "4", "lengthy": "2", "minreserve": "9", "noreserve": "false"},
+	} {
+		ninst, err := nv.Build(testEnv(set))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ninst.Stop()
+		if got := gauge(ninst, ProbeReserve)(); got != 0 {
+			t.Errorf("noreserve variant with %v has t_reserve = %v", set, got)
+		}
 	}
 }
 

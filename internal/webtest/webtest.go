@@ -1,6 +1,6 @@
 // Package webtest provides a minimal HTTP client and a configurable
-// in-memory application used by server tests, examples, and the workload
-// generator's own tests.
+// in-memory application used by server tests, the benchmark, and the
+// workload generator's own tests.
 //
 // The client is deliberately independent of net/http so that tests
 // exercise the repository's wire implementation end to end.
@@ -19,7 +19,7 @@ import (
 	"stagedweb/internal/template"
 )
 
-// App is a small server.App for tests and examples.
+// App is a small server.App for tests and the benchmark.
 type App struct {
 	set      *template.Set
 	handlers map[string]server.HandlerFunc

@@ -2,7 +2,9 @@ package workload
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"time"
 
 	"stagedweb/internal/variant"
@@ -26,7 +28,7 @@ const (
 	ProbeWIRT = "client.wirt"
 )
 
-// Registered names of the built-in profiles.
+// Names of the load profiles.
 const (
 	// Steady is the paper's workload: a fixed closed-loop population.
 	Steady = "steady"
@@ -62,40 +64,33 @@ func (e Env) baseEBs() int {
 	return defaultEBs
 }
 
-// Profile is a named load recipe: its Name is the registry key
-// ("steady", "spike", ...), and Build constructs an unstarted Generator
-// from the environment.
-type Profile = variant.Recipe[Env, *Generator]
+// Profile builds an unstarted Generator from the environment.
+type Profile func(Env) (*Generator, error)
 
-// NewProfile wraps a name and a build function as a Profile.
-func NewProfile(name string, build func(Env) (*Generator, error)) Profile {
-	return variant.NewRecipe(name, build)
+// Build runs the profile's build function.
+func (p Profile) Build(env Env) (*Generator, error) { return p(env) }
+
+// profiles is the table Lookup and Names read.
+var profiles = map[string]Profile{
+	Steady:   buildSteady,
+	Spike:    buildSpike,
+	OpenLoop: buildOpenLoop,
 }
 
-var registry = variant.NewRegistry[Profile]("load profile")
-
-// Register adds a profile to the process-wide registry; it panics on an
-// empty or duplicate name.
-func Register(p Profile) { registry.Register(p) }
-
-// Lookup finds a registered profile by name.
-func Lookup(name string) (Profile, bool) { return registry.Lookup(name) }
-
-// Names lists the registered profile names, sorted.
-func Names() []string { return registry.Names() }
-
-func init() {
-	Register(NewProfile(Steady, buildSteady))
-	Register(NewProfile(Spike, buildSpike))
-	Register(NewProfile(OpenLoop, buildOpenLoop))
+// Lookup finds a profile by name.
+func Lookup(name string) (Profile, bool) {
+	p, ok := profiles[name]
+	return p, ok
 }
 
-// Scheduled builds a Generator of ebs browsers whose closed-loop
+// Names lists the profile names, sorted.
+func Names() []string { return slices.Sorted(maps.Keys(profiles)) }
+
+// scheduled builds a Generator of ebs browsers whose closed-loop
 // population follows schedule — paper time since Start mapped to a
-// target EB count, evaluated once per paper second. It is the building
-// block the steady and spike built-ins compose, exported so custom
-// profiles can too; pass a nil schedule for a fixed fleet.
-func Scheduled(env Env, ebs int, schedule func(time.Duration) int) (*Generator, error) {
+// target EB count, evaluated once per paper second. The steady and spike
+// profiles compose it; pass a nil schedule for a fixed fleet.
+func scheduled(env Env, ebs int, schedule func(time.Duration) int) (*Generator, error) {
 	env.EBs = ebs
 	g := New(env.Config)
 	g.schedule = schedule
@@ -115,7 +110,7 @@ func buildSteady(env Env) (*Generator, error) {
 	if ebs <= 0 {
 		return nil, fmt.Errorf("%s: ebs must be positive", Steady)
 	}
-	return Scheduled(env, ebs, nil)
+	return scheduled(env, ebs, nil)
 }
 
 // buildSpike constructs a flash crowd.
@@ -138,7 +133,7 @@ func buildSpike(env Env) (*Generator, error) {
 	if burst < 0 || width <= 0 {
 		return nil, fmt.Errorf("%s: burst must be >= 0 and width positive", Spike)
 	}
-	return Scheduled(env, base, func(t time.Duration) int {
+	return scheduled(env, base, func(t time.Duration) int {
 		if t >= at && t < at+width {
 			return base + burst
 		}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -9,14 +10,17 @@ import (
 )
 
 func TestRegistry(t *testing.T) {
-	names := Names()
-	for _, want := range []string{Steady, Spike, OpenLoop} {
-		if _, ok := Lookup(want); !ok {
-			t.Errorf("built-in profile %q not registered (have %v)", want, names)
+	want := []string{OpenLoop, Spike, Steady}
+	if got := Names(); !slices.Equal(got, want) {
+		t.Errorf("Names() = %v, want the sorted %v", got, want)
+	}
+	for _, name := range want {
+		if _, ok := Lookup(name); !ok {
+			t.Errorf("profile %q does not look up", name)
 		}
 	}
 	if _, ok := Lookup("no-such-profile"); ok {
-		t.Fatal("phantom profile resolved")
+		t.Error("bogus lookup succeeded")
 	}
 }
 
@@ -25,7 +29,7 @@ func build(t *testing.T, name string, env Env) *Generator {
 	t.Helper()
 	p, ok := Lookup(name)
 	if !ok {
-		t.Fatalf("profile %q not registered", name)
+		t.Fatalf("no profile %q", name)
 	}
 	g, err := p.Build(env)
 	if err != nil {

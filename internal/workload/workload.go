@@ -5,12 +5,10 @@
 // interaction response time (WIRT) at the client side — exactly how the
 // paper's evaluation measures Table 3.
 //
-// The offered load is a value: a Profile is a named recipe that builds
-// a Generator from an Env (the fleet's Config plus generic key=value
-// settings), and a process-wide registry maps names to recipes, as
-// internal/variant does for servers. The built-in profiles (steady,
-// spike, open-loop) are registered in profile.go. A
-// Generator's fleet is dynamic: a population schedule re-targets the
+// The offered load is a value: a Profile builds a Generator from an Env
+// (the fleet's Config plus generic key=value settings), and a fixed
+// table in profile.go maps the names steady, spike and open-loop to
+// profiles, as internal/variant does for servers. A Generator's fleet is dynamic: a population schedule re-targets the
 // closed-loop fleet once per paper second, or a Poisson arrival process
 // starts self-retiring sessions. Offered-load telemetry (active EBs,
 // interactions begun, failures, recent WIRT) is exported ungated as the
