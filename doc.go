@@ -10,15 +10,15 @@
 // The thread-per-request baseline it is compared against lives in
 // internal/server as a one-stage graph over the same two layers. Every
 // substrate the evaluation depends on is implemented from scratch in
-// this module: a Django-style template engine (internal/template), an
-// embedded relational database with table locks and a latency cost model
-// (internal/sqldb), an HTTP/1.1 wire implementation with two-phase
-// header parsing (internal/httpwire), the TPC-W bookstore, its page
-// mixes, and a dynamic emulated-browser fleet whose load-profile table
-// makes offered load — steady state, flash crowds, open-loop arrivals —
-// a named first-class value (internal/tpcw, internal/workload), and the
-// experiment harness that regenerates the paper's tables and figures
-// (internal/harness).
+// this module: the subset of Django's template language the TPC-W pages
+// use (internal/template), an embedded relational database with table
+// locks and a latency cost model (internal/sqldb), an HTTP/1.1 wire
+// implementation with two-phase header parsing (internal/httpwire), the
+// TPC-W bookstore, its page mixes, and a dynamic emulated-browser fleet
+// whose load-profile table makes offered load — steady state, flash
+// crowds, open-loop arrivals — a named first-class value (internal/tpcw,
+// internal/workload), and the experiment harness that regenerates the
+// paper's tables and figures (internal/harness).
 //
 // Scaling past one database, internal/dbtier fronts a primary plus N-1
 // cloned read replicas behind the same Conn-shaped Query/Exec surface

@@ -171,7 +171,11 @@ func TestStagedNotFoundAndError(t *testing.T) {
 func TestStagedRenderErrorMidPage(t *testing.T) {
 	app := stagedApp()
 	filler := strings.Repeat("<p>filler</p>", 400)
-	app.AddTemplate("broken.html", filler+"{{ msg|divisibleby:0 }}"+filler)
+	// join over an int parses but fails at render time, after the filler.
+	app.AddTemplate("broken.html", filler+"{{ msg|join }}"+filler)
+	if _, err := app.Templates().Get("broken.html"); err != nil {
+		t.Fatalf("broken.html must parse and fail only mid-render: %v", err)
+	}
 	app.AddPage("/broken", func(*server.Request) (*server.Result, error) {
 		return &server.Result{Template: "broken.html", Data: map[string]any{"msg": 1}}, nil
 	})

@@ -157,7 +157,11 @@ func TestBaselineRenderErrorMidPage(t *testing.T) {
 	app := testApp()
 	filler := strings.Repeat("<p>filler</p>", 400)
 	app.AddTemplate("long.html", filler+"{{ msg }}")
-	app.AddTemplate("broken.html", filler+"{{ msg }}{{ msg|divisibleby:0 }}"+filler)
+	// join over a string parses but fails at render time, after the filler.
+	app.AddTemplate("broken.html", filler+"{{ msg }}{{ msg|join }}"+filler)
+	if _, err := app.Templates().Get("broken.html"); err != nil {
+		t.Fatalf("broken.html must parse and fail only mid-render: %v", err)
+	}
 	for _, name := range []string{"long", "broken"} {
 		app.AddPage("/"+name, func(*server.Request) (*server.Result, error) {
 			return &server.Result{Template: name + ".html", Data: map[string]any{"msg": "end"}}, nil

@@ -1,6 +1,8 @@
 package template
 
 import (
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -12,50 +14,19 @@ func applyFilter(t *testing.T, pipeline string, data map[string]any) string {
 	return render(t, "{{ "+pipeline+" }}", data)
 }
 
-func TestFilterUpperLower(t *testing.T) {
-	if got := applyFilter(t, "v|upper", map[string]any{"v": "go"}); got != "GO" {
-		t.Fatalf("upper = %q", got)
-	}
-	if got := applyFilter(t, "v|lower", map[string]any{"v": "GO"}); got != "go" {
-		t.Fatalf("lower = %q", got)
-	}
-}
-
 func TestFilterTitleCapfirst(t *testing.T) {
-	if got := applyFilter(t, "v|title", map[string]any{"v": "the go book"}); got != "The Go Book" {
-		t.Fatalf("title = %q", got)
+	for v, want := range map[string]string{
+		"the go book":        "The Go Book",
+		"SCIENCE-FICTION":    "SCIENCE-FICTION",
+		"  lead and\ttrail ": "Lead And Trail",
+		"":                   "",
+		"<b>":                "&lt;b&gt;",
+	} {
+		if got := applyFilter(t, "v|title", map[string]any{"v": v}); got != want {
+			t.Errorf("title(%q) = %q, want %q", v, got, want)
+		}
 	}
-	if got := applyFilter(t, "v|capfirst", map[string]any{"v": "hello"}); got != "Hello" {
-		t.Fatalf("capfirst = %q", got)
-	}
-}
-
-func TestFilterLength(t *testing.T) {
-	if got := applyFilter(t, "v|length", map[string]any{"v": []int{1, 2, 3}}); got != "3" {
-		t.Fatalf("length slice = %q", got)
-	}
-	if got := applyFilter(t, "v|length", map[string]any{"v": "four"}); got != "4" {
-		t.Fatalf("length string = %q", got)
-	}
-	if got := applyFilter(t, "v|length", map[string]any{"v": map[string]int{"a": 1}}); got != "1" {
-		t.Fatalf("length map = %q", got)
-	}
-}
-
-func TestFilterDefault(t *testing.T) {
-	if got := applyFilter(t, "v|default:'fallback'", nil); got != "fallback" {
-		t.Fatalf("default = %q", got)
-	}
-	if got := applyFilter(t, "v|default:'fallback'", map[string]any{"v": "set"}); got != "set" {
-		t.Fatalf("default set = %q", got)
-	}
-	// Falsy-but-present values still get the default (Django semantics).
-	if got := applyFilter(t, "v|default:'dash'", map[string]any{"v": 0}); got != "dash" {
-		t.Fatalf("default zero = %q", got)
-	}
-	if got := applyFilter(t, "v|default_if_none:'x'", map[string]any{"v": 0}); got != "0" {
-		t.Fatalf("default_if_none zero = %q", got)
-	}
+	mustNotParse(t, "{{ v|capfirst }}")
 }
 
 func TestFilterFloatformat(t *testing.T) {
@@ -70,6 +41,13 @@ func TestFilterFloatformat(t *testing.T) {
 		{"v|floatformat:-2", 34.0, "34"},
 		{"v|floatformat:-2", 34.26, "34.26"},
 		{"v|floatformat:2", 100, "100.00"}, // TPC-W prices
+		{"v|floatformat:2", 12.345, "12.35"},
+		{"v|floatformat:-2", 12.5, "12.50"},
+		{"v|floatformat", int64(3), "3.0"},
+		{"v|floatformat:1", "7.25", "7.2"},
+		{"v|floatformat:2", "n/a", ""},
+		{"v|floatformat:2", nil, ""},
+		{"v|floatformat:2", true, ""},
 	}
 	for _, tt := range tests {
 		if got := applyFilter(t, tt.pipeline, map[string]any{"v": tt.v}); got != tt.want {
@@ -78,138 +56,110 @@ func TestFilterFloatformat(t *testing.T) {
 	}
 }
 
-func TestFilterTruncate(t *testing.T) {
-	data := map[string]any{"v": "one two three four five"}
-	if got := applyFilter(t, "v|truncatewords:3", data); got != "one two three ..." {
-		t.Fatalf("truncatewords = %q", got)
-	}
-	if got := applyFilter(t, "v|truncatewords:9", data); got != "one two three four five" {
-		t.Fatalf("truncatewords long = %q", got)
-	}
-	got := applyFilter(t, "v|truncatechars:7", data)
-	if got != "one tw…" {
-		t.Fatalf("truncatechars = %q", got)
-	}
-}
-
-func TestFilterAdd(t *testing.T) {
-	if got := applyFilter(t, "v|add:3", map[string]any{"v": 4}); got != "7" {
-		t.Fatalf("add int = %q", got)
-	}
-	if got := applyFilter(t, "v|add:'-ish'", map[string]any{"v": "warm"}); got != "warm-ish" {
-		t.Fatalf("add string = %q", got)
-	}
-}
-
 func TestFilterFirstLastJoin(t *testing.T) {
-	data := map[string]any{"v": []string{"a", "b", "c"}}
-	if got := applyFilter(t, "v|first", data); got != "a" {
-		t.Fatalf("first = %q", got)
+	rows := &tableRows{cols: []string{"n"}, cells: [][]any{{1}, {2}}}
+	for _, tt := range []struct {
+		pipeline string
+		v        any
+		want     string
+	}{
+		{"v|join:'-'", []any{"a", "b", "c"}, "a-b-c"},
+		{"v|join", []any{"a", 2, 3.5, nil, true}, "a, 2, 3.5, , True"},
+		{"v|join:'<'", []any{"a", "&"}, "a&lt;&amp;"},
+		{"v|join", []any{}, ""},
+		{"v|join", nil, ""},
+		{"v|join:'+'", rows, "row 0+row 1"},
+	} {
+		if got := applyFilter(t, tt.pipeline, map[string]any{"v": tt.v}); got != tt.want {
+			t.Errorf("%s over %#v = %q, want %q", tt.pipeline, tt.v, got, tt.want)
+		}
 	}
-	if got := applyFilter(t, "v|last", data); got != "c" {
-		t.Fatalf("last = %q", got)
-	}
-	if got := applyFilter(t, "v|join:'-'", data); got != "a-b-c" {
-		t.Fatalf("join = %q", got)
-	}
-	if got := applyFilter(t, "v|first", map[string]any{"v": []string{}}); got != "" {
-		t.Fatalf("first empty = %q", got)
-	}
-}
-
-func TestFilterYesnoPluralize(t *testing.T) {
-	if got := applyFilter(t, "v|yesno", map[string]any{"v": true}); got != "yes" {
-		t.Fatalf("yesno = %q", got)
-	}
-	if got := applyFilter(t, "v|yesno:'on,off'", map[string]any{"v": false}); got != "off" {
-		t.Fatalf("yesno arg = %q", got)
-	}
-	if got := applyFilter(t, "n|pluralize", map[string]any{"n": 1}); got != "" {
-		t.Fatalf("pluralize 1 = %q", got)
-	}
-	if got := applyFilter(t, "n|pluralize", map[string]any{"n": 3}); got != "s" {
-		t.Fatalf("pluralize 3 = %q", got)
-	}
-	if got := applyFilter(t, "n|pluralize:'y,ies'", map[string]any{"n": 2}); got != "ies" {
-		t.Fatalf("pluralize arg = %q", got)
-	}
+	mustNotParse(t, "{{ v|first }}", "{{ v|last }}")
 }
 
 func TestFilterCutUrlencode(t *testing.T) {
-	if got := applyFilter(t, "v|cut:' '", map[string]any{"v": "a b c"}); got != "abc" {
-		t.Fatalf("cut = %q", got)
-	}
-	if got := applyFilter(t, "v|urlencode", map[string]any{"v": "a b&c"}); got != "a%20b%26c" {
+	if got := applyFilter(t, "v|urlencode", map[string]any{"v": "a b&c/d~é"}); got != "a%20b%26c/d~%C3%A9" {
 		t.Fatalf("urlencode = %q", got)
 	}
+	mustNotParse(t, "{{ v|cut:' ' }}")
 }
 
-func TestFilterDivisiblebyStringformat(t *testing.T) {
-	if got := applyFilter(t, "n|divisibleby:3|yesno", map[string]any{"n": 9}); got != "yes" {
-		t.Fatalf("divisibleby = %q", got)
-	}
-	if got := applyFilter(t, "n|stringformat:'04d'", map[string]any{"n": 7}); got != "0007" {
-		t.Fatalf("stringformat = %q", got)
-	}
-}
-
-func TestFilterJust(t *testing.T) {
-	if got := applyFilter(t, "v|ljust:5|cut:' '", map[string]any{"v": "ab"}); got != "ab" {
-		t.Fatalf("ljust = %q", got)
-	}
-	got := render(t, "[{{ v|rjust:4 }}]", map[string]any{"v": "ab"})
-	if got != "[  ab]" {
-		t.Fatalf("rjust = %q", got)
-	}
-}
-
-func TestFilterLinebreaksbr(t *testing.T) {
-	got := applyFilter(t, "v|linebreaksbr", map[string]any{"v": "a\nb<c"})
-	if got != "a<br>b&lt;c" {
-		t.Fatalf("linebreaksbr = %q", got)
-	}
-}
-
-func TestFilterWordcount(t *testing.T) {
-	if got := applyFilter(t, "v|wordcount", map[string]any{"v": "a b  c"}); got != "3" {
-		t.Fatalf("wordcount = %q", got)
-	}
-}
-
+// TestFilterChaining: a {{ }} takes at most one filter.
 func TestFilterChaining(t *testing.T) {
-	got := applyFilter(t, "v|lower|capfirst|add:'!'", map[string]any{"v": "HELLO"})
-	if got != "Hello!" {
-		t.Fatalf("chain = %q", got)
-	}
+	mustNotParse(t, "{{ v|title|urlencode }}", "{{ v|floatformat:2|title }}", "{{ v|title| }}", "{{ v| }}")
 }
 
 func TestFilterArgFromVariable(t *testing.T) {
-	got := applyFilter(t, "v|add:delta", map[string]any{"v": 10, "delta": 5})
-	if got != "15" {
-		t.Fatalf("variable arg = %q", got)
+	data := map[string]any{"v": []any{1, 2}, "sep": " & ", "f": 2.5, "d": 2}
+	if got := render(t, "{{ v|join:sep }} {{ f|floatformat:d }}", data); got != "1 &amp; 2 2.50" {
+		t.Fatalf("variable args = %q", got)
 	}
 }
 
+// TestFilterErrors: a filter that cannot apply fails the render with an
+// error naming the line and the filter.
 func TestFilterErrors(t *testing.T) {
 	for _, src := range []string{
-		"{{ v|default }}",           // missing required arg
-		"{{ v|upper:'x' }}",         // unexpected arg
-		"{{ v|truncatewords:'x' }}", // non-numeric arg
-		"{{ n|divisibleby:0 }}",     // zero divisor
+		`{{ v|floatformat:"x" }}`, // non-numeric argument
+		`{{ v|title:1 }}`,         // unexpected argument
+		`{{ v|urlencode:1 }}`,
+		`{{ v|join }}`, // not iterable
+		`{{ s|join }}`,
 	} {
-		s := NewSet()
-		s.Add("t", src)
-		if _, err := s.Render("t", map[string]any{"v": "a", "n": 3}); err == nil {
-			t.Errorf("%q rendered without error", src)
+		err := renderErr(t, "\n"+src, map[string]any{"v": 1.5, "s": "abc"})
+		if !strings.Contains(err.Error(), "line 2: filter ") {
+			t.Errorf("%s: error %q does not name the line and the filter", src, err)
 		}
 	}
 }
 
-// Property: escaping is idempotent through the escape filter (safe output
-// escaped once) and never produces raw specials.
+// The filters the tests below name are not part of the language: each
+// is a parse error.
+
+func TestFilterUpperLower(t *testing.T) {
+	mustNotParse(t, "{{ v|upper }}", "{{ v|lower }}")
+}
+
+func TestFilterLength(t *testing.T) {
+	mustNotParse(t, "{{ v|length }}")
+}
+
+func TestFilterDefault(t *testing.T) {
+	mustNotParse(t, "{{ v|default:'fallback' }}", "{{ v|default_if_none:'x' }}")
+}
+
+func TestFilterTruncate(t *testing.T) {
+	mustNotParse(t, "{{ v|truncatewords:3 }}", "{{ v|truncatechars:7 }}")
+}
+
+func TestFilterAdd(t *testing.T) {
+	mustNotParse(t, "{{ v|add:3 }}")
+}
+
+func TestFilterYesnoPluralize(t *testing.T) {
+	mustNotParse(t, "{{ v|yesno }}", "{{ n|pluralize }}")
+}
+
+func TestFilterDivisiblebyStringformat(t *testing.T) {
+	mustNotParse(t, "{{ n|divisibleby:3 }}", "{{ n|stringformat:'04d' }}")
+}
+
+func TestFilterJust(t *testing.T) {
+	mustNotParse(t, "{{ v|ljust:5 }}", "{{ v|rjust:4 }}")
+}
+
+func TestFilterLinebreaksbr(t *testing.T) {
+	mustNotParse(t, "{{ v|linebreaksbr }}")
+}
+
+func TestFilterWordcount(t *testing.T) {
+	mustNotParse(t, "{{ v|wordcount }}")
+}
+
+// Property: escaped output never holds a raw special character.
 func TestEscapePropertyNoRawSpecials(t *testing.T) {
 	f := func(s string) bool {
-		out := HTMLEscape(s)
+		out := string(appendEscaped(nil, s))
 		return !strings.ContainsAny(out, "<>\"'") &&
 			!strings.Contains(strings.ReplaceAll(out, "&amp;", ""), "&&")
 	}
@@ -218,22 +168,24 @@ func TestEscapePropertyNoRawSpecials(t *testing.T) {
 	}
 }
 
+// TestHTMLEscapeFastPath: text with nothing to escape is copied as it is,
+// into the room dst has.
 func TestHTMLEscapeFastPath(t *testing.T) {
 	s := "no specials at all"
-	if got := HTMLEscape(s); got != s {
+	dst := make([]byte, 0, 64)
+	if got := string(appendEscaped(dst, s)); got != s {
 		t.Fatalf("fast path mangled %q -> %q", s, got)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = appendEscaped(dst, s) }); n != 0 {
+		t.Fatalf("escaping into a buffer with room allocates %v times", n)
 	}
 }
 
+// TestFilterSetNames: the filter table holds the four filters the pages
+// use, and nothing else.
 func TestFilterSetNames(t *testing.T) {
-	fs := NewFilterSet()
-	if len(fs.m) < 20 {
-		t.Fatalf("expected at least 20 builtin filters, got %d", len(fs.m))
-	}
-	if _, ok := fs.Get("upper"); !ok {
-		t.Fatal("upper filter missing")
-	}
-	if _, ok := fs.Get("nope"); ok {
-		t.Fatal("unknown filter found")
+	got := slices.Sorted(maps.Keys(filters))
+	if want := []string{"floatformat", "join", "title", "urlencode"}; !slices.Equal(got, want) {
+		t.Fatalf("filters = %v, want %v", got, want)
 	}
 }

@@ -1,7 +1,12 @@
-// Package template implements a Django-style template language: plain
-// HTML with {{ variable }} substitutions, {% tag %} control structures
-// ({% if %}, {% for %}, {% include %}, {% extends %}/{% block %},
-// {% with %}), {# comments #}, and a pipeline of value filters.
+// Package template renders the subset of Django's template language that
+// the TPC-W pages are written in: plain HTML with {{ operand }} and
+// {{ operand|filter:arg }} substitutions, {% if x %}…{% else %}…{% endif %},
+// {% for x in xs %}…{% empty %}…{% endfor %} (with forloop.counter),
+// {% include %}, and {% extends %}/{% block %}. The four filters are
+// floatformat, title, urlencode and join. Anything else — another tag or
+// filter, an operator, a chained filter, a comment — is a parse error,
+// so a template outside the subset fails when it is loaded rather than
+// rendering something different.
 //
 // It exists so the reproduction can run the paper's TPC-W pages in the
 // same shape the authors wrote them (Figures 2 and 3 of the paper), and
@@ -13,8 +18,8 @@
 //     name plus the data context and a separate rendering pool performs
 //     the render (modified server).
 //
-// Variable output is HTML-escaped unless passed through the "safe" filter,
-// matching Django's autoescape default.
+// Every {{ }} output is HTML-escaped, matching Django's autoescape
+// default. A missing variable or attribute renders empty.
 //
 // A parsed Template is an immutable tree that any number of goroutines
 // may render at once. A render appends to a []byte (RenderAppend; Render
@@ -22,10 +27,9 @@
 // binding stack, the block overrides, one forloop value per nested loop,
 // a scratch buffer for filter output — in a pooled render state, so that
 // in steady state a page costs no allocation per node, per loop iteration
-// or per cell. Loops index their iterable where it is: slices of maps,
-// of any and of strings directly, a RowSet (Len plus Cell by row and
-// column name, which *sqldb.ResultSet satisfies) through one re-pointed
-// row reference, anything else through reflection.
+// or per cell. Loops index what handlers pass where it is: a []any, or a
+// RowSet (Len plus Cell by row and column name, which *sqldb.ResultSet
+// satisfies) through one re-pointed row reference.
 package template
 
 import (
@@ -37,53 +41,30 @@ import (
 type tokenKind int
 
 const (
-	tokenText    tokenKind = iota + 1 // raw template text
-	tokenVar                          // {{ expression }}
-	tokenTag                          // {% tag ... %}
-	tokenComment                      // {# ... #}
+	tokenText tokenKind = iota + 1 // raw template text
+	tokenVar                       // {{ expression }}
+	tokenTag                       // {% tag ... %}
 	tokenEOF
 )
-
-func (k tokenKind) String() string {
-	switch k {
-	case tokenText:
-		return "text"
-	case tokenVar:
-		return "variable"
-	case tokenTag:
-		return "tag"
-	case tokenComment:
-		return "comment"
-	case tokenEOF:
-		return "eof"
-	}
-	return "unknown"
-}
 
 // token is one lexical element with its 1-based source line.
 type token struct {
 	kind tokenKind
-	val  string // inner content for var/tag/comment, raw text for text
+	val  string // inner content for var/tag, raw text for text
 	line int
 }
 
-// nextDelim finds the earliest template delimiter ({{, {%, or {#) at or
-// after offset i, returning its position and kind, or -1 if none remains.
-func nextDelim(src string, i int) (pos int, kind tokenKind) {
-	pos = -1
+// nextDelim finds the earliest "{{", "{%" or "{#" at or after offset i,
+// returning its position, or -1 if none remains. A lone '{' is text.
+func nextDelim(src string, i int) int {
 	for {
 		j := strings.IndexByte(src[i:], '{')
 		if j < 0 || i+j+1 >= len(src) {
-			return -1, 0
+			return -1
 		}
 		at := i + j
-		switch src[at+1] {
-		case '{':
-			return at, tokenVar
-		case '%':
-			return at, tokenTag
-		case '#':
-			return at, tokenComment
+		if c := src[at+1]; c == '{' || c == '%' || c == '#' {
+			return at
 		}
 		i = at + 1
 	}
@@ -91,15 +72,16 @@ func nextDelim(src string, i int) (pos int, kind tokenKind) {
 
 // lex splits template source into tokens. Delimiters inside string
 // literals are not special-cased (as in Django, '}}' may not appear in a
-// variable tag's string argument).
+// variable tag's string argument). "{#" is an error: comments are not
+// part of the language.
 func lex(name, src string) ([]token, error) {
 	var (
 		tokens []token
 		line   = 1
 		i      = 0
 	)
-	for i < len(src) {
-		open, kind := nextDelim(src, i)
+	for {
+		open := nextDelim(src, i)
 		if open < 0 {
 			break
 		}
@@ -108,18 +90,16 @@ func lex(name, src string) ([]token, error) {
 			tokens = append(tokens, token{kind: tokenText, val: text, line: line})
 			line += strings.Count(text, "\n")
 		}
-		var closer string
-		switch kind {
-		case tokenVar:
-			closer = "}}"
-		case tokenTag:
-			closer = "%}"
-		case tokenComment:
-			closer = "#}"
+		kind, closer := tokenVar, "}}"
+		switch src[open+1] {
+		case '%':
+			kind, closer = tokenTag, "%}"
+		case '#':
+			return nil, fmt.Errorf("template %s:%d: comments are not supported", name, line)
 		}
 		end := strings.Index(src[open+2:], closer)
 		if end < 0 {
-			return nil, fmt.Errorf("template %s:%d: unclosed %s", name, line, kind)
+			return nil, fmt.Errorf("template %s:%d: unclosed %s", name, line, src[open:open+2])
 		}
 		inner := src[open+2 : open+2+end]
 		tokens = append(tokens, token{kind: kind, val: strings.TrimSpace(inner), line: line})
@@ -129,6 +109,5 @@ func lex(name, src string) ([]token, error) {
 	if i < len(src) {
 		tokens = append(tokens, token{kind: tokenText, val: src[i:], line: line})
 	}
-	tokens = append(tokens, token{kind: tokenEOF, line: line})
-	return tokens, nil
+	return append(tokens, token{kind: tokenEOF, line: line}), nil
 }

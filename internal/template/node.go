@@ -32,7 +32,7 @@ type renderState struct {
 	loops     [4]forLoop // forloop values by {% for %} nesting depth
 	loopDepth int
 
-	scratch []byte // output of a {{ }}'s trailing filter, before escaping
+	scratch []byte // a {{ }}'s filter output, before escaping
 	out     []byte // Render's page, before it becomes a string
 }
 
@@ -73,7 +73,7 @@ func (st *renderState) pushLoop() *forLoop {
 }
 
 func (st *renderState) popLoop(l *forLoop) {
-	*l = forLoop{} // drop the row set and the parent loop
+	*l = forLoop{} // drop the row set
 	st.loopDepth--
 }
 
@@ -96,79 +96,59 @@ func (t textNode) render(_ *renderState, dst []byte) ([]byte, error) {
 	return append(dst, t...), nil
 }
 
-// varNode is {{ expression }}. Output is HTML-escaped unless the value is
-// Safe (e.g. passed through the safe filter).
+// varNode is {{ operand }} or {{ operand|filter:arg }}. Its output is
+// HTML-escaped. A filter writes into a scratch buffer that is
+// escape-appended to the page, with no string in between.
 type varNode struct {
-	e expr
-	// tail, when set, is the expression's last filter, split off at
-	// parse time because it has an append form: e is then everything
-	// before it, and tail writes its output into a scratch buffer that
-	// is escape-appended to the page, with no string in between.
-	tail *filterCall
-	line int
+	e      expr
+	name   string
+	filter filter // nil when there is none
+	arg    expr
+	hasArg bool
+	line   int
 }
 
 func (v *varNode) render(st *renderState, dst []byte) ([]byte, error) {
-	val, err := v.e.eval(&st.ctx)
-	if err != nil {
-		return dst, fmt.Errorf("line %d: %w", v.line, err)
-	}
-	if v.tail == nil {
+	val := v.e.eval(&st.ctx)
+	if v.filter == nil {
 		return appendValue(dst, val), nil
 	}
-	arg, err := v.tail.evalArg(&st.ctx)
-	if err != nil {
-		return dst, fmt.Errorf("line %d: %w", v.line, err)
+	var arg any
+	if v.hasArg {
+		arg = v.arg.eval(&st.ctx)
 	}
-	out, err := v.tail.appendFn(st.scratch[:0], val, arg, v.tail.hasArg)
+	out, err := v.filter(st.scratch[:0], val, arg, v.hasArg)
 	if err != nil {
-		return dst, fmt.Errorf("line %d: filter %q: %w", v.line, v.tail.name, err)
+		return dst, fmt.Errorf("line %d: filter %q: %w", v.line, v.name, err)
 	}
 	st.scratch = out
 	return appendEscaped(dst, out), nil
 }
 
-// ifBranch is one arm of {% if %} / {% elif %}.
-type ifBranch struct {
-	cond expr
-	body nodeList
-}
-
+// ifNode is {% if cond %} ... {% else %} ... {% endif %}.
 type ifNode struct {
-	branches []ifBranch
-	elseBody nodeList
+	cond           expr
+	body, elseBody nodeList
 }
 
 func (n *ifNode) render(st *renderState, dst []byte) ([]byte, error) {
-	for _, br := range n.branches {
-		v, err := br.cond.eval(&st.ctx)
-		if err != nil {
-			return dst, err
-		}
-		if Truth(v) {
-			return br.body.render(st, dst)
-		}
+	if Truth(n.cond.eval(&st.ctx)) {
+		return n.body.render(st, dst)
 	}
 	return n.elseBody.render(st, dst)
 }
 
-// forNode is {% for x in xs %} ... {% empty %} ... {% endfor %}, with the
-// standard forloop context variables.
+// forNode is {% for x in xs %} ... {% empty %} ... {% endfor %}, with
+// forloop.counter.
 type forNode struct {
-	vars     []string // one var, or two for key,value unpacking
-	iterable expr
-	reversed bool
-	body     nodeList
-	empty    nodeList
+	name        string
+	iterable    expr
+	body, empty nodeList
 }
 
 func (n *forNode) render(st *renderState, dst []byte) ([]byte, error) {
 	ctx := &st.ctx
-	src, err := n.iterable.eval(ctx)
-	if err != nil {
-		return dst, err
-	}
-	seq, err := sequenceOf(src)
+	seq, err := sequenceOf(n.iterable.eval(ctx))
 	if err != nil {
 		return dst, err
 	}
@@ -176,72 +156,32 @@ func (n *forNode) render(st *renderState, dst []byte) ([]byte, error) {
 		return n.empty.render(st, dst)
 	}
 	loop := st.pushLoop()
-	loop.n = seq.n
-	loop.parent, _ = ctx.Lookup("forloop")
-	// The scope's bindings are laid out once — the loop variables, then
-	// forloop, which therefore wins a name clash — and the iterations
-	// only re-point them. Nested tags grow and truncate the stack above
-	// base, so the slots are indexed afresh each time.
-	ctx.Push()
+	// The scope's two bindings are laid out once — the loop variable,
+	// then forloop, which therefore wins a name clash — and the
+	// iterations only re-point the first. Nested loops grow and truncate
+	// the stack above base, so the slot is indexed afresh each time.
 	base := len(ctx.binds)
-	for _, name := range n.vars {
-		ctx.binds = append(ctx.binds, binding{name: name})
-	}
-	ctx.binds = append(ctx.binds, binding{"forloop", loop})
+	ctx.binds = append(ctx.binds, binding{name: n.name}, binding{"forloop", loop})
 	for i := 0; i < seq.n; i++ {
 		loop.i = i
-		idx := i
-		if n.reversed {
-			idx = seq.n - 1 - i
-		}
-		item := seq.at(idx, &loop.row)
-		if len(n.vars) == 2 {
-			// Unpack {key,value} pairs (map iteration) or rows with
-			// those columns.
-			ctx.binds[base].value = resolveAttr(item, "key")
-			ctx.binds[base+1].value = resolveAttr(item, "value")
-		} else {
-			ctx.binds[base].value = item
-		}
+		ctx.binds[base].value = seq.at(i, &loop.row)
 		if dst, err = n.body.render(st, dst); err != nil {
 			return dst, err
 		}
 	}
-	ctx.Pop()
+	clear(ctx.binds[base:]) // a pooled stack must not pin the page's data
+	ctx.binds = ctx.binds[:base]
 	st.popLoop(loop)
 	return dst, nil
 }
 
-// withNode is {% with name=expr %} or {% with expr as name %}.
-type withNode struct {
-	name string
-	val  expr
-	body nodeList
-}
-
-func (n *withNode) render(st *renderState, dst []byte) ([]byte, error) {
-	v, err := n.val.eval(&st.ctx)
-	if err != nil {
-		return dst, err
-	}
-	st.ctx.Push()
-	st.ctx.Set(n.name, v)
-	dst, err = n.body.render(st, dst)
-	st.ctx.Pop()
-	return dst, err
-}
-
-// includeNode is {% include "name" %}; the name may be an expression.
+// includeNode is {% include "name" %}; the name may be a variable.
 type includeNode struct {
 	name expr
 }
 
 func (n *includeNode) render(st *renderState, dst []byte) ([]byte, error) {
-	v, err := n.name.eval(&st.ctx)
-	if err != nil {
-		return dst, err
-	}
-	tmpl, err := st.set.Get(Stringify(v))
+	tmpl, err := st.set.Get(Stringify(n.name.eval(&st.ctx)))
 	if err != nil {
 		return dst, fmt.Errorf("include: %w", err)
 	}

@@ -13,43 +13,46 @@ type Template struct {
 	blocks  map[string]nodeList // blocks defined at any depth
 }
 
+// tags maps each tag keyword that opens a tag to the keywords that split
+// and close its body; include and extends have no body. These ten words
+// are every tag the parser accepts.
+var tags = map[string]struct{ mid, end string }{
+	"if":      {"else", "endif"},
+	"for":     {"empty", "endfor"},
+	"block":   {"", "endblock"},
+	"include": {},
+	"extends": {},
+}
+
 // parser consumes the token stream.
 type parser struct {
 	name    string
 	tokens  []token
 	pos     int
-	filters *FilterSet
 	blocks  map[string]nodeList
 	extends string
 }
 
-func parse(name, src string, filters *FilterSet) (*Template, error) {
+func parse(name, src string) (*Template, error) {
 	tokens, err := lex(name, src)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{name: name, tokens: tokens, filters: filters, blocks: map[string]nodeList{}}
-	nodes, stop, err := p.parseNodes(nil)
+	p := &parser{name: name, tokens: tokens, blocks: map[string]nodeList{}}
+	nodes, _, err := p.parseNodes("", "")
 	if err != nil {
 		return nil, err
-	}
-	if stop != "" {
-		return nil, p.errf("unexpected {%% %s %%}", stop)
 	}
 	return &Template{nodes: nodes, extends: p.extends, blocks: p.blocks}, nil
 }
 
 func (p *parser) errf(format string, args ...any) error {
-	line := 0
-	if p.pos > 0 && p.pos-1 < len(p.tokens) {
-		line = p.tokens[p.pos-1].line
-	}
-	return fmt.Errorf("template %s:%d: %s", p.name, line, fmt.Sprintf(format, args...))
+	return fmt.Errorf("template %s:%d: %s", p.name, p.tokens[p.pos-1].line, fmt.Sprintf(format, args...))
 }
 
-// parseNodes parses until EOF or until a tag whose first word is in
-// stopTags; the stopping tag's full content is returned.
-func (p *parser) parseNodes(stopTags []string) (nodeList, string, error) {
+// parseNodes parses until EOF ("" is returned) or until the tag {% mid %}
+// or {% end %}, whose keyword is returned.
+func (p *parser) parseNodes(mid, end string) (nodeList, string, error) {
 	var nodes nodeList
 	for {
 		tok := p.tokens[p.pos]
@@ -59,25 +62,18 @@ func (p *parser) parseNodes(stopTags []string) (nodeList, string, error) {
 			return nodes, "", nil
 		case tokenText:
 			nodes = append(nodes, textNode(tok.val))
-		case tokenComment:
-			// Dropped.
 		case tokenVar:
-			e, err := parsePipelineString(tok.val, p.filters)
+			n, err := parseVar(tok.val)
 			if err != nil {
 				return nil, "", p.errf("%v", err)
 			}
-			nodes = append(nodes, newVarNode(e, tok.line))
+			n.line = tok.line
+			nodes = append(nodes, n)
 		case tokenTag:
-			word := tok.val
-			if i := strings.IndexByte(word, ' '); i >= 0 {
-				word = word[:i]
+			if end != "" && (tok.val == end || mid != "" && tok.val == mid) {
+				return nodes, tok.val, nil
 			}
-			for _, stop := range stopTags {
-				if word == stop {
-					return nodes, tok.val, nil
-				}
-			}
-			n, err := p.parseTag(word, tok)
+			n, err := p.parseTag(tok.val)
 			if err != nil {
 				return nil, "", err
 			}
@@ -88,212 +84,78 @@ func (p *parser) parseNodes(stopTags []string) (nodeList, string, error) {
 	}
 }
 
-// newVarNode builds the node for {{ e }}, splitting off a trailing
-// filter that has an append form.
-func newVarNode(e expr, line int) *varNode {
-	n := &varNode{e: e, line: line}
-	p, ok := e.(pipelineExpr)
-	if !ok {
-		return n
+// parseBody parses the body of the tag word opened, and the part after
+// its middle keyword if that appears, through to its end keyword.
+func (p *parser) parseBody(word string) (body, alt nodeList, err error) {
+	t := tags[word]
+	body, stop, err := p.parseNodes(t.mid, t.end)
+	if err == nil && stop != "" && stop == t.mid {
+		alt, stop, err = p.parseNodes("", t.end)
 	}
-	last := len(p.filters) - 1
-	if p.filters[last].appendFn == nil {
-		return n
+	if err == nil && stop != t.end {
+		err = p.errf("unterminated {%% %s %%}", word)
 	}
-	n.tail = &p.filters[last]
-	n.e = p.base
-	if last > 0 {
-		n.e = pipelineExpr{base: p.base, filters: p.filters[:last]}
-	}
-	return n
+	return body, alt, err
 }
 
-// parseTag dispatches on the tag keyword.
-func (p *parser) parseTag(word string, tok token) (node, error) {
-	rest := strings.TrimSpace(strings.TrimPrefix(tok.val, word))
+// parseTag parses the tag whose content is src, with its body.
+func (p *parser) parseTag(src string) (node, error) {
+	word, rest, _ := strings.Cut(src, " ")
+	rest = strings.TrimSpace(rest)
+	if _, ok := tags[word]; !ok {
+		return nil, p.errf("unknown tag %q", word)
+	}
 	switch word {
 	case "if":
-		return p.parseIf(rest)
-	case "for":
-		return p.parseFor(rest)
-	case "with":
-		return p.parseWith(rest)
-	case "include":
-		if rest == "" {
-			return nil, p.errf("include needs a template name")
-		}
-		e, err := parsePipelineString(rest, p.filters)
+		cond, err := p.operand(rest)
 		if err != nil {
-			return nil, p.errf("%v", err)
+			return nil, err
 		}
-		return &includeNode{name: e}, nil
+		body, alt, err := p.parseBody(word)
+		return &ifNode{cond: cond, body: body, elseBody: alt}, err
+	case "for":
+		f := strings.Fields(rest)
+		if len(f) != 3 || f[1] != "in" || !isName(f[0]) {
+			return nil, p.errf("malformed for tag %q: want {%% for x in xs %%}", rest)
+		}
+		iterable, err := p.operand(f[2])
+		if err != nil {
+			return nil, err
+		}
+		body, empty, err := p.parseBody(word)
+		return &forNode{name: f[0], iterable: iterable, body: body, empty: empty}, err
+	case "include":
+		name, err := p.operand(rest)
+		return &includeNode{name: name}, err
 	case "extends":
 		if p.extends != "" {
 			return nil, p.errf("multiple {%% extends %%} tags")
 		}
-		name := strings.Trim(rest, "\"'")
-		if name == "" {
+		if p.extends = strings.Trim(rest, "\"'"); p.extends == "" {
 			return nil, p.errf("extends needs a template name")
 		}
-		p.extends = name
 		return nil, nil
-	case "block":
-		return p.parseBlock(rest)
-	case "comment":
-		if _, _, err := p.skipUntil("endcomment"); err != nil {
-			return nil, err
+	default: // block
+		if !isName(rest) {
+			return nil, p.errf("bad block name %q", rest)
 		}
-		return nil, nil
-	default:
-		return nil, p.errf("unknown tag %q", word)
+		if _, dup := p.blocks[rest]; dup {
+			return nil, p.errf("duplicate block %q", rest)
+		}
+		body, _, err := p.parseBody(word)
+		p.blocks[rest] = body
+		return &blockNode{name: rest, body: body}, err
 	}
 }
 
-func (p *parser) parseIf(cond string) (node, error) {
-	n := &ifNode{}
-	for {
-		e, err := parseConditionString(cond, p.filters)
-		if err != nil {
-			return nil, p.errf("%v", err)
-		}
-		body, stop, err := p.parseNodes([]string{"elif", "else", "endif"})
-		if err != nil {
-			return nil, err
-		}
-		n.branches = append(n.branches, ifBranch{cond: e, body: body})
-		switch {
-		case stop == "endif":
-			return n, nil
-		case stop == "else":
-			elseBody, stop2, err := p.parseNodes([]string{"endif"})
-			if err != nil {
-				return nil, err
-			}
-			if stop2 != "endif" {
-				return nil, p.errf("unterminated {%% if %%}")
-			}
-			n.elseBody = elseBody
-			return n, nil
-		case strings.HasPrefix(stop, "elif"):
-			cond = strings.TrimSpace(strings.TrimPrefix(stop, "elif"))
-		case stop == "":
-			return nil, p.errf("unterminated {%% if %%}")
-		}
+// operand parses src, which must be exactly one operand.
+func (p *parser) operand(src string) (expr, error) {
+	e, rest, err := parseOperand(src)
+	if err == nil && strings.TrimSpace(rest) != "" {
+		err = fmt.Errorf("unexpected %q after the operand", strings.TrimSpace(rest))
 	}
-}
-
-func (p *parser) parseFor(spec string) (node, error) {
-	// "x in xs", "k, v in m", optional trailing "reversed".
-	n := &forNode{}
-	if strings.HasSuffix(spec, " reversed") {
-		n.reversed = true
-		spec = strings.TrimSuffix(spec, " reversed")
-	}
-	inIdx := strings.Index(spec, " in ")
-	if inIdx < 0 {
-		return nil, p.errf("malformed for tag %q: missing 'in'", spec)
-	}
-	varsPart := spec[:inIdx]
-	for _, v := range strings.Split(varsPart, ",") {
-		v = strings.TrimSpace(v)
-		if v == "" || !isWordStart(v[0]) || strings.Contains(v, ".") {
-			return nil, p.errf("bad loop variable %q", v)
-		}
-		n.vars = append(n.vars, v)
-	}
-	if len(n.vars) == 0 || len(n.vars) > 2 {
-		return nil, p.errf("for tag needs one or two loop variables")
-	}
-	e, err := parsePipelineString(strings.TrimSpace(spec[inIdx+4:]), p.filters)
 	if err != nil {
-		return nil, p.errf("%v", err)
+		return expr{}, p.errf("%v", err)
 	}
-	n.iterable = e
-	body, stop, err := p.parseNodes([]string{"empty", "endfor"})
-	if err != nil {
-		return nil, err
-	}
-	n.body = body
-	if stop == "empty" {
-		emptyBody, stop2, err := p.parseNodes([]string{"endfor"})
-		if err != nil {
-			return nil, err
-		}
-		if stop2 != "endfor" {
-			return nil, p.errf("unterminated {%% for %%}")
-		}
-		n.empty = emptyBody
-	} else if stop != "endfor" {
-		return nil, p.errf("unterminated {%% for %%}")
-	}
-	return n, nil
-}
-
-func (p *parser) parseWith(spec string) (node, error) {
-	// "name=expr" or "expr as name".
-	n := &withNode{}
-	if asIdx := strings.Index(spec, " as "); asIdx >= 0 {
-		e, err := parsePipelineString(strings.TrimSpace(spec[:asIdx]), p.filters)
-		if err != nil {
-			return nil, p.errf("%v", err)
-		}
-		n.val = e
-		n.name = strings.TrimSpace(spec[asIdx+4:])
-	} else if eqIdx := strings.IndexByte(spec, '='); eqIdx > 0 {
-		n.name = strings.TrimSpace(spec[:eqIdx])
-		e, err := parsePipelineString(strings.TrimSpace(spec[eqIdx+1:]), p.filters)
-		if err != nil {
-			return nil, p.errf("%v", err)
-		}
-		n.val = e
-	} else {
-		return nil, p.errf("malformed with tag %q", spec)
-	}
-	if n.name == "" || !isWordStart(n.name[0]) {
-		return nil, p.errf("bad with variable %q", n.name)
-	}
-	body, stop, err := p.parseNodes([]string{"endwith"})
-	if err != nil {
-		return nil, err
-	}
-	if stop != "endwith" {
-		return nil, p.errf("unterminated {%% with %%}")
-	}
-	n.body = body
-	return n, nil
-}
-
-func (p *parser) parseBlock(name string) (node, error) {
-	name = strings.TrimSpace(name)
-	if name == "" {
-		return nil, p.errf("block needs a name")
-	}
-	if _, dup := p.blocks[name]; dup {
-		return nil, p.errf("duplicate block %q", name)
-	}
-	body, stop, err := p.parseNodes([]string{"endblock"})
-	if err != nil {
-		return nil, err
-	}
-	if !strings.HasPrefix(stop, "endblock") {
-		return nil, p.errf("unterminated {%% block %s %%}", name)
-	}
-	p.blocks[name] = body
-	return &blockNode{name: name, body: body}, nil
-}
-
-// skipUntil discards tokens until a tag with the given keyword.
-func (p *parser) skipUntil(end string) (nodeList, string, error) {
-	for {
-		tok := p.tokens[p.pos]
-		p.pos++
-		switch tok.kind {
-		case tokenEOF:
-			return nil, "", p.errf("missing {%% %s %%}", end)
-		case tokenTag:
-			if tok.val == end {
-				return nil, tok.val, nil
-			}
-		}
-	}
+	return e, nil
 }

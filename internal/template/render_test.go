@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -31,22 +33,20 @@ func (r *tableRows) Cell(row int, column string) any {
 // shapeTemplates put one iterable, rows, through everything a loop
 // offers. Each must render the same bytes whichever shape rows has.
 var shapeTemplates = []string{
-	`{% for r in rows %}{{ forloop.counter }}/{{ forloop.counter0 }}/{{ forloop.revcounter }}` +
-		`{% if forloop.first %}F{% endif %}{% if forloop.last %}L{% endif %}:{{ r.a }},{{ r.b }},{{ r.nope }};{% empty %}none{% endfor %}`,
-	`{% for r in rows reversed %}{{ forloop.counter }}={{ r.a }}|{% empty %}none{% endfor %}`,
-	`{% for r in rows %}{% for q in rows reversed %}{{ forloop.parentloop.counter }}.{{ forloop.counter }}:{{ r.a }}{{ q.b }} {% endfor %}/{% endfor %}`,
-	`{% for k, v in rows %}{{ k }}={{ v }};{% endfor %}`,
-	`{% for r in rows %}{% with r=r.b %}[{{ r }}]{% endwith %}{{ r.a }}{% with forloop="x" %}{{ forloop }}{% endwith %}{{ forloop.counter }};{% endfor %}`,
-	`{% if rows %}some{% else %}none{% endif %} {{ rows|length }} {% for r in rows %}{{ r.a|floatformat:2 }} {{ r.b|title }} {{ r.a|urlencode }} {{ r.b|upper|title }}|{% endfor %}`,
+	`{% for r in rows %}{{ forloop.counter }}:{{ r.a }},{{ r.b }},{{ r.nope }};{% empty %}none{% endfor %}`,
+	`{% for r in rows %}{% for q in rows %}{{ forloop.counter }}:{{ r.a }}{{ q.b }} {% endfor %}{{ forloop.counter }}/{% endfor %}`,
+	`{% for r in rows %}{% if r.a %}[{{ r.a }}]{% else %}-{% endif %}{% for forloop in rows %}{{ forloop.counter }}{% endfor %};{% endfor %}`,
+	`{% if rows %}some{% else %}none{% endif %} {% for r in rows %}{{ r.a|floatformat:2 }} {{ r.b|title }} {{ r.a|urlencode }} {{ r.c|join:"+" }}|{% endfor %}`,
 	`{% for r in rows %}{% include "cell.html" %}{% endfor %}`,
 }
 
 // TestLoopShapesAgree is the shape-equivalence property: the same rows as
-// []map[string]any, as []any and as a RowSet render identically.
+// a []any of maps and as a RowSet render identically.
 func TestLoopShapesAgree(t *testing.T) {
-	cols := []string{"key", "value", "a", "b"}
+	cols := []string{"a", "b", "c"}
+	words := []string{"plain", "two words", `<a href="x">&'`, "héllo wörld", "  padded  ", ""}
 	cell := func(rng *rand.Rand) any {
-		switch rng.Intn(7) {
+		switch rng.Intn(6) {
 		case 0:
 			return nil
 		case 1:
@@ -55,10 +55,7 @@ func TestLoopShapesAgree(t *testing.T) {
 			return float64(rng.Intn(100000)) / 100
 		case 3:
 			return rng.Intn(2) == 0
-		case 4:
-			return Safe("<b>safe</b>")
 		default:
-			words := []string{"plain", "two words", `<a href="x">&'`, "héllo wörld", "  padded  ", ""}
 			return words[rng.Intn(len(words))]
 		}
 	}
@@ -70,18 +67,12 @@ func TestLoopShapesAgree(t *testing.T) {
 	for seed := int64(1); seed <= 100; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		rows := &tableRows{cols: cols}
-		var maps []map[string]any
-		var anys []any
+		var maps []any
 		for n := rng.Intn(6); n > 0; n-- {
-			cells := make([]any, len(cols))
-			m := map[string]any{}
-			for c, name := range cols {
-				cells[c] = cell(rng)
-				m[name] = cells[c]
-			}
+			list := []any{cell(rng), cell(rng)}[:rng.Intn(3)]
+			cells := []any{cell(rng), cell(rng), list}
 			rows.cells = append(rows.cells, cells)
-			maps = append(maps, m)
-			anys = append(anys, m)
+			maps = append(maps, map[string]any{"a": cells[0], "b": cells[1], "c": list})
 		}
 		for i := range shapeTemplates {
 			name := fmt.Sprint("shape", i)
@@ -89,71 +80,49 @@ func TestLoopShapesAgree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d, %s: %v", seed, name, err)
 			}
-			for shape, v := range map[string]any{"[]any": anys, "RowSet": rows} {
-				got, err := set.Render(name, map[string]any{"rows": v})
-				if err != nil {
-					t.Fatalf("seed %d, %s as %s: %v", seed, name, shape, err)
-				}
-				if got != want {
-					t.Errorf("seed %d, %s: as %s\n got %q\nwant %q (as []map[string]any)", seed, name, shape, got, want)
-				}
+			got, err := set.Render(name, map[string]any{"rows": rows})
+			if err != nil {
+				t.Fatalf("seed %d, %s as a RowSet: %v", seed, name, err)
+			}
+			if got != want {
+				t.Errorf("seed %d, %s: as a RowSet\n got %q\nwant %q (as []any)", seed, name, got, want)
 			}
 		}
 	}
 }
 
-// TestLoopOverOtherShapes covers what sequenceOf reaches by reflection.
+// TestLoopOverOtherShapes: a loop and join walk a []any or a RowSet and
+// treat nil as empty; every other shape, other slices included, fails
+// the render rather than reaching for reflection.
 func TestLoopOverOtherShapes(t *testing.T) {
-	src := `{% for x in v reversed %}{{ forloop.revcounter }}{{ x }}{% if not forloop.last %},{% endif %}{% empty %}-{% endfor %}`
+	src := `{% for x in v %}{{ forloop.counter }}{{ x }},{% empty %}-{% endfor %}`
+	if got := render(t, src, map[string]any{"v": nil}); got != "-" {
+		t.Errorf("loop over nil: got %q", got)
+	}
 	ints := [3]int{7, 8, 9}
-	for _, tt := range []struct {
-		v    any
-		want string
-	}{
-		{[]string{"a", "b"}, "2b,1a"},
-		{[]int{1, 2, 3}, "33,22,11"},
-		{&ints, "39,28,17"},
-		{"héy", "3y,2é,1h"},
-		{map[string]int{"a": 1}, "1map[key:a value:1]"},
-		{[]string{}, "-"},
-		{(*[3]int)(nil), "-"},
-		{nil, "-"},
+	for _, v := range []any{
+		[]string{"a", "b"}, []int{1, 2, 3}, &ints, "héy", map[string]any{"a": 1},
+		[]map[string]any{{"a": 1}}, 42, (*[3]int)(nil),
 	} {
-		if got := render(t, src, map[string]any{"v": tt.v}); got != tt.want {
-			t.Errorf("loop over %T: got %q, want %q", tt.v, got, tt.want)
+		for _, src := range []string{src, `{{ v|join }}`} {
+			if err := renderErr(t, src, map[string]any{"v": v}); !strings.Contains(err.Error(), "cannot iterate") {
+				t.Errorf("%s over %T: %v", src, v, err)
+			}
 		}
-	}
-	if err := renderErr(t, src, map[string]any{"v": 42}); !strings.Contains(err.Error(), "cannot iterate") {
-		t.Errorf("loop over int: %v", err)
-	}
-	if got := render(t, `{{ v|join:"+" }}`, map[string]any{"v": []int{1, 2}}); got != "1+2" {
-		t.Errorf("join over []int: %q", got)
 	}
 }
 
-// TestStringsCountRunes: wherever a template can index or measure a
-// string it counts characters, as {% for c in s %} does, and never cuts
-// one in half.
+// TestStringsCountRunes: the filters that rewrite a string work on its
+// bytes but never cut a character in half, and a string is not a list
+// of characters to loop over.
 func TestStringsCountRunes(t *testing.T) {
-	data := map[string]any{"v": "héllo", "w": "日本語", "e": ""}
+	data := map[string]any{"v": "héllo wörld", "w": "日本語", "l": []any{"日", "本語"}, "e": ""}
 	for _, tt := range []struct{ src, want string }{
-		{`{{ v|truncatechars:3 }}`, "hé…"},
-		{`{{ v|truncatechars:5 }}`, "héllo"},
-		{`{{ v|truncatechars:1 }}`, "…"},
-		{`{{ v|truncatechars:0 }}`, "…"},
-		{`{{ w|truncatechars:2 }}`, "日…"},
-		{`{{ e|truncatechars:0 }}`, ""},
-		{`{{ v.1 }}`, "é"},
-		{`{{ w.2 }}`, "語"},
-		{`{{ w.3 }}`, ""},
-		{`[{{ v|rjust:6 }}]`, "[ héllo]"},
-		{`[{{ v|ljust:7 }}]`, "[héllo  ]"},
-		{`[{{ w|rjust:3 }}]`, "[日本語]"},
-		{`{{ w|first }}{{ v|last }}`, "日o"},
-		{`{{ w|last }}`, "語"},
-		{`{{ e|first }}{{ e|last }}`, ""},
-		{`{{ w|length }}`, "3"},
-		{`{% for c in w %}{{ c }}.{% endfor %}`, "日.本.語."},
+		{`{{ v|title }}`, "Héllo Wörld"},
+		{`{{ w|title }}`, "日本語"},
+		{`{{ l|join:"·" }}`, "日·本語"},
+		{`{{ w|urlencode }}`, "%E6%97%A5%E6%9C%AC%E8%AA%9E"},
+		{`[{{ e|title }}]`, "[]"},
 	} {
 		got := render(t, tt.src, data)
 		if got != tt.want {
@@ -163,6 +132,9 @@ func TestStringsCountRunes(t *testing.T) {
 			t.Errorf("%s emitted invalid UTF-8: %q", tt.src, got)
 		}
 	}
+	if err := renderErr(t, `{% for c in w %}{{ c }}{% endfor %}`, data); !strings.Contains(err.Error(), "cannot iterate") {
+		t.Errorf("loop over a string: %v", err)
+	}
 }
 
 type stringer struct{}
@@ -170,11 +142,11 @@ type stringer struct{}
 func (stringer) String() string { return `<s id="1">` }
 
 // TestAppendValueMatchesStringify: {{ v }}'s direct formatting writes
-// exactly HTMLEscape(Stringify(v)) for every type it short-cuts.
+// exactly the escaped Stringify(v) for every type it short-cuts.
 func TestAppendValueMatchesStringify(t *testing.T) {
 	odd := time.FixedZone(`<&>`, 3600)
 	for _, v := range []any{
-		nil, "", "plain", `<a href="x">&'`, "héllo", Safe("<i>"), true, false,
+		nil, "", "plain", `<a href="x">&'`, "héllo", true, false,
 		0, -7, 1 << 40, int64(math.MinInt64), int32(5), uint(9),
 		0.0, 5.0, -3.25, 1e21, 1e-7, math.Inf(1), math.NaN(), float32(2.5),
 		time.Date(2008, 6, 1, 0, 0, 0, 0, time.UTC),
@@ -182,64 +154,60 @@ func TestAppendValueMatchesStringify(t *testing.T) {
 		time.Now(), time.Time{},
 		stringer{}, errors.New("<e>"), []int{1, 2}, map[string]any{"k": "<"},
 	} {
-		want := HTMLEscape(Stringify(v))
-		if s, ok := v.(Safe); ok {
-			want = string(s)
-		}
+		want := string(appendEscaped(nil, Stringify(v)))
 		if got := string(appendValue([]byte("x"), v)); got != "x"+want {
 			t.Errorf("appendValue(%#v) = %q, want %q", v, got[1:], want)
 		}
 	}
 }
 
-// TestAppendFiltersMatchTheirFilterFunc: a trailing filter in append
-// form, the same filter mid-pipeline (its derived FilterFunc), and the
-// reference implementation agree.
+// TestAppendFiltersMatchTheirFilterFunc: each filter, written in append
+// form, appends after what dst holds exactly what a reference string
+// function gives: Django's title (word by word), Python's quote with
+// "/" safe, strconv's fixed-point formatting and strings.Join.
 func TestAppendFiltersMatchTheirFilterFunc(t *testing.T) {
 	titleRef := func(s string) string {
 		words := strings.Fields(s)
 		for i, w := range words {
-			words[i] = capitalizeASCII(w)
+			if c := w[0]; 'a' <= c && c <= 'z' {
+				words[i] = string(c-'a'+'A') + w[1:]
+			}
 		}
 		return strings.Join(words, " ")
 	}
+	urlRef := func(s string) string {
+		return strings.NewReplacer("+", "%20", "%2F", "/").Replace(url.QueryEscape(s))
+	}
+	apply := func(name string, v, arg any, hasArg bool) string {
+		t.Helper()
+		out, err := filters[name]([]byte("dst:"), v, arg, hasArg)
+		if err != nil || !strings.HasPrefix(string(out), "dst:") {
+			t.Fatalf("%s(%#v, %#v): %q, %v", name, v, arg, out, err)
+		}
+		return string(out[len("dst:"):])
+	}
 	for _, s := range []string{
 		"", " ", "arts", "SCIENCE-FICTION", "two words", "  lead and trail  ", "tab\tand\nnewline",
-		"nbsp sep", "élan vital", "<b>&amp;</b> 'q'", "\xff\xfe bad utf8", "a b",
+		"nbsp\u00a0sep", "élan vital", "<b>&amp;</b> 'q'", "\xff\xfe bad utf8", "a+b/c~d", "a b",
 	} {
-		data := map[string]any{"v": s}
-		want := HTMLEscape(titleRef(s))
-		if got := render(t, `{{ v|title }}`, data); got != want {
-			t.Errorf("title(%q) trailing = %q, want %q", s, got, want)
+		if got, want := apply("title", s, nil, false), titleRef(s); got != want {
+			t.Errorf("title(%q) = %q, want %q", s, got, want)
 		}
-		if got := render(t, `{{ v|title|default:"" }}`, data); got != want {
-			t.Errorf("title(%q) mid-pipeline = %q, want %q", s, got, want)
-		}
-		if got, mid := render(t, `{{ v|urlencode }}`, data), render(t, `{{ v|urlencode|default:"" }}`, data); got != mid {
-			t.Errorf("urlencode(%q): trailing %q, mid-pipeline %q", s, got, mid)
+		if got, want := apply("urlencode", s, nil, false), urlRef(s); got != want {
+			t.Errorf("urlencode(%q) = %q, want %q", s, got, want)
 		}
 	}
-	for _, tt := range []struct {
-		v         any
-		src, want string
-	}{
-		{12.345, `{{ v|floatformat:2 }}`, "12.35"},
-		{12.0, `{{ v|floatformat:-2 }}`, "12"},
-		{12.5, `{{ v|floatformat:-2 }}`, "12.50"},
-		{int64(3), `{{ v|floatformat }}`, "3.0"},
-		{"7.25", `{{ v|floatformat:1 }}`, "7.2"},
-		{"n/a", `[{{ v|floatformat:2 }}]`, "[]"},
-		{nil, `[{{ v|floatformat:2 }}]`, "[]"},
-		{2.5, `{{ v|floatformat:2|add:"!" }}`, "2.50!"},
-	} {
-		if got := render(t, tt.src, map[string]any{"v": tt.v}); got != tt.want {
-			t.Errorf("%s over %#v = %q, want %q", tt.src, tt.v, got, tt.want)
+	for _, f := range []float64{0, 12.345, -3.5, 1e9, 0.125} {
+		for d := 0; d < 4; d++ {
+			if got, want := apply("floatformat", f, d, true), strconv.FormatFloat(f, 'f', d, 64); got != want {
+				t.Errorf("floatformat(%v, %d) = %q, want %q", f, d, got, want)
+			}
 		}
 	}
-	for _, src := range []string{`{{ v|floatformat:"x" }}`, `{{ v|title:1 }}`, `{{ v|urlencode:1 }}`} {
-		err := renderErr(t, "\n"+src, map[string]any{"v": 1.5})
-		if !strings.Contains(err.Error(), "line 2: filter ") {
-			t.Errorf("%s: error %q does not name the line and the filter", src, err)
+	parts := []any{"a", "b c", ""}
+	for _, sep := range []string{", ", "", "|"} {
+		if got, want := apply("join", parts, sep, true), strings.Join([]string{"a", "b c", ""}, sep); got != want {
+			t.Errorf("join(%q) = %q, want %q", sep, got, want)
 		}
 	}
 }
@@ -251,8 +219,8 @@ func TestRenderAppend(t *testing.T) {
 	s := NewSet()
 	s.Add("base", `<html>{% block body %}{% endblock %}</html>`)
 	s.Add("ok", `{% extends "base" %}{% block body %}{% for r in rows %}{{ r.n }},{% endfor %}{% endblock %}`)
-	s.Add("broken", `{% extends "base" %}{% block body %}{% for r in rows %}{{ r.n }},{% if forloop.last %}{{ r.n|divisibleby:0 }}{% endif %}{% endfor %}{% endblock %}`)
-	rows := &tableRows{cols: []string{"n"}, cells: [][]any{{int64(1)}, {int64(2)}, {int64(3)}}}
+	s.Add("broken", `{% extends "base" %}{% block body %}{% for r in rows %}{{ r.n }},{% if r.last %}{{ r.n|join }}{% endif %}{% endfor %}{% endblock %}`)
+	rows := &tableRows{cols: []string{"n", "last"}, cells: [][]any{{int64(1), false}, {int64(2), false}, {int64(3), true}}}
 	data := map[string]any{"rows": rows}
 	const page = "<html>1,2,3,</html>"
 
@@ -266,7 +234,7 @@ func TestRenderAppend(t *testing.T) {
 	}
 
 	out, err = s.RenderAppend(buf, "broken", data)
-	if err == nil || !strings.Contains(err.Error(), "divisibleby") {
+	if err == nil || !strings.Contains(err.Error(), "cannot iterate") {
 		t.Fatalf("broken template: err = %v", err)
 	}
 	if string(out) != "prefix:" || len(out) != len(buf) {
@@ -312,11 +280,11 @@ func TestIncludeDoesNotSeeIncluderOverrides(t *testing.T) {
 // inline.
 func TestDeepLoopNesting(t *testing.T) {
 	src := `{% for a in v %}{% for b in v %}{% for c in v %}{% for d in v %}{% for e in v %}{% for f in v %}` +
-		`{{ forloop.parentloop.parentloop.parentloop.parentloop.parentloop.counter }}{{ forloop.counter }}{{ a }}{{ f }} ` +
-		`{% endfor %}{% endfor %}{% endfor %}{% endfor %}{% endfor %}{% endfor %}`
+		`{{ forloop.counter }}{{ a }}{{ f }} ` +
+		`{% endfor %}{{ forloop.counter }}{% endfor %}{% endfor %}{% endfor %}{% endfor %}{% endfor %}`
 	for i := 0; i < 2; i++ {
-		got := render(t, src, map[string]any{"v": []any{"x"}})
-		if got != "11xx " {
+		got := render(t, src, map[string]any{"v": []any{"x", "y"}})
+		if want := "1xx 2xy 1"; !strings.HasPrefix(got, want) || strings.Count(got, " ") != 64 {
 			t.Fatalf("render %d: got %q", i, got)
 		}
 	}

@@ -5,11 +5,11 @@ import (
 	"sync"
 )
 
-// Set is a named collection of templates sharing one filter set —
-// the equivalent of Django's template loader. Sources are registered with
-// Add and parsed lazily, once, on first use; parsed templates are cached
-// and safe for concurrent rendering, which is exactly what the modified
-// server's template-rendering pool requires.
+// Set is a named collection of templates — the equivalent of Django's
+// template loader. Sources are registered with Add and parsed lazily,
+// once, on first use; parsed templates are cached and safe for
+// concurrent rendering, which is exactly what the modified server's
+// template-rendering pool requires.
 //
 // RenderAppend is the wire path: it renders onto the end of a buffer the
 // caller owns (the server's pooled response body) and, on error, hands
@@ -19,16 +19,11 @@ type Set struct {
 	mu      sync.RWMutex
 	sources map[string]string
 	cache   map[string]*Template
-	filters *FilterSet
 }
 
-// NewSet returns an empty set with the built-in filters.
+// NewSet returns an empty set.
 func NewSet() *Set {
-	return &Set{
-		sources: map[string]string{},
-		cache:   map[string]*Template{},
-		filters: NewFilterSet(),
-	}
+	return &Set{sources: map[string]string{}, cache: map[string]*Template{}}
 }
 
 // Add registers (or replaces) a template source and invalidates any
@@ -68,7 +63,7 @@ func (s *Set) Get(name string) (*Template, error) {
 	if !ok {
 		return nil, fmt.Errorf("template: %q not found", name)
 	}
-	t, err := parse(name, src, s.filters)
+	t, err := parse(name, src)
 	if err != nil {
 		return nil, err
 	}

@@ -28,6 +28,19 @@ func renderErr(t *testing.T, src string, data map[string]any) error {
 	return err
 }
 
+// mustNotParse checks that each source fails to load: a form outside the
+// language is a parse error, never a page rendered some other way.
+func mustNotParse(t *testing.T, srcs ...string) {
+	t.Helper()
+	for _, src := range srcs {
+		s := NewSet()
+		s.Add("t", src)
+		if _, err := s.Get("t"); err == nil {
+			t.Errorf("%q parsed, want a parse error", src)
+		}
+	}
+}
+
 func TestPlainText(t *testing.T) {
 	if got := render(t, "<html>hello</html>", nil); got != "<html>hello</html>" {
 		t.Fatalf("got %q", got)
@@ -79,22 +92,9 @@ func TestAutoEscaping(t *testing.T) {
 	}
 }
 
-func TestSafeFilterBypassesEscaping(t *testing.T) {
-	got := render(t, "{{ v|safe }}", map[string]any{"v": "<b>bold</b>"})
-	if got != "<b>bold</b>" {
-		t.Fatalf("got %q", got)
-	}
-}
-
-func TestSafeValueBypassesEscaping(t *testing.T) {
-	got := render(t, "{{ v }}", map[string]any{"v": Safe("<i>x</i>")})
-	if got != "<i>x</i>" {
-		t.Fatalf("got %q", got)
-	}
-}
-
 func TestMissingVariableRendersEmpty(t *testing.T) {
-	if got := render(t, "[{{ nothing }}]", nil); got != "[]" {
+	data := map[string]any{"m": map[string]any{"k": "v"}, "n": 3}
+	if got := render(t, "[{{ nothing }}{{ nothing.deeper }}{{ m.missing }}{{ n.k }}{{ forloop.counter }}]", data); got != "[]" {
 		t.Fatalf("got %q", got)
 	}
 }
@@ -106,29 +106,28 @@ func TestDottedPathMap(t *testing.T) {
 	}
 }
 
+// The three TestDottedPath tests below pin that a path does not reach
+// into Go values — there is no reflection: a struct field, a slice index
+// and a method render empty, like a missing variable.
+
 func TestDottedPathStruct(t *testing.T) {
 	type Author struct{ Name string }
-	type Book struct {
-		Title  string
-		Author Author
-		Price  float64
-	}
-	data := map[string]any{"book": Book{Title: "Go", Author: Author{Name: "Pike"}, Price: 29.99}}
-	if got := render(t, "{{ book.Author.Name }}: {{ book.Price }}", data); got != "Pike: 29.99" {
+	data := map[string]any{"book": Author{Name: "Pike"}, "ptr": &Author{Name: "Pike"}}
+	if got := render(t, "[{{ book.Name }}{{ ptr.Name }}]", data); got != "[]" {
 		t.Fatalf("got %q", got)
 	}
 }
 
 func TestDottedPathSliceIndex(t *testing.T) {
-	data := map[string]any{"xs": []string{"a", "b", "c"}}
-	if got := render(t, "{{ xs.1 }}", data); got != "b" {
+	data := map[string]any{"xs": []any{"a", "b", "c"}, "s": "abc"}
+	if got := render(t, "[{{ xs.1 }}{{ s.0 }}]", data); got != "[]" {
 		t.Fatalf("got %q", got)
 	}
 }
 
 func TestDottedPathMethod(t *testing.T) {
 	data := map[string]any{"v": stringerVal{}}
-	if got := render(t, "{{ v.Label }}", data); got != "labelled" {
+	if got := render(t, "[{{ v.Label }}]", data); got != "[]" {
 		t.Fatalf("got %q", got)
 	}
 }
@@ -138,106 +137,101 @@ type stringerVal struct{}
 func (stringerVal) Label() string { return "labelled" }
 
 func TestIfElse(t *testing.T) {
-	src := "{% if n > 5 %}big{% elif n > 2 %}mid{% else %}small{% endif %}"
-	cases := map[int]string{10: "big", 3: "mid", 1: "small"}
-	for n, want := range cases {
-		if got := render(t, src, map[string]any{"n": n}); got != want {
-			t.Fatalf("n=%d got %q, want %q", n, got, want)
-		}
-	}
-}
-
-func TestIfOperators(t *testing.T) {
-	tests := []struct {
-		cond string
+	for _, tt := range []struct {
+		src  string
 		data map[string]any
-		want bool
+		want string
 	}{
-		{"a == b", map[string]any{"a": 1, "b": 1}, true},
-		{"a == b", map[string]any{"a": 1, "b": "1"}, true}, // numeric coercion
-		{"a != b", map[string]any{"a": 1, "b": 2}, true},
-		{"a < b", map[string]any{"a": 1, "b": 2}, true},
-		{"a >= b", map[string]any{"a": 2, "b": 2}, true},
-		{"a and b", map[string]any{"a": true, "b": false}, false},
-		{"a or b", map[string]any{"a": false, "b": true}, true},
-		{"not a", map[string]any{"a": false}, true},
-		{"x in xs", map[string]any{"x": "b", "xs": []any{"a", "b"}}, true},
-		{"x not in xs", map[string]any{"x": "z", "xs": []any{"a", "b"}}, true},
-		{"x in s", map[string]any{"x": "ell", "s": "hello"}, true},
-		{"a == 'go'", map[string]any{"a": "go"}, true},
-		{"n == 3.5", map[string]any{"n": 3.5}, true},
-		{"a and not b or c", map[string]any{"a": true, "b": true, "c": true}, true},
-	}
-	for _, tt := range tests {
-		src := "{% if " + tt.cond + " %}T{% else %}F{% endif %}"
-		want := "F"
-		if tt.want {
-			want = "T"
-		}
-		if got := render(t, src, tt.data); got != want {
-			t.Errorf("cond %q = %q, want %q", tt.cond, got, want)
+		{"{% if n %}yes{% else %}no{% endif %}", map[string]any{"n": 3}, "yes"},
+		{"{% if n %}yes{% else %}no{% endif %}", map[string]any{"n": 0}, "no"},
+		{"{% if n %}yes{% else %}no{% endif %}", nil, "no"},
+		{"[{% if n %}yes{% endif %}]", map[string]any{"n": ""}, "[]"},
+		{"{% if m.k %}{{ m.k }}{% endif %}", map[string]any{"m": map[string]any{"k": "v"}}, "v"},
+		{"{% if 'lit' %}a{% endif %}{% if 0 %}b{% else %}c{% endif %}", nil, "ac"},
+		{"{% if a %}{% if b %}ab{% else %}a{% endif %}{% else %}-{% endif %}", map[string]any{"a": true}, "a"},
+	} {
+		if got := render(t, tt.src, tt.data); got != tt.want {
+			t.Errorf("%s over %v = %q, want %q", tt.src, tt.data, got, tt.want)
 		}
 	}
 }
 
+// TestIfOperators: {% if %} tests one operand; every operator is a parse
+// error.
+func TestIfOperators(t *testing.T) {
+	for _, cond := range []string{
+		"a == b", "a != b", "a < b", "a <= b", "a > b", "a >= b", "a and b", "a or b",
+		"not a", "x in xs", "x not in xs", "a == 'go'", "n == 3.5", "a and not b or c", "a|title",
+	} {
+		mustNotParse(t, "{% if "+cond+" %}T{% else %}F{% endif %}")
+	}
+	mustNotParse(t, "{% if %}T{% endif %}", "{% if a %}T{% elif b %}E{% endif %}")
+}
+
+// TestForLoopVariables: forloop has counter; its other Django
+// attributes render empty.
 func TestForLoopVariables(t *testing.T) {
-	src := "{% for x in xs %}{{ forloop.counter }}:{{ x }}{% if not forloop.last %},{% endif %}{% endfor %}"
-	got := render(t, src, map[string]any{"xs": []int{7, 8, 9}})
-	if got != "1:7,2:8,3:9" {
+	src := "{% for x in xs %}{{ forloop.counter }}:{{ x }}[{{ forloop.counter0 }}{{ forloop.first }}{{ forloop.last }}{{ forloop.parentloop }}],{% endfor %}"
+	got := render(t, src, map[string]any{"xs": []any{7, 8, 9}})
+	if got != "1:7[],2:8[],3:9[]," {
 		t.Fatalf("got %q", got)
 	}
 }
 
 func TestForEmpty(t *testing.T) {
 	src := "{% for x in xs %}{{ x }}{% empty %}none{% endfor %}"
-	if got := render(t, src, map[string]any{"xs": []int{}}); got != "none" {
-		t.Fatalf("got %q", got)
-	}
-}
-
-func TestForReversed(t *testing.T) {
-	src := "{% for x in xs reversed %}{{ x }}{% endfor %}"
-	if got := render(t, src, map[string]any{"xs": []int{1, 2, 3}}); got != "321" {
-		t.Fatalf("got %q", got)
-	}
-}
-
-func TestForMapDeterministic(t *testing.T) {
-	src := "{% for k, v in m %}{{ k }}={{ v }};{% endfor %}"
-	data := map[string]any{"m": map[string]int{"b": 2, "a": 1, "c": 3}}
-	for i := 0; i < 5; i++ {
-		if got := render(t, src, data); got != "a=1;b=2;c=3;" {
-			t.Fatalf("got %q", got)
+	for _, xs := range []any{[]any{}, nil, &tableRows{}} {
+		if got := render(t, src, map[string]any{"xs": xs}); got != "none" {
+			t.Fatalf("over %#v: got %q", xs, got)
 		}
 	}
+	if got := render(t, src, nil); got != "none" {
+		t.Fatalf("over a missing variable: got %q", got)
+	}
 }
 
+// TestForReversed: a loop walks forwards only; "reversed" is a parse
+// error.
+func TestForReversed(t *testing.T) {
+	mustNotParse(t, "{% for x in xs reversed %}{{ x }}{% endfor %}")
+}
+
+// TestForMapDeterministic: a map has no order to walk, so a loop over one
+// fails rather than rendering in an order that changes run to run; so
+// does unpacking two loop variables.
+func TestForMapDeterministic(t *testing.T) {
+	data := map[string]any{"m": map[string]any{"b": 2, "a": 1, "c": 3}}
+	if err := renderErr(t, "{% for x in m %}{{ x }}{% endfor %}", data); !strings.Contains(err.Error(), "cannot iterate") {
+		t.Fatalf("loop over a map: %v", err)
+	}
+	mustNotParse(t, "{% for k, v in m %}{{ k }}={{ v }};{% endfor %}", "{% for k,v in m %}{% endfor %}")
+}
+
+// TestForNested: an inner loop's forloop and variable shadow the outer
+// loop's, which are back once it ends.
 func TestForNested(t *testing.T) {
-	src := "{% for row in rows %}{% for c in row %}{{ forloop.parentloop.counter }}.{{ forloop.counter }} {% endfor %}{% endfor %}"
-	data := map[string]any{"rows": []any{[]int{1, 2}, []int{3}}}
-	if got := render(t, src, data); got != "1.1 1.2 2.1 " {
+	src := "{% for x in rows %}{% for x in x.cells %}{{ forloop.counter }}{{ x }} {% endfor %}{{ forloop.counter }}{{ x.name }}/{% endfor %}"
+	data := map[string]any{"rows": []any{
+		map[string]any{"name": "r1", "cells": []any{"a", "b"}},
+		map[string]any{"name": "r2", "cells": []any{"c"}},
+	}}
+	if got := render(t, src, data); got != "1a 2b 1r1/1c 2r2/" {
 		t.Fatalf("got %q", got)
 	}
 }
 
+// TestWith: {% with %} is not part of the language.
 func TestWith(t *testing.T) {
-	src := "{% with total=xs|length %}{{ total }}{% endwith %}"
-	if got := render(t, src, map[string]any{"xs": []int{1, 2, 3}}); got != "3" {
-		t.Fatalf("got %q", got)
-	}
-	src = "{% with xs|length as total %}{{ total }}{% endwith %}"
-	if got := render(t, src, map[string]any{"xs": []int{1, 2}}); got != "2" {
-		t.Fatalf("got %q", got)
-	}
+	mustNotParse(t,
+		"{% with total=xs %}{{ total }}{% endwith %}",
+		"{% with xs as total %}{{ total }}{% endwith %}",
+		"{% with %}{% endwith %}",
+	)
 }
 
+// TestComments: neither comment form is part of the language.
 func TestComments(t *testing.T) {
-	if got := render(t, "a{# hidden #}b", nil); got != "ab" {
-		t.Fatalf("got %q", got)
-	}
-	if got := render(t, "a{% comment %}x{{ y }}z{% endcomment %}b", nil); got != "ab" {
-		t.Fatalf("got %q", got)
-	}
+	mustNotParse(t, "a{# hidden #}b", "a{% comment %}x{{ y }}z{% endcomment %}b", "{#")
 }
 
 func TestInclude(t *testing.T) {
@@ -323,13 +317,29 @@ func TestParseErrors(t *testing.T) {
 		"{{ x|",
 		"{% block %}{% endblock %}",
 		"{% block a %}{% endblock %}{% block a %}{% endblock %}",
-		"{% with %}{% endwith %}",
+		"{% block a.b %}{% endblock %}",
+		"{% if x %}{% endblock %}",
+		"{% for x in xs %}{% else %}{% endfor %}",
+		"{% if x %}a{% endif x %}",
+		"{% extends %}",
+		"{% extends 'a' %}{% extends 'b' %}",
+		"{% include %}",
+		"{{ 'open }}",
+		"{{ 1.2.3 }}",
+		"{{ x y }}",
+		"{{ x|title junk }}",
+		// The forms the language dropped, one each.
+		"{% with x=y %}{{ x }}{% endwith %}",
+		"{% comment %}x{% endcomment %}",
+		"{% if a %}A{% elif b %}B{% endif %}",
+		"{% for x in xs reversed %}{% endfor %}",
+		"{% for k, v in m %}{% endfor %}",
+		"{% if a and b %}{% endif %}",
+		"{% if a == b %}{% endif %}",
+		"{{ v|title|urlencode }}",
+		"{{ v|safe }}",
 	} {
-		s := NewSet()
-		s.Add("t", src)
-		if _, err := s.Render("t", nil); err == nil {
-			t.Errorf("source %q rendered without error", src)
-		}
+		mustNotParse(t, src)
 	}
 }
 
@@ -384,7 +394,7 @@ func TestConcurrentRenders(t *testing.T) {
 	done := make(chan error, 16)
 	for i := 0; i < 16; i++ {
 		go func() {
-			out, err := s.Render("t", map[string]any{"xs": []int{1, 2, 3}})
+			out, err := s.Render("t", map[string]any{"xs": []any{1, 2, 3}})
 			if err == nil && out != "123" {
 				err = errUnexpected(out)
 			}
@@ -403,8 +413,8 @@ type errUnexpected string
 func (e errUnexpected) Error() string { return "unexpected output: " + string(e) }
 
 func TestStringLiteralWithSpaces(t *testing.T) {
-	got := render(t, `{{ x|default:"no value here" }}`, nil)
-	if got != "no value here" {
+	got := render(t, `{{ "a | b" }}={{ xs|join:" and " }}`, map[string]any{"xs": []any{"x", "y"}})
+	if got != "a | b=x and y" {
 		t.Fatalf("got %q", got)
 	}
 }

@@ -2,14 +2,13 @@ package template
 
 import (
 	"fmt"
-	"reflect"
 	"strconv"
-	"strings"
-	"unicode/utf8"
+	"time"
 )
 
-// Truth reports Django truthiness: nil, false, zero numbers, empty
-// strings, and empty containers are false; everything else is true.
+// Truth reports Django truthiness for the values handlers pass: nil,
+// false, zero numbers, empty strings and empty lists, maps and row sets
+// are false; every other value is true.
 func Truth(v any) bool {
 	switch t := v.(type) {
 	case nil:
@@ -18,262 +17,145 @@ func Truth(v any) bool {
 		return t
 	case string:
 		return t != ""
-	case Safe:
-		return t != ""
 	case int:
 		return t != 0
 	case int64:
 		return t != 0
-	case int32:
-		return t != 0
 	case float64:
 		return t != 0
-	case float32:
-		return t != 0
+	case []any:
+		return len(t) > 0
+	case map[string]any:
+		return len(t) > 0
 	case RowSet:
 		return t.Len() > 0
 	}
-	rv := reflect.ValueOf(v)
-	switch rv.Kind() {
-	case reflect.Slice, reflect.Map, reflect.Array, reflect.Chan:
-		return rv.Len() > 0
-	case reflect.Pointer, reflect.Interface:
-		return !rv.IsNil()
-	default:
-		return !rv.IsZero()
-	}
-}
-
-// asFloat attempts numeric coercion.
-func asFloat(v any) (float64, bool) {
-	switch t := v.(type) {
-	case int:
-		return float64(t), true
-	case int64:
-		return float64(t), true
-	case int32:
-		return float64(t), true
-	case uint:
-		return float64(t), true
-	case uint64:
-		return float64(t), true
-	case float64:
-		return t, true
-	case float32:
-		return float64(t), true
-	case string:
-		f, err := strconv.ParseFloat(t, 64)
-		return f, err == nil
-	case Safe:
-		f, err := strconv.ParseFloat(string(t), 64)
-		return f, err == nil
-	case bool:
-		if t {
-			return 1, true
-		}
-		return 0, true
-	default:
-		return 0, false
-	}
-}
-
-// asInt attempts integer coercion.
-func asInt(v any) (int, bool) {
-	f, ok := asFloat(v)
-	if !ok {
-		return 0, false
-	}
-	return int(f), true
-}
-
-// Equal compares two template values: numerically when both coerce,
-// otherwise by display string for string-ish pairs, otherwise deeply.
-func Equal(a, b any) bool {
-	if af, aok := asFloat(a); aok {
-		if bf, bok := asFloat(b); bok {
-			return af == bf
-		}
-	}
-	switch a.(type) {
-	case string, Safe:
-		switch b.(type) {
-		case string, Safe:
-			return Stringify(a) == Stringify(b)
-		}
-	}
-	return reflect.DeepEqual(a, b)
-}
-
-// Less orders two template values. Numbers order numerically, strings
-// lexically; mixed types report an error.
-func Less(a, b any) (bool, error) {
-	if af, aok := asFloat(a); aok {
-		if bf, bok := asFloat(b); bok {
-			return af < bf, nil
-		}
-	}
-	as, aok := a.(string)
-	bs, bok := b.(string)
-	if aok && bok {
-		return as < bs, nil
-	}
-	return false, fmt.Errorf("template: cannot order %T and %T", a, b)
-}
-
-// Contains implements the "in" operator: substring for strings, element
-// membership for slices/arrays, key membership for maps.
-func Contains(item, container any) (bool, error) {
-	switch c := container.(type) {
-	case nil:
-		return false, nil
-	case string:
-		return strings.Contains(c, Stringify(item)), nil
-	case Safe:
-		return strings.Contains(string(c), Stringify(item)), nil
-	}
-	rv := reflect.ValueOf(container)
-	switch rv.Kind() {
-	case reflect.Slice, reflect.Array:
-		for i := 0; i < rv.Len(); i++ {
-			if Equal(rv.Index(i).Interface(), item) {
-				return true, nil
-			}
-		}
-		return false, nil
-	case reflect.Map:
-		for _, k := range rv.MapKeys() {
-			if Equal(k.Interface(), item) {
-				return true, nil
-			}
-		}
-		return false, nil
-	default:
-		return false, fmt.Errorf("template: 'in' needs a container, got %T", container)
-	}
+	return true
 }
 
 // sequence is an indexable view of an iterable value, so that a loop can
-// count it, walk it in either direction and know its last element
-// without first copying it. The shapes handlers pass — []map[string]any,
-// []any, []string and row sets — are indexed where they are; other slices
-// and arrays through reflection; maps and strings, which have no stable
-// index, are laid out as anys first.
+// count it without first copying it.
 type sequence struct {
 	n    int
-	maps []map[string]any
 	anys []any
-	strs []string
 	rows RowSet
-	rv   reflect.Value
 }
 
-// sequenceOf views v for {% for %} and join: slice/array elements, row
-// set rows, map entries as {key, value} pairs sorted by key for
-// determinism, or string runes. nil is empty; anything else is an error.
+// sequenceOf views v for {% for %} and join. The shapes handlers pass
+// are a []any and a RowSet; nil is empty, and anything else is an error.
 func sequenceOf(v any) (sequence, error) {
 	switch t := v.(type) {
 	case nil:
 		return sequence{}, nil
-	case []map[string]any:
-		return sequence{n: len(t), maps: t}, nil
 	case []any:
 		return sequence{n: len(t), anys: t}, nil
-	case []string:
-		return sequence{n: len(t), strs: t}, nil
 	case RowSet:
 		return sequence{n: t.Len(), rows: t}, nil
 	}
-	rv := reflect.ValueOf(v)
-	for rv.Kind() == reflect.Pointer || rv.Kind() == reflect.Interface {
-		if rv.IsNil() {
-			return sequence{}, nil
-		}
-		rv = rv.Elem()
-	}
-	switch rv.Kind() {
-	case reflect.Slice, reflect.Array:
-		return sequence{n: rv.Len(), rv: rv}, nil
-	case reflect.Map:
-		keys := rv.MapKeys()
-		strs := make([]string, len(keys))
-		for i, k := range keys {
-			strs[i] = Stringify(k.Interface())
-		}
-		// Insertion sort keyed by display string; map iteration must be
-		// deterministic for template output to be testable.
-		for i := 1; i < len(keys); i++ {
-			for j := i; j > 0 && strs[j] < strs[j-1]; j-- {
-				strs[j], strs[j-1] = strs[j-1], strs[j]
-				keys[j], keys[j-1] = keys[j-1], keys[j]
-			}
-		}
-		pairs := make([]any, len(keys))
-		for i, k := range keys {
-			pairs[i] = map[string]any{"key": k.Interface(), "value": rv.MapIndex(k).Interface()}
-		}
-		return sequence{n: len(pairs), anys: pairs}, nil
-	case reflect.String:
-		var runes []any
-		for _, r := range rv.String() {
-			runes = append(runes, string(r))
-		}
-		return sequence{n: len(runes), anys: runes}, nil
-	default:
-		return sequence{}, fmt.Errorf("template: cannot iterate %T", v)
-	}
+	return sequence{}, fmt.Errorf("template: cannot iterate %T", v)
 }
 
 // at returns element i, 0 <= i < s.n. A row set's element is ref,
 // pointed at row i.
 func (s *sequence) at(i int, ref *rowRef) any {
-	switch {
-	case s.maps != nil:
-		return s.maps[i]
-	case s.anys != nil:
-		return s.anys[i]
-	case s.strs != nil:
-		return s.strs[i]
-	case s.rows != nil:
+	if s.rows != nil {
 		ref.rows, ref.i = s.rows, i
 		return ref
-	default:
-		return s.rv.Index(i).Interface()
 	}
+	return s.anys[i]
 }
 
-// runeAt returns the i-th character of s as a string, or nil when s is
-// shorter: strings index by rune wherever a template can index them,
-// as {% for c in s %} walks them.
-func runeAt(s string, i int) any {
-	if i < 0 {
-		return nil
-	}
-	for _, r := range s {
-		if i == 0 {
-			return string(r)
+// appendEscaped appends s to dst with the five HTML-special characters
+// escaped.
+func appendEscaped[T string | []byte](dst []byte, s T) []byte {
+	from := 0
+	for i := 0; i < len(s); i++ {
+		var esc string
+		switch s[i] {
+		case '&':
+			esc = "&amp;"
+		case '<':
+			esc = "&lt;"
+		case '>':
+			esc = "&gt;"
+		case '"':
+			esc = "&quot;"
+		case '\'':
+			esc = "&#39;"
+		default:
+			continue
 		}
-		i--
+		dst = append(dst, s[from:i]...)
+		dst = append(dst, esc...)
+		from = i + 1
 	}
-	return nil
+	return append(dst, s[from:]...)
 }
 
-// length reports the number of elements in a container-ish value.
-func length(v any) (int, bool) {
+// appendValue appends what {{ v }} writes: the display form of v,
+// HTML-escaped. The types a query result's cells and a handler's own
+// values have are formatted straight into dst; anything else goes
+// through Stringify. The bytes are the escaped Stringify's either way.
+func appendValue(dst []byte, v any) []byte {
 	switch t := v.(type) {
 	case nil:
-		return 0, true
+		return dst
 	case string:
-		return utf8.RuneCountInString(t), true
-	case Safe:
-		return utf8.RuneCountInString(string(t)), true
-	case RowSet:
-		return t.Len(), true
+		return appendEscaped(dst, t)
+	case bool:
+		if t {
+			return append(dst, "True"...)
+		}
+		return append(dst, "False"...)
+	case int:
+		return strconv.AppendInt(dst, int64(t), 10)
+	case int64:
+		return strconv.AppendInt(dst, t, 10)
+	case float64:
+		return appendFloat(dst, t)
+	case time.Time:
+		// Time.String is this layout plus the monotonic reading, if the
+		// value carries one; stored times do not.
+		if t == t.Round(0) {
+			var buf [64]byte
+			return appendEscaped(dst, t.AppendFormat(buf[:0], "2006-01-02 15:04:05.999999999 -0700 MST"))
+		}
 	}
-	rv := reflect.ValueOf(v)
-	switch rv.Kind() {
-	case reflect.Slice, reflect.Array, reflect.Map, reflect.Chan:
-		return rv.Len(), true
-	default:
-		return 0, false
+	return appendEscaped(dst, Stringify(v))
+}
+
+// Stringify converts a template value to its display string.
+func Stringify(v any) string {
+	switch t := v.(type) {
+	case nil:
+		return ""
+	case string:
+		return t
+	case bool:
+		if t {
+			return "True"
+		}
+		return "False"
+	case int:
+		return strconv.Itoa(t)
+	case int64:
+		return strconv.FormatInt(t, 10)
+	case float64:
+		var buf [32]byte
+		return string(appendFloat(buf[:0], t))
+	case fmt.Stringer:
+		return t.String()
+	case error:
+		return t.Error()
 	}
+	return fmt.Sprintf("%v", v)
+}
+
+// appendFloat renders floats the way Django does: an integral value as
+// "5.0", any other in the shortest form that reads back exactly.
+func appendFloat(dst []byte, f float64) []byte {
+	if f == float64(int64(f)) {
+		return append(strconv.AppendInt(dst, int64(f), 10), ".0"...)
+	}
+	return strconv.AppendFloat(dst, f, 'g', -1, 64)
 }

@@ -6,8 +6,9 @@ import (
 )
 
 func TestTruth(t *testing.T) {
-	truthy := []any{true, 1, int64(2), 0.5, "x", Safe("x"), []int{1}, map[string]int{"a": 1}}
-	falsy := []any{nil, false, 0, int64(0), 0.0, "", Safe(""), []int{}, map[string]int{}}
+	full := &tableRows{cols: []string{"a"}, cells: [][]any{{1}}}
+	truthy := []any{true, 1, int64(2), 0.5, "x", []any{0}, map[string]any{"a": 1}, full, struct{}{}, []int{}}
+	falsy := []any{nil, false, 0, int64(0), 0.0, "", []any{}, map[string]any{}, &tableRows{}}
 	for _, v := range truthy {
 		if !Truth(v) {
 			t.Errorf("Truth(%#v) = false, want true", v)
@@ -20,58 +21,6 @@ func TestTruth(t *testing.T) {
 	}
 }
 
-func TestEqualCoercion(t *testing.T) {
-	tests := []struct {
-		a, b any
-		want bool
-	}{
-		{1, 1.0, true},
-		{1, "1", true}, // numeric string coercion
-		{int64(5), 5, true},
-		{"a", "a", true},
-		{Safe("a"), "a", true},
-		{"a", "b", false},
-		{[]int{1}, []int{1}, true}, // deep equality fallback
-		{nil, nil, true},
-		{true, 1, true}, // bool-as-number
-	}
-	for _, tt := range tests {
-		if got := Equal(tt.a, tt.b); got != tt.want {
-			t.Errorf("Equal(%#v, %#v) = %v, want %v", tt.a, tt.b, got, tt.want)
-		}
-	}
-}
-
-func TestLess(t *testing.T) {
-	if ok, err := Less(1, 2); err != nil || !ok {
-		t.Fatalf("Less(1,2) = %v, %v", ok, err)
-	}
-	if ok, err := Less("a", "b"); err != nil || !ok {
-		t.Fatalf("Less(a,b) = %v, %v", ok, err)
-	}
-	if _, err := Less([]int{}, 1); err == nil {
-		t.Fatal("Less on unordered types succeeded")
-	}
-}
-
-func TestContains(t *testing.T) {
-	if ok, _ := Contains("ell", "hello"); !ok {
-		t.Fatal("substring not found")
-	}
-	if ok, _ := Contains(2, []int{1, 2, 3}); !ok {
-		t.Fatal("slice element not found")
-	}
-	if ok, _ := Contains("k", map[string]int{"k": 1}); !ok {
-		t.Fatal("map key not found")
-	}
-	if ok, _ := Contains("x", nil); ok {
-		t.Fatal("nil container contained something")
-	}
-	if _, err := Contains(1, 42); err == nil {
-		t.Fatal("non-container accepted")
-	}
-}
-
 func TestStringify(t *testing.T) {
 	tests := []struct {
 		in   any
@@ -79,7 +28,6 @@ func TestStringify(t *testing.T) {
 	}{
 		{nil, ""},
 		{"s", "s"},
-		{Safe("<b>"), "<b>"},
 		{true, "True"},
 		{false, "False"},
 		{42, "42"},
@@ -87,6 +35,7 @@ func TestStringify(t *testing.T) {
 		{3.5, "3.5"},
 		{2.0, "2.0"}, // Django float display
 		{float32(1.5), "1.5"},
+		{stringer{}, `<s id="1">`},
 	}
 	for _, tt := range tests {
 		if got := Stringify(tt.in); got != tt.want {
@@ -95,61 +44,49 @@ func TestStringify(t *testing.T) {
 	}
 }
 
+// TestResolveAttr: a path step reads a map[string]any key, a row's
+// column, or forloop.counter; anything else is nil, with no reflection.
 func TestResolveAttr(t *testing.T) {
+	rows := &tableRows{cols: []string{"a"}, cells: [][]any{{"r0"}, {"r1"}}}
+	loop := &forLoop{i: 2}
 	type inner struct{ Name string }
-	type outer struct {
-		In  inner
-		Ptr *inner
-	}
-	v := outer{In: inner{Name: "x"}, Ptr: &inner{Name: "y"}}
-	if got := resolveAttr(v, "In"); got.(inner).Name != "x" {
-		t.Fatalf("struct field: %v", got)
-	}
-	if got := resolveAttr(resolveAttr(v, "Ptr"), "Name"); got != "y" {
-		t.Fatalf("pointer deref: %v", got)
-	}
-	if got := resolveAttr(map[string]int{"k": 3}, "k"); got != 3 {
-		t.Fatalf("map key: %v", got)
-	}
-	if got := resolveAttr([]string{"a", "b"}, "1"); got != "b" {
-		t.Fatalf("slice index: %v", got)
-	}
-	if got := resolveAttr([]string{"a"}, "9"); got != nil {
-		t.Fatalf("out of range: %v", got)
-	}
-	if got := resolveAttr(nil, "x"); got != nil {
-		t.Fatalf("nil base: %v", got)
-	}
-	if got := resolveAttr(42, "x"); got != nil {
-		t.Fatalf("scalar attr: %v", got)
-	}
-	var nilPtr *inner
-	if got := resolveAttr(nilPtr, "Name"); got != nil {
-		t.Fatalf("nil pointer: %v", got)
+	for _, tt := range []struct {
+		v    any
+		attr string
+		want any
+	}{
+		{map[string]any{"k": 3}, "k", 3},
+		{map[string]any{"k": 3}, "nope", nil},
+		{&rowRef{rows: rows, i: 1}, "a", "r1"},
+		{&rowRef{rows: rows, i: 0}, "nope", nil},
+		{loop, "counter", 3},
+		{loop, "counter0", nil},
+		{nil, "x", nil},
+		{42, "x", nil},
+		{inner{Name: "x"}, "Name", nil},
+		{&inner{Name: "y"}, "Name", nil},
+		{map[string]int{"k": 3}, "k", nil},
+		{[]any{"a", "b"}, "1", nil},
+	} {
+		if got := resolveAttr(tt.v, tt.attr); got != tt.want {
+			t.Errorf("resolveAttr(%#v, %q) = %#v, want %#v", tt.v, tt.attr, got, tt.want)
+		}
 	}
 }
 
-// rowWithMethod is a named map type: it can carry methods, so it must
-// keep taking the reflective route (method first), not the
-// map[string]any fast path.
+// rowWithMethod is a named map type: it is not a map[string]any, so a
+// path does not resolve into it, key or method.
 type rowWithMethod map[string]any
 
 func (rowWithMethod) Title() string { return "from method" }
 
-// TestResolveAttrMapFastPath checks that the map[string]any fast path
-// returns exactly what the reflective route returns.
+// TestResolveAttrMapFastPath: a map[string]any lookup returns the entry,
+// nested maps chain, and a lookup costs no allocation.
 func TestResolveAttrMapFastPath(t *testing.T) {
 	m := map[string]any{"title": "T", "qty": int64(3), "null": nil, "nested": map[string]any{"k": "v"}}
-	for _, attr := range []string{"title", "qty", "null", "missing", "nested", "Len", "0"} {
-		fast, slow := resolveAttr(m, attr), reflectAttr(m, attr)
-		if fm, ok := fast.(map[string]any); ok {
-			if sm, ok := slow.(map[string]any); !ok || fm["k"] != sm["k"] {
-				t.Errorf("attr %q: fast %v, reflective %v", attr, fast, slow)
-			}
-			continue
-		}
-		if fast != slow {
-			t.Errorf("attr %q: fast %#v, reflective %#v", attr, fast, slow)
+	for attr, want := range map[string]any{"title": "T", "qty": int64(3), "null": nil, "missing": nil, "Len": nil, "0": nil} {
+		if got := resolveAttr(m, attr); got != want {
+			t.Errorf("attr %q: %#v, want %#v", attr, got, want)
 		}
 	}
 	if got := resolveAttr(m, "nested"); resolveAttr(got, "k") != "v" {
@@ -159,37 +96,33 @@ func TestResolveAttrMapFastPath(t *testing.T) {
 		t.Errorf("nil map: %v", got)
 	}
 	named := rowWithMethod{"Title": "from key", "other": 1}
-	if got := resolveAttr(named, "Title"); got != "from method" {
-		t.Errorf("named map type: method not taken, got %v", got)
-	}
-	if got := resolveAttr(named, "other"); got != 1 {
-		t.Errorf("named map type key: %v", got)
+	if got := resolveAttr(named, "Title"); got != nil {
+		t.Errorf("named map type: %v, want nil", got)
 	}
 	if n := testing.AllocsPerRun(100, func() { _ = resolveAttr(m, "title") }); n != 0 {
-		t.Errorf("fast path allocates %v times per lookup", n)
+		t.Errorf("map lookup allocates %v times", n)
 	}
 }
 
+// TestContextScopes: a loop's bindings shadow the data and earlier
+// bindings, and are gone once the loop ends.
 func TestContextScopes(t *testing.T) {
+	src := "{{ a }}{% for a in xs %}{{ a }}{% for b in xs %}{{ a }}{{ b }}{% endfor %}{% endfor %}{{ a }}[{{ b }}{{ forloop.counter }}]"
+	if got := render(t, src, map[string]any{"a": 1, "xs": []any{2, 3}}); got != "122223332331[]" {
+		t.Fatalf("got %q", got)
+	}
 	c := &Context{data: map[string]any{"a": 1}}
-	c.Push()
-	c.Set("a", 2)
+	c.binds = append(c.binds, binding{"a", 2})
 	if v, _ := c.Lookup("a"); v != 2 {
 		t.Fatalf("inner shadow = %v", v)
 	}
-	c.Pop()
+	c.binds = c.binds[:0]
 	if v, _ := c.Lookup("a"); v != 1 {
-		t.Fatalf("after pop = %v", v)
+		t.Fatalf("after the binding = %v", v)
 	}
 	if _, ok := c.Lookup("zz"); ok {
 		t.Fatal("phantom lookup")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("popping outermost scope did not panic")
-		}
-	}()
-	c.Pop()
 }
 
 // Property: Truth(Stringify(x)) is true whenever Stringify(x) != "".
