@@ -12,7 +12,7 @@
 //	poolserv -mode modified -items 10000 -scale 100 -stats 2s
 //	poolserv -mode modified-noreserve          # t_reserve ablated
 //	poolserv -mode modified -set minreserve=15 -set cutoff=3s
-//	poolserv -mode modified -set general=32 -set lengthy=8 -set queuecap=1024
+//	poolserv -mode modified -set general=32 -set lengthy=8
 package main
 
 import (

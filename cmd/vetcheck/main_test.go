@@ -45,11 +45,11 @@ var keptForTests = map[string]string{
 	"internal/sqldb.Snapshot.Close":           "part of DB.Snapshot's read view",
 	"internal/sqldb.Snapshot.Query":           "part of DB.Snapshot's read view",
 	"internal/sqldb.Snapshot.TS":              "part of DB.Snapshot's read view",
-	"internal/webtest.App.AddStatic":          "webtest's test helpers stay until the package becomes test-only",
-	"internal/webtest.App.AddTemplate":        "webtest's test helpers stay until the package becomes test-only",
+	"internal/webtest.App.AddStatic":          "a helper of the tests (webtest is for tests and the benchmark)",
+	"internal/webtest.App.AddTemplate":        "a helper of the tests (webtest is for tests and the benchmark)",
 	"internal/webtest.Get":                    "the one-shot GET of seven test files, and the only non-test reader of Dial and Client.Do",
-	"internal/webtest.RaceEnabled":            "webtest's test helpers stay until the package becomes test-only",
-	"internal/webtest.WaitUntil":              "webtest's test helpers stay until the package becomes test-only",
+	"internal/webtest.RaceEnabled":            "a helper of the tests (webtest is for tests and the benchmark)",
+	"internal/webtest.WaitUntil":              "a helper of the tests (webtest is for tests and the benchmark)",
 }
 
 // TestEveryExportedNameHasAReader is the dead-surface check: it loads

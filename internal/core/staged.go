@@ -82,9 +82,6 @@ type Config struct {
 	LengthyWorkers int
 	RenderWorkers  int
 
-	// QueueCap bounds every stage queue. Defaults to 4096.
-	QueueCap int
-
 	// Cutoff is the quick/lengthy boundary in paper time (default 2 s,
 	// the paper's value).
 	Cutoff time.Duration
@@ -98,19 +95,11 @@ type Config struct {
 	// lengthy request. The server is then fully work-conserving, and quick
 	// pages lose their protection.
 	NoReserve bool
-	// ControllerInterval is the t_reserve update period in paper time
-	// (default 1 s, per the paper).
-	ControllerInterval time.Duration
 
 	// Clock and Scale drive the controller loop and convert measured
 	// wall durations into paper time for classification.
 	Clock clock.Clock
 	Scale clock.Timescale
-
-	// IdleTimeout bounds how long a connection waits for its next
-	// request's bytes, and for the rest of a request line once they come
-	// (wall time), like CherryPy's socket timeout. Defaults to 10 s.
-	IdleTimeout time.Duration
 
 	// Cost models render/static worker time (paper time); zero charges
 	// nothing. In this server the costs land on the rendering and static
@@ -121,21 +110,16 @@ type Config struct {
 	OnComplete func(server.CompletionEvent)
 }
 
+// controllerInterval is the t_reserve update period in paper time, per
+// the paper.
+const controllerInterval = time.Second
+
 func (c *Config) fillDefaults() {
-	if c.QueueCap <= 0 {
-		c.QueueCap = 4096
-	}
 	if c.Cutoff <= 0 {
 		c.Cutoff = sched.DefaultCutoff
 	}
 	if c.MinReserve <= 0 {
 		c.MinReserve = 20
-	}
-	if c.ControllerInterval <= 0 {
-		c.ControllerInterval = time.Second
-	}
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = 10 * time.Second
 	}
 	if c.Clock == nil {
 		c.Clock = clock.Real{}
@@ -191,11 +175,10 @@ func New(cfg Config) (*Server, error) {
 	cfg.fillDefaults()
 	s := &Server{cfg: cfg}
 	s.tr = server.NewTransport(server.TransportConfig{
-		IdleTimeout: cfg.IdleTimeout,
-		Clock:       cfg.Clock,
-		Scale:       cfg.Scale,
-		Cost:        cfg.Cost,
-		OnComplete:  cfg.OnComplete,
+		Clock:      cfg.Clock,
+		Scale:      cfg.Scale,
+		Cost:       cfg.Cost,
+		OnComplete: cfg.OnComplete,
 	})
 
 	cls := sched.NewClassifier(cfg.Cutoff)
@@ -215,7 +198,7 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	pool := func(name string, workers int) *stage.Stage[struct{}] {
-		return stage.New(stage.Config[struct{}]{Name: name, Workers: workers, QueueCap: cfg.QueueCap})
+		return stage.New(stage.Config[struct{}]{Name: name, Workers: workers})
 	}
 	s.header = pool(StageHeader, cfg.HeaderWorkers)
 	s.static = pool(StageStatic, cfg.StaticWorkers)
@@ -254,7 +237,7 @@ func (s *Server) Serve(l net.Listener) error {
 	if !s.cfg.NoReserve {
 		s.controller = sched.StartController(
 			s.cfg.Clock,
-			s.cfg.Scale.Wall(s.cfg.ControllerInterval),
+			s.cfg.Scale.Wall(controllerInterval),
 			s.dispatcher.ReserveController(),
 			s.controllerSpare,
 		)

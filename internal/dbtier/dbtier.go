@@ -82,10 +82,12 @@ var ErrAcquireTimeout = errors.New("dbtier: connection acquisition timed out")
 // defaultMaxLag bounds async-mode replica staleness, in commits.
 const defaultMaxLag = 256
 
-// Failover defaults, in paper time where durations.
+// Failover settings, in paper time where durations. failThreshold is
+// how many consecutive failures (statement errors on a down backend, or
+// unhealthy health-check ticks) eject a replica from the read rotation.
 const (
+	failThreshold         = 3
 	defaultAcquireTimeout = 10 * time.Second
-	defaultFailThreshold  = 3
 	defaultSlowThreshold  = time.Second
 	healthInterval        = time.Second
 )
@@ -125,10 +127,6 @@ type Options struct {
 	// time. Zero means the 10 s default; negative disables the deadline
 	// (the old block-forever behavior).
 	AcquireTimeout time.Duration
-	// FailThreshold is how many consecutive failures (statement errors
-	// on a down backend, or unhealthy health-check ticks) eject a
-	// replica from the read rotation; <= 0 means 3.
-	FailThreshold int
 	// SlowThreshold ejects a replica whose injected statement latency
 	// exceeds it, in paper time; <= 0 means 1 s.
 	SlowThreshold time.Duration
@@ -177,7 +175,6 @@ type Tier struct {
 	maxLag   int64
 
 	acquireTimeout time.Duration // paper; <= 0 disables
-	failThreshold  int32
 	slowThreshold  time.Duration // paper
 
 	next      atomic.Uint64 // round-robin read cursor
@@ -246,9 +243,6 @@ func New(primary *sqldb.DB, opts Options) *Tier {
 	if opts.AcquireTimeout == 0 {
 		opts.AcquireTimeout = defaultAcquireTimeout
 	}
-	if opts.FailThreshold <= 0 {
-		opts.FailThreshold = defaultFailThreshold
-	}
 	if opts.SlowThreshold <= 0 {
 		opts.SlowThreshold = defaultSlowThreshold
 	}
@@ -259,7 +253,6 @@ func New(primary *sqldb.DB, opts Options) *Tier {
 		async:          opts.Async,
 		maxLag:         int64(opts.MaxLag),
 		acquireTimeout: opts.AcquireTimeout,
-		failThreshold:  int32(opts.FailThreshold),
 		slowThreshold:  opts.SlowThreshold,
 		done:           make(chan struct{}),
 	}
@@ -502,7 +495,7 @@ func (t *Tier) checkHealth(r *replica) {
 			b.fails.Store(0)
 			return
 		}
-		if b.fails.Add(1) >= t.failThreshold {
+		if b.fails.Add(1) >= failThreshold {
 			t.eject(b)
 		}
 	case stateEjected:
@@ -551,7 +544,7 @@ func (t *Tier) noteFailure(b *backend) {
 	if b.state.Load() != stateActive {
 		return
 	}
-	if b.fails.Add(1) >= t.failThreshold {
+	if b.fails.Add(1) >= failThreshold {
 		t.eject(b)
 	}
 }

@@ -18,6 +18,7 @@ package harness
 
 import (
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"time"
@@ -30,7 +31,6 @@ import (
 	"stagedweb/internal/sqldb"
 	"stagedweb/internal/tpcw"
 	"stagedweb/internal/variant"
-	"stagedweb/internal/webtest"
 	"stagedweb/internal/workload"
 )
 
@@ -51,6 +51,11 @@ const (
 	// (Figure 10d).
 	SeriesThroughputLengthy = "throughput.lengthy"
 )
+
+// sloThreshold is the paper-time WIRT threshold of the Result's
+// SLO-attainment figure: the TPC-W web interaction response-time
+// constraint for most pages.
+const sloThreshold = 3 * time.Second
 
 // Config describes one experimental run. All durations are paper time.
 type Config struct {
@@ -93,11 +98,6 @@ type Config struct {
 	Cost     sqldb.CostModel     `json:"cost"`
 	// Work models render/static worker time (CPython-calibrated).
 	Work server.WorkCost `json:"work"`
-
-	// SLO is the paper-time WIRT threshold for the Result's
-	// SLO-attainment figure; zero takes 3 s (the TPC-W web interaction
-	// response-time constraint for most pages).
-	SLO time.Duration `json:"slo_ns,omitempty"`
 
 	// Set holds explicit setting overrides (-set key=value). A key the
 	// variant does not understand is a build error.
@@ -244,8 +244,8 @@ type Result struct {
 	P99PaperSec  float64 `json:"p99_paper_sec"`
 	P999PaperSec float64 `json:"p999_paper_sec"`
 	// SLOPaperSec is the response-time threshold the run was held to
-	// (Config.SLO, default 3 s) and SLOAttained the fraction of
-	// interactions answered within it.
+	// (sloThreshold) and SLOAttained the fraction of interactions
+	// answered within it.
 	SLOPaperSec float64 `json:"slo_paper_sec"`
 	SLOAttained float64 `json:"slo_attained"`
 
@@ -419,10 +419,11 @@ func Run(cfg Config) (*Result, error) {
 	// database, or nShards instances behind the cluster balancer (which
 	// is itself a variant.Instance, so everything downstream — serving,
 	// probe sampling, shutdown — is identical).
-	l, addr, err := webtest.Listen()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
+	addr := l.Addr().String()
 	buildShard := func(db *sqldb.DB, set variant.Settings) (variant.Instance, error) {
 		return v.Build(variant.Env{
 			App:        app,
@@ -548,11 +549,7 @@ func Run(cfg Config) (*Result, error) {
 	// Windowed SLO attainment: the generator's cumulative within/total
 	// counter pair, sampled once per paper second, is the signal the
 	// recovery column is computed from after the run.
-	slo := cfg.SLO
-	if slo <= 0 {
-		slo = 3 * time.Second
-	}
-	gen.Stats().SetSLOThreshold(cfg.Scale.Wall(slo))
+	gen.Stats().SetSLOThreshold(cfg.Scale.Wall(sloThreshold))
 	sloWithin := metrics.NewSeries(measureStart, second, metrics.AggLast)
 	sloTotal := metrics.NewSeries(measureStart, second, metrics.AggLast)
 	samplers = append(samplers,
@@ -615,8 +612,8 @@ func Run(cfg Config) (*Result, error) {
 	// Tail latency and SLO attainment over the whole interaction stream.
 	res.P99PaperSec = cfg.Scale.PaperSeconds(gen.Stats().OverallQuantile(0.99))
 	res.P999PaperSec = cfg.Scale.PaperSeconds(gen.Stats().OverallQuantile(0.999))
-	res.SLOPaperSec = slo.Seconds()
-	res.SLOAttained = gen.Stats().FractionWithin(cfg.Scale.Wall(slo))
+	res.SLOPaperSec = sloThreshold.Seconds()
+	res.SLOAttained = gen.Stats().FractionWithin(cfg.Scale.Wall(sloThreshold))
 
 	// Fault outcome: when the first injection landed and how long SLO
 	// attainment took to come back.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"time"
 
 	"stagedweb/internal/clock"
 	"stagedweb/internal/httpwire"
@@ -23,12 +22,6 @@ type BaselineConfig struct {
 	DB DBConn
 	// Workers is the size of the single thread pool.
 	Workers int
-	// QueueCap bounds the accept queue. Defaults to 4096.
-	QueueCap int
-	// IdleTimeout bounds how long a worker waits for the next request on
-	// a keep-alive connection (wall time), like CherryPy's socket
-	// timeout. Defaults to 10 s.
-	IdleTimeout time.Duration
 	// Cost models render/static worker time (paper time); zero charges
 	// nothing.
 	Cost WorkCost
@@ -68,23 +61,18 @@ func NewBaseline(cfg BaselineConfig) (*Baseline, error) {
 	if cfg.Workers <= 0 {
 		return nil, fmt.Errorf("server: invalid worker count %d", cfg.Workers)
 	}
-	if cfg.QueueCap <= 0 {
-		cfg.QueueCap = 4096
-	}
 	s := &Baseline{cfg: cfg}
 	s.tr = NewTransport(TransportConfig{
-		IdleTimeout: cfg.IdleTimeout,
-		Clock:       cfg.Clock,
-		Scale:       cfg.Scale,
-		Cost:        cfg.Cost,
-		OnComplete:  cfg.OnComplete,
+		Clock:      cfg.Clock,
+		Scale:      cfg.Scale,
+		Cost:       cfg.Cost,
+		OnComplete: cfg.OnComplete,
 	})
 
 	s.workers = stage.New(stage.Config[*Conn]{
-		Name:     "baseline",
-		Workers:  cfg.Workers,
-		QueueCap: cfg.QueueCap,
-		Work:     s.serveConn,
+		Name:    "baseline",
+		Workers: cfg.Workers,
+		Work:    s.serveConn,
 	})
 	s.graph = stage.NewGraph().Add(s.workers)
 	return s, nil

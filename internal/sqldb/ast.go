@@ -2,136 +2,69 @@ package sqldb
 
 // The statement AST. Statements are immutable after parsing, so the DB
 // caches them by SQL text (the prepared-statement effect the paper gets
-// from per-thread connections).
+// from per-thread connections). Names are unqualified: every column name
+// of the TPC-W schema is unique across its tables.
 
 // stmt is any parsed statement.
 type stmt interface{ isStmt() }
 
-// colRef names a column, optionally qualified: "item.i_id" or "i_id".
-type colRef struct {
-	Table  string // may be ""
-	Column string
-}
-
-func (c colRef) String() string {
-	if c.Table == "" {
-		return c.Column
-	}
-	return c.Table + "." + c.Column
-}
-
-// operand is a leaf value in expressions: a literal, a placeholder, or a
-// column reference.
+// operand is a value in a statement: a literal (Lit, nil for NULL) or
+// the placeholder numbered Placeholder.
 type operand struct {
 	Lit         Value
-	IsLit       bool
-	Placeholder int // ordinal, valid when IsPlaceholder
+	Placeholder int
 	IsPlacehold bool
-	Col         colRef // valid otherwise
 }
 
-// boolExpr is a WHERE-clause predicate tree.
-type boolExpr interface{ isBool() }
-
-type andExpr struct{ L, R boolExpr }
-type orExpr struct{ L, R boolExpr }
-type notExpr struct{ E boolExpr }
-
-// cmpExpr is "col OP operand" with OP in =, !=, <, <=, >, >=.
-type cmpExpr struct {
-	Col colRef
-	Op  string
-	Rhs operand
-}
-
-// likeExpr is "col LIKE pattern".
-type likeExpr struct {
-	Col colRef
-	Rhs operand
-	Neg bool
-}
-
-// inExpr is "col IN (a, b, ...)".
-type inExpr struct {
-	Col colRef
-	Set []operand
-	Neg bool
-}
-
-// nullExpr is "col IS [NOT] NULL".
-type nullExpr struct {
-	Col colRef
-	Neg bool
-}
-
-func (andExpr) isBool()  {}
-func (orExpr) isBool()   {}
-func (notExpr) isBool()  {}
-func (cmpExpr) isBool()  {}
-func (likeExpr) isBool() {}
-func (inExpr) isBool()   {}
-func (nullExpr) isBool() {}
-
-// aggKind enumerates aggregate functions.
-type aggKind int
+// cmpOp is the comparison of a WHERE conjunct.
+type cmpOp uint8
 
 const (
-	aggNone aggKind = iota
-	aggCount
-	aggSum
-	aggAvg
-	aggMin
-	aggMax
+	opEq cmpOp = iota
+	opGt
+	opLike
 )
 
-// selectItem is one projection: a column, a star, or an aggregate.
-type selectItem struct {
-	Star  bool    // SELECT * or t.*
-	Table string  // for t.*
-	Col   colRef  // plain column
-	Agg   aggKind // aggregate function; aggNone for plain column
-	// AggCol is the aggregate argument; Star-count is COUNT(*).
-	AggCol  colRef
-	AggStar bool
-	Alias   string // AS name
+// cmpOps spells every comparison the grammar has, indexed by cmpOp.
+var cmpOps = [...]string{opEq: "=", opGt: ">", opLike: "LIKE"}
+
+// pred is one WHERE conjunct, "Col Op Rhs". A WHERE clause is the AND
+// of its conjuncts.
+type pred struct {
+	Col string
+	Op  cmpOp
+	Rhs operand
 }
 
-// tableRef is a FROM or JOIN table with an optional alias.
-type tableRef struct {
-	Table string
+// selectItem is one projection: *, a column, or SUM(Col) AS Alias.
+type selectItem struct {
+	Star  bool
+	Col   string
+	Sum   bool
 	Alias string
 }
 
-func (t tableRef) name() string {
-	if t.Alias != "" {
-		return t.Alias
-	}
-	return t.Table
-}
-
-// joinClause is "INNER JOIN t ON a.x = b.y".
+// joinClause is "JOIN Table ON LCol = RCol".
 type joinClause struct {
-	Table tableRef
-	LCol  colRef
-	RCol  colRef
+	Table      string
+	LCol, RCol string
 }
 
-// orderKey is one ORDER BY key; Ref may name a select alias.
+// orderKey is one ORDER BY key: a column of the result.
 type orderKey struct {
-	Ref  colRef
+	Col  string
 	Desc bool
 }
 
 // selectStmt is a parsed SELECT.
 type selectStmt struct {
 	Items   []selectItem
-	From    tableRef
+	From    string
 	Joins   []joinClause
-	Where   boolExpr // may be nil
-	GroupBy []colRef
+	Where   []pred
+	GroupBy string // "" when absent
 	OrderBy []orderKey
 	Limit   int // -1 when absent
-	Offset  int
 
 	// plan is the physical plan chosen at prepare time, immutable once
 	// the statement is published through the cache. Nil for statements
@@ -158,7 +91,7 @@ type updateStmt struct {
 	Table string
 	Cols  []string
 	Vals  []operand
-	Where boolExpr // may be nil
+	Where []pred
 
 	// plan is the compiled read phase, set at prepare time like
 	// selectStmt.plan.
@@ -168,7 +101,7 @@ type updateStmt struct {
 // deleteStmt is a parsed DELETE.
 type deleteStmt struct {
 	Table string
-	Where boolExpr // may be nil
+	Where []pred
 
 	plan *dmlPlan // see updateStmt.plan
 }

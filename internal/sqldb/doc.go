@@ -1,11 +1,15 @@
 // Package sqldb implements the embedded relational database that stands
 // in for the paper's MySQL 5.0 server.
 //
-// It supports the SQL surface the TPC-W bookstore needs — CREATE-less
-// schema registration, SELECT with WHERE / INNER JOIN / GROUP BY /
-// ORDER BY / LIMIT / LIKE, aggregate functions, INSERT, UPDATE, and
-// DELETE with '?' placeholders — plus the two behaviours the DSN'09
-// evaluation hinges on:
+// Its SQL is the SQL internal/tpcw issues, and no more: SELECT of *,
+// columns or SUM(col) AS name FROM t [JOIN t ON col = col]..., WHERE as an
+// AND of "col = v", "col > v" and "col LIKE v" (v a '?' placeholder or a
+// literal), one-column GROUP BY, ORDER BY over result columns, LIMIT n;
+// INSERT ... VALUES, UPDATE ... SET ... WHERE, DELETE ... WHERE; EXPLAIN
+// SELECT; column types INT, FLOAT, STRING and TIME, registered through
+// Schema rather than CREATE. Any other form fails when its statement is
+// prepared, with an error that names it. On top of that it has the two
+// behaviours the DSN'09 evaluation hinges on:
 //
 //   - per-table reader/writer locks, so the admin-response page's UPDATE
 //     on the hot item table must wait for in-flight read queries exactly
@@ -24,23 +28,23 @@
 //     statement, keyed by the index epoch.
 //   - plan.go is the planner: it turns a selectStmt into a logical plan
 //     and chooses a physical access path per table — full scan,
-//     primary-key lookup, hash-index point lookup, ordered-index range
-//     or order walk, or index-nested-loop join — by pricing each
+//     primary-key lookup, hash-index point lookup, ordered-index walk
+//     above a bound or in ORDER BY order, or index-nested-loop join — by pricing each
 //     candidate with the CostModel and keeping the cheapest (an index
 //     path wins a cost tie). EXPLAIN renders the chosen plan. The plan
 //     also carries everything else that does not depend on the
 //     arguments, compiled once: resolved tables and lock order, the
 //     WHERE conjuncts as closures split by join depth (compile.go),
 //     output names and column positions ('*' expanded), ORDER BY /
-//     GROUP BY / aggregate-argument positions. UPDATE and DELETE get a
+//     GROUP BY / SUM positions. UPDATE and DELETE get a
 //     dmlPlan of the same kind (exec.go). Per execution only the
 //     argument vector, the table views and the lock or pin remain.
 //   - operators.go + exec.go are the executor. A SELECT is one streaming
 //     pass: access path, joins with predicate pushdown, and a sink that
 //     receives every matched combination in a reused slice and copies
 //     only what it keeps — project (rows straight into the result),
-//     aggregate (group state updated in place), or ordered (Sort+Limit
-//     as a bounded stable top-K: a max-heap of LIMIT+OFFSET rows on
+//     aggregate (group sums updated in place), or ordered (Sort+Limit
+//     as a bounded stable top-K: a max-heap of LIMIT rows on
 //     (sort keys, arrival number); the arrival number makes the order
 //     total, so the result equals a stable sort of everything followed
 //     by the slice, ties included). Probes allocate nothing. Every
@@ -65,13 +69,13 @@
 //     (row[lo:hi:hi]): appending to one copies it. Columns is shared
 //     with the cached plan and read-only.
 //   - Comparisons are picked at prepare time from the column's declared
-//     type (compile.go): Int and String columns compare as int64s and
-//     strings with the operator pre-resolved; NULLs, mixed numerics and
+//     type (compile.go): = and > on Int and String columns compare as
+//     int64s and strings with the operator pre-resolved; NULLs, mixed numerics and
 //     mistyped arguments fall back to the general compare, errors
 //     included. LIKE folds its pattern once per execution and runs
 //     %word% as a substring search.
 //   - index.go maintains the secondary indexes (hash for equality,
-//     ordered sorted runs for ranges and ordering, both appended to in
+//     ordered sorted runs for "col > v" and ordering, both appended to in
 //     place past the lengths their readers hold)
 //     transactionally under both engines; CreateIndex bumps the
 //     database's index epoch, which invalidates cached plans so every
@@ -105,8 +109,8 @@
 // The dictionary numbers its strings 1..255 in first-seen order, and a
 // version carries the codes of its cells in a table's first 8 String
 // columns (0: NULL or none), which makes it 64 bytes, one cache line. A
-// SELECT conjunct comparing such a column with a literal or placeholder
-// (=, !=, <, <=, >, >=, LIKE, NOT LIKE) reads the code from the version
+// SELECT conjunct on such a column (=, > or LIKE, against a literal or
+// placeholder, as every conjunct is) reads the code from the version
 // the access path already holds and runs once per distinct value per
 // execution. A column drops its dictionary for good on its 256th distinct
 // string; rows committed after that carry code 0 and compare as before.

@@ -123,9 +123,8 @@ func eqPopulate(t *testing.T, rng *rand.Rand, mvcc, extra bool) (*Conn, *eqData)
 	return c, d
 }
 
-// eqPred is a WHERE node the test can both render and evaluate. eval
-// mirrors the engine's degraded three-valued logic (a comparison with
-// NULL is false, and NOT of it is true).
+// eqPred is a WHERE conjunct the test can both render and evaluate.
+// eval mirrors the engine: a comparison with NULL is false.
 type eqPred interface {
 	render(args *[]any) string
 	eval(rows [][]Value, pos map[string][2]int) bool
@@ -133,7 +132,7 @@ type eqPred interface {
 
 type eqCmp struct {
 	col eqCol
-	op  string
+	op  string // = or >
 	val Value
 	lit bool // render the value inline instead of as a placeholder
 }
@@ -159,117 +158,26 @@ func (p eqCmp) eval(rows [][]Value, pos map[string][2]int) bool {
 	if err != nil {
 		return false
 	}
-	switch p.op {
-	case "=":
+	if p.op == "=" {
 		return c == 0
-	case "!=":
-		return c != 0
-	case "<":
-		return c < 0
-	case "<=":
-		return c <= 0
-	case ">":
-		return c > 0
-	default:
-		return c >= 0
 	}
+	return c > 0
 }
 
 type eqLike struct {
 	col eqCol
 	pat string
-	neg bool
 }
 
 func (p eqLike) render(args *[]any) string {
 	*args = append(*args, p.pat)
-	if p.neg {
-		return p.col.name + " NOT LIKE ?"
-	}
 	return p.col.name + " LIKE ?"
 }
 
 func (p eqLike) eval(rows [][]Value, pos map[string][2]int) bool {
 	at := pos[p.col.name]
 	s, ok := rows[at[0]][at[1]].(string)
-	if !ok {
-		return false
-	}
-	return likeMatch(s, p.pat) != p.neg
-}
-
-type eqIn struct {
-	col  eqCol
-	vals []Value
-	neg  bool
-}
-
-func (p eqIn) render(args *[]any) string {
-	marks := make([]string, len(p.vals))
-	for i, v := range p.vals {
-		marks[i] = "?"
-		*args = append(*args, v)
-	}
-	op := "IN"
-	if p.neg {
-		op = "NOT IN"
-	}
-	return fmt.Sprintf("%s %s (%s)", p.col.name, op, strings.Join(marks, ", "))
-}
-
-func (p eqIn) eval(rows [][]Value, pos map[string][2]int) bool {
-	at := pos[p.col.name]
-	for _, v := range p.vals {
-		if valuesEqual(rows[at[0]][at[1]], v) {
-			return !p.neg
-		}
-	}
-	return p.neg
-}
-
-type eqNull struct {
-	col eqCol
-	neg bool
-}
-
-func (p eqNull) render(*[]any) string {
-	if p.neg {
-		return p.col.name + " IS NOT NULL"
-	}
-	return p.col.name + " IS NULL"
-}
-
-func (p eqNull) eval(rows [][]Value, pos map[string][2]int) bool {
-	at := pos[p.col.name]
-	return (rows[at[0]][at[1]] == nil) != p.neg
-}
-
-type eqBin struct {
-	or   bool
-	l, r eqPred
-}
-
-func (p eqBin) render(args *[]any) string {
-	l := p.l.render(args)
-	r := p.r.render(args)
-	if p.or {
-		return "(" + l + " OR " + r + ")"
-	}
-	return l + " AND " + r
-}
-
-func (p eqBin) eval(rows [][]Value, pos map[string][2]int) bool {
-	if p.or {
-		return p.l.eval(rows, pos) || p.r.eval(rows, pos)
-	}
-	return p.l.eval(rows, pos) && p.r.eval(rows, pos)
-}
-
-type eqNot struct{ e eqPred }
-
-func (p eqNot) render(args *[]any) string { return "NOT (" + p.e.render(args) + ")" }
-func (p eqNot) eval(rows [][]Value, pos map[string][2]int) bool {
-	return !p.e.eval(rows, pos)
+	return ok && likeMatch(s, p.pat)
 }
 
 // eqShape is a FROM/JOIN skeleton: the tables in binding order and, for
@@ -293,38 +201,27 @@ var eqShapes = []eqShape{
 // eqQuery is one generated statement plus what the reference needs.
 type eqQuery struct {
 	shape   eqShape
-	where   eqPred
+	where   []eqPred
 	items   []string // rendered select items
-	outCols []eqOut  // per output column: source column or aggregate
-	groupBy []eqCol
+	outCols []eqOut  // per output column: source column or SUM
+	groupBy *eqCol
 	orderBy []eqOrder
 	limit   int // -1: none
-	offset  int
 }
 
 type eqOut struct {
 	name string
-	col  eqCol  // plain column, or the aggregate's argument
-	agg  string // "", COUNT*, COUNT, SUM, AVG, MIN, MAX
+	col  eqCol // plain column, or SUM's argument
+	sum  bool
 }
 
+// eqOrder is an ORDER BY key: output column out, which is the column col
+// of a plain statement.
 type eqOrder struct {
 	ref  string // as written in ORDER BY
-	col  eqCol  // plain statements: the column it resolves to
-	out  int    // aggregated statements: the output column
+	col  eqCol
+	out  int
 	desc bool
-}
-
-func (q *eqQuery) aggregated() bool {
-	if len(q.groupBy) > 0 {
-		return true
-	}
-	for _, o := range q.outCols {
-		if o.agg != "" {
-			return true
-		}
-	}
-	return false
 }
 
 // tables lists the shape's tables, as eqSchema ordinals, in binding
@@ -349,15 +246,16 @@ func (q *eqQuery) sql() (string, []any) {
 	for _, j := range q.shape.joins {
 		fmt.Fprintf(&b, " JOIN %s ON %s = %s", eqColumn(j[0]).table, j[0], j[1])
 	}
-	if q.where != nil {
-		b.WriteString(" WHERE " + q.where.render(&args))
-	}
-	if len(q.groupBy) > 0 {
-		names := make([]string, len(q.groupBy))
-		for i, g := range q.groupBy {
-			names[i] = g.name
+	for i, w := range q.where {
+		if i == 0 {
+			b.WriteString(" WHERE ")
+		} else {
+			b.WriteString(" AND ")
 		}
-		b.WriteString(" GROUP BY " + strings.Join(names, ", "))
+		b.WriteString(w.render(&args))
+	}
+	if q.groupBy != nil {
+		b.WriteString(" GROUP BY " + q.groupBy.name)
 	}
 	if len(q.orderBy) > 0 {
 		keys := make([]string, len(q.orderBy))
@@ -371,9 +269,6 @@ func (q *eqQuery) sql() (string, []any) {
 	}
 	if q.limit >= 0 {
 		fmt.Fprintf(&b, " LIMIT %d", q.limit)
-		if q.offset > 0 {
-			fmt.Fprintf(&b, " OFFSET %d", q.offset)
-		}
 	}
 	return b.String(), args
 }
@@ -405,39 +300,14 @@ func (g *eqGen) value(col eqCol) Value {
 	}
 }
 
-func (g *eqGen) pred(cols []eqCol, depth int) eqPred {
-	if depth > 0 && g.rng.Intn(3) == 0 {
-		switch g.rng.Intn(3) {
-		case 0:
-			return eqBin{or: true, l: g.pred(cols, depth-1), r: g.pred(cols, depth-1)}
-		case 1:
-			return eqBin{l: g.pred(cols, depth-1), r: g.pred(cols, depth-1)}
-		default:
-			return eqNot{g.pred(cols, depth-1)}
-		}
-	}
+func (g *eqGen) pred(cols []eqCol) eqPred {
 	col := g.pick(cols)
-	isStr := eqSchema[col.ti].Columns[col.ci].Type == String
-	switch k := g.rng.Intn(10); {
-	case k < 5:
-		ops := []string{"=", "=", "!=", "<", "<=", ">", ">="}
-		return eqCmp{col: col, op: ops[g.rng.Intn(len(ops))], val: g.value(col), lit: g.rng.Intn(4) == 0}
-	case k < 6 && isStr:
+	if eqSchema[col.ti].Columns[col.ci].Type == String && g.rng.Intn(5) == 0 {
 		pats := []string{"%a%", "b%", "%ta", "_eta", "%", "delta%gamma", "%x%"}
-		return eqLike{col: col, pat: pats[g.rng.Intn(len(pats))], neg: g.rng.Intn(4) == 0}
-	case k < 8:
-		vals := make([]Value, 1+g.rng.Intn(3))
-		for i := range vals {
-			vals[i] = g.value(col)
-		}
-		return eqIn{col: col, vals: vals, neg: g.rng.Intn(4) == 0}
-	case k < 9:
-		return eqNull{col: col, neg: g.rng.Intn(2) == 0}
-	default:
-		// A bounded range on one column: the shape an ordered index serves.
-		lo := g.value(col)
-		return eqBin{l: eqCmp{col: col, op: ">=", val: lo}, r: eqCmp{col: col, op: "<", val: g.value(col)}}
+		return eqLike{col: col, pat: pats[g.rng.Intn(len(pats))]}
 	}
+	ops := []string{"=", "=", ">"}
+	return eqCmp{col: col, op: ops[g.rng.Intn(len(ops))], val: g.value(col), lit: g.rng.Intn(4) == 0}
 }
 
 func (g *eqGen) query() *eqQuery {
@@ -455,18 +325,19 @@ func (g *eqGen) query() *eqQuery {
 		}
 	}
 	if g.rng.Intn(5) > 0 {
-		q.where = g.pred(cols, 2)
-		if g.rng.Intn(3) == 0 {
-			q.where = eqBin{l: q.where, r: g.pred(cols, 1)}
+		for i, n := 0, 1+g.rng.Intn(3); i < n; i++ {
+			q.where = append(q.where, g.pred(cols))
 		}
 	}
-	switch k := g.rng.Intn(5); {
+	switch {
 	case walk:
 		g.plain(q, cols)
-		q.orderBy = []eqOrder{{ref: "a", col: eqColumn("a"), desc: g.rng.Intn(2) == 0}}
-	case k == 0:
-		g.ungrouped(q, cols)
-	case k <= 2:
+		a := eqColumn("a")
+		q.items = append(q.items, "a")
+		q.outCols = append(q.outCols, eqOut{name: "a", col: a})
+		q.orderBy = []eqOrder{{ref: "a", col: a, desc: g.rng.Intn(2) == 0}}
+		q.resolveOrder()
+	case g.rng.Intn(5) < 2:
 		g.grouped(q, cols)
 	default:
 		g.plain(q, cols)
@@ -476,11 +347,21 @@ func (g *eqGen) query() *eqQuery {
 		if g.rng.Intn(5) == 0 {
 			q.limit = 50
 		}
-		if g.rng.Intn(3) == 0 {
-			q.offset = g.rng.Intn(6)
-		}
 	}
 	return q
+}
+
+// resolveOrder points every ORDER BY key at the first output column of
+// its name, as the engine does.
+func (q *eqQuery) resolveOrder() {
+	for i, k := range q.orderBy {
+		for j, o := range q.outCols {
+			if o.name == k.ref {
+				q.orderBy[i].out, q.orderBy[i].col = j, o.col
+				break
+			}
+		}
+	}
 }
 
 // eqFewValued filters cols down to the columns with a handful of
@@ -497,100 +378,65 @@ func eqFewValued(cols []eqCol) []eqCol {
 }
 
 func (g *eqGen) plain(q *eqQuery, cols []eqCol) {
-	aliases := g.rng.Intn(4) == 0
 	if g.rng.Intn(6) == 0 {
 		q.items = []string{"*"}
 		for _, c := range cols {
 			q.outCols = append(q.outCols, eqOut{name: c.name, col: c})
 		}
-		aliases = false
 	} else {
 		for i, n := 0, 1+g.rng.Intn(4); i < n; i++ {
 			c := g.pick(cols)
-			out := eqOut{name: c.name, col: c}
-			item := c.name
-			if g.rng.Intn(5) == 0 {
-				item = c.table + "." + c.name
-			}
-			if aliases {
-				out.name = fmt.Sprintf("o%d", i)
-				item += " AS " + out.name
-			}
-			q.items = append(q.items, item)
-			q.outCols = append(q.outCols, out)
+			q.items = append(q.items, c.name)
+			q.outCols = append(q.outCols, eqOut{name: c.name, col: c})
 		}
 	}
+	// Keys are output columns; half the time one with few distinct
+	// values, so that the cut falls inside a tie.
+	var outs, few []eqCol
+	for _, o := range q.outCols {
+		outs = append(outs, o.col)
+	}
+	few = eqFewValued(outs)
 	for i, n := 0, g.rng.Intn(3); i < n; i++ {
-		k := eqOrder{desc: g.rng.Intn(2) == 0}
-		if aliases {
-			// Every key an output alias: the post-projection rule.
-			o := q.outCols[g.rng.Intn(len(q.outCols))]
-			k.ref, k.col = o.name, o.col
-		} else {
-			// Any table column, projected or not; half the time one with
-			// few distinct values, so that the cut falls inside a tie.
-			k.col = g.pick(cols)
-			if g.rng.Intn(2) == 0 {
-				k.col = g.pick(eqFewValued(cols))
-			}
-			k.ref = k.col.name
+		c := g.pick(outs)
+		if len(few) > 0 && g.rng.Intn(2) == 0 {
+			c = g.pick(few)
 		}
-		q.orderBy = append(q.orderBy, k)
+		q.orderBy = append(q.orderBy, eqOrder{ref: c.name, desc: g.rng.Intn(2) == 0})
 	}
-}
-
-var eqAggs = []string{"COUNT*", "COUNT", "SUM", "AVG", "MIN", "MAX"}
-
-func (g *eqGen) aggItem(q *eqQuery, cols []eqCol, i int) {
-	agg := eqAggs[g.rng.Intn(len(eqAggs))]
-	out := eqOut{name: fmt.Sprintf("g%d", i), agg: agg}
-	if agg == "COUNT*" {
-		q.items = append(q.items, "COUNT(*) AS "+out.name)
-	} else {
-		out.col = g.pick(cols)
-		if agg == "SUM" || agg == "AVG" {
-			for eqSchema[out.col.ti].Columns[out.col.ci].Type == String {
-				out.col = g.pick(cols)
-			}
-		}
-		q.items = append(q.items, fmt.Sprintf("%s(%s) AS %s", agg, out.col.name, out.name))
-	}
-	q.outCols = append(q.outCols, out)
-}
-
-func (g *eqGen) ungrouped(q *eqQuery, cols []eqCol) {
-	for i, n := 0, 1+g.rng.Intn(3); i < n; i++ {
-		g.aggItem(q, cols, i)
-	}
+	q.resolveOrder()
 }
 
 func (g *eqGen) grouped(q *eqQuery, cols []eqCol) {
-	// Group columns with few distinct values, one of each key path: Int
-	// and String key by value, Float and multi-column by formatted key.
-	few := eqFewValued(cols)
-	q.groupBy = []eqCol{g.pick(few)}
-	if g.rng.Intn(3) == 0 {
-		if c := g.pick(few); c != q.groupBy[0] {
-			q.groupBy = append(q.groupBy, c)
+	// One INT or STRING group column with few distinct values.
+	var groupable []eqCol
+	for _, c := range eqFewValued(cols) {
+		if eqSchema[c.ti].Columns[c.ci].Type != Float {
+			groupable = append(groupable, c)
 		}
 	}
-	for _, c := range q.groupBy {
-		q.items = append(q.items, c.name)
-		q.outCols = append(q.outCols, eqOut{name: c.name, col: c})
-	}
+	gc := g.pick(groupable)
+	q.groupBy = &gc
+	q.items = append(q.items, gc.name)
+	q.outCols = append(q.outCols, eqOut{name: gc.name, col: gc})
 	if g.rng.Intn(4) == 0 {
 		// A plain column that is not grouped: first row of the group wins.
 		c := g.pick(cols)
-		q.items = append(q.items, c.name+" AS first")
-		q.outCols = append(q.outCols, eqOut{name: "first", col: c})
+		q.items = append(q.items, c.name)
+		q.outCols = append(q.outCols, eqOut{name: c.name, col: c})
 	}
 	for i, n := 0, 1+g.rng.Intn(2); i < n; i++ {
-		g.aggItem(q, cols, i)
+		out := eqOut{name: fmt.Sprintf("g%d", i), sum: true, col: g.pick(cols)}
+		for eqSchema[out.col.ti].Columns[out.col.ci].Type == String {
+			out.col = g.pick(cols)
+		}
+		q.items = append(q.items, fmt.Sprintf("SUM(%s) AS %s", out.col.name, out.name))
+		q.outCols = append(q.outCols, out)
 	}
 	for i, n := 0, g.rng.Intn(3); i < n; i++ {
-		out := g.rng.Intn(len(q.outCols))
-		q.orderBy = append(q.orderBy, eqOrder{ref: q.outCols[out].name, out: out, desc: g.rng.Intn(2) == 0})
+		q.orderBy = append(q.orderBy, eqOrder{ref: q.outCols[g.rng.Intn(len(q.outCols))].name, desc: g.rng.Intn(2) == 0})
 	}
+	q.resolveOrder()
 }
 
 // arrival lists the driving table's slots in the order the access path
@@ -643,9 +489,12 @@ func (q *eqQuery) reference(d *eqData, explain string) [][]Value {
 	var rec func(bi int)
 	rec = func(bi int) {
 		if bi == len(tables) {
-			if q.where == nil || q.where.eval(rows, pos) {
-				matched = append(matched, append([][]Value(nil), rows...))
+			for _, w := range q.where {
+				if !w.eval(rows, pos) {
+					return
+				}
 			}
+			matched = append(matched, append([][]Value(nil), rows...))
 			return
 		}
 		j := q.shape.joins[bi-1]
@@ -675,7 +524,7 @@ func (q *eqQuery) reference(d *eqData, explain string) [][]Value {
 	}
 
 	var out [][]Value
-	if !q.aggregated() {
+	if q.groupBy == nil {
 		// 2. Stable sort on the combined rows, 3. project.
 		sort.SliceStable(matched, less(q.orderBy, func(k eqOrder, i int) Value { return at(matched[i], k.col.name) }))
 		for _, m := range matched {
@@ -692,12 +541,9 @@ func (q *eqQuery) reference(d *eqData, explain string) [][]Value {
 			rows  [][][]Value
 		}
 		var groups []*group
-		byKey := map[string]*group{}
+		byKey := map[Value]*group{}
 		for _, m := range matched {
-			key := ""
-			for _, gc := range q.groupBy {
-				key += fmt.Sprintf("%T:%v|", at(m, gc.name), at(m, gc.name))
-			}
+			key := at(m, q.groupBy.name)
 			g := byKey[key]
 			if g == nil {
 				g = &group{first: m}
@@ -706,19 +552,13 @@ func (q *eqQuery) reference(d *eqData, explain string) [][]Value {
 			}
 			g.rows = append(g.rows, m)
 		}
-		if len(groups) == 0 && len(q.groupBy) == 0 {
-			groups = append(groups, &group{})
-		}
 		for _, g := range groups {
 			row := make([]Value, len(q.outCols))
 			for i, o := range q.outCols {
-				switch {
-				case o.agg == "" && g.first != nil:
+				if o.sum {
+					row[i] = eqSum(g.rows, func(m [][]Value) Value { return at(m, o.col.name) })
+				} else {
 					row[i] = at(g.first, o.col.name)
-				case o.agg == "COUNT*":
-					row[i] = int64(len(g.rows))
-				case o.agg != "":
-					row[i] = eqAggregate(o.agg, g.rows, func(m [][]Value) Value { return at(m, o.col.name) })
 				}
 			}
 			out = append(out, row)
@@ -727,62 +567,32 @@ func (q *eqQuery) reference(d *eqData, explain string) [][]Value {
 	}
 
 	// 4. Slice.
-	if q.limit >= 0 {
-		if q.offset >= len(out) {
-			out = nil
-		} else {
-			out = out[q.offset:]
-		}
-		if q.limit < len(out) {
-			out = out[:q.limit]
-		}
+	if q.limit >= 0 && q.limit < len(out) {
+		out = out[:q.limit]
 	}
 	return out
 }
 
-func eqAggregate(agg string, rows [][][]Value, arg func([][]Value) Value) Value {
-	var count int64
+// eqSum is SUM over a group: an int64 if every non-NULL value is one
+// and there is one, else a float64.
+func eqSum(rows [][][]Value, arg func([][]Value) Value) Value {
 	var sum float64
-	ints := true
-	var lo, hi Value
+	ints, count := true, 0
 	for _, m := range rows {
-		v := arg(m)
-		if v == nil {
-			continue
-		}
-		count++
-		switch n := v.(type) {
+		switch n := arg(m).(type) {
 		case int64:
 			sum += float64(n)
+			count++
 		case float64:
 			sum += n
+			count++
 			ints = false
 		}
-		if c, _ := compare(v, lo); lo == nil || c < 0 {
-			lo = v
-		}
-		if c, _ := compare(v, hi); hi == nil || c > 0 {
-			hi = v
-		}
 	}
-	switch agg {
-	case "COUNT":
-		return count
-	case "SUM":
-		if count > 0 && ints {
-			return int64(sum)
-		}
-		return sum
-	case "AVG":
-		if count == 0 {
-			return nil
-		}
-		return sum / float64(count)
-	case "MIN":
-		return lo
-	default:
-		return hi
+	if count > 0 && ints {
+		return int64(sum)
 	}
+	return sum
 }
 
 func TestExecutorMatchesReference(t *testing.T) {

@@ -6,12 +6,10 @@ import (
 	"strings"
 )
 
-// binding is one table instance participating in a statement (FROM or
-// JOIN), addressed by its alias. Bindings are resolved once, at prepare
-// time; the snapshot a statement reads each table at is a tableView
-// taken per execution.
+// binding is one table participating in a statement (FROM or JOIN).
+// Bindings are resolved once, at prepare time; the snapshot a statement
+// reads each table at is a tableView taken per execution.
 type binding struct {
-	ref tableRef
 	tbl *table
 }
 
@@ -41,25 +39,24 @@ type execCtx struct {
 	load bool
 }
 
-// resolveBindings maps the FROM/JOIN clauses onto tables.
+// resolveBindings maps the FROM/JOIN clauses onto tables. A table
+// appears once: without aliases, a second binding of it could not be
+// told apart.
 func (db *DB) resolveBindings(s *selectStmt) ([]binding, error) {
-	refs := append([]tableRef{s.From}, make([]tableRef, 0, len(s.Joins))...)
-	for _, j := range s.Joins {
-		refs = append(refs, j.Table)
-	}
-	bindings := make([]binding, len(refs))
-	seen := make(map[string]bool, len(refs))
-	for i, ref := range refs {
-		tbl, err := db.lookupTable(ref.Table)
+	bindings := make([]binding, 0, 1+len(s.Joins))
+	for i := range 1 + len(s.Joins) {
+		name := s.From
+		if i > 0 {
+			name = s.Joins[i-1].Table
+		}
+		tbl, err := db.lookupTable(name)
 		if err != nil {
 			return nil, err
 		}
-		name := ref.name()
-		if seen[name] {
-			return nil, fmt.Errorf("sqldb: duplicate table alias %q", name)
+		if slices.ContainsFunc(bindings, func(b binding) bool { return b.tbl == tbl }) {
+			return nil, fmt.Errorf("sqldb: table %q appears twice", name)
 		}
-		seen[name] = true
-		bindings[i] = binding{ref: ref, tbl: tbl}
+		bindings = append(bindings, binding{tbl: tbl})
 	}
 	return bindings, nil
 }
@@ -78,51 +75,22 @@ func lockSet(bindings []binding) []*table {
 	return set
 }
 
-// resolveCol locates a column reference among the bindings.
-func resolveCol(bindings []binding, ref colRef) (bindIdx, colIdx int, err error) {
-	if ref.Table != "" {
-		for bi, b := range bindings {
-			if b.ref.name() == ref.Table {
-				ci := b.tbl.schema.colIndex(ref.Column)
-				if ci < 0 {
-					return 0, 0, fmt.Errorf("sqldb: table %q has no column %q", ref.Table, ref.Column)
-				}
-				return bi, ci, nil
-			}
-		}
-		return 0, 0, fmt.Errorf("sqldb: unknown table %q in column reference", ref.Table)
-	}
+// resolveCol locates a column among the bindings.
+func resolveCol(bindings []binding, name string) (bindIdx, colIdx int, err error) {
 	found := -1
 	for bi, b := range bindings {
-		if ci := b.tbl.schema.colIndex(ref.Column); ci >= 0 {
+		if ci := b.tbl.schema.colIndex(name); ci >= 0 {
 			if found >= 0 {
-				return 0, 0, fmt.Errorf("sqldb: ambiguous column %q", ref.Column)
+				return 0, 0, fmt.Errorf("sqldb: ambiguous column %q", name)
 			}
 			found = bi
 			colIdx = ci
 		}
 	}
 	if found < 0 {
-		return 0, 0, fmt.Errorf("sqldb: unknown column %q", ref.Column)
+		return 0, 0, fmt.Errorf("sqldb: unknown column %q", name)
 	}
 	return found, colIdx, nil
-}
-
-// constOperand evaluates a row-independent operand: a literal or a
-// placeholder. Column references are an error here; operands that may
-// name a column are compiled (compileOperand).
-func constOperand(op operand, ec *execCtx) (Value, error) {
-	switch {
-	case op.IsLit:
-		return op.Lit, nil
-	case op.IsPlacehold:
-		if op.Placeholder >= len(ec.args) {
-			return nil, fmt.Errorf("sqldb: missing argument for placeholder %d", op.Placeholder+1)
-		}
-		return ec.args[op.Placeholder], nil
-	default:
-		return nil, fmt.Errorf("sqldb: column %s in row-independent position", op.Col)
-	}
 }
 
 // ---- DML ----
@@ -159,7 +127,7 @@ func (db *DB) execInsert(s *insertStmt, ec *execCtx) (ExecResult, error) {
 		if ci < 0 {
 			return ExecResult{}, fmt.Errorf("sqldb: table %q has no column %q", s.Table, col)
 		}
-		v, err := constOperand(s.Values[i], ec)
+		v, err := s.Values[i].value(ec)
 		if err != nil {
 			return ExecResult{}, err
 		}
@@ -214,44 +182,39 @@ func (db *DB) commitInsert(tbl *table, row []Value, ec *execCtx) (ExecResult, er
 
 // dmlPlan is what a cached UPDATE or DELETE carries from prepare time:
 // the table, the WHERE clause compiled to closures, the candidate access
-// paths the WHERE admits, and (UPDATE) the SET columns and their
-// compiled value expressions. The candidates are ranked against the full
-// scan on every execution (cheapestPath, allocation-free) rather than
-// once: DML statements are first prepared against near-empty tables
-// (shopping_cart_line), where the scan wins, and a path frozen then
-// would scan, and be charged as a scan, forever after.
+// paths the WHERE admits, and (UPDATE) the SET columns and their values.
+// The candidates are ranked against the full scan on every execution
+// (cheapestPath, allocation-free) rather than once: DML statements are
+// first prepared against near-empty tables (shopping_cart_line), where
+// the scan wins, and a path frozen then would scan, and be charged as a
+// scan, forever after.
 type dmlPlan struct {
 	tbl     *table
 	cands   []accessPath
 	preds   []compiledPred
 	setCols []int
-	setVals []operandFn
+	setVals []operand
 }
 
 // planDML compiles the read phase of an UPDATE (cols/vals set) or
 // DELETE (both nil) on one table.
-func (db *DB) planDML(table string, where boolExpr, cols []string, vals []operand) (*dmlPlan, error) {
+func (db *DB) planDML(table string, where []pred, cols []string, vals []operand) (*dmlPlan, error) {
 	tbl, err := db.lookupTable(table)
 	if err != nil {
 		return nil, err
 	}
-	bindings := []binding{{ref: tableRef{Table: table}, tbl: tbl}}
+	bindings := []binding{{tbl: tbl}}
 	preds, err := compileWhere(where, bindings, nil)
 	if err != nil {
 		return nil, err
 	}
-	p := &dmlPlan{tbl: tbl, cands: predPaths(where, bindings), preds: preds[0]}
-	for i, col := range cols {
+	p := &dmlPlan{tbl: tbl, cands: predPaths(where, bindings), preds: preds[0], setVals: vals}
+	for _, col := range cols {
 		ci := tbl.schema.colIndex(col)
 		if ci < 0 {
 			return nil, fmt.Errorf("sqldb: table %q has no column %q", table, col)
 		}
-		fn, _, err := compileOperand(vals[i], bindings)
-		if err != nil {
-			return nil, err
-		}
 		p.setCols = append(p.setCols, ci)
-		p.setVals = append(p.setVals, fn)
 	}
 	return p, nil
 }
@@ -302,12 +265,12 @@ func (r *dmlRun) visit(id int, rv *rowVersion) error {
 		r.deletes = append(r.deletes, id)
 		return nil
 	}
-	// Evaluate the SET expressions against the snapshot row and build the
-	// full replacement row.
+	// Build the full replacement row from the snapshot row and the SET
+	// values.
 	tbl := r.plan.tbl
 	newRow := append([]Value(nil), row...)
-	for i, fn := range r.plan.setVals {
-		v, err := fn(rows, r.ec)
+	for i, op := range r.plan.setVals {
+		v, err := op.value(r.ec)
 		if err != nil {
 			return err
 		}

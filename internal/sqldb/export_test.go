@@ -50,6 +50,28 @@ func StatementCost(db *DB, sql string, args ...any) (CostCounts, int, error) {
 	return CostCounts{c.scanned, c.probes, c.matched, c.sorted, c.written}, rows, err
 }
 
+// Grammar returns the grammar's tables as spelled in SQL: every keyword,
+// every comparison and every column type.
+func Grammar() (kws, comparisons, types []string) {
+	return slices.Clone(keywords), slices.Clone(cmpOps[:]), slices.Clone(columnTypes[Int:])
+}
+
+// Words returns the keywords and punctuation of sql, spelled as in the
+// grammar's tables.
+func Words(sql string) ([]string, error) {
+	toks, err := lexSQL(sql)
+	if err != nil {
+		return nil, err
+	}
+	var words []string
+	for _, t := range toks {
+		if t.kind == tokKeyword || t.kind == tokPunct {
+			words = append(words, t.text)
+		}
+	}
+	return words, nil
+}
+
 // Prepared is a cached SELECT, so that benchmarks can time the
 // statement-cache hit and the execution apart.
 type Prepared struct {

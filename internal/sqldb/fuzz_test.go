@@ -10,7 +10,8 @@ import (
 // FuzzParse feeds hostile statement text to the parser and then, with
 // arguments, to Conn.Query and Conn.Exec on a small TPC-W database under
 // both engines: whatever the bytes, an error and never a panic. The seeds
-// are every statement of internal/tpcw/handlers.go. kinds picks each
+// are every statement of internal/tpcw/handlers.go, then one statement
+// per form the grammar dropped (droppedForms). kinds picks each
 // argument's type, two bits per placeholder: n, s, n/8 as a float, or
 // NULL.
 func FuzzParse(f *testing.F) {
@@ -18,6 +19,9 @@ func FuzzParse(f *testing.F) {
 		f.Add(sql, uint32(0), int64(42), "ARTS")
 	}
 	f.Add("SELECT i_id FROM item WHERE i_subject = ? AND i_title LIKE ?", uint32(0b0101), int64(3), "%the%")
+	for _, d := range droppedForms {
+		f.Add(d.sql, uint32(0), int64(42), "ARTS")
+	}
 	var conns []*sqldb.Conn
 	for _, mvcc := range []bool{false, true} {
 		db := sqldb.Open(sqldb.Options{Cost: sqldb.ZeroCostModel(), MVCC: mvcc})

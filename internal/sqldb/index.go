@@ -7,9 +7,9 @@ import (
 )
 
 // orderedIndex is a secondary ordered index over one column: a sorted
-// slab of (value, slot) entries serving equality probes, range scans,
-// and in-order traversal for ORDER BY. Like hashIndex, entries are
-// stale-tolerant hints — they are added on insert and key change and
+// slab of (value, slot) entries serving equality probes, reads above a
+// bound (col > v), and in-order traversal for ORDER BY. Like hashIndex,
+// entries are stale-tolerant hints — they are added on insert and key change and
 // never removed, so every access path re-checks the predicate against
 // the visible row.
 //
@@ -183,35 +183,21 @@ func cmpVal(entryVal, v Value) int {
 	return c
 }
 
-// lowerBound returns the first position in s with entry value >= v
-// (or > v when excl).
-func lowerBound(s []idxEntry, v Value, excl bool) int {
-	return sort.Search(len(s), func(i int) bool {
-		c := cmpVal(s[i].val, v)
-		if excl {
-			return c > 0
-		}
-		return c >= 0
-	})
+// lowerBound returns the first position in s with entry value >= v.
+func lowerBound(s []idxEntry, v Value) int {
+	return sort.Search(len(s), func(i int) bool { return cmpVal(s[i].val, v) >= 0 })
 }
 
-// upperBound returns the first position in s with entry value > v
-// (or >= v when excl).
-func upperBound(s []idxEntry, v Value, excl bool) int {
-	return sort.Search(len(s), func(i int) bool {
-		c := cmpVal(s[i].val, v)
-		if excl {
-			return c >= 0
-		}
-		return c > 0
-	})
+// upperBound returns the first position in s with entry value > v.
+func upperBound(s []idxEntry, v Value) int {
+	return sort.Search(len(s), func(i int) bool { return cmpVal(s[i].val, v) > 0 })
 }
 
 // eq appends the slot hints whose entry value equals v to ids and
 // returns them, plus the number of entries visited (for honest probe
 // pricing).
 func (st *orderedState) eq(v Value, ids []int) (_ []int, visited int) {
-	lo, hi := lowerBound(st.base, v, false), upperBound(st.base, v, false)
+	lo, hi := lowerBound(st.base, v), upperBound(st.base, v)
 	for _, e := range st.base[lo:hi] {
 		ids = append(ids, e.id)
 		visited++
@@ -225,54 +211,16 @@ func (st *orderedState) eq(v Value, ids []int) (_ []int, visited int) {
 	return ids, visited
 }
 
-// keyRange is the bounds of a range read; an unset has* leaves that
-// side unbounded.
-type keyRange struct {
-	lo, hi         Value
-	loExcl, hiExcl bool
-	hasLo, hasHi   bool
-}
-
-// holds reports whether v lies inside r. NULL never does: SQL comparisons
-// against NULL are never true.
-func (r *keyRange) holds(v Value) bool {
-	if v == nil {
-		return false
-	}
-	if r.hasLo {
-		c := cmpVal(v, r.lo)
-		if c < 0 || (r.loExcl && c == 0) {
-			return false
-		}
-	}
-	if r.hasHi {
-		c := cmpVal(v, r.hi)
-		if c > 0 || (r.hiExcl && c == 0) {
-			return false
-		}
-	}
-	return true
-}
-
-// inRange returns the entries of a range read over r, in ascending
-// (val, id) order, plus the number of entries it visits: the base run
-// between r's bounds and the whole buffer, whose entries are kept by
-// r.holds. Entries (not bare ids) are read so the executor can re-check
-// each entry value against the visible row — a row whose key was updated
-// has entries under both its old and new value, and only the one
-// matching the visible row may produce it.
-func (st *orderedState) inRange(r *keyRange) (_ runs, visited int) {
-	start, end := 0, len(st.base)
-	if r.hasLo {
-		start = lowerBound(st.base, r.lo, r.loExcl)
-	}
-	if r.hasHi {
-		end = upperBound(st.base, r.hi, r.hiExcl)
-	}
-	if start > end {
-		start = end
-	}
-	return runs{base: st.base[start:end], buf: st.buf, within: r}, end - start + len(st.buf)
+// above returns the entries of a read of the values above lo, in
+// ascending (val, id) order, plus the number of entries it visits: the
+// base run past lo and the whole buffer, whose entries past lo are kept.
+// Entries (not bare ids) are read so the executor can re-check each
+// entry value against the visible row — a row whose key was updated has
+// entries under both its old and new value, and only the one matching
+// the visible row may produce it.
+func (st *orderedState) above(lo Value) (_ runs, visited int) {
+	start := upperBound(st.base, lo)
+	return runs{base: st.base[start:], buf: st.buf, above: lo, bounded: true}, len(st.base) - start + len(st.buf)
 }
 
 // all returns every entry, NULL-valued ones included (ORDER BY sorts
@@ -280,17 +228,19 @@ func (st *orderedState) inRange(r *keyRange) (_ runs, visited int) {
 func (st *orderedState) all() runs { return runs{base: st.base, buf: st.buf} }
 
 // runs reads two (val, id)-sorted runs, from either end, as the one run
-// mergeEntries would build from them, without building it. within, if
-// set, drops the buffer entries outside it as first reaches them: range
-// reads run ascending.
+// mergeEntries would build from them, without building it. If bounded,
+// first drops the buffer entries not above the bound as it reaches them:
+// reads above a bound run ascending. NULL is above nothing: SQL
+// comparisons against NULL are never true.
 type runs struct {
 	base, buf []idxEntry
-	within    *keyRange
+	above     Value
+	bounded   bool
 }
 
 // first removes and returns the smallest entry left.
 func (r *runs) first() (idxEntry, bool) {
-	for r.within != nil && len(r.buf) > 0 && !r.within.holds(r.buf[0].val) {
+	for r.bounded && len(r.buf) > 0 && (r.buf[0].val == nil || cmpVal(r.buf[0].val, r.above) <= 0) {
 		r.buf = r.buf[1:]
 	}
 	if len(r.buf) > 0 && (len(r.base) == 0 || entryLess(r.buf[0], r.base[0])) {

@@ -312,8 +312,7 @@ func TestIndexReadersWhileWriterAppends(t *testing.T) {
 					t.Errorf("a state of %d entries yields %d, or out of order", visited, len(es))
 					return
 				}
-				above := keyRange{lo: int64(n / 2), hasLo: true}
-				in, _ := st.inRange(&above)
+				in, _ := st.above(int64(n/2 - 1))
 				for e, ok := in.first(); ok; e, ok = in.first() {
 					if e.val.(int64) < n/2 {
 						t.Errorf("range read yields %v below its bound", e.val)
@@ -405,7 +404,7 @@ func TestIndexAllocCeilings(t *testing.T) {
 	if st := tbl.ordered["o"].state.Load(); len(st.base) == 0 || len(st.buf) == 0 {
 		t.Fatalf("base %d, buffer %d: want both", len(st.base), len(st.buf))
 	}
-	p := accessPath{kind: pathIndexRange, colName: "o", lo: &rangeBound{rhs: operand{Lit: vals[100], IsLit: true}, excl: true}}
+	p := accessPath{kind: pathIndexRange, colName: "o", val: operand{Lit: vals[100]}}
 	v, ec, vis := tbl.view(latestTS), &execCtx{}, &countVisitor{}
 	if n := testing.AllocsPerRun(20, func() {
 		vis.n = 0

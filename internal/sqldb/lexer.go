@@ -9,17 +9,29 @@ import (
 type sqlTokenKind int
 
 const (
-	tokIdent sqlTokenKind = iota + 1 // identifiers and keywords
+	tokIdent   sqlTokenKind = iota + 1 // table and column names
+	tokKeyword                         // an entry of keywords
 	tokNumber
 	tokString
-	tokPunct // , ( ) * . = != <> < <= > >= ?
+	tokPunct // , ( ) * ? and runs of < > = !
 	tokEnd
 )
 
 type sqlToken struct {
 	kind sqlTokenKind
-	text string // identifiers uppercased for keyword matching? no: raw text
+	text string // names as written; keywords as spelled in keywords; strings unquoted
 	pos  int
+}
+
+// keywords is every keyword of the grammar: the words of the statements
+// internal/tpcw issues, and EXPLAIN. A word matching one, in any case, is
+// that keyword; every other word is a name, so a word of SQL the grammar
+// lacks (OR, COUNT, OFFSET, ...) reaches the parser as a name and fails
+// there, quoted in the error.
+var keywords = []string{
+	"SELECT", "FROM", "JOIN", "ON", "WHERE", "AND", "LIKE", "GROUP", "BY",
+	"ORDER", "ASC", "DESC", "LIMIT", "SUM", "AS", "INSERT", "INTO", "VALUES",
+	"NULL", "UPDATE", "SET", "DELETE", "EXPLAIN",
 }
 
 // sqlLexer produces tokens from a SQL string.
@@ -57,7 +69,13 @@ func (l *sqlLexer) next() (sqlToken, error) {
 		for l.pos < len(l.src) && isIdentByte(l.src[l.pos]) {
 			l.pos++
 		}
-		return sqlToken{kind: tokIdent, text: l.src[start:l.pos], pos: start}, nil
+		word := l.src[start:l.pos]
+		for _, kw := range keywords {
+			if strings.EqualFold(word, kw) {
+				return sqlToken{kind: tokKeyword, text: kw, pos: start}, nil
+			}
+		}
+		return sqlToken{kind: tokIdent, text: word, pos: start}, nil
 	case c >= '0' && c <= '9' || c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9':
 		l.pos++
 		for l.pos < len(l.src) && (l.src[l.pos] >= '0' && l.src[l.pos] <= '9' || l.src[l.pos] == '.') {
@@ -83,19 +101,16 @@ func (l *sqlLexer) next() (sqlToken, error) {
 			l.pos++
 		}
 		return sqlToken{}, fmt.Errorf("sqldb: unterminated string at byte %d in %q", start, l.src)
-	case c == '<' || c == '>' || c == '!':
-		l.pos++
-		if l.pos < len(l.src) && (l.src[l.pos] == '=' || c == '<' && l.src[l.pos] == '>') {
+	case strings.IndexByte("<>=!", c) >= 0:
+		// An operator is the whole run, so that <=, != and the like reach
+		// the parser, which knows = and > only, as one token it can name.
+		for l.pos < len(l.src) && strings.IndexByte("<>=!", l.src[l.pos]) >= 0 {
 			l.pos++
 		}
-		text := l.src[start:l.pos]
-		if text == "!" {
-			return sqlToken{}, fmt.Errorf("sqldb: stray '!' at byte %d in %q", start, l.src)
-		}
-		return sqlToken{kind: tokPunct, text: text, pos: start}, nil
-	case c == '=' || c == ',' || c == '(' || c == ')' || c == '*' || c == '.' || c == '?':
+		return sqlToken{kind: tokPunct, text: l.src[start:l.pos], pos: start}, nil
+	case strings.IndexByte(",()*?", c) >= 0:
 		l.pos++
-		return sqlToken{kind: tokPunct, text: string(c), pos: start}, nil
+		return sqlToken{kind: tokPunct, text: l.src[start:l.pos], pos: start}, nil
 	default:
 		return sqlToken{}, fmt.Errorf("sqldb: unexpected character %q at byte %d in %q", c, start, l.src)
 	}
@@ -109,10 +124,4 @@ func isIdentStart(c byte) bool {
 
 func isIdentByte(c byte) bool {
 	return isIdentStart(c) || '0' <= c && c <= '9'
-}
-
-// keywordEqual compares an identifier token against a keyword,
-// case-insensitively.
-func keywordEqual(tok sqlToken, kw string) bool {
-	return tok.kind == tokIdent && strings.EqualFold(tok.text, kw)
 }

@@ -3,7 +3,6 @@ package sqldb
 import (
 	"math/bits"
 	"slices"
-	"strconv"
 	"sync"
 )
 
@@ -129,7 +128,7 @@ var (
 const pooledRows = 4096
 
 // runSelect is the mode-independent SELECT core: bind the plan's tables
-// at ts, stream the matches into the sink, apply OFFSET/LIMIT.
+// at ts and stream the matches into the sink, which keeps LIMIT rows.
 func (db *DB) runSelect(plan *selectPlan, ts int64, ec *execCtx) (*ResultSet, error) {
 	if ec.scratch == nil {
 		ec.scratch = new(selectScratch)
@@ -161,7 +160,6 @@ func (db *DB) runSelect(plan *selectPlan, ts int64, ec *execCtx) (*ResultSet, er
 	if err := r.sink.finish(rs); err != nil {
 		return nil, err
 	}
-	applyLimit(rs, plan.limit, plan.offset)
 	return rs, nil
 }
 
@@ -180,14 +178,14 @@ func (r *selectRun) enumerate(rs *ResultSet) error {
 		outer = accessPath{kind: pathScan}
 	}
 	switch {
-	case plan.aggregated():
+	case plan.grouped():
 		s := aggSinks.Get().(*aggSink)
 		s.plan, s.cost = plan, &r.ec.cost
 		r.sink = s
 	case len(plan.sortKeys) > 0:
 		s := orderedSinks.Get().(*orderedSink)
 		s.plan, s.cost = plan, &r.ec.cost
-		s.top.reset(plan.sortKeys, plan.keep())
+		s.top.reset(plan.sortKeys, plan.limit)
 		r.sink = s
 	default:
 		r.sink = r.projectSink(rs)
@@ -209,12 +207,12 @@ func (r *selectRun) enumerate(rs *ResultSet) error {
 // into rs.
 func (r *selectRun) projectSink(rs *ResultSet) *projectSink {
 	s := &r.ec.scratch.proj
-	s.items, s.keep, s.out = r.plan.items, r.plan.keep(), rs.one[:0]
+	s.items, s.keep, s.out = r.plan.items, r.plan.limit, rs.one[:0]
 	return s
 }
 
 // walkOrdered is the index-order access path: walk the ordered index in
-// ORDER BY order, stopping once LIMIT+OFFSET filtered rows are in hand.
+// ORDER BY order, stopping once LIMIT filtered rows are in hand.
 // Join-free by construction (the planner only picks it for single-table
 // SELECTs).
 func (r *selectRun) walkOrdered(oidx *orderedIndex) error {
@@ -298,7 +296,7 @@ func (r *selectRun) join(i int) error {
 		return nil
 	}
 	jp := &r.plan.joins[i-1]
-	outerVal := r.rows[jp.outerBi][jp.outerCi]
+	outerVal := r.rows[jp.outer.bi][jp.outer.ci]
 	inner := r.views[i]
 	// Join steps count their access path once per statement execution.
 	if !r.counted[i] {
@@ -369,7 +367,7 @@ type rowVisitor interface {
 // to a scan rather than erroring — the compiled predicates will surface
 // any real argument error.
 func pathValue(op operand, ec *execCtx) (Value, bool) {
-	v, err := constOperand(op, ec)
+	v, err := op.value(ec)
 	if err != nil {
 		return nil, false
 	}
@@ -391,7 +389,7 @@ func pathValue(op operand, ec *execCtx) (Value, bool) {
 func (db *DB) drive(p accessPath, v tableView, ec *execCtx, probeBuf *[]int, sieve []uint64, vis rowVisitor) error {
 	switch p.kind {
 	case pathPK:
-		if val, ok := pathValue(p.eq, ec); ok {
+		if val, ok := pathValue(p.val, ec); ok {
 			db.planIndex.Inc()
 			if id, rv := db.probePK(v, val, ec, nil); rv != nil {
 				return vis.visit(id, rv)
@@ -399,7 +397,7 @@ func (db *DB) drive(p accessPath, v tableView, ec *execCtx, probeBuf *[]int, sie
 			return nil
 		}
 	case pathIndexEq:
-		if val, ok := pathValue(p.eq, ec); ok {
+		if val, ok := pathValue(p.val, ec); ok {
 			db.planIndex.Inc()
 			for _, id := range db.probeIndex(v, p.colName, val, ec, probeBuf) {
 				if rv := v.version(id); rv != nil {
@@ -514,7 +512,7 @@ func (db *DB) probeIndex(v tableView, col string, val Value, ec *execCtx, buf *[
 }
 
 // driveRange is the index-range access path: entries of the ordered
-// index inside the bounds, filtered by the entry-vs-visible-row check (a
+// index above the bound, filtered by the entry-vs-visible-row check (a
 // row whose key was updated has entries under both values; only the one
 // matching the visible row may produce it, which also keeps the result
 // duplicate-free). handled=false means the index or a bound value is
@@ -524,20 +522,11 @@ func (db *DB) driveRange(p accessPath, v tableView, ec *execCtx, vis rowVisitor)
 	if !ok {
 		return false, nil
 	}
-	r := keyRange{hasLo: p.lo != nil, hasHi: p.hi != nil}
-	if r.hasLo {
-		if r.lo, ok = pathValue(p.lo.rhs, ec); !ok {
-			return false, nil
-		}
-		r.loExcl = p.lo.excl
+	lo, ok := pathValue(p.val, ec)
+	if !ok {
+		return false, nil
 	}
-	if r.hasHi {
-		if r.hi, ok = pathValue(p.hi.rhs, ec); !ok {
-			return false, nil
-		}
-		r.hiExcl = p.hi.excl
-	}
-	es, visited := oidx.state.Load().inRange(&r)
+	es, visited := oidx.state.Load().above(lo)
 	db.planIndex.Inc()
 	ec.cost.probes += visited + 1
 	ec.planRows += int64(visited)
@@ -558,8 +547,8 @@ func (db *DB) driveRange(p accessPath, v tableView, ec *execCtx, vis rowVisitor)
 
 // rowSink consumes the fully matched combined rows of one execution.
 // rows is the enumerator's scratch and is overwritten by the next match:
-// a sink copies out what it keeps. finish stores the result rows, before
-// OFFSET/LIMIT are applied, in rs.Rows.
+// a sink copies out what it keeps. finish stores the result rows, LIMIT
+// applied, in rs.Rows.
 //
 // Result rows belong to the caller. They are cut from storage shared
 // with their neighbours, so each is capped at its length: appending to
@@ -593,7 +582,7 @@ func (s *rowSlab) cut(width, room int) []Value {
 }
 
 // projectSink appends each projected row straight to the result. It
-// keeps no more than LIMIT+OFFSET rows but never stops the enumeration:
+// keeps no more than LIMIT rows but never stops the enumeration:
 // stopping early would change the statement's cost counters (the one
 // early stop, the index-order walk's, is the access path's own).
 type projectSink struct {
@@ -733,21 +722,20 @@ func (t *topK) siftDown(i int) {
 	}
 }
 
-// sorted stores the held rows in rs in order, each cut to width columns.
-func (t *topK) sorted(rs *ResultSet, width int) error {
+// sorted stores the held rows in rs in order.
+func (t *topK) sorted(rs *ResultSet) error {
 	slices.SortFunc(t.ents, t.cmpEntries)
 	rs.Rows = rs.header(len(t.ents))
 	for i, e := range t.ents {
-		rs.Rows[i] = e.row[:width:width]
+		rs.Rows[i] = e.row
 	}
 	return t.err
 }
 
 // orderedSink is ORDER BY over a plain SELECT: Sort followed by Limit,
-// executed as a bounded stable top-K. A row is projected — with the sort
-// columns that are not projected carried as hidden trailing values —
-// only once its keys have made the cut, and a row that displaces the
-// worst one held is built in that row's storage: LIMIT k allocates
+// executed as a bounded stable top-K. A row is projected only once its
+// keys have made the cut, and a row that displaces the worst one held is
+// built in that row's storage: LIMIT k allocates
 // O(log k) however many rows match. Every matched row still counts as
 // sorted: that is what the statement is charged for.
 type orderedSink struct {
@@ -775,102 +763,65 @@ func (s *orderedSink) emit(rows [][]Value) {
 	if !s.top.offer() {
 		return
 	}
-	items, hidden := s.plan.items, s.plan.hidden
+	items := s.plan.items
 	var row []Value
 	if s.top.full() {
 		row = s.top.ents[0].row
 	} else {
-		row = s.slab.cut(len(items)+len(hidden), s.top.keep-len(s.top.ents))
+		row = s.slab.cut(len(items), s.top.keep-len(s.top.ents))
 	}
 	for i, it := range items {
 		row[i] = rows[it.pos.bi][it.pos.ci]
-	}
-	for i, h := range hidden {
-		row[len(items)+i] = rows[h.bi][h.ci]
 	}
 	s.top.hold(row)
 }
 
 func (s *orderedSink) finish(rs *ResultSet) error {
 	defer s.release()
-	return s.top.sorted(rs, len(s.plan.items))
+	return s.top.sorted(rs)
 }
 
-// aggState accumulates one aggregate over one group.
-type aggState struct {
-	count    int64
-	sum      float64
-	sumInts  bool
-	min, max Value
-	seen     bool
+// sumState accumulates one SUM over one group: an INT sum while every
+// value added is one, a FLOAT sum otherwise. NULLs are skipped.
+type sumState struct {
+	sum  float64
+	ints bool
+	seen bool
 }
 
-// add folds v into the state of an aggregate of the given kind.
-func (a *aggState) add(kind aggKind, v Value) {
+func (a *sumState) add(v Value) {
 	if v == nil {
 		return
 	}
-	a.count++
-	switch kind {
-	case aggSum, aggAvg:
-		if n, ok := asNumber(v); ok {
-			a.sum += n
-			_, isInt := v.(int64)
-			a.sumInts = isInt && (a.sumInts || !a.seen)
-		}
-		a.seen = true
-	case aggMin, aggMax:
-		if !a.seen {
-			a.min, a.max, a.seen = v, v, true
-			return
-		}
-		if c, err := compare(v, a.min); err == nil && c < 0 {
-			a.min = v
-		}
-		if c, err := compare(v, a.max); err == nil && c > 0 {
-			a.max = v
-		}
+	if n, ok := asNumber(v); ok {
+		a.sum += n
+		_, isInt := v.(int64)
+		a.ints = isInt && (a.ints || !a.seen)
 	}
+	a.seen = true
 }
 
-// result is the aggregate's output value.
-func (a *aggState) result(kind aggKind) Value {
-	switch kind {
-	case aggCount:
-		return a.count
-	case aggSum:
-		if a.sumInts {
-			return int64(a.sum)
-		}
-		return a.sum
-	case aggAvg:
-		if a.count == 0 {
-			return nil
-		}
-		return a.sum / float64(a.count)
-	case aggMin:
-		return a.min
-	default:
-		return a.max
+func (a *sumState) result() Value {
+	if a.ints {
+		return int64(a.sum)
 	}
+	return a.sum
 }
 
-// aggSink is GROUP BY / aggregation: each matched row updates its
-// group's state in place and is otherwise not kept. Groups are numbered
-// in first-seen order and come out in it, or through the same top-K as a
-// plain ORDER BY. Everything here is scratch — output rows included: the
-// rows that make the result are copied out by finish, so a statement
-// over g groups on a warm sink allocates its result and a string per
-// multi-column key.
+// aggSink is GROUP BY: each matched row updates its group's sums in
+// place and is otherwise not kept. Groups are keyed by the group
+// column's value, numbered in first-seen order, and come out in it, or
+// through the same top-K as a plain ORDER BY. Everything here is scratch
+// — output rows included: the rows that make the result are copied out
+// by finish, so a statement over g groups on a warm sink allocates its
+// result.
 type aggSink struct {
 	plan    *selectPlan
 	cost    *costCounter
-	byValue map[Value]int  // plan.groupByValue: keyed by the group column's value
-	byKey   map[string]int // formatted multi-column (or Float/Time) key
-	key     []byte         // scratch for byKey
-	n       int            // groups
-	outs    []Value        // group g's output row at g*len(plan.items), plain columns from its first row
-	states  []aggState     // group g's states at g*plan.aggStates
+	byValue map[Value]int
+	n       int        // groups
+	outs    []Value    // group g's output row at g*len(plan.items), plain columns from its first row
+	states  []sumState // group g's sums at g*plan.sums
 	top     topK
 }
 
@@ -880,11 +831,10 @@ func (s *aggSink) release() {
 		return
 	}
 	clear(s.byValue)
-	clear(s.byKey)
 	clear(s.outs)
 	clear(s.states)
 	s.top.release()
-	*s = aggSink{byValue: s.byValue, byKey: s.byKey, key: s.key[:0], outs: s.outs[:0], states: s.states[:0], top: s.top}
+	*s = aggSink{byValue: s.byValue, outs: s.outs[:0], states: s.states[:0], top: s.top}
 	aggSinks.Put(s)
 }
 
@@ -894,102 +844,54 @@ func (s *aggSink) out(g int) []Value {
 	return s.outs[g*w : (g+1)*w]
 }
 
-// newGroup adds a group whose plain columns come from rows (nil: the
-// synthetic group of an empty input).
-func (s *aggSink) newGroup(rows [][]Value) int {
-	g := s.n
-	s.n++
-	s.outs = append(s.outs, make([]Value, len(s.plan.items))...)
-	s.states = append(s.states, make([]aggState, s.plan.aggStates)...)
-	if rows != nil {
-		out := s.out(g)
-		for i, it := range s.plan.items {
-			if it.kind == aggNone {
-				out[i] = rows[it.pos.bi][it.pos.ci]
-			}
-		}
-	}
-	return g
-}
-
 // groupOf finds or creates the group of a combined row.
 func (s *aggSink) groupOf(rows [][]Value) int {
-	switch {
-	case len(s.plan.group) == 0:
-		if s.n == 0 {
-			s.newGroup(rows)
-		}
-		return 0
-	case s.plan.groupByValue:
-		pos := s.plan.group[0]
-		v := rows[pos.bi][pos.ci]
-		g, ok := s.byValue[v]
-		if !ok {
-			if s.byValue == nil {
-				s.byValue = make(map[Value]int)
-			}
-			g = s.newGroup(rows)
-			s.byValue[v] = g
-		}
+	pos := s.plan.group
+	v := rows[pos.bi][pos.ci]
+	if g, ok := s.byValue[v]; ok {
 		return g
 	}
-	s.key = s.key[:0]
-	for _, pos := range s.plan.group {
-		switch v := rows[pos.bi][pos.ci].(type) {
-		case string:
-			s.key = append(s.key, v...)
-		case int64:
-			s.key = strconv.AppendInt(s.key, v, 10)
-		default:
-			s.key = append(s.key, FormatValue(v)...)
-		}
-		s.key = append(s.key, 0)
+	if s.byValue == nil {
+		s.byValue = make(map[Value]int)
 	}
-	g, ok := s.byKey[string(s.key)]
-	if !ok {
-		if s.byKey == nil {
-			s.byKey = make(map[string]int)
+	g := s.n
+	s.n++
+	s.byValue[v] = g
+	s.outs = append(s.outs, make([]Value, len(s.plan.items))...)
+	s.states = append(s.states, make([]sumState, s.plan.sums)...)
+	out := s.out(g)
+	for i, it := range s.plan.items {
+		if !it.sum {
+			out[i] = rows[it.pos.bi][it.pos.ci]
 		}
-		g = s.newGroup(rows)
-		s.byKey[string(s.key)] = g
 	}
 	return g
 }
 
 func (s *aggSink) emit(rows [][]Value) {
 	s.cost.sorted++ // GROUP BY is charged like a sort
-	states := s.states[s.groupOf(rows)*s.plan.aggStates:]
+	states := s.states[s.groupOf(rows)*s.plan.sums:]
 	for _, it := range s.plan.items {
-		switch {
-		case it.kind == aggNone:
-		case it.star:
-			states[it.state].count++
-		default:
-			states[it.state].add(it.kind, rows[it.pos.bi][it.pos.ci])
+		if it.sum {
+			states[it.state].add(rows[it.pos.bi][it.pos.ci])
 		}
 	}
 }
 
 func (s *aggSink) finish(rs *ResultSet) error {
 	defer s.release()
-	// SQL semantics: an ungrouped aggregate over an empty set still
-	// yields one row (COUNT 0, SUM/AVG/MIN/MAX NULL, plain columns NULL).
-	if s.n == 0 && len(s.plan.group) == 0 {
-		s.newGroup(nil)
-	}
-	items, keep := s.plan.items, s.plan.keep()
+	items, keep := s.plan.items, s.plan.limit
 	for g := range s.n {
-		out, states := s.out(g), s.states[g*s.plan.aggStates:]
+		out, states := s.out(g), s.states[g*s.plan.sums:]
 		for i, it := range items {
-			if it.kind != aggNone {
-				out[i] = states[it.state].result(it.kind)
+			if it.sum {
+				out[i] = states[it.state].result()
 			}
 		}
 	}
 	var err error
 	if keys := s.plan.sortKeys; len(keys) > 0 {
-		// Aggregated queries order by output columns, including aggregate
-		// aliases (ORDER BY qty DESC).
+		// Grouped queries order their output rows (ORDER BY qty DESC).
 		s.top.reset(keys, keep)
 		s.cost.sorted += s.n
 		for g := range s.n {
@@ -1001,7 +903,7 @@ func (s *aggSink) finish(rs *ResultSet) error {
 				s.top.hold(out)
 			}
 		}
-		err = s.top.sorted(rs, len(items))
+		err = s.top.sorted(rs)
 	} else {
 		n := s.n
 		if keep >= 0 {
@@ -1020,17 +922,4 @@ func (s *aggSink) finish(rs *ResultSet) error {
 		rs.Rows[i] = flat[lo:hi:hi]
 	}
 	return err
-}
-
-func applyLimit(rs *ResultSet, limit, offset int) {
-	if offset > 0 {
-		if offset >= len(rs.Rows) {
-			rs.Rows = rs.Rows[:0]
-		} else {
-			rs.Rows = rs.Rows[offset:]
-		}
-	}
-	if limit >= 0 && limit < len(rs.Rows) {
-		rs.Rows = rs.Rows[:limit]
-	}
 }

@@ -6,7 +6,20 @@ import (
 	"strings"
 )
 
-// sqlParser is a recursive-descent parser over the token stream.
+// sqlParser is a recursive-descent parser over the token stream. The
+// grammar is the SQL internal/tpcw issues, and nothing more:
+//
+//	SELECT * | col | SUM(col) AS name, ... FROM t [JOIN t ON col = col]...
+//	    [WHERE cond [AND cond]...] [GROUP BY col]
+//	    [ORDER BY col [ASC|DESC], ...] [LIMIT n]
+//	EXPLAIN SELECT ...
+//	INSERT INTO t (col, ...) VALUES (value, ...)
+//	UPDATE t SET col = value, ... [WHERE ...]
+//	DELETE FROM t [WHERE ...]
+//
+// where cond is "col = value", "col > value" or "col LIKE value", and a
+// value is ?, a number, a 'string' or NULL. Anything else is an error
+// that quotes the token it stopped at.
 type sqlParser struct {
 	src          string
 	toks         []sqlToken
@@ -23,119 +36,97 @@ func parseSQL(src string) (stmt, error) {
 	p := &sqlParser{src: src, toks: toks}
 	var s stmt
 	switch {
-	case p.acceptKeyword("SELECT"):
+	case p.accept("SELECT"):
 		s, err = p.parseSelect()
-	case p.acceptKeyword("EXPLAIN"):
-		if err := p.expectKeyword("SELECT"); err != nil {
-			return nil, err
-		}
-		var sel *selectStmt
-		sel, err = p.parseSelect()
-		if err == nil {
+	case p.accept("EXPLAIN"):
+		if err = p.expect("SELECT"); err == nil {
+			var sel *selectStmt
+			sel, err = p.parseSelect()
 			s = &explainStmt{Sel: sel}
 		}
-	case p.acceptKeyword("INSERT"):
+	case p.accept("INSERT"):
 		s, err = p.parseInsert()
-	case p.acceptKeyword("UPDATE"):
+	case p.accept("UPDATE"):
 		s, err = p.parseUpdate()
-	case p.acceptKeyword("DELETE"):
+	case p.accept("DELETE"):
 		s, err = p.parseDelete()
 	default:
-		return nil, p.errf("expected SELECT, INSERT, UPDATE, or DELETE")
+		return nil, p.errf("expected SELECT, INSERT, UPDATE, or DELETE, got %q", p.cur().text)
 	}
 	if err != nil {
 		return nil, err
 	}
 	if p.cur().kind != tokEnd {
-		return nil, p.errf("trailing input %q", p.cur().text)
+		return nil, p.errf("unexpected %q", p.cur().text)
 	}
 	return s, nil
 }
 
 func (p *sqlParser) cur() sqlToken { return p.toks[p.pos] }
 
-func (p *sqlParser) advance() sqlToken {
-	t := p.toks[p.pos]
-	if t.kind != tokEnd {
-		p.pos++
-	}
-	return t
-}
-
 func (p *sqlParser) errf(format string, args ...any) error {
 	return fmt.Errorf("sqldb: parse %q: %s (near byte %d)",
 		p.src, fmt.Sprintf(format, args...), p.cur().pos)
 }
 
-// acceptKeyword consumes an identifier equal to kw (case-insensitive).
-func (p *sqlParser) acceptKeyword(kw string) bool {
-	if keywordEqual(p.cur(), kw) {
-		p.pos++
-		return true
-	}
-	return false
-}
-
-func (p *sqlParser) expectKeyword(kw string) error {
-	if !p.acceptKeyword(kw) {
-		return p.errf("expected %s", kw)
-	}
-	return nil
-}
-
-// acceptPunct consumes a punctuation token with the given text.
-func (p *sqlParser) acceptPunct(text string) bool {
-	if p.cur().kind == tokPunct && p.cur().text == text {
-		p.pos++
-		return true
-	}
-	return false
-}
-
-func (p *sqlParser) expectPunct(text string) error {
-	if !p.acceptPunct(text) {
-		return p.errf("expected %q", text)
-	}
-	return nil
-}
-
-// reserved keywords that terminate identifier positions.
-var sqlReserved = map[string]bool{
-	"SELECT": true, "EXPLAIN": true, "FROM": true, "WHERE": true, "GROUP": true, "ORDER": true,
-	"BY": true, "LIMIT": true, "OFFSET": true, "INNER": true, "JOIN": true,
-	"ON": true, "AS": true, "AND": true, "OR": true, "NOT": true, "IN": true,
-	"IS": true, "NULL": true, "LIKE": true, "INSERT": true, "INTO": true,
-	"VALUES": true, "UPDATE": true, "SET": true, "DELETE": true, "ASC": true,
-	"DESC": true, "COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
-	"TRUE": true, "FALSE": true,
-}
-
-func (p *sqlParser) parseIdent() (string, error) {
+// at reports whether the current token is the keyword or punctuation
+// text.
+func (p *sqlParser) at(text string) bool {
 	t := p.cur()
-	if t.kind != tokIdent || sqlReserved[strings.ToUpper(t.text)] {
-		return "", p.errf("expected identifier, got %q", t.text)
+	return (t.kind == tokKeyword || t.kind == tokPunct) && t.text == text
+}
+
+// accept consumes the keyword or punctuation text if it is next.
+func (p *sqlParser) accept(text string) bool {
+	if p.at(text) {
+		p.pos++
+		return true
+	}
+	return false
+}
+
+func (p *sqlParser) expect(text string) error {
+	if !p.accept(text) {
+		return p.errf("expected %s, got %q", text, p.cur().text)
+	}
+	return nil
+}
+
+// parseName parses a table or column name.
+func (p *sqlParser) parseName() (string, error) {
+	t := p.cur()
+	if t.kind != tokIdent {
+		return "", p.errf("expected a name, got %q", t.text)
 	}
 	p.pos++
 	return t.text, nil
 }
 
-// parseColRef parses "col" or "table.col".
-func (p *sqlParser) parseColRef() (colRef, error) {
-	first, err := p.parseIdent()
-	if err != nil {
-		return colRef{}, err
-	}
-	if p.acceptPunct(".") {
-		col, err := p.parseIdent()
+// parseNames parses "name, name, ...".
+func (p *sqlParser) parseNames() ([]string, error) {
+	var names []string
+	for {
+		name, err := p.parseName()
 		if err != nil {
-			return colRef{}, err
+			return nil, err
 		}
-		return colRef{Table: first, Column: col}, nil
+		names = append(names, name)
+		if !p.accept(",") {
+			return names, nil
+		}
 	}
-	return colRef{Column: first}, nil
 }
 
-// parseOperand parses a literal, placeholder, or column reference.
+// parseTable parses a table name, which takes no alias.
+func (p *sqlParser) parseTable() (string, error) {
+	name, err := p.parseName()
+	if err == nil && (p.cur().kind == tokIdent || p.at("AS")) {
+		return "", p.errf("unexpected %q after table %s: tables take no alias", p.cur().text, name)
+	}
+	return name, err
+}
+
+// parseOperand parses a value: a placeholder or a literal.
 func (p *sqlParser) parseOperand() (operand, error) {
 	t := p.cur()
 	switch {
@@ -146,39 +137,76 @@ func (p *sqlParser) parseOperand() (operand, error) {
 			if err != nil {
 				return operand{}, p.errf("bad number %q", t.text)
 			}
-			return operand{Lit: f, IsLit: true}, nil
+			return operand{Lit: f}, nil
 		}
 		n, err := strconv.ParseInt(t.text, 10, 64)
 		if err != nil {
 			return operand{}, p.errf("bad number %q", t.text)
 		}
-		return operand{Lit: n, IsLit: true}, nil
+		return operand{Lit: n}, nil
 	case t.kind == tokString:
 		p.pos++
-		return operand{Lit: t.text, IsLit: true}, nil
-	case t.kind == tokPunct && t.text == "?":
-		p.pos++
-		op := operand{IsPlacehold: true, Placeholder: p.placeholders}
+		return operand{Lit: t.text}, nil
+	case p.accept("?"):
 		p.placeholders++
-		return op, nil
-	case keywordEqual(t, "NULL"):
-		p.pos++
-		return operand{Lit: nil, IsLit: true}, nil
-	case keywordEqual(t, "TRUE"):
-		p.pos++
-		return operand{Lit: true, IsLit: true}, nil
-	case keywordEqual(t, "FALSE"):
-		p.pos++
-		return operand{Lit: false, IsLit: true}, nil
+		return operand{IsPlacehold: true, Placeholder: p.placeholders - 1}, nil
+	case p.accept("NULL"):
+		return operand{}, nil
 	case t.kind == tokIdent:
-		c, err := p.parseColRef()
-		if err != nil {
-			return operand{}, err
-		}
-		return operand{Col: c}, nil
+		return operand{}, p.errf("expected ? or a literal, got column %q", t.text)
 	default:
-		return operand{}, p.errf("expected value, got %q", t.text)
+		return operand{}, p.errf("expected ? or a literal, got %q", t.text)
 	}
+}
+
+// parseOperands parses "value, value, ...".
+func (p *sqlParser) parseOperands() ([]operand, error) {
+	var ops []operand
+	for {
+		op, err := p.parseOperand()
+		if err != nil {
+			return nil, err
+		}
+		ops = append(ops, op)
+		if !p.accept(",") {
+			return ops, nil
+		}
+	}
+}
+
+// parseWhere parses an optional WHERE clause: conjuncts joined by AND.
+func (p *sqlParser) parseWhere() ([]pred, error) {
+	if !p.accept("WHERE") {
+		return nil, nil
+	}
+	var where []pred
+	for {
+		col, err := p.parseName()
+		if err != nil {
+			return nil, err
+		}
+		w := pred{Col: col}
+		if w.Op, err = p.parseCmpOp(col); err != nil {
+			return nil, err
+		}
+		if w.Rhs, err = p.parseOperand(); err != nil {
+			return nil, err
+		}
+		where = append(where, w)
+		if !p.accept("AND") {
+			return where, nil
+		}
+	}
+}
+
+// parseCmpOp parses the comparison after column col.
+func (p *sqlParser) parseCmpOp(col string) (cmpOp, error) {
+	for op, text := range cmpOps {
+		if p.accept(text) {
+			return cmpOp(op), nil
+		}
+	}
+	return 0, p.errf("expected =, > or LIKE after %s, got %q", col, p.cur().text)
 }
 
 // ---- SELECT ----
@@ -191,396 +219,141 @@ func (p *sqlParser) parseSelect() (*selectStmt, error) {
 			return nil, err
 		}
 		s.Items = append(s.Items, item)
-		if !p.acceptPunct(",") {
+		if !p.accept(",") {
 			break
 		}
 	}
-	if err := p.expectKeyword("FROM"); err != nil {
-		return nil, err
+	err := p.expect("FROM")
+	if err == nil {
+		s.From, err = p.parseTable()
 	}
-	from, err := p.parseTableRef()
-	if err != nil {
-		return nil, err
-	}
-	s.From = from
-	for {
-		if p.acceptKeyword("INNER") {
-			if err := p.expectKeyword("JOIN"); err != nil {
-				return nil, err
-			}
-		} else if !p.acceptKeyword("JOIN") {
-			break
+	for err == nil && p.accept("JOIN") {
+		var j joinClause
+		if j.Table, err = p.parseTable(); err == nil {
+			err = p.expect("ON")
 		}
-		j, err := p.parseJoin()
-		if err != nil {
-			return nil, err
+		if err == nil {
+			j.LCol, err = p.parseName()
+		}
+		if err == nil {
+			err = p.expect("=")
+		}
+		if err == nil {
+			j.RCol, err = p.parseName()
 		}
 		s.Joins = append(s.Joins, j)
 	}
-	if p.acceptKeyword("WHERE") {
-		w, err := p.parseOr()
-		if err != nil {
-			return nil, err
-		}
-		s.Where = w
+	if err == nil {
+		s.Where, err = p.parseWhere()
 	}
-	if p.acceptKeyword("GROUP") {
-		if err := p.expectKeyword("BY"); err != nil {
-			return nil, err
+	if err == nil && p.accept("GROUP") {
+		if err = p.expect("BY"); err == nil {
+			s.GroupBy, err = p.parseName()
 		}
-		for {
-			c, err := p.parseColRef()
-			if err != nil {
-				return nil, err
-			}
-			s.GroupBy = append(s.GroupBy, c)
-			if !p.acceptPunct(",") {
+		if err == nil && p.at(",") {
+			err = p.errf("GROUP BY takes one column")
+		}
+	}
+	if err == nil && p.accept("ORDER") {
+		err = p.expect("BY")
+		for err == nil {
+			key := orderKey{}
+			if key.Col, err = p.parseName(); err != nil {
 				break
 			}
-		}
-	}
-	if p.acceptKeyword("ORDER") {
-		if err := p.expectKeyword("BY"); err != nil {
-			return nil, err
-		}
-		for {
-			c, err := p.parseColRef()
-			if err != nil {
-				return nil, err
-			}
-			key := orderKey{Ref: c}
-			if p.acceptKeyword("DESC") {
-				key.Desc = true
-			} else {
-				p.acceptKeyword("ASC")
+			key.Desc = p.accept("DESC")
+			if !key.Desc {
+				p.accept("ASC")
 			}
 			s.OrderBy = append(s.OrderBy, key)
-			if !p.acceptPunct(",") {
+			if !p.accept(",") {
 				break
 			}
 		}
 	}
-	if p.acceptKeyword("LIMIT") {
-		n, err := p.parseNonNegInt()
-		if err != nil {
-			return nil, err
-		}
-		s.Limit = n
-		if p.acceptKeyword("OFFSET") {
-			off, err := p.parseNonNegInt()
-			if err != nil {
-				return nil, err
-			}
-			s.Offset = off
+	if err == nil && p.accept("LIMIT") {
+		s.Limit, err = p.parseLimit()
+	}
+	if err != nil {
+		return nil, err
+	}
+	for _, it := range s.Items {
+		if it.Sum && s.GroupBy == "" {
+			return nil, p.errf("SUM(%s) needs a GROUP BY", it.Col)
 		}
 	}
 	return s, nil
 }
 
-func (p *sqlParser) parseNonNegInt() (int, error) {
+func (p *sqlParser) parseLimit() (int, error) {
 	t := p.cur()
-	if t.kind != tokNumber {
-		return 0, p.errf("expected integer, got %q", t.text)
-	}
-	p.pos++
 	n, err := strconv.Atoi(t.text)
-	if err != nil || n < 0 {
+	if t.kind != tokNumber || err != nil || n < 0 {
 		return 0, p.errf("expected non-negative integer, got %q", t.text)
 	}
+	p.pos++
 	return n, nil
 }
 
-var aggNames = map[string]aggKind{
-	"COUNT": aggCount, "SUM": aggSum, "AVG": aggAvg, "MIN": aggMin, "MAX": aggMax,
-}
-
 func (p *sqlParser) parseSelectItem() (selectItem, error) {
-	t := p.cur()
-	if t.kind == tokPunct && t.text == "*" {
-		p.pos++
+	if p.accept("*") {
 		return selectItem{Star: true}, nil
 	}
-	if t.kind == tokIdent {
-		if kind, ok := aggNames[strings.ToUpper(t.text)]; ok && p.toks[p.pos+1].kind == tokPunct && p.toks[p.pos+1].text == "(" {
-			p.pos += 2 // func name and '('
-			item := selectItem{Agg: kind}
-			if p.acceptPunct("*") {
-				if kind != aggCount {
-					return selectItem{}, p.errf("only COUNT accepts *")
-				}
-				item.AggStar = true
-			} else {
-				c, err := p.parseColRef()
-				if err != nil {
-					return selectItem{}, err
-				}
-				item.AggCol = c
-			}
-			if err := p.expectPunct(")"); err != nil {
-				return selectItem{}, err
-			}
-			if err := p.parseAlias(&item); err != nil {
-				return selectItem{}, err
-			}
-			return item, nil
+	var err error
+	if p.accept("SUM") {
+		item := selectItem{Sum: true}
+		if err = p.expect("("); err == nil {
+			item.Col, err = p.parseName()
 		}
-	}
-	// "t.*" needs a lookahead before parseColRef would choke on '*'.
-	if t.kind == tokIdent && p.toks[p.pos+1].kind == tokPunct && p.toks[p.pos+1].text == "." &&
-		p.toks[p.pos+2].kind == tokPunct && p.toks[p.pos+2].text == "*" {
-		p.pos += 3
-		return selectItem{Star: true, Table: t.text}, nil
-	}
-	c, err := p.parseColRef()
-	if err != nil {
-		return selectItem{}, err
-	}
-	item := selectItem{Col: c}
-	if err := p.parseAlias(&item); err != nil {
-		return selectItem{}, err
-	}
-	return item, nil
-}
-
-func (p *sqlParser) parseAlias(item *selectItem) error {
-	if p.acceptKeyword("AS") {
-		name, err := p.parseIdent()
-		if err != nil {
-			return err
+		if err == nil {
+			err = p.expect(")")
 		}
-		item.Alias = name
-	}
-	return nil
-}
-
-func (p *sqlParser) parseTableRef() (tableRef, error) {
-	name, err := p.parseIdent()
-	if err != nil {
-		return tableRef{}, err
-	}
-	ref := tableRef{Table: name}
-	if p.acceptKeyword("AS") {
-		alias, err := p.parseIdent()
-		if err != nil {
-			return tableRef{}, err
+		if err == nil {
+			err = p.expect("AS")
 		}
-		ref.Alias = alias
-	} else if p.cur().kind == tokIdent && !sqlReserved[strings.ToUpper(p.cur().text)] {
-		alias, err := p.parseIdent()
-		if err != nil {
-			return tableRef{}, err
+		if err == nil {
+			item.Alias, err = p.parseName()
 		}
-		ref.Alias = alias
+		return item, err
 	}
-	return ref, nil
-}
-
-func (p *sqlParser) parseJoin() (joinClause, error) {
-	ref, err := p.parseTableRef()
-	if err != nil {
-		return joinClause{}, err
-	}
-	if err := p.expectKeyword("ON"); err != nil {
-		return joinClause{}, err
-	}
-	l, err := p.parseColRef()
-	if err != nil {
-		return joinClause{}, err
-	}
-	if err := p.expectPunct("="); err != nil {
-		return joinClause{}, err
-	}
-	r, err := p.parseColRef()
-	if err != nil {
-		return joinClause{}, err
-	}
-	return joinClause{Table: ref, LCol: l, RCol: r}, nil
-}
-
-// ---- WHERE grammar ----
-
-func (p *sqlParser) parseOr() (boolExpr, error) {
-	l, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptKeyword("OR") {
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = orExpr{L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *sqlParser) parseAnd() (boolExpr, error) {
-	l, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptKeyword("AND") {
-		r, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		l = andExpr{L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *sqlParser) parseUnary() (boolExpr, error) {
-	if p.acceptKeyword("NOT") {
-		e, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return notExpr{E: e}, nil
-	}
-	if p.acceptPunct("(") {
-		e, err := p.parseOr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		return e, nil
-	}
-	return p.parsePredicate()
-}
-
-func (p *sqlParser) parsePredicate() (boolExpr, error) {
-	col, err := p.parseColRef()
-	if err != nil {
-		return nil, err
-	}
-	t := p.cur()
+	col, err := p.parseName()
 	switch {
-	case t.kind == tokPunct && (t.text == "=" || t.text == "!=" || t.text == "<>" ||
-		t.text == "<" || t.text == "<=" || t.text == ">" || t.text == ">="):
-		p.pos++
-		rhs, err := p.parseOperand()
-		if err != nil {
-			return nil, err
-		}
-		op := t.text
-		if op == "<>" {
-			op = "!="
-		}
-		return cmpExpr{Col: col, Op: op, Rhs: rhs}, nil
-	case keywordEqual(t, "LIKE"):
-		p.pos++
-		rhs, err := p.parseOperand()
-		if err != nil {
-			return nil, err
-		}
-		return likeExpr{Col: col, Rhs: rhs}, nil
-	case keywordEqual(t, "NOT"):
-		p.pos++
-		switch {
-		case p.acceptKeyword("LIKE"):
-			rhs, err := p.parseOperand()
-			if err != nil {
-				return nil, err
-			}
-			return likeExpr{Col: col, Rhs: rhs, Neg: true}, nil
-		case p.acceptKeyword("IN"):
-			set, err := p.parseInSet()
-			if err != nil {
-				return nil, err
-			}
-			return inExpr{Col: col, Set: set, Neg: true}, nil
-		default:
-			return nil, p.errf("expected LIKE or IN after NOT")
-		}
-	case keywordEqual(t, "IN"):
-		p.pos++
-		set, err := p.parseInSet()
-		if err != nil {
-			return nil, err
-		}
-		return inExpr{Col: col, Set: set}, nil
-	case keywordEqual(t, "IS"):
-		p.pos++
-		neg := p.acceptKeyword("NOT")
-		if err := p.expectKeyword("NULL"); err != nil {
-			return nil, err
-		}
-		return nullExpr{Col: col, Neg: neg}, nil
-	default:
-		return nil, p.errf("expected comparison operator, got %q", t.text)
+	case err != nil:
+		return selectItem{}, err
+	case p.at("("):
+		return selectItem{}, p.errf("unsupported function %s", col)
+	case p.at("AS"):
+		return selectItem{}, p.errf("column aliases are not supported (column %s)", col)
 	}
-}
-
-func (p *sqlParser) parseInSet() ([]operand, error) {
-	if err := p.expectPunct("("); err != nil {
-		return nil, err
-	}
-	var set []operand
-	for {
-		op, err := p.parseOperand()
-		if err != nil {
-			return nil, err
-		}
-		set = append(set, op)
-		if !p.acceptPunct(",") {
-			break
-		}
-	}
-	if err := p.expectPunct(")"); err != nil {
-		return nil, err
-	}
-	return set, nil
+	return selectItem{Col: col}, nil
 }
 
 // ---- INSERT / UPDATE / DELETE ----
 
 func (p *sqlParser) parseInsert() (*insertStmt, error) {
-	if err := p.expectKeyword("INTO"); err != nil {
-		return nil, err
+	s := &insertStmt{}
+	err := p.expect("INTO")
+	if err == nil {
+		s.Table, err = p.parseName()
 	}
-	table, err := p.parseIdent()
+	if err == nil {
+		err = p.expect("(")
+	}
+	if err == nil {
+		s.Cols, err = p.parseNames()
+	}
+	for _, text := range []string{")", "VALUES", "("} {
+		if err == nil {
+			err = p.expect(text)
+		}
+	}
+	if err == nil {
+		s.Values, err = p.parseOperands()
+	}
+	if err == nil {
+		err = p.expect(")")
+	}
 	if err != nil {
-		return nil, err
-	}
-	s := &insertStmt{Table: table}
-	if err := p.expectPunct("("); err != nil {
-		return nil, err
-	}
-	for {
-		col, err := p.parseIdent()
-		if err != nil {
-			return nil, err
-		}
-		s.Cols = append(s.Cols, col)
-		if !p.acceptPunct(",") {
-			break
-		}
-	}
-	if err := p.expectPunct(")"); err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("VALUES"); err != nil {
-		return nil, err
-	}
-	if err := p.expectPunct("("); err != nil {
-		return nil, err
-	}
-	for {
-		v, err := p.parseOperand()
-		if err != nil {
-			return nil, err
-		}
-		if !v.IsLit && !v.IsPlacehold {
-			return nil, p.errf("INSERT values must be literals or placeholders")
-		}
-		s.Values = append(s.Values, v)
-		if !p.acceptPunct(",") {
-			break
-		}
-	}
-	if err := p.expectPunct(")"); err != nil {
 		return nil, err
 	}
 	if len(s.Cols) != len(s.Values) {
@@ -590,57 +363,49 @@ func (p *sqlParser) parseInsert() (*insertStmt, error) {
 }
 
 func (p *sqlParser) parseUpdate() (*updateStmt, error) {
-	table, err := p.parseIdent()
+	table, err := p.parseName()
 	if err != nil {
 		return nil, err
 	}
 	s := &updateStmt{Table: table}
-	if err := p.expectKeyword("SET"); err != nil {
+	if err := p.expect("SET"); err != nil {
 		return nil, err
 	}
 	for {
-		col, err := p.parseIdent()
-		if err != nil {
-			return nil, err
+		col, err := p.parseName()
+		if err == nil {
+			err = p.expect("=")
 		}
-		if err := p.expectPunct("="); err != nil {
-			return nil, err
+		var v operand
+		if err == nil {
+			v, err = p.parseOperand()
 		}
-		v, err := p.parseOperand()
 		if err != nil {
 			return nil, err
 		}
 		s.Cols = append(s.Cols, col)
 		s.Vals = append(s.Vals, v)
-		if !p.acceptPunct(",") {
+		if !p.accept(",") {
 			break
 		}
 	}
-	if p.acceptKeyword("WHERE") {
-		w, err := p.parseOr()
-		if err != nil {
-			return nil, err
-		}
-		s.Where = w
+	if s.Where, err = p.parseWhere(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
 func (p *sqlParser) parseDelete() (*deleteStmt, error) {
-	if err := p.expectKeyword("FROM"); err != nil {
+	if err := p.expect("FROM"); err != nil {
 		return nil, err
 	}
-	table, err := p.parseIdent()
+	table, err := p.parseName()
 	if err != nil {
 		return nil, err
 	}
 	s := &deleteStmt{Table: table}
-	if p.acceptKeyword("WHERE") {
-		w, err := p.parseOr()
-		if err != nil {
-			return nil, err
-		}
-		s.Where = w
+	if s.Where, err = p.parseWhere(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }

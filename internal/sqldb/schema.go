@@ -13,26 +13,20 @@ const (
 	Int ColumnType = iota + 1
 	Float
 	String
-	Bool
 	Time
 )
 
+// columnTypes names every column type, indexed by ColumnType.
+var columnTypes = [...]string{Int: "INT", Float: "FLOAT", String: "STRING", Time: "TIME"}
+
 func (t ColumnType) String() string {
-	switch t {
-	case Int:
-		return "INT"
-	case Float:
-		return "FLOAT"
-	case String:
-		return "STRING"
-	case Bool:
-		return "BOOL"
-	case Time:
-		return "TIME"
-	default:
+	if !t.valid() {
 		return "UNKNOWN"
 	}
+	return columnTypes[t]
 }
+
+func (t ColumnType) valid() bool { return t >= Int && int(t) < len(columnTypes) }
 
 // accepts reports whether v (normalized) is storable in a column of this
 // type. NULL is storable everywhere.
@@ -52,9 +46,6 @@ func (t ColumnType) accepts(v Value) bool {
 		return false
 	case String:
 		_, ok := v.(string)
-		return ok
-	case Bool:
-		_, ok := v.(bool)
 		return ok
 	case Time:
 		_, ok := v.(time.Time)
@@ -99,6 +90,9 @@ func (s Schema) validate() error {
 		}
 		if _, dup := seen[c.Name]; dup {
 			return fmt.Errorf("sqldb: table %q duplicates column %q", s.Table, c.Name)
+		}
+		if !c.Type.valid() {
+			return fmt.Errorf("sqldb: table %q column %q has unknown type %d", s.Table, c.Name, c.Type)
 		}
 		seen[c.Name] = c.Type
 	}

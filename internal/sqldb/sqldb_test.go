@@ -3,6 +3,7 @@ package sqldb
 import (
 	"maps"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -72,6 +73,15 @@ func mustExec(t *testing.T, c *Conn, sql string, args ...any) ExecResult {
 	return res
 }
 
+// mustNotPrepare checks that sql fails to prepare with an error that
+// contains form: the error names what the grammar lacks.
+func mustNotPrepare(t *testing.T, db *DB, sql, form string) {
+	t.Helper()
+	if _, err := db.prepare(sql); err == nil || !strings.Contains(err.Error(), form) {
+		t.Errorf("prepare(%q) = %v, want an error naming %s", sql, err, form)
+	}
+}
+
 func mustQuery(t *testing.T, c *Conn, sql string, args ...any) *ResultSet {
 	t.Helper()
 	rs, err := c.Query(sql, args...)
@@ -109,32 +119,41 @@ func TestSelectBySecondaryIndex(t *testing.T) {
 }
 
 func TestWhereOperators(t *testing.T) {
-	_, c := newTestDB(t)
+	db, c := newTestDB(t)
 	tests := []struct {
 		where string
 		args  []any
 		want  int
 	}{
 		{"b_price > 50", nil, 2},
-		{"b_price >= 89.99", nil, 2},
-		{"b_price < 40 AND b_stock > 0", nil, 2},
-		{"b_price < 40 OR b_price > 90", nil, 3},
-		{"NOT b_stock = 0", nil, 3},
-		{"b_id != 1", nil, 3},
-		{"b_id <> 1", nil, 3},
+		{"b_price > 30 AND b_stock > 0", nil, 2},
 		{"b_stock = 0", nil, 1},
-		{"b_id IN (1, 3)", nil, 2},
-		{"b_id NOT IN (1, 2, 3)", nil, 1},
+		{"b_id > ?", []any{2}, 2},
 		{"b_title LIKE '%programming%'", nil, 2},
-		{"b_title NOT LIKE '%TAOCP%'", nil, 2},
 		{"b_title LIKE ?", []any{"TAOCP Volume _"}, 2},
-		{"(b_id = 1 OR b_id = 2) AND b_stock > 0", nil, 1},
+		{"b_a_id = 2 AND b_title LIKE '%unix%'", nil, 1},
 	}
 	for _, tt := range tests {
 		rs := mustQuery(t, c, "SELECT b_id FROM book WHERE "+tt.where, tt.args...)
 		if rs.Len() != tt.want {
 			t.Errorf("WHERE %s: got %d rows, want %d", tt.where, rs.Len(), tt.want)
 		}
+	}
+	// The other comparisons and connectives are not in the grammar.
+	for where, form := range map[string]string{
+		"b_price >= 89.99":                       `">="`,
+		"b_price < 40":                           `"<"`,
+		"b_price <= 40":                          `"<="`,
+		"b_id != 1":                              `"!="`,
+		"b_id <> 1":                              `"<>"`,
+		"b_price < 40 OR b_price > 90":           `"<"`,
+		"b_price > 90 OR b_price = 1":            `"OR"`,
+		"NOT b_stock = 0":                        "after NOT",
+		"b_id IN (1, 3)":                         `"IN"`,
+		"b_title NOT LIKE '%TAOCP%'":             `"NOT"`,
+		"(b_id = 1 OR b_id = 2) AND b_stock > 0": `"("`,
+	} {
+		mustNotPrepare(t, db, "SELECT b_id FROM book WHERE "+where, form)
 	}
 }
 
@@ -149,43 +168,46 @@ func TestIsNull(t *testing.T) {
 	defer c.Close()
 	mustExec(t, c, "INSERT INTO t (id, v) VALUES (1, 'x')")
 	mustExec(t, c, "INSERT INTO t (id, v) VALUES (2, NULL)")
-	if rs := mustQuery(t, c, "SELECT id FROM t WHERE v IS NULL"); rs.Len() != 1 || rs.Int(0, "id") != 2 {
-		t.Fatalf("IS NULL: %v", rs.Rows)
+	if rs := mustQuery(t, c, "SELECT id, v FROM t WHERE id = 2"); rs.Len() != 1 || rs.Get(0, "v") != nil {
+		t.Fatalf("NULL cell: %v", rs.Rows)
 	}
-	if rs := mustQuery(t, c, "SELECT id FROM t WHERE v IS NOT NULL"); rs.Len() != 1 || rs.Int(0, "id") != 1 {
-		t.Fatalf("IS NOT NULL: %v", rs.Rows)
+	// A comparison with NULL holds for no row, and IS [NOT] NULL is not
+	// in the grammar.
+	if rs := mustQuery(t, c, "SELECT id FROM t WHERE v = NULL"); rs.Len() != 0 {
+		t.Fatalf("= NULL: %v", rs.Rows)
 	}
+	mustNotPrepare(t, db, "SELECT id FROM t WHERE v IS NULL", `"IS"`)
+	mustNotPrepare(t, db, "SELECT id FROM t WHERE v IS NOT NULL", `"IS"`)
 }
 
 func TestOrderByLimitOffset(t *testing.T) {
-	_, c := newTestDB(t)
+	db, c := newTestDB(t)
 	rs := mustQuery(t, c, "SELECT b_id, b_price FROM book ORDER BY b_price DESC LIMIT 2")
 	if rs.Len() != 2 || rs.Int(0, "b_id") != 1 || rs.Int(1, "b_id") != 2 {
 		t.Fatalf("got %v", rs.Rows)
 	}
-	rs = mustQuery(t, c, "SELECT b_id FROM book ORDER BY b_price ASC LIMIT 2 OFFSET 1")
-	if rs.Len() != 2 || rs.Int(0, "b_id") != 3 {
-		t.Fatalf("offset got %v", rs.Rows)
-	}
+	mustNotPrepare(t, db, "SELECT b_id, b_price FROM book ORDER BY b_price ASC LIMIT 2 OFFSET 1", `"OFFSET"`)
 }
 
 func TestOrderByTime(t *testing.T) {
 	_, c := newTestDB(t)
-	rs := mustQuery(t, c, "SELECT b_id FROM book ORDER BY b_pub DESC LIMIT 1")
+	rs := mustQuery(t, c, "SELECT b_id, b_pub FROM book ORDER BY b_pub DESC LIMIT 1")
 	if rs.Int(0, "b_id") != 4 {
 		t.Fatalf("latest book = %v", rs.Rows)
 	}
 }
 
 func TestOrderByMultipleKeys(t *testing.T) {
-	_, c := newTestDB(t)
-	rs := mustQuery(t, c, "SELECT b_a_id, b_id FROM book ORDER BY b_a_id ASC, b_price ASC")
+	db, c := newTestDB(t)
+	rs := mustQuery(t, c, "SELECT b_a_id, b_id, b_price FROM book ORDER BY b_a_id ASC, b_price ASC")
 	wantIDs := []int64{2, 1, 4, 3}
 	for i, want := range wantIDs {
 		if got := rs.Int(i, "b_id"); got != want {
 			t.Fatalf("row %d: b_id = %d, want %d (rows %v)", i, got, want, rs.Rows)
 		}
 	}
+	// Keys are columns of the result.
+	mustNotPrepare(t, db, "SELECT b_a_id, b_id FROM book ORDER BY b_a_id ASC, b_price ASC", "not in the result")
 }
 
 func TestJoinTwoTables(t *testing.T) {
@@ -201,11 +223,23 @@ func TestJoinTwoTables(t *testing.T) {
 }
 
 func TestJoinWithAliases(t *testing.T) {
-	_, c := newTestDB(t)
+	db, c := newTestDB(t)
 	rs := mustQuery(t, c,
-		"SELECT b.b_title, a.a_name FROM book b INNER JOIN author a ON b.b_a_id = a.a_id WHERE a.a_id = ?", 1)
+		"SELECT b_title, a_name FROM book JOIN author ON b_a_id = a_id WHERE a_id = ?", 1)
 	if rs.Len() != 2 {
 		t.Fatalf("Len = %d: %v", rs.Len(), rs.Rows)
+	}
+	// Names are unqualified and take no alias, and JOIN is the only join.
+	for sql, form := range map[string]string{
+		"SELECT b.b_title FROM book JOIN author ON b_a_id = a_id":                        "'.'",
+		"SELECT b_title FROM book b JOIN author ON b_a_id = a_id":                        "take no alias",
+		"SELECT b_title FROM book AS b JOIN author ON b_a_id = a_id":                     "take no alias",
+		"SELECT b_title FROM book INNER JOIN author ON b_a_id = a_id":                    `"INNER"`,
+		"SELECT b_title AS t FROM book JOIN author ON b_a_id = a_id":                     "column aliases",
+		"SELECT author.* FROM book JOIN author ON b_a_id = a_id":                         "'.'",
+		"SELECT b_title FROM book JOIN author ON b_a_id = a_id JOIN book ON b_id = a_id": "appears twice",
+	} {
+		mustNotPrepare(t, db, sql, form)
 	}
 }
 
@@ -225,7 +259,7 @@ func TestThreeTableJoin(t *testing.T) {
 	mustExec(t, c, "INSERT INTO review (r_id, r_b_id, r_stars) VALUES (2, 3, 4)")
 	mustExec(t, c, "INSERT INTO review (r_id, r_b_id, r_stars) VALUES (3, 1, 3)")
 	rs := mustQuery(t, c,
-		"SELECT a_name, b_title, r_stars FROM review JOIN book ON r_b_id = b_id JOIN author ON b_a_id = a_id WHERE r_stars >= 4")
+		"SELECT a_name, b_title, r_stars FROM review JOIN book ON r_b_id = b_id JOIN author ON b_a_id = a_id WHERE r_stars > 3")
 	if rs.Len() != 2 {
 		t.Fatalf("Len = %d: %v", rs.Len(), rs.Rows)
 	}
@@ -237,35 +271,45 @@ func TestThreeTableJoin(t *testing.T) {
 }
 
 func TestAggregates(t *testing.T) {
-	_, c := newTestDB(t)
-	rs := mustQuery(t, c, "SELECT COUNT(*) AS n, SUM(b_stock) AS total, AVG(b_price) AS avgp, MIN(b_price) AS lo, MAX(b_price) AS hi FROM book")
-	if rs.Int(0, "n") != 4 {
-		t.Fatalf("count = %d", rs.Int(0, "n"))
+	db, c := newTestDB(t)
+	rs := mustQuery(t, c, "SELECT b_a_id, SUM(b_stock) AS total, SUM(b_price) AS price FROM book GROUP BY b_a_id ORDER BY b_a_id")
+	if rs.Len() != 2 || rs.Int(0, "total") != 10 || rs.Int(1, "total") != 30 {
+		t.Fatalf("sums: %v", rs.Rows)
 	}
-	if rs.Int(0, "total") != 40 {
-		t.Fatalf("sum = %d", rs.Int(0, "total"))
+	if got := rs.Float(1, "price"); got < 69.97 || got > 69.99 {
+		t.Fatalf("author 2 price = %v", got)
 	}
-	if got := rs.Float(0, "avgp"); got < 64.98 || got > 65.0 {
-		t.Fatalf("avg = %v", got)
-	}
-	if rs.Float(0, "lo") != 29.99 || rs.Float(0, "hi") != 99.99 {
-		t.Fatalf("min/max = %v/%v", rs.Get(0, "lo"), rs.Get(0, "hi"))
+	// SUM is the one aggregate, and it needs a GROUP BY and a name.
+	for sql, form := range map[string]string{
+		"SELECT b_a_id, COUNT(*) AS n FROM book GROUP BY b_a_id":      "COUNT",
+		"SELECT b_a_id, AVG(b_price) AS a FROM book GROUP BY b_a_id":  "AVG",
+		"SELECT b_a_id, MIN(b_price) AS lo FROM book GROUP BY b_a_id": "MIN",
+		"SELECT b_a_id, MAX(b_price) AS hi FROM book GROUP BY b_a_id": "MAX",
+		"SELECT SUM(b_stock) AS total FROM book":                      "needs a GROUP BY",
+		"SELECT b_a_id, SUM(b_stock) FROM book GROUP BY b_a_id":       "expected AS",
+	} {
+		mustNotPrepare(t, db, sql, form)
 	}
 }
 
 func TestGroupBy(t *testing.T) {
-	_, c := newTestDB(t)
+	db, c := newTestDB(t)
 	rs := mustQuery(t, c,
-		"SELECT b_a_id, COUNT(*) AS n, SUM(b_price) AS total FROM book GROUP BY b_a_id ORDER BY b_a_id")
+		"SELECT b_a_id, b_title, SUM(b_price) AS total FROM book GROUP BY b_a_id ORDER BY b_a_id")
 	if rs.Len() != 2 {
 		t.Fatalf("groups = %d", rs.Len())
 	}
-	if rs.Int(0, "n") != 2 || rs.Int(1, "n") != 2 {
-		t.Fatalf("counts: %v", rs.Rows)
+	// A column that is not grouped comes from the group's first row.
+	if rs.Str(0, "b_title") != "TAOCP Volume 1" || rs.Str(1, "b_title") != "The Go Programming Language" {
+		t.Fatalf("first rows: %v", rs.Rows)
 	}
 	if got := rs.Float(0, "total"); got < 189.97 || got > 189.99 {
 		t.Fatalf("author 1 total = %v", got)
 	}
+	// One INT or STRING group column.
+	mustNotPrepare(t, db, "SELECT b_a_id, b_stock FROM book GROUP BY b_a_id, b_stock", "one column")
+	mustNotPrepare(t, db, "SELECT b_price, SUM(b_stock) AS n FROM book GROUP BY b_price", "FLOAT column does not group")
+	mustNotPrepare(t, db, "SELECT b_pub, SUM(b_stock) AS n FROM book GROUP BY b_pub", "TIME column does not group")
 }
 
 func TestGroupByOrderByAggregateAlias(t *testing.T) {
@@ -303,13 +347,11 @@ func TestUpdateSecondaryIndexMaintained(t *testing.T) {
 }
 
 func TestUpdateFromColumn(t *testing.T) {
-	_, c := newTestDB(t)
-	// SET col = other-col (row-dependent RHS).
-	mustExec(t, c, "UPDATE book SET b_stock = b_id WHERE b_id = 4")
-	rs := mustQuery(t, c, "SELECT b_stock FROM book WHERE b_id = 4")
-	if rs.Int(0, "b_stock") != 4 {
-		t.Fatalf("stock = %d", rs.Int(0, "b_stock"))
-	}
+	db, _ := newTestDB(t)
+	// A value is a placeholder or a literal, never another column.
+	mustNotPrepare(t, db, "UPDATE book SET b_stock = b_id WHERE b_id = 4", `column "b_id"`)
+	mustNotPrepare(t, db, "SELECT b_id FROM book WHERE b_stock = b_id", `column "b_id"`)
+	mustNotPrepare(t, db, "SELECT b_id FROM book WHERE b_stock = TRUE", `column "TRUE"`)
 }
 
 func TestDelete(t *testing.T) {
@@ -550,8 +592,8 @@ func TestCompareValues(t *testing.T) {
 	if _, err := compare("a", int64(1)); err == nil {
 		t.Fatal("string vs int comparable")
 	}
-	if c, err := compare(false, true); err != nil || c != -1 {
-		t.Fatalf("bools: %d, %v", c, err)
+	if _, err := normalize(true); err == nil {
+		t.Fatal("bool accepted as a value")
 	}
 	now := time.Now()
 	if c, err := compare(now, now.Add(time.Second)); err != nil || c != -1 {
@@ -580,11 +622,11 @@ func TestStatementCache(t *testing.T) {
 
 func TestSumIntTypePreserved(t *testing.T) {
 	_, c := newTestDB(t)
-	rs := mustQuery(t, c, "SELECT SUM(b_stock) AS total FROM book")
+	rs := mustQuery(t, c, "SELECT b_a_id, SUM(b_stock) AS total FROM book GROUP BY b_a_id")
 	if _, ok := rs.Get(0, "total").(int64); !ok {
 		t.Fatalf("SUM over INT column returned %T, want int64", rs.Get(0, "total"))
 	}
-	rs = mustQuery(t, c, "SELECT SUM(b_price) AS total FROM book")
+	rs = mustQuery(t, c, "SELECT b_a_id, SUM(b_price) AS total FROM book GROUP BY b_a_id")
 	if _, ok := rs.Get(0, "total").(float64); !ok {
 		t.Fatalf("SUM over FLOAT column returned %T, want float64", rs.Get(0, "total"))
 	}

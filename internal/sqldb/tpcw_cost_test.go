@@ -163,9 +163,17 @@ func TestTPCWStatementCostsCoverHandlers(t *testing.T) {
 
 // handlerSQL is every SQL literal in internal/tpcw/handlers.go,
 // normalized.
-func handlerSQL(t testing.TB) []string {
+func handlerSQL(t testing.TB) []string { return tpcwSQL(t, "handlers.go", 20) }
+
+// loaderSQL is every SQL literal in internal/tpcw/populate.go,
+// normalized.
+func loaderSQL(t testing.TB) []string { return tpcwSQL(t, "populate.go", 8) }
+
+// tpcwSQL is every SQL literal in the internal/tpcw file name, normalized;
+// fewer than atLeast means the extraction is broken.
+func tpcwSQL(t testing.TB, name string, atLeast int) []string {
 	t.Helper()
-	f, err := parser.ParseFile(token.NewFileSet(), "../tpcw/handlers.go", nil, 0)
+	f, err := parser.ParseFile(token.NewFileSet(), "../tpcw/"+name, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,8 +194,8 @@ func handlerSQL(t testing.TB) []string {
 		}
 		return true
 	})
-	if len(found) < 20 {
-		t.Fatalf("found only %d SQL literals in handlers.go; the extraction is broken", len(found))
+	if len(found) < atLeast {
+		t.Fatalf("found only %d SQL literals in %s; the extraction is broken", len(found), name)
 	}
 	return found
 }

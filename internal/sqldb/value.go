@@ -6,14 +6,14 @@ import (
 	"time"
 )
 
-// Value is a single column value: nil, int64, float64, string, bool, or
+// Value is a single column value: nil, int64, float64, string, or
 // time.Time. The engine normalizes integer inputs to int64.
 type Value any
 
 // normalize converts supported Go values into canonical engine values.
 func normalize(v any) (Value, error) {
 	switch t := v.(type) {
-	case nil, int64, float64, string, bool, time.Time:
+	case nil, int64, float64, string, time.Time:
 		return t, nil
 	case int:
 		return int64(t), nil
@@ -40,7 +40,7 @@ func normalize(v any) (Value, error) {
 
 // compare orders two values: -1, 0, or +1. nil sorts first. Numeric types
 // compare numerically across int64/float64; strings lexically; times
-// chronologically; bools false<true. Mismatched types report an error.
+// chronologically. Mismatched types report an error.
 func compare(a, b Value) (int, error) {
 	if a == nil || b == nil {
 		switch {
@@ -70,17 +70,6 @@ func compare(a, b Value) (int, error) {
 	case string:
 		if bv, ok := b.(string); ok {
 			return strings.Compare(av, bv), nil
-		}
-	case bool:
-		if bv, ok := b.(bool); ok {
-			switch {
-			case av == bv:
-				return 0, nil
-			case !av:
-				return -1, nil
-			default:
-				return 1, nil
-			}
 		}
 	case time.Time:
 		if bv, ok := b.(time.Time); ok {
@@ -210,18 +199,13 @@ func containsFold(s string, word []byte) bool {
 	return false
 }
 
-// asNumber coerces a value to float64 for aggregation.
+// asNumber coerces a value to float64 for SUM.
 func asNumber(v Value) (float64, bool) {
 	switch t := v.(type) {
 	case int64:
 		return float64(t), true
 	case float64:
 		return t, true
-	case bool:
-		if t {
-			return 1, true
-		}
-		return 0, true
 	default:
 		return 0, false
 	}

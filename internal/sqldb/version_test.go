@@ -245,7 +245,7 @@ func TestPKProbeAtSnapshotsWhileKeysReused(t *testing.T) {
 func snapshotAgrees(t *testing.T, db *DB, keys int) bool {
 	snap := db.Snapshot()
 	defer snap.Close()
-	rs, err := snap.Query("SELECT id, v FROM t WHERE id <= ?", keys)
+	rs, err := snap.Query("SELECT id, v FROM t WHERE id > ?", 0) // every key is 1..keys
 	if err != nil {
 		t.Error(err)
 		return false
@@ -291,7 +291,7 @@ func TestStringDictionaryCutoff(t *testing.T) {
 		mustExec(t, c, "INSERT INTO d (id, s, n) VALUES (?, ?, ?)", i, fmt.Sprint("s", i%maxDictValues), i)
 	}
 	mustExec(t, c, "INSERT INTO d (id, s, n) VALUES (?, NULL, -1)", 2*maxDictValues)
-	mustExec(t, c, "UPDATE d SET s = 's7' WHERE n >= 0 AND n < 3")
+	mustExec(t, c, "UPDATE d SET s = 's7' WHERE n > ?", 2*maxDictValues-4)
 	if n, shared, err := StringDict(db, "d", "s"); err != nil || n != maxDictValues || !shared {
 		t.Fatalf("after %d distinct strings: %d entries, shared %v, err %v; want %d, true", maxDictValues, n, shared, err, maxDictValues)
 	}

@@ -240,12 +240,11 @@ func TestBuyFlowCreatesOrder(t *testing.T) {
 		t.Fatalf("buy request page wrong: %.200s", out)
 	}
 
-	before, _ := conn.Query("SELECT COUNT(*) AS n FROM orders")
+	before, _ := conn.DB().TableSize("orders")
 	_, confirmRes := call(t, app, conn, PageBuyConfirm, map[string]string{
 		"sc_id": itoa(scID), "c_id": "3"})
-	after, _ := conn.Query("SELECT COUNT(*) AS n FROM orders")
-	if after.Int(0, "n") != before.Int(0, "n")+1 {
-		t.Fatalf("order not created: %d -> %d", before.Int(0, "n"), after.Int(0, "n"))
+	if after, _ := conn.DB().TableSize("orders"); after != before+1 {
+		t.Fatalf("order not created: %d -> %d", before, after)
 	}
 	oID := confirmRes.Data["o_id"].(int64)
 	// Order lines copied from the cart.

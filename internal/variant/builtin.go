@@ -179,13 +179,11 @@ func (i *instance) DBTier() *dbtier.Tier       { return i.tier }
 
 // buildUnmodified constructs the thread-per-request baseline.
 //
-// Settings: workers (pool size, default 80), queuecap (accept queue
-// bound), and the tier settings of openTier, whose dbconns defaults to
-// workers.
+// Settings: workers (pool size, default 80) and the tier settings of
+// openTier, whose dbconns defaults to workers.
 func buildUnmodified(env Env) (Instance, error) {
 	d := NewDecoder(env)
 	workers := d.Int("workers", 80)
-	queueCap := d.Int("queuecap", 0)
 	tier, err := openTier(env, d, Unmodified, workers)
 	if err != nil {
 		return nil, err
@@ -194,7 +192,6 @@ func buildUnmodified(env Env) (Instance, error) {
 		App:        env.App,
 		DB:         tier.Conn(),
 		Workers:    workers,
-		QueueCap:   queueCap,
 		Cost:       env.Cost,
 		Clock:      env.Clock,
 		Scale:      env.Scale,
@@ -219,7 +216,7 @@ func buildUnmodified(env Env) (Instance, error) {
 // buildModified constructs the staged five-pool server.
 //
 // Settings: header, static, general, lengthy, render (pool sizes, default
-// 8/16/64/16/16), queuecap, minreserve, cutoff (quick/lengthy boundary,
+// 8/16/64/16/16), minreserve, cutoff (quick/lengthy boundary,
 // paper time), noreserve (ablate the t_reserve controller), and the tier
 // settings of openTier, whose dbconns defaults to general+lengthy.
 func buildModified(env Env) (Instance, error) {
@@ -231,7 +228,6 @@ func buildModified(env Env) (Instance, error) {
 		GeneralWorkers: d.Int("general", 64),
 		LengthyWorkers: d.Int("lengthy", 16),
 		RenderWorkers:  d.Int("render", 16),
-		QueueCap:       d.Int("queuecap", 0),
 		MinReserve:     d.Int("minreserve", 0),
 		Cutoff:         d.Duration("cutoff", 0),
 		NoReserve:      d.Bool("noreserve", false),

@@ -1,6 +1,6 @@
 // Package webtest provides a minimal HTTP client and a configurable
-// in-memory application used by server tests, the benchmark, and the
-// workload generator's own tests.
+// in-memory application for tests and the benchmark. No non-test code of
+// the main module imports it.
 //
 // The client is deliberately independent of net/http so that tests
 // exercise the repository's wire implementation end to end.

@@ -29,7 +29,6 @@ import (
 	"stagedweb/internal/httpwire"
 	"stagedweb/internal/tpcw"
 	"stagedweb/internal/variant"
-	"stagedweb/internal/webtest"
 )
 
 // Config configures the browser fleet.
@@ -414,11 +413,11 @@ func get(conn net.Conn, br *bufio.Reader, path string) ([]byte, int, error) {
 	if _, err := conn.Write([]byte(req)); err != nil {
 		return nil, 0, err
 	}
-	resp, err := webtest.ReadResponse(br)
+	resp, err := httpwire.ReadResponse(br, nil, "")
 	if err != nil {
 		return nil, 0, err
 	}
-	return resp.Body, resp.Status, nil
+	return resp.Body(), resp.Status, nil
 }
 
 // searchWords are the terms EBs search for; common title words so
