@@ -36,7 +36,6 @@ var keptForTests = map[string]string{
 	"internal/dbtier.Tier.Backends":           "the replica-convergence tests compare every engine directly",
 	"internal/dbtier.Tier.Sync":               "the replica oracle: a barrier before comparing primary and replicas",
 	"internal/dbtier.Tier.ReplayErrors":       "the replica replay-failure oracle of the replication tests",
-	"internal/harness.SeriesMean":             "the root benchmarks report series means through it",
 	"internal/sqldb.DB.MustCreateTable":       "the schema setup of eighteen test files",
 	"internal/sqldb.DB.OpenConns":             "backs the connection-leak assertions of the server, tier and variant tests",
 	"internal/sqldb.DB.ReplLog":               "the variant tests assert a failed build leaves the database unreplicated",

@@ -83,6 +83,7 @@
 // analysis" section.
 //
 // See README.md for the architecture, a walkthrough, design notes, and
-// how to run the experiments. The root-level bench_test.go regenerates
-// each table and figure as a Go benchmark.
+// how to run the experiments. cmd/experiments regenerates each table and
+// figure and runs each ablation; each package's micro-benchmarks sit
+// beside its tests.
 package stagedweb

@@ -14,6 +14,7 @@ import (
 	"stagedweb/internal/clock"
 	"stagedweb/internal/core"
 	"stagedweb/internal/dbtier"
+	"stagedweb/internal/sched"
 	"stagedweb/internal/server"
 	"stagedweb/internal/sqldb"
 	"stagedweb/internal/webtest"
@@ -56,7 +57,7 @@ func TestClassifierSeesInjectedClockDurations(t *testing.T) {
 		OnComplete:     classes.record,
 		Clock:          manual,
 		Scale:          clock.RealTime,
-		NoReserve:      true, // no controller ticker: the only manual waiter is the query's cost sleep
+		Cutoff:         sched.DefaultCutoff,
 		HeaderWorkers:  1,
 		StaticWorkers:  1,
 		GeneralWorkers: 2,
@@ -78,9 +79,9 @@ func TestClassifierSeesInjectedClockDurations(t *testing.T) {
 		_, err := webtest.Get(addr, "/slow")
 		got <- err
 	}()
-	// The handler is now asleep in the database's 3 s cost charge;
-	// advance paper time past it.
-	manual.BlockUntilWaiters(1)
+	// The handler is now asleep in the database's 3 s cost charge, beside
+	// the controller's ticker; advance paper time past it.
+	manual.BlockUntilWaiters(2)
 	manual.Advance(3 * time.Second)
 	if err := <-got; err != nil {
 		t.Fatal(err)

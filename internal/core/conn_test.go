@@ -145,7 +145,6 @@ func TestStaticConnAllocCeiling(t *testing.T) {
 		t.Skip("the race detector's sync.Pool drops make allocation counts meaningless")
 	}
 	env := startStaged(t, stagedApp(), func(cfg *core.Config) {
-		cfg.NoReserve = true
 		cfg.Clock = clock.Precise{}
 		cfg.Cost = server.WorkCost{StaticBase: time.Millisecond}
 	})

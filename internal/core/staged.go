@@ -63,7 +63,7 @@ const (
 // Config configures the staged server. Topology — pool sizes, queue
 // bounds, the classifier cutoff, and the reserve policy — is pure
 // configuration: harness variants (pool-size sweeps, the no-reserve
-// ablation) need no new server code.
+// ablation, which is MinReserve 0) need no new server code.
 type Config struct {
 	// App is the application to serve.
 	App server.App
@@ -82,19 +82,17 @@ type Config struct {
 	LengthyWorkers int
 	RenderWorkers  int
 
-	// Cutoff is the quick/lengthy boundary in paper time (default 2 s,
-	// the paper's value).
+	// Cutoff is the quick/lengthy boundary in paper time, positive (the
+	// paper's is sched.DefaultCutoff, 2 s).
 	Cutoff time.Duration
-	// MinReserve is the configured minimum t_reserve (default 20, the
-	// value used in the paper's Table 2).
+	// MinReserve is the minimum t_reserve, not negative (the paper's
+	// Table 2 uses 20); one above GeneralWorkers reserves the whole
+	// general pool, as GeneralWorkers does. At 0 the controller never
+	// leaves 0: lengthy requests enter the general pool whenever it has
+	// a spare worker, every general slot freed with the general line
+	// empty goes to a waiting lengthy request, and quick pages lose
+	// their protection.
 	MinReserve int
-	// NoReserve disables the t_reserve feedback controller entirely (the
-	// ablation variant): t_reserve is pinned to zero, so lengthy requests
-	// enter the general pool whenever it has any spare worker and every
-	// general slot freed with the general line empty goes to a waiting
-	// lengthy request. The server is then fully work-conserving, and quick
-	// pages lose their protection.
-	NoReserve bool
 
 	// Clock and Scale drive the controller loop and convert measured
 	// wall durations into paper time for classification.
@@ -115,12 +113,6 @@ type Config struct {
 const controllerInterval = time.Second
 
 func (c *Config) fillDefaults() {
-	if c.Cutoff <= 0 {
-		c.Cutoff = sched.DefaultCutoff
-	}
-	if c.MinReserve <= 0 {
-		c.MinReserve = 20
-	}
 	if c.Clock == nil {
 		c.Clock = clock.Real{}
 	}
@@ -172,6 +164,12 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("core: invalid pool size %d", n)
 		}
 	}
+	if cfg.Cutoff <= 0 {
+		return nil, fmt.Errorf("core: invalid cutoff %v", cfg.Cutoff)
+	}
+	if cfg.MinReserve < 0 {
+		return nil, fmt.Errorf("core: negative minimum reserve %d", cfg.MinReserve)
+	}
 	cfg.fillDefaults()
 	s := &Server{cfg: cfg}
 	s.tr = server.NewTransport(server.TransportConfig{
@@ -182,20 +180,17 @@ func New(cfg Config) (*Server, error) {
 	})
 
 	cls := sched.NewClassifier(cfg.Cutoff)
-	var rc *sched.ReserveController
-	if cfg.NoReserve {
-		// t_reserve pinned at zero: Table 1 degenerates to "lengthy goes
-		// to the general pool whenever it has a spare worker".
-		rc = sched.NewReserveController(0)
-	} else {
-		rc = sched.NewReserveController(cfg.MinReserve)
-		// Keep the controller in its stable region: reserving more than
-		// 3/4 of the general pool would let the grow rule run away (see
-		// sched.NewReserveController).
-		if maxR := cfg.GeneralWorkers * 3 / 4; maxR > cfg.MinReserve {
-			rc.SetMax(maxR)
-		}
+	// Keep the controller in its stable region (see
+	// sched.NewReserveController): t_reserve never exceeds the general
+	// pool, the largest t_spare there is, nor 3/4 of it where the minimum
+	// is below that.
+	minR := min(cfg.MinReserve, cfg.GeneralWorkers)
+	rc := sched.NewReserveController(minR)
+	maxR := cfg.GeneralWorkers
+	if q := cfg.GeneralWorkers * 3 / 4; q > minR {
+		maxR = q
 	}
+	rc.SetMax(maxR)
 
 	pool := func(name string, workers int) *stage.Stage[struct{}] {
 		return stage.New(stage.Config[struct{}]{Name: name, Workers: workers})
@@ -234,14 +229,12 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 	s.listener = l
 	s.graph.Start()
-	if !s.cfg.NoReserve {
-		s.controller = sched.StartController(
-			s.cfg.Clock,
-			s.cfg.Scale.Wall(controllerInterval),
-			s.dispatcher.ReserveController(),
-			s.controllerSpare,
-		)
-	}
+	s.controller = sched.StartController(
+		s.cfg.Clock,
+		s.cfg.Scale.Wall(controllerInterval),
+		s.dispatcher.ReserveController(),
+		s.controllerSpare,
+	)
 	s.mu.Unlock()
 	return s.tr.Accept(l, func(c *server.Conn) error {
 		s.mu.Lock()

@@ -13,6 +13,7 @@ import (
 	"stagedweb/internal/clock"
 	"stagedweb/internal/core"
 	"stagedweb/internal/dbtier"
+	"stagedweb/internal/sched"
 	"stagedweb/internal/server"
 	"stagedweb/internal/sqldb"
 	"stagedweb/internal/webtest"
@@ -45,6 +46,7 @@ func startStagedOn(t *testing.T, app *webtest.App, mutate func(*core.Config), wr
 		LengthyWorkers: 1,
 		RenderWorkers:  2,
 		MinReserve:     1,
+		Cutoff:         sched.DefaultCutoff,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -428,16 +430,74 @@ func TestStagedManyConcurrentClients(t *testing.T) {
 	}
 }
 
+// TestReserveStaysWithinGeneralPool holds all 21 general slots with
+// quick requests, so the controller reads t_spare 0 once a paper second
+// (a millisecond here), and checks t_reserve never leaves [min, 21]: a
+// minimum of 0 stays 0, and one of 16, where 3/4 of the pool (15) is no
+// cap, grows to the pool's size and stops there instead of running away.
+// A minimum of 30 is the whole pool, 21.
+func TestReserveStaysWithinGeneralPool(t *testing.T) {
+	for _, minR := range []int{0, 16, 30} {
+		t.Run(fmt.Sprintf("minreserve=%d", minR), func(t *testing.T) {
+			const general = 21
+			app := stagedApp()
+			gate := make(chan struct{})
+			app.AddPage("/hold", func(*server.Request) (*server.Result, error) {
+				<-gate
+				return &server.Result{Body: "done"}, nil
+			})
+			env := startStaged(t, app, func(cfg *core.Config) {
+				cfg.Scale = clock.Timescale(1000)
+				cfg.GeneralWorkers = general
+				cfg.MinReserve = minR
+			})
+			open := sync.OnceFunc(func() { close(gate) })
+			t.Cleanup(open) // before the server stops
+			var wg sync.WaitGroup
+			for range general {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if _, err := webtest.Get(env.addr, "/hold"); err != nil {
+						t.Errorf("GET /hold: %v", err)
+					}
+				}()
+			}
+			waitUntil(t, func() bool { return env.srv.Spare() == 0 })
+			peak := 0
+			for end := time.Now().Add(200 * time.Millisecond); time.Now().Before(end); {
+				r := env.srv.Reserve()
+				if r < min(minR, general) || r > general {
+					t.Fatalf("t_reserve %d outside [%d, %d] with t_spare 0", r, min(minR, general), general)
+				}
+				peak = max(peak, r)
+				time.Sleep(100 * time.Microsecond)
+			}
+			want := general // the grow rule's first step passes the cap
+			if minR == 0 {
+				want = 0
+			}
+			if peak != want {
+				t.Errorf("t_reserve peaked at %d, want %d", peak, want)
+			}
+			open()
+			wg.Wait()
+		})
+	}
+}
+
 func TestStagedConfigValidation(t *testing.T) {
 	conn := sqldb.Open(sqldb.Options{Cost: sqldb.ZeroCostModel()}).Connect()
 	defer conn.Close()
-	valid := core.Config{App: stagedApp(), DB: conn,
+	valid := core.Config{App: stagedApp(), DB: conn, Cutoff: sched.DefaultCutoff,
 		HeaderWorkers: 1, StaticWorkers: 1, GeneralWorkers: 1, LengthyWorkers: 1, RenderWorkers: 1}
 	for name, mutate := range map[string]func(*core.Config){
 		"nil App":              func(c *core.Config) { c.App = nil },
 		"nil DB":               func(c *core.Config) { c.DB = nil },
 		"zero lengthy pool":    func(c *core.Config) { c.LengthyWorkers = 0 },
 		"negative render pool": func(c *core.Config) { c.RenderWorkers = -1 },
+		"zero cutoff":          func(c *core.Config) { c.Cutoff = 0 },
+		"negative reserve":     func(c *core.Config) { c.MinReserve = -1 },
 	} {
 		cfg := valid
 		mutate(&cfg)

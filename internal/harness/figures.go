@@ -133,23 +133,6 @@ func Figure10(unmod, mod *Result) string {
 	return sb.String()
 }
 
-// SeriesMean computes a series' mean bucket value (useful for asserting
-// figure shapes in tests).
-func SeriesMean(s *metrics.Series) float64 {
-	if s == nil {
-		return 0
-	}
-	pts := s.Points()
-	if len(pts) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, p := range pts {
-		sum += p.Value
-	}
-	return sum / float64(len(pts))
-}
-
 // SeriesMax computes a series' maximum bucket value.
 func SeriesMax(s *metrics.Series) float64 {
 	if s == nil {

@@ -332,13 +332,10 @@ func TestSeriesHelpers(t *testing.T) {
 	s := metrics.NewSeries(start, time.Second, metrics.AggSum)
 	s.Observe(start, 2)
 	s.Observe(start.Add(time.Second), 6)
-	if got := SeriesMean(s); got != 4 {
-		t.Fatalf("SeriesMean = %v", got)
-	}
 	if got := SeriesMax(s); got != 6 {
 		t.Fatalf("SeriesMax = %v", got)
 	}
-	if SeriesMean(nil) != 0 || SeriesMax(nil) != 0 {
+	if SeriesMax(nil) != 0 {
 		t.Fatal("nil series helpers")
 	}
 }
@@ -417,30 +414,35 @@ func TestConfigWithClonesSettings(t *testing.T) {
 
 // TestNoReserveVariant exercises the topology variant defined purely as
 // configuration: the staged server with the t_reserve controller
-// ablated. The reserve series must stay pinned at zero while the run
-// still completes work through the staged pipeline.
+// ablated, which is the modified server at minreserve=0. Either way the
+// reserve series must stay pinned at zero while the run still completes
+// work through the staged pipeline.
 func TestNoReserveVariant(t *testing.T) {
-	cfg := QuickConfig(variant.ModifiedNoReserve, clock.Timescale(400))
-	cfg.EBs = 20
-	cfg.RampUp = 5 * time.Second
-	cfg.Measure = 30 * time.Second
-	cfg.CoolDown = 5 * time.Second
-	cfg.Populate = tpcw.PopulateConfig{Items: 200, Customers: 60, Orders: 50}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Variant != variant.ModifiedNoReserve {
-		t.Fatalf("variant = %q", res.Variant)
-	}
-	if res.TotalInteractions == 0 {
-		t.Fatal("no interactions completed")
-	}
-	if res.Series[variant.ProbeQueueGeneral] == nil || res.Series[variant.ProbeQueueLengthy] == nil ||
-		res.Series[variant.ProbeReserve] == nil {
-		t.Fatal("staged series missing")
-	}
-	if max := SeriesMax(res.Series[variant.ProbeReserve]); max != 0 {
-		t.Fatalf("t_reserve moved (max %v) with the controller ablated", max)
+	for _, cfg := range []Config{
+		QuickConfig(variant.ModifiedNoReserve, clock.Timescale(400)),
+		QuickConfig(variant.Modified, clock.Timescale(400)).With(func(c *Config) { c.Set["minreserve"] = "0" }),
+	} {
+		cfg.EBs = 20
+		cfg.RampUp = 5 * time.Second
+		cfg.Measure = 30 * time.Second
+		cfg.CoolDown = 5 * time.Second
+		cfg.Populate = tpcw.PopulateConfig{Items: 200, Customers: 60, Orders: 50}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Variant != cfg.Variant {
+			t.Fatalf("variant = %q, want %q", res.Variant, cfg.Variant)
+		}
+		if res.TotalInteractions == 0 {
+			t.Fatalf("%s %v: no interactions completed", cfg.Variant, cfg.Set)
+		}
+		if res.Series[variant.ProbeQueueGeneral] == nil || res.Series[variant.ProbeQueueLengthy] == nil ||
+			res.Series[variant.ProbeReserve] == nil {
+			t.Fatalf("%s %v: staged series missing", cfg.Variant, cfg.Set)
+		}
+		if max := SeriesMax(res.Series[variant.ProbeReserve]); max != 0 {
+			t.Fatalf("%s %v: t_reserve moved (max %v) with the reserve ablated", cfg.Variant, cfg.Set, max)
+		}
 	}
 }

@@ -41,7 +41,8 @@ type ReserveController struct {
 // use the general pool") locks out permanently. The paper's 64-worker
 // general pool never entered that region; smaller pools can. SetMax
 // bounds t_reserve to keep the controller in its stable region; the
-// staged server caps it at 3/4 of the general pool.
+// staged server caps it at the general pool's size, and at 3/4 of it
+// where the minimum is below that.
 func NewReserveController(minReserve int) *ReserveController {
 	if minReserve < 0 {
 		panic("sched: negative minimum reserve")

@@ -91,6 +91,28 @@ func TestReserveControllerProperty(t *testing.T) {
 	}
 }
 
+// Property: with a bound set, Update never leaves [min, max], whatever
+// the minimum, the bound and the t_spare sequence, and a minimum of 0
+// never leaves 0: t_spare is a slot count, never below it.
+func TestReserveStaysWithinBounds(t *testing.T) {
+	f := func(minR, span uint8, spares []uint8) bool {
+		lo := int(minR)
+		hi := max(lo+int(span), 1) // SetMax(0) would remove the bound
+		rc, zero := NewReserveController(lo), NewReserveController(0)
+		rc.SetMax(hi)
+		zero.SetMax(hi)
+		for _, s := range spares {
+			if r := rc.Update(int(s)); r < lo || r > hi || zero.Update(int(s)) != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestClassifierCutoff(t *testing.T) {
 	c := NewClassifier(DefaultCutoff)
 	if c.Lengthy("unknown") {
@@ -241,4 +263,30 @@ func TestInvalidConstruction(t *testing.T) {
 			fn()
 		}()
 	}
+}
+
+// BenchmarkPerRequest times the two calls the staged server makes for
+// every dynamic request: the Table 1 choice at arrival (alternating a
+// quick and a lengthy page, with t_spare above t_reserve) and the
+// classifier's record of the request's data-generation time.
+func BenchmarkPerRequest(b *testing.B) {
+	b.Run("dispatch", func(b *testing.B) {
+		cls := NewClassifier(DefaultCutoff)
+		cls.Record("/best_sellers", 8*time.Second)
+		cls.Record("/home", 20*time.Millisecond)
+		d := NewDispatcher(cls, NewReserveController(20), func() int { return 30 })
+		pages := []string{"/home", "/best_sellers"}
+		b.ReportAllocs()
+		for i := 0; b.Loop(); i++ {
+			d.Choose(pages[i%len(pages)])
+		}
+	})
+	b.Run("classifier-record", func(b *testing.B) {
+		cls := NewClassifier(DefaultCutoff)
+		pages := []string{"/home", "/new_products", "/best_sellers", "/product_detail", "/search_request", "/execute_search", "/shopping_cart"}
+		b.ReportAllocs()
+		for i := 0; b.Loop(); i++ {
+			cls.Record(pages[i%len(pages)], time.Duration(i%1000)*time.Millisecond)
+		}
+	})
 }

@@ -112,3 +112,22 @@ func TestTransportShutdownSparesFirstRequest(t *testing.T) {
 		t.Errorf("Shutdown took %v with a %v idle timeout", took, idle)
 	}
 }
+
+// nopConn is a net.Conn whose Close does nothing; NewConn and Close call
+// nothing else on it.
+type nopConn struct{ net.Conn }
+
+func (nopConn) Close() error { return nil }
+
+// BenchmarkConnSetup times what accepting a connection costs the shared
+// transport, wrap and close with no request: a pooled bufio reader, no
+// writer (replies leave in one Write from a pooled wire buffer), and the
+// Conn itself.
+func BenchmarkConnSetup(b *testing.B) {
+	tr := server.NewTransport(server.TransportConfig{})
+	var nc net.Conn = nopConn{}
+	b.ReportAllocs()
+	for b.Loop() {
+		tr.NewConn(nc).Close()
+	}
+}

@@ -126,7 +126,7 @@ func (db *DB) SnapshotReads() int64 { return db.snapshotReads.Value() }
 func (db *DB) PlanScans() int64 { return db.planScans.Value() }
 
 // PlanIndexLookups reports executed index access paths — point lookups,
-// range scans, index-order scans, and index-nested-loop join inners.
+// range scans, and index-nested-loop join inners.
 func (db *DB) PlanIndexLookups() int64 { return db.planIndex.Value() }
 
 // PlanRowsRead reports row versions visited by access paths (scanned

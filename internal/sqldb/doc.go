@@ -75,11 +75,11 @@
 //     included. LIKE folds its pattern once per execution and runs
 //     %word% as a substring search.
 //   - index.go maintains the secondary indexes (hash for equality,
-//     ordered sorted runs for "col > v" and ordering, both appended to in
-//     place past the lengths their readers hold)
-//     transactionally under both engines; CreateIndex bumps the
-//     database's index epoch, which invalidates cached plans so every
-//     statement is replanned against the new physical schema.
+//     ordered sorted runs for "col > v", both appended to in place
+//     past the lengths their readers hold) transactionally under both
+//     engines; CreateIndex bumps the database's index epoch, which
+//     invalidates cached plans so every statement is replanned against
+//     the new physical schema.
 //
 // Storage is row-versioned: every committed DML statement stamps the
 // versions it installs with a dense per-database commit timestamp, and

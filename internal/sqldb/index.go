@@ -220,27 +220,22 @@ func (st *orderedState) eq(v Value, ids []int) (_ []int, visited int) {
 // the visible row may produce it.
 func (st *orderedState) above(lo Value) (_ runs, visited int) {
 	start := upperBound(st.base, lo)
-	return runs{base: st.base[start:], buf: st.buf, above: lo, bounded: true}, len(st.base) - start + len(st.buf)
+	return runs{base: st.base[start:], buf: st.buf, above: lo}, len(st.base) - start + len(st.buf)
 }
 
-// all returns every entry, NULL-valued ones included (ORDER BY sorts
-// NULLs first, matching compare).
-func (st *orderedState) all() runs { return runs{base: st.base, buf: st.buf} }
-
-// runs reads two (val, id)-sorted runs, from either end, as the one run
-// mergeEntries would build from them, without building it. If bounded,
-// first drops the buffer entries not above the bound as it reaches them:
-// reads above a bound run ascending. NULL is above nothing: SQL
-// comparisons against NULL are never true.
+// runs reads two (val, id)-sorted runs in ascending order as the one run
+// mergeEntries would build from them, without building it, and drops the
+// buffer entries not above the bound as it reaches them (the base run
+// starts past it). NULL is above nothing: SQL comparisons against NULL
+// are never true.
 type runs struct {
 	base, buf []idxEntry
 	above     Value
-	bounded   bool
 }
 
 // first removes and returns the smallest entry left.
 func (r *runs) first() (idxEntry, bool) {
-	for r.bounded && len(r.buf) > 0 && (r.buf[0].val == nil || cmpVal(r.buf[0].val, r.above) <= 0) {
+	for len(r.buf) > 0 && (r.buf[0].val == nil || cmpVal(r.buf[0].val, r.above) <= 0) {
 		r.buf = r.buf[1:]
 	}
 	if len(r.buf) > 0 && (len(r.base) == 0 || entryLess(r.buf[0], r.base[0])) {
@@ -254,31 +249,6 @@ func (r *runs) first() (idxEntry, bool) {
 	e := r.base[0]
 	r.base = r.base[1:]
 	return e, true
-}
-
-// last removes and returns the largest entry left.
-func (r *runs) last() (idxEntry, bool) {
-	nb, nf := len(r.base), len(r.buf)
-	if nf > 0 && (nb == 0 || !entryLess(r.buf[nf-1], r.base[nb-1])) {
-		e := r.buf[nf-1]
-		r.buf = r.buf[:nf-1]
-		return e, true
-	}
-	if nb == 0 {
-		return idxEntry{}, false
-	}
-	e := r.base[nb-1]
-	r.base = r.base[:nb-1]
-	return e, true
-}
-
-// next removes and returns the largest entry left when desc, else the
-// smallest.
-func (r *runs) next(desc bool) (idxEntry, bool) {
-	if desc {
-		return r.last()
-	}
-	return r.first()
 }
 
 // mergeEntries merges two (val, id)-sorted runs into a new one.

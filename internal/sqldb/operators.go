@@ -167,16 +167,6 @@ func (db *DB) runSelect(plan *selectPlan, ts int64, ec *execCtx) (*ResultSet, er
 // table's access path; visit extends each candidate through the joins.
 func (r *selectRun) enumerate(rs *ResultSet) error {
 	plan := r.plan
-	outer := plan.outer
-	if outer.kind == pathIndexOrder {
-		if oidx, ok := r.views[0].lookupOrdered(outer.colName); ok {
-			r.sink = r.projectSink(rs)
-			return r.walkOrdered(oidx)
-		}
-		// Ordered index gone (replaced by a hash index between planning
-		// and execution): scan, and sort like any other ORDER BY.
-		outer = accessPath{kind: pathScan}
-	}
 	switch {
 	case plan.grouped():
 		s := aggSinks.Get().(*aggSink)
@@ -188,11 +178,13 @@ func (r *selectRun) enumerate(rs *ResultSet) error {
 		s.top.reset(plan.sortKeys, plan.limit)
 		r.sink = s
 	default:
-		r.sink = r.projectSink(rs)
+		s := &r.ec.scratch.proj
+		s.items, s.keep, s.out = plan.items, plan.limit, rs.one[:0]
+		r.sink = s
 	}
 	// A full scan visits, and a primary-key join step probes, only the
 	// slots its sieve holds.
-	if outer.kind == pathScan {
+	if plan.outer.kind == pathScan {
 		r.sieves[0] = r.sieve(0)
 	}
 	for i := 1; i < len(r.views); i++ {
@@ -200,47 +192,7 @@ func (r *selectRun) enumerate(rs *ResultSet) error {
 			r.sieves[i] = r.sieve(i)
 		}
 	}
-	return r.db.drive(outer, r.views[0], r.ec, &r.probes[0], r.sieves[0], r)
-}
-
-// projectSink readies the sink of a plain SELECT, whose rows go straight
-// into rs.
-func (r *selectRun) projectSink(rs *ResultSet) *projectSink {
-	s := &r.ec.scratch.proj
-	s.items, s.keep, s.out = r.plan.items, r.plan.limit, rs.one[:0]
-	return s
-}
-
-// walkOrdered is the index-order access path: walk the ordered index in
-// ORDER BY order, stopping once LIMIT filtered rows are in hand.
-// Join-free by construction (the planner only picks it for single-table
-// SELECTs).
-func (r *selectRun) walkOrdered(oidx *orderedIndex) error {
-	outer := r.plan.outer
-	r.db.planIndex.Inc()
-	es := oidx.state.Load().all()
-	ci := oidx.col
-	iterated := 0
-	for e, ok := es.next(outer.desc); ok; e, ok = es.next(outer.desc) {
-		iterated++
-		r.ec.cost.probes++
-		rv := r.views[0].version(e.id)
-		// Entry-vs-visible re-check: an updated row has entries at both
-		// its old and new position; emitting it anywhere but its current
-		// value's position would break the order (and duplicate the row).
-		if rv == nil || !valuesEqual(rv.data[ci], e.val) {
-			continue
-		}
-		before := r.ec.cost.matched
-		if err := r.visit(e.id, rv); err != nil {
-			return err
-		}
-		if now := r.ec.cost.matched; outer.stop >= 0 && now > before && now >= outer.stop {
-			break
-		}
-	}
-	r.ec.planRows += int64(iterated)
-	return nil
+	return r.db.drive(plan.outer, r.views[0], r.ec, &r.probes[0], r.sieves[0], r)
 }
 
 // visit receives one candidate row of the driving table.
@@ -583,8 +535,7 @@ func (s *rowSlab) cut(width, room int) []Value {
 
 // projectSink appends each projected row straight to the result. It
 // keeps no more than LIMIT rows but never stops the enumeration:
-// stopping early would change the statement's cost counters (the one
-// early stop, the index-order walk's, is the access path's own).
+// stopping early would change the statement's cost counters.
 type projectSink struct {
 	items []outItem
 	keep  int

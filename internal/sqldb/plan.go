@@ -46,9 +46,6 @@ const (
 	// pathIndexRange walks an ordered index above an exclusive lower
 	// bound (col > v).
 	pathIndexRange
-	// pathIndexOrder walks an ordered index in ORDER BY order, stopping
-	// early once LIMIT filtered rows are in hand.
-	pathIndexOrder
 )
 
 // accessPath is the planner's decision for producing one table's
@@ -59,8 +56,6 @@ type accessPath struct {
 	kind    pathKind
 	colName string  // indexed column (all but pathScan)
 	val     operand // pathPK, pathIndexEq: the key; pathIndexRange: the lower bound
-	desc    bool    // pathIndexOrder direction
-	stop    int     // pathIndexOrder early-stop row count (the LIMIT)
 	estCost time.Duration
 }
 
@@ -105,11 +100,10 @@ type selectPlan struct {
 	outer accessPath
 	joins []joinStep
 
-	where        []pred // for EXPLAIN; the compiled form is preds
-	groupBy      string
-	orderBy      []orderKey
-	orderByIndex bool // outer path delivers ORDER BY order; no sort
-	limit        int  // -1 when absent
+	where   []pred // for EXPLAIN; the compiled form is preds
+	groupBy string
+	orderBy []orderKey
+	limit   int // -1 when absent
 
 	// Compiled at prepare time; read-only afterwards and shared by every
 	// execution of the cached statement.
@@ -169,8 +163,7 @@ func (db *DB) planSelect(s *selectStmt) (*selectPlan, error) {
 			table:     inner.schema.Table,
 		}
 	}
-	p.outer = db.chooseAccessPath(s, bindings)
-	p.orderByIndex = p.outer.kind == pathIndexOrder
+	p.outer = db.cheapestPath(bindings[0].tbl, predPaths(s.Where, bindings))
 	if p.preds, err = compileWhere(s.Where, bindings, &p.codedPreds); err != nil {
 		return nil, err
 	}
@@ -312,43 +305,6 @@ func (db *DB) cheapestPath(tbl *table, cands []accessPath) accessPath {
 	return best
 }
 
-// chooseAccessPath picks the driving table's access path for a SELECT:
-// the cheapest WHERE-driven path, challenged by the index-order path
-// when the query shape admits one.
-func (db *DB) chooseAccessPath(s *selectStmt, bindings []binding) accessPath {
-	tbl := bindings[0].tbl
-	best := db.cheapestPath(tbl, predPaths(s.Where, bindings))
-
-	// Index-order candidate: a single-key ORDER BY on an ordered-indexed
-	// column of a join-free, ungrouped SELECT with a LIMIT — the operator
-	// walks the index in order and stops once LIMIT filtered rows are in
-	// hand.
-	if len(s.Joins) == 0 && s.GroupBy == "" && len(s.OrderBy) == 1 && s.Limit >= 0 && tbl.hasOrdered(s.OrderBy[0].Col) {
-		key := s.OrderBy[0]
-		rows := float64(tbl.live.Load())
-		visited := float64(s.Limit)
-		if len(s.Where) > 0 {
-			// A residual filter delays the early stop; assume it passes
-			// half the rows, capped by the table itself.
-			visited = min(rows, 2*visited+float64(s.Limit))
-			visited = max(visited, rows/2)
-		}
-		cand := accessPath{
-			kind: pathIndexOrder, colName: key.Col,
-			desc: key.Desc, stop: s.Limit,
-			estCost: time.Duration((1 + visited) * float64(db.cost.PerIndexProbe)),
-		}
-		// The index-order path also saves the sort the WHERE-driven
-		// paths would pay; credit it when comparing. At-most-as-expensive,
-		// like consider: on a cost tie (ZeroCostModel) the index wins.
-		sortSaved := time.Duration(rows * float64(db.cost.PerSortRow))
-		if cand.estCost <= best.estCost+sortSaved {
-			best = cand
-		}
-	}
-	return best
-}
-
 // ---- EXPLAIN rendering ----
 
 // resultSet renders the plan as an EXPLAIN result: one operator per
@@ -375,8 +331,6 @@ func (p *selectPlan) lines() []string {
 		out = append(out, fmt.Sprintf("IndexLookup(%s = %s)", col, renderOperand(p.outer.val)))
 	case pathIndexRange:
 		out = append(out, fmt.Sprintf("IndexRange(%s > %s)", col, renderOperand(p.outer.val)))
-	case pathIndexOrder:
-		out = append(out, fmt.Sprintf("IndexOrder(%s %s)", col, direction(p.outer.desc)))
 	}
 	for _, j := range p.joins {
 		op := "NestedJoin"
@@ -395,7 +349,7 @@ func (p *selectPlan) lines() []string {
 	if p.grouped() {
 		out = append(out, fmt.Sprintf("Aggregate(group by %s)", p.groupBy))
 	}
-	if len(p.orderBy) > 0 && !p.orderByIndex {
+	if len(p.orderBy) > 0 {
 		keys := make([]string, len(p.orderBy))
 		for i, k := range p.orderBy {
 			keys[i] = k.Col + " " + direction(k.Desc)

@@ -113,9 +113,9 @@ func TestExplainGoldens(t *testing.T) {
 					},
 				},
 				{
-					name: "ORDER BY + LIMIT via ordered index",
+					name: "ORDER BY + LIMIT over an ordered-indexed column scans and sorts",
 					sql:  "SELECT o_id, o_date FROM orders ORDER BY o_date DESC LIMIT 1",
-					want: []string{"IndexOrder(orders.o_date desc)", "Limit(1)"},
+					want: []string{"Scan(orders)", "Sort(o_date desc)", "Limit(1)"},
 				},
 				{
 					name: "non-indexed predicate falls back to a scan",
@@ -296,8 +296,7 @@ func TestOrderedIndexMatchesScanProperty(t *testing.T) {
 			}
 		}
 
-		// ORDER BY + LIMIT (the early-stopping index-order walk) vs a
-		// full in-memory sort of the model.
+		// ORDER BY + LIMIT vs a full in-memory sort of the model.
 		limit := 1 + r.Intn(10)
 		rs, err = c.Query(fmt.Sprintf("SELECT id, key FROM t ORDER BY key ASC LIMIT %d", limit))
 		if err != nil {

@@ -31,7 +31,7 @@ func TestPlanRowsReadExact(t *testing.T) {
 				sql: "SELECT ol_id FROM orders JOIN order_line ON o_id = ol_i_id WHERE o_id = ?", args: []any{7}},
 			{name: "range walk", want: 270,
 				sql: "SELECT ol_id FROM order_line WHERE ol_o_id > ?", args: []any{10}},
-			{name: "ordered walk", want: 5,
+			{name: "scan and sort", want: 100,
 				sql: "SELECT o_id, o_date FROM orders ORDER BY o_date DESC LIMIT 5"},
 			{name: "full scan", want: 100,
 				sql: "SELECT o_id FROM orders WHERE o_status = ?", args: []any{"PENDING"}},

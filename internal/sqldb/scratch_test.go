@@ -14,7 +14,7 @@ import (
 
 // ownedResults are statements whose results come from each sink: plain,
 // ordered with more matches than LIMIT (so rows displace one another in
-// place), index-ordered, and grouped with and without a top-K.
+// place), and grouped with and without a top-K.
 var ownedResults = []string{
 	"SELECT b_id, b_title, b_price FROM book",
 	"SELECT b_id, b_title FROM book WHERE b_id > 1",

@@ -5,6 +5,7 @@ import (
 
 	"stagedweb/internal/server"
 	"stagedweb/internal/sqldb"
+	"stagedweb/internal/template"
 	"stagedweb/internal/tpcw"
 )
 
@@ -69,6 +70,20 @@ func BenchmarkRender(b *testing.B) {
 			}
 			b.SetBytes(int64(len(buf)))
 		})
+	}
+}
+
+// BenchmarkParse times a fresh set's first Get of best_sellers.html,
+// which parses the page, plus registering the TPC-W sources it reads.
+func BenchmarkParse(b *testing.B) {
+	srcs := tpcw.Templates()
+	b.ReportAllocs()
+	for b.Loop() {
+		set := template.NewSet()
+		set.AddAll(srcs)
+		if _, err := set.Get("best_sellers.html"); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -52,3 +52,14 @@ func TestMixByName(t *testing.T) {
 		t.Fatalf("MixNames = %v, want browsing/ordering/shopping", names)
 	}
 }
+
+// BenchmarkMixPick times one weighted draw from the browsing mix, which
+// every emulated browser makes per interaction.
+func BenchmarkMixPick(b *testing.B) {
+	m := NewMix(BrowsingMix)
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	for b.Loop() {
+		_ = m.Pick(rng)
+	}
+}

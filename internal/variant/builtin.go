@@ -6,6 +6,7 @@ import (
 
 	"stagedweb/internal/core"
 	"stagedweb/internal/dbtier"
+	"stagedweb/internal/sched"
 	"stagedweb/internal/server"
 	"stagedweb/internal/sqldb"
 	"stagedweb/internal/stage"
@@ -18,7 +19,8 @@ const (
 	// Modified is the staged multi-pool server (the paper's proposal).
 	Modified = "modified"
 	// ModifiedNoReserve is the staged server with the t_reserve feedback
-	// controller ablated: Modified with noreserve=true forced.
+	// controller ablated: Modified with minreserve=0 forced, a floor the
+	// controller never leaves.
 	ModifiedNoReserve = "modified-noreserve"
 )
 
@@ -73,8 +75,8 @@ const (
 	// from an index.
 	ProbeDBPlanScan = "db.plan.scan"
 	// ProbeDBPlanIndex counts index access paths executed across the
-	// tier: point lookups, range scans, index-order scans, and
-	// index-nested-loop join inners.
+	// tier: point lookups, range scans, and index-nested-loop join
+	// inners.
 	ProbeDBPlanIndex = "db.plan.index"
 	// ProbeDBPlanRows counts row versions visited by access paths —
 	// the planner's honest I/O volume.
@@ -216,9 +218,10 @@ func buildUnmodified(env Env) (Instance, error) {
 // buildModified constructs the staged five-pool server.
 //
 // Settings: header, static, general, lengthy, render (pool sizes, default
-// 8/16/64/16/16), minreserve, cutoff (quick/lengthy boundary,
-// paper time), noreserve (ablate the t_reserve controller), and the tier
-// settings of openTier, whose dbconns defaults to general+lengthy.
+// 8/16/64/16/16), minreserve (the t_reserve floor, default 20; 0 ablates
+// the reserve), cutoff (quick/lengthy boundary, paper time, default
+// sched.DefaultCutoff), and the tier settings of openTier, whose dbconns
+// defaults to general+lengthy.
 func buildModified(env Env) (Instance, error) {
 	d := NewDecoder(env)
 	cfg := core.Config{
@@ -228,9 +231,8 @@ func buildModified(env Env) (Instance, error) {
 		GeneralWorkers: d.Int("general", 64),
 		LengthyWorkers: d.Int("lengthy", 16),
 		RenderWorkers:  d.Int("render", 16),
-		MinReserve:     d.Int("minreserve", 0),
-		Cutoff:         d.Duration("cutoff", 0),
-		NoReserve:      d.Bool("noreserve", false),
+		MinReserve:     d.Int("minreserve", 20),
+		Cutoff:         d.Duration("cutoff", sched.DefaultCutoff),
 		Clock:          env.Clock,
 		Scale:          env.Scale,
 		Cost:           env.Cost,
@@ -265,9 +267,9 @@ func buildModified(env Env) (Instance, error) {
 }
 
 // buildModifiedNoReserve is the t_reserve ablation: the staged server
-// with noreserve=true merged over the caller's settings, so it wins over
-// an explicit noreserve=false.
+// with minreserve=0 merged over the caller's settings, so it wins over
+// an explicit minreserve.
 func buildModifiedNoReserve(env Env) (Instance, error) {
-	env.Set = env.Set.Merge(Settings{"noreserve": "true"})
+	env.Set = env.Set.Merge(Settings{"minreserve": "0"})
 	return buildModified(env)
 }

@@ -157,7 +157,7 @@ func (d *Decoder) Float(key string, def float64) float64 {
 }
 
 // Bool reads a boolean setting ("true"/"false"/"1"/"0"/"on"/"off"); a
-// key set to the empty string reads as true, so "-set noreserve="
+// key set to the empty string reads as true, so "-set indexes="
 // works.
 func (d *Decoder) Bool(key string, def bool) bool {
 	v, ok := d.lookup(key)

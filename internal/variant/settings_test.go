@@ -65,7 +65,7 @@ func TestSettingsFlag(t *testing.T) {
 
 func TestDecoderTypesAndLayering(t *testing.T) {
 	env := Env{
-		Set:      Settings{"general": "32", "noreserve": "", "cutoff": "3s"},
+		Set:      Settings{"general": "32", "indexes": "", "cutoff": "3s"},
 		Defaults: Settings{"general": "64", "lengthy": "16", "ignored-elsewhere": "x"},
 	}
 	d := NewDecoder(env)
@@ -78,7 +78,7 @@ func TestDecoderTypesAndLayering(t *testing.T) {
 	if got := d.Int("render", 7); got != 7 {
 		t.Errorf("unset default: got %d", got)
 	}
-	if !d.Bool("noreserve", false) {
+	if !d.Bool("indexes", false) {
 		t.Error("bare key not true")
 	}
 	if got := d.Duration("cutoff", time.Second); got != 3*time.Second {

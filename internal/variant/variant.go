@@ -8,7 +8,7 @@
 // server type. They look a name up, build it, serve it, and sample its
 // Probes into time series. The table holds the paper's two servers
 // (unmodified, modified) and the t_reserve ablation (modified-noreserve),
-// which is the modified server with noreserve=true forced over its
+// which is the modified server with minreserve=0 forced over its
 // settings; all three are in builtin.go.
 package variant
 

@@ -68,13 +68,13 @@ func TestBuildModifiedAndDerived(t *testing.T) {
 		t.Errorf("minreserve setting ignored: t_reserve = %v", got)
 	}
 
-	// The ablation pins t_reserve at zero even when the caller tries to
-	// configure a reserve or to turn the controller back on: its
-	// noreserve=true wins over the caller's settings.
+	// The ablation pins t_reserve at zero even when the caller sets a
+	// reserve, one the modified server would take or one it would
+	// reject: its minreserve=0 wins over the caller's settings.
 	nv, _ := Lookup(ModifiedNoReserve)
 	for _, set := range []Settings{
+		{"general": "4", "lengthy": "2", "minreserve": "3"},
 		{"general": "4", "lengthy": "2", "minreserve": "9"},
-		{"general": "4", "lengthy": "2", "minreserve": "9", "noreserve": "false"},
 	} {
 		ninst, err := nv.Build(testEnv(set))
 		if err != nil {
@@ -82,7 +82,7 @@ func TestBuildModifiedAndDerived(t *testing.T) {
 		}
 		defer ninst.Stop()
 		if got := gauge(ninst, ProbeReserve)(); got != 0 {
-			t.Errorf("noreserve variant with %v has t_reserve = %v", set, got)
+			t.Errorf("%s with %v has t_reserve = %v", ModifiedNoReserve, set, got)
 		}
 	}
 }

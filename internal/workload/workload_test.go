@@ -9,6 +9,7 @@ import (
 	"stagedweb/internal/clock"
 	"stagedweb/internal/core"
 	"stagedweb/internal/dbtier"
+	"stagedweb/internal/sched"
 	"stagedweb/internal/sqldb"
 	"stagedweb/internal/tpcw"
 	"stagedweb/internal/webtest"
@@ -32,6 +33,7 @@ func startBookstore(t *testing.T) (addr string, counts tpcw.Counts) {
 		App: app, DB: tier.Conn(),
 		HeaderWorkers: 2, StaticWorkers: 2, GeneralWorkers: 4, LengthyWorkers: 2, RenderWorkers: 2,
 		MinReserve: 1,
+		Cutoff:     sched.DefaultCutoff,
 		Scale:      clock.Timescale(1000),
 	})
 	if err != nil {
