@@ -30,7 +30,6 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -200,7 +199,7 @@ func run(args []string, out io.Writer) error {
 	}
 	// A failed cell must not discard the completed ones: print whatever
 	// ran, emit its artifacts, and surface the error at the end.
-	sw, sweepErr := harness.Sweep(context.Background(), cells, progress)
+	sw, sweepErr := harness.Sweep(cells, progress)
 	fmt.Fprintln(out)
 	for _, show := range prints {
 		show(sw)
@@ -339,12 +338,18 @@ func paper(render func(base, test *harness.Result) string) func(*setup) (plan, e
 	}
 }
 
-// spikePlan runs the variant × spike-profile matrix and reports how each
-// topology rode out the flash crowd: completed work, failures, the peak
-// offered population, and the worst per-second client WIRT.
+// spikePlan runs every variant through the spike profile, one cell
+// named "variant/spike" each, and reports how each topology rode out the
+// flash crowd: completed work, failures, the peak offered population,
+// and the worst per-second client WIRT.
 func spikePlan(s *setup) (plan, error) {
 	out, names := s.out, s.names
-	cells := harness.Matrix(s.config(""), names, []harness.LoadSpec{{Profile: workload.Spike, Set: s.loadSets.Settings}})
+	cells := make([]harness.Scenario, 0, len(names))
+	for _, name := range names {
+		cfg := s.config(name)
+		cfg.Load = workload.Spike
+		cells = append(cells, harness.Scenario{Name: name + "/" + workload.Spike, Config: cfg})
+	}
 	return plan{
 		intro: fmt.Sprintf("flash crowd: %d variant(s) through the spike profile...", len(names)),
 		cells: cells,
@@ -767,22 +772,12 @@ func faultsPlan(s *setup) (plan, error) {
 				[]any{"cell", "interactions", "errors", "injected", "ejected", "resyncs", "retries", "breaker", "recovery"},
 				cellNames(cells), cellNames(cells),
 				func(res *harness.Result) []any {
-					rec := "-"
-					switch {
-					case res.FaultPlan == "":
-					case res.FaultPaperSec < 0:
-						rec = "no-inj"
-					case res.RecoveryPaperSec < 0:
-						rec = "never"
-					default:
-						rec = fmt.Sprintf("%.0fs", res.RecoveryPaperSec)
-					}
 					return []any{res.TotalInteractions, res.Errors,
 						harness.SeriesMax(res.Series[faults.ProbeInjected]),
 						harness.SeriesMax(res.Series[variant.ProbeDBEjected]),
 						harness.SeriesMax(res.Series[variant.ProbeDBResync]),
 						harness.SeriesMax(res.Series[cluster.ProbeLBRetry]),
-						harness.SeriesMax(res.Series[cluster.ProbeLBBreaker]), rec}
+						harness.SeriesMax(res.Series[cluster.ProbeLBBreaker]), harness.RecoveryCell(res)}
 				})
 			for _, repl := range repls {
 				for _, mode := range faultModes[1:] {

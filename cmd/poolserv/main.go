@@ -62,7 +62,9 @@ func run(args []string) error {
 	}
 
 	ts := clock.Timescale(*scale)
-	db := sqldb.Open(sqldb.Options{Timescale: ts})
+	// Cost charges sleep on clock.Precise, as in the harness: clock.Real
+	// over-sleeps sub-millisecond charges several-fold.
+	db := sqldb.Open(sqldb.Options{Clock: clock.Precise{}, Timescale: ts})
 	if err := tpcw.CreateTables(db); err != nil {
 		return err
 	}
@@ -82,6 +84,7 @@ func run(args []string) error {
 	inst, err := v.Build(variant.Env{
 		App:   app,
 		DB:    db,
+		Clock: clock.Precise{},
 		Scale: ts,
 		Cost:  server.DefaultWorkCost(),
 		Set:   sets.Settings,

@@ -1,11 +1,9 @@
 package cluster
 
 import (
-	"fmt"
 	"time"
 
 	"stagedweb/internal/clock"
-	"stagedweb/internal/variant"
 )
 
 // Load-balancer policies for key-less requests.
@@ -75,50 +73,6 @@ type Options struct {
 	// BreakerCooldown is how long an open breaker skips a shard before
 	// letting a trial request through, in paper time (0 = 10 s).
 	BreakerCooldown time.Duration
-}
-
-// DecodeSettings splits the cluster-owned settings out of a config's
-// explicit settings and decodes them (against the harness-lowered
-// defaults): shards (shard count, >= 1) and lb (hash|rr). It returns
-// the decoded options, a copy of the explicit settings with the
-// cluster keys removed (what the shard variant builders should see),
-// and whether the cluster layer is engaged at all — true whenever a
-// shards setting is present, even shards=1, so a sharded sweep's
-// baseline cell runs through the same balancer hop as its scaled
-// cells.
-func DecodeSettings(explicit, defaults variant.Settings) (Options, variant.Settings, bool, error) {
-	clusterKeys := []string{"shards", "lb"}
-	own := variant.Settings{}
-	rest := explicit.Clone()
-	for _, k := range clusterKeys {
-		if v, ok := explicit[k]; ok {
-			own[k] = v
-			delete(rest, k)
-		}
-	}
-	ownDefaults := variant.Settings{}
-	for _, k := range clusterKeys {
-		if v, ok := defaults[k]; ok {
-			ownDefaults[k] = v
-		}
-	}
-	d := variant.NewSettingsDecoder(own, ownDefaults)
-	var opts Options
-	enabled := false
-	if _, ok := own["shards"]; ok {
-		enabled = true
-	} else if _, ok := ownDefaults["shards"]; ok {
-		enabled = true
-	}
-	opts.Shards = d.Int("shards", 1)
-	opts.LB = d.Enum("lb", LBHash, LBHash, LBRR)
-	if err := d.Finish(); err != nil {
-		return Options{}, nil, false, fmt.Errorf("cluster: %w", err)
-	}
-	if opts.Shards < 1 {
-		return Options{}, nil, false, fmt.Errorf("cluster: shards must be >= 1, got %d", opts.Shards)
-	}
-	return opts, rest, enabled, nil
 }
 
 // Decision is a routing verdict for one request.

@@ -62,8 +62,8 @@ func needTiers(env Env, plan string) ([]*dbtier.Tier, error) {
 // Settings: at (paper offset, default 30s), target (backend index,
 // default 1, primary is 0 and cannot be killed), restart (delay after
 // the kill, default 30s, 0 = never).
-func buildReplicaKill(env Env) (Injector, error) {
-	d := variant.NewSettingsDecoder(env.Set, env.Defaults)
+func buildReplicaKill(env Env) (*StepInjector, error) {
+	d := variant.NewSettingsDecoder(env.Set, nil)
 	at := d.Duration("at", defaultAt)
 	target := d.Int("target", 1)
 	restart := d.Duration("restart", defaultRestart)
@@ -104,7 +104,7 @@ func buildReplicaKill(env Env) (Injector, error) {
 // Settings: at (default 30s), target (shard index, default 1 when the
 // cluster has more than one shard, else 0), restart (default 30s,
 // 0 = never).
-func buildShardDown(env Env) (Injector, error) {
+func buildShardDown(env Env) (*StepInjector, error) {
 	b := env.Targets.Balancer
 	if b == nil {
 		return nil, errors.New("faults: shard-down needs a cluster balancer target (set shards=)")
@@ -113,7 +113,7 @@ func buildShardDown(env Env) (Injector, error) {
 	if b.Shards() > 1 {
 		defTarget = 1
 	}
-	d := variant.NewSettingsDecoder(env.Set, env.Defaults)
+	d := variant.NewSettingsDecoder(env.Set, nil)
 	at := d.Duration("at", defaultAt)
 	target := d.Int("target", defTarget)
 	restart := d.Duration("restart", defaultRestart)
@@ -143,8 +143,8 @@ func buildShardDown(env Env) (Injector, error) {
 // Settings: at (default 30s), target (backend index, default 1; 0 slows
 // the primary, which is never ejected), slow (added latency, default
 // 2s), restart (default 30s, 0 = never).
-func buildSlowBackend(env Env) (Injector, error) {
-	d := variant.NewSettingsDecoder(env.Set, env.Defaults)
+func buildSlowBackend(env Env) (*StepInjector, error) {
+	d := variant.NewSettingsDecoder(env.Set, nil)
 	at := d.Duration("at", defaultAt)
 	target := d.Int("target", 1)
 	slow := d.Duration("slow", 2*time.Second)
@@ -183,12 +183,12 @@ func buildSlowBackend(env Env) (Injector, error) {
 // demand.
 //
 // Settings: at (default 30s), every (repeat interval, default 5s).
-func buildConnDrop(env Env) (Injector, error) {
+func buildConnDrop(env Env) (*StepInjector, error) {
 	b := env.Targets.Balancer
 	if b == nil {
 		return nil, errors.New("faults: conn-drop needs a cluster balancer target (set shards=)")
 	}
-	d := variant.NewSettingsDecoder(env.Set, env.Defaults)
+	d := variant.NewSettingsDecoder(env.Set, nil)
 	at := d.Duration("at", defaultAt)
 	every := d.Duration("every", 5*time.Second)
 	if err := d.Finish(); err != nil {
@@ -211,8 +211,8 @@ func buildConnDrop(env Env) (Injector, error) {
 //
 // Settings: at (default 30s), conns (connections to leak per tier,
 // default 0 = all idle), restart (default 30s, 0 = never).
-func buildLeak(env Env) (Injector, error) {
-	d := variant.NewSettingsDecoder(env.Set, env.Defaults)
+func buildLeak(env Env) (*StepInjector, error) {
+	d := variant.NewSettingsDecoder(env.Set, nil)
 	at := d.Duration("at", defaultAt)
 	conns := d.Int("conns", 0)
 	restart := d.Duration("restart", defaultRestart)

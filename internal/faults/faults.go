@@ -1,6 +1,6 @@
 // Package faults makes failure a first-class experiment input,
 // mirroring the load profiles of internal/workload on the dependability
-// side: a Plan builds a running Injector from an environment (the
+// side: a Plan builds a StepInjector from an environment (the
 // database tiers and cluster balancer under test, a clock, a timescale,
 // generic settings), and a fixed table maps names to plans.
 //
@@ -19,11 +19,9 @@
 package faults
 
 import (
-	"fmt"
 	"maps"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -50,7 +48,7 @@ type Targets struct {
 	Balancer *cluster.Balancer
 }
 
-// Env is everything a Plan needs to build an Injector.
+// Env is everything a Plan needs to build an injector.
 type Env struct {
 	// Clock schedules every injection; the harness injects its
 	// experiment clock, tests inject clock.Manual. Nil means
@@ -60,13 +58,10 @@ type Env struct {
 	Scale clock.Timescale
 	// Targets is the system under test.
 	Targets Targets
-	// Set holds explicit plan settings (the faultset= value). A key the
-	// plan does not understand is a build error — typos must not pass
+	// Set holds the plan settings (the faultset= value). A key the plan
+	// does not understand is a build error — typos must not pass
 	// silently.
 	Set variant.Settings
-	// Defaults holds advisory settings; a plan applies the keys it
-	// understands and ignores the rest.
-	Defaults variant.Settings
 }
 
 // clk returns the environment's clock, defaulting to the runtime clock.
@@ -85,26 +80,12 @@ type Event struct {
 	Action string        `json:"action"`
 }
 
-// Injector is a built, runnable fault schedule.
-type Injector interface {
-	// Start arms the schedule: offsets count from here. It does not
-	// block and is idempotent.
-	Start()
-	// Stop cancels pending injections and waits for in-flight ones.
-	// Call after Start; idempotent.
-	Stop()
-	// Probes lists the fault.* gauges this injector exports.
-	Probes() []variant.Probe
-	// Events lists the injections executed so far, in schedule order.
-	Events() []Event
-}
-
 // Plan validates settings against the running system and returns an
-// unstarted Injector.
-type Plan func(Env) (Injector, error)
+// unstarted injector.
+type Plan func(Env) (*StepInjector, error)
 
 // Build runs the plan's build function.
-func (p Plan) Build(env Env) (Injector, error) { return p(env) }
+func (p Plan) Build(env Env) (*StepInjector, error) { return p(env) }
 
 // Lookup finds a plan by name.
 func Lookup(name string) (Plan, bool) {
@@ -114,59 +95,6 @@ func Lookup(name string) (Plan, bool) {
 
 // Names lists the plan names, sorted.
 func Names() []string { return slices.Sorted(maps.Keys(plans)) }
-
-// DecodeSettings splits the fault-owned settings out of a config's
-// explicit settings and decodes them (against the harness-lowered
-// defaults): faults (a plan name; "" or "none" disables injection) and
-// faultset ("key=value,key=value" plan settings). It returns the plan
-// name ("" when disabled), the parsed plan settings, and a copy of the
-// explicit settings with the fault keys removed — what the cluster and
-// variant layers should see.
-func DecodeSettings(explicit, defaults variant.Settings) (string, variant.Settings, variant.Settings, error) {
-	faultKeys := []string{"faults", "faultset"}
-	own := variant.Settings{}
-	rest := explicit.Clone()
-	for _, k := range faultKeys {
-		if v, ok := explicit[k]; ok {
-			own[k] = v
-			delete(rest, k)
-		}
-	}
-	ownDefaults := variant.Settings{}
-	for _, k := range faultKeys {
-		if v, ok := defaults[k]; ok {
-			ownDefaults[k] = v
-		}
-	}
-	d := variant.NewSettingsDecoder(own, ownDefaults)
-	plan := d.String("faults", "")
-	raw := d.String("faultset", "")
-	if err := d.Finish(); err != nil {
-		return "", nil, nil, fmt.Errorf("faults: %w", err)
-	}
-	if plan == "none" {
-		plan = ""
-	}
-	if plan != "" {
-		if _, ok := Lookup(plan); !ok {
-			return "", nil, nil, fmt.Errorf("faults: unknown plan %q (have %s)", plan, strings.Join(Names(), ", "))
-		}
-	}
-	set := variant.Settings{}
-	if raw != "" {
-		if plan == "" {
-			return "", nil, nil, fmt.Errorf("faults: faultset=%q given without a faults= plan", raw)
-		}
-		for _, kv := range strings.Split(raw, ",") {
-			k, v, err := variant.ParseKV(kv)
-			if err != nil {
-				return "", nil, nil, fmt.Errorf("faults: faultset: %w", err)
-			}
-			set[k] = v
-		}
-	}
-	return plan, set, rest, nil
-}
 
 // step is one scheduled injection: fire at paper offset at, then — when
 // repeat is positive — again every repeat until stopped.
@@ -218,7 +146,8 @@ func (in *StepInjector) Add(at, repeat time.Duration, action string, run func())
 	in.steps = append(in.steps, step{at: at, repeat: repeat, action: action, run: run})
 }
 
-// Start implements Injector.
+// Start arms the schedule: offsets count from here. It does not block
+// and is idempotent.
 func (in *StepInjector) Start() {
 	in.started.Do(func() {
 		for _, s := range in.steps {
@@ -229,7 +158,8 @@ func (in *StepInjector) Start() {
 	})
 }
 
-// Stop implements Injector.
+// Stop cancels pending injections and waits for in-flight ones.
+// Idempotent.
 func (in *StepInjector) Stop() {
 	in.stopped.Do(func() {
 		close(in.done)
@@ -259,14 +189,14 @@ func (in *StepInjector) runStep(s step) {
 	}
 }
 
-// Probes implements Injector.
+// Probes lists the fault.* gauges this injector exports.
 func (in *StepInjector) Probes() []variant.Probe {
 	return []variant.Probe{
 		{Name: ProbeInjected, Gauge: func() float64 { return float64(in.injected.Value()) }},
 	}
 }
 
-// Events implements Injector.
+// Events lists the injections executed so far, in schedule order.
 func (in *StepInjector) Events() []Event {
 	in.evMu.Lock()
 	defer in.evMu.Unlock()

@@ -27,43 +27,6 @@ func TestRegistryHasBuiltins(t *testing.T) {
 	}
 }
 
-func TestDecodeSettings(t *testing.T) {
-	plan, set, rest, err := faults.DecodeSettings(
-		variant.Settings{"faults": "replica-kill", "faultset": "at=10s,target=1", "workers": "8"},
-		nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan != faults.ReplicaKill {
-		t.Fatalf("plan = %q", plan)
-	}
-	if set["at"] != "10s" || set["target"] != "1" {
-		t.Fatalf("set = %v", set)
-	}
-	if _, leaked := rest["faults"]; leaked {
-		t.Fatal("faults key leaked into rest")
-	}
-	if rest["workers"] != "8" {
-		t.Fatalf("rest = %v", rest)
-	}
-
-	// "none" and empty both disable.
-	if plan, _, _, err = faults.DecodeSettings(variant.Settings{"faults": "none"}, nil); err != nil || plan != "" {
-		t.Fatalf("faults=none: plan %q, err %v", plan, err)
-	}
-	// Unknown plans and orphaned faultset are build errors.
-	if _, _, _, err = faults.DecodeSettings(variant.Settings{"faults": "nope"}, nil); err == nil {
-		t.Fatal("unknown plan accepted")
-	}
-	if _, _, _, err = faults.DecodeSettings(variant.Settings{"faultset": "at=10s"}, nil); err == nil {
-		t.Fatal("faultset without a plan accepted")
-	}
-	// Plan can arrive through the lowered defaults too.
-	if plan, _, _, err = faults.DecodeSettings(nil, variant.Settings{"faults": "leak"}); err != nil || plan != faults.Leak {
-		t.Fatalf("default plan: %q, err %v", plan, err)
-	}
-}
-
 func newFaultDB(t *testing.T) *sqldb.DB {
 	t.Helper()
 	db := sqldb.Open(sqldb.Options{Cost: sqldb.ZeroCostModel()})

@@ -12,8 +12,8 @@
 // Every server-side input (pool sizes, database tier, cluster, fault
 // plan) is a settings key: Config.Defaults holds the experiment's values
 // and Config.Set the explicit overrides, and Run passes both through.
-// Sweeps over a scenario matrix (variants × load profiles × setting
-// mutations) are first-class too; see Scenario, Sweep, and Matrix.
+// Sweeps over scenarios (variants, load profiles, setting mutations)
+// are first-class too; see Scenario and Sweep.
 package harness
 
 import (
@@ -273,363 +273,448 @@ type Result struct {
 	WallDuration time.Duration `json:"wall_duration_ns"`
 }
 
-// Run executes one experiment.
+// Run executes one experiment in five steps: resolve the config against
+// the variant, load-profile and fault-plan tables; provision one
+// database per shard; serve the variant, with the fault injector, the
+// load generator and the sampler built against it; drive the ramp-up,
+// measure and cool-down windows; and collect the Result. Whatever serve
+// and drive start is stopped by one teardown, on success and on error.
 func Run(cfg Config) (*Result, error) {
-	name := cfg.Variant
-	if name == "" {
-		return nil, fmt.Errorf("harness: config names no variant")
+	r := &run{cfg: cfg, wallStart: time.Now()}
+	defer r.teardown()
+	for _, step := range []func() error{r.resolve, r.provision, r.serve} {
+		if err := step(); err != nil {
+			return nil, err
+		}
 	}
-	v, ok := variant.Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("harness: unknown variant %q (have: %s)",
-			name, strings.Join(variant.Names(), ", "))
+	r.drive()
+	r.teardown()
+	return r.collect(), nil
+}
+
+// run is one experiment in flight: its config, what each step hands
+// the next, and the teardown stack.
+type run struct {
+	cfg       Config
+	wallStart time.Time
+
+	// Resolved by resolve.
+	variant   variant.Variant
+	profile   workload.Profile
+	mix       *tpcw.Mix
+	faultPlan string           // "" runs fault-free
+	faultSet  variant.Settings // the plan's settings (faultset=)
+	shards    int              // 0: no balancer in front
+	lb        string
+	set       variant.Settings // Config.Set less the run-level keys
+
+	// Provisioned by provision.
+	dbs    []*sqldb.DB
+	counts tpcw.Counts
+	app    *tpcw.App
+
+	// Built by serve.
+	res                      *Result
+	measureStart, measureEnd time.Time
+	gen                      *workload.Generator
+	inj                      *faults.StepInjector // nil when fault-free
+	sloWithin, sloTotal      *metrics.Series
+
+	// The throughput series and server-side page counts complete feeds.
+	thrAll, thrStatic, thrDynamic, thrQuick, thrLengthy *metrics.Series
+	countMu                                             sync.Mutex
+	pageCounts                                          map[string]int64
+
+	stops []func() // the teardown stack, run last-pushed first
+}
+
+// onStop pushes f onto the teardown stack.
+func (r *run) onStop(f func()) { r.stops = append(r.stops, f) }
+
+// teardown pops and runs every pushed stop, last first. A second call
+// has nothing left to run.
+func (r *run) teardown() {
+	for len(r.stops) > 0 {
+		last := len(r.stops) - 1
+		stop := r.stops[last]
+		r.stops = r.stops[:last]
+		stop()
 	}
-	loadName := cfg.LoadName()
-	prof, ok := workload.Lookup(loadName)
-	if !ok {
-		return nil, fmt.Errorf("harness: unknown load profile %q (have: %s)",
-			loadName, strings.Join(workload.Names(), ", "))
+}
+
+// resolve looks the variant, load profile and mix up, and decodes the
+// run-level settings: the fault plan (faults, faultset) and the cluster
+// (shards, lb). They are split off Config.Set once and decoded with
+// Config.Defaults by one decoder; they are experiment inputs, not
+// server configuration, so they never reach a variant decoder.
+func (r *run) resolve() error {
+	cfg := r.cfg
+	var ok bool
+	if r.variant, ok = variant.Lookup(cfg.Variant); !ok {
+		return fmt.Errorf("harness: unknown variant %q (have: %s)",
+			cfg.Variant, strings.Join(variant.Names(), ", "))
 	}
-	mix, err := tpcw.MixByName(cfg.Mix)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %w", err)
+	if r.profile, ok = workload.Lookup(cfg.LoadName()); !ok {
+		return fmt.Errorf("harness: unknown load profile %q (have: %s)",
+			cfg.LoadName(), strings.Join(workload.Names(), ", "))
+	}
+	var err error
+	if r.mix, err = tpcw.MixByName(cfg.Mix); err != nil {
+		return fmt.Errorf("harness: %w", err)
 	}
 	if cfg.Scale <= 0 {
-		return nil, fmt.Errorf("harness: timescale must be positive")
-	}
-	wallStart := time.Now()
-
-	// The fault plan splits off first: the "faults"/"faultset" settings
-	// are experiment inputs, not server configuration, and must never
-	// reach the cluster or variant decoders.
-	faultPlan, faultSet, runSet, err := faults.DecodeSettings(cfg.Set, cfg.Defaults)
-	if err != nil {
-		return nil, err
+		return fmt.Errorf("harness: timescale must be positive")
 	}
 
-	// The cluster tier is pure configuration: the "shards"/"lb" settings
-	// split off here; everything else goes to the shard variant builders
-	// untouched. clustered is true whenever a shards setting is present
-	// (even shards=1), so a sharded sweep's baseline cell pays the same
-	// balancer hop as its scaled cells.
-	clusterOpts, shardSet, clustered, err := cluster.DecodeSettings(runSet, cfg.Defaults)
-	if err != nil {
-		return nil, err
+	own := variant.Settings{}
+	r.set = cfg.Set.Clone()
+	for _, k := range []string{"faults", "faultset", "shards", "lb"} {
+		if v, ok := cfg.Set[k]; ok {
+			own[k] = v
+			delete(r.set, k)
+		}
 	}
-	nShards := 1
-	var ring *cluster.Ring
-	if clustered {
-		nShards = clusterOpts.Shards
-		ring, err = cluster.NewRing(nShards, 0)
-		if err != nil {
-			return nil, err
+	d := variant.NewSettingsDecoder(own, cfg.Defaults)
+	r.faultPlan = d.String("faults", "")
+	faultSet := d.String("faultset", "")
+	shards := d.Int("shards", 1)
+	r.lb = d.Enum("lb", cluster.LBHash, cluster.LBHash, cluster.LBRR)
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("harness: %w", err)
+	}
+
+	if r.faultPlan == "none" {
+		r.faultPlan = ""
+	}
+	if _, ok := faults.Lookup(r.faultPlan); r.faultPlan != "" && !ok {
+		return fmt.Errorf("harness: unknown fault plan %q (have %s)", r.faultPlan, strings.Join(faults.Names(), ", "))
+	}
+	r.faultSet = variant.Settings{}
+	if faultSet != "" {
+		if r.faultPlan == "" {
+			return fmt.Errorf("harness: faultset=%q given without a faults= plan", faultSet)
+		}
+		for _, kv := range strings.Split(faultSet, ",") {
+			k, v, err := variant.ParseKV(kv)
+			if err != nil {
+				return fmt.Errorf("harness: faultset: %w", err)
+			}
+			r.faultSet[k] = v
 		}
 	}
 
-	// One database per shard: the customer/order slice the ring assigns
-	// it plus the full replicated catalog. The same ring later routes
-	// requests, so a customer's rows and requests meet on one shard by
-	// construction. All shards populate before the measurement window is
-	// anchored — loading M databases takes wall time.
-	dbs := make([]*sqldb.DB, nShards)
-	var counts tpcw.Counts
-	for s := 0; s < nShards; s++ {
+	// The balancer goes in front whenever a shards setting is present,
+	// even shards=1, so a sharded sweep's baseline cell pays the same
+	// hop as its scaled cells.
+	_, explicit := own["shards"]
+	_, lowered := cfg.Defaults["shards"]
+	switch {
+	case !explicit && !lowered:
+		if _, ok := own["lb"]; ok {
+			return fmt.Errorf("harness: lb=%q given without shards=", own["lb"])
+		}
+	case shards < 1:
+		return fmt.Errorf("harness: shards must be >= 1, got %d", shards)
+	default:
+		r.shards = shards
+	}
+	return nil
+}
+
+// provision opens one database per shard, the customer/order slice the
+// ring assigns it plus the full replicated catalog, and the app over
+// them. The balancer's ring
+// later routes requests the same way, so a customer's rows and
+// requests meet on one shard by construction. Every shard populates
+// before the measurement window is anchored, since loading takes wall
+// time.
+func (r *run) provision() error {
+	var ring *cluster.Ring
+	if r.shards > 0 {
+		var err error
+		if ring, err = cluster.NewRing(r.shards, 0); err != nil {
+			return err
+		}
+	}
+	indexes := variant.IndexesEnabled(r.set, r.cfg.Defaults)
+	r.dbs = make([]*sqldb.DB, max(r.shards, 1))
+	for s := range r.dbs {
 		db := sqldb.Open(sqldb.Options{
 			Clock:     clock.Precise{},
-			Timescale: cfg.Scale,
-			Cost:      &cfg.Cost,
+			Timescale: r.cfg.Scale,
+			Cost:      &r.cfg.Cost,
 		})
 		if err := tpcw.CreateTables(db); err != nil {
-			return nil, err
+			return err
 		}
 		var owns func(int) bool
-		if clustered {
-			s := s
+		if ring != nil {
 			owns = func(cID int) bool { return ring.Owner(tpcw.CustomerKey(cID)) == s }
 		}
-		counts, err = tpcw.PopulateShard(db, cfg.Populate, owns)
-		if err != nil {
-			return nil, err
+		var err error
+		if r.counts, err = tpcw.PopulateShard(db, r.cfg.Populate, owns); err != nil {
+			return err
 		}
 		// The indexes=on axis builds its extra indexes on each shard's
-		// primary before any variant is constructed, so replicas cloned
-		// from it inherit them (CloneSnapshot copies index structures).
-		if variant.IndexesEnabled(cfg.Set, cfg.Defaults) {
+		// primary before any variant is built, so replicas cloned from
+		// it inherit them (CloneSnapshot copies index structures).
+		if indexes {
 			if err := tpcw.CreateExtraIndexes(db); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		dbs[s] = db
+		r.dbs[s] = db
 	}
-	app := tpcw.NewApp(counts, nil)
+	r.app = tpcw.NewApp(r.counts, nil)
+	return nil
+}
 
+// serve anchors the measurement window, opens the listener, and builds
+// against it the variant, the fault injector (armed later by drive) and
+// the load generator. It then starts serving and one sampler that reads
+// every probe they export, and the two SLO counters, once per paper
+// second. Each thing it opens or starts pushes its stop onto the
+// teardown stack.
+func (r *run) serve() error {
+	cfg := r.cfg
 	// The measurement window starts after ramp-up; series anchored there
 	// silently drop ramp-up observations.
-	measureStart := time.Now().Add(cfg.Scale.Wall(cfg.RampUp))
-	minute := cfg.Scale.Wall(time.Minute)
+	r.measureStart = time.Now().Add(cfg.Scale.Wall(cfg.RampUp))
+	r.measureEnd = r.measureStart.Add(cfg.Scale.Wall(cfg.Measure))
 	second := cfg.Scale.Wall(time.Second)
-
-	thrAll := metrics.NewSeries(measureStart, minute, metrics.AggSum)
-	thrStatic := metrics.NewSeries(measureStart, minute, metrics.AggSum)
-	thrDynamic := metrics.NewSeries(measureStart, minute, metrics.AggSum)
-	thrQuick := metrics.NewSeries(measureStart, minute, metrics.AggSum)
-	thrLengthy := metrics.NewSeries(measureStart, minute, metrics.AggSum)
-	res := &Result{
-		Variant: name,
+	perMinute := func() *metrics.Series {
+		return metrics.NewSeries(r.measureStart, cfg.Scale.Wall(time.Minute), metrics.AggSum)
+	}
+	r.thrAll, r.thrStatic, r.thrDynamic, r.thrQuick, r.thrLengthy = perMinute(), perMinute(), perMinute(), perMinute(), perMinute()
+	r.res = &Result{
+		Variant: cfg.Variant,
 		Config:  cfg,
 		Pages:   make(map[string]PageStat, len(tpcw.Pages)),
 		Series: map[string]*metrics.Series{
-			SeriesThroughputAll:     thrAll,
-			SeriesThroughputStatic:  thrStatic,
-			SeriesThroughputDynamic: thrDynamic,
-			SeriesThroughputQuick:   thrQuick,
-			SeriesThroughputLengthy: thrLengthy,
+			SeriesThroughputAll:     r.thrAll,
+			SeriesThroughputStatic:  r.thrStatic,
+			SeriesThroughputDynamic: r.thrDynamic,
+			SeriesThroughputQuick:   r.thrQuick,
+			SeriesThroughputLengthy: r.thrLengthy,
 		},
 	}
+	r.pageCounts = make(map[string]int64, len(tpcw.Pages))
 
-	// Server-side per-page completion counts, gated to the window.
-	var (
-		countMu    sync.Mutex
-		pageCounts = make(map[string]int64, len(tpcw.Pages))
-	)
-	measureEnd := measureStart.Add(cfg.Scale.Wall(cfg.Measure))
-	onComplete := func(ev server.CompletionEvent) {
-		thrAll.Observe(ev.Done, 1)
-		if ev.Class == server.ClassStatic {
-			thrStatic.Observe(ev.Done, 1)
-			return
-		}
-		thrDynamic.Observe(ev.Done, 1)
-		// Classify by the paper's fixed slow-page set so every variant
-		// buckets identically in Figure 10.
-		if tpcw.SlowPages[ev.Page] {
-			thrLengthy.Observe(ev.Done, 1)
-		} else {
-			thrQuick.Observe(ev.Done, 1)
-		}
-		if ev.Done.Before(measureStart) || ev.Done.After(measureEnd) {
-			return
-		}
-		countMu.Lock()
-		pageCounts[ev.Page]++
-		countMu.Unlock()
-	}
-
-	// Boot the variant under test: either one instance over the single
-	// database, or nShards instances behind the cluster balancer (which
-	// is itself a variant.Instance, so everything downstream — serving,
-	// probe sampling, shutdown — is identical).
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, err
+		return err
 	}
-	addr := l.Addr().String()
-	buildShard := func(db *sqldb.DB, set variant.Settings) (variant.Instance, error) {
-		return v.Build(variant.Env{
-			App:        app,
-			DB:         db,
-			Clock:      clock.Precise{},
-			Scale:      cfg.Scale,
-			Cost:       cfg.Work,
-			OnComplete: onComplete,
-			Set:        set,
-			Defaults:   cfg.Defaults,
-		})
-	}
-	var inst variant.Instance
-	var targets faults.Targets
-	if clustered {
-		clusterOpts.Clock = clock.Precise{}
-		clusterOpts.Scale = cfg.Scale
-		insts := make([]variant.Instance, nShards)
-		for s := 0; s < nShards; s++ {
-			insts[s], err = buildShard(dbs[s], shardSet)
-			if err != nil {
-				for _, built := range insts[:s] {
-					built.Stop()
-				}
-				_ = l.Close()
-				return nil, err
-			}
-		}
-		bal, err := cluster.New(clusterOpts, insts, func(path string, q map[string]string) cluster.Decision {
-			key, fanout := tpcw.ShardKey(path, q)
-			return cluster.Decision{Key: key, Fanout: fanout}
-		})
-		if err != nil {
-			for _, built := range insts {
-				built.Stop()
-			}
-			_ = l.Close()
-			return nil, err
-		}
-		inst = bal
-		targets.Balancer = bal
-		for _, si := range insts {
-			if tp, ok := si.(variant.TierProvider); ok && tp.DBTier() != nil {
-				targets.Tiers = append(targets.Tiers, tp.DBTier())
-			}
-		}
-	} else {
-		inst, err = buildShard(dbs[0], runSet)
-		if err != nil {
-			_ = l.Close()
-			return nil, err
-		}
-		if tp, ok := inst.(variant.TierProvider); ok && tp.DBTier() != nil {
-			targets.Tiers = append(targets.Tiers, tp.DBTier())
-		}
+	r.onStop(func() { _ = l.Close() })
+	inst, targets, err := r.instance()
+	if err != nil {
+		return err
 	}
 
-	// Build the fault injector against the running system; its schedule
-	// arms when the measurement window opens. Build errors (bad targets,
-	// unknown plan settings) surface before any load is driven.
-	var inj faults.Injector
-	if faultPlan != "" {
-		plan, _ := faults.Lookup(faultPlan)
-		inj, err = plan.Build(faults.Env{
+	// The injector's schedule arms when the measurement window opens;
+	// its build errors (bad targets, unknown plan settings) surface
+	// before any load is driven.
+	if r.faultPlan != "" {
+		plan, _ := faults.Lookup(r.faultPlan)
+		if r.inj, err = plan.Build(faults.Env{
 			Clock:   clock.Precise{},
 			Scale:   cfg.Scale,
 			Targets: targets,
-			Set:     faultSet,
-		})
-		if err != nil {
-			inst.Stop()
-			_ = l.Close()
-			return nil, err
+			Set:     r.faultSet,
+		}); err != nil {
+			return err
 		}
 	}
 
 	// The load profile builds the client-side generator against the
 	// listener's address; EBs is the default of its "ebs" setting.
-	gen, err := prof.Build(workload.Env{
+	if r.gen, err = r.profile.Build(workload.Env{
 		Config: workload.Config{
-			Addr:             addr,
+			Addr:             l.Addr().String(),
 			EBs:              cfg.EBs,
 			Clock:            clock.Precise{},
 			Scale:            cfg.Scale,
-			Mix:              mix,
-			Customers:        counts.Customers,
-			Items:            counts.Items,
+			Mix:              r.mix,
+			Customers:        r.counts.Customers,
+			Items:            r.counts.Items,
 			FetchImages:      cfg.FetchImages,
 			ThinkExponential: cfg.ThinkExponential,
 			Seed:             cfg.Seed,
 		},
 		Set: cfg.LoadSet,
-	})
-	if err != nil {
-		inst.Stop()
-		_ = l.Close()
-		return nil, err
+	}); err != nil {
+		return err
 	}
 
-	// Every probe the variant instance, the load generator, and the fault
-	// injector export becomes a sampled series, one sample per paper
-	// second.
-	probes := append(inst.Probes(), gen.Probes()...)
-	if inj != nil {
-		probes = append(probes, inj.Probes()...)
+	// Every probe of the instance, the generator and the injector
+	// becomes a sampled series. So do the generator's cumulative
+	// within/total SLO counters, the signal collect computes the
+	// recovery column from.
+	probes := append(inst.Probes(), r.gen.Probes()...)
+	if r.inj != nil {
+		probes = append(probes, r.inj.Probes()...)
 	}
+	srcs := make([]metrics.Source, 0, len(probes)+2)
 	for _, p := range probes {
-		if _, dup := res.Series[p.Name]; dup {
-			inst.Stop()
-			_ = l.Close()
-			return nil, fmt.Errorf("harness: probe %q of %s/%s collides with an existing series",
-				p.Name, name, loadName)
+		if _, dup := r.res.Series[p.Name]; dup {
+			return fmt.Errorf("harness: probe %q of %s/%s collides with an existing series",
+				p.Name, cfg.Variant, cfg.LoadName())
 		}
-		res.Series[p.Name] = metrics.NewSeries(measureStart, second, metrics.AggLast)
+		dst := metrics.NewSeries(r.measureStart, second, metrics.AggLast)
+		r.res.Series[p.Name] = dst
+		srcs = append(srcs, metrics.Source{Gauge: p.Gauge, Dst: dst})
 	}
+	stats := r.gen.Stats()
+	stats.SetSLOThreshold(cfg.Scale.Wall(sloThreshold))
+	r.sloWithin = metrics.NewSeries(r.measureStart, second, metrics.AggLast)
+	r.sloTotal = metrics.NewSeries(r.measureStart, second, metrics.AggLast)
+	srcs = append(srcs,
+		metrics.Source{Gauge: func() float64 { w, _ := stats.SLOCounts(); return float64(w) }, Dst: r.sloWithin},
+		metrics.Source{Gauge: func() float64 { _, t := stats.SLOCounts(); return float64(t) }, Dst: r.sloTotal})
+
 	go func() { _ = inst.Serve(l) }()
-	clk := clock.Real{}
-	samplers := make([]*metrics.Sampler, 0, len(probes)+2)
-	for _, p := range probes {
-		samplers = append(samplers, metrics.StartSampler(clk, second, p.Gauge, res.Series[p.Name]))
+	r.onStop(metrics.StartSampler(clock.Real{}, second, srcs).Stop)
+	return nil
+}
+
+// instance builds the variant under test over the provisioned
+// databases: one instance, or one per shard behind the cluster
+// balancer. The balancer is itself a variant.Instance, so serving,
+// probe sampling and shutdown do not tell the two apart. It also
+// returns what a fault plan can inject into.
+func (r *run) instance() (variant.Instance, faults.Targets, error) {
+	var targets faults.Targets
+	var insts []variant.Instance
+	for _, db := range r.dbs {
+		inst, err := r.variant.Build(variant.Env{
+			App:        r.app,
+			DB:         db,
+			Clock:      clock.Precise{},
+			Scale:      r.cfg.Scale,
+			Cost:       r.cfg.Work,
+			OnComplete: r.complete,
+			Set:        r.set,
+			Defaults:   r.cfg.Defaults,
+		})
+		if err != nil {
+			return nil, targets, err
+		}
+		r.onStop(inst.Stop)
+		insts = append(insts, inst)
+		if tp, ok := inst.(variant.TierProvider); ok && tp.DBTier() != nil {
+			targets.Tiers = append(targets.Tiers, tp.DBTier())
+		}
 	}
-
-	// Windowed SLO attainment: the generator's cumulative within/total
-	// counter pair, sampled once per paper second, is the signal the
-	// recovery column is computed from after the run.
-	gen.Stats().SetSLOThreshold(cfg.Scale.Wall(sloThreshold))
-	sloWithin := metrics.NewSeries(measureStart, second, metrics.AggLast)
-	sloTotal := metrics.NewSeries(measureStart, second, metrics.AggLast)
-	samplers = append(samplers,
-		metrics.StartSampler(clk, second, func() float64 {
-			w, _ := gen.Stats().SLOCounts()
-			return float64(w)
-		}, sloWithin),
-		metrics.StartSampler(clk, second, func() float64 {
-			_, t := gen.Stats().SLOCounts()
-			return float64(t)
-		}, sloTotal))
-
-	// Drive load: ramp-up (not recorded), measure, cool-down. The fault
-	// schedule arms when the measurement window opens, so plan offsets
-	// are paper time from the start of measurement.
-	gen.Stats().SetRecording(false)
-	gen.Start()
-
-	time.Sleep(time.Until(measureStart))
-	gen.Stats().Reset()
-	gen.Stats().SetRecording(true)
-	if inj != nil {
-		inj.Start()
+	if r.shards == 0 {
+		return insts[0], targets, nil
 	}
-	time.Sleep(cfg.Scale.Wall(cfg.Measure))
-	gen.Stats().SetRecording(false)
-	time.Sleep(cfg.Scale.Wall(cfg.CoolDown))
-
-	gen.Stop()
-	if inj != nil {
-		inj.Stop()
+	bal, err := cluster.New(cluster.Options{Shards: r.shards, LB: r.lb, Clock: clock.Precise{}, Scale: r.cfg.Scale},
+		insts, func(path string, q map[string]string) cluster.Decision {
+			key, fanout := tpcw.ShardKey(path, q)
+			return cluster.Decision{Key: key, Fanout: fanout}
+		})
+	if err != nil {
+		return nil, targets, err
 	}
-	for _, s := range samplers {
-		s.Stop()
-	}
-	inst.Stop()
+	r.onStop(bal.Stop)
+	targets.Balancer = bal
+	return bal, targets, nil
+}
 
-	// Assemble per-page stats: client-side WIRT means and errors,
-	// server-side counts. Clustered runs count client-side instead —
-	// fan-out pages complete on every shard, so server-side counts
-	// would tally one interaction nShards times.
-	countMu.Lock()
-	defer countMu.Unlock()
+// complete observes one server completion: into the throughput series
+// always, and into the server-side page counts inside the measurement
+// window.
+func (r *run) complete(ev server.CompletionEvent) {
+	r.thrAll.Observe(ev.Done, 1)
+	if ev.Class == server.ClassStatic {
+		r.thrStatic.Observe(ev.Done, 1)
+		return
+	}
+	r.thrDynamic.Observe(ev.Done, 1)
+	// Classify by the paper's fixed slow-page set so every variant
+	// buckets identically in Figure 10.
+	if tpcw.SlowPages[ev.Page] {
+		r.thrLengthy.Observe(ev.Done, 1)
+	} else {
+		r.thrQuick.Observe(ev.Done, 1)
+	}
+	if ev.Done.Before(r.measureStart) || ev.Done.After(r.measureEnd) {
+		return
+	}
+	r.countMu.Lock()
+	r.pageCounts[ev.Page]++
+	r.countMu.Unlock()
+}
+
+// drive runs the load through ramp-up (not recorded), measure and
+// cool-down. The fault schedule arms when the measurement window
+// opens, so plan offsets are paper time from the start of measurement.
+func (r *run) drive() {
+	if r.inj != nil {
+		r.onStop(r.inj.Stop) // armed below, when the window opens
+	}
+	stats := r.gen.Stats()
+	stats.SetRecording(false)
+	r.gen.Start()
+	r.onStop(r.gen.Stop)
+
+	time.Sleep(time.Until(r.measureStart))
+	stats.Reset()
+	stats.SetRecording(true)
+	if r.inj != nil {
+		r.inj.Start()
+	}
+	time.Sleep(r.cfg.Scale.Wall(r.cfg.Measure))
+	stats.SetRecording(false)
+	time.Sleep(r.cfg.Scale.Wall(r.cfg.CoolDown))
+}
+
+// collect assembles the Result after teardown: per-page stats, tail
+// latency, SLO attainment and the fault outcome.
+func (r *run) collect() *Result {
+	res, scale, stats := r.res, r.cfg.Scale, r.gen.Stats()
+	// Client-side WIRT means and errors, server-side counts. Clustered
+	// runs count client-side instead: fan-out pages complete on every
+	// shard, so server-side counts would tally one interaction once per
+	// shard.
+	r.countMu.Lock()
+	defer r.countMu.Unlock()
 	for _, page := range tpcw.Pages {
-		client := gen.Stats().Page(page)
-		count := pageCounts[page]
-		if clustered {
+		client := stats.Page(page)
+		count := r.pageCounts[page]
+		if r.shards > 0 {
 			count = client.Count
 		}
 		res.Pages[page] = PageStat{
 			Page:         page,
 			Count:        count,
 			Errors:       client.Errors,
-			MeanPaperSec: cfg.Scale.PaperSeconds(client.Mean),
+			MeanPaperSec: scale.PaperSeconds(client.Mean),
 		}
 		res.TotalInteractions += count
 	}
-	res.Errors = gen.Stats().Errors()
+	res.Errors = stats.Errors()
 
 	// Tail latency and SLO attainment over the whole interaction stream.
-	res.P99PaperSec = cfg.Scale.PaperSeconds(gen.Stats().OverallQuantile(0.99))
-	res.P999PaperSec = cfg.Scale.PaperSeconds(gen.Stats().OverallQuantile(0.999))
+	res.P99PaperSec = scale.PaperSeconds(stats.OverallQuantile(0.99))
+	res.P999PaperSec = scale.PaperSeconds(stats.OverallQuantile(0.999))
 	res.SLOPaperSec = sloThreshold.Seconds()
-	res.SLOAttained = gen.Stats().FractionWithin(cfg.Scale.Wall(sloThreshold))
+	res.SLOAttained = stats.FractionWithin(scale.Wall(sloThreshold))
 
 	// Fault outcome: when the first injection landed and how long SLO
 	// attainment took to come back.
-	if inj != nil {
-		res.FaultPlan = faultPlan
-		res.FaultEvents = inj.Events()
+	if r.inj != nil {
+		res.FaultPlan = r.faultPlan
+		res.FaultEvents = r.inj.Events()
 		res.FaultPaperSec = -1
 		res.RecoveryPaperSec = -1
 		if len(res.FaultEvents) > 0 {
 			fault := res.FaultEvents[0].At
 			res.FaultPaperSec = fault.Seconds()
-			res.RecoveryPaperSec = recoveryPaperSec(sloWithin, sloTotal, fault)
+			res.RecoveryPaperSec = recoveryPaperSec(r.sloWithin, r.sloTotal, fault)
 		}
 	}
-	res.WallDuration = time.Since(wallStart)
-	return res, nil
+	res.WallDuration = time.Since(r.wallStart)
+	return res
 }
 
 // Recovery detection: attainment is evaluated over a trailing window of

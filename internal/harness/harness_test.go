@@ -2,11 +2,13 @@ package harness
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"stagedweb/internal/clock"
+	"stagedweb/internal/faults"
 	"stagedweb/internal/metrics"
 	"stagedweb/internal/sqldb"
 	"stagedweb/internal/tpcw"
@@ -443,6 +445,109 @@ func TestNoReserveVariant(t *testing.T) {
 		}
 		if max := SeriesMax(res.Series[variant.ProbeReserve]); max != 0 {
 			t.Fatalf("%s %v: t_reserve moved (max %v) with the reserve ablated", cfg.Variant, cfg.Set, max)
+		}
+	}
+}
+
+// TestResolveSettings checks the run-level settings resolve splits off
+// Config.Set and decodes with Config.Defaults: the fault plan and its
+// settings, and the cluster's shards and lb.
+func TestResolveSettings(t *testing.T) {
+	resolve := func(set, defaults variant.Settings) (*run, error) {
+		cfg := QuickConfig(variant.Modified, clock.Timescale(1000))
+		cfg.Set = set
+		for k, v := range defaults {
+			cfg.Defaults[k] = v
+		}
+		r := &run{cfg: cfg}
+		return r, r.resolve()
+	}
+	r, err := resolve(variant.Settings{"faults": "replica-kill", "faultset": "at=10s,target=1", "workers": "8"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.faultPlan != faults.ReplicaKill || r.faultSet["at"] != "10s" || r.faultSet["target"] != "1" {
+		t.Fatalf("plan %q, faultset %v", r.faultPlan, r.faultSet)
+	}
+	if _, leaked := r.set["faults"]; leaked || r.set["workers"] != "8" {
+		t.Fatalf("variant settings = %v, want only workers", r.set)
+	}
+	if r.shards != 0 {
+		t.Fatalf("shards = %d with no shards setting", r.shards)
+	}
+
+	// "none" and empty both disable.
+	if r, err = resolve(variant.Settings{"faults": "none"}, nil); err != nil || r.faultPlan != "" {
+		t.Fatalf("faults=none: plan %q, err %v", r.faultPlan, err)
+	}
+	// The plan can arrive through the defaults too.
+	if r, err = resolve(nil, variant.Settings{"faults": "leak"}); err != nil || r.faultPlan != faults.Leak {
+		t.Fatalf("default plan: %q, err %v", r.faultPlan, err)
+	}
+	// shards engages the balancer from either layer, even at 1.
+	if r, err = resolve(variant.Settings{"shards": "1", "lb": "rr"}, nil); err != nil || r.shards != 1 || r.lb != "rr" {
+		t.Fatalf("shards=1 lb=rr: shards %d, lb %q, err %v", r.shards, r.lb, err)
+	}
+	if r, err = resolve(nil, variant.Settings{"shards": "2"}); err != nil || r.shards != 2 || r.lb != "hash" {
+		t.Fatalf("default shards=2: shards %d, lb %q, err %v", r.shards, r.lb, err)
+	}
+
+	for name, bad := range map[string]variant.Settings{
+		"unknown plan":          {"faults": "nope"},
+		"faultset without plan": {"faultset": "at=10s"},
+		"malformed faultset":    {"faults": "leak", "faultset": "at"},
+		"lb without shards":     {"lb": "rr"},
+		"unknown lb":            {"shards": "2", "lb": "random"},
+		"shards below one":      {"shards": "0"},
+		"shards not an integer": {"shards": "two"},
+	} {
+		if _, err := resolve(bad, nil); err == nil {
+			t.Errorf("%s: %v accepted", name, bad)
+		}
+	}
+}
+
+// TestRunTearsDown runs configs that fail after the listener opens, at
+// each build step, and one that succeeds: each returns its error or
+// result, and every goroutine the run started has exited.
+func TestRunTearsDown(t *testing.T) {
+	tiny := func(mut func(*Config)) Config {
+		cfg := sweepConfig(variant.Modified).With(mut)
+		cfg.EBs, cfg.Measure = 4, 5*time.Second
+		return cfg
+	}
+	cases := []struct {
+		name    string
+		cfg     Config
+		wantErr string
+	}{
+		{"generator build", tiny(func(c *Config) { c.LoadSet["bogus"] = "1" }), "bogus"},
+		{"injector build", tiny(func(c *Config) {
+			c.Defaults["replicas"] = "2"
+			c.Defaults["faults"] = faults.ReplicaKill
+			c.Defaults["faultset"] = "target=5"
+		}), "out of range"},
+		{"clustered unknown setting", tiny(func(c *Config) {
+			c.Defaults["shards"] = "2"
+			c.Set["bogus"] = "1"
+		}), "bogus"},
+		{"2-shard run", tiny(func(c *Config) { c.Defaults["shards"] = "2" }), ""},
+	}
+	before := runtime.NumGoroutine()
+	for _, tc := range cases {
+		res, err := Run(tc.cfg)
+		switch {
+		case tc.wantErr == "" && (err != nil || res == nil):
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%s: err %v, want one naming %q", tc.name, err, tc.wantErr)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("%s: %d goroutines after the run, %d before", tc.name, n, before)
 		}
 	}
 }

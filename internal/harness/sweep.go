@@ -1,17 +1,14 @@
 package harness
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strings"
 	"time"
-
-	"stagedweb/internal/variant"
 )
 
-// Scenario is one cell of an experiment matrix: a unique label plus the
-// full run configuration (variant name, load level, setting mutations).
+// Scenario is one cell of an experiment: a unique label plus the full
+// run configuration (variant name, load level, setting mutations).
 // Build cells from a base config with Config.With:
 //
 //	harness.Scenario{
@@ -26,38 +23,10 @@ type Scenario struct {
 	Config Config `json:"config"`
 }
 
-// LoadSpec names one load-profile cell of a scenario matrix: a load
-// profile plus its settings.
-type LoadSpec struct {
-	// Profile is the load-profile name (workload.Steady,
-	// workload.Spike, ...); empty means steady.
-	Profile string
-	// Set holds the profile settings for this cell.
-	Set variant.Settings
-}
-
-// Matrix builds the variant × load-profile scenario grid from a base
-// config: one cell per pair, named "variant/profile", so any topology
-// meets any workload shape with no new harness code.
-func Matrix(base Config, variants []string, loads []LoadSpec) []Scenario {
-	out := make([]Scenario, 0, len(variants)*len(loads))
-	for _, v := range variants {
-		for _, ld := range loads {
-			cfg := base.With(func(c *Config) {
-				c.Variant = v
-				c.Load = ld.Profile
-				c.LoadSet = ld.Set.Clone()
-			})
-			out = append(out, Scenario{Name: v + "/" + cfg.LoadName(), Config: cfg})
-		}
-	}
-	return out
-}
-
 // SweepRun is one finished (or failed) scenario of a sweep.
 type SweepRun struct {
 	Scenario Scenario
-	// Result is nil when the run failed or was cancelled.
+	// Result is nil when the run failed.
 	Result *Result
 	Err    error
 }
@@ -101,10 +70,6 @@ func (sr *SweepResult) Report() string {
 			fmt.Fprintf(&sb, "%-32s failed: %v\n", r.Scenario.Name, r.Err)
 			continue
 		}
-		if r.Result == nil {
-			fmt.Fprintf(&sb, "%-32s (not run)\n", r.Scenario.Name)
-			continue
-		}
 		gain := "-"
 		if r.Scenario.Name != base {
 			gain = fmt.Sprintf("%+.1f%%", sr.GainPercent(base, r.Scenario.Name))
@@ -112,17 +77,17 @@ func (sr *SweepResult) Report() string {
 		fmt.Fprintf(&sb, "%-32s %13d %8d %7.2fs %7.2fs %6.1f%% %9s %10v %8s\n",
 			r.Scenario.Name, r.Result.TotalInteractions, r.Result.Errors,
 			r.Result.P99PaperSec, r.Result.P999PaperSec, r.Result.SLOAttained*100,
-			recoveryCell(r.Result),
+			RecoveryCell(r.Result),
 			r.Result.WallDuration.Round(time.Millisecond), gain)
 	}
 	return sb.String()
 }
 
-// recoveryCell renders a run's recovery column: "-" for fault-free
+// RecoveryCell renders a run's recovery column: "-" for fault-free
 // runs, "no-inj" when the plan never fired inside the window, "never"
 // when SLO attainment did not come back, and the paper-time recovery
 // otherwise.
-func recoveryCell(res *Result) string {
+func RecoveryCell(res *Result) string {
 	if res.FaultPlan == "" {
 		return "-"
 	}
@@ -136,15 +101,13 @@ func recoveryCell(res *Result) string {
 	}
 }
 
-// Sweep executes every scenario in order, honouring ctx between runs (a
-// run in flight is not interrupted — experiments are short at the usual
-// timescales). onResult, when set, is called as each scenario finishes —
-// progress reporting for CLIs. Runs never overlap: concurrent cells
-// would charge each other's CPU as paper time. The returned SweepResult
-// always has one entry per scenario in input order; the error joins
-// every per-run failure plus the context's, so partial results remain
-// usable alongside a non-nil error.
-func Sweep(ctx context.Context, scenarios []Scenario, onResult func(Scenario, *Result, error)) (*SweepResult, error) {
+// Sweep executes every scenario in order. onResult, when set, is called
+// as each scenario finishes — progress reporting for CLIs. Runs never
+// overlap: concurrent cells would charge each other's CPU as paper
+// time. The returned SweepResult always has one entry per scenario in
+// input order; the error joins every per-run failure, so partial
+// results remain usable alongside a non-nil error.
+func Sweep(scenarios []Scenario, onResult func(Scenario, *Result, error)) (*SweepResult, error) {
 	seen := make(map[string]bool, len(scenarios))
 	for _, sc := range scenarios {
 		if sc.Name == "" {
@@ -157,24 +120,17 @@ func Sweep(ctx context.Context, scenarios []Scenario, onResult func(Scenario, *R
 	}
 
 	sr := &SweepResult{Runs: make([]SweepRun, len(scenarios))}
-	errs := make([]error, len(scenarios)+1)
+	errs := make([]error, len(scenarios))
 	for i, sc := range scenarios {
-		sr.Runs[i] = SweepRun{Scenario: sc}
-		if err := ctx.Err(); err != nil {
-			sr.Runs[i].Err = err
-			errs[i] = fmt.Errorf("%s: %w", sc.Name, err)
-			continue
-		}
 		res, err := Run(sc.Config)
 		if err != nil {
 			err = fmt.Errorf("%s: %w", sc.Name, err)
 		}
-		sr.Runs[i].Result, sr.Runs[i].Err = res, err
+		sr.Runs[i] = SweepRun{Scenario: sc, Result: res, Err: err}
 		errs[i] = err
 		if onResult != nil {
 			onResult(sc, res, err)
 		}
 	}
-	errs[len(scenarios)] = ctx.Err()
 	return sr, errors.Join(errs...)
 }

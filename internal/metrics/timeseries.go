@@ -19,10 +19,6 @@ const (
 	// AggLast keeps the most recent observation — used for sampled queue
 	// lengths (Figures 7 and 8).
 	AggLast
-	// AggMax keeps the largest observation.
-	AggMax
-	// AggMean averages observations within the bucket.
-	AggMean
 )
 
 // String names the aggregation for JSON artifacts and diagnostics.
@@ -32,10 +28,6 @@ func (a Agg) String() string {
 		return "sum"
 	case AggLast:
 		return "last"
-	case AggMax:
-		return "max"
-	case AggMean:
-		return "mean"
 	default:
 		return "unknown"
 	}
@@ -49,7 +41,6 @@ type Series struct {
 	width  time.Duration
 	agg    Agg
 	values []float64
-	counts []int64
 }
 
 // NewSeries returns a Series with the given bucket width and aggregation.
@@ -76,23 +67,15 @@ func (s *Series) Observe(t time.Time, v float64) {
 	defer s.mu.Unlock()
 	for len(s.values) <= idx {
 		s.values = append(s.values, 0)
-		s.counts = append(s.counts, 0)
 	}
 	switch s.agg {
 	case AggSum:
 		s.values[idx] += v
 	case AggLast:
 		s.values[idx] = v
-	case AggMax:
-		if s.counts[idx] == 0 || v > s.values[idx] {
-			s.values[idx] = v
-		}
-	case AggMean:
-		s.values[idx] += v
 	default:
 		panic("metrics: unknown aggregation")
 	}
-	s.counts[idx]++
 }
 
 // Point is one (offset, value) sample of a series.
@@ -109,11 +92,7 @@ func (s *Series) Points() []Point {
 	defer s.mu.Unlock()
 	pts := make([]Point, len(s.values))
 	for i := range s.values {
-		v := s.values[i]
-		if s.agg == AggMean && s.counts[i] > 0 {
-			v /= float64(s.counts[i])
-		}
-		pts[i] = Point{Offset: time.Duration(i) * s.width, Value: v}
+		pts[i] = Point{Offset: time.Duration(i) * s.width, Value: s.values[i]}
 	}
 	return pts
 }
@@ -147,17 +126,24 @@ func (s *Series) MarshalJSON() ([]byte, error) {
 	return json.Marshal(out)
 }
 
-// Sampler periodically reads a gauge-like source into a Series. It powers
-// the queue-length figures: one sample per paper-second.
+// Source is one sampled gauge and the series its readings go into.
+type Source struct {
+	Gauge func() float64
+	Dst   *Series
+}
+
+// Sampler reads every source into its series once per interval, all
+// from one goroutine on one ticker. It powers the queue-length figures:
+// one sample per paper second.
 type Sampler struct {
 	stop chan struct{}
 	done chan struct{}
 }
 
-// StartSampler samples src into dst every interval until Stop is called.
-// The interval is interpreted on clk (wall time for experiments, manual
-// time for tests).
-func StartSampler(clk clock.Clock, interval time.Duration, src func() float64, dst *Series) *Sampler {
+// StartSampler samples srcs every interval until Stop is called. The
+// interval is interpreted on clk (wall time for experiments, manual
+// time for tests), and each tick's readings are stamped with its time.
+func StartSampler(clk clock.Clock, interval time.Duration, srcs []Source) *Sampler {
 	s := &Sampler{stop: make(chan struct{}), done: make(chan struct{})}
 	tk := clk.NewTicker(interval)
 	go func() {
@@ -168,7 +154,9 @@ func StartSampler(clk clock.Clock, interval time.Duration, src func() float64, d
 			case <-s.stop:
 				return
 			case now := <-tk.C():
-				dst.Observe(now, src())
+				for _, src := range srcs {
+					src.Dst.Observe(now, src.Gauge())
+				}
 			}
 		}
 	}()

@@ -38,25 +38,6 @@ func TestSeriesLast(t *testing.T) {
 	}
 }
 
-func TestSeriesMax(t *testing.T) {
-	s := NewSeries(tsEpoch, time.Second, AggMax)
-	s.Observe(tsEpoch, 3)
-	s.Observe(tsEpoch.Add(time.Millisecond), 7)
-	s.Observe(tsEpoch.Add(2*time.Millisecond), 5)
-	if got := s.Points()[0].Value; got != 7 {
-		t.Fatalf("AggMax value = %v, want 7", got)
-	}
-}
-
-func TestSeriesMean(t *testing.T) {
-	s := NewSeries(tsEpoch, time.Second, AggMean)
-	s.Observe(tsEpoch, 2)
-	s.Observe(tsEpoch.Add(time.Millisecond), 4)
-	if got := s.Points()[0].Value; got != 3 {
-		t.Fatalf("AggMean value = %v, want 3", got)
-	}
-}
-
 func TestSeriesDropsEarlyObservations(t *testing.T) {
 	s := NewSeries(tsEpoch, time.Second, AggSum)
 	s.Observe(tsEpoch.Add(-time.Second), 100) // ramp-up traffic
@@ -88,27 +69,42 @@ func TestSeriesInvalidWidthPanics(t *testing.T) {
 	NewSeries(tsEpoch, 0, AggSum)
 }
 
+// TestSamplerCollectsOnTicks: one sampler over N sources, advanced K
+// ticks, gives N series of K points each, at the tick offsets, each
+// point the source's reading at that tick.
 func TestSamplerCollectsOnTicks(t *testing.T) {
+	const n, k = 3, 4
 	clk := clock.NewManual(tsEpoch)
-	s := NewSeries(tsEpoch, time.Second, AggLast)
 	var g atomic.Int64
-	sampler := StartSampler(clk, time.Second, func() float64 { return float64(g.Load()) }, s)
+	srcs := make([]Source, n)
+	for i := range srcs {
+		// Anchored at the first tick, so tick j lands in bucket j-1.
+		srcs[i] = Source{
+			Gauge: func() float64 { return float64(10*i) + float64(g.Load()) },
+			Dst:   NewSeries(tsEpoch.Add(time.Second), time.Second, AggLast),
+		}
+	}
+	sampler := StartSampler(clk, time.Second, srcs)
 	defer sampler.Stop()
 
 	clk.BlockUntilWaiters(1)
-	g.Store(4)
-	clk.Advance(time.Second)
-	waitForLen(t, s, 2) // bucket for t=1s exists once sampled
-	g.Store(7)
-	clk.Advance(time.Second)
-	waitForLen(t, s, 3)
-
-	pts := s.Points()
-	if pts[1].Value != 4 {
-		t.Fatalf("sample at 1s = %v, want 4", pts[1].Value)
+	for j := 1; j <= k; j++ {
+		g.Store(int64(j))
+		clk.Advance(time.Second)
+		for _, src := range srcs {
+			waitForLen(t, src.Dst, j)
+		}
 	}
-	if pts[2].Value != 7 {
-		t.Fatalf("sample at 2s = %v, want 7", pts[2].Value)
+	for i, src := range srcs {
+		pts := src.Dst.Points()
+		if len(pts) != k {
+			t.Fatalf("source %d: %d points, want %d", i, len(pts), k)
+		}
+		for j, p := range pts {
+			if p.Offset != time.Duration(j)*time.Second || p.Value != float64(10*i+j+1) {
+				t.Errorf("source %d point %d = %+v, want {%v %d}", i, j, p, time.Duration(j)*time.Second, 10*i+j+1)
+			}
+		}
 	}
 }
 
@@ -126,12 +122,12 @@ func waitForLen(t *testing.T, s *Series, n int) {
 func TestSamplerStopIdempotentGoroutine(t *testing.T) {
 	clk := clock.NewManual(tsEpoch)
 	s := NewSeries(tsEpoch, time.Second, AggLast)
-	sampler := StartSampler(clk, time.Second, func() float64 { return 1 }, s)
+	sampler := StartSampler(clk, time.Second, []Source{{Gauge: func() float64 { return 1 }, Dst: s}})
 	sampler.Stop() // must not deadlock
 }
 
 func TestAggString(t *testing.T) {
-	cases := map[Agg]string{AggSum: "sum", AggLast: "last", AggMax: "max", AggMean: "mean", Agg(0): "unknown"}
+	cases := map[Agg]string{AggSum: "sum", AggLast: "last", Agg(0): "unknown"}
 	for agg, want := range cases {
 		if got := agg.String(); got != want {
 			t.Errorf("Agg(%d).String() = %q, want %q", agg, got, want)
@@ -140,9 +136,9 @@ func TestAggString(t *testing.T) {
 }
 
 func TestSeriesMarshalJSON(t *testing.T) {
-	s := NewSeries(tsEpoch, 2*time.Second, AggMean)
+	s := NewSeries(tsEpoch, 2*time.Second, AggSum)
 	s.Observe(tsEpoch, 4)
-	s.Observe(tsEpoch.Add(time.Second), 8) // same bucket, mean 6
+	s.Observe(tsEpoch.Add(time.Second), 2) // same bucket, sum 6
 	s.Observe(tsEpoch.Add(2*time.Second), 1)
 	raw, err := json.Marshal(s)
 	if err != nil {
@@ -159,7 +155,7 @@ func TestSeriesMarshalJSON(t *testing.T) {
 	if err := json.Unmarshal(raw, &decoded); err != nil {
 		t.Fatal(err)
 	}
-	if decoded.WidthSeconds != 2 || decoded.Agg != "mean" || len(decoded.Points) != 2 {
+	if decoded.WidthSeconds != 2 || decoded.Agg != "sum" || len(decoded.Points) != 2 {
 		t.Fatalf("decoded = %+v", decoded)
 	}
 	if decoded.Points[0].Value != 6 || decoded.Points[1].OffsetSeconds != 2 || decoded.Points[1].Value != 1 {
