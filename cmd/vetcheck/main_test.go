@@ -51,15 +51,28 @@ var keptForTests = map[string]string{
 	"internal/webtest.WaitUntil":              "a helper of the tests (webtest is for tests and the benchmark)",
 }
 
+// setOnlyByTests lists the config fields of the main module that only
+// tests set, each with the reason it stays. Every other exported field
+// of an exported struct type named Options, Config or Env, or whose name
+// ends in Config, must be set by a non-test file of either module: named
+// in a keyed composite literal, or assigned outside its declaring
+// package. Keys are import path (without the module prefix), type, and
+// field.
+var setOnlyByTests = map[string]string{
+	"internal/stage.Config.QueueCap":              "the shed tests need a line they can fill; at the 4 096 default that is thousands of parked goroutines under -race -count=20",
+	"internal/server.TransportConfig.IdleTimeout": "the idle-connection tests need a wall-clock timeout well under the 10 s default",
+}
+
 // TestEveryExportedNameHasAReader is the dead-surface check: it loads
 // the main module and the benchmark module, collects every exported
 // func, method and package-level const, var and type declared in the
 // main module's non-test files, and fails on any that no non-test file
 // of either module uses. A method that satisfies an interface visible
 // to its users (error, fmt.Stringer, flag.Value, the module's own
-// interfaces) counts as read. Struct fields are out of scope.
+// interfaces) counts as read. The same loads check that every config
+// field (see setOnlyByTests) has a setter outside tests.
 func TestEveryExportedNameHasAReader(t *testing.T) {
-	s := &surface{defs: map[string]string{}, reads: map[string]bool{}}
+	s := &surface{defs: map[string]string{}, reads: map[string]bool{}, fields: map[string]string{}, sets: map[string]bool{}}
 	collector := &framework.Analyzer{Name: "deadsurface", Doc: "collect exported definitions and their uses", Run: s.collect}
 	for _, run := range []struct{ dir, pattern string }{
 		{"", "stagedweb/..."},
@@ -73,24 +86,36 @@ func TestEveryExportedNameHasAReader(t *testing.T) {
 		t.Error("benchmark module not loaded: stage.Stage.Start, read only by benchmark/, has no reader")
 	}
 
+	if !s.sets["internal/stage.Config.Workers"] {
+		t.Error("generic config types not seen: stage.Config.Workers, set by stage.New's callers, has no setter")
+	}
+	checkUsed(t, "keptForTests", keptForTests, s.defs, s.reads, "reader")
+	checkUsed(t, "setOnlyByTests", setOnlyByTests, s.fields, s.sets, "setter")
+}
+
+// checkUsed fails on every key of defs (key → position) that used does
+// not hold and the exception table does not list, and on every table
+// entry with no reason, naming nothing declared, or used after all.
+func checkUsed(t *testing.T, table string, exceptions, defs map[string]string, used map[string]bool, role string) {
+	t.Helper()
 	var dead []string
-	for key := range s.defs {
-		if !s.reads[key] && keptForTests[key] == "" {
+	for key := range defs {
+		if !used[key] && exceptions[key] == "" {
 			dead = append(dead, key)
 		}
 	}
 	sort.Strings(dead)
 	for _, key := range dead {
-		t.Errorf("%s: %s has no reader outside tests; delete it, or add it to keptForTests with a reason", s.defs[key], key)
+		t.Errorf("%s: %s has no %s outside tests; delete it, or add it to %s with a reason", defs[key], key, role, table)
 	}
-	for key, reason := range keptForTests {
+	for key, reason := range exceptions {
 		switch {
 		case reason == "":
-			t.Errorf("keptForTests[%s] has no reason", key)
-		case s.defs[key] == "":
-			t.Errorf("keptForTests[%s] names nothing declared; drop the entry", key)
-		case s.reads[key]:
-			t.Errorf("keptForTests[%s] has a non-test reader; drop the entry", key)
+			t.Errorf("%s[%s] has no reason", table, key)
+		case defs[key] == "":
+			t.Errorf("%s[%s] names nothing declared; drop the entry", table, key)
+		case used[key]:
+			t.Errorf("%s[%s] has a %s outside tests; drop the entry", table, key, role)
 		}
 	}
 }
@@ -105,11 +130,14 @@ func inMainModule(path string) bool {
 
 // surface accumulates, across both loads, the exported definitions of
 // the main module (key → position) and the keys some non-test file
-// reads. Keys are strings because each load type-checks its own copy
-// of every package.
+// reads, and likewise the config fields and the keys some non-test file
+// sets. Keys are strings because each load type-checks its own copy of
+// every package.
 type surface struct {
-	defs  map[string]string
-	reads map[string]bool
+	defs   map[string]string
+	reads  map[string]bool
+	fields map[string]string
+	sets   map[string]bool
 }
 
 // key names obj as "path.Name" or "path.Recv.Name", or "" when obj is
@@ -161,7 +189,107 @@ func (s *surface) collect(pass *framework.Pass) error {
 		}
 	}
 	s.satisfiedInterfaces(pass)
+	s.collectFields(pass)
 	return nil
+}
+
+// isConfigType reports whether an exported type name is in the config
+// field check's scope.
+func isConfigType(name string) bool {
+	return name == "Options" || name == "Env" || strings.HasSuffix(name, "Config")
+}
+
+// fieldKey names field of the struct type owner (or *owner) as
+// "path.Type.Field", or "" when owner is not a main-module config type.
+func fieldKey(owner types.Type, field string) string {
+	if p, ok := owner.(*types.Pointer); ok {
+		owner = p.Elem()
+	}
+	named, ok := types.Unalias(owner).(*types.Named)
+	if !ok {
+		return ""
+	}
+	obj := named.Origin().Obj()
+	if obj.Pkg() == nil || !inMainModule(obj.Pkg().Path()) || !obj.Exported() || !isConfigType(obj.Name()) {
+		return ""
+	}
+	return strings.TrimPrefix(strings.TrimPrefix(obj.Pkg().Path(), mainModule), "/") + "." + obj.Name() + "." + field
+}
+
+// collectFields records the exported fields of pass.Pkg's config types
+// and the config fields pass sets: the keys of a keyed composite
+// literal, and the targets of an assignment outside the field's
+// package.
+func (s *surface) collectFields(pass *framework.Pass) {
+	if inMainModule(pass.Pkg.Path()) {
+		scope := pass.Pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					if k := fieldKey(tn.Type(), f.Name()); k != "" {
+						s.fields[k] = pass.Fset.Position(f.Pos()).String()
+					}
+				}
+			}
+		}
+	}
+	assigned := func(lhs ast.Expr) {
+		se, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
+		if !ok {
+			return
+		}
+		sel, ok := pass.TypesInfo.Selections[se]
+		if !ok || sel.Kind() != types.FieldVal || sel.Obj().Pkg() == pass.Pkg {
+			return
+		}
+		// Walk the embedding path to the struct that declares the field.
+		owner := sel.Recv()
+		for _, i := range sel.Index()[:len(sel.Index())-1] {
+			owner = fieldOf(owner, i).Type()
+		}
+		if k := fieldKey(owner, sel.Obj().Name()); k != "" {
+			s.sets[k] = true
+		}
+	}
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				for _, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							if k := fieldKey(pass.TypesInfo.TypeOf(n), id.Name); k != "" {
+								s.sets[k] = true
+							}
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					assigned(lhs)
+				}
+			case *ast.IncDecStmt:
+				assigned(n.X)
+			}
+			return true
+		})
+	}
+}
+
+// fieldOf returns field i of the struct t or *t.
+func fieldOf(t types.Type, i int) *types.Var {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	return t.Underlying().(*types.Struct).Field(i)
 }
 
 // declaredNames returns the identifiers a top-level declaration binds:

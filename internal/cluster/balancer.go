@@ -37,12 +37,15 @@ const lbWorkers = 16
 // shard, in paper time, before degrading to the responses in hand.
 const fanoutDeadline = 10 * time.Second
 
-// Failover defaults, in paper time where durations.
+// Failover settings, in paper time where durations. A failed forward
+// is re-attempted retries times, each after retryBackoff; a shard's
+// breaker opens after breakerThreshold consecutive forward failures and
+// skips the shard for breakerCooldown before letting a trial through.
 const (
-	defaultRetries          = 2
-	defaultRetryBackoff     = 100 * time.Millisecond
-	defaultBreakerThreshold = 5
-	defaultBreakerCooldown  = 10 * time.Second
+	retries          = 2
+	retryBackoff     = 100 * time.Millisecond
+	breakerThreshold = 5
+	breakerCooldown  = 10 * time.Second
 )
 
 // breaker is one shard's circuit breaker: consecutive forward failures
@@ -128,20 +131,6 @@ func New(opts Options, shards []variant.Instance, route RouteFunc) (*Balancer, e
 	}
 	if opts.Scale <= 0 {
 		opts.Scale = clock.RealTime
-	}
-	if opts.Retries == 0 {
-		opts.Retries = defaultRetries
-	} else if opts.Retries < 0 {
-		opts.Retries = 0
-	}
-	if opts.RetryBackoff <= 0 {
-		opts.RetryBackoff = defaultRetryBackoff
-	}
-	if opts.BreakerThreshold <= 0 {
-		opts.BreakerThreshold = defaultBreakerThreshold
-	}
-	if opts.BreakerCooldown <= 0 {
-		opts.BreakerCooldown = defaultBreakerCooldown
 	}
 	ring, err := NewRing(opts.Shards, 0)
 	if err != nil {
@@ -405,13 +394,13 @@ func (b *Balancer) noteForward(i int, ok, trial bool) {
 		return
 	}
 	if trial {
-		br.openUntil.Store(b.clk.Now().Add(b.scale.Wall(b.opts.BreakerCooldown)).UnixNano())
+		br.openUntil.Store(b.clk.Now().Add(b.scale.Wall(breakerCooldown)).UnixNano())
 		br.trial.Store(false)
 		b.breakerN.Add(1)
 		return
 	}
-	if br.fails.Add(1) >= int32(b.opts.BreakerThreshold) {
-		br.openUntil.Store(b.clk.Now().Add(b.scale.Wall(b.opts.BreakerCooldown)).UnixNano())
+	if br.fails.Add(1) >= breakerThreshold {
+		br.openUntil.Store(b.clk.Now().Add(b.scale.Wall(breakerCooldown)).UnixNano())
 		b.breakerN.Add(1)
 	}
 }
@@ -564,7 +553,7 @@ func (b *Balancer) fanout(j *job) (*[]byte, error) {
 // send forwards one request to a shard over a pooled keep-alive backend
 // connection: fail fast when the shard is down or its breaker is open,
 // retry immediately on a stale pooled connection, and retry with
-// paper-time backoff on transient errors up to the configured budget.
+// paper-time backoff on transient errors up to the retry budget.
 // Every re-attempt counts toward lb.retry; the outcome feeds the
 // shard's breaker.
 func (b *Balancer) send(shard int, raw []byte, conn string) (*[]byte, error) {
@@ -583,10 +572,10 @@ func (b *Balancer) send(shard int, raw []byte, conn string) (*[]byte, error) {
 	p := b.pools[shard]
 	b.mu.Unlock()
 	var lastErr error
-	for try := 0; try <= b.opts.Retries; try++ {
+	for try := 0; try <= retries; try++ {
 		if try > 0 {
 			b.retryN.Add(1)
-			b.clk.Sleep(b.scale.Wall(b.opts.RetryBackoff))
+			b.clk.Sleep(b.scale.Wall(retryBackoff))
 			if b.down[shard].Load() {
 				lastErr = fmt.Errorf("cluster: shard %d: %w", shard, ErrShardDown)
 				break

@@ -24,8 +24,9 @@ func bootCluster(t *testing.T, manual *clock.Manual, n int, lb string) (*cluster
 }
 
 // bootClusterOpts is bootCluster with the full balancer option surface
-// exposed — the failover tests compress the timescale and shorten retry
-// backoffs and breaker cooldowns so failure paths fire in test time.
+// exposed — the failover tests compress the timescale so the fixed
+// paper-time retry backoff, breaker cooldown and fan-out deadline pass
+// in test time.
 func bootClusterOpts(t *testing.T, clk clock.Clock, opts cluster.Options) (*cluster.Balancer, string) {
 	t.Helper()
 	insts := buildShardInsts(t, clk, variant.Unmodified, opts.Shards)

@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"time"
-
-	"stagedweb/internal/clock"
-)
+import "stagedweb/internal/clock"
 
 // Load-balancer policies for key-less requests.
 const (
@@ -37,7 +33,7 @@ const (
 	// backoff (cumulative).
 	ProbeLBRetry = "lb.retry"
 	// ProbeLBBreaker counts per-shard circuit-breaker opens: a shard
-	// that failed BreakerThreshold consecutive forwards is skipped
+	// that failed breakerThreshold consecutive forwards is skipped
 	// until its cooldown expires (cumulative; a failed half-open trial
 	// re-arming the cooldown counts as a new open).
 	ProbeLBBreaker = "lb.breaker"
@@ -61,18 +57,6 @@ type Options struct {
 	// Scale converts those paper-time deadlines to wall time; <= 0
 	// means clock.RealTime.
 	Scale clock.Timescale
-	// Retries is how many times a failed forward is re-attempted after
-	// backoff. Zero means the default of 2; negative disables retries.
-	Retries int
-	// RetryBackoff is the paper-time pause before each re-attempt
-	// (0 = 100 ms).
-	RetryBackoff time.Duration
-	// BreakerThreshold opens a shard's circuit breaker after that many
-	// consecutive forward failures (0 = 5).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker skips a shard before
-	// letting a trial request through, in paper time (0 = 10 s).
-	BreakerCooldown time.Duration
 }
 
 // Decision is a routing verdict for one request.

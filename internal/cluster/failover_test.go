@@ -158,21 +158,26 @@ func (u *unresponsiveShard) Stop() {
 func (u *unresponsiveShard) Graph() *stage.Graph     { return stage.NewGraph() }
 func (u *unresponsiveShard) Probes() []variant.Probe { return nil }
 
+// The balancer's failover constants: a failed forward is re-attempted
+// twice, and five consecutive failures open a shard's breaker.
+const (
+	forwardRetries   = 2
+	breakerThreshold = 5
+)
+
 // TestBreakerOpensOnFailingShard: repeated forward failures to a shard
 // burn the retry budget, trip its breaker, and subsequent requests to
 // it fail fast while the breaker is open.
 func TestBreakerOpensOnFailingShard(t *testing.T) {
 	const shards = 2
 	// Shard 0 is real; shard 1 answers every forward with a slammed
-	// connection. Small retry budget and a 2-failure breaker threshold
-	// keep the test to a handful of requests.
+	// connection.
 	insts := buildShardInsts(t, clock.Real{}, variant.Unmodified, shards)
 	insts[1].Stop()
 	insts[1] = newUnresponsiveShard()
 	b, err := cluster.New(cluster.Options{
 		Shards: shards, LB: cluster.LBHash,
-		Retries: 1, RetryBackoff: time.Millisecond,
-		BreakerThreshold: 2, BreakerCooldown: 10 * time.Second,
+		Scale: 20, // 100 ms paper backoff -> 5 ms wall; 10 s cooldown -> 500 ms
 	}, insts, func(path string, q map[string]string) cluster.Decision {
 		key, fanout := tpcw.ShardKey(path, q)
 		return cluster.Decision{Key: key, Fanout: fanout}
@@ -196,16 +201,19 @@ func TestBreakerOpensOnFailingShard(t *testing.T) {
 		t.Fatal("cluster did not come up")
 	}
 
-	// Two keyed requests to the broken shard: each burns the retry
-	// budget and counts a forward failure; the second opens the breaker.
-	for i := 0; i < 2; i++ {
+	// Keyed requests to the broken shard: each burns the retry budget
+	// and counts a forward failure; the last opens the breaker.
+	for i := 0; i < breakerThreshold; i++ {
+		if got := probe(t, b, cluster.ProbeLBBreaker); got != 0 {
+			t.Fatalf("lb.breaker = %d after %d failed forwards, want 0 below the threshold %d", got, i, breakerThreshold)
+		}
 		resp, err := webtest.Get(addr, orderDisplayPath(deadC))
 		if err != nil || resp.Status != 502 {
 			t.Fatalf("request %d to the broken shard: %v, err %v (want 502)", i, resp, err)
 		}
 	}
-	if got := probe(t, b, cluster.ProbeLBRetry); got < 2 {
-		t.Errorf("lb.retry = %d, want >= 2 (one per burned retry budget)", got)
+	if got := probe(t, b, cluster.ProbeLBRetry); got < breakerThreshold*forwardRetries {
+		t.Errorf("lb.retry = %d, want >= %d (every retry budget burned)", got, breakerThreshold*forwardRetries)
 	}
 	if got := probe(t, b, cluster.ProbeLBBreaker); got < 1 {
 		t.Fatalf("lb.breaker = %d, want >= 1", got)
@@ -301,9 +309,7 @@ func TestBreakerHalfOpenProbeReadmits(t *testing.T) {
 	insts[1] = flaky
 	b, err := cluster.New(cluster.Options{
 		Shards: shards, LB: cluster.LBHash,
-		Scale:   50, // 10 paper-second cooldown -> 200 ms wall
-		Retries: -1, RetryBackoff: time.Millisecond,
-		BreakerThreshold: 2, BreakerCooldown: 10 * time.Second,
+		Scale: 50, // 10 paper-second cooldown -> 200 ms wall; 100 ms backoff -> 2 ms
 	}, insts, func(path string, q map[string]string) cluster.Decision {
 		key, fanout := tpcw.ShardKey(path, q)
 		return cluster.Decision{Key: key, Fanout: fanout}
@@ -336,7 +342,7 @@ func TestBreakerHalfOpenProbeReadmits(t *testing.T) {
 	}
 
 	// Trip the breaker while the shard is broken.
-	for i := 0; i < 2; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		if got := get(); got != 502 {
 			t.Fatalf("request %d to broken shard: status %d, want 502", i, got)
 		}

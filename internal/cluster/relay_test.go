@@ -86,7 +86,7 @@ func (s *cannedShard) Probes() []variant.Probe { return nil }
 // facing listener.
 func serveBalancer(t *testing.T, shards []variant.Instance, wrap func(net.Listener) net.Listener) (*cluster.Balancer, string) {
 	t.Helper()
-	b, err := cluster.New(cluster.Options{Shards: len(shards), Retries: -1}, shards, func(path string, _ map[string]string) cluster.Decision {
+	b, err := cluster.New(cluster.Options{Shards: len(shards)}, shards, func(path string, _ map[string]string) cluster.Decision {
 		return cluster.Decision{Fanout: strings.HasPrefix(path, "/fan")}
 	})
 	if err != nil {

@@ -45,7 +45,6 @@ import (
 
 	"stagedweb/internal/clock"
 	"stagedweb/internal/httpwire"
-	"stagedweb/internal/metrics"
 	"stagedweb/internal/sched"
 	"stagedweb/internal/server"
 	"stagedweb/internal/stage"
@@ -141,10 +140,6 @@ type Server struct {
 	// classified lengthy, sent there at arrival or lent one at release.
 	lengthyOnGeneral atomic.Int64
 
-	// Per-target dispatch decision counts, fed by the dispatcher hook.
-	dispatchedGeneral metrics.Counter
-	dispatchedLengthy metrics.Counter
-
 	mu       sync.Mutex
 	listener net.Listener
 	stopped  bool
@@ -204,13 +199,6 @@ func New(cfg Config) (*Server, error) {
 
 	// t_spare is the general pool's live spare-worker count.
 	s.dispatcher = sched.NewDispatcher(cls, rc, s.general.Spare)
-	s.dispatcher.SetHook(func(_ string, target sched.Target) {
-		if target == sched.Lengthy {
-			s.dispatchedLengthy.Inc()
-		} else {
-			s.dispatchedGeneral.Inc()
-		}
-	})
 	// Table 1 at release: a freed general slot goes to the newest lengthy
 	// waiter while t_spare after the release exceeds t_reserve.
 	s.general.LendTo(s.lengthy, s.dispatcher.Overflow)
@@ -456,10 +444,11 @@ func (s *Server) controllerSpare() int {
 func (s *Server) Reserve() int { return s.dispatcher.ReserveController().Reserve() }
 
 // DispatchCounts reports Table 1 decisions: at arrival by target pool,
-// fed by the dispatcher hook, and at release the general slots lent to
-// lengthy waiters.
+// as the dispatcher counts them, and at release the general slots lent
+// to lengthy waiters.
 func (s *Server) DispatchCounts() (general, lengthy, lent int64) {
-	return s.dispatchedGeneral.Value(), s.dispatchedLengthy.Value(), s.general.Stats().Lent
+	general, lengthy = s.dispatcher.Dispatched()
+	return general, lengthy, s.general.Stats().Lent
 }
 
 // Served reports the number of completed requests.

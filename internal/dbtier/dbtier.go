@@ -14,7 +14,7 @@
 //     applied the statement's CommitTS, so readers anywhere see the
 //     write; the wait overlaps across replicas.
 //   - async: Exec returns at primary commit, waiting only if the
-//     slowest replica is more than MaxLag commits behind (bounded
+//     slowest replica is more than maxLag commits behind (bounded
 //     staleness backpressure). Replica reads may briefly return stale
 //     rows; reads served by the primary still observe every committed
 //     write (read-your-writes holds whenever the rotation lands there,
@@ -23,10 +23,10 @@
 // Failover (the dependability half): every replica backend carries a
 // health state — active, ejected, resync. A replica that dies (fault
 // injection via KillBackend, or repeated statement failures) or turns
-// pathologically slow (SetBackendDelay beyond SlowThreshold) is ejected
-// from the read rotation: reads fail over to the next healthy backend,
-// and sync-mode writers stop waiting for it, so a dead replica degrades
-// capacity instead of wedging the tier. While ejected its applied
+// pathologically slow (SetBackendDelay beyond slowThreshold, 1 s) is
+// ejected from the read rotation: reads fail over to the next healthy
+// backend, and sync-mode writers stop waiting for it, so a dead replica
+// degrades capacity instead of wedging the tier. While ejected its applied
 // watermark no longer holds back replication-log truncation. When the
 // backend comes back it enters resync: the applier catches up by
 // replaying the log from its watermark, or — when the log has been
@@ -42,7 +42,7 @@
 // statement acquires one through an instrumented path — an in-use gauge,
 // a wait counter, and a wait-time histogram, surfaced by the server
 // variants as the db.inuse / db.wait / db.queries probes. Acquisition
-// is deadline-bounded (AcquireTimeout, paper time): a pool starved by a
+// is deadline-bounded (acquireTimeout, 10 paper-s): a pool starved by a
 // dead backend or a connection leak yields ErrAcquireTimeout instead of
 // blocking the handler forever. Applier connections are separate from
 // the pools, so replication never starves read capacity. Because a
@@ -79,17 +79,20 @@ var ErrBackendDown = errors.New("dbtier: backend down")
 // for blocking forever on a starved pool.
 var ErrAcquireTimeout = errors.New("dbtier: connection acquisition timed out")
 
-// defaultMaxLag bounds async-mode replica staleness, in commits.
-const defaultMaxLag = 256
-
-// Failover settings, in paper time where durations. failThreshold is
-// how many consecutive failures (statement errors on a down backend, or
-// unhealthy health-check ticks) eject a replica from the read rotation.
+// Replication and failover settings, in paper time where durations.
+// maxLag bounds how many commits the slowest replica may trail the
+// primary in async mode before writers are backpressured.
+// failThreshold is how many consecutive failures (statement errors on a
+// down backend, or unhealthy health-check ticks) eject a replica from
+// the read rotation. acquireTimeout bounds pooled-connection
+// acquisition; slowThreshold ejects a replica whose injected statement
+// latency exceeds it.
 const (
-	failThreshold         = 3
-	defaultAcquireTimeout = 10 * time.Second
-	defaultSlowThreshold  = time.Second
-	healthInterval        = time.Second
+	maxLag         = 256
+	failThreshold  = 3
+	acquireTimeout = 10 * time.Second
+	slowThreshold  = time.Second
+	healthInterval = time.Second
 )
 
 // Backend health states.
@@ -111,25 +114,14 @@ type Options struct {
 	// Clock times acquisition waits and schedules health checks;
 	// defaults to the real clock.
 	Clock clock.Clock
-	// Scale converts the tier's paper-time deadlines (AcquireTimeout,
-	// SlowThreshold, health-check cadence) to wall time; zero or
+	// Scale converts the tier's paper-time deadlines (acquireTimeout,
+	// slowThreshold, health-check cadence) to wall time; zero or
 	// negative means clock.RealTime.
 	Scale clock.Timescale
 	// Async selects asynchronous replication: Exec returns at primary
 	// commit instead of waiting for every replica to apply. False — the
 	// default — preserves the old synchronous external behavior.
 	Async bool
-	// MaxLag bounds how many commits the slowest replica may trail the
-	// primary in async mode before writers are backpressured; <= 0
-	// means defaultMaxLag. Ignored in sync mode.
-	MaxLag int
-	// AcquireTimeout bounds pooled-connection acquisition, in paper
-	// time. Zero means the 10 s default; negative disables the deadline
-	// (the old block-forever behavior).
-	AcquireTimeout time.Duration
-	// SlowThreshold ejects a replica whose injected statement latency
-	// exceeds it, in paper time; <= 0 means 1 s.
-	SlowThreshold time.Duration
 }
 
 // backend is one engine plus its bounded connection pool. The engine
@@ -172,10 +164,7 @@ type Tier struct {
 	scale    clock.Timescale
 	poolSize int
 	async    bool
-	maxLag   int64
-
-	acquireTimeout time.Duration // paper; <= 0 disables
-	slowThreshold  time.Duration // paper
+	lagBound int64 // maxLag; the staleness test lowers it
 
 	next      atomic.Uint64 // round-robin read cursor
 	done      chan struct{}
@@ -237,24 +226,13 @@ func New(primary *sqldb.DB, opts Options) *Tier {
 	if opts.Scale <= 0 {
 		opts.Scale = clock.RealTime
 	}
-	if opts.MaxLag <= 0 {
-		opts.MaxLag = defaultMaxLag
-	}
-	if opts.AcquireTimeout == 0 {
-		opts.AcquireTimeout = defaultAcquireTimeout
-	}
-	if opts.SlowThreshold <= 0 {
-		opts.SlowThreshold = defaultSlowThreshold
-	}
 	t := &Tier{
-		clk:            opts.Clock,
-		scale:          opts.Scale,
-		poolSize:       opts.Conns,
-		async:          opts.Async,
-		maxLag:         int64(opts.MaxLag),
-		acquireTimeout: opts.AcquireTimeout,
-		slowThreshold:  opts.SlowThreshold,
-		done:           make(chan struct{}),
+		clk:      opts.Clock,
+		scale:    opts.Scale,
+		poolSize: opts.Conns,
+		async:    opts.Async,
+		lagBound: maxLag,
+		done:     make(chan struct{}),
 	}
 	if opts.Replicas > 1 {
 		// Enable the log before cloning: every commit after a clone's
@@ -488,7 +466,7 @@ func (t *Tier) healthLoop() {
 // checkHealth advances one replica's health state machine by one tick.
 func (t *Tier) checkHealth(r *replica) {
 	b := r.b
-	healthy := !b.down.Load() && time.Duration(b.delay.Load()) <= t.slowThreshold
+	healthy := !b.down.Load() && time.Duration(b.delay.Load()) <= slowThreshold
 	switch b.state.Load() {
 	case stateActive:
 		if healthy {
@@ -603,7 +581,7 @@ func (t *Tier) RestartBackend(i int) error {
 
 // SetBackendDelay injects d of added paper-time latency into every
 // statement executed on backend i (0 is the primary). Delays beyond
-// SlowThreshold get a replica ejected from the rotation; zero clears
+// slowThreshold get a replica ejected from the rotation; zero clears
 // the injection.
 func (t *Tier) SetBackendDelay(i int, d time.Duration) error {
 	if i < 0 || i >= len(t.backends) {
@@ -741,11 +719,11 @@ func (t *Tier) waitApplied(ts int64) {
 }
 
 // waitLag blocks while the slowest in-rotation replica trails ts by
-// more than MaxLag — async mode's bounded-staleness backpressure.
+// more than maxLag — async mode's bounded-staleness backpressure.
 func (t *Tier) waitLag(ts int64) {
-	for ts-t.minActiveApplied() > t.maxLag {
+	for ts-t.minActiveApplied() > t.lagBound {
 		ch := t.progress()
-		if ts-t.minActiveApplied() <= t.maxLag {
+		if ts-t.minActiveApplied() <= t.lagBound {
 			return
 		}
 		select {
@@ -787,10 +765,7 @@ func (t *Tier) acquire(b *backend) (*sqldb.Conn, error) {
 	}
 	t.waits.Inc()
 	start := t.clk.Now()
-	var timeout <-chan time.Time
-	if t.acquireTimeout > 0 {
-		timeout = t.clk.After(t.scale.Wall(t.acquireTimeout))
-	}
+	timeout := t.clk.After(t.scale.Wall(acquireTimeout))
 	select {
 	case c := <-pool:
 		t.waitTime.Observe(t.clk.Since(start))
@@ -888,7 +863,7 @@ func (t *Tier) Sum(counter func(*sqldb.DB) int64) int64 {
 
 // ReplLag reports how many commits the slowest in-rotation replica
 // currently trails the primary — zero with no replicas, bounded by
-// MaxLag under async backpressure, and transiently nonzero even in
+// maxLag under async backpressure, and transiently nonzero even in
 // sync mode (the wait happens in Exec, not under a lock).
 func (t *Tier) ReplLag() int64 {
 	if len(t.replicas) == 0 {
@@ -957,7 +932,7 @@ func (c *Conn) Query(sql string, args ...any) (*sqldb.ResultSet, error) {
 // Exec executes a DML statement on the primary. In sync mode it then
 // waits (holding no pooled connection) until every in-rotation replica
 // has applied the statement; in async mode it returns immediately
-// unless the slowest in-rotation replica is more than MaxLag commits
+// unless the slowest in-rotation replica is more than maxLag commits
 // behind.
 func (c *Conn) Exec(sql string, args ...any) (sqldb.ExecResult, error) {
 	b := c.t.backends[0]

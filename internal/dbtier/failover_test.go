@@ -95,11 +95,12 @@ func TestFailoverEjectReintegrateReadYourWrites(t *testing.T) {
 
 // TestAcquireTimeout proves pooled-connection acquisition no longer
 // blocks forever: with the whole pool leaked away, a statement fails
-// with the typed ErrAcquireTimeout after the paper-time deadline, and
-// recovers once capacity returns.
+// with the typed ErrAcquireTimeout after the paper-time deadline (10 s,
+// 0.5 ms of wall time at this scale), and recovers once capacity
+// returns.
 func TestAcquireTimeout(t *testing.T) {
 	db := newTierDB(t)
-	tier := New(db, Options{Replicas: 1, Conns: 1, Scale: 1000, AcquireTimeout: 500 * time.Millisecond})
+	tier := New(db, Options{Replicas: 1, Conns: 1, Scale: 20000})
 	defer tier.Close()
 	c := tier.Conn()
 
@@ -118,11 +119,11 @@ func TestAcquireTimeout(t *testing.T) {
 }
 
 // TestSlowReplicaEjectedAndHealed proves the latency path of the health
-// loop: an injected statement delay beyond SlowThreshold ejects the
-// replica; clearing it brings the replica back.
+// loop: an injected statement delay beyond slowThreshold (1 s) ejects
+// the replica; clearing it brings the replica back.
 func TestSlowReplicaEjectedAndHealed(t *testing.T) {
 	db := newTierDB(t)
-	tier := New(db, Options{Replicas: 2, Conns: 2, Scale: 2000, SlowThreshold: time.Second})
+	tier := New(db, Options{Replicas: 2, Conns: 2, Scale: 2000})
 	defer tier.Close()
 	if err := tier.SetBackendDelay(1, 5*time.Second); err != nil {
 		t.Fatal(err)

@@ -50,20 +50,35 @@ func TestAsyncReplicationConverges(t *testing.T) {
 }
 
 // TestAsyncBoundedStaleness: writers are backpressured once the slowest
-// replica trails by more than MaxLag, so the lag probe can never grow
-// without bound.
+// replica trails by more than maxLag, so the lag probe can never grow
+// without bound. Four times maxLag writes must keep within it; then the
+// bound is lowered to one the replica surely falls behind by (under
+// -race it may not trail by maxLag), and the lag must reach it and no
+// more.
 func TestAsyncBoundedStaleness(t *testing.T) {
 	db := newTierDB(t)
-	tier := New(db, Options{Replicas: 2, Conns: 2, Async: true, MaxLag: 4})
+	tier := New(db, Options{Replicas: 2, Conns: 2, Async: true})
 	defer tier.Close()
 	c := tier.Conn()
-	for i := 0; i < 200; i++ {
-		if _, err := c.Exec("UPDATE kv SET v = ? WHERE id = 1", fmt.Sprintf("w%d", i)); err != nil {
-			t.Fatal(err)
+	write := func(n int) (peak int64) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := c.Exec("UPDATE kv SET v = ? WHERE id = 1", fmt.Sprintf("w%d", i)); err != nil {
+				t.Fatal(err)
+			}
+			lag := tier.ReplLag()
+			if lag > tier.lagBound {
+				t.Fatalf("lag %d exceeded bound %d after write %d", lag, tier.lagBound, i)
+			}
+			peak = max(peak, lag)
 		}
-		if lag := tier.ReplLag(); lag > 4 {
-			t.Fatalf("lag %d exceeded MaxLag 4 after write %d", lag, i)
-		}
+		return peak
+	}
+	write(4 * maxLag)
+	tier.Sync()
+	tier.lagBound = 4
+	if peak := write(200); peak != tier.lagBound {
+		t.Fatalf("peak lag %d over 200 writes, want the bound %d: backpressure never engaged", peak, tier.lagBound)
 	}
 	tier.Sync()
 }
@@ -201,7 +216,8 @@ func BenchmarkWrite(b *testing.B) {
 	}{{"lock/sync", false, false}, {"mvcc/sync", true, false}, {"mvcc/async", true, true}} {
 		for _, replicas := range []int{1, 2, 4} {
 			b.Run(fmt.Sprintf("%s/replicas=%d", mode.name, replicas), func(b *testing.B) {
-				db := sqldb.Open(sqldb.Options{Cost: sqldb.ZeroCostModel(), MVCC: mode.mvcc})
+				db := sqldb.Open(sqldb.Options{Cost: sqldb.ZeroCostModel()})
+				db.SetMVCC(mode.mvcc)
 				db.MustCreateTable(sqldb.Schema{
 					Table:      "kv",
 					Columns:    []sqldb.Column{{Name: "id", Type: sqldb.Int}, {Name: "v", Type: sqldb.String}},

@@ -87,7 +87,6 @@ type Config struct {
 	Measure  time.Duration `json:"measure_ns"`
 	CoolDown time.Duration `json:"cool_down_ns"`
 
-	FetchImages bool `json:"fetch_images"`
 	// ThinkExponential selects TPC-W's negative-exponential think time
 	// (mean 7 s) instead of uniform 0.7–7 s.
 	ThinkExponential bool  `json:"think_exponential"`
@@ -167,7 +166,6 @@ func PaperConfig(variantName string, scale clock.Timescale) Config {
 		RampUp:           5 * time.Minute,
 		Measure:          50 * time.Minute,
 		CoolDown:         5 * time.Minute,
-		FetchImages:      true,
 		ThinkExponential: true,
 		Seed:             1,
 		Populate:         tpcw.PopulateConfig{},
@@ -193,17 +191,16 @@ func QuickConfig(variantName string, scale clock.Timescale) Config {
 	cost := sqldb.DefaultCostModel()
 	cost.PerRowScanned = 1500 * time.Microsecond // 2000 rows -> ~3 s scans
 	return Config{
-		Variant:     variantName,
-		Scale:       scale,
-		EBs:         100,
-		RampUp:      30 * time.Second,
-		Measure:     5 * time.Minute,
-		CoolDown:    15 * time.Second,
-		FetchImages: true,
-		Seed:        1,
-		Populate:    tpcw.PopulateConfig{Items: 2000, Customers: 600, Orders: 520},
-		Cost:        cost,
-		Work:        server.DefaultWorkCost(),
+		Variant:  variantName,
+		Scale:    scale,
+		EBs:      100,
+		RampUp:   30 * time.Second,
+		Measure:  5 * time.Minute,
+		CoolDown: 15 * time.Second,
+		Seed:     1,
+		Populate: tpcw.PopulateConfig{Items: 2000, Customers: 600, Orders: 520},
+		Cost:     cost,
+		Work:     server.DefaultWorkCost(),
 		Defaults: variant.Settings{
 			"workers": "26", "header": "16", "static": "16", "general": "21",
 			"lengthy": "5", "render": "16", "minreserve": "5",
@@ -536,7 +533,7 @@ func (r *run) serve() error {
 			Mix:              r.mix,
 			Customers:        r.counts.Customers,
 			Items:            r.counts.Items,
-			FetchImages:      cfg.FetchImages,
+			FetchImages:      true, // TPC-W counts a page's images in the interaction
 			ThinkExponential: cfg.ThinkExponential,
 			Seed:             cfg.Seed,
 		},
@@ -572,7 +569,10 @@ func (r *run) serve() error {
 		metrics.Source{Gauge: func() float64 { _, t := stats.SLOCounts(); return float64(t) }, Dst: r.sloTotal})
 
 	go func() { _ = inst.Serve(l) }()
-	r.onStop(metrics.StartSampler(clock.Real{}, second, srcs).Stop)
+	// Sampling ends with the cool-down, not when teardown has drained
+	// the generator, so every run's series have the same length.
+	coolDownEnd := r.measureEnd.Add(cfg.Scale.Wall(cfg.CoolDown))
+	r.onStop(metrics.StartSampler(clock.Real{}, second, coolDownEnd, srcs).Stop)
 	return nil
 }
 

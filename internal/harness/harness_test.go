@@ -551,3 +551,31 @@ func TestRunTearsDown(t *testing.T) {
 		}
 	}
 }
+
+// TestSeriesEndWithCoolDown: sampling ends with the cool-down, so no
+// per-second series holds a point at or past Measure + CoolDown, though
+// teardown still drains the interactions in flight then.
+func TestSeriesEndWithCoolDown(t *testing.T) {
+	cfg := sweepConfig(variant.Unmodified)
+	// 100 items at 50 ms a row: a scan page takes 5 paper seconds, so
+	// interactions are in flight when the cool-down ends.
+	cfg.Cost.PerRowScanned = 50 * time.Millisecond
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, limit := cfg.Scale.Wall(time.Second), int((cfg.Measure+cfg.CoolDown)/time.Second)
+	n := 0
+	for name, s := range res.Series {
+		if s.Width() != second {
+			continue
+		}
+		n++
+		if got := len(s.Points()); got == 0 || got > limit {
+			t.Errorf("%s: %d points, want 1 to %d (Measure + CoolDown in seconds)", name, got, limit)
+		}
+	}
+	if n == 0 {
+		t.Fatal("no per-second series")
+	}
+}

@@ -140,10 +140,11 @@ type Sampler struct {
 	done chan struct{}
 }
 
-// StartSampler samples srcs every interval until Stop is called. The
-// interval is interpreted on clk (wall time for experiments, manual
-// time for tests), and each tick's readings are stamped with its time.
-func StartSampler(clk clock.Clock, interval time.Duration, srcs []Source) *Sampler {
+// StartSampler samples srcs every interval until a tick reaches until,
+// which it drops, or until Stop is called. The interval is interpreted
+// on clk (wall time for experiments, manual time for tests), and each
+// tick's readings are stamped with its time.
+func StartSampler(clk clock.Clock, interval time.Duration, until time.Time, srcs []Source) *Sampler {
 	s := &Sampler{stop: make(chan struct{}), done: make(chan struct{})}
 	tk := clk.NewTicker(interval)
 	go func() {
@@ -154,6 +155,9 @@ func StartSampler(clk clock.Clock, interval time.Duration, srcs []Source) *Sampl
 			case <-s.stop:
 				return
 			case now := <-tk.C():
+				if !now.Before(until) {
+					return
+				}
 				for _, src := range srcs {
 					src.Dst.Observe(now, src.Gauge())
 				}

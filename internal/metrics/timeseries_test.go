@@ -71,7 +71,8 @@ func TestSeriesInvalidWidthPanics(t *testing.T) {
 
 // TestSamplerCollectsOnTicks: one sampler over N sources, advanced K
 // ticks, gives N series of K points each, at the tick offsets, each
-// point the source's reading at that tick.
+// point the source's reading at that tick. The tick at until is
+// dropped and ends the sampling.
 func TestSamplerCollectsOnTicks(t *testing.T) {
 	const n, k = 3, 4
 	clk := clock.NewManual(tsEpoch)
@@ -84,7 +85,7 @@ func TestSamplerCollectsOnTicks(t *testing.T) {
 			Dst:   NewSeries(tsEpoch.Add(time.Second), time.Second, AggLast),
 		}
 	}
-	sampler := StartSampler(clk, time.Second, srcs)
+	sampler := StartSampler(clk, time.Second, tsEpoch.Add((k+1)*time.Second), srcs)
 	defer sampler.Stop()
 
 	clk.BlockUntilWaiters(1)
@@ -94,6 +95,12 @@ func TestSamplerCollectsOnTicks(t *testing.T) {
 		for _, src := range srcs {
 			waitForLen(t, src.Dst, j)
 		}
+	}
+	clk.Advance(time.Second) // the tick at until
+	select {
+	case <-sampler.done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("sampler still running after the tick at until")
 	}
 	for i, src := range srcs {
 		pts := src.Dst.Points()
@@ -122,7 +129,7 @@ func waitForLen(t *testing.T, s *Series, n int) {
 func TestSamplerStopIdempotentGoroutine(t *testing.T) {
 	clk := clock.NewManual(tsEpoch)
 	s := NewSeries(tsEpoch, time.Second, AggLast)
-	sampler := StartSampler(clk, time.Second, []Source{{Gauge: func() float64 { return 1 }, Dst: s}})
+	sampler := StartSampler(clk, time.Second, tsEpoch.Add(time.Hour), []Source{{Gauge: func() float64 { return 1 }, Dst: s}})
 	sampler.Stop() // must not deadlock
 }
 

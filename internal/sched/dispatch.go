@@ -1,5 +1,7 @@
 package sched
 
+import "stagedweb/internal/metrics"
+
 // Target is the dynamic-request pool a request is dispatched to.
 type Target int
 
@@ -40,12 +42,10 @@ type Dispatcher struct {
 	cls   *Classifier
 	rc    *ReserveController
 	spare func() int // live spare-thread count of the general pool
-	hook  Hook
-}
 
-// Hook observes every dispatch decision — servers hang per-target
-// counters and diagnostics off it.
-type Hook func(key string, target Target)
+	// Choose's decisions, by target pool.
+	toGeneral, toLengthy metrics.Counter
+}
 
 // NewDispatcher wires the classifier, reserve controller, and the general
 // pool's spare-count source.
@@ -56,19 +56,22 @@ func NewDispatcher(cls *Classifier, rc *ReserveController, spare func() int) *Di
 	return &Dispatcher{cls: cls, rc: rc, spare: spare}
 }
 
-// SetHook registers fn to observe every decision. It must be called
-// before dispatching begins; the field is read without synchronization.
-func (d *Dispatcher) SetHook(fn Hook) { d.hook = fn }
-
 // Choose picks the pool for a dynamic request identified by its page key,
 // and reports whether the request classified lengthy: a lengthy request
 // sent to the general pool holds a slot the reserve gave up.
 func (d *Dispatcher) Choose(key string) (t Target, lengthy bool) {
 	t, lengthy = d.choose(key)
-	if d.hook != nil {
-		d.hook(key, t)
+	if t == Lengthy {
+		d.toLengthy.Inc()
+	} else {
+		d.toGeneral.Inc()
 	}
 	return t, lengthy
+}
+
+// Dispatched reports Choose's decisions so far, by target pool.
+func (d *Dispatcher) Dispatched() (general, lengthy int64) {
+	return d.toGeneral.Value(), d.toLengthy.Value()
 }
 
 func (d *Dispatcher) choose(key string) (Target, bool) {

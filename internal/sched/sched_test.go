@@ -209,6 +209,11 @@ func TestDispatchRules(t *testing.T) {
 			}
 		})
 	}
+	// Every Choose counts once, under the pool it picked: Overflow,
+	// the release-time rule, counts nothing.
+	if general, lengthy := d.Dispatched(); general != 4 || lengthy != 2 {
+		t.Fatalf("Dispatched() = %d general, %d lengthy; want 4, 2", general, lengthy)
+	}
 }
 
 func TestDispatcherAccessors(t *testing.T) {

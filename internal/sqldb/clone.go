@@ -27,7 +27,7 @@ func (db *DB) Clone() *DB {
 func (db *DB) CloneSnapshot() (*DB, int64) {
 	clone := &DB{
 		tables:    make(map[string]*table, 16),
-		stmts:     newStmtCache(db.stmts.cap),
+		stmts:     newStmtCache(),
 		clk:       db.clk,
 		ts:        db.ts,
 		cost:      db.cost,

@@ -179,7 +179,8 @@ func TestIndexedEqualityChargesLess(t *testing.T) {
 			name = "mvcc"
 		}
 		t.Run(name, func(t *testing.T) {
-			db := Open(Options{Cost: ZeroCostModel(), MVCC: mvcc})
+			db := Open(Options{Cost: ZeroCostModel()})
+			db.SetMVCC(mvcc)
 			db.MustCreateTable(Schema{
 				Table: "t",
 				Columns: []Column{

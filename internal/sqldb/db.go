@@ -21,13 +21,6 @@ type Options struct {
 	// "explicitly zero" are distinguishable, so tests that want free
 	// statements must say so with ZeroCostModel (or &CostModel{}).
 	Cost *CostModel
-	// MVCC selects the concurrency discipline at open; SetMVCC can flip
-	// it later (between statements). Off means the paper-faithful
-	// per-table reader/writer lock.
-	MVCC bool
-	// StmtCacheSize bounds the prepared-statement LRU; <= 0 means the
-	// default (defaultStmtCacheSize).
-	StmtCacheSize int
 }
 
 // DB is the embedded database engine. It is safe for concurrent use by
@@ -91,19 +84,18 @@ func Open(opts Options) *DB {
 		m := DefaultCostModel()
 		opts.Cost = &m
 	}
-	db := &DB{
+	return &DB{
 		tables:    make(map[string]*table, 16),
-		stmts:     newStmtCache(opts.StmtCacheSize),
+		stmts:     newStmtCache(),
 		clk:       opts.Clock,
 		ts:        opts.Timescale,
 		cost:      *opts.Cost,
 		snapCount: make(map[int64]int),
 	}
-	db.mvcc.Store(opts.MVCC)
-	return db
 }
 
-// SetMVCC flips the concurrency discipline. Safe to call on a live
+// SetMVCC selects the concurrency discipline: off (the default) is the
+// paper-faithful per-table reader/writer lock. Safe to call on a live
 // database; statements already in flight finish under the discipline
 // they started with.
 func (db *DB) SetMVCC(on bool) { db.mvcc.Store(on) }

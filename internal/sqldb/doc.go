@@ -136,7 +136,7 @@
 // code of each column they are built for; a clone builds its own.
 //
 // Two concurrency disciplines
-// interpret that storage, selected by Options.MVCC / DB.SetMVCC:
+// interpret that storage, selected by DB.SetMVCC:
 //
 //   - mvcc=off (default): any number of connections may execute
 //     concurrently; each statement locks the tables it touches (read or

@@ -57,7 +57,8 @@ var eqWords = []string{"alpha", "beta", "Beta", "gamma", "delta gamma", "x"}
 
 func eqPopulate(t *testing.T, rng *rand.Rand, mvcc, extra bool) (*Conn, *eqData) {
 	t.Helper()
-	db := Open(Options{Cost: ZeroCostModel(), MVCC: mvcc})
+	db := Open(Options{Cost: ZeroCostModel()})
+	db.SetMVCC(mvcc)
 	for _, s := range eqSchema {
 		db.MustCreateTable(s)
 	}

@@ -24,7 +24,8 @@ func FuzzParse(f *testing.F) {
 	}
 	var conns []*sqldb.Conn
 	for _, mvcc := range []bool{false, true} {
-		db := sqldb.Open(sqldb.Options{Cost: sqldb.ZeroCostModel(), MVCC: mvcc})
+		db := sqldb.Open(sqldb.Options{Cost: sqldb.ZeroCostModel()})
+		db.SetMVCC(mvcc)
 		if err := tpcw.CreateTables(db); err != nil {
 			f.Fatal(err)
 		}

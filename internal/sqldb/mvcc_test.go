@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -11,7 +12,8 @@ import (
 
 func mvccTestDB(t *testing.T, on bool) (*DB, *Conn) {
 	t.Helper()
-	db := Open(Options{Cost: ZeroCostModel(), MVCC: on})
+	db := Open(Options{Cost: ZeroCostModel()})
+	db.SetMVCC(on)
 	db.MustCreateTable(Schema{
 		Table: "hot",
 		Columns: []Column{
@@ -381,7 +383,7 @@ func TestTombstonesReleaseDeletedRows(t *testing.T) {
 }
 
 func TestStmtCacheLRU(t *testing.T) {
-	db := Open(Options{Cost: ZeroCostModel(), StmtCacheSize: 8})
+	db := Open(Options{Cost: ZeroCostModel()})
 	db.MustCreateTable(Schema{
 		Table:      "t",
 		Columns:    []Column{{Name: "id", Type: Int}},
@@ -391,35 +393,33 @@ func TestStmtCacheLRU(t *testing.T) {
 	defer c.Close()
 	mustExec(t, c, "INSERT INTO t (id) VALUES (1)")
 
-	// 40 distinct literal-inlined statements through a cap-8 cache.
-	stmts := []string{
-		"SELECT id FROM t WHERE id = 1", "SELECT id FROM t WHERE id = 2",
-		"SELECT id FROM t WHERE id = 3", "SELECT id FROM t WHERE id = 4",
-		"SELECT id FROM t WHERE id = 5", "SELECT id FROM t WHERE id = 6",
-		"SELECT id FROM t WHERE id = 7", "SELECT id FROM t WHERE id = 8",
-		"SELECT id FROM t WHERE id = 9", "SELECT id FROM t WHERE id = 10",
+	// Twice the bound in distinct literal-inlined statements, two rounds.
+	stmts := make([]string, 2*stmtCacheSize)
+	for i := range stmts {
+		stmts[i] = fmt.Sprintf("SELECT id FROM t WHERE id = %d", i+1)
 	}
-	for round := 0; round < 4; round++ {
+	for round := 0; round < 2; round++ {
 		for _, q := range stmts {
 			if _, err := c.Query(q); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if got := db.stmts.len(); got > 8 {
-		t.Fatalf("cache grew past its bound: %d entries, cap 8", got)
+	if got := db.stmts.len(); got != stmtCacheSize {
+		t.Fatalf("cache holds %d entries after %d distinct statements, want its bound %d", got, len(stmts), stmtCacheSize)
 	}
 	if db.StmtCacheMisses() == 0 {
 		t.Fatalf("miss counter: misses=%d", db.StmtCacheMisses())
 	}
 
-	// Recency: the hot statement survives a flood of cold ones.
-	hot := "SELECT id FROM t WHERE id = 1"
-	for i := 0; i < 7; i++ {
+	// Recency: the hot statement survives a flood of cold ones, more
+	// than the bound of them.
+	hot := stmts[0]
+	for _, q := range stmts[1:] {
 		if _, err := c.Query(hot); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Query(stmts[1+i%9]); err != nil {
+		if _, err := c.Query(q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -557,7 +557,8 @@ func BenchmarkReadHotWriteHot(b *testing.B) {
 		mvcc bool
 	}{{"lock", false}, {"mvcc", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			db := Open(Options{Cost: &CostModel{PerStatement: 200 * time.Microsecond}, MVCC: mode.mvcc, Clock: clock.Precise{}})
+			db := Open(Options{Cost: &CostModel{PerStatement: 200 * time.Microsecond}, Clock: clock.Precise{}})
+			db.SetMVCC(mode.mvcc)
 			db.MustCreateTable(Schema{
 				Table:      "hot",
 				Columns:    []Column{{Name: "id", Type: Int}, {Name: "v", Type: Int}},

@@ -153,7 +153,8 @@ func TestPKIndexCloneIsIndependent(t *testing.T) {
 func TestPKProbeWhileGrowing(t *testing.T) {
 	const rows = 5*slotChunkSize + 17
 	const far = 3000 // an outlier until the table passes it
-	db := Open(Options{Cost: ZeroCostModel(), MVCC: true})
+	db := Open(Options{Cost: ZeroCostModel()})
+	db.SetMVCC(true)
 	db.MustCreateTable(Schema{
 		Table:      "g",
 		Columns:    []Column{{Name: "id", Type: Int}, {Name: "v", Type: Int}},

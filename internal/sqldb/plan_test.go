@@ -16,7 +16,8 @@ import (
 // the table is big enough for a scan to lose.
 func planTestDB(t *testing.T, mvcc bool) (*DB, *Conn) {
 	t.Helper()
-	db := Open(Options{Cost: ZeroCostModel(), MVCC: mvcc})
+	db := Open(Options{Cost: ZeroCostModel()})
+	db.SetMVCC(mvcc)
 	db.MustCreateTable(Schema{
 		Table: "orders",
 		Columns: []Column{
@@ -224,7 +225,8 @@ func TestCreateIndexReplansCachedStatements(t *testing.T) {
 func TestOrderedIndexMatchesScanProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		db := Open(Options{Cost: ZeroCostModel(), MVCC: seed%2 == 0})
+		db := Open(Options{Cost: ZeroCostModel()})
+		db.SetMVCC(seed%2 == 0)
 		db.MustCreateTable(Schema{
 			Table: "t",
 			Columns: []Column{

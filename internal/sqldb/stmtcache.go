@@ -7,11 +7,11 @@ import (
 	"stagedweb/internal/metrics"
 )
 
-// defaultStmtCacheSize bounds the per-DB prepared-statement cache. TPC-W
-// issues a few dozen distinct parameterized statements, so the default
+// stmtCacheSize bounds the per-DB prepared-statement cache. TPC-W
+// issues a few dozen distinct parameterized statements, so the bound
 // keeps every hot plan resident while non-parameterized SQL (literals
 // inlined into the text) can no longer grow the cache without bound.
-const defaultStmtCacheSize = 256
+const stmtCacheSize = 256
 
 // stmtCache is a small LRU over parsed-and-planned statements keyed by
 // SQL text. Every entry records the index epoch its plan was built
@@ -20,7 +20,6 @@ const defaultStmtCacheSize = 256
 // full-scan plans resident.
 type stmtCache struct {
 	mu    sync.Mutex
-	cap   int
 	m     map[string]*list.Element
 	order *list.List // front = most recently used
 
@@ -34,13 +33,9 @@ type stmtCacheEntry struct {
 	epoch int64 // index epoch the plan was built under
 }
 
-func newStmtCache(capacity int) *stmtCache {
-	if capacity <= 0 {
-		capacity = defaultStmtCacheSize
-	}
+func newStmtCache() *stmtCache {
 	return &stmtCache{
-		cap:   capacity,
-		m:     make(map[string]*list.Element, capacity),
+		m:     make(map[string]*list.Element, stmtCacheSize),
 		order: list.New(),
 	}
 }
@@ -85,7 +80,7 @@ func (c *stmtCache) put(sql string, s stmt, epoch int64) {
 		return
 	}
 	c.m[sql] = c.order.PushFront(&stmtCacheEntry{sql: sql, s: s, epoch: epoch})
-	if c.order.Len() > c.cap {
+	if c.order.Len() > stmtCacheSize {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
 		delete(c.m, oldest.Value.(*stmtCacheEntry).sql)

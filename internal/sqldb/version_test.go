@@ -14,7 +14,8 @@ import (
 // key and probes t's.
 func keyTestDB(t *testing.T, mvcc bool) (*DB, *Conn) {
 	t.Helper()
-	db := Open(Options{Cost: ZeroCostModel(), MVCC: mvcc})
+	db := Open(Options{Cost: ZeroCostModel()})
+	db.SetMVCC(mvcc)
 	db.MustCreateTable(Schema{
 		Table:      "t",
 		Columns:    []Column{{Name: "id", Type: Int}, {Name: "v", Type: String}},

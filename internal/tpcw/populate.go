@@ -19,8 +19,11 @@ type PopulateConfig struct {
 	Items     int // default 10000
 	Customers int // default 2880
 	Orders    int // default 2592
-	Seed      int64
 }
+
+// populateSeed seeds the generator, so every population of one size is
+// the same dataset: the DSN'09 conference date.
+const populateSeed = 20090629
 
 func (c *PopulateConfig) fillDefaults() {
 	if c.Items <= 0 {
@@ -31,9 +34,6 @@ func (c *PopulateConfig) fillDefaults() {
 	}
 	if c.Orders <= 0 {
 		c.Orders = 2592
-	}
-	if c.Seed == 0 {
-		c.Seed = 20090629 // DSN'09 conference date
 	}
 }
 
@@ -78,7 +78,7 @@ func Populate(db *sqldb.DB, cfg PopulateConfig) (Counts, error) {
 // paper time: a database is set up before anything is measured on it.
 func PopulateShard(db *sqldb.DB, cfg PopulateConfig, owns func(cID int) bool) (Counts, error) {
 	cfg.fillDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(populateSeed))
 	c := db.Loader()
 	defer c.Close()
 

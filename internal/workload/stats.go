@@ -9,17 +9,15 @@ import (
 	"stagedweb/internal/metrics"
 )
 
-// Stats collects client-side measurements: per-page WIRT histograms and
-// completion counts. Recording can be gated to the measurement window —
+// Stats collects client-side measurements: per-page WIRT histograms,
+// whose counts are the completions, and per-page error counts. Recording can be gated to the measurement window —
 // the paper excludes the five-minute ramp-up and cool-down.
 type Stats struct {
 	recording atomic.Bool
 
-	mu       sync.Mutex
-	pages    map[string]*metrics.Histogram
-	counts   map[string]*int64
-	errs     map[string]*int64
-	errTotal atomic.Int64
+	mu    sync.Mutex
+	pages map[string]*metrics.Histogram
+	errs  map[string]*int64
 
 	// overall aggregates WIRT across all pages — the distribution tail
 	// quantiles (p99/p999) and SLO attainment are computed over the whole
@@ -37,9 +35,8 @@ type Stats struct {
 
 func newStats() *Stats {
 	s := &Stats{
-		pages:  make(map[string]*metrics.Histogram, 16),
-		counts: make(map[string]*int64, 16),
-		errs:   make(map[string]*int64, 16),
+		pages: make(map[string]*metrics.Histogram, 16),
+		errs:  make(map[string]*int64, 16),
 	}
 	s.recording.Store(true)
 	return s
@@ -53,9 +50,7 @@ func (s *Stats) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.pages = make(map[string]*metrics.Histogram, 16)
-	s.counts = make(map[string]*int64, 16)
 	s.errs = make(map[string]*int64, 16)
-	s.errTotal.Store(0)
 	s.overall.Reset()
 	s.sloWithin.Store(0)
 	s.sloTotal.Store(0)
@@ -73,7 +68,6 @@ func (s *Stats) record(page string, wirt time.Duration) {
 			s.sloWithin.Add(1)
 		}
 	}
-	atomic.AddInt64(s.counter(page), 1)
 }
 
 // OverallQuantile reports an approximate q-quantile of WIRT across all
@@ -107,7 +101,6 @@ func (s *Stats) recordError(page string) {
 	if !s.recording.Load() {
 		return
 	}
-	s.errTotal.Add(1)
 	s.mu.Lock()
 	c, ok := s.errs[page]
 	if !ok {
@@ -129,19 +122,14 @@ func (s *Stats) histogram(page string) *metrics.Histogram {
 	return h
 }
 
-func (s *Stats) counter(page string) *int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, ok := s.counts[page]
-	if !ok {
-		c = new(int64)
-		s.counts[page] = c
-	}
-	return c
-}
-
 // Errors reports the number of failed interactions.
-func (s *Stats) Errors() int64 { return s.errTotal.Load() }
+func (s *Stats) Errors() int64 {
+	var total int64
+	for _, p := range s.Pages() {
+		total += p.Errors
+	}
+	return total
+}
 
 // PageResult is one page's client-side summary.
 type PageResult struct {
@@ -206,11 +194,9 @@ func (s *Stats) Page(page string) PageResult {
 
 // TotalInteractions sums completed page interactions.
 func (s *Stats) TotalInteractions() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var total int64
-	for _, c := range s.counts {
-		total += atomic.LoadInt64(c)
+	for _, p := range s.Pages() {
+		total += p.Count
 	}
 	return total
 }

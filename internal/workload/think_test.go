@@ -21,13 +21,12 @@ func drawThinks(t *testing.T, cfg Config, n int) []time.Duration {
 }
 
 // TestThinkExponential checks TPC-W clause 5.3.2.2: a negative
-// exponential with the configured mean, truncated below at ThinkMin and
+// exponential with mean thinkMean, truncated below at thinkMin and
 // capped at ten times the mean.
 func TestThinkExponential(t *testing.T) {
 	const n = 50000
-	mean := 7 * time.Second
-	min := 700 * time.Millisecond
-	draws := drawThinks(t, Config{ThinkExponential: true, ThinkMean: mean, ThinkMin: min}, n)
+	mean, min := thinkMean, thinkMin
+	draws := drawThinks(t, Config{ThinkExponential: true}, n)
 
 	var sum time.Duration
 	for _, d := range draws {
@@ -48,11 +47,14 @@ func TestThinkExponential(t *testing.T) {
 }
 
 // TestThinkUniform checks the paper's literal "0.7 to 7 seconds" path:
-// every draw inside the configured bounds with the mean near the center.
+// every draw inside the bounds with the mean near the center.
 func TestThinkUniform(t *testing.T) {
 	const n = 50000
-	min, max := time.Second, 3*time.Second
-	draws := drawThinks(t, Config{ThinkMin: min, ThinkMax: max}, n)
+	min, max := 700*time.Millisecond, 7*time.Second
+	if thinkMin != min || thinkMax != max {
+		t.Fatalf("think bounds [%v, %v], want the paper's [%v, %v]", thinkMin, thinkMax, min, max)
+	}
+	draws := drawThinks(t, Config{}, n)
 	var sum time.Duration
 	for _, d := range draws {
 		if d < min || d > max {
@@ -64,16 +66,6 @@ func TestThinkUniform(t *testing.T) {
 	got := sum / n
 	if got < time.Duration(0.95*float64(center)) || got > time.Duration(1.05*float64(center)) {
 		t.Fatalf("uniform mean = %v, want near %v", got, center)
-	}
-}
-
-// TestThinkUniformDegenerate pins the ThinkMin == ThinkMax edge: a
-// zero-width span must draw exactly the bound, not panic in Int63n.
-func TestThinkUniformDegenerate(t *testing.T) {
-	for _, d := range drawThinks(t, Config{ThinkMin: 2 * time.Second, ThinkMax: 2 * time.Second}, 100) {
-		if d != 2*time.Second {
-			t.Fatalf("degenerate uniform drew %v, want exactly 2s", d)
-		}
 	}
 }
 

@@ -48,32 +48,35 @@ type Config struct {
 	// Nil means clock.Real; tests inject clock.Manual for deterministic
 	// fleets and the harness injects its experiment clock.
 	Clock clock.Clock
-	// ThinkMin/ThinkMax bound the think time in paper time; zero values
-	// take the TPC-W standard 0.7 s and 7 s.
-	ThinkMin, ThinkMax time.Duration
 	// ThinkExponential selects the TPC-W specification's think-time
-	// distribution: negative-exponential with mean ThinkMean, truncated
-	// below at ThinkMin and capped at ten times the mean. The default
-	// (false) draws uniformly from [ThinkMin, ThinkMax] — the paper's
-	// literal "0.7 to 7 seconds".
+	// distribution: negative-exponential with mean thinkMean (7 s),
+	// truncated below at thinkMin (0.7 s) and capped at ten times the
+	// mean. The default (false) draws uniformly from [thinkMin,
+	// thinkMax] — the paper's literal "0.7 to 7 seconds".
 	ThinkExponential bool
-	// ThinkMean is the exponential distribution's mean (default 7 s).
-	ThinkMean time.Duration
 	// Customers and Items are the population bounds for generated
 	// request parameters.
 	Customers, Items int
 	// FetchImages controls whether EBs download images referenced by
-	// each page (TPC-W includes them in the interaction).
+	// each page (TPC-W includes them in the interaction), at most
+	// maxImages a page.
 	FetchImages bool
-	// MaxImages caps the embedded images fetched per page.
-	MaxImages int
-	// DialTimeout bounds connection establishment, in paper time (it is
-	// scaled to wall time like think times, so a compressed run does not
-	// wait 1000 paper-seconds on a dead server). Zero takes 10 s.
-	DialTimeout time.Duration
 	// Seed makes the fleet deterministic.
 	Seed int64
 }
+
+// The browser's fixed settings, in paper time where durations: the
+// TPC-W think-time bounds and exponential mean, the cap on embedded
+// images fetched per page, and the connection-establishment bound (it
+// is scaled to wall time like think times, so a compressed run does not
+// wait 1000 paper-seconds on a dead server).
+const (
+	thinkMin    = 700 * time.Millisecond
+	thinkMax    = 7 * time.Second
+	thinkMean   = 7 * time.Second
+	maxImages   = 6
+	dialTimeout = 10 * time.Second
+)
 
 func (c *Config) fillDefaults() {
 	if c.EBs < 0 {
@@ -88,26 +91,11 @@ func (c *Config) fillDefaults() {
 	if c.Clock == nil {
 		c.Clock = clock.Real{}
 	}
-	if c.ThinkMin <= 0 {
-		c.ThinkMin = 700 * time.Millisecond
-	}
-	if c.ThinkMax <= 0 {
-		c.ThinkMax = 7 * time.Second
-	}
-	if c.ThinkMean <= 0 {
-		c.ThinkMean = 7 * time.Second
-	}
 	if c.Customers <= 0 {
 		c.Customers = 1
 	}
 	if c.Items <= 0 {
 		c.Items = 1
-	}
-	if c.MaxImages <= 0 {
-		c.MaxImages = 6
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 10 * time.Second
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -335,18 +323,11 @@ func (b *browser) run() {
 func (b *browser) thinkDuration() time.Duration {
 	if b.cfg.ThinkExponential {
 		// TPC-W clause 5.3.2.2: negative-exponential think time,
-		// truncated below at ThinkMin and capped at ten times the mean.
-		d := time.Duration(b.rng.ExpFloat64() * float64(b.cfg.ThinkMean))
-		if d < b.cfg.ThinkMin {
-			d = b.cfg.ThinkMin
-		}
-		if cap := 10 * b.cfg.ThinkMean; d > cap {
-			d = cap
-		}
-		return d
+		// truncated below at thinkMin and capped at ten times the mean.
+		d := time.Duration(b.rng.ExpFloat64() * float64(thinkMean))
+		return min(max(d, thinkMin), 10*thinkMean)
 	}
-	span := b.cfg.ThinkMax - b.cfg.ThinkMin
-	return b.cfg.ThinkMin + time.Duration(b.rng.Int63n(int64(span)+1))
+	return thinkMin + time.Duration(b.rng.Int63n(int64(thinkMax-thinkMin)+1))
 }
 
 // think sleeps the drawn think time scaled, interruptibly.
@@ -373,7 +354,7 @@ func (b *browser) interact(page string) {
 	b.tele.offered.Add(1)
 	url := b.buildURL(page)
 	start := b.cfg.Clock.Now()
-	conn, err := net.DialTimeout("tcp", b.cfg.Addr, b.cfg.Scale.Wall(b.cfg.DialTimeout))
+	conn, err := net.DialTimeout("tcp", b.cfg.Addr, b.cfg.Scale.Wall(dialTimeout))
 	if err != nil {
 		b.fail(page)
 		return
@@ -387,7 +368,7 @@ func (b *browser) interact(page string) {
 		return
 	}
 	if b.cfg.FetchImages {
-		for _, img := range extractImages(body, b.cfg.MaxImages) {
+		for _, img := range extractImages(body, maxImages) {
 			if _, _, err := get(conn, br, img); err != nil {
 				// Image failures charge the parent page: the EB asked
 				// for one interaction, not a raw image URL.

@@ -172,7 +172,7 @@ func TestExtractInt(t *testing.T) {
 func TestBuildURLSessionCoherence(t *testing.T) {
 	b := &browser{
 		cfg: Config{Customers: 10, Items: 100, Mix: tpcw.NewMix(tpcw.BrowsingMix),
-			Scale: clock.RealTime, MaxImages: 4},
+			Scale: clock.RealTime},
 		rng: rand.New(rand.NewSource(7)),
 		cID: 3,
 	}
