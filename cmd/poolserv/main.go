@@ -122,7 +122,7 @@ func run(args []string) error {
 func startStats(inst variant.Instance, every time.Duration) (stop func()) {
 	// Stats cadence is operator-facing wall time: a human watching a
 	// terminal wants a line every N real seconds regardless of timescale.
-	tk := time.NewTicker(every) //lint:allow wallclock(operator-facing stats cadence is wall time by definition)
+	tk := time.NewTicker(every)
 	done := make(chan struct{})
 	go func() {
 		defer tk.Stop()

@@ -82,7 +82,7 @@ func run(args []string) error {
 	}
 	fmt.Printf("driving %s load against %s for %v (paper time)...\n", *loadProf, *addr, *duration)
 	gen.Start()
-	time.Sleep(ts.Wall(*duration)) //lint:allow wallclock(CLI run duration elapses on the operator's wall clock)
+	time.Sleep(ts.Wall(*duration))
 	gen.Stop()
 
 	stats := gen.Stats()

@@ -74,13 +74,13 @@
 //
 // The invariants none of this encodes in types — timing flows through
 // the injected clock.Clock, nothing sleeps while holding a lock — are
-// machine-checked by cmd/vetcheck, two custom analyzers
-// (internal/analysis) that CI runs with `go run ./cmd/vetcheck ./...` on
-// every push; its tests also fail on any exported name that nothing
-// outside tests reads, and internal/analysis/catalog's tests on any
-// probe name or settings key the README tables do not document. Genuinely wall-bound sites are exempted in place
-// with //lint:allow analyzer(reason) comments; see the README's "Static
-// analysis" section.
+// tier-1 tests of internal/analysis, a test-only package that loads this
+// module and benchmark/ once each and type-checks them from source. Its
+// tests also fail on any exported name that nothing outside tests reads,
+// any config field that nothing outside tests sets, and any probe name or
+// settings key the README tables do not document. Genuinely wall-bound
+// or by-design sites are rows of one exception table, each with its
+// reason; see the README's "Static analysis" section.
 //
 // See README.md for the architecture, a walkthrough, design notes, and
 // how to run the experiments. cmd/experiments regenerates each table and

@@ -1,11 +1,4 @@
-// Package catalog holds the module's two string-keyed name spaces to
-// the README, which is their only catalog: the probe and series names
-// the harness samples, and the settings keys variant.Decoder reads.
-// Each name is declared once in Go (a constant or a decoder call) and
-// documented once in a README table. The package is test-only; its
-// tests load the whole module at once through framework.Standalone,
-// which is why they are tests and not analyzers.
-package catalog
+package analysis
 
 import (
 	"fmt"
@@ -20,8 +13,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"stagedweb/internal/analysis/framework"
 )
 
 // computedProbeNames lists the functions that build a variant.Probe
@@ -47,7 +38,7 @@ var (
 // TestShapes: every probe name the code samples is dotted lowercase,
 // and every settings key it decodes is one lowercase word.
 func TestShapes(t *testing.T) {
-	n, _, _ := load(t)
+	n, _, _ := loadCatalog(t)
 	for _, msg := range n.shapeErrs {
 		t.Error(msg)
 	}
@@ -60,18 +51,15 @@ func TestShapes(t *testing.T) {
 // name outside computedProbeNames, and an entry of that table that
 // names no such site.
 func TestProbesMatchDeclaringConstants(t *testing.T) {
-	n, docProbes, _ := load(t)
+	n, docProbes, _ := loadCatalog(t)
 	for _, msg := range n.probeErrs {
 		t.Error(msg)
 	}
 	undocumented(t, "probe name", n.probes, docProbes)
-	for site, reason := range computedProbeNames {
-		switch {
-		case reason == "":
-			t.Errorf("computedProbeNames[%s] has no reason", site)
-		case !n.computed[site]:
-			t.Errorf("computedProbeNames[%s] builds no probe with a computed name; drop the entry", site)
-		}
+	exists := func(site string) bool { return load(t).sites[site] }
+	needed := func(site string) bool { return n.computed[site] }
+	for _, msg := range checkUsed("computedProbeNames", computedProbeNames, exists, needed, "builds no probe with a computed name") {
+		t.Error(msg)
 	}
 }
 
@@ -80,7 +68,7 @@ func TestProbesMatchDeclaringConstants(t *testing.T) {
 // settings table's "Key" column, or a "Settings" column of the
 // load-profile or fault-plan table.
 func TestSettingsKeysMatchDecoderCalls(t *testing.T) {
-	n, _, docKeys := load(t)
+	n, _, docKeys := loadCatalog(t)
 	for _, msg := range n.keyErrs {
 		t.Error(msg)
 	}
@@ -90,7 +78,7 @@ func TestSettingsKeysMatchDecoderCalls(t *testing.T) {
 // TestReadmeDocumentsCatalog is the other direction: every series and
 // settings key the README tables document is one the code declares.
 func TestReadmeDocumentsCatalog(t *testing.T) {
-	n, docProbes, docKeys := load(t)
+	n, docProbes, docKeys := loadCatalog(t)
 	undeclared(t, "probe name", n.probes, docProbes)
 	undeclared(t, "settings key", n.keys, docKeys)
 }
@@ -116,34 +104,36 @@ func undeclared(t *testing.T, kind string, code map[string]string, readme map[st
 	}
 }
 
-var loaded struct {
+var catalog struct {
 	once               sync.Once
 	names              *names
 	docProbes, docKeys map[string]bool
 	err                error
 }
 
-// load collects the module's names once and reads the README's tables;
-// every test shares the result.
-func load(t *testing.T) (*names, map[string]bool, map[string]bool) {
+// loadCatalog collects the main module's names once and reads the
+// README's tables; every test shares the result.
+func loadCatalog(t *testing.T) (*names, map[string]bool, map[string]bool) {
 	t.Helper()
-	loaded.once.Do(func() {
-		n := &names{probes: map[string]string{}, keys: map[string]string{}, consts: map[string]string{}, computed: map[string]bool{}}
-		collector := &framework.Analyzer{Name: "names", Doc: "collect probe names and settings keys", Run: n.collect}
-		if _, loaded.err = framework.Standalone("", []*framework.Analyzer{collector}, "stagedweb/..."); loaded.err != nil {
+	prog := load(t)
+	catalog.once.Do(func() {
+		n := &names{fset: prog.fset, probes: map[string]string{}, keys: map[string]string{}, consts: map[string]string{}, computed: map[string]bool{}}
+		for _, p := range prog.pkgs {
+			if inMainModule(p.types.Path()) {
+				n.collect(p)
+			}
+		}
+		readme, err := os.ReadFile("../../README.md")
+		if catalog.err = err; err != nil {
 			return
 		}
-		readme, err := os.ReadFile("../../../README.md")
-		if loaded.err = err; err != nil {
-			return
-		}
-		loaded.names = n
-		loaded.docProbes, loaded.docKeys = readmeNames(string(readme))
+		catalog.names = n
+		catalog.docProbes, catalog.docKeys = readmeNames(string(readme))
 	})
-	if loaded.err != nil {
-		t.Fatal(loaded.err)
+	if catalog.err != nil {
+		t.Fatal(catalog.err)
 	}
-	return loaded.names, loaded.docProbes, loaded.docKeys
+	return catalog.names, catalog.docProbes, catalog.docKeys
 }
 
 // names accumulates, across the packages of one load, the probe names
@@ -151,6 +141,7 @@ func load(t *testing.T) (*names, map[string]bool, map[string]bool) {
 // constants (value → the first constant's name), and the rule
 // violations each test reports.
 type names struct {
+	fset         *token.FileSet
 	probes, keys map[string]string
 	consts       map[string]string
 	computed     map[string]bool // computedProbeNames sites seen
@@ -158,69 +149,50 @@ type names struct {
 	shapeErrs, probeErrs, keyErrs []string
 }
 
-func (n *names) errorf(errs *[]string, pass *framework.Pass, pos token.Pos, format string, args ...any) {
-	*errs = append(*errs, pass.Fset.Position(pos).String()+": "+fmt.Sprintf(format, args...))
+func (n *names) errorf(errs *[]string, pos token.Pos, format string, args ...any) {
+	*errs = append(*errs, n.fset.Position(pos).String()+": "+fmt.Sprintf(format, args...))
 }
 
 // collect records one package's names and the rule violations among
 // them.
-func (n *names) collect(pass *framework.Pass) error {
-	for _, f := range pass.Files {
+func (n *names) collect(p *pkg) {
+	for _, f := range p.files {
 		for _, decl := range f.Decls {
-			site := site(pass, decl)
+			site := p.siteOf(decl)
 			ast.Inspect(decl, func(node ast.Node) bool {
 				switch node := node.(type) {
 				case *ast.ValueSpec:
-					n.probeConstants(pass, node)
+					n.probeConstants(p, node)
 				case *ast.CompositeLit:
-					n.probeLiteral(pass, site, node)
+					n.probeLiteral(p, site, node)
 				case *ast.CallExpr:
-					n.decoderKey(pass, node)
+					n.decoderKey(p, node)
 				}
 				return true
 			})
 		}
 	}
-	return nil
 }
 
-// site names the declaration decl as computedProbeNames spells it:
-// "path.Name" or "path.Recv.Name" for a func, "path" otherwise.
-func site(pass *framework.Pass, decl ast.Decl) string {
-	path := strings.TrimPrefix(strings.TrimPrefix(pass.Pkg.Path(), "stagedweb"), "/")
-	fd, ok := decl.(*ast.FuncDecl)
-	if !ok {
-		return path
-	}
-	if recv := pass.TypesInfo.Defs[fd.Name].(*types.Func).Signature().Recv(); recv != nil {
-		rt := recv.Type()
-		if p, ok := rt.(*types.Pointer); ok {
-			rt = p.Elem()
-		}
-		path += "." + rt.(*types.Named).Obj().Name()
-	}
-	return path + "." + fd.Name.Name
-}
-
-func (n *names) probeConstants(pass *framework.Pass, spec *ast.ValueSpec) {
+func (n *names) probeConstants(p *pkg, spec *ast.ValueSpec) {
 	for _, id := range spec.Names {
-		c, ok := pass.TypesInfo.Defs[id].(*types.Const)
+		c, ok := p.info.Defs[id].(*types.Const)
 		if !ok || c.Val().Kind() != constant.String || !strings.HasPrefix(id.Name, "Probe") && !strings.HasPrefix(id.Name, "Series") {
 			continue
 		}
 		val := constant.StringVal(c.Val())
 		if first, dup := n.consts[val]; dup {
-			n.errorf(&n.probeErrs, pass, id.Pos(), "duplicate probe name %q: const %s has it too", val, first)
+			n.errorf(&n.probeErrs, id.Pos(), "duplicate probe name %q: const %s has it too", val, first)
 			continue
 		}
 		n.consts[val] = id.Name
-		n.probe(pass, id.Pos(), val)
+		n.probe(id.Pos(), val)
 	}
 }
 
-func (n *names) probeLiteral(pass *framework.Pass, site string, lit *ast.CompositeLit) {
-	tv, ok := pass.TypesInfo.Types[lit]
-	if !ok || !framework.NamedType(tv.Type, "stagedweb/internal/variant", "Probe") || len(lit.Elts) == 0 {
+func (n *names) probeLiteral(p *pkg, site string, lit *ast.CompositeLit) {
+	tv, ok := p.info.Types[lit]
+	if !ok || !namedType(tv.Type, "stagedweb/internal/variant", "Probe") || len(lit.Elts) == 0 {
 		return
 	}
 	name := lit.Elts[0] // positional: Name is the first field
@@ -235,43 +207,43 @@ func (n *names) probeLiteral(pass *framework.Pass, site string, lit *ast.Composi
 			return
 		}
 	}
-	switch val := pass.TypesInfo.Types[name].Value; {
+	switch val := p.info.Types[name].Value; {
 	case val != nil && val.Kind() == constant.String:
-		n.probe(pass, name.Pos(), constant.StringVal(val))
+		n.probe(name.Pos(), constant.StringVal(val))
 	case computedProbeNames[site] != "":
 		n.computed[site] = true
 	default:
-		n.errorf(&n.probeErrs, pass, name.Pos(), "probe name is computed, not a constant: use a constant, or list %s in computedProbeNames with a reason", site)
+		n.errorf(&n.probeErrs, name.Pos(), "probe name is computed, not a constant: use a constant, or list %s in computedProbeNames with a reason", site)
 	}
 }
 
-func (n *names) probe(pass *framework.Pass, pos token.Pos, val string) {
+func (n *names) probe(pos token.Pos, val string) {
 	if !probeNameShape.MatchString(val) {
-		n.errorf(&n.shapeErrs, pass, pos, "probe name %q is not dotted lowercase (want e.g. %q)", val, "db.inuse")
+		n.errorf(&n.shapeErrs, pos, "probe name %q is not dotted lowercase (want e.g. %q)", val, "db.inuse")
 	} else if n.probes[val] == "" {
-		n.probes[val] = pass.Fset.Position(pos).String()
+		n.probes[val] = n.fset.Position(pos).String()
 	}
 }
 
-func (n *names) decoderKey(pass *framework.Pass, call *ast.CallExpr) {
+func (n *names) decoderKey(p *pkg, call *ast.CallExpr) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || !decodeMethods[sel.Sel.Name] || len(call.Args) == 0 {
 		return
 	}
-	if tv, ok := pass.TypesInfo.Types[sel.X]; !ok || !framework.NamedType(tv.Type, "stagedweb/internal/variant", "Decoder") {
+	if tv, ok := p.info.Types[sel.X]; !ok || !namedType(tv.Type, "stagedweb/internal/variant", "Decoder") {
 		return
 	}
 	arg := call.Args[0]
-	val := pass.TypesInfo.Types[arg].Value
+	val := p.info.Types[arg].Value
 	if val == nil || val.Kind() != constant.String {
-		n.errorf(&n.keyErrs, pass, arg.Pos(), "settings key is computed, not a constant")
+		n.errorf(&n.keyErrs, arg.Pos(), "settings key is computed, not a constant")
 		return
 	}
 	switch k := constant.StringVal(val); {
 	case !settingsKeyShape.MatchString(k):
-		n.errorf(&n.shapeErrs, pass, arg.Pos(), "settings key %q is not a lowercase word (want e.g. %q)", k, "minreserve")
+		n.errorf(&n.shapeErrs, arg.Pos(), "settings key %q is not a lowercase word (want e.g. %q)", k, "minreserve")
 	case n.keys[k] == "":
-		n.keys[k] = pass.Fset.Position(arg.Pos()).String()
+		n.keys[k] = n.fset.Position(arg.Pos()).String()
 	}
 }
 

@@ -1,28 +1,14 @@
-package main
+package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
-
-	"stagedweb/internal/analysis/framework"
 )
-
-// TestRepoAnalyzesClean is the self-check CI leans on: the full
-// analyzer suite over every package in the module must report nothing.
-// A finding here means either a new invariant violation or an allowlist
-// comment that stopped suppressing anything — both are failures.
-func TestRepoAnalyzesClean(t *testing.T) {
-	findings, err := framework.Standalone("", analyzers(), "stagedweb/...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range findings {
-		t.Errorf("%s", f)
-	}
-}
 
 // keptForTests lists the exported names of the main module whose only
 // readers are tests, each with the reason it stays. Every other
@@ -30,7 +16,6 @@ func TestRepoAnalyzesClean(t *testing.T) {
 // of the benchmark module. Keys are import path (without the module
 // prefix), optional receiver type, and name.
 var keptForTests = map[string]string{
-	"internal/analysis/analysistest.Run":      "the fixture runner every analyzer's test calls",
 	"internal/clock.Manual.BlockUntilWaiters": "the deterministic test clock: wait until sleepers register",
 	"internal/clock.Manual.Set":               "the deterministic test clock: jump to an absolute time",
 	"internal/dbtier.Tier.Backends":           "the replica-convergence tests compare every engine directly",
@@ -63,85 +48,59 @@ var setOnlyByTests = map[string]string{
 	"internal/server.TransportConfig.IdleTimeout": "the idle-connection tests need a wall-clock timeout well under the 10 s default",
 }
 
-// TestEveryExportedNameHasAReader is the dead-surface check: it loads
-// the main module and the benchmark module, collects every exported
-// func, method and package-level const, var and type declared in the
-// main module's non-test files, and fails on any that no non-test file
-// of either module uses. A method that satisfies an interface visible
-// to its users (error, fmt.Stringer, flag.Value, the module's own
-// interfaces) counts as read. The same loads check that every config
-// field (see setOnlyByTests) has a setter outside tests.
+// TestEveryExportedNameHasAReader is the dead-surface check: it fails on
+// every exported func, method and package-level const, var and type
+// declared in the main module's non-test files that no non-test file of
+// either module uses, unless keptForTests lists it. A method that
+// satisfies an interface visible to its users (error, fmt.Stringer,
+// flag.Value, the module's own interfaces) counts as read.
 func TestEveryExportedNameHasAReader(t *testing.T) {
-	s := &surface{defs: map[string]string{}, reads: map[string]bool{}, fields: map[string]string{}, sets: map[string]bool{}}
-	collector := &framework.Analyzer{Name: "deadsurface", Doc: "collect exported definitions and their uses", Run: s.collect}
-	for _, run := range []struct{ dir, pattern string }{
-		{"", "stagedweb/..."},
-		{"../../benchmark", "./..."},
-	} {
-		if _, err := framework.Standalone(run.dir, []*framework.Analyzer{collector}, run.pattern); err != nil {
-			t.Fatal(err)
-		}
+	prog := load(t)
+	defs, reads := map[string]string{}, map[string]bool{}
+	for _, p := range prog.pkgs {
+		collectReads(prog.fset, p, defs, reads)
 	}
-	if !s.reads["internal/stage.Stage.Start"] {
+	if !reads["internal/stage.Stage.Start"] {
 		t.Error("benchmark module not loaded: stage.Stage.Start, read only by benchmark/, has no reader")
 	}
+	reportDead(t, "keptForTests", keptForTests, defs, reads, "reader")
+}
 
-	if !s.sets["internal/stage.Config.Workers"] {
+// TestEveryConfigFieldHasASetter fails on every config field (see
+// setOnlyByTests) that no non-test file of either module sets, unless
+// setOnlyByTests lists it. A knob only tests turn is a constant instead.
+func TestEveryConfigFieldHasASetter(t *testing.T) {
+	prog := load(t)
+	fields, sets := map[string]string{}, map[string]bool{}
+	for _, p := range prog.pkgs {
+		collectFields(prog.fset, p, fields, sets)
+	}
+	if !sets["internal/stage.Config.Workers"] {
 		t.Error("generic config types not seen: stage.Config.Workers, set by stage.New's callers, has no setter")
 	}
-	checkUsed(t, "keptForTests", keptForTests, s.defs, s.reads, "reader")
-	checkUsed(t, "setOnlyByTests", setOnlyByTests, s.fields, s.sets, "setter")
+	reportDead(t, "setOnlyByTests", setOnlyByTests, fields, sets, "setter")
 }
 
-// checkUsed fails on every key of defs (key → position) that used does
-// not hold and the exception table does not list, and on every table
-// entry with no reason, naming nothing declared, or used after all.
-func checkUsed(t *testing.T, table string, exceptions, defs map[string]string, used map[string]bool, role string) {
+// reportDead fails on every key of defs (key → position) that used does
+// not hold and the exception table does not list, and on every entry of
+// the table that checkUsed rejects.
+func reportDead(t *testing.T, table string, exceptions, defs map[string]string, used map[string]bool, role string) {
 	t.Helper()
-	var dead []string
-	for key := range defs {
+	for _, key := range slices.Sorted(maps.Keys(defs)) {
 		if !used[key] && exceptions[key] == "" {
-			dead = append(dead, key)
+			t.Errorf("%s: %s has no %s outside tests; delete it, or add it to %s with a reason", defs[key], key, role, table)
 		}
 	}
-	sort.Strings(dead)
-	for _, key := range dead {
-		t.Errorf("%s: %s has no %s outside tests; delete it, or add it to %s with a reason", defs[key], key, role, table)
+	exists := func(key string) bool { return defs[key] != "" }
+	needed := func(key string) bool { return !used[key] }
+	for _, msg := range checkUsed(table, exceptions, exists, needed, "has a "+role+" outside tests") {
+		t.Error(msg)
 	}
-	for key, reason := range exceptions {
-		switch {
-		case reason == "":
-			t.Errorf("%s[%s] has no reason", table, key)
-		case defs[key] == "":
-			t.Errorf("%s[%s] names nothing declared; drop the entry", table, key)
-		case used[key]:
-			t.Errorf("%s[%s] has a %s outside tests; drop the entry", table, key, role)
-		}
-	}
-}
-
-// mainModule is the import path prefix of the module under check; the
-// benchmark module shares it, so it is excluded by name.
-const mainModule = "stagedweb"
-
-func inMainModule(path string) bool {
-	return (path == mainModule || strings.HasPrefix(path, mainModule+"/")) && !strings.HasPrefix(path, mainModule+"/benchmark")
-}
-
-// surface accumulates, across both loads, the exported definitions of
-// the main module (key → position) and the keys some non-test file
-// reads, and likewise the config fields and the keys some non-test file
-// sets. Keys are strings because each load type-checks its own copy of
-// every package.
-type surface struct {
-	defs   map[string]string
-	reads  map[string]bool
-	fields map[string]string
-	sets   map[string]bool
 }
 
 // key names obj as "path.Name" or "path.Recv.Name", or "" when obj is
-// outside the main module.
+// outside the main module. Keys are strings because each module's load
+// type-checks its own copy of every package.
 func key(obj types.Object) string {
 	if fn, ok := obj.(*types.Func); ok {
 		obj = fn.Origin()
@@ -149,7 +108,7 @@ func key(obj types.Object) string {
 	if obj.Pkg() == nil || !inMainModule(obj.Pkg().Path()) {
 		return ""
 	}
-	path := strings.TrimPrefix(strings.TrimPrefix(obj.Pkg().Path(), mainModule), "/")
+	path := trimModule(obj.Pkg().Path())
 	if fn, ok := obj.(*types.Func); ok {
 		if recv := fn.Signature().Recv(); recv != nil {
 			t := recv.Type()
@@ -166,31 +125,29 @@ func key(obj types.Object) string {
 	return path + "." + obj.Name()
 }
 
-// collect records one package's exported definitions and its uses.
-// Standalone loads non-test files only, so every use seen here is a
-// reader outside tests.
-func (s *surface) collect(pass *framework.Pass) error {
-	if inMainModule(pass.Pkg.Path()) {
-		for _, f := range pass.Files {
+// collectReads records p's exported definitions, if p is in the main
+// module, and its uses. The loader reads non-test files only, so every
+// use seen here is a reader outside tests.
+func collectReads(fset *token.FileSet, p *pkg, defs map[string]string, reads map[string]bool) {
+	if inMainModule(p.types.Path()) {
+		for _, f := range p.files {
 			for _, decl := range f.Decls {
 				for _, id := range declaredNames(decl) {
-					if obj := pass.TypesInfo.Defs[id]; obj != nil && id.IsExported() {
+					if obj := p.info.Defs[id]; obj != nil && id.IsExported() {
 						if k := key(obj); k != "" {
-							s.defs[k] = pass.Fset.Position(id.Pos()).String()
+							defs[k] = fset.Position(id.Pos()).String()
 						}
 					}
 				}
 			}
 		}
 	}
-	for _, obj := range pass.TypesInfo.Uses {
+	for _, obj := range p.info.Uses {
 		if k := key(obj); k != "" {
-			s.reads[k] = true
+			reads[k] = true
 		}
 	}
-	s.satisfiedInterfaces(pass)
-	s.collectFields(pass)
-	return nil
+	satisfiedInterfaces(p, reads)
 }
 
 // isConfigType reports whether an exported type name is in the config
@@ -213,16 +170,15 @@ func fieldKey(owner types.Type, field string) string {
 	if obj.Pkg() == nil || !inMainModule(obj.Pkg().Path()) || !obj.Exported() || !isConfigType(obj.Name()) {
 		return ""
 	}
-	return strings.TrimPrefix(strings.TrimPrefix(obj.Pkg().Path(), mainModule), "/") + "." + obj.Name() + "." + field
+	return trimModule(obj.Pkg().Path()) + "." + obj.Name() + "." + field
 }
 
-// collectFields records the exported fields of pass.Pkg's config types
-// and the config fields pass sets: the keys of a keyed composite
-// literal, and the targets of an assignment outside the field's
-// package.
-func (s *surface) collectFields(pass *framework.Pass) {
-	if inMainModule(pass.Pkg.Path()) {
-		scope := pass.Pkg.Scope()
+// collectFields records the exported fields of p's config types and the
+// config fields p sets: the keys of a keyed composite literal, and the
+// targets of an assignment outside the field's package.
+func collectFields(fset *token.FileSet, p *pkg, fields map[string]string, sets map[string]bool) {
+	if inMainModule(p.types.Path()) {
+		scope := p.types.Scope()
 		for _, name := range scope.Names() {
 			tn, ok := scope.Lookup(name).(*types.TypeName)
 			if !ok {
@@ -235,7 +191,7 @@ func (s *surface) collectFields(pass *framework.Pass) {
 			for i := 0; i < st.NumFields(); i++ {
 				if f := st.Field(i); f.Exported() {
 					if k := fieldKey(tn.Type(), f.Name()); k != "" {
-						s.fields[k] = pass.Fset.Position(f.Pos()).String()
+						fields[k] = fset.Position(f.Pos()).String()
 					}
 				}
 			}
@@ -246,8 +202,8 @@ func (s *surface) collectFields(pass *framework.Pass) {
 		if !ok {
 			return
 		}
-		sel, ok := pass.TypesInfo.Selections[se]
-		if !ok || sel.Kind() != types.FieldVal || sel.Obj().Pkg() == pass.Pkg {
+		sel, ok := p.info.Selections[se]
+		if !ok || sel.Kind() != types.FieldVal || sel.Obj().Pkg() == p.types {
 			return
 		}
 		// Walk the embedding path to the struct that declares the field.
@@ -256,18 +212,18 @@ func (s *surface) collectFields(pass *framework.Pass) {
 			owner = fieldOf(owner, i).Type()
 		}
 		if k := fieldKey(owner, sel.Obj().Name()); k != "" {
-			s.sets[k] = true
+			sets[k] = true
 		}
 	}
-	for _, f := range pass.Files {
+	for _, f := range p.files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CompositeLit:
 				for _, elt := range n.Elts {
 					if kv, ok := elt.(*ast.KeyValueExpr); ok {
 						if id, ok := kv.Key.(*ast.Ident); ok {
-							if k := fieldKey(pass.TypesInfo.TypeOf(n), id.Name); k != "" {
-								s.sets[k] = true
+							if k := fieldKey(p.info.TypeOf(n), id.Name); k != "" {
+								sets[k] = true
 							}
 						}
 					}
@@ -314,22 +270,21 @@ func declaredNames(decl ast.Decl) []*ast.Ident {
 }
 
 // satisfiedInterfaces marks as read every main-module method that
-// implements a method of an interface visible from pass.Pkg: declared
-// in it or in a package it imports, directly or not, written as a
-// literal in it, or the predeclared error. Within one pass the package
-// and its imports share one type universe, so types.Implements is
-// exact.
-func (s *surface) satisfiedInterfaces(pass *framework.Pass) {
+// implements a method of an interface visible from p: declared in it or
+// in a package it imports, directly or not, written as a literal in it,
+// or the predeclared error. Within one package the package and its
+// imports share one type universe, so types.Implements is exact.
+func satisfiedInterfaces(p *pkg, reads map[string]bool) {
 	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
 	var named []*types.Named
 	seen := map[*types.Package]bool{}
 	var walk func(*types.Package)
-	walk = func(p *types.Package) {
-		if seen[p] {
+	walk = func(tp *types.Package) {
+		if seen[tp] {
 			return
 		}
-		seen[p] = true
-		scope := p.Scope()
+		seen[tp] = true
+		scope := tp.Scope()
 		for _, name := range scope.Names() {
 			tn, ok := scope.Lookup(name).(*types.TypeName)
 			if !ok || tn.IsAlias() {
@@ -343,21 +298,21 @@ func (s *surface) satisfiedInterfaces(pass *framework.Pass) {
 				if n.TypeParams().Len() == 0 && it.NumMethods() > 0 {
 					ifaces = append(ifaces, it)
 				}
-			} else if inMainModule(p.Path()) && n.NumMethods() > 0 {
+			} else if inMainModule(tp.Path()) && n.NumMethods() > 0 {
 				named = append(named, n)
 			}
 		}
-		for _, imp := range p.Imports() {
+		for _, imp := range tp.Imports() {
 			walk(imp)
 		}
 	}
-	walk(pass.Pkg)
+	walk(p.types)
 	// Expression types add interface literals and the instantiations
 	// of generic types, which satisfy interfaces only once instantiated.
-	for _, tv := range pass.TypesInfo.Types {
+	for _, tv := range p.info.Types {
 		t := types.Unalias(tv.Type)
-		if p, ok := t.(*types.Pointer); ok {
-			t = types.Unalias(p.Elem())
+		if ptr, ok := t.(*types.Pointer); ok {
+			t = types.Unalias(ptr.Elem())
 		}
 		switch t := t.(type) {
 		case *types.Interface:
@@ -383,7 +338,7 @@ func (s *surface) satisfiedInterfaces(pass *framework.Pass) {
 				m := it.Method(i)
 				if obj, _, _ := types.LookupFieldOrMethod(ptr, false, m.Pkg(), m.Name()); obj != nil {
 					if k := key(obj); k != "" {
-						s.reads[k] = true
+						reads[k] = true
 					}
 				}
 			}

@@ -154,7 +154,7 @@ func (db *DB) execInsert(s *insertStmt, ec *execCtx) (ExecResult, error) {
 	// Lock engine only: sleeping the statement's cost under the table
 	// lock IS the paper's baseline contention model. The MVCC paths
 	// above charge outside every lock, and locksleep keeps them that way.
-	defer db.chargeCost(ec) //lint:allow locksleep(lock-engine charges under the table lock by design)
+	defer db.chargeCost(ec)
 	return db.commitInsert(tbl, row, ec)
 }
 
@@ -311,7 +311,7 @@ func (db *DB) execWrite(p *dmlPlan, set []string, ec *execCtx) (ExecResult, erro
 	// Lock engine only: sleeping the statement's cost under the table
 	// lock IS the paper's baseline contention model. The MVCC path
 	// above charges outside every lock, and locksleep keeps it that way.
-	defer db.chargeCost(ec) //lint:allow locksleep(lock-engine charges under the table lock by design)
+	defer db.chargeCost(ec)
 	r, err := db.readPhase(p, set, tbl.view(latestTS), ec)
 	if err != nil {
 		return ExecResult{}, err

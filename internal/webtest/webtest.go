@@ -160,7 +160,7 @@ func WaitUntil(timeout time.Duration, cond func() bool) bool {
 // exactly the advanced time and under a dilated clock it stretches with
 // the run. Helpers must not hand-roll time.Now deadline loops — that
 // re-anchors the wait to the wall and is exactly what the wallclock
-// analyzer rejects.
+// check rejects.
 func WaitUntilOn(c clock.Clock, timeout time.Duration, cond func() bool) bool {
 	deadline := c.Now().Add(timeout)
 	for !cond() {

@@ -165,7 +165,7 @@ func (g *Generator) control() {
 		// dilated experiment clock paper seconds stay paper seconds.
 		// (This controller once used time.Now/time.Since here and
 		// silently ran manual-clock fleets on the wall timeline —
-		// the bug the wallclock analyzer now prevents.)
+		// the bug the wallclock check now prevents.)
 		tick := clk.NewTicker(scale.Wall(time.Second))
 		defer tick.Stop()
 		start := clk.Now()
