@@ -64,6 +64,7 @@ func (t *table) cloneAt(ts int64) *table {
 		ordered:  make(map[string]*orderedIndex, len(t.ordered)),
 		dicts:    make([]map[string]dictEntry, len(t.dicts)),
 		codeSlot: t.codeSlot,
+		intCols:  t.intCols,
 	}
 	for ci, d := range t.dicts {
 		nt.dicts[ci] = maps.Clone(d) // nil stays nil: a plain column
@@ -77,7 +78,7 @@ func (t *table) cloneAt(ts int64) *table {
 	for id := 0; id < src.n; id++ {
 		head := reaped
 		if v := src.at(id).version(ts); v != nil {
-			head = &rowVersion{data: append([]Value(nil), v.data...), key: v.key, codes: v.codes}
+			head = nt.newVersion(append([]Value(nil), v.data()...), 0, v.codes)
 			live++
 		}
 		arena.at(id).head.Store(head)

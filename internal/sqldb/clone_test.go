@@ -144,13 +144,16 @@ func TestCloneReplayReproducesLayout(t *testing.T) {
 	for id := 0; id < pv.size(); id++ {
 		var prow, crow []Value
 		if v := pv.version(id); v != nil {
-			prow = v.data
+			prow = v.data()
 		}
 		if v := cv.version(id); v != nil {
-			crow = v.data
+			crow = v.data()
 		}
 		if len(prow) != len(crow) || (prow != nil && (prow[0] != crow[0] || prow[1] != crow[1])) {
 			t.Fatalf("slot %d: primary %v, clone %v", id, prow, crow)
+		}
+		if p, c := pv.version(id), cv.version(id); p != nil && (p.ints != c.ints || p.has != c.has) {
+			t.Fatalf("slot %d: primary int slots %v (%b), clone %v (%b)", id, p.ints, p.has, c.ints, c.has)
 		}
 		if prow == nil {
 			continue
@@ -160,6 +163,11 @@ func TestCloneReplayReproducesLayout(t *testing.T) {
 		cid, cok := cv.lookupPK(key)
 		if !pok || !cok || pid != id || cid != id {
 			t.Fatalf("key %d of slot %d: primary hint %d %v, clone hint %d %v", key, id, pid, pok, cid, cok)
+		}
+	}
+	for name, d := range map[string]*DB{"primary": db, "clone": clone} {
+		if errs := IntCellErrors(d); len(errs) > 0 {
+			t.Fatalf("%s: %v", name, errs[:min(len(errs), 5)])
 		}
 	}
 	if pt.nextAuto != ct.nextAuto {

@@ -17,6 +17,13 @@ type compiledPred struct {
 	depth int // the binding whose column it reads
 	col   int // that column's index in its row
 
+	// intSlot is the int slot (see table.intCols) of an = or > conjunct on
+	// an Int column that has one, else -1: on a version that holds the
+	// cell, an int64 operand is compared with ints[intSlot] (see allHold).
+	intSlot int8
+	op      cmpOp
+	rhs     operand
+
 	// coded marks a SELECT conjunct on a coded column (see
 	// table.codeSlot). Its result is a function of the cell alone within
 	// one execution, so on a row whose version carries a code for the
@@ -45,6 +52,73 @@ func compileWhere(where []pred, bindings []binding, coded *int) ([][]compiledPre
 		preds[cp.depth] = append(preds[cp.depth], cp)
 	}
 	return preds, nil
+}
+
+// allHold evaluates preds, the conjuncts of one depth, on rows, whose row
+// at that depth is rv's. A conjunct on an Int cell rv holds (intSlot) with
+// an int64 operand compares the two without loading the row; a NULL cell
+// or any other operand goes to eval. A coded conjunct on a row whose
+// version carries a code for its column is evaluated on the first such
+// row only, and its result remembered in ec.memo for the rest; an error is
+// not remembered. It serves SELECT and DML alike: DML compiles no coded
+// conjunct.
+func allHold(preds []compiledPred, rows [][]Value, rv *rowVersion, ec *execCtx) (bool, error) {
+	for k := range preds {
+		p := &preds[k]
+		if p.intSlot >= 0 {
+			if ok, done, err := p.cmpCell(rv, ec); done {
+				if err != nil || !ok {
+					return false, err
+				}
+				continue
+			}
+		}
+		var memo *uint8
+		if p.coded {
+			if code := rv.codes[p.slot]; code != 0 {
+				memo = &ec.memo.results[p.memo|int(code)]
+				if *memo == memoTrue {
+					continue
+				}
+				if *memo == memoFalse {
+					return false, nil
+				}
+			}
+		}
+		ok, err := p.eval(rows, ec)
+		if err != nil {
+			return false, err
+		}
+		if memo != nil {
+			*memo = memoOf(ok)
+		}
+		if !ok {
+			return false, nil
+		}
+	}
+	return true, nil
+}
+
+// cmpCell evaluates an int-slot conjunct on the cell rv holds. done is
+// false, and the conjunct is eval's, when rv holds none (the cell is
+// NULL) or the operand is not an int64.
+func (p *compiledPred) cmpCell(rv *rowVersion, ec *execCtx) (ok, done bool, err error) {
+	a, held := rv.intCell(p.intSlot)
+	if !held {
+		return false, false, nil
+	}
+	v, err := p.rhs.value(ec)
+	if err != nil {
+		return false, true, err
+	}
+	b, isInt := v.(int64)
+	if !isInt {
+		return false, false, nil
+	}
+	if p.op == opEq {
+		return a == b, true, nil
+	}
+	return a > b, true, nil
 }
 
 // Entries of a codeMemo.
@@ -92,8 +166,8 @@ func compilePred(w pred, bindings []binding) (compiledPred, error) {
 	if err != nil {
 		return compiledPred{}, err
 	}
-	cp := compiledPred{depth: bi, col: ci}
 	op, rhs := w.Op, w.Rhs
+	cp := compiledPred{depth: bi, col: ci, intSlot: -1, op: op, rhs: rhs}
 	if op == opLike {
 		cp.eval = func(rows [][]Value, ec *execCtx) (bool, error) {
 			s, ok1 := rows[bi][ci].(string)
@@ -116,9 +190,10 @@ func compilePred(w pred, bindings []binding) (compiledPred, error) {
 	}
 	// The schema fixes what a non-NULL cell of the column holds, so the
 	// comparison is picked here, not per row.
-	switch bindings[bi].tbl.schema.Columns[ci].Type {
+	switch tbl := bindings[bi].tbl; tbl.schema.Columns[ci].Type {
 	case Int:
 		cp.eval = typedCmp[int64](op, bi, ci, rhs)
+		cp.intSlot = tbl.intSlot(ci)
 	case String:
 		cp.eval = typedCmp[string](op, bi, ci, rhs)
 	default:

@@ -96,7 +96,14 @@
 // for keys outside that window; version chains are walked through atomic
 // pointers. A version carries its row's primary key unboxed, so a probe
 // checks the key in the version it reached instead of in the row's cells.
-// A key given out again (deleted and re-inserted, or moved onto) keeps its
+// It also carries the cells of the table's first two Int columns other
+// than the key, in schema order, unboxed with a presence bit each (clear
+// for NULL). An = or > conjunct on one of them against an int64 operand
+// compares the version's copy, in SELECT and DML alike (allHold), and a
+// primary-key join step whose outer column is one of them, or the outer
+// table's key, probes with the key read off the outer version; a NULL
+// cell, a float or NULL operand, and any other join column take the
+// boxed cell. A key given out again (deleted and re-inserted, or moved onto) keeps its
 // older slots in a locked side map, read only when a probe's slot does not
 // hold the key at its snapshot. Writers are serialised by the commit
 // critical section, so each of these has one writer and any number of
@@ -108,7 +115,9 @@
 // dictionary holds for the same string, so equal strings share one box.
 // The dictionary numbers its strings 1..255 in first-seen order, and a
 // version carries the codes of its cells in a table's first 8 String
-// columns (0: NULL or none), which makes it 64 bytes, one cache line. A
+// columns (0: NULL or none). With the row held as a pointer and a 16-bit
+// width, that makes a version 64 bytes, the size class whose objects are
+// line-aligned: one version, one cache line. A
 // SELECT conjunct on such a column (=, > or LIKE, against a literal or
 // placeholder, as every conjunct is) reads the code from the version
 // the access path already holds and runs once per distinct value per

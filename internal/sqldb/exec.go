@@ -39,6 +39,12 @@ type execCtx struct {
 	load bool
 }
 
+// chargeProbe counts one primary-key probe.
+func (ec *execCtx) chargeProbe() {
+	ec.cost.probes++
+	ec.planRows++
+}
+
 // resolveBindings maps the FROM/JOIN clauses onto tables. A table
 // appears once: without aliases, a second binding of it could not be
 // told apart.
@@ -252,14 +258,10 @@ func (db *DB) flushPlanRows(ec *execCtx) {
 }
 
 func (r *dmlRun) visit(id int, rv *rowVersion) error {
-	row := rv.data
+	row := rv.data()
 	r.rows[0] = row
-	rows := r.rows[:]
-	for _, pred := range r.plan.preds {
-		ok, err := pred.eval(rows, r.ec)
-		if err != nil || !ok {
-			return err
-		}
+	if ok, err := allHold(r.plan.preds, r.rows[:], rv, r.ec); err != nil || !ok {
+		return err
 	}
 	if r.set == nil {
 		r.deletes = append(r.deletes, id)

@@ -130,7 +130,7 @@ func StringDict(db *DB, table, column string) (entries int, shared bool, err err
 	}
 	arena := t.slots.Load()
 	for id := 0; id < arena.n; id++ {
-		if v := arena.at(id).version(latestTS); v != nil && v.data[ci] != nil && !boxes[boxOf(v.data[ci])] {
+		if v := arena.at(id).version(latestTS); v != nil && v.data()[ci] != nil && !boxes[boxOf(v.data()[ci])] {
 			return len(d), false, nil
 		}
 	}
@@ -178,10 +178,10 @@ func CodeErrors(db *DB) []string {
 			byCode, byString := map[uint8]Value{}, map[Value]uint8{}
 			for id := 0; id < arena.n; id++ {
 				for v := arena.at(id).head.Load(); v != nil; v = v.prev.Load() {
-					if v.data == nil {
+					if v.cells == nil {
 						continue
 					}
-					cell, code := v.data[ci], v.codes[slot]
+					cell, code := v.data()[ci], v.codes[slot]
 					switch {
 					case cell == nil:
 						if code != 0 {
@@ -205,6 +205,52 @@ func CodeErrors(db *DB) []string {
 		}
 	}
 	return errs
+}
+
+// IntCellErrors lists every live version, old ones included, whose int
+// slots disagree with its cells: bit s of has is set exactly when the cell
+// of column intCols[s] is not NULL, and ints[s] is then that cell.
+func IntCellErrors(db *DB) []string {
+	db.commitMu.Lock()
+	defer db.commitMu.Unlock()
+	var errs []string
+	for name, t := range db.tables {
+		arena := t.slots.Load()
+		for id := 0; id < arena.n; id++ {
+			for v := arena.at(id).head.Load(); v != nil; v = v.prev.Load() {
+				if v.cells == nil {
+					continue
+				}
+				for s, ci := range t.intCols {
+					got, held := v.intCell(int8(s))
+					want, isInt := int64(0), false
+					if ci >= 0 {
+						want, isInt = v.data()[ci].(int64)
+					}
+					if held != isInt || got != want {
+						errs = append(errs, fmt.Sprintf("%s slot %d: int slot %d holds %d (%v), cell %d (%v)", name, id, s, got, held, want, isInt))
+					}
+				}
+			}
+		}
+	}
+	return errs
+}
+
+// IntSlotted names the columns of table whose cells ride in its row
+// versions, in slot order.
+func IntSlotted(db *DB, table string) ([]string, error) {
+	t, err := db.lookupTable(table)
+	if err != nil {
+		return nil, err
+	}
+	var cols []string
+	for _, ci := range t.intCols {
+		if ci >= 0 {
+			cols = append(cols, t.schema.Columns[ci].Name)
+		}
+	}
+	return cols, nil
 }
 
 // PostingsBuilt lists the coded columns, as table.column in order, whose
@@ -252,7 +298,7 @@ func PostingErrors(db *DB) []string {
 			}
 			for id := 0; id < arena.n; id++ {
 				for v := arena.at(id).head.Load(); v != nil; v = v.prev.Load() {
-					if c := v.codes[s]; v.data != nil && (int(c) >= len(p.sets) || p.sets[c][id>>6].Load()&(1<<(id&63)) == 0) {
+					if c := v.codes[s]; v.cells != nil && (int(c) >= len(p.sets) || p.sets[c][id>>6].Load()&(1<<(id&63)) == 0) {
 						errs = append(errs, fmt.Sprintf("%s slot %d: a version with code %d outside its set", col, id, c))
 					}
 				}

@@ -96,7 +96,7 @@ func TestMVCCConflictDetection(t *testing.T) {
 	if !ok {
 		t.Fatal("pk 3 not found")
 	}
-	newRow := append([]Value(nil), view.version(id).data...)
+	newRow := append([]Value(nil), view.version(id).data()...)
 	newRow[2] = int64(7)
 
 	// Another writer commits to the same row after our snapshot.
@@ -357,7 +357,7 @@ func TestTombstonesReleaseDeletedRows(t *testing.T) {
 	snap := db.Snapshot()
 	mustExec(t, c, "DELETE FROM hot WHERE h_id = ?", 1)
 	tomb := tbl.slotAt(0).head.Load()
-	if tomb.data != nil || tomb.prev.Load() == nil {
+	if tomb.cells != nil || tomb.prev.Load() == nil {
 		t.Fatalf("slot 0 head is not a tombstone over the deleted version: %+v", tomb)
 	}
 
@@ -371,7 +371,7 @@ func TestTombstonesReleaseDeletedRows(t *testing.T) {
 
 	snap.Close()
 	mustExec(t, c, "UPDATE hot SET h_val = ? WHERE h_id = ?", 8, 2)
-	if head := tbl.slotAt(0).head.Load(); head == tomb || head.data != nil || head.prev.Load() != nil {
+	if head := tbl.slotAt(0).head.Load(); head == tomb || head.cells != nil || head.prev.Load() != nil {
 		t.Fatalf("deleted version still linked after the horizon passed its tombstone: %+v", head)
 	}
 	if len(tbl.tombs) != 0 {

@@ -197,7 +197,7 @@ func (r *selectRun) enumerate(rs *ResultSet) error {
 
 // visit receives one candidate row of the driving table.
 func (r *selectRun) visit(_ int, rv *rowVersion) error {
-	r.rows[0], r.vers[0] = rv.data, rv
+	r.rows[0], r.vers[0] = rv.data(), rv
 	ok, err := r.applyPreds(0)
 	if err != nil || !ok {
 		return err
@@ -205,38 +205,9 @@ func (r *selectRun) visit(_ int, rv *rowVersion) error {
 	return r.join(1)
 }
 
-// applyPreds evaluates the depth-i conjuncts on the partial row. A coded
-// conjunct on a row whose version carries a code for its column is
-// evaluated on the first such row only, and its result remembered for the
-// rest; an error is not remembered.
+// applyPreds evaluates the depth-i conjuncts on the partial row.
 func (r *selectRun) applyPreds(i int) (bool, error) {
-	preds := r.plan.preds[i]
-	for k := range preds {
-		p := &preds[k]
-		var memo *uint8
-		if p.coded {
-			if code := r.vers[i].codes[p.slot]; code != 0 {
-				memo = &r.ec.memo.results[p.memo|int(code)]
-				if *memo == memoTrue {
-					continue
-				}
-				if *memo == memoFalse {
-					return false, nil
-				}
-			}
-		}
-		ok, err := p.eval(r.rows, r.ec)
-		if err != nil {
-			return false, err
-		}
-		if memo != nil {
-			*memo = memoOf(ok)
-		}
-		if !ok {
-			return false, nil
-		}
-	}
-	return true, nil
+	return allHold(r.plan.preds[i], r.rows, r.vers[i], r.ec)
 }
 
 // join extends the partial combination rows[:i] with every matching row
@@ -248,7 +219,6 @@ func (r *selectRun) join(i int) error {
 		return nil
 	}
 	jp := &r.plan.joins[i-1]
-	outerVal := r.rows[jp.outer.bi][jp.outer.ci]
 	inner := r.views[i]
 	// Join steps count their access path once per statement execution.
 	if !r.counted[i] {
@@ -262,16 +232,21 @@ func (r *selectRun) join(i int) error {
 	var err error
 	switch {
 	case jp.innerPK:
-		if _, rv := r.db.probePK(inner, outerVal, r.ec, r.sieves[i]); rv != nil {
+		key, ok := r.outerKey(jp)
+		if !ok {
+			r.ec.chargeProbe()
+		} else if _, rv := r.db.probePK(inner, key, r.ec, r.sieves[i]); rv != nil {
 			err = r.bind(i, rv)
 		}
 	case jp.indexed:
+		outerVal := r.rows[jp.outer.bi][jp.outer.ci]
 		for _, id := range r.db.probeIndex(inner, jp.innerName, outerVal, r.ec, &r.probes[i]) {
 			if err = r.joinRow(i, jp, inner.version(id), outerVal); err != nil {
 				break
 			}
 		}
 	default:
+		outerVal := r.rows[jp.outer.bi][jp.outer.ci]
 		n := inner.size()
 		r.ec.cost.scanned += n
 		r.ec.planRows += int64(n)
@@ -283,12 +258,27 @@ func (r *selectRun) join(i int) error {
 	return err
 }
 
+// outerKey is the key a primary-key join step probes with, read off the
+// outer row's version when the outer column is its primary key or has an
+// int slot (a slot it does not hold is a NULL cell), else off the outer
+// cell (pkKey). ok=false: the outer cell equals no key.
+func (r *selectRun) outerKey(jp *joinStep) (key int64, ok bool) {
+	ov := r.vers[jp.outer.bi]
+	switch {
+	case jp.outerPK:
+		return ov.key, true
+	case jp.outerSlot >= 0:
+		return ov.intCell(jp.outerSlot)
+	}
+	return pkKey(r.rows[jp.outer.bi][jp.outer.ci])
+}
+
 // joinRow binds rv if its row satisfies the join equality. The equality
 // is always checked here: index buckets are stale-tolerant hints, so an id
 // may point at a row whose visible version no longer (or, at this
 // snapshot, does not yet) match. (probePK checks its key itself.)
 func (r *selectRun) joinRow(i int, jp *joinStep, rv *rowVersion, outerVal Value) error {
-	if rv == nil || !valuesEqual(rv.data[jp.innerCol], outerVal) {
+	if rv == nil || !valuesEqual(rv.data()[jp.innerCol], outerVal) {
 		return nil
 	}
 	return r.bind(i, rv)
@@ -297,7 +287,7 @@ func (r *selectRun) joinRow(i int, jp *joinStep, rv *rowVersion, outerVal Value)
 // bind makes rv's row binding i's side of the combination and extends it
 // if the depth-i conjuncts hold.
 func (r *selectRun) bind(i int, rv *rowVersion) error {
-	r.rows[i], r.vers[i] = rv.data, rv
+	r.rows[i], r.vers[i] = rv.data(), rv
 	ok, err := r.applyPreds(i)
 	if err != nil || !ok {
 		return err
@@ -343,7 +333,12 @@ func (db *DB) drive(p accessPath, v tableView, ec *execCtx, probeBuf *[]int, sie
 	case pathPK:
 		if val, ok := pathValue(p.val, ec); ok {
 			db.planIndex.Inc()
-			if id, rv := db.probePK(v, val, ec, nil); rv != nil {
+			key, ok := pkKey(val)
+			if !ok {
+				ec.chargeProbe()
+				return nil
+			}
+			if id, rv := db.probePK(v, key, ec, nil); rv != nil {
 				return vis.visit(id, rv)
 			}
 			return nil
@@ -393,25 +388,16 @@ func (db *DB) drive(p accessPath, v tableView, ec *execCtx, probeBuf *[]int, sie
 	return nil
 }
 
-// probePK resolves a value through the primary-key index to the row
-// version visible in v whose key equals it, and its slot, or nil. It
-// charges one probe for the slot the index names, which is all it takes
-// unless the key was given out again after v's snapshot, and one more for
-// each older slot of the key it tries then (pkIndex.movedFrom, the only
-// path that takes a lock). With a sieve, a key whose slot is outside it
-// and has no older slot is rejected without loading the slot: no version
-// it holds can pass the join step's first conjunct.
-func (db *DB) probePK(v tableView, val Value, ec *execCtx, sieve []uint64) (int, *rowVersion) {
-	ec.cost.probes++
-	ec.planRows++
-	key, exact := val.(int64)
-	if !exact {
-		f, ok := val.(float64)
-		if !ok {
-			return 0, nil
-		}
-		key = int64(f)
-	}
+// probePK resolves a primary key through the primary-key index to the row
+// version visible in v that holds it, and its slot, or nil. It charges
+// one probe for the slot the index names, which is all it takes unless
+// the key was given out again after v's snapshot, and one more for each
+// older slot of the key it tries then (pkIndex.movedFrom, the only path
+// that takes a lock). With a sieve, a key whose slot is outside it and
+// has no older slot is rejected without loading the slot: no version it
+// holds can pass the join step's first conjunct.
+func (db *DB) probePK(v tableView, key int64, ec *execCtx, sieve []uint64) (int, *rowVersion) {
+	ec.chargeProbe()
 	id, ok := v.lookupPK(key)
 	if !ok {
 		return 0, nil
@@ -419,7 +405,7 @@ func (db *DB) probePK(v tableView, val Value, ec *execCtx, sieve []uint64) (int,
 	if sieve != nil && !sieved(sieve, id) && len(v.tbl.pk.movedFrom(key)) == 0 {
 		return 0, nil
 	}
-	if rv := v.version(id); v.holdsKey(rv, key, exact, val) {
+	if rv := v.version(id); rv != nil && rv.key == key {
 		return id, rv
 	}
 	moved := v.tbl.pk.movedFrom(key)
@@ -428,26 +414,27 @@ func (db *DB) probePK(v tableView, val Value, ec *execCtx, sieve []uint64) (int,
 		if old == id {
 			continue
 		}
-		ec.cost.probes++
-		ec.planRows++
-		if rv := v.version(old); v.holdsKey(rv, key, exact, val) {
+		ec.chargeProbe()
+		if rv := v.version(old); rv != nil && rv.key == key {
 			return old, rv
 		}
 	}
 	return 0, nil
 }
 
-// holdsKey reports whether rv is a live version whose primary key equals
-// val. An int64 val (exact) is key, and the version's own key settles it;
-// a float, probed as the integer key below it, is compared with the cell.
-func (v tableView) holdsKey(rv *rowVersion, key int64, exact bool, val Value) bool {
-	if rv == nil {
-		return false
+// pkKey is the primary key a value equals: itself, an int64, or a float64
+// that is one exactly. Any other value (NULL, a fraction, a string) equals
+// no key, and a probe for it is charged as one that finds nothing
+// (execCtx.chargeProbe).
+func pkKey(val Value) (int64, bool) {
+	switch x := val.(type) {
+	case int64:
+		return x, true
+	case float64:
+		key := int64(x)
+		return key, float64(key) == x
 	}
-	if exact {
-		return rv.key == key
-	}
-	return valuesEqual(rv.data[v.tbl.pkCol], val)
+	return 0, false
 }
 
 // probeIndex resolves an equality through a secondary index and charges
@@ -485,7 +472,7 @@ func (db *DB) driveRange(p accessPath, v tableView, ec *execCtx, vis rowVisitor)
 	ci := oidx.col
 	for e, ok := es.first(); ok; e, ok = es.first() {
 		rv := v.version(e.id)
-		if rv == nil || !valuesEqual(rv.data[ci], e.val) {
+		if rv == nil || !valuesEqual(rv.data()[ci], e.val) {
 			continue
 		}
 		if err := vis.visit(e.id, rv); err != nil {

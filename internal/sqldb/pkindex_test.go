@@ -193,7 +193,7 @@ func TestPKProbeWhileGrowing(t *testing.T) {
 					t.Errorf("key %d: no pk entry", key)
 					return
 				}
-				if rv := view.version(id); rv == nil || rv.data[0] != key {
+				if rv := view.version(id); rv == nil || rv.data()[0] != key {
 					t.Errorf("key %d: slot %d holds %v", key, id, rv)
 					return
 				}

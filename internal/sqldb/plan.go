@@ -71,6 +71,11 @@ type joinStep struct {
 	indexed   bool
 	innerPK   bool   // the join column is the inner table's primary key
 	table     string // the inner table, for EXPLAIN
+
+	// Where an innerPK step reads its key (selectRun.outerKey): the outer
+	// row's version's key, or its int slot outerSlot (-1 for none).
+	outerPK   bool
+	outerSlot int8
 }
 
 // colPos addresses one column of a combined (joined) row: binding
@@ -153,6 +158,7 @@ func (db *DB) planSelect(s *selectStmt) (*selectPlan, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sqldb: join outer column: %w", err)
 		}
+		outer := bindings[bi].tbl
 		p.joins[i] = joinStep{
 			innerCol:  innerCol,
 			innerName: innerName,
@@ -161,6 +167,8 @@ func (db *DB) planSelect(s *selectStmt) (*selectPlan, error) {
 			indexed:   inner.hasIndex(innerName),
 			innerPK:   inner.pkCol == innerCol,
 			table:     inner.schema.Table,
+			outerPK:   outer.pkCol == ci,
+			outerSlot: outer.intSlot(ci),
 		}
 	}
 	p.outer = db.cheapestPath(bindings[0].tbl, predPaths(s.Where, bindings))

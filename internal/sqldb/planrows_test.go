@@ -100,7 +100,7 @@ func TestPlanRowsReadCountsConflictedAttempt(t *testing.T) {
 	}
 	// Commit a rival version of the same row, as another writer would.
 	id, _ := tbl.pkHint(5)
-	rival := append([]Value(nil), tbl.slotAt(id).version(latestTS).data...)
+	rival := append([]Value(nil), tbl.slotAt(id).version(latestTS).data()...)
 	rival[1] = int64(9)
 	ts := db.commitTS.Load() + 1
 	tbl.applyUpdate(id, rival, ts, db.pruneHorizon())

@@ -70,7 +70,7 @@ func (t *table) buildPostings(s int8) *postings {
 	}
 	for id := 0; id < arena.n; id++ {
 		for v := arena.at(id).head.Load(); v != nil; v = v.prev.Load() {
-			if v.data != nil {
+			if v.cells != nil {
 				p.set(v.codes[s], id)
 			}
 		}

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -82,6 +83,9 @@ func (s Schema) validate() error {
 	}
 	if len(s.Columns) == 0 {
 		return fmt.Errorf("sqldb: table %q has no columns", s.Table)
+	}
+	if len(s.Columns) > math.MaxUint16 { // rowVersion.width
+		return fmt.Errorf("sqldb: table %q has %d columns, more than %d", s.Table, len(s.Columns), math.MaxUint16)
 	}
 	seen := make(map[string]ColumnType, len(s.Columns))
 	for _, c := range s.Columns {

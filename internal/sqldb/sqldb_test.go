@@ -1,7 +1,9 @@
 package sqldb
 
 import (
+	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -509,7 +511,12 @@ func TestStringEscape(t *testing.T) {
 
 func TestSchemaValidation(t *testing.T) {
 	db := Open(Options{Cost: ZeroCostModel()})
+	wide := make([]Column, math.MaxUint16+1) // one more than a version's width holds
+	for i := range wide {
+		wide[i] = Column{Name: fmt.Sprint("c", i), Type: Int}
+	}
 	for name, s := range map[string]Schema{
+		"too wide":       {Table: "t", Columns: wide},
 		"empty name":     {Columns: []Column{{Name: "a", Type: Int}}},
 		"no columns":     {Table: "t"},
 		"dup column":     {Table: "t", Columns: []Column{{Name: "a", Type: Int}, {Name: "a", Type: Int}}},

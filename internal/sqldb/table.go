@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // latestTS is the snapshot timestamp that means "the newest committed
@@ -13,32 +14,70 @@ import (
 // table lock) read at.
 const latestTS = int64(math.MaxInt64)
 
-// rowVersion is one immutable version of a row. data == nil is a
-// tombstone. begin is the commit timestamp at which this version became
-// visible; prev points at the next-older version. prev is atomic only so
-// the garbage-collection cut (pruning versions no active snapshot can
-// reach) is safe against concurrent chain walks — the fields of a
-// version are never modified after publication.
+// rowVersion is one immutable version of a row. begin is the commit
+// timestamp at which it became visible; prev points at the next-older
+// version. prev is atomic only so the garbage-collection cut (pruning
+// versions no active snapshot can reach) is safe against concurrent chain
+// walks — the fields of a version are never modified after publication.
 //
-// key is data[pkCol] unboxed, for a table with a primary key: a probe
-// checks the key it followed in the version it already loaded, instead of
-// loading the row's cells and then the key's box. codes[s] is the
-// dictionary code of the cell in the String column with code slot s (see
-// table.codeSlot), or 0 for none: a predicate on that column reads it from
-// the version it already loaded and evaluates once per distinct string
-// (compiledPred.coded). The 56 bytes put a version in the 64-byte size
-// class, whose objects are line-aligned: one version, one cache line.
+// The row's cells are width values from cells on (see data); cells == nil
+// is a tombstone. A pointer and a 16-bit width instead of a slice header
+// is what leaves room for the unboxed cells below inside 64 bytes: the
+// size class whose objects are line-aligned, so one version is one cache
+// line, and what a scan has loaded to reach a row answers these without
+// touching the row's cells or their boxes:
+//
+//   - key is the primary-key cell, for a table with a primary key: a
+//     probe checks the key it followed in the version it reached.
+//   - ints[s] is the cell of the Int column with int slot s (see
+//     table.intCols) when bit s of has is set, which a NULL cell leaves
+//     clear: an = or > conjunct on the column, and a primary-key join
+//     step taking its key from it, read the int64 here.
+//   - codes[s] is the dictionary code of the cell in the String column
+//     with code slot s (see table.codeSlot), or 0 for none: a predicate on
+//     that column evaluates once per distinct string (compiledPred.coded).
 type rowVersion struct {
-	data  []Value
+	cells *Value
 	begin int64
 	key   int64
 	prev  atomic.Pointer[rowVersion]
+	ints  [intSlots]int64
 	codes [codeSlots]uint8
+	width uint16
+	has   uint8
+}
+
+// data is the version's row, nil for a tombstone. It writes the slice
+// header itself rather than call unsafe.Slice, whose checks (width times
+// the cell size overflowing, the end wrapping around) cannot fail for a
+// 16-bit width over a row allocated whole, and cost a scan that tests
+// every row's cells about a fifth of its time.
+func (v *rowVersion) data() []Value {
+	var row []Value
+	*(*sliceHeader)(unsafe.Pointer(&row)) = sliceHeader{v.cells, int(v.width), int(v.width)}
+	return row
+}
+
+// sliceHeader is the layout of a []Value.
+type sliceHeader struct {
+	cells    *Value
+	len, cap int
+}
+
+// intCell returns ints[s] and whether the version holds it: a live
+// version whose cell in that column is not NULL.
+func (v *rowVersion) intCell(s int8) (int64, bool) {
+	return v.ints[s], v.has&(1<<s) != 0
 }
 
 // codeSlots is how many String columns of a table carry codes in their
 // row versions: the first ones, in schema order.
 const codeSlots = 8
+
+// intSlots is how many Int columns of a table besides its primary key
+// carry their cells in their row versions: the first ones, in schema
+// order.
+const intSlots = 2
 
 // rowSlot is the stable identity of a row: a fixed slot index plus the
 // head of its version chain. Slots are append-only; a deleted row keeps
@@ -76,7 +115,7 @@ func (a *slotArena) at(id int) *rowSlot {
 func (s *rowSlot) version(ts int64) *rowVersion {
 	for v := s.head.Load(); v != nil; v = v.prev.Load() {
 		if v.begin <= ts {
-			if v.data == nil {
+			if v.cells == nil {
 				return nil
 			}
 			return v
@@ -134,6 +173,10 @@ type table struct {
 	// codeSlot[ci] is where in rowVersion.codes String column ci's codes
 	// go, or -1 for a column without a slot. Fixed at creation.
 	codeSlot []int8
+	// intCols[s] is the Int column whose cells go in rowVersion.ints[s],
+	// or -1: the first intSlots Int columns other than the primary key,
+	// in schema order. Fixed at creation.
+	intCols [intSlots]int
 	// posts[s] is the postings of the column with code slot s: nil until
 	// first used, then published for lock-free readers and kept up to date
 	// under db.commitMu. A clone builds its own.
@@ -176,20 +219,27 @@ func newTable(s Schema) *table {
 		dicts:    make([]map[string]dictEntry, len(s.Columns)),
 		codeSlot: make([]int8, len(s.Columns)),
 	}
-	next := int8(0) // the next free code slot
+	if s.PrimaryKey != "" {
+		t.pkCol = s.colIndex(s.PrimaryKey)
+		t.pk = newPKIndex()
+	}
+	next, ints := int8(0), 0 // the next free code and int slots
+	for s := range t.intCols {
+		t.intCols[s] = -1
+	}
 	for ci, col := range s.Columns {
 		t.codeSlot[ci] = -1
-		if col.Type == String {
+		switch {
+		case col.Type == String:
 			t.dicts[ci] = make(map[string]dictEntry)
 			if next < codeSlots {
 				t.codeSlot[ci] = next
 				next++
 			}
+		case col.Type == Int && ci != t.pkCol && ints < intSlots:
+			t.intCols[ints] = ci
+			ints++
 		}
-	}
-	if s.PrimaryKey != "" {
-		t.pkCol = s.colIndex(s.PrimaryKey)
-		t.pk = newPKIndex()
 	}
 	for _, name := range s.Indexes {
 		t.indexes[name] = &hashIndex{col: s.colIndex(name), m: make(map[Value][]int)}
@@ -200,6 +250,9 @@ func newTable(s Schema) *table {
 	t.slots.Store(&slotArena{})
 	return t
 }
+
+// intSlot is the int slot of column ci, or -1.
+func (t *table) intSlot(ci int) int8 { return int8(slices.Index(t.intCols[:], ci)) }
 
 // tableView is a stable read view of one table at a snapshot timestamp:
 // the slot arena as published at view creation plus the timestamp rows
@@ -355,24 +408,43 @@ func (t *table) hasKey(key int64) bool {
 	return v != nil && v.key == key
 }
 
+// newVersion builds the live version of row that begins at ts, whose
+// String cells have codes (see intern); the unboxed cells are read off the
+// row. Every live version is built here: at insert, at update, and by a
+// clone.
+func (t *table) newVersion(row []Value, ts int64, codes [codeSlots]uint8) *rowVersion {
+	v := &rowVersion{cells: unsafe.SliceData(row), width: uint16(len(row)), begin: ts, codes: codes}
+	if t.pkCol >= 0 {
+		v.key = row[t.pkCol].(int64)
+	}
+	for s, ci := range t.intCols {
+		if ci < 0 {
+			break
+		}
+		if n, ok := row[ci].(int64); ok {
+			v.ints[s] = n
+			v.has |= 1 << s
+		}
+	}
+	return v
+}
+
 // applyInsert installs a new row at commit timestamp ts and returns its
 // slot id. The caller has run checkInsert; this cannot fail.
 func (t *table) applyInsert(row []Value, ts int64) int {
-	var key int64
 	if t.pkCol >= 0 {
 		if row[t.pkCol] == nil {
 			t.nextAuto++
 			row[t.pkCol] = t.nextAuto
 		}
-		if key = row[t.pkCol].(int64); key > t.nextAuto {
-			t.nextAuto = key
-		}
+		t.nextAuto = max(t.nextAuto, row[t.pkCol].(int64))
 	}
 	codes := t.intern(row)
 	t.post(t.slots.Load().n, &codes)
-	id := t.appendSlot(&rowVersion{data: row, begin: ts, key: key, codes: codes})
+	v := t.newVersion(row, ts, codes)
+	id := t.appendSlot(v)
 	if t.pk != nil {
-		t.pk.set(key, id)
+		t.pk.set(v.key, id)
 	}
 	t.idxMu.Lock()
 	for _, idx := range t.indexes {
@@ -397,7 +469,7 @@ func (t *table) checkUpdate(id int, newRow []Value) error {
 		return fmt.Errorf("sqldb: table %q: primary key must be an integer", t.schema.Table)
 	}
 	cur := t.slotAt(id).head.Load()
-	if cur.data == nil {
+	if cur.cells == nil {
 		return fmt.Errorf("sqldb: update of deleted row %d", id)
 	}
 	if cur.key != newKey && t.hasKey(newKey) {
@@ -413,7 +485,7 @@ func (t *table) applyUpdate(id int, newRow []Value, ts, horizon int64) {
 	codes := t.intern(newRow)
 	slot := t.slotAt(id)
 	cur := slot.head.Load()
-	old := cur.data
+	old := cur.data()
 	var idxAdds bool
 	for _, idx := range t.indexes {
 		if !valuesEqual(old[idx.col], newRow[idx.col]) {
@@ -429,17 +501,13 @@ func (t *table) applyUpdate(id int, newRow []Value, ts, horizon int64) {
 			}
 		}
 	}
-	var newKey int64
-	if t.pkCol >= 0 {
-		if newKey = newRow[t.pkCol].(int64); newKey != cur.key {
-			if newKey > t.nextAuto {
-				t.nextAuto = newKey
-			}
-			// The old key's entry stays as a stale hint: readers at older
-			// snapshots still resolve the row through it, and key
-			// re-checks hide it from newer ones.
-			t.pk.set(newKey, id)
-		}
+	nv := t.newVersion(newRow, ts, codes)
+	if t.pkCol >= 0 && nv.key != cur.key {
+		t.nextAuto = max(t.nextAuto, nv.key)
+		// The old key's entry stays as a stale hint: readers at older
+		// snapshots still resolve the row through it, and key re-checks
+		// hide it from newer ones.
+		t.pk.set(nv.key, id)
 	}
 	if idxAdds {
 		t.idxMu.Lock()
@@ -456,7 +524,6 @@ func (t *table) applyUpdate(id int, newRow []Value, ts, horizon int64) {
 		t.idxMu.Unlock()
 	}
 	t.post(id, &codes)
-	nv := &rowVersion{data: newRow, begin: ts, key: newKey, codes: codes}
 	nv.prev.Store(cur)
 	slot.head.Store(nv)
 	pruneChain(cur, horizon)
@@ -511,7 +578,7 @@ func (t *table) intern(row []Value) (codes [codeSlots]uint8) {
 func (t *table) applyDelete(id int, ts, horizon int64) {
 	slot := t.slotAt(id)
 	cur := slot.head.Load()
-	if cur == nil || cur.data == nil {
+	if cur == nil || cur.cells == nil {
 		return
 	}
 	nv := &rowVersion{begin: ts}
@@ -583,7 +650,7 @@ func (t *table) buildIndex(col string, ordered bool) error {
 		es := make([]idxEntry, 0, arena.n)
 		for id := 0; id < arena.n; id++ {
 			if v := arena.at(id).version(latestTS); v != nil {
-				es = append(es, idxEntry{val: v.data[ci], id: id})
+				es = append(es, idxEntry{val: v.data()[ci], id: id})
 			}
 		}
 		idx := newOrderedIndex(ci)
@@ -597,7 +664,7 @@ func (t *table) buildIndex(col string, ordered bool) error {
 	idx := &hashIndex{col: ci, m: make(map[Value][]int)}
 	for id := 0; id < arena.n; id++ {
 		if v := arena.at(id).version(latestTS); v != nil {
-			idx.add(v.data[ci], id)
+			idx.add(v.data()[ci], id)
 		}
 	}
 	t.idxMu.Lock()

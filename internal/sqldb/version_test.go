@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // keyTestDB is a table t(id, v) keyed by id plus a table o whose row i
@@ -102,6 +103,16 @@ func TestSnapshotPKProbeFindsReusedKey(t *testing.T) {
 	}
 }
 
+// TestRowVersionIsOneCacheLine pins the layout table.go is built on: a
+// version is 64 bytes, the size class whose objects are line-aligned, so
+// that all a scan reads off it before it touches the row's cells (begin,
+// key, int slots, codes) is one cache line.
+func TestRowVersionIsOneCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(rowVersion{}); n != 64 {
+		t.Fatalf("rowVersion is %d bytes, want 64", n)
+	}
+}
+
 // versionKeyErrors lists every live version, old ones included, whose key
 // is not its primary-key cell.
 func versionKeyErrors(db *DB) []string {
@@ -113,8 +124,8 @@ func versionKeyErrors(db *DB) []string {
 		arena := tbl.slots.Load()
 		for id := 0; id < arena.n; id++ {
 			for v := arena.at(id).head.Load(); v != nil; v = v.prev.Load() {
-				if v.data != nil && v.data[tbl.pkCol] != v.key {
-					errs = append(errs, fmt.Sprintf("%s slot %d: key %d, cell %v", name, id, v.key, v.data[tbl.pkCol]))
+				if v.cells != nil && v.data()[tbl.pkCol] != v.key {
+					errs = append(errs, fmt.Sprintf("%s slot %d: key %d, cell %v", name, id, v.key, v.data()[tbl.pkCol]))
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package template
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"strconv"
@@ -39,7 +40,7 @@ var filters = map[string]filter{
 			}
 			digits = -digits
 		}
-		return strconv.AppendFloat(dst, f, 'f', digits, 64), nil
+		return appendFixed(dst, f, digits), nil
 	},
 	"join": func(dst []byte, v, arg any, hasArg bool) ([]byte, error) {
 		sep := ", "
@@ -59,6 +60,34 @@ var filters = map[string]filter{
 		}
 		return dst, nil
 	},
+}
+
+// appendFixed appends f correctly rounded to digits decimals: what
+// strconv.AppendFloat(dst, f, 'f', digits, 64) appends. That call takes strconv's multiprecision path whenever digits
+// is short of what f needs, a price with cents included. Below 1e9 and for
+// up to 6 decimals, half an ulp of f is far less than half a unit in the
+// last decimal, so when f's shortest round-tripping form has at most
+// digits decimals, it is the rounded value, and padding it with zeros is
+// the answer. Anything else takes the multiprecision path.
+func appendFixed(dst []byte, f float64, digits int) []byte {
+	if digits < 0 || digits > 6 || !(math.Abs(f) < 1e9) { // NaN fails the comparison too
+		return strconv.AppendFloat(dst, f, 'f', digits, 64)
+	}
+	n := len(dst)
+	dst = strconv.AppendFloat(dst, f, 'f', -1, 64)
+	decimals := 0
+	if dot := bytes.IndexByte(dst[n:], '.'); dot >= 0 {
+		decimals = len(dst) - n - dot - 1
+	} else if digits > 0 {
+		dst = append(dst, '.')
+	}
+	if decimals > digits {
+		return strconv.AppendFloat(dst[:n], f, 'f', digits, 64)
+	}
+	for ; decimals < digits; decimals++ {
+		dst = append(dst, '0')
+	}
+	return dst
 }
 
 // noArg makes a filter of a string function that takes no argument.

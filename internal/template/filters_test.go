@@ -2,7 +2,10 @@ package template
 
 import (
 	"maps"
+	"math"
+	"math/rand"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -187,5 +190,38 @@ func TestFilterSetNames(t *testing.T) {
 	got := slices.Sorted(maps.Keys(filters))
 	if want := []string{"floatformat", "join", "title", "urlencode"}; !slices.Equal(got, want) {
 		t.Fatalf("filters = %v, want %v", got, want)
+	}
+}
+
+// TestAppendFixedMatchesAppendFloat holds floatformat's shortcut to the
+// strconv call it stands for: on edge cases (signed zeros, halves, the
+// bound, subnormals, infinities, NaN) for every digits, and on random
+// prices in cents and in mills, random values below the bound and random
+// bit patterns for every digits the shortcut takes.
+func TestAppendFixedMatchesAppendFloat(t *testing.T) {
+	check := func(f float64, digits int) {
+		got := string(appendFixed([]byte("dst:"), f, digits))
+		want := string(strconv.AppendFloat([]byte("dst:"), f, 'f', digits, 64))
+		if got != want {
+			t.Fatalf("appendFixed(%v, %d) = %q, AppendFloat %q", f, digits, got, want)
+		}
+	}
+	for _, f := range []float64{
+		0, math.Copysign(0, -1), 0.125, 0.5, 1.5, 2.5, 0.005, 0.015, 1.005, 12.345, 34.23234, 100, 0.1, 0.7,
+		1e-7, 5e-7, 123456.0000005, 999999999.995, 999999999.5, -999999999.995, math.Nextafter(1e9, 0),
+		1e9, -1e9, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.MaxFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+	} {
+		for digits := -1; digits <= 8; digits++ {
+			check(f, digits)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range 50000 {
+		digits := rng.Intn(7)
+		check(float64(rng.Int63n(1e11))/100, digits)
+		check(float64(rng.Int63n(1e12))/1000, digits)
+		check((rng.Float64()*2-1)*1e9, digits)
+		check(math.Float64frombits(rng.Uint64()), digits)
 	}
 }
