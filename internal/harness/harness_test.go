@@ -426,7 +426,9 @@ func TestNoReserveVariant(t *testing.T) {
 	} {
 		cfg.EBs = 20
 		cfg.RampUp = 5 * time.Second
-		cfg.Measure = 30 * time.Second
+		// One second of wall time at this scale: a host stall of some tens
+		// of milliseconds cannot empty the window.
+		cfg.Measure = 400 * time.Second
 		cfg.CoolDown = 5 * time.Second
 		cfg.Populate = tpcw.PopulateConfig{Items: 200, Customers: 60, Orders: 50}
 		res, err := Run(cfg)

@@ -3,6 +3,7 @@ package sqldb
 import (
 	"maps"
 	"slices"
+	"sync/atomic"
 )
 
 // Clone returns a new DB with the same clock, timescale, cost model,
@@ -65,6 +66,7 @@ func (t *table) cloneAt(ts int64) *table {
 		dicts:    make([]map[string]dictEntry, len(t.dicts)),
 		codeSlot: t.codeSlot,
 		intCols:  t.intCols,
+		grams:    make([]atomic.Pointer[postings], len(t.grams)),
 	}
 	for ci, d := range t.dicts {
 		nt.dicts[ci] = maps.Clone(d) // nil stays nil: a plain column

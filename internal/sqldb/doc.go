@@ -139,10 +139,23 @@
 // whose slot is outside the union, unless the key has had other slots,
 // for the one probe it has already charged, without loading the slot.
 // Only the first conjunct sieves, so no other conjunct's error is hidden.
-// A column whose dictionary was gone before its postings were built, a
-// string the conjunct errors on, and a union over three quarters of the
+// A string the conjunct errors on and a union over three quarters of the
 // table leave the plain loop. Postings cost 8 bytes per 64 slots per
 // code of each column they are built for; a clone builds its own.
+//
+// A column whose dictionary was gone before its code postings were built
+// (titles), or that has no code slot, gets trigram postings instead when
+// a SELECT filters it with LIKE: per trigram of three ASCII letters,
+// folded as LIKE folds them, the set of slots some version of which held
+// a string containing it, built, published and kept up to date as code
+// postings are. A row matches a pattern only if it holds every letter
+// trigram of the pattern's literal runs, so a LIKE that is the first
+// conjunct of a full scan or a primary-key join step visits or probes
+// only the intersection of those sets, charged as the plain loop is. A
+// pattern with no letter trigram, a non-string argument and an
+// intersection over three quarters of the table leave the plain loop.
+// They cost 8 bytes per 64 slots per letter trigram the column holds (at
+// most 26³): about 150 KB for 10 000 TPC-W titles.
 //
 // Two concurrency disciplines
 // interpret that storage, selected by DB.SetMVCC:

@@ -308,6 +308,85 @@ func PostingErrors(db *DB) []string {
 	return errs
 }
 
+// KeepPlainLike gives every column of db trigram postings that narrow
+// nothing, as a column that holds no strings has: every LIKE keeps the
+// plain loop, for a twin to hold the sieved evaluation to.
+func KeepPlainLike(db *DB) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	for _, t := range db.tables {
+		for ci := range t.grams {
+			t.grams[ci].Store(noPostings)
+		}
+	}
+}
+
+// GramsBuilt lists the columns, as table.column in order, whose trigram
+// postings have been built.
+func GramsBuilt(db *DB) []string {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	var built []string
+	for name, t := range db.tables {
+		for ci := range t.grams {
+			if p := t.grams[ci].Load(); p != nil && p != noPostings {
+				built = append(built, name+"."+t.schema.Columns[ci].Name)
+			}
+		}
+	}
+	slices.Sort(built)
+	return built
+}
+
+// GramErrors lists every version, old ones included, with a letter
+// trigram outside its set in its column's built trigram postings, and
+// every postings whose trigrams are out of order or whose sets do not all
+// cover every slot.
+func GramErrors(db *DB) []string {
+	db.commitMu.Lock()
+	defer db.commitMu.Unlock()
+	var errs []string
+	for name, t := range db.tables {
+		arena := t.slots.Load()
+		for ci := range t.grams {
+			p := t.grams[ci].Load()
+			if p == nil || p == noPostings {
+				continue
+			}
+			col := name + "." + t.schema.Columns[ci].Name
+			if len(p.grams) != len(p.sets) || !slices.IsSorted(p.grams) || len(slices.Compact(slices.Clone(p.grams))) != len(p.grams) {
+				errs = append(errs, fmt.Sprintf("%s: %d trigrams %v for %d sets", col, len(p.grams), p.grams, len(p.sets)))
+				continue
+			}
+			for k, set := range p.sets {
+				if len(set) != len(p.sets[0]) || len(set) <= (arena.n-1)>>6 {
+					errs = append(errs, fmt.Sprintf("%s: the set of %q is %d words for %d slots", col, gramText(p.grams[k]), len(set), arena.n))
+				}
+			}
+			for id := 0; id < arena.n; id++ {
+				for v := arena.at(id).head.Load(); v != nil; v = v.prev.Load() {
+					if v.cells == nil {
+						continue
+					}
+					s, _ := v.data()[ci].(string)
+					for key := range letterGrams(s) {
+						k, found := slices.BinarySearch(p.grams, key)
+						if !found || len(p.sets[k]) <= id>>6 || p.sets[k][id>>6].Load()&(1<<(id&63)) == 0 {
+							errs = append(errs, fmt.Sprintf("%s slot %d: %q outside the set of %q", col, id, s, gramText(key)))
+						}
+					}
+				}
+			}
+		}
+	}
+	return errs
+}
+
+// gramText spells a letter trigram's key.
+func gramText(key uint16) string {
+	return string([]byte{'a' + byte(key/676), 'a' + byte(key/26%26), 'a' + byte(key%26)})
+}
+
 // ParseSQL is the parser alone, for FuzzParse.
 func ParseSQL(sql string) error {
 	_, err := parseSQL(sql)

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -143,11 +144,14 @@ func TestLikeOperands(t *testing.T) {
 }
 
 // FuzzLikeMatch is the differential: likePattern against the matcher it
-// replaced, on every subject the old one got right.
+// replaced, on every subject the old one got right. A subject that matches
+// must also hold every letter trigram of the pattern, the ones a trigram
+// sieve intersects the sets of.
 func FuzzLikeMatch(f *testing.F) {
 	for _, seed := range [][2]string{
 		{"hello", "%ELL%"}, {"THE LOST CITY #12", "%the%"}, {"abc", "a_c"}, {"abc", "%%_%"},
 		{"", ""}, {"aXbXc", "a%b%c"}, {"caf\xc9", "%\xc9"}, {"mississippi", "%iss%ip_i"},
+		{"The Secret Garden", "%SE_RET%gar%"}, {"caf\xc9 city", "%af\xc9%CIT%"},
 	} {
 		f.Add(seed[0], seed[1])
 	}
@@ -156,6 +160,14 @@ func FuzzLikeMatch(f *testing.F) {
 		p.set(s) // an execution reuses one: nothing of the last pattern may stay
 		p.set(pattern)
 		got := p.match(s)
+		if got {
+			held := slices.Collect(letterGrams(s))
+			for key := range letterGrams(pattern) {
+				if !slices.Contains(held, key) {
+					t.Fatalf("%q LIKE %q, but it lacks the pattern's trigram %q", s, pattern, gramText(key))
+				}
+			}
+		}
 		if strings.Contains(s, "%") {
 			return // the reference's defect; no panic is all that is asked
 		}

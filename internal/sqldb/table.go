@@ -181,6 +181,10 @@ type table struct {
 	// first used, then published for lock-free readers and kept up to date
 	// under db.commitMu. A clone builds its own.
 	posts [codeSlots]atomic.Pointer[postings]
+	// grams[ci] is the trigram postings of column ci, nil until a SELECT
+	// first sieves a LIKE on it through them; then, like posts, published
+	// and kept up to date. A clone builds its own.
+	grams []atomic.Pointer[postings]
 
 	// tombs queues the slots whose tombstone is still linked to the
 	// version it deleted, oldest first; guarded by db.commitMu. See
@@ -218,6 +222,7 @@ func newTable(s Schema) *table {
 		ordered:  make(map[string]*orderedIndex, len(s.Ordered)),
 		dicts:    make([]map[string]dictEntry, len(s.Columns)),
 		codeSlot: make([]int8, len(s.Columns)),
+		grams:    make([]atomic.Pointer[postings], len(s.Columns)),
 	}
 	if s.PrimaryKey != "" {
 		t.pkCol = s.colIndex(s.PrimaryKey)
@@ -440,7 +445,7 @@ func (t *table) applyInsert(row []Value, ts int64) int {
 		t.nextAuto = max(t.nextAuto, row[t.pkCol].(int64))
 	}
 	codes := t.intern(row)
-	t.post(t.slots.Load().n, &codes)
+	t.post(t.slots.Load().n, row, nil, &codes)
 	v := t.newVersion(row, ts, codes)
 	id := t.appendSlot(v)
 	if t.pk != nil {
@@ -523,7 +528,7 @@ func (t *table) applyUpdate(id int, newRow []Value, ts, horizon int64) {
 		}
 		t.idxMu.Unlock()
 	}
-	t.post(id, &codes)
+	t.post(id, newRow, old, &codes)
 	nv.prev.Store(cur)
 	slot.head.Store(nv)
 	pruneChain(cur, horizon)

@@ -29,6 +29,16 @@ var selectBenchmarks = []struct {
 	{name: "search_title", args: []any{"%the%"},
 		sql: `SELECT i_id, i_title, i_thumbnail, i_cost, a_fname, a_lname FROM item
 		 JOIN author ON i_a_id = a_id WHERE i_title LIKE ? ORDER BY i_title LIMIT 50`},
+	// One of the words browse_scan sends, which the title trigram
+	// postings narrow to the few hundred titles holding all four of its
+	// trigrams; and a pattern with no letter trigram, which keeps the
+	// plain loop over every title.
+	{name: "search_title_rare", args: []any{"%SECRET%"},
+		sql: `SELECT i_id, i_title, i_thumbnail, i_cost, a_fname, a_lname FROM item
+		 JOIN author ON i_a_id = a_id WHERE i_title LIKE ? ORDER BY i_title LIMIT 50`},
+	{name: "search_title_nogram", args: []any{"%#12%"},
+		sql: `SELECT i_id, i_title, i_thumbnail, i_cost, a_fname, a_lname FROM item
+		 JOIN author ON i_a_id = a_id WHERE i_title LIKE ? ORDER BY i_title LIMIT 50`},
 	{name: "search_subject", args: []any{"ARTS"},
 		sql: `SELECT i_id, i_title, i_thumbnail, i_cost, a_fname, a_lname FROM item
 		 JOIN author ON i_a_id = a_id WHERE i_subject = ? ORDER BY i_title LIMIT 50`},
