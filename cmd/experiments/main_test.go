@@ -12,8 +12,11 @@ import (
 	"stagedweb/internal/faults"
 	"stagedweb/internal/harness"
 	"stagedweb/internal/variant"
+	"stagedweb/internal/webtest"
 	"stagedweb/internal/workload"
 )
+
+func TestMain(m *testing.M) { webtest.Main(m) }
 
 // artifact is one artifact check of an experiment row: the glob must
 // match n result JSONs, each carrying every series named (with its CSV
@@ -33,7 +36,7 @@ func TestExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end experiment skipped in -short mode")
 	}
-	if raceEnabled {
+	if webtest.RaceEnabled {
 		t.Skip("race-detector overhead swamps the paper-time calibration; " +
 			"run without -race for the experiment smoke")
 	}

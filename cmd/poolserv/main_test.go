@@ -5,7 +5,10 @@ import (
 	"testing"
 
 	"stagedweb/internal/variant"
+	"stagedweb/internal/webtest"
 )
+
+func TestMain(m *testing.M) { webtest.Main(m) }
 
 // TestUnknownMode: a -mode that names no variant fails before the
 // database is populated, and the error lists every variant name.

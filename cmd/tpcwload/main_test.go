@@ -11,11 +11,14 @@ import (
 	"stagedweb/internal/webtest"
 )
 
+func TestMain(m *testing.M) { webtest.Main(m) }
+
 // startServer serves the staged variant over a small TPC-W database and
 // returns its address and population.
 func startServer(t *testing.T) (string, tpcw.Counts) {
 	t.Helper()
 	db := sqldb.Open(sqldb.Options{Cost: sqldb.ZeroCostModel()})
+	webtest.NoOpenConns(t, db)
 	if err := tpcw.CreateTables(db); err != nil {
 		t.Fatal(err)
 	}

@@ -21,8 +21,6 @@ var keptForTests = map[string]string{
 	"internal/dbtier.Tier.Backends":           "the replica-convergence tests compare every engine directly",
 	"internal/dbtier.Tier.Sync":               "the replica oracle: a barrier before comparing primary and replicas",
 	"internal/dbtier.Tier.ReplayErrors":       "the replica replay-failure oracle of the replication tests",
-	"internal/sqldb.DB.MustCreateTable":       "the schema setup of eighteen test files",
-	"internal/sqldb.DB.OpenConns":             "backs the connection-leak assertions of the server, tier and variant tests",
 	"internal/sqldb.DB.ReplLog":               "the variant tests assert a failed build leaves the database unreplicated",
 	"internal/sqldb.DB.Snapshot":              "the MVCC tests' reference read, and the hook for an isolation checker",
 	"internal/sqldb.DB.TableSize":             "row-count oracle of the clone, replica, failover and population tests",
@@ -32,8 +30,10 @@ var keptForTests = map[string]string{
 	"internal/webtest.App.AddStatic":          "a helper of the tests (webtest is for tests and the benchmark)",
 	"internal/webtest.App.AddTemplate":        "a helper of the tests (webtest is for tests and the benchmark)",
 	"internal/webtest.Get":                    "the one-shot GET of seven test files, and the only non-test reader of Dial and Client.Do",
+	"internal/webtest.KVDB":                   "the one-table fixture of the server, tier and fault tests, with its connection check",
+	"internal/webtest.Main":                   "the goroutine leak check that ends every serving package's test binary",
+	"internal/webtest.NoNewGoroutines":        "the leak check at a point inside a test: after Stop, after a failing build",
 	"internal/webtest.RaceEnabled":            "a helper of the tests (webtest is for tests and the benchmark)",
-	"internal/webtest.WaitUntil":              "a helper of the tests (webtest is for tests and the benchmark)",
 }
 
 // setOnlyByTests lists the config fields of the main module that only

@@ -2,7 +2,6 @@ package cluster_test
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +13,8 @@ import (
 	"stagedweb/internal/variant"
 	"stagedweb/internal/webtest"
 )
+
+func TestMain(m *testing.M) { webtest.Main(m) }
 
 // bootCluster builds a balancer over n real shard instances (unmodified
 // variant, TPC-W app, zero cost model) driven entirely by the manual
@@ -65,6 +66,7 @@ func buildShardInsts(t *testing.T, clk clock.Clock, name string, n int) []varian
 	for s := 0; s < n; s++ {
 		cost := sqldb.CostModel{}
 		db := sqldb.Open(sqldb.Options{Clock: clk, Timescale: clock.RealTime, Cost: &cost})
+		webtest.NoOpenConns(t, db)
 		if err := tpcw.CreateTables(db); err != nil {
 			t.Fatal(err)
 		}
@@ -152,8 +154,8 @@ func TestClusterCustomerAffinity(t *testing.T) {
 // connections, fan-out forwards and shard servers leave no goroutine
 // behind.
 func TestClusterStopLeavesNoGoroutines(t *testing.T) {
+	defer webtest.NoNewGoroutines(t)()
 	manual := clock.NewManual(time.Date(2009, 6, 29, 0, 0, 0, 0, time.UTC))
-	before := runtime.NumGoroutine()
 	b, addr := bootCluster(t, manual, 2, cluster.LBHash)
 	for _, path := range []string{
 		tpcw.PageHome,
@@ -165,10 +167,6 @@ func TestClusterStopLeavesNoGoroutines(t *testing.T) {
 		}
 	}
 	b.Stop()
-	if !webtest.WaitUntil(5*time.Second, func() bool { return runtime.NumGoroutine() <= before }) {
-		buf := make([]byte, 1<<16)
-		t.Fatalf("%d goroutines after Stop, %d before Serve:\n%s", runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
-	}
 }
 
 // TestStopEndsIdleKeepAlive: a client that finished one keep-alive
@@ -178,7 +176,7 @@ func TestClusterStopLeavesNoGoroutines(t *testing.T) {
 func TestStopEndsIdleKeepAlive(t *testing.T) {
 	for _, kind := range []string{variant.Unmodified, variant.Modified, "balancer"} {
 		t.Run(kind, func(t *testing.T) {
-			before := runtime.NumGoroutine()
+			noLeak := webtest.NoNewGoroutines(t)
 			var inst variant.Instance
 			if kind == "balancer" {
 				b, err := cluster.New(cluster.Options{Shards: 1}, buildShardInsts(t, clock.Real{}, variant.Modified, 1),
@@ -211,10 +209,7 @@ func TestStopEndsIdleKeepAlive(t *testing.T) {
 			if elapsed := time.Since(start); elapsed > time.Second {
 				t.Errorf("Stop took %v with an idle keep-alive client", elapsed)
 			}
-			if !webtest.WaitUntil(5*time.Second, func() bool { return runtime.NumGoroutine() <= before }) {
-				buf := make([]byte, 1<<16)
-				t.Fatalf("%d goroutines after Stop, %d before Serve:\n%s", runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
-			}
+			noLeak() // with the client still connected
 		})
 	}
 }

@@ -292,7 +292,7 @@ func TestRelayReplyIsOneWrite(t *testing.T) {
 // the balancer the two strings of the request head and little else. (It
 // was 37 allocations a request.)
 func TestRelayAllocCeiling(t *testing.T) {
-	if raceEnabled {
+	if webtest.RaceEnabled {
 		t.Skip("the relay's buffers are pooled")
 	}
 	shard := &cannedShard{reply: []byte(cannedReply)}

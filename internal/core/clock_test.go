@@ -32,6 +32,7 @@ func TestClassifierSeesInjectedClockDurations(t *testing.T) {
 		// Every statement costs 3 paper-seconds — over the 2 s cutoff.
 		Cost: &sqldb.CostModel{PerStatement: 3 * time.Second},
 	})
+	webtest.NoOpenConns(t, db)
 	db.MustCreateTable(sqldb.Schema{
 		Table:      "kv",
 		Columns:    []sqldb.Column{{Name: "id", Type: sqldb.Int}, {Name: "v", Type: sqldb.String}},
@@ -138,10 +139,6 @@ func TestStopClosesParkedKeepAlives(t *testing.T) {
 	if _, err := br.ReadByte(); err == nil || os.IsTimeout(err) {
 		t.Fatalf("parked connection still open after Stop (read err = %v)", err)
 	}
-	env.tier.Close()
-	if n := env.db.OpenConns(); n != 0 {
-		t.Fatalf("%d database connections still open after Stop", n)
-	}
 }
 
 // TestReserveControllerCountsLengthyAsSpare: the reserve controller reads
@@ -228,11 +225,7 @@ func TestReserveControllerCountsLengthyAsSpare(t *testing.T) {
 
 func waitUntil(t *testing.T, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition not reached")
-		}
-		time.Sleep(100 * time.Microsecond)
+	if !webtest.WaitUntil(5*time.Second, cond) {
+		t.Fatal("condition not reached")
 	}
 }

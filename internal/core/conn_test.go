@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"io"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -114,7 +113,7 @@ func TestStagedPoolLimitsHold(t *testing.T) {
 // goroutines — an idle keep-alive one included — and the controller are
 // gone.
 func TestStagedStopLeavesNoGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
+	noLeak := webtest.NoNewGoroutines(t)
 	env := startStaged(t, stagedApp(), nil)
 	idle, err := webtest.Dial(env.addr) // left open: Stop must end it
 	if err != nil {
@@ -130,10 +129,7 @@ func TestStagedStopLeavesNoGoroutines(t *testing.T) {
 		}
 	}
 	env.srv.Stop()
-	if !webtest.WaitUntil(5*time.Second, func() bool { return runtime.NumGoroutine() <= before }) {
-		buf := make([]byte, 1<<16)
-		t.Fatalf("%d goroutines after Stop, %d before Serve:\n%s", runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
-	}
+	noLeak() // with the idle client still connected
 }
 
 // TestStaticConnAllocCeiling pins what a connection costs: accept, one
@@ -141,7 +137,7 @@ func TestStagedStopLeavesNoGoroutines(t *testing.T) {
 // for clock.Precise to sleep on a timer, as paper-time runs do. The
 // count is process-wide, so it includes the test's own dial.
 func TestStaticConnAllocCeiling(t *testing.T) {
-	if raceEnabled {
+	if webtest.RaceEnabled {
 		t.Skip("the race detector's sync.Pool drops make allocation counts meaningless")
 	}
 	env := startStaged(t, stagedApp(), func(cfg *core.Config) {

@@ -19,13 +19,12 @@ import (
 	"stagedweb/internal/webtest"
 )
 
-// testEnv is a running staged server plus its database and the tier
-// fronting it.
+func TestMain(m *testing.M) { webtest.Main(m) }
+
+// testEnv is a running staged server and its address.
 type testEnv struct {
 	srv  *core.Server
 	addr string
-	db   *sqldb.DB
-	tier *dbtier.Tier
 }
 
 func startStaged(t *testing.T, app *webtest.App, mutate func(*core.Config)) *testEnv {
@@ -37,7 +36,7 @@ func startStaged(t *testing.T, app *webtest.App, mutate func(*core.Config)) *tes
 // (when non-nil) before the server accepts on it.
 func startStagedOn(t *testing.T, app *webtest.App, mutate func(*core.Config), wrap func(net.Listener) net.Listener) *testEnv {
 	t.Helper()
-	db := kvDB(t)
+	db := webtest.KVDB(t, 1, "hello-from-db") // /hello reads it
 	cfg := core.Config{
 		App:            app,
 		HeaderWorkers:  2,
@@ -73,24 +72,7 @@ func startStagedOn(t *testing.T, app *webtest.App, mutate func(*core.Config), wr
 			t.Errorf("Serve: %v", err)
 		}
 	})
-	return &testEnv{srv: s, addr: addr, db: db, tier: tier}
-}
-
-// kvDB is a zero-cost database with one row, which /hello reads.
-func kvDB(t *testing.T) *sqldb.DB {
-	t.Helper()
-	db := sqldb.Open(sqldb.Options{Cost: sqldb.ZeroCostModel()})
-	db.MustCreateTable(sqldb.Schema{
-		Table:      "kv",
-		Columns:    []sqldb.Column{{Name: "id", Type: sqldb.Int}, {Name: "v", Type: sqldb.String}},
-		PrimaryKey: "id",
-	})
-	seed := db.Connect()
-	if _, err := seed.Exec("INSERT INTO kv (id, v) VALUES (1, 'hello-from-db')"); err != nil {
-		t.Fatal(err)
-	}
-	seed.Close()
-	return db
+	return &testEnv{srv: s, addr: addr}
 }
 
 func stagedApp() *webtest.App {
@@ -363,18 +345,12 @@ func TestStagedCompletionEvents(t *testing.T) {
 	if _, err := webtest.Get(env.addr, "/style.css"); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	if !webtest.WaitUntil(5*time.Second, func() bool {
 		mu.Lock()
-		n := len(events)
-		mu.Unlock()
-		if n >= 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("events = %d, want 2", n)
-		}
-		time.Sleep(time.Millisecond)
+		defer mu.Unlock()
+		return len(events) >= 2
+	}) {
+		t.Fatal("fewer than 2 completion events")
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -422,10 +398,7 @@ func TestStagedManyConcurrentClients(t *testing.T) {
 	}
 	// A request is counted after its reply is flushed, so the last client
 	// can have its response a moment before the count has it.
-	for deadline := time.Now().Add(2 * time.Second); env.srv.Served() < 64 && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-	}
-	if env.srv.Served() < 64 {
+	if !webtest.WaitUntil(2*time.Second, func() bool { return env.srv.Served() >= 64 }) {
 		t.Fatalf("Served = %d, want >= 64", env.srv.Served())
 	}
 }
@@ -571,10 +544,6 @@ func TestStagedGracefulShutdownDrains(t *testing.T) {
 		if !st.Closed || st.Busy != 0 || st.Depth != 0 {
 			t.Errorf("stage %s not drained: %+v", st.Name, st)
 		}
-	}
-	env.tier.Close()
-	if n := env.db.OpenConns(); n != 0 {
-		t.Errorf("database connections leaked: %d still open", n)
 	}
 	if got := env.srv.Served(); got < inFlight {
 		t.Errorf("Served = %d, want >= %d", got, inFlight)

@@ -6,28 +6,12 @@ import (
 	"time"
 
 	"stagedweb/internal/sqldb"
+	"stagedweb/internal/webtest"
 )
 
-func newTierDB(t *testing.T) *sqldb.DB {
-	t.Helper()
-	db := sqldb.Open(sqldb.Options{Cost: sqldb.ZeroCostModel()})
-	db.MustCreateTable(sqldb.Schema{
-		Table: "kv",
-		Columns: []sqldb.Column{
-			{Name: "id", Type: sqldb.Int},
-			{Name: "v", Type: sqldb.String},
-		},
-		PrimaryKey: "id",
-	})
-	c := db.Connect()
-	defer c.Close()
-	for i := 1; i <= 5; i++ {
-		if _, err := c.Exec("INSERT INTO kv (id, v) VALUES (?, ?)", i, "seed"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return db
-}
+func TestMain(m *testing.M) { webtest.Main(m) }
+
+func newTierDB(t *testing.T) *sqldb.DB { return webtest.KVDB(t, 5, "seed") }
 
 func TestSingleBackendPassThrough(t *testing.T) {
 	db := newTierDB(t)
@@ -147,12 +131,8 @@ func TestAcquireWaitMetrics(t *testing.T) {
 		done <- err
 	}()
 	// Wait until the query has registered its blocked acquisition.
-	deadline := time.Now().Add(2 * time.Second)
-	for tier.WaitCount() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("query never blocked on acquisition")
-		}
-		time.Sleep(100 * time.Microsecond)
+	if !webtest.WaitUntil(2*time.Second, func() bool { return tier.WaitCount() != 0 }) {
+		t.Fatal("query never blocked on acquisition")
 	}
 	tier.release(b, held)
 	if err := <-done; err != nil {

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"stagedweb/internal/webtest"
 )
 
 // failoverWait polls until cond holds, failing the test after a wall
@@ -11,12 +13,8 @@ import (
 // ticks, compressed through the test's timescale.
 func failoverWait(t *testing.T, what string, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(200 * time.Microsecond)
+	if !webtest.WaitUntil(5*time.Second, cond) {
+		t.Fatalf("timed out waiting for %s", what)
 	}
 }
 

@@ -10,7 +10,10 @@ import (
 	"stagedweb/internal/faults"
 	"stagedweb/internal/sqldb"
 	"stagedweb/internal/variant"
+	"stagedweb/internal/webtest"
 )
+
+func TestMain(m *testing.M) { webtest.Main(m) }
 
 func TestRegistryHasBuiltins(t *testing.T) {
 	want := []string{faults.ConnDrop, faults.Leak, faults.ReplicaKill, faults.ShardDown, faults.SlowBackend}
@@ -27,38 +30,15 @@ func TestRegistryHasBuiltins(t *testing.T) {
 	}
 }
 
-func newFaultDB(t *testing.T) *sqldb.DB {
-	t.Helper()
-	db := sqldb.Open(sqldb.Options{Cost: sqldb.ZeroCostModel()})
-	db.MustCreateTable(sqldb.Schema{
-		Table: "kv",
-		Columns: []sqldb.Column{
-			{Name: "id", Type: sqldb.Int},
-			{Name: "v", Type: sqldb.String},
-		},
-		PrimaryKey: "id",
-	})
-	c := db.Connect()
-	defer c.Close()
-	for i := 1; i <= 3; i++ {
-		if _, err := c.Exec("INSERT INTO kv (id, v) VALUES (?, ?)", i, "seed"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return db
-}
+func newFaultDB(t *testing.T) *sqldb.DB { return webtest.KVDB(t, 3, "seed") }
 
 // waitCond polls (in wall time) until cond holds — the manual clock
 // fires waiters synchronously, but the woken goroutines still need host
 // scheduler time to act.
 func waitCond(t *testing.T, what string, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(100 * time.Microsecond)
+	if !webtest.WaitUntil(5*time.Second, cond) {
+		t.Fatalf("timed out waiting for %s", what)
 	}
 }
 

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -13,8 +12,11 @@ import (
 	"stagedweb/internal/sqldb"
 	"stagedweb/internal/tpcw"
 	"stagedweb/internal/variant"
+	"stagedweb/internal/webtest"
 	"stagedweb/internal/workload"
 )
+
+func TestMain(m *testing.M) { webtest.Main(m) }
 
 // testConfig is a miniature experiment that still exhibits the paper's
 // fast/slow structure: small population with a heavy scan cost, a short
@@ -45,7 +47,7 @@ func TestExperimentShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration experiment skipped in -short mode")
 	}
-	if raceEnabled {
+	if webtest.RaceEnabled {
 		t.Skip("race-detector overhead (5-20x) swamps the paper-time " +
 			"calibration; run without -race for the experiment shapes")
 	}
@@ -160,7 +162,7 @@ func TestClusterRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration experiment skipped in -short mode")
 	}
-	if raceEnabled {
+	if webtest.RaceEnabled {
 		t.Skip("race-detector overhead distorts the paper-time calibration")
 	}
 	cfg := QuickConfig(variant.Unmodified, clock.Timescale(200))
@@ -257,7 +259,7 @@ func TestLoadProfileRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration experiment skipped in -short mode")
 	}
-	if raceEnabled {
+	if webtest.RaceEnabled {
 		t.Skip("race-detector overhead distorts the burst window timing")
 	}
 	cfg := QuickConfig(variant.Modified, clock.Timescale(400))
@@ -535,22 +537,17 @@ func TestRunTearsDown(t *testing.T) {
 		}), "bogus"},
 		{"2-shard run", tiny(func(c *Config) { c.Defaults["shards"] = "2" }), ""},
 	}
-	before := runtime.NumGoroutine()
 	for _, tc := range cases {
-		res, err := Run(tc.cfg)
-		switch {
-		case tc.wantErr == "" && (err != nil || res == nil):
-			t.Errorf("%s: %v", tc.name, err)
-		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
-			t.Errorf("%s: err %v, want one naming %q", tc.name, err, tc.wantErr)
-		}
-		deadline := time.Now().Add(5 * time.Second)
-		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-			time.Sleep(10 * time.Millisecond)
-		}
-		if n := runtime.NumGoroutine(); n > before {
-			t.Errorf("%s: %d goroutines after the run, %d before", tc.name, n, before)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			defer webtest.NoNewGoroutines(t)()
+			res, err := Run(tc.cfg)
+			switch {
+			case tc.wantErr == "" && (err != nil || res == nil):
+				t.Error(err)
+			case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+				t.Errorf("err %v, want one naming %q", err, tc.wantErr)
+			}
+		})
 	}
 }
 

@@ -2,7 +2,6 @@ package server_test
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,13 +14,12 @@ import (
 	"stagedweb/internal/webtest"
 )
 
-// baselineEnv is a running baseline server plus its database and the
-// tier fronting it.
+func TestMain(m *testing.M) { webtest.Main(m) }
+
+// baselineEnv is a running baseline server and its address.
 type baselineEnv struct {
 	srv  *server.Baseline
 	addr string
-	db   *sqldb.DB
-	tier *dbtier.Tier
 }
 
 // startBaseline boots a baseline server around app and returns its
@@ -34,19 +32,7 @@ func startBaseline(t *testing.T, app *webtest.App, workers int, onComplete func(
 // environment for tests that inspect server or database state.
 func startBaselineEnv(t *testing.T, app *webtest.App, workers int, onComplete func(server.CompletionEvent)) *baselineEnv {
 	t.Helper()
-	db := sqldb.Open(sqldb.Options{Cost: sqldb.ZeroCostModel()})
-	db.MustCreateTable(sqldb.Schema{
-		Table:      "kv",
-		Columns:    []sqldb.Column{{Name: "id", Type: sqldb.Int}, {Name: "v", Type: sqldb.String}},
-		PrimaryKey: "id",
-	})
-	seed := db.Connect()
-	if _, err := seed.Exec("INSERT INTO kv (id, v) VALUES (1, 'hello-from-db')"); err != nil {
-		t.Fatal(err)
-	}
-	seed.Close()
-
-	tier := dbtier.New(db, dbtier.Options{Conns: workers})
+	tier := dbtier.New(webtest.KVDB(t, 1, "hello-from-db"), dbtier.Options{Conns: workers})
 	t.Cleanup(tier.Close) // after the server stops: cleanups run last-in first-out
 	s, err := server.NewBaseline(server.BaselineConfig{
 		App:        app,
@@ -69,7 +55,7 @@ func startBaselineEnv(t *testing.T, app *webtest.App, workers int, onComplete fu
 			t.Errorf("Serve: %v", err)
 		}
 	})
-	return &baselineEnv{srv: s, addr: addr, db: db, tier: tier}
+	return &baselineEnv{srv: s, addr: addr}
 }
 
 func testApp() *webtest.App {
@@ -256,12 +242,8 @@ func TestBaselineCompletionEvents(t *testing.T) {
 	if _, err := webtest.Get(addr, "/img/flowers.gif"); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for n.Load() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("completion events = %d, want 2", n.Load())
-		}
-		time.Sleep(time.Millisecond)
+	if !webtest.WaitUntil(5*time.Second, func() bool { return n.Load() >= 2 }) {
+		t.Fatalf("completion events = %d, want 2", n.Load())
 	}
 	sawStatic := false
 	events.Range(func(_, v any) bool {
@@ -366,10 +348,6 @@ func TestBaselineGracefulShutdown(t *testing.T) {
 			t.Errorf("stage %s not drained: %+v", st.Name, st)
 		}
 	}
-	env.tier.Close()
-	if n := env.db.OpenConns(); n != 0 {
-		t.Errorf("database connections leaked: %d still open", n)
-	}
 	if got := env.srv.Served(); got < inFlight {
 		t.Errorf("Served = %d, want >= %d", got, inFlight)
 	}
@@ -380,7 +358,7 @@ func TestBaselineGracefulShutdown(t *testing.T) {
 // TestBaselineStopLeavesNoGoroutines: after Stop, no session goroutine
 // outlives its connection.
 func TestBaselineStopLeavesNoGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
+	defer webtest.NoNewGoroutines(t)()
 	env := startBaselineEnv(t, testApp(), 2, nil)
 	c, err := webtest.Dial(env.addr)
 	if err != nil {
@@ -398,8 +376,4 @@ func TestBaselineStopLeavesNoGoroutines(t *testing.T) {
 		}
 	}
 	env.srv.Stop()
-	if !webtest.WaitUntil(5*time.Second, func() bool { return runtime.NumGoroutine() <= before }) {
-		buf := make([]byte, 1<<16)
-		t.Fatalf("%d goroutines after Stop, %d before Serve:\n%s", runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
-	}
 }

@@ -7,7 +7,7 @@ import (
 
 func cloneTestDB(t *testing.T) (*DB, *Conn) {
 	t.Helper()
-	db := Open(Options{Cost: ZeroCostModel()})
+	db := OpenChecked(t, Options{Cost: ZeroCostModel()})
 	db.MustCreateTable(Schema{
 		Table: "item",
 		Columns: []Column{
@@ -89,7 +89,7 @@ func TestCloneIsIndependent(t *testing.T) {
 // state. The table spans several slot chunks and carries outlier,
 // re-used and moved keys.
 func TestCloneReplayReproducesLayout(t *testing.T) {
-	db := Open(Options{Cost: ZeroCostModel()})
+	db := OpenChecked(t, Options{Cost: ZeroCostModel()})
 	db.MustCreateTable(Schema{
 		Table:      "t",
 		Columns:    []Column{{Name: "id", Type: Int}, {Name: "v", Type: Int}},

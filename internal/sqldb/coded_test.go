@@ -37,7 +37,7 @@ type codedQuerier interface {
 // carries code 0.
 func codedDB(t *testing.T, mvcc, twin bool) (*sqldb.DB, *sqldb.Conn) {
 	t.Helper()
-	db := sqldb.Open(sqldb.Options{Cost: sqldb.ZeroCostModel()})
+	db := sqldb.OpenChecked(t, sqldb.Options{Cost: sqldb.ZeroCostModel()})
 	db.SetMVCC(mvcc)
 	db.MustCreateTable(sqldb.Schema{Table: "a", PrimaryKey: "a_id", Columns: []sqldb.Column{
 		{Name: "a_id", Type: sqldb.Int}, {Name: "a_lname", Type: sqldb.String}}})
@@ -326,7 +326,7 @@ func TestVersionCodesMatchDictionaries(t *testing.T) {
 func TestCodedPredicatesAtSnapshotsWhileDictionaryFills(t *testing.T) {
 	for _, mvcc := range []bool{false, true} {
 		t.Run(fmt.Sprintf("mvcc=%v", mvcc), func(t *testing.T) {
-			db := sqldb.Open(sqldb.Options{Cost: sqldb.ZeroCostModel()})
+			db := sqldb.OpenChecked(t, sqldb.Options{Cost: sqldb.ZeroCostModel()})
 			db.SetMVCC(mvcc)
 			db.MustCreateTable(sqldb.Schema{Table: "r", PrimaryKey: "id", Columns: []sqldb.Column{
 				{Name: "id", Type: sqldb.Int}, {Name: "s", Type: sqldb.String}}})
@@ -425,7 +425,7 @@ var codedColors = []string{"red", "green", "blue", "grey"}
 func TestCodedPostingsWhileWriterFlipsCodes(t *testing.T) {
 	for _, mvcc := range []bool{false, true} {
 		t.Run(fmt.Sprintf("mvcc=%v", mvcc), func(t *testing.T) {
-			db := sqldb.Open(sqldb.Options{Cost: sqldb.ZeroCostModel()})
+			db := sqldb.OpenChecked(t, sqldb.Options{Cost: sqldb.ZeroCostModel()})
 			db.SetMVCC(mvcc)
 			db.MustCreateTable(sqldb.Schema{Table: "r", PrimaryKey: "id", Columns: []sqldb.Column{
 				{Name: "id", Type: sqldb.Int}, {Name: "s", Type: sqldb.String}}})

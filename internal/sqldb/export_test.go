@@ -3,8 +3,24 @@ package sqldb
 import (
 	"fmt"
 	"slices"
+	"testing"
 	"unsafe"
 )
+
+// OpenChecked is Open for the tests, which cannot import webtest's
+// checks: once t and its later cleanups are done, it fails t on a
+// connection still open or a snapshot still pinned.
+func OpenChecked(t testing.TB, opts Options) *DB {
+	db := Open(opts)
+	t.Cleanup(func() {
+		db.snapMu.Lock()
+		defer db.snapMu.Unlock()
+		if n := db.OpenConns(); n != 0 || len(db.snapCount) != 0 {
+			t.Errorf("%d connections open, snapshots pinned (timestamp:count) %v", n, db.snapCount)
+		}
+	})
+	return db
+}
 
 // CostCounts exposes a statement's cost counters to the external test
 // package, which can import internal/tpcw (an in-package test cannot:

@@ -30,7 +30,7 @@ import (
 // column, are not. A twin's padding columns take the slots instead.
 func intDB(t *testing.T, mvcc, twin bool) (*sqldb.DB, *sqldb.Conn) {
 	t.Helper()
-	db := sqldb.Open(sqldb.Options{Cost: sqldb.ZeroCostModel()})
+	db := sqldb.OpenChecked(t, sqldb.Options{Cost: sqldb.ZeroCostModel()})
 	db.SetMVCC(mvcc)
 	cols := func(key string, rest ...sqldb.Column) []sqldb.Column {
 		out := []sqldb.Column{{Name: key, Type: sqldb.Int}}
@@ -243,7 +243,7 @@ func TestIntCellsMatchPlainEvaluation(t *testing.T) {
 func TestIntCellsWhileWriterFlipsThem(t *testing.T) {
 	for _, mvcc := range []bool{false, true} {
 		t.Run(fmt.Sprintf("mvcc=%v", mvcc), func(t *testing.T) {
-			db := sqldb.Open(sqldb.Options{Cost: sqldb.ZeroCostModel()})
+			db := sqldb.OpenChecked(t, sqldb.Options{Cost: sqldb.ZeroCostModel()})
 			db.SetMVCC(mvcc)
 			db.MustCreateTable(sqldb.Schema{Table: "r", PrimaryKey: "id", Columns: []sqldb.Column{
 				{Name: "id", Type: sqldb.Int}, {Name: "x", Type: sqldb.Int}}})

@@ -12,7 +12,7 @@ import (
 
 func mvccTestDB(t *testing.T, on bool) (*DB, *Conn) {
 	t.Helper()
-	db := Open(Options{Cost: ZeroCostModel()})
+	db := OpenChecked(t, Options{Cost: ZeroCostModel()})
 	db.SetMVCC(on)
 	db.MustCreateTable(Schema{
 		Table: "hot",
@@ -35,6 +35,7 @@ func mvccTestDB(t *testing.T, on bool) (*DB, *Conn) {
 func TestMVCCSnapshotIsolation(t *testing.T) {
 	db, c := mvccTestDB(t, true)
 	snap := db.Snapshot()
+	defer snap.Close()
 	mustExec(t, c, "UPDATE hot SET h_val = ? WHERE h_id = ?", 42, 1)
 
 	rs, err := snap.Query("SELECT h_val FROM hot WHERE h_id = ?", 1)
@@ -383,7 +384,7 @@ func TestTombstonesReleaseDeletedRows(t *testing.T) {
 }
 
 func TestStmtCacheLRU(t *testing.T) {
-	db := Open(Options{Cost: ZeroCostModel()})
+	db := OpenChecked(t, Options{Cost: ZeroCostModel()})
 	db.MustCreateTable(Schema{
 		Table:      "t",
 		Columns:    []Column{{Name: "id", Type: Int}},
@@ -557,7 +558,7 @@ func BenchmarkReadHotWriteHot(b *testing.B) {
 		mvcc bool
 	}{{"lock", false}, {"mvcc", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			db := Open(Options{Cost: &CostModel{PerStatement: 200 * time.Microsecond}, Clock: clock.Precise{}})
+			db := OpenChecked(b, Options{Cost: &CostModel{PerStatement: 200 * time.Microsecond}, Clock: clock.Precise{}})
 			db.SetMVCC(mode.mvcc)
 			db.MustCreateTable(Schema{
 				Table:      "hot",

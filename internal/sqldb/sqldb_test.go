@@ -15,7 +15,7 @@ import (
 // tests. Cost model is zero so tests run instantly.
 func newTestDB(t *testing.T) (*DB, *Conn) {
 	t.Helper()
-	db := Open(Options{Cost: ZeroCostModel()})
+	db := OpenChecked(t, Options{Cost: ZeroCostModel()})
 	db.MustCreateTable(Schema{
 		Table: "author",
 		Columns: []Column{

@@ -100,7 +100,7 @@ func openTPCW(t testing.TB, mvcc, indexes bool, cfg tpcw.PopulateConfig) *sqldb.
 	// The default cost model, so that the planner ranks access paths as it
 	// does in the experiments; the timescale turns every charge into a
 	// zero-length sleep.
-	db := sqldb.Open(sqldb.Options{Timescale: 1e12})
+	db := sqldb.OpenChecked(t, sqldb.Options{Timescale: 1e12})
 	db.SetMVCC(mvcc)
 	if err := tpcw.CreateTables(db); err != nil {
 		t.Fatal(err)

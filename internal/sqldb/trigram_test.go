@@ -33,7 +33,7 @@ var gramWords = []string{"The", "Secret", "History", "City", "Lost", "River", "G
 // hash-indexed, so that a LIKE is re-checked on an index path too.
 func gramDB(t *testing.T, mvcc, twin bool) (*sqldb.DB, *sqldb.Conn) {
 	t.Helper()
-	db := sqldb.Open(sqldb.Options{Cost: sqldb.ZeroCostModel()})
+	db := sqldb.OpenChecked(t, sqldb.Options{Cost: sqldb.ZeroCostModel()})
 	db.SetMVCC(mvcc)
 	db.MustCreateTable(sqldb.Schema{Table: "a", PrimaryKey: "a_id", Columns: []sqldb.Column{
 		{Name: "a_id", Type: sqldb.Int}, {Name: "a_name", Type: sqldb.String}, {Name: "a_bio", Type: sqldb.String}}})
@@ -256,7 +256,7 @@ func TestTrigramSieveMatchesPlainEvaluation(t *testing.T) {
 func TestTrigramSieveWhileWriterRetitles(t *testing.T) {
 	for _, mvcc := range []bool{false, true} {
 		t.Run(fmt.Sprintf("mvcc=%v", mvcc), func(t *testing.T) {
-			db := sqldb.Open(sqldb.Options{Cost: sqldb.ZeroCostModel()})
+			db := sqldb.OpenChecked(t, sqldb.Options{Cost: sqldb.ZeroCostModel()})
 			db.SetMVCC(mvcc)
 			db.MustCreateTable(sqldb.Schema{Table: "r", PrimaryKey: "id", Columns: []sqldb.Column{
 				{Name: "id", Type: sqldb.Int}, {Name: "title", Type: sqldb.String}}})

@@ -15,7 +15,7 @@ import (
 // key and probes t's.
 func keyTestDB(t *testing.T, mvcc bool) (*DB, *Conn) {
 	t.Helper()
-	db := Open(Options{Cost: ZeroCostModel()})
+	db := OpenChecked(t, Options{Cost: ZeroCostModel()})
 	db.SetMVCC(mvcc)
 	db.MustCreateTable(Schema{
 		Table:      "t",
@@ -291,7 +291,7 @@ func snapshotAgrees(t *testing.T, db *DB, keys int) bool {
 // maxDictValues distinct strings; the next one drops the dictionary for
 // good.
 func TestStringDictionaryCutoff(t *testing.T) {
-	db := Open(Options{Cost: ZeroCostModel()})
+	db := OpenChecked(t, Options{Cost: ZeroCostModel()})
 	db.MustCreateTable(Schema{
 		Table:      "d",
 		Columns:    []Column{{Name: "id", Type: Int}, {Name: "s", Type: String}, {Name: "n", Type: Int}},

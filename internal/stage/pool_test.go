@@ -15,7 +15,11 @@ import (
 	"time"
 
 	"stagedweb/internal/stage"
+	"stagedweb/internal/webtest"
 )
+
+// In the external package: webtest imports stage, through server.
+func TestMain(m *testing.M) { webtest.Main(m) }
 
 func TestPoolProcessesAll(t *testing.T) {
 	var sum atomic.Int64
@@ -396,11 +400,7 @@ func mustEnter[T any](t *testing.T, s *stage.Stage[T]) {
 
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition never became true")
-		}
-		time.Sleep(100 * time.Microsecond)
+	if !webtest.WaitUntil(5*time.Second, cond) {
+		t.Fatal("condition never became true")
 	}
 }

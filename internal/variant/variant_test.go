@@ -9,6 +9,8 @@ import (
 	"stagedweb/internal/webtest"
 )
 
+func TestMain(m *testing.M) { webtest.Main(m) }
+
 func testEnv(set Settings) Env {
 	return Env{
 		App: webtest.NewApp(),
@@ -105,6 +107,7 @@ func TestReplicasSetting(t *testing.T) {
 	} {
 		v, _ := Lookup(tc.variant)
 		env := testEnv(tc.set)
+		webtest.NoOpenConns(t, env.DB)
 		inst, err := v.Build(env)
 		if err != nil {
 			t.Fatalf("%s %v: %v", tc.variant, tc.set, err)
@@ -121,9 +124,6 @@ func TestReplicasSetting(t *testing.T) {
 			}
 		}
 		inst.Stop()
-		if n := env.DB.OpenConns(); n != 0 {
-			t.Errorf("%s %v: %d primary connections open after Stop", tc.variant, tc.set, n)
-		}
 	}
 	for _, name := range []string{Unmodified, Modified} {
 		v, _ := Lookup(name)

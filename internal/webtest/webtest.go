@@ -1,6 +1,7 @@
 // Package webtest provides a minimal HTTP client and a configurable
-// in-memory application for tests and the benchmark. No non-test code of
-// the main module imports it.
+// in-memory application for tests and the benchmark, and the leak checks
+// of the serving packages' tests (leak.go). No non-test code of the main
+// module imports it.
 //
 // The client is deliberately independent of net/http so that tests
 // exercise the repository's wire implementation end to end.

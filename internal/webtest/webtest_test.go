@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"strings"
 	"testing"
+	"time"
 
 	"stagedweb/internal/dbtier"
 	"stagedweb/internal/server"
-	"stagedweb/internal/sqldb"
 )
+
+func TestMain(m *testing.M) { Main(m) }
 
 func TestAppImplementsServerApp(t *testing.T) {
 	app := NewApp().
@@ -64,16 +66,10 @@ func TestReadResponseErrors(t *testing.T) {
 }
 
 func TestEndToEndAgainstBaseline(t *testing.T) {
-	db := sqldb.Open(sqldb.Options{Cost: sqldb.ZeroCostModel()})
-	db.MustCreateTable(sqldb.Schema{
-		Table:      "t",
-		Columns:    []sqldb.Column{{Name: "id", Type: sqldb.Int}},
-		PrimaryKey: "id",
-	})
 	app := NewApp().AddPage("/ping", func(r *server.Request) (*server.Result, error) {
 		return &server.Result{Body: "pong"}, nil
 	})
-	tier := dbtier.New(db, dbtier.Options{Conns: 2})
+	tier := dbtier.New(KVDB(t, 0, ""), dbtier.Options{Conns: 2})
 	defer tier.Close()
 	srv, err := server.NewBaseline(server.BaselineConfig{App: app, DB: tier.Conn(), Workers: 2})
 	if err != nil {
@@ -107,3 +103,28 @@ func TestEndToEndAgainstBaseline(t *testing.T) {
 		}
 	}
 }
+
+// TestLeakCheck: a goroutine started after the check began and still
+// running is reported with the frame that created it; one that ends
+// inside the wait, and one alive before the check began, are not.
+func TestLeakCheck(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	go park(release) // alive before the check began
+	before := goroutines()
+
+	go time.Sleep(50 * time.Millisecond)
+	if left := leftSince(before, leakWait); left != "" {
+		t.Errorf("reported:\n%s", left)
+	}
+
+	go park(release)
+	left := leftSince(before, 100*time.Millisecond)
+	if stacks := strings.Split(left, "\n\n"); len(stacks) != 1 ||
+		!strings.Contains(left, "webtest.park(") ||
+		!strings.Contains(left, "created by stagedweb/internal/webtest.TestLeakCheck") {
+		t.Errorf("want the one parked goroutine and its creator, got %d stacks:\n%s", len(stacks), left)
+	}
+}
+
+func park(release chan struct{}) { <-release }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"stagedweb/internal/clock"
+	"stagedweb/internal/webtest"
 )
 
 // drawThinks samples n think times from a browser configured with cfg.
@@ -124,11 +125,7 @@ func TestSpawnSessionExpires(t *testing.T) {
 // waitActive polls until the generator's live EB count reaches want.
 func waitActive(t *testing.T, g *Generator, want int64) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for g.tele.active.Load() != want {
-		if time.Now().After(deadline) {
-			t.Fatalf("active = %d, want %d", g.tele.active.Load(), want)
-		}
-		time.Sleep(2 * time.Millisecond)
+	if !webtest.WaitUntil(10*time.Second, func() bool { return g.tele.active.Load() == want }) {
+		t.Fatalf("active = %d, want %d", g.tele.active.Load(), want)
 	}
 }

@@ -15,10 +15,13 @@ import (
 	"stagedweb/internal/webtest"
 )
 
+func TestMain(m *testing.M) { webtest.Main(m) }
+
 // startBookstore boots a staged server with a small TPC-W population.
 func startBookstore(t *testing.T) (addr string, counts tpcw.Counts) {
 	t.Helper()
 	db := sqldb.Open(sqldb.Options{Cost: sqldb.ZeroCostModel()})
+	webtest.NoOpenConns(t, db)
 	if err := tpcw.CreateTables(db); err != nil {
 		t.Fatal(err)
 	}
