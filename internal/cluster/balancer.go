@@ -91,7 +91,6 @@ type Balancer struct {
 	routed  []atomic.Int64 // per-shard routed counts (fan-outs excluded)
 	routeN  atomic.Int64   // total single-shard routed requests
 	fanoutN atomic.Int64   // total fanned-out requests
-	rr      atomic.Int64   // round-robin cursor for lb=rr
 
 	down      []atomic.Bool // per-shard fault-injected down flags
 	breakers  []breaker     // per-shard circuit breakers
@@ -119,12 +118,8 @@ func New(opts Options, shards []variant.Instance, route RouteFunc) (*Balancer, e
 	if route == nil {
 		return nil, fmt.Errorf("cluster: nil route func")
 	}
-	switch opts.LB {
-	case "":
-		opts.LB = LBHash
-	case LBHash, LBRR:
-	default:
-		return nil, fmt.Errorf("cluster: unknown lb policy %q (want %s|%s)", opts.LB, LBHash, LBRR)
+	if opts.LB != "" && opts.LB != LBHash {
+		return nil, fmt.Errorf("cluster: unknown lb policy %q (want %s)", opts.LB, LBHash)
 	}
 	if opts.Clock == nil {
 		opts.Clock = clock.Real{}
@@ -456,27 +451,22 @@ func (b *Balancer) forward(j *job) (*[]byte, error) {
 }
 
 // pick chooses the shard for a single-shard request: ring owner for
-// keyed requests (the data lives there — no shard can stand in);
-// for key-less ones the configured policy (hash of the request target,
-// or round-robin), failing over past down or breaker-open shards.
+// keyed requests (the data lives there — no shard can stand in); for
+// key-less ones the owner of the request target's hash, failing over
+// past down or breaker-open shards.
 func (b *Balancer) pick(j *job) int {
 	if j.dec.Key != "" {
 		return b.ring.Owner(j.dec.Key)
 	}
 	n := len(b.shards)
-	var first int
-	if b.opts.LB == LBRR {
-		first = int((b.rr.Add(1) - 1) % int64(n))
-	} else {
-		first = b.ring.Owner(j.req.Line.Target)
-	}
+	first := b.ring.Owner(j.req.Line.Target)
 	for k := 0; k < n; k++ {
 		s := (first + k) % n
 		if !b.down[s].Load() && !b.breakerRejects(s) {
 			return s
 		}
 	}
-	return first // every shard unhealthy: fail on the policy's choice
+	return first // every shard unhealthy: fail on the hash's choice
 }
 
 // fanout broadcasts the request to every shard and waits for all of

@@ -98,13 +98,25 @@ func buildShardInsts(t *testing.T, clk clock.Clock, name string, n int) []varian
 // the balancer: admin_response updates the replicated item table, which
 // fans out to every shard and only replies once all shards have
 // applied it — so a read routed to ANY shard afterwards must see the
-// new price. lb=rr makes consecutive key-less reads visit the shards
-// round-robin, covering every copy.
+// new price. The reads are key-less, so the hash of their request target
+// picks the shard; two targets the ring sends to different shards cover
+// every copy.
 func TestClusterReadYourWrites(t *testing.T) {
 	manual := clock.NewManual(time.Date(2009, 6, 29, 0, 0, 0, 0, time.UTC))
 	const shards = 2
-	b, addr := bootCluster(t, manual, shards, cluster.LBRR)
+	b, addr := bootCluster(t, manual, shards, cluster.LBHash)
 	defer b.Stop()
+	ring, err := cluster.NewRing(shards, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := make([]string, shards) // targets[s] is routed to shard s
+	for n, left := 0, shards; left > 0; n++ {
+		target := fmt.Sprintf("%s?i_id=7&n=%d", tpcw.PageProductDetail, n)
+		if s := ring.Owner(target); targets[s] == "" {
+			targets[s], left = target, left-1
+		}
+	}
 
 	resp, err := webtest.Get(addr, tpcw.PageAdminResponse+"?i_id=7&cost=42.50")
 	if err != nil {
@@ -114,10 +126,8 @@ func TestClusterReadYourWrites(t *testing.T) {
 		t.Fatalf("admin_response status %d", resp.Status)
 	}
 
-	// One read per shard: round-robin guarantees two consecutive
-	// key-less requests land on different shards.
-	for i := 0; i < shards; i++ {
-		resp, err := webtest.Get(addr, tpcw.PageProductDetail+"?i_id=7")
+	for i, target := range targets {
+		resp, err := webtest.Get(addr, target)
 		if err != nil {
 			t.Fatalf("product_detail read %d: %v", i, err)
 		}

@@ -2,15 +2,10 @@ package cluster
 
 import "stagedweb/internal/clock"
 
-// Load-balancer policies for key-less requests.
-const (
-	// LBHash routes a key-less request by hashing its request target on
-	// the ring — deterministic, so identical requests always land on the
-	// same shard.
-	LBHash = "hash"
-	// LBRR round-robins key-less requests across shards.
-	LBRR = "rr"
-)
+// LBHash is the load-balancer policy for key-less requests: hash the
+// request target on the ring — deterministic, so identical requests
+// always land on the same shard.
+const LBHash = "hash"
 
 // Probe names the balancer exports next to the shard instances' own
 // (aggregated) probes.
@@ -49,7 +44,8 @@ const (
 type Options struct {
 	// Shards is the number of shard instances fronted (>= 1).
 	Shards int
-	// LB is the key-less routing policy, LBHash (default) or LBRR.
+	// LB is the key-less routing policy: LBHash, the only one, or ""
+	// for it.
 	LB string
 	// Clock schedules the balancer's paper-time deadlines (fan-out
 	// deadline, retry backoff, breaker cooldown); nil means clock.Real.

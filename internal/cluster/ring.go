@@ -7,8 +7,8 @@
 // through a bounded LB stage (the lb.wait probe is that stage's queue
 // depth), and forwards it over a pooled keep-alive connection to the
 // owning shard. Requests with a partition key ride the consistent-hash
-// Ring; key-less requests follow the configured policy (lb=hash routes
-// by request target, lb=rr round-robins); cross-shard requests fan out
+// Ring; key-less requests go to the ring owner of their request
+// target's hash; cross-shard requests fan out
 // to every shard and the balancer replies once all shards have answered,
 // which is what makes a broadcast write read-your-writes for every
 // subsequent routed read.

@@ -20,16 +20,13 @@ import (
 var updateWire = flag.Bool("update-wire", false, "rewrite testdata/wire_golden.txt from this checkout's replies")
 
 // wireApp serves the reply shapes the wire path has: a deferred page, a
-// pre-rendered one, a 6 KiB page, small and 8 KiB statics, a redirect.
+// pre-rendered one, a 6 KiB page, small and 8 KiB statics.
 func wireApp() *webtest.App {
 	app := stagedApp()
 	app.AddTemplate("big.html", "<html><body>{{ filler }}</body></html>")
 	app.AddStatic("/img/image_1.gif", bytes.Repeat([]byte("GIF89a.."), 1024), "image/gif")
 	app.AddPage("/page6k", func(r *server.Request) (*server.Result, error) {
 		return &server.Result{Template: "big.html", Data: map[string]any{"filler": strings.Repeat("0123456789abcdef", 384)}}, nil
-	})
-	app.AddPage("/go", func(r *server.Request) (*server.Result, error) {
-		return &server.Result{Redirect: "/hello"}, nil
 	})
 	app.AddPage("/echo", func(r *server.Request) (*server.Result, error) {
 		return &server.Result{Body: "name=" + r.Query["name"] + " id=" + r.Header.Get("X-Bench-Id"), ContentType: "text/plain"}, nil
@@ -48,7 +45,6 @@ var wireScript = []string{
 	"GET /page6k HTTP/1.1\r\nHost: t\r\n\r\n",
 	"GET /echo?name=a+b%21 HTTP/1.1\r\nHost: t\r\nX-Bench-Id: 42\r\n\r\n",
 	"POST /echo HTTP/1.1\r\nHost: t\r\nContent-Type: application/x-www-form-urlencoded\r\nContent-Length: 8\r\n\r\nname=frm",
-	"GET /go HTTP/1.1\r\nHost: t\r\n\r\n",
 	"GET /nosuch HTTP/1.1\r\nHost: t\r\n\r\n",
 	"GET /missing.png HTTP/1.1\r\nHost: t\r\n\r\n",
 	"GET /boom HTTP/1.1\r\nHost: t\r\n\r\n",

@@ -302,7 +302,6 @@ type run struct {
 	faultPlan string           // "" runs fault-free
 	faultSet  variant.Settings // the plan's settings (faultset=)
 	shards    int              // 0: no balancer in front
-	lb        string
 	set       variant.Settings // Config.Set less the run-level keys
 
 	// Provisioned by provision.
@@ -341,7 +340,7 @@ func (r *run) teardown() {
 
 // resolve looks the variant, load profile and mix up, and decodes the
 // run-level settings: the fault plan (faults, faultset) and the cluster
-// (shards, lb). They are split off Config.Set once and decoded with
+// (shards). They are split off Config.Set once and decoded with
 // Config.Defaults by one decoder; they are experiment inputs, not
 // server configuration, so they never reach a variant decoder.
 func (r *run) resolve() error {
@@ -365,7 +364,7 @@ func (r *run) resolve() error {
 
 	own := variant.Settings{}
 	r.set = cfg.Set.Clone()
-	for _, k := range []string{"faults", "faultset", "shards", "lb"} {
+	for _, k := range []string{"faults", "faultset", "shards"} {
 		if v, ok := cfg.Set[k]; ok {
 			own[k] = v
 			delete(r.set, k)
@@ -375,7 +374,6 @@ func (r *run) resolve() error {
 	r.faultPlan = d.String("faults", "")
 	faultSet := d.String("faultset", "")
 	shards := d.Int("shards", 1)
-	r.lb = d.Enum("lb", cluster.LBHash, cluster.LBHash, cluster.LBRR)
 	if err := d.Finish(); err != nil {
 		return fmt.Errorf("harness: %w", err)
 	}
@@ -405,14 +403,10 @@ func (r *run) resolve() error {
 	// hop as its scaled cells.
 	_, explicit := own["shards"]
 	_, lowered := cfg.Defaults["shards"]
-	switch {
-	case !explicit && !lowered:
-		if _, ok := own["lb"]; ok {
-			return fmt.Errorf("harness: lb=%q given without shards=", own["lb"])
+	if explicit || lowered {
+		if shards < 1 {
+			return fmt.Errorf("harness: shards must be >= 1, got %d", shards)
 		}
-	case shards < 1:
-		return fmt.Errorf("harness: shards must be >= 1, got %d", shards)
-	default:
 		r.shards = shards
 	}
 	return nil
@@ -607,7 +601,7 @@ func (r *run) instance() (variant.Instance, faults.Targets, error) {
 	if r.shards == 0 {
 		return insts[0], targets, nil
 	}
-	bal, err := cluster.New(cluster.Options{Shards: r.shards, LB: r.lb, Clock: clock.Precise{}, Scale: r.cfg.Scale},
+	bal, err := cluster.New(cluster.Options{Shards: r.shards, Clock: clock.Precise{}, Scale: r.cfg.Scale},
 		insts, func(path string, q map[string]string) cluster.Decision {
 			key, fanout := tpcw.ShardKey(path, q)
 			return cluster.Decision{Key: key, Fanout: fanout}

@@ -172,7 +172,6 @@ func TestClusterRun(t *testing.T) {
 	cfg.CoolDown = 5 * time.Second
 	cfg.Populate = tpcw.PopulateConfig{Items: 300, Customers: 120, Orders: 100}
 	cfg.Defaults["shards"] = "2"
-	cfg.Defaults["lb"] = "hash"
 
 	res, err := Run(cfg)
 	if err != nil {
@@ -204,11 +203,11 @@ func TestClusterRun(t *testing.T) {
 		t.Errorf("SLO attainment out of range: %v", res.SLOAttained)
 	}
 
-	// The strict settings surface covers the cluster keys: a bad lb
-	// policy is a build error, not a silent fallback.
-	bad := cfg.With(func(c *Config) { c.Defaults["lb"] = "random" })
+	// The strict settings surface covers the cluster keys: a bad shard
+	// count is a build error, not a silent fallback.
+	bad := cfg.With(func(c *Config) { c.Defaults["shards"] = "0" })
 	if _, err := Run(bad); err == nil {
-		t.Error("lb=random accepted")
+		t.Error("shards=0 accepted")
 	}
 }
 
@@ -489,19 +488,17 @@ func TestResolveSettings(t *testing.T) {
 		t.Fatalf("default plan: %q, err %v", r.faultPlan, err)
 	}
 	// shards engages the balancer from either layer, even at 1.
-	if r, err = resolve(variant.Settings{"shards": "1", "lb": "rr"}, nil); err != nil || r.shards != 1 || r.lb != "rr" {
-		t.Fatalf("shards=1 lb=rr: shards %d, lb %q, err %v", r.shards, r.lb, err)
+	if r, err = resolve(variant.Settings{"shards": "1"}, nil); err != nil || r.shards != 1 {
+		t.Fatalf("shards=1: shards %d, err %v", r.shards, err)
 	}
-	if r, err = resolve(nil, variant.Settings{"shards": "2"}); err != nil || r.shards != 2 || r.lb != "hash" {
-		t.Fatalf("default shards=2: shards %d, lb %q, err %v", r.shards, r.lb, err)
+	if r, err = resolve(nil, variant.Settings{"shards": "2"}); err != nil || r.shards != 2 {
+		t.Fatalf("default shards=2: shards %d, err %v", r.shards, err)
 	}
 
 	for name, bad := range map[string]variant.Settings{
 		"unknown plan":          {"faults": "nope"},
 		"faultset without plan": {"faultset": "at=10s"},
 		"malformed faultset":    {"faults": "leak", "faultset": "at"},
-		"lb without shards":     {"lb": "rr"},
-		"unknown lb":            {"shards": "2", "lb": "random"},
 		"shards below one":      {"shards": "0"},
 		"shards not an integer": {"shards": "two"},
 	} {

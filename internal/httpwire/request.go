@@ -204,9 +204,8 @@ func (r *Request) KeepAlive() bool {
 	return strings.EqualFold(conn, "keep-alive")
 }
 
-// ReadRequest performs both parse phases plus query/body handling — the
-// convenience path used by the baseline thread-per-request server, whose
-// workers do everything themselves.
+// ReadRequest performs both parse phases plus query/body handling into a
+// new Request, for a caller that keeps each request it reads.
 func ReadRequest(br *bufio.Reader) (*Request, error) {
 	req := new(Request)
 	if err := req.Parse(br); err != nil {

@@ -14,7 +14,6 @@ import (
 // Status codes used by the servers.
 const (
 	StatusOK                  = 200
-	StatusFound               = 302
 	StatusBadRequest          = 400
 	StatusNotFound            = 404
 	StatusMethodNotAllowed    = 405
@@ -24,7 +23,6 @@ const (
 
 var statusText = map[int]string{
 	StatusOK:                  "OK",
-	StatusFound:               "Found",
 	StatusBadRequest:          "Bad Request",
 	StatusNotFound:            "Not Found",
 	StatusMethodNotAllowed:    "Method Not Allowed",
@@ -49,7 +47,6 @@ type Response struct {
 	ContentType string
 	Body        []byte
 	KeepAlive   bool
-	Extra       Header // optional extra headers (e.g. Location)
 }
 
 // AppendHead appends the status line and the header block, blank line
@@ -71,12 +68,6 @@ func (r *Response) AppendHead(dst []byte) []byte {
 		dst = append(dst, "\r\nConnection: keep-alive"...)
 	} else {
 		dst = append(dst, "\r\nConnection: close"...)
-	}
-	for _, f := range r.Extra {
-		dst = append(dst, "\r\n"...)
-		dst = append(dst, f.Name...)
-		dst = append(dst, ": "...)
-		dst = append(dst, f.Value...)
 	}
 	return append(dst, "\r\n\r\n"...)
 }
@@ -111,8 +102,8 @@ const HeadRoom = 256
 // WriteInPlace sends a response whose body the caller built in
 // buf[HeadRoom:]: the head is laid against it in buf[:HeadRoom], so head
 // and body leave in one Write and the body is not copied again. r.Body is
-// set to the body. A head that does not fit (long Extra values) takes the
-// copying path of Write.
+// set to the body. A head that does not fit (a long content type) takes
+// the copying path of Write.
 func (r *Response) WriteInPlace(w io.Writer, buf []byte) error {
 	r.Body = buf[HeadRoom:]
 	var scratch [HeadRoom]byte

@@ -50,20 +50,6 @@ func TestResponseDefaultsAndClose(t *testing.T) {
 	}
 }
 
-func TestResponseExtraHeaders(t *testing.T) {
-	var buf bytes.Buffer
-	resp := Response{
-		Status: StatusFound,
-		Extra:  Header{{"Location", "/home"}},
-	}
-	if err := resp.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Location: /home\r\n") {
-		t.Fatalf("extra header missing: %q", buf.String())
-	}
-}
-
 func TestResponseParsesBack(t *testing.T) {
 	// A response we write must be readable by a minimal client: status
 	// line, then headers, then exactly Content-Length bytes.

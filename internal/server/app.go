@@ -66,13 +66,10 @@ type Result struct {
 	// paper's deferred style).
 	Template string
 	Data     map[string]any
-
-	// Redirect, when set, sends a 302 with this Location.
-	Redirect string
 }
 
 // Deferred reports whether the result requires template rendering.
-func (r *Result) Deferred() bool { return r.Body == "" && r.Redirect == "" && r.Template != "" }
+func (r *Result) Deferred() bool { return r.Body == "" && r.Template != "" }
 
 // HandlerFunc computes a dynamic page.
 type HandlerFunc func(*Request) (*Result, error)
@@ -145,11 +142,6 @@ func RenderResult(app App, res *Result, buf []byte) (body []byte, contentType st
 		contentType = "text/html; charset=utf-8"
 	}
 	switch {
-	case res.Redirect != "":
-		if res.Status == 0 {
-			status = httpwire.StatusFound
-		}
-		return buf, contentType, status, nil
 	case res.Body != "":
 		return append(buf, res.Body...), contentType, status, nil
 	case res.Template != "":
@@ -161,14 +153,4 @@ func RenderResult(app App, res *Result, buf []byte) (body []byte, contentType st
 	default:
 		return buf, contentType, status, nil
 	}
-}
-
-// BuildResponse assembles the head of the wire response for a handler
-// result; the caller supplies the materialized body when it writes.
-func BuildResponse(res *Result, contentType string, status int, keepAlive bool) httpwire.Response {
-	resp := httpwire.Response{Status: status, ContentType: contentType, KeepAlive: keepAlive}
-	if res != nil && res.Redirect != "" {
-		resp.Extra = httpwire.Header{{Name: "Location", Value: res.Redirect}}
-	}
-	return resp
 }

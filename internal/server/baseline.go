@@ -134,9 +134,9 @@ func (s *Baseline) Graph() *stage.Graph { return s.graph }
 // all on the same worker with the same database connection.
 func (s *Baseline) serveConn(c *Conn) {
 	defer c.Close()
+	req := new(httpwire.Request)
 	for {
-		req, err := c.ReadRequest()
-		if err != nil {
+		if err := c.Parse(req); err != nil {
 			// EOF/timeout/reset between requests is the normal end of a
 			// keep-alive session.
 			return

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"stagedweb/internal/clock"
 	"stagedweb/internal/dbtier"
 	"stagedweb/internal/server"
 	"stagedweb/internal/sqldb"
@@ -31,15 +32,17 @@ func startBaseline(t *testing.T, app *webtest.App, workers int, onComplete func(
 // startBaselineEnv boots a baseline server and returns the full
 // environment for tests that inspect server or database state.
 func startBaselineEnv(t *testing.T, app *webtest.App, workers int, onComplete func(server.CompletionEvent)) *baselineEnv {
+	return startBaselineWith(t, server.BaselineConfig{App: app, Workers: workers, OnComplete: onComplete})
+}
+
+// startBaselineWith boots a baseline server from cfg, giving it a
+// database of its own.
+func startBaselineWith(t *testing.T, cfg server.BaselineConfig) *baselineEnv {
 	t.Helper()
-	tier := dbtier.New(webtest.KVDB(t, 1, "hello-from-db"), dbtier.Options{Conns: workers})
+	tier := dbtier.New(webtest.KVDB(t, 1, "hello-from-db"), dbtier.Options{Conns: cfg.Workers})
 	t.Cleanup(tier.Close) // after the server stops: cleanups run last-in first-out
-	s, err := server.NewBaseline(server.BaselineConfig{
-		App:        app,
-		DB:         tier.Conn(),
-		Workers:    workers,
-		OnComplete: onComplete,
-	})
+	cfg.DB = tier.Conn()
+	s, err := server.NewBaseline(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,9 +77,6 @@ func testApp() *webtest.App {
 	})
 	app.AddPage("/boom", func(r *server.Request) (*server.Result, error) {
 		return nil, fmt.Errorf("handler exploded")
-	})
-	app.AddPage("/redirect", func(r *server.Request) (*server.Result, error) {
-		return &server.Result{Redirect: "/hello"}, nil
 	})
 	app.AddPage("/echo", func(r *server.Request) (*server.Result, error) {
 		return &server.Result{Body: "q=" + r.Query["q"]}, nil
@@ -179,14 +179,32 @@ func TestBaselineRenderErrorMidPage(t *testing.T) {
 	}
 }
 
-func TestBaselineRedirect(t *testing.T) {
-	addr := startBaseline(t, testApp(), 4, nil)
-	resp, err := webtest.Get(addr, "/redirect")
+// TestBaselineServerTimeExcludesIdle sends a second request on a
+// keep-alive connection after the server's clock has moved on 300 ms
+// while the connection sat idle. The request's ServerTime counts from its
+// first byte, not from when the worker began to wait for it, so under a
+// manual clock that does not move while it is served it reads 0.
+func TestBaselineServerTimeExcludesIdle(t *testing.T) {
+	clk := clock.NewManual(time.Unix(0, 0))
+	events := make(chan server.CompletionEvent, 2)
+	env := startBaselineWith(t, server.BaselineConfig{App: testApp(), Workers: 1, Clock: clk,
+		OnComplete: func(ev server.CompletionEvent) { events <- ev }})
+	c, err := webtest.Dial(env.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Status != 302 || resp.Header.Get("Location") != "/hello" {
-		t.Fatalf("status=%d location=%q", resp.Status, resp.Header.Get("Location"))
+	defer c.Close()
+	for i, idle := range []time.Duration{0, 300 * time.Millisecond} {
+		// Give the worker time to start waiting for the request, then
+		// let the idle time pass on the server's clock.
+		time.Sleep(20 * time.Millisecond)
+		clk.Advance(idle)
+		if resp, err := c.Do("/prerendered", true); err != nil || resp.Status != 200 {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if ev := <-events; ev.ServerTime != 0 {
+			t.Fatalf("request %d after %v idle: ServerTime = %v, want 0", i, idle, ev.ServerTime)
+		}
 	}
 }
 

@@ -193,24 +193,18 @@ func (c *Conn) FinishRequest(line httpwire.RequestLine) (*httpwire.Request, erro
 	return httpwire.FinishRequest(c.br, line)
 }
 
-// ReadRequest marks the request acquired and performs both parse phases,
-// bounded by the idle timeout — the convenience path for workers that do
-// everything themselves.
-func (c *Conn) ReadRequest() (*httpwire.Request, error) {
-	c.Acquired = c.t.clk.Now()
-	req := new(httpwire.Request)
-	if err := c.Parse(req); err != nil {
-		return nil, err
-	}
-	return req, nil
-}
-
 // Parse reads the next request into req, which the caller reuses (see
-// httpwire.Request.Parse), bounded by the idle timeout and by Abort.
+// httpwire.Request.Parse), bounded by the idle timeout and by Abort. It
+// marks the request acquired once its first byte is in: the wait for it
+// is the connection's idle time, not the request's.
 func (c *Conn) Parse(req *httpwire.Request) error {
 	if err := c.armIdle(); err != nil {
 		return err
 	}
+	if _, err := c.br.Peek(1); err != nil {
+		return err
+	}
+	c.Acquired = c.t.clk.Now()
 	if err := req.Parse(c.br); err != nil {
 		return err
 	}
@@ -378,7 +372,7 @@ func (t *Transport) FinishDynamic(c *Conn, app App, page string, class Class, re
 		// worker that produced the bytes.
 		t.Charge(t.cost.Render(len(wire) - httpwire.HeadRoom))
 	}
-	resp := BuildResponse(res, ct, status, keep)
+	resp := httpwire.Response{Status: status, ContentType: ct, KeepAlive: keep}
 	return t.replied(c, page, class, &resp, resp.WriteInPlace(c.nc, wire))
 }
 

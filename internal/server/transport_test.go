@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"stagedweb/internal/httpwire"
 	"stagedweb/internal/server"
 )
 
@@ -78,8 +79,9 @@ func TestTransportShutdownSparesFirstRequest(t *testing.T) {
 		c := tr.NewConn(nc)
 		ended := make(chan time.Time, 1)
 		go func() {
+			var req httpwire.Request
 			for c.AwaitReadable() == nil {
-				if _, err := c.ReadRequest(); err != nil {
+				if err := c.Parse(&req); err != nil {
 					break
 				}
 			}

@@ -94,8 +94,10 @@ func TestCloneReplayReproducesLayout(t *testing.T) {
 		Table:      "t",
 		Columns:    []Column{{Name: "id", Type: Int}, {Name: "v", Type: Int}},
 		PrimaryKey: "id",
-		Ordered:    []string{"v"},
 	})
+	if err := db.CreateIndex("t", "v", true); err != nil {
+		t.Fatal(err)
+	}
 	log := db.EnableReplLog()
 	c := db.Connect()
 	defer c.Close()

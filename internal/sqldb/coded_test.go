@@ -41,10 +41,13 @@ func codedDB(t *testing.T, mvcc, twin bool) (*sqldb.DB, *sqldb.Conn) {
 	db.SetMVCC(mvcc)
 	db.MustCreateTable(sqldb.Schema{Table: "a", PrimaryKey: "a_id", Columns: []sqldb.Column{
 		{Name: "a_id", Type: sqldb.Int}, {Name: "a_lname", Type: sqldb.String}}})
-	db.MustCreateTable(sqldb.Schema{Table: "p", PrimaryKey: "p_id", Indexes: []string{"p_a"}, Ordered: []string{"p_n"},
+	db.MustCreateTable(sqldb.Schema{Table: "p", PrimaryKey: "p_id", Indexes: []string{"p_a"},
 		Columns: []sqldb.Column{
 			{Name: "p_id", Type: sqldb.Int}, {Name: "p_s", Type: sqldb.String}, {Name: "p_a", Type: sqldb.Int},
 			{Name: "p_t", Type: sqldb.String}, {Name: "p_n", Type: sqldb.Int}}})
+	if err := db.CreateIndex("p", "p_n", true); err != nil {
+		t.Fatal(err)
+	}
 	db.MustCreateTable(sqldb.Schema{Table: "q", PrimaryKey: "q_id", Columns: []sqldb.Column{
 		{Name: "q_id", Type: sqldb.Int}, {Name: "q_s", Type: sqldb.String}, {Name: "q_n", Type: sqldb.Int}}})
 	c := db.Connect()

@@ -6,10 +6,10 @@ import "fmt"
 // resolved once, when the statement is prepared (the closures read only
 // the row and the execution's arguments, so a cached plan shares them
 // between executions), and splits them by the join binding they read so
-// the executor can apply each predicate as early as possible during
-// nested-loop enumeration (predicate pushdown). Without this, a query like the TPC-W new-products listing
-// would join the author table for all ten thousand item rows before
-// discarding 96% of them on the subject filter.
+// the executor can apply each predicate as early as possible during join
+// enumeration (predicate pushdown). Without this, a query like the TPC-W
+// new-products listing would join the author table for all ten thousand
+// item rows before discarding 96% of them on the subject filter.
 
 // compiledPred is a WHERE conjunct ready for per-row evaluation.
 type compiledPred struct {

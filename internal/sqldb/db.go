@@ -113,12 +113,13 @@ func (db *DB) Conflicts() int64 { return db.conflicts.Value() }
 // (snapshot SELECTs plus explicit Snapshot queries).
 func (db *DB) SnapshotReads() int64 { return db.snapshotReads.Value() }
 
-// PlanScans reports executed full-scan access paths: statements (or
-// join inner loops) the planner could not serve from an index.
+// PlanScans reports executed full-scan access paths: statements the
+// planner could not serve from an index.
 func (db *DB) PlanScans() int64 { return db.planScans.Value() }
 
 // PlanIndexLookups reports executed index access paths — point lookups,
-// range scans, and index-nested-loop join inners.
+// range scans, and primary-key join steps (once per execution that
+// reaches the step).
 func (db *DB) PlanIndexLookups() int64 { return db.planIndex.Value() }
 
 // PlanRowsRead reports row versions visited by access paths (scanned

@@ -26,12 +26,14 @@
 //   - lexer.go / parser.go / ast.go parse SQL into an AST once per
 //     statement text; stmtcache.go caches the parsed and planned
 //     statement, keyed by the index epoch.
-//   - plan.go is the planner: it turns a selectStmt into a logical plan
-//     and chooses a physical access path per table — full scan,
-//     primary-key lookup, hash-index point lookup, ordered-index walk
-//     above a bound or in ORDER BY order, or index-nested-loop join — by pricing each
-//     candidate with the CostModel and keeping the cheapest (an index
-//     path wins a cost tie). EXPLAIN renders the chosen plan. The plan
+//   - plan.go is the planner: it turns a selectStmt into a physical
+//     plan by a fixed rule that reads only which columns are indexed,
+//     never a table's size — primary-key lookup for a "= v" on the key,
+//     else a secondary-index lookup for the first "= v" on an indexed
+//     column, else an ordered-index walk for the first "> v" on an
+//     ordered-indexed column, else a full scan — and probes every joined
+//     table through its primary key; a JOIN on any other column fails
+//     at prepare. EXPLAIN renders the chosen plan. The plan
 //     also carries everything else that does not depend on the
 //     arguments, compiled once: resolved tables and lock order, the
 //     WHERE conjuncts as closures split by join depth (compile.go),
@@ -77,9 +79,9 @@
 //   - index.go maintains the secondary indexes (hash for equality,
 //     ordered sorted runs for "col > v", both appended to in place
 //     past the lengths their readers hold) transactionally under both
-//     engines; CreateIndex bumps the database's index epoch, which
-//     invalidates cached plans so every statement is replanned against
-//     the new physical schema.
+//     engines, and keep no statistics; CreateIndex bumps the database's
+//     index epoch, which invalidates cached plans so every statement is
+//     replanned against the new physical schema.
 //
 // Storage is row-versioned: every committed DML statement stamps the
 // versions it installs with a dense per-database commit timestamp, and

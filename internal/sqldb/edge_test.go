@@ -77,31 +77,6 @@ func TestPushdownFiltersBeforeJoin(t *testing.T) {
 	}
 }
 
-func TestJoinOnUnindexedColumnScans(t *testing.T) {
-	db := Open(Options{Cost: ZeroCostModel()})
-	db.MustCreateTable(Schema{
-		Table:      "l",
-		Columns:    []Column{{Name: "id", Type: Int}, {Name: "k", Type: Int}},
-		PrimaryKey: "id",
-	})
-	db.MustCreateTable(Schema{
-		Table:      "r",
-		Columns:    []Column{{Name: "rid", Type: Int}, {Name: "rk", Type: Int}},
-		PrimaryKey: "rid",
-		// rk deliberately unindexed: the join must fall back to scanning.
-	})
-	c := db.Connect()
-	defer c.Close()
-	mustExec(t, c, "INSERT INTO l (id, k) VALUES (1, 7)")
-	mustExec(t, c, "INSERT INTO r (rid, rk) VALUES (1, 7)")
-	mustExec(t, c, "INSERT INTO r (rid, rk) VALUES (2, 7)")
-	mustExec(t, c, "INSERT INTO r (rid, rk) VALUES (3, 8)")
-	rs := mustQuery(t, c, "SELECT rid FROM l JOIN r ON k = rk ORDER BY rid")
-	if rs.Len() != 2 || rs.Int(0, "rid") != 1 || rs.Int(1, "rid") != 2 {
-		t.Fatalf("scan join: %v", rs.Rows)
-	}
-}
-
 func TestUpdatePrimaryKeyRewiresIndex(t *testing.T) {
 	_, c := newTestDB(t)
 	mustExec(t, c, "UPDATE author SET a_id = ? WHERE a_id = ?", 50, 1)

@@ -21,8 +21,8 @@ import (
 // Arrival order is the one thing the reference has to take from the
 // engine: it asks EXPLAIN which access path drives the statement and
 // models its order (slot order for scans and equality probes, (value,
-// slot) order for ordered-index walks). Inner join sides always arrive
-// in slot order here: the test only updates non-indexed columns.
+// slot) order for ordered-index walks). A join adds at most one row per
+// outer row: it probes the joined table's primary key.
 
 // eqCol names one column of the test schema.
 type eqCol struct {
@@ -182,7 +182,8 @@ func (p eqLike) eval(rows [][]Value, pos map[string][2]int) bool {
 }
 
 // eqShape is a FROM/JOIN skeleton: the tables in binding order and, for
-// every joined table, its join column and the earlier column it equals.
+// every joined table, its join column (its primary key, the only column a
+// join probes) and the earlier column it equals.
 type eqShape struct {
 	from  string
 	joins [][2]string // inner column, outer column
@@ -192,10 +193,10 @@ var eqShapes = []eqShape{
 	{from: "t"},
 	{from: "u"},
 	{from: "u", joins: [][2]string{{"id", "tid"}}},                  // inner side by primary key
-	{from: "t", joins: [][2]string{{"tid", "id"}}},                  // inner side by hash index, fan-out
 	{from: "w", joins: [][2]string{{"uid", "wuid"}, {"id", "tid"}}}, // two primary-key hops
-	{from: "t", joins: [][2]string{{"tid", "id"}, {"wuid", "uid"}}}, // hash, then rescan or ordered probe
-	{from: "u", joins: [][2]string{{"wuid", "uid"}, {"id", "tid"}}}, // fan-out first
+	{from: "u", joins: [][2]string{{"wid", "tid"}, {"id", "tid"}}},  // two joins keyed by one column
+	{from: "t", joins: [][2]string{{"wid", "a"}}},                   // key from an int cell, NULL in some rows
+	{from: "t", joins: [][2]string{{"wid", "c"}}},                   // key from a float, a fraction in some rows
 	{from: "w", joins: [][2]string{{"uid", "wuid"}}},                // w is the driving table
 }
 

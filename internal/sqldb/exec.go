@@ -187,16 +187,11 @@ func (db *DB) commitInsert(tbl *table, row []Value, ec *execCtx) (ExecResult, er
 }
 
 // dmlPlan is what a cached UPDATE or DELETE carries from prepare time:
-// the table, the WHERE clause compiled to closures, the candidate access
-// paths the WHERE admits, and (UPDATE) the SET columns and their values.
-// The candidates are ranked against the full scan on every execution
-// (cheapestPath, allocation-free) rather than once: DML statements are
-// first prepared against near-empty tables (shopping_cart_line), where
-// the scan wins, and a path frozen then would scan, and be charged as a
-// scan, forever after.
+// the table, the WHERE clause compiled to closures, the access path the
+// rule gives it (pathFor), and (UPDATE) the SET columns and their values.
 type dmlPlan struct {
 	tbl     *table
-	cands   []accessPath
+	path    accessPath
 	preds   []compiledPred
 	setCols []int
 	setVals []operand
@@ -214,7 +209,7 @@ func (db *DB) planDML(table string, where []pred, cols []string, vals []operand)
 	if err != nil {
 		return nil, err
 	}
-	p := &dmlPlan{tbl: tbl, cands: predPaths(where, bindings), preds: preds[0], setVals: vals}
+	p := &dmlPlan{tbl: tbl, path: pathFor(where, bindings), preds: preds[0], setVals: vals}
 	for _, col := range cols {
 		ci := tbl.schema.colIndex(col)
 		if ci < 0 {
@@ -241,7 +236,7 @@ type dmlRun struct {
 // readPhase runs the statement's read phase against view.
 func (db *DB) readPhase(p *dmlPlan, set []string, view tableView, ec *execCtx) (*dmlRun, error) {
 	r := &dmlRun{plan: p, set: set, ec: ec}
-	err := db.drive(db.cheapestPath(p.tbl, p.cands), view, ec, &r.probes, nil, r)
+	err := db.drive(p.path, view, ec, &r.probes, nil, r)
 	db.flushPlanRows(ec)
 	return r, err
 }

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"testing"
 	"unsafe"
@@ -86,6 +87,21 @@ func Words(sql string) ([]string, error) {
 		}
 	}
 	return words, nil
+}
+
+// SecondaryIndexes lists the columns of table that carry a secondary
+// index, hash or ordered, in name order.
+func SecondaryIndexes(db *DB, table string) ([]string, error) {
+	tbl, err := db.lookupTable(table)
+	if err != nil {
+		return nil, err
+	}
+	tbl.idxMu.RLock()
+	defer tbl.idxMu.RUnlock()
+	cols := slices.Collect(maps.Keys(tbl.indexes))
+	cols = slices.AppendSeq(cols, maps.Keys(tbl.ordered))
+	slices.Sort(cols)
+	return cols, nil
 }
 
 // Prepared is a cached SELECT, so that benchmarks can time the

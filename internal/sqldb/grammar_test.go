@@ -62,6 +62,56 @@ func TestPagesUseEveryKeywordOperatorAndType(t *testing.T) {
 	}
 }
 
+// TestPagesUseEveryAccessPathAndIndex fails if a secondary index of the
+// TPC-W schema, with or without tpcw.CreateExtraIndexes, or an access
+// path the planner has is chosen by no page statement: each costs upkeep
+// on every write, or code, that no page reads.
+func TestPagesUseEveryAccessPathAndIndex(t *testing.T) {
+	paths := map[string]bool{"Scan": false, "PKLookup": false, "IndexLookup": false, "IndexRange": false, "IndexJoin": false}
+	for _, indexes := range []bool{false, true} {
+		db := openTPCW(t, false, indexes, tpcw.PopulateConfig{Items: 50, Customers: 20, Orders: 20})
+		c := db.Connect()
+		chosen := map[string]bool{} // table.column of the indexes the plans read
+		for _, st := range tpcwStatements {
+			if !strings.HasPrefix(st.sql, "SELECT") {
+				continue
+			}
+			rs, err := c.Query("EXPLAIN " + st.sql)
+			if err != nil {
+				t.Fatalf("EXPLAIN %s: %v", st.sql, err)
+			}
+			for _, row := range rs.Rows {
+				line := row[0].(string)
+				kind, rest, ok := strings.Cut(line, "(")
+				if _, known := paths[kind]; !ok || !known {
+					continue // Filter, Sort, Aggregate, Limit
+				}
+				paths[kind] = true
+				if kind == "IndexLookup" || kind == "IndexRange" {
+					chosen[strings.Fields(rest)[0]] = true
+				}
+			}
+		}
+		c.Close()
+		for _, s := range tpcw.Schemas() {
+			cols, err := sqldb.SecondaryIndexes(db, s.Table)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, col := range cols {
+				if !chosen[s.Table+"."+col] {
+					t.Errorf("indexes=%v: %s.%s is indexed, but no page statement reads the index", indexes, s.Table, col)
+				}
+			}
+		}
+	}
+	for kind, used := range paths {
+		if !used {
+			t.Errorf("no page statement's plan uses %s", kind)
+		}
+	}
+}
+
 // droppedForms is one statement per form of SQL the grammar does not
 // have, each with the part of its prepare error that names the form.
 // FuzzParse seeds from it too.
@@ -99,6 +149,7 @@ var droppedForms = []struct {
 	{"table alias", "SELECT i_id FROM item i JOIN author ON i_a_id = a_id", "take no alias"},
 	{"AS table alias", "SELECT i_id FROM item AS i", "take no alias"},
 	{"a table joined to itself", "SELECT i_id FROM item JOIN item ON i_id = i_related1", "appears twice"},
+	{"JOIN on a column that is not the joined table's primary key", "SELECT a_id FROM author JOIN item ON a_id = i_a_id", "item.i_a_id"},
 	{"t.*", "SELECT author.* FROM item JOIN author ON i_a_id = a_id", "'.'"},
 	{"qualified column", "SELECT item.i_id FROM item", "'.'"},
 	{"column alias", "SELECT i_id AS id FROM item", "column aliases"},

@@ -7,11 +7,10 @@ import (
 )
 
 // orderedIndex is a secondary ordered index over one column: a sorted
-// slab of (value, slot) entries serving equality probes, reads above a
-// bound (col > v), and in-order traversal for ORDER BY. Like hashIndex,
-// entries are stale-tolerant hints — they are added on insert and key change and
-// never removed, so every access path re-checks the predicate against
-// the visible row.
+// slab of (value, slot) entries serving equality probes and reads above
+// a bound (col > v). Like hashIndex, entries are stale-tolerant hints —
+// they are added on insert and key change and never removed, so every
+// access path re-checks the predicate against the visible row.
 //
 // The published state is a header swapped atomically over two sorted
 // runs: a base and a small buffer that is folded into it once it reaches
@@ -42,9 +41,6 @@ type idxEntry struct {
 type orderedState struct {
 	base []idxEntry // sorted by (val, id)
 	buf  []idxEntry // recent additions, sorted by (val, id), small
-	// distinct approximates the number of distinct values in base —
-	// the planner's equality selectivity denominator.
-	distinct int
 }
 
 // mergeThreshold bounds the buffer length before it is folded into the
@@ -98,19 +94,16 @@ func (idx *orderedIndex) add(v Value, id int) {
 		copy(nbuf[at+1:], st.buf[at:])
 	}
 	if len(nbuf) < mergeThreshold {
-		idx.state.Store(&orderedState{base: st.base, buf: nbuf, distinct: st.distinct})
+		idx.state.Store(&orderedState{base: st.base, buf: nbuf})
 		return
 	}
 	if n := len(st.base); n > 0 && !entryLess(st.base[n-1], nbuf[0]) {
-		idx.state.Store(baseState(mergeEntries(st.base, nbuf)))
+		idx.state.Store(&orderedState{base: mergeEntries(st.base, nbuf)})
 		return
 	}
 	// The buffer sorts after the whole base (ascending keys): the merge
 	// is a concatenation, grown in place while the base has room.
-	idx.state.Store(&orderedState{
-		base:     append(st.base, nbuf...),
-		distinct: st.distinct + newValues(st.base, nbuf),
-	})
+	idx.state.Store(&orderedState{base: append(st.base, nbuf...)})
 }
 
 // findEntry returns the position of e in the (val, id)-sorted run s, or
@@ -118,29 +111,6 @@ func (idx *orderedIndex) add(v Value, id int) {
 func findEntry(s []idxEntry, e idxEntry) (int, bool) {
 	i := sort.Search(len(s), func(i int) bool { return !entryLess(s[i], e) })
 	return i, i < len(s) && s[i].id == e.id && valuesEqual(s[i].val, e.val)
-}
-
-// baseState is the state whose base is the (val, id)-sorted run es and
-// whose buffer is empty.
-func baseState(es []idxEntry) *orderedState {
-	return &orderedState{base: es, distinct: newValues(nil, es)}
-}
-
-// newValues counts the entries of the sorted run es whose value differs
-// from the one before it, where the one before es[0] is the last of the
-// sorted run before, if before is not empty.
-func newValues(before, es []idxEntry) int {
-	n := 0
-	for i := range es {
-		prev := before
-		if i > 0 {
-			prev = es[:i]
-		}
-		if len(prev) == 0 || !valuesEqual(es[i].val, prev[len(prev)-1].val) {
-			n++
-		}
-	}
-	return n
 }
 
 // build sets the index's contents to es (duplicate-free, any order),
@@ -154,22 +124,11 @@ func (idx *orderedIndex) build(es []idxEntry) {
 	base, buf := es[:cut:cut], es[cut:]
 	sortEntries(base)
 	sortEntries(buf)
-	st := baseState(base)
-	st.buf = buf
-	idx.state.Store(st)
+	idx.state.Store(&orderedState{base: base, buf: buf})
 }
 
 func sortEntries(es []idxEntry) {
 	sort.Slice(es, func(i, j int) bool { return entryLess(es[i], es[j]) })
-}
-
-// distinctVals estimates the number of distinct indexed values.
-func (st *orderedState) distinctVals() int {
-	d := st.distinct + len(st.buf)
-	if d < 1 {
-		d = 1
-	}
-	return d
 }
 
 // cmpVal orders v against an entry value, treating incomparable pairs as
@@ -275,6 +234,6 @@ func mergeEntries(base, buf []idxEntry) []idxEntry {
 func (idx *orderedIndex) clone() *orderedIndex {
 	st := idx.state.Load()
 	n := &orderedIndex{col: idx.col}
-	n.state.Store(&orderedState{base: slices.Clip(st.base), buf: slices.Clip(st.buf), distinct: st.distinct})
+	n.state.Store(&orderedState{base: slices.Clip(st.base), buf: slices.Clip(st.buf)})
 	return n
 }

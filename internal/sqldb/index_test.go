@@ -14,8 +14,7 @@ import (
 // random order — duplicates included, and one pair that is added, has
 // its slot re-indexed under another value, and is added again, the way a
 // column that flips away and back does — and requires the index to hold
-// exactly the sorted, de-duplicated pairs, with the distinct-value count
-// of its base exact.
+// exactly the sorted, de-duplicated pairs.
 func TestOrderedIndexAddKeepsSortedRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	idx := newOrderedIndex(0)
@@ -52,16 +51,6 @@ func TestOrderedIndexAddKeepsSortedRuns(t *testing.T) {
 	if len(st.buf) >= mergeThreshold {
 		t.Fatalf("buffer holds %d entries, merge threshold is %d", len(st.buf), mergeThreshold)
 	}
-	vals := map[Value]bool{}
-	for _, e := range st.base {
-		vals[e.val] = true
-	}
-	if st.distinct != len(vals) {
-		t.Fatalf("distinct = %d, base holds %d distinct values", st.distinct, len(vals))
-	}
-	if st.distinctVals() != len(vals)+len(st.buf) {
-		t.Fatalf("distinctVals = %d, want %d + %d buffered", st.distinctVals(), len(vals), len(st.buf))
-	}
 }
 
 // TestOrderedIndexBuildEqualsAdds requires build to leave the state an
@@ -82,9 +71,9 @@ func TestOrderedIndexBuildEqualsAdds(t *testing.T) {
 		built := newOrderedIndex(0)
 		built.build(es)
 		a, b := added.state.Load(), built.state.Load()
-		if len(a.base) != len(b.base) || len(a.buf) != len(b.buf) || a.distinct != b.distinct {
-			t.Fatalf("n=%d: adds left base %d / buffer %d / distinct %d, build left %d / %d / %d",
-				n, len(a.base), len(a.buf), a.distinct, len(b.base), len(b.buf), b.distinct)
+		if len(a.base) != len(b.base) || len(a.buf) != len(b.buf) {
+			t.Fatalf("n=%d: adds left base %d / buffer %d, build left %d / %d",
+				n, len(a.base), len(a.buf), len(b.base), len(b.buf))
 		}
 		ae, _ := a.allEntries()
 		be, _ := b.allEntries()
@@ -183,12 +172,15 @@ func TestOrderedIndexStatesSurviveAppends(t *testing.T) {
 
 // indexTestTable is a table with a hash index on c and an ordered one on o.
 func indexTestTable() *table {
-	return newTable(Schema{
+	t := newTable(Schema{
 		Table:   "t",
 		Columns: []Column{{Name: "c", Type: Int}, {Name: "o", Type: Int}},
 		Indexes: []string{"c"},
-		Ordered: []string{"o"},
 	})
+	if err := t.buildIndex("o", true); err != nil {
+		panic(err)
+	}
+	return t
 }
 
 // TestHashBucketsSurviveAppends adds slots under one value and requires

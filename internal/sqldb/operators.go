@@ -8,14 +8,14 @@ import (
 
 // This file is the execution layer of the SELECT pipeline (see plan.go
 // for the layering). A statement executes as one streaming pass: the
-// access path of the driving table produces candidate rows, the joins
-// extend each into combined rows (nested-loop or index-nested-loop per
-// the plan) with the WHERE conjuncts applied at the shallowest depth
-// possible, and every fully matched combined row is handed to the
-// statement's sink — project, ordered, or aggregate — in the reused rows
-// slice. Nothing is copied unless the sink keeps it. Index results are
-// stale-tolerant hints throughout: every operator re-checks its
-// predicate against the visible row.
+// access path of the driving table produces candidate rows, each join
+// extends them by a primary-key probe of its table, with the WHERE
+// conjuncts applied at the shallowest depth possible, and every fully
+// matched combined row is handed to the statement's sink — project,
+// ordered, or aggregate — in the reused rows slice. Nothing is copied
+// unless the sink keeps it. Index results are stale-tolerant hints
+// throughout: every operator re-checks its predicate against the
+// visible row.
 
 // execSelect runs a SELECT. In lock mode it holds the read locks of its
 // tables for the whole cost-padded statement (the paper's contention
@@ -87,15 +87,14 @@ type selectRun struct {
 	views   []tableView
 	rows    [][]Value     // rows[i] is binding i's row of the current combination
 	vers    []*rowVersion // vers[i] is the version rows[i] is the data of
-	probes  [][]int       // per-depth scratch for ordered-index equality probes
 	counted []bool        // join steps already counted in the plan probes
 	sieves  [][]uint64    // per depth: the slots worth visiting, or nil for all (see sieve)
+	probes  []int         // buffer for the driving table's ordered-index equality probes
 
 	inline struct {
 		views   [maxInlineTables]tableView
 		rows    [maxInlineTables][]Value
 		vers    [maxInlineTables]*rowVersion
-		probes  [maxInlineTables][]int
 		counted [maxInlineTables]bool
 		sieves  [maxInlineTables][]uint64
 	}
@@ -137,10 +136,10 @@ func (db *DB) runSelect(plan *selectPlan, ts int64, ec *execCtx) (*ResultSet, er
 	r.db, r.plan, r.ec = db, plan, ec
 	if n := len(plan.bindings); n <= maxInlineTables {
 		r.views, r.rows, r.vers = r.inline.views[:n], r.inline.rows[:n], r.inline.vers[:n]
-		r.probes, r.counted, r.sieves = r.inline.probes[:n], r.inline.counted[:n], r.inline.sieves[:n]
+		r.counted, r.sieves = r.inline.counted[:n], r.inline.sieves[:n]
 	} else {
 		r.views, r.rows, r.vers = make([]tableView, n), make([][]Value, n), make([]*rowVersion, n)
-		r.probes, r.counted, r.sieves = make([][]int, n), make([]bool, n), make([][]uint64, n)
+		r.counted, r.sieves = make([]bool, n), make([][]uint64, n)
 	}
 	for i, b := range plan.bindings {
 		r.views[i] = b.tbl.view(ts)
@@ -182,17 +181,15 @@ func (r *selectRun) enumerate(rs *ResultSet) error {
 		s.items, s.keep, s.out = plan.items, plan.limit, rs.one[:0]
 		r.sink = s
 	}
-	// A full scan visits, and a primary-key join step probes, only the
-	// slots its sieve holds.
+	// A full scan visits, and a join step probes, only the slots its
+	// sieve holds.
 	if plan.outer.kind == pathScan {
 		r.sieves[0] = r.sieve(0)
 	}
 	for i := 1; i < len(r.views); i++ {
-		if r.plan.joins[i-1].innerPK {
-			r.sieves[i] = r.sieve(i)
-		}
+		r.sieves[i] = r.sieve(i)
 	}
-	return r.db.drive(plan.outer, r.views[0], r.ec, &r.probes[0], r.sieves[0], r)
+	return r.db.drive(plan.outer, r.views[0], r.ec, &r.probes, r.sieves[0], r)
 }
 
 // visit receives one candidate row of the driving table.
@@ -210,8 +207,9 @@ func (r *selectRun) applyPreds(i int) (bool, error) {
 	return allHold(r.plan.preds[i], r.rows, r.vers[i], r.ec)
 }
 
-// join extends the partial combination rows[:i] with every matching row
-// of binding i, or emits it once every binding is bound.
+// join extends the partial combination rows[:i] with the row of binding
+// i whose primary key the join column holds, or emits it once every
+// binding is bound.
 func (r *selectRun) join(i int) error {
 	if i == len(r.rows) {
 		r.ec.cost.matched++
@@ -219,49 +217,26 @@ func (r *selectRun) join(i int) error {
 		return nil
 	}
 	jp := &r.plan.joins[i-1]
-	inner := r.views[i]
 	// Join steps count their access path once per statement execution.
 	if !r.counted[i] {
 		r.counted[i] = true
-		if jp.indexed {
-			r.db.planIndex.Inc()
-		} else {
-			r.db.planScans.Inc()
-		}
+		r.db.planIndex.Inc()
 	}
 	var err error
-	switch {
-	case jp.innerPK:
-		key, ok := r.outerKey(jp)
-		if !ok {
-			r.ec.chargeProbe()
-		} else if _, rv := r.db.probePK(inner, key, r.ec, r.sieves[i]); rv != nil {
-			err = r.bind(i, rv)
-		}
-	case jp.indexed:
-		outerVal := r.rows[jp.outer.bi][jp.outer.ci]
-		for _, id := range r.db.probeIndex(inner, jp.innerName, outerVal, r.ec, &r.probes[i]) {
-			if err = r.joinRow(i, jp, inner.version(id), outerVal); err != nil {
-				break
-			}
-		}
-	default:
-		outerVal := r.rows[jp.outer.bi][jp.outer.ci]
-		n := inner.size()
-		r.ec.cost.scanned += n
-		r.ec.planRows += int64(n)
-		for id := 0; id < n && err == nil; id++ {
-			err = r.joinRow(i, jp, inner.version(id), outerVal)
-		}
+	key, ok := r.outerKey(jp)
+	if !ok {
+		r.ec.chargeProbe()
+	} else if _, rv := r.db.probePK(r.views[i], key, r.ec, r.sieves[i]); rv != nil {
+		err = r.bind(i, rv)
 	}
 	r.rows[i], r.vers[i] = nil, nil
 	return err
 }
 
-// outerKey is the key a primary-key join step probes with, read off the
-// outer row's version when the outer column is its primary key or has an
-// int slot (a slot it does not hold is a NULL cell), else off the outer
-// cell (pkKey). ok=false: the outer cell equals no key.
+// outerKey is the key a join step probes with, read off the outer row's
+// version when the outer column is its primary key or has an int slot (a
+// slot it does not hold is a NULL cell), else off the outer cell
+// (pkKey). ok=false: the outer cell equals no key.
 func (r *selectRun) outerKey(jp *joinStep) (key int64, ok bool) {
 	ov := r.vers[jp.outer.bi]
 	switch {
@@ -271,17 +246,6 @@ func (r *selectRun) outerKey(jp *joinStep) (key int64, ok bool) {
 		return ov.intCell(jp.outerSlot)
 	}
 	return pkKey(r.rows[jp.outer.bi][jp.outer.ci])
-}
-
-// joinRow binds rv if its row satisfies the join equality. The equality
-// is always checked here: index buckets are stale-tolerant hints, so an id
-// may point at a row whose visible version no longer (or, at this
-// snapshot, does not yet) match. (probePK checks its key itself.)
-func (r *selectRun) joinRow(i int, jp *joinStep, rv *rowVersion, outerVal Value) error {
-	if rv == nil || !valuesEqual(rv.data()[jp.innerCol], outerVal) {
-		return nil
-	}
-	return r.bind(i, rv)
 }
 
 // bind makes rv's row binding i's side of the combination and extends it

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"time"
 )
 
 // This file is the planning layer of the SELECT pipeline. The layering
@@ -12,17 +11,18 @@ import (
 //
 //	parser.go / ast.go   — SQL text -> logical statement tree
 //	plan.go  (this file) — logical tree -> physical selectPlan: one
-//	                       access path per driving table plus a join
-//	                       strategy per joined table, chosen by cost
-//	                       from table/index statistics
+//	                       access path for the driving table, chosen by
+//	                       a fixed rule (pathFor), plus a primary-key
+//	                       probe per joined table
 //	operators.go         — physical plan -> rows, through composable
-//	                       operators (scan, index lookup/range/order,
-//	                       filter, joins, group, sort, limit)
+//	                       operators (scan, index lookup/range, filter,
+//	                       joins, group, sort, limit)
 //
 // Plans are built once at prepare time and cached with the statement
-// (keyed by the index epoch, see stmtcache.go); placeholder values are
-// not known at plan time, so selectivity estimates use index statistics
-// and the operators re-resolve bound values at execution.
+// (keyed by the index epoch, see stmtcache.go). The rule reads only
+// which columns are indexed, never how many rows a table holds, so a
+// plan does not depend on when it was prepared; the operators resolve
+// bound values at execution.
 //
 // A plan carries everything that does not depend on the arguments: the
 // resolved tables and their lock order, the WHERE conjuncts compiled to
@@ -56,24 +56,18 @@ type accessPath struct {
 	kind    pathKind
 	colName string  // indexed column (all but pathScan)
 	val     operand // pathPK, pathIndexEq: the key; pathIndexRange: the lower bound
-	estCost time.Duration
 }
 
-// joinStep is the resolved strategy for one JOIN: which column of the
-// newly joined (inner) table matches which already-visible column, and
-// whether the inner side is driven through an index
-// (index-nested-loop) or a rescan (nested-loop).
+// joinStep is one JOIN: the newly joined (inner) table is probed through
+// its primary key with the value of an already-visible column.
 type joinStep struct {
-	innerCol  int    // column index in the inner table
-	innerName string // column name, for index lookup
+	innerName string // the inner table's primary key, for EXPLAIN
 	outerName string // the visible column, for EXPLAIN
 	outer     colPos // the visible column's position
-	indexed   bool
-	innerPK   bool   // the join column is the inner table's primary key
 	table     string // the inner table, for EXPLAIN
 
-	// Where an innerPK step reads its key (selectRun.outerKey): the outer
-	// row's version's key, or its int slot outerSlot (-1 for none).
+	// Where the step reads its key (selectRun.outerKey): the outer row's
+	// version's key, or its int slot outerSlot (-1 for none).
 	outerPK   bool
 	outerSlot int8
 }
@@ -126,9 +120,10 @@ type selectPlan struct {
 // grouped reports whether the SELECT has a GROUP BY.
 func (p *selectPlan) grouped() bool { return p.groupBy != "" }
 
-// planSelect chooses the physical plan for a parsed SELECT: join
-// strategies for every joined table and a cost-ranked access path for
-// the driving table.
+// planSelect builds the physical plan for a parsed SELECT: a primary-key
+// probe for every joined table and the rule's access path for the
+// driving table. A JOIN on a column that is not the inner table's
+// primary key fails here.
 func (db *DB) planSelect(s *selectStmt) (*selectPlan, error) {
 	bindings, err := db.resolveBindings(s)
 	if err != nil {
@@ -154,24 +149,25 @@ func (db *DB) planSelect(s *selectStmt) (*selectPlan, error) {
 		if innerCol < 0 || inner.schema.colIndex(outerName) >= 0 {
 			return nil, fmt.Errorf("sqldb: join ON must relate %q to an earlier table", inner.schema.Table)
 		}
+		if innerCol != inner.pkCol {
+			return nil, fmt.Errorf("sqldb: JOIN %s ON %s.%s: a join must be on the joined table's primary key",
+				inner.schema.Table, inner.schema.Table, innerName)
+		}
 		bi, ci, err := resolveCol(bindings[:i+1], outerName)
 		if err != nil {
 			return nil, fmt.Errorf("sqldb: join outer column: %w", err)
 		}
 		outer := bindings[bi].tbl
 		p.joins[i] = joinStep{
-			innerCol:  innerCol,
 			innerName: innerName,
 			outerName: outerName,
 			outer:     colPos{bi, ci},
-			indexed:   inner.hasIndex(innerName),
-			innerPK:   inner.pkCol == innerCol,
 			table:     inner.schema.Table,
 			outerPK:   outer.pkCol == ci,
 			outerSlot: outer.intSlot(ci),
 		}
 	}
-	p.outer = db.cheapestPath(bindings[0].tbl, predPaths(s.Where, bindings))
+	p.outer = pathFor(s.Where, bindings)
 	if p.preds, err = compileWhere(s.Where, bindings, &p.codedPreds); err != nil {
 		return nil, err
 	}
@@ -243,74 +239,38 @@ func (p *selectPlan) compileOutput(s *selectStmt) error {
 	return nil
 }
 
-// predPaths lists the WHERE-driven access paths of the driving table, in
-// the order cheapestPath considers them (a cost tie goes to the later
-// one): for every "col = v" conjunct on the primary key or a
-// secondary-indexed column, then for the first "col > v" on each
-// ordered-indexed column. Which columns are indexed only changes with
-// the index epoch, so the list is fixed for a cached statement. Shared
-// by SELECT planning and DML read phases.
-func predPaths(where []pred, bindings []binding) []accessPath {
+// pathFor is the driving table's access path, by a fixed rule: a
+// "col = v" conjunct on the primary key gives the primary-key lookup;
+// else the first "col = v" on a secondary-indexed column, in WHERE order,
+// the index lookup; else the first "col > v" on an ordered-indexed
+// column, the index range; else the scan. Which columns are indexed only
+// changes with the index epoch, so the path is fixed for a cached
+// statement. Shared by SELECT planning and DML read phases.
+func pathFor(where []pred, bindings []binding) accessPath {
 	tbl := bindings[0].tbl
-	pkName := ""
-	if tbl.pkCol >= 0 {
-		pkName = tbl.schema.Columns[tbl.pkCol].Name
-	}
-	var out []accessPath
-	for _, w := range where {
-		if bi, _, err := resolveCol(bindings, w.Col); err != nil || bi != 0 || w.Op != opEq {
+	var eq, gt *pred
+	for i := range where {
+		w := &where[i]
+		bi, ci, err := resolveCol(bindings, w.Col)
+		if err != nil || bi != 0 {
 			continue
 		}
 		switch {
-		case w.Col == pkName:
-			out = append(out, accessPath{kind: pathPK, colName: w.Col, val: w.Rhs})
-		case tbl.hasIndex(w.Col):
-			out = append(out, accessPath{kind: pathIndexEq, colName: w.Col, val: w.Rhs})
+		case w.Op == opEq && ci == tbl.pkCol:
+			return accessPath{kind: pathPK, colName: w.Col, val: w.Rhs}
+		case w.Op == opEq && eq == nil && tbl.hasIndex(w.Col):
+			eq = w
+		case w.Op == opGt && gt == nil && tbl.hasOrdered(w.Col):
+			gt = w
 		}
 	}
-	first := len(out)
-	for _, w := range where {
-		if bi, _, err := resolveCol(bindings, w.Col); err != nil || bi != 0 || w.Op != opGt || !tbl.hasOrdered(w.Col) ||
-			slices.ContainsFunc(out[first:], func(p accessPath) bool { return p.colName == w.Col }) {
-			continue
-		}
-		out = append(out, accessPath{kind: pathIndexRange, colName: w.Col, val: w.Rhs})
+	switch {
+	case eq != nil:
+		return accessPath{kind: pathIndexEq, colName: eq.Col, val: eq.Rhs}
+	case gt != nil:
+		return accessPath{kind: pathIndexRange, colName: gt.Col, val: gt.Rhs}
 	}
-	return out
-}
-
-// cheapestPath prices the candidates against the full scan with the
-// table's current statistics and returns the cheapest. Candidates are
-// priced with the same CostModel terms execution charges: scans pay
-// PerRowScanned per slot, index paths pay PerIndexProbe per entry
-// visited — so the planner's preference is exactly the latency the
-// statement would feel. It allocates nothing: DML read phases call it on
-// every execution.
-func (db *DB) cheapestPath(tbl *table, cands []accessPath) accessPath {
-	rows := float64(tbl.live.Load())
-	perProbe := float64(db.cost.PerIndexProbe)
-	best := accessPath{kind: pathScan, estCost: time.Duration(rows * float64(db.cost.PerRowScanned))}
-	for _, p := range cands {
-		switch p.kind {
-		case pathPK:
-			p.estCost = time.Duration(2 * perProbe)
-		case pathIndexEq:
-			est := rows
-			if d := tbl.distinct(p.colName); d > 0 {
-				est = rows / float64(d)
-			}
-			p.estCost = time.Duration((1 + est) * perProbe)
-		case pathIndexRange:
-			p.estCost = time.Duration((1 + rows/3) * perProbe)
-		}
-		// At-most-as-expensive with scan seeded first: on a cost tie (for
-		// example under ZeroCostModel) the index path wins because it is
-		// considered only when no more expensive than the incumbent.
-		if p.estCost <= best.estCost {
-			best = p
-		}
-	}
-	return best
+	return accessPath{kind: pathScan}
 }
 
 // ---- EXPLAIN rendering ----
@@ -341,11 +301,7 @@ func (p *selectPlan) lines() []string {
 		out = append(out, fmt.Sprintf("IndexRange(%s > %s)", col, renderOperand(p.outer.val)))
 	}
 	for _, j := range p.joins {
-		op := "NestedJoin"
-		if j.indexed {
-			op = "IndexJoin"
-		}
-		out = append(out, fmt.Sprintf("%s(%s.%s = %s)", op, j.table, j.innerName, j.outerName))
+		out = append(out, fmt.Sprintf("IndexJoin(%s.%s = %s)", j.table, j.innerName, j.outerName))
 	}
 	if len(p.where) > 0 {
 		conds := make([]string, len(p.where))

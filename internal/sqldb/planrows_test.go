@@ -27,8 +27,6 @@ func TestPlanRowsReadExact(t *testing.T) {
 				sql: "SELECT ol_qty, i_title FROM order_line JOIN item ON ol_i_id = i_id WHERE ol_o_id = ?", args: []any{7}},
 			{name: "scan, pk join", want: 200,
 				sql: "SELECT o_id, i_title FROM orders JOIN item ON o_c_id = i_id WHERE o_status = ?", args: []any{"SHIPPED"}},
-			{name: "pk, scan join", want: 301,
-				sql: "SELECT ol_id FROM orders JOIN order_line ON o_id = ol_i_id WHERE o_id = ?", args: []any{7}},
 			{name: "range walk", want: 270,
 				sql: "SELECT ol_id FROM order_line WHERE ol_o_id > ?", args: []any{10}},
 			{name: "scan and sort", want: 100,

@@ -62,18 +62,16 @@ type Column struct {
 	Type ColumnType
 }
 
-// Schema declares a table: its columns, primary key, and secondary
-// indexes — hash (equality only) and ordered (equality, ranges, and
-// ORDER BY). The primary key must be an Int column; inserting NULL as
-// the primary key auto-assigns the next value (MySQL AUTO_INCREMENT).
-// A column may appear in Indexes or Ordered, not both; DB.CreateIndex
-// adds or upgrades indexes on a live table.
+// Schema declares a table: its columns, primary key, and secondary hash
+// indexes (equality only). The primary key must be an Int column;
+// inserting NULL as the primary key auto-assigns the next value (MySQL
+// AUTO_INCREMENT). DB.CreateIndex adds a hash or ordered (equality and
+// col > v ranges) index to a live table, or replaces one.
 type Schema struct {
 	Table      string
 	Columns    []Column
 	PrimaryKey string   // column name; optional
 	Indexes    []string // secondary hash-indexed column names
-	Ordered    []string // secondary ordered-indexed column names
 }
 
 // validate checks internal consistency.
@@ -109,19 +107,9 @@ func (s Schema) validate() error {
 			return fmt.Errorf("sqldb: table %q primary key %q must be INT", s.Table, s.PrimaryKey)
 		}
 	}
-	hashIdx := make(map[string]bool, len(s.Indexes))
 	for _, idx := range s.Indexes {
 		if _, ok := seen[idx]; !ok {
 			return fmt.Errorf("sqldb: table %q index on unknown column %q", s.Table, idx)
-		}
-		hashIdx[idx] = true
-	}
-	for _, idx := range s.Ordered {
-		if _, ok := seen[idx]; !ok {
-			return fmt.Errorf("sqldb: table %q ordered index on unknown column %q", s.Table, idx)
-		}
-		if hashIdx[idx] {
-			return fmt.Errorf("sqldb: table %q declares column %q as both hash and ordered index", s.Table, idx)
 		}
 	}
 	return nil

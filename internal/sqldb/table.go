@@ -219,7 +219,7 @@ func newTable(s Schema) *table {
 		schema:   s,
 		pkCol:    -1,
 		indexes:  make(map[string]*hashIndex, len(s.Indexes)),
-		ordered:  make(map[string]*orderedIndex, len(s.Ordered)),
+		ordered:  make(map[string]*orderedIndex),
 		dicts:    make([]map[string]dictEntry, len(s.Columns)),
 		codeSlot: make([]int8, len(s.Columns)),
 		grams:    make([]atomic.Pointer[postings], len(s.Columns)),
@@ -248,9 +248,6 @@ func newTable(s Schema) *table {
 	}
 	for _, name := range s.Indexes {
 		t.indexes[name] = &hashIndex{col: s.colIndex(name), m: make(map[Value][]int)}
-	}
-	for _, name := range s.Ordered {
-		t.ordered[name] = newOrderedIndex(s.colIndex(name))
 	}
 	t.slots.Store(&slotArena{})
 	return t
@@ -329,12 +326,9 @@ func (v tableView) lookupOrdered(col string) (*orderedIndex, bool) {
 	return idx, ok
 }
 
-// hasIndex reports whether col is the primary key or a secondary
-// (hash or ordered) index.
+// hasIndex reports whether col carries a secondary (hash or ordered)
+// index.
 func (t *table) hasIndex(col string) bool {
-	if t.pkCol >= 0 && t.schema.Columns[t.pkCol].Name == col {
-		return true
-	}
 	t.idxMu.RLock()
 	defer t.idxMu.RUnlock()
 	_, ok := t.indexes[col]
@@ -677,21 +671,6 @@ func (t *table) buildIndex(col string, ordered bool) error {
 	t.indexes[col] = idx
 	t.idxMu.Unlock()
 	return nil
-}
-
-// distinct estimates the number of distinct values in an indexed column
-// — the planner's equality selectivity denominator — or 0 when col
-// carries no secondary index.
-func (t *table) distinct(col string) int {
-	t.idxMu.RLock()
-	defer t.idxMu.RUnlock()
-	if idx, ok := t.indexes[col]; ok {
-		return max(len(idx.m), 1)
-	}
-	if idx, ok := t.ordered[col]; ok {
-		return idx.state.Load().distinctVals()
-	}
-	return 0
 }
 
 // pkHint returns the primary-key index's entry for key, which may be
