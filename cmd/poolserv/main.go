@@ -1,7 +1,7 @@
 // Command poolserv serves the TPC-W bookstore with any server variant.
 // It is the interactive face of the reproduction: start it, point a
 // browser or cmd/tpcwload at it, and watch the queue and scheduling
-// state.
+// state. It serves the system harness.Boot builds, as the experiments do.
 //
 // -mode names a variant (modified, unmodified, modified-noreserve), and
 // variant knobs are generic -set key=value overrides — unknown keys are
@@ -13,6 +13,7 @@
 //	poolserv -mode modified-noreserve          # t_reserve ablated
 //	poolserv -mode modified -set minreserve=15 -set cutoff=3s
 //	poolserv -mode modified -set general=32 -set lengthy=8
+//	poolserv -mode modified -set shards=2 -set indexes=on   # balancer, 2 shards
 package main
 
 import (
@@ -26,6 +27,7 @@ import (
 	"time"
 
 	"stagedweb/internal/clock"
+	"stagedweb/internal/harness"
 	"stagedweb/internal/server"
 	"stagedweb/internal/sqldb"
 	"stagedweb/internal/tpcw"
@@ -39,7 +41,26 @@ func main() {
 	}
 }
 
+// run serves until SIGINT or SIGTERM, or until serving fails.
 func run(args []string) error {
+	sys, _, err := boot(args)
+	if err != nil {
+		return err
+	}
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	select {
+	case <-sig:
+		fmt.Println("\nshutting down")
+	case <-sys.Done():
+	}
+	return sys.Stop()
+}
+
+// boot parses args and starts the system they describe through
+// harness.Boot, and the stats printer when -stats asks for it. It
+// returns the system and the address it serves.
+func boot(args []string) (*harness.System, string, error) {
 	fs := flag.NewFlagSet("poolserv", flag.ContinueOnError)
 	var (
 		mode      = fs.String("mode", variant.Modified, "server variant ("+strings.Join(variant.Names(), ", ")+")")
@@ -51,91 +72,53 @@ func run(args []string) error {
 		statsEach = fs.Duration("stats", 0, "print server stats every interval (0 = off)")
 		sets      variant.SettingsFlag
 	)
-	fs.Var(&sets, "set", "variant setting `key=value` (repeatable), e.g. -set minreserve=15 -set cutoff=3s")
+	fs.Var(&sets, "set", "variant setting `key=value` (repeatable), e.g. -set minreserve=15 -set shards=2")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, "", err
 	}
-
-	v, ok := variant.Lookup(*mode)
-	if !ok {
-		return fmt.Errorf("unknown mode %q (have: %s)", *mode, strings.Join(variant.Names(), ", "))
-	}
-
-	ts := clock.Timescale(*scale)
-	// Cost charges sleep on clock.Precise, as in the harness: clock.Real
-	// over-sleeps sub-millisecond charges several-fold.
-	db := sqldb.Open(sqldb.Options{Clock: clock.Precise{}, Timescale: ts})
-	if err := tpcw.CreateTables(db); err != nil {
-		return err
-	}
-	fmt.Printf("populating %d items, %d customers, %d orders...\n", *items, *customers, *orders)
-	counts, err := tpcw.Populate(db, tpcw.PopulateConfig{
-		Items: *items, Customers: *customers, Orders: *orders,
-	})
-	if err != nil {
-		return err
-	}
-	app := tpcw.NewApp(counts, nil)
-
 	l, err := net.Listen("tcp", *addr)
 	if err != nil {
-		return err
+		return nil, "", err
 	}
-	inst, err := v.Build(variant.Env{
-		App:   app,
-		DB:    db,
-		Clock: clock.Precise{},
-		Scale: ts,
-		Cost:  server.DefaultWorkCost(),
-		Set:   sets.Settings,
-	})
+	fmt.Printf("populating %d items, %d customers, %d orders...\n", *items, *customers, *orders)
+	sys, err := harness.Boot(harness.Config{
+		Variant:  *mode,
+		Scale:    clock.Timescale(*scale),
+		Populate: tpcw.PopulateConfig{Items: *items, Customers: *customers, Orders: *orders},
+		Cost:     sqldb.DefaultCostModel(),
+		Work:     server.DefaultWorkCost(),
+		Set:      sets.Settings,
+	}, l, nil)
 	if err != nil {
-		_ = l.Close()
-		return err
+		return nil, "", err
 	}
-	defer inst.Stop()
 	fmt.Printf("%s server on http://%s (try /home, /best_sellers?subject=ARTS)\n", *mode, l.Addr())
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- inst.Serve(l) }()
-
 	if *statsEach > 0 {
-		stopStats := startStats(inst, *statsEach)
-		defer stopStats()
+		startStats(sys, *statsEach)
 	}
-
-	select {
-	case <-stop:
-		fmt.Println("\nshutting down")
-		return nil
-	case err := <-serveErr:
-		return err
-	}
+	return sys, l.Addr().String(), nil
 }
 
 // startStats launches the periodic stats printer — one loop for every
 // variant, built on the uniform Instance surface: graph stage stats plus
-// every probe gauge. The ticker is stopped when the returned function
-// runs, so the goroutine and timer never outlive the server.
-func startStats(inst variant.Instance, every time.Duration) (stop func()) {
+// every probe gauge. It ends when the system stops serving, so the
+// goroutine and timer never outlive the server.
+func startStats(sys *harness.System, every time.Duration) {
 	// Stats cadence is operator-facing wall time: a human watching a
 	// terminal wants a line every N real seconds regardless of timescale.
 	tk := time.NewTicker(every)
-	done := make(chan struct{})
 	go func() {
 		defer tk.Stop()
 		for {
 			select {
-			case <-done:
+			case <-sys.Done():
 				return
 			case <-tk.C:
-				for _, st := range inst.Graph().Stats() {
+				for _, st := range sys.Instance.Graph().Stats() {
 					fmt.Printf("  %s\n", st)
 				}
 				var sb strings.Builder
-				for i, p := range inst.Probes() {
+				for i, p := range sys.Instance.Probes() {
 					if i > 0 {
 						sb.WriteByte(' ')
 					}
@@ -145,5 +128,4 @@ func startStats(inst variant.Instance, every time.Duration) (stop func()) {
 			}
 		}
 	}()
-	return func() { close(done) }
 }

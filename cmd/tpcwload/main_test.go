@@ -2,10 +2,11 @@ package main
 
 import (
 	"fmt"
+	"net"
 	"testing"
 
 	"stagedweb/internal/clock"
-	"stagedweb/internal/sqldb"
+	"stagedweb/internal/harness"
 	"stagedweb/internal/tpcw"
 	"stagedweb/internal/variant"
 	"stagedweb/internal/webtest"
@@ -13,31 +14,25 @@ import (
 
 func TestMain(m *testing.M) { webtest.Main(m) }
 
-// startServer serves the staged variant over a small TPC-W database and
-// returns its address and population.
+// startServer boots the staged variant over a small zero-cost TPC-W
+// database and returns its address and population.
 func startServer(t *testing.T) (string, tpcw.Counts) {
 	t.Helper()
-	db := sqldb.Open(sqldb.Options{Cost: sqldb.ZeroCostModel()})
-	webtest.NoOpenConns(t, db)
-	if err := tpcw.CreateTables(db); err != nil {
-		t.Fatal(err)
-	}
-	counts, err := tpcw.Populate(db, tpcw.PopulateConfig{Items: 150, Customers: 40, Orders: 40})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, _ := variant.Lookup(variant.Modified)
-	inst, err := v.Build(variant.Env{App: tpcw.NewApp(counts, nil), DB: db, Scale: clock.Timescale(200)})
+	sys, err := harness.Boot(harness.Config{
+		Variant:  variant.Modified,
+		Scale:    clock.Timescale(200),
+		Populate: tpcw.PopulateConfig{Items: 150, Customers: 40, Orders: 40},
+	}, l, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(inst.Stop)
-	l, addr, err := webtest.Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = inst.Serve(l) }()
-	return addr, counts
+	webtest.NoOpenConns(t, sys.DBs[0])
+	t.Cleanup(func() { _ = sys.Stop() })
+	return l.Addr().String(), sys.Counts
 }
 
 // TestRun drives the steady profile against a live server for 20 paper

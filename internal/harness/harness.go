@@ -1,8 +1,10 @@
 // Package harness runs the paper's experiments end to end: it boots a
-// database and a named server variant, drives a named load profile of
-// emulated browsers against it, applies the ramp-up / measure /
-// cool-down discipline of Section 4.1, and collects every series and
-// table the DSN'09 evaluation reports (Tables 3 and 4, Figures 7–10).
+// database and a named server variant with Boot, the one builder of the
+// system under test (cmd/poolserv serves what it boots too), drives a
+// named load profile of emulated browsers against it, applies the
+// ramp-up / measure / cool-down discipline of Section 4.1, and collects
+// every series and table the DSN'09 evaluation reports (Tables 3 and 4,
+// Figures 7–10).
 //
 // Both axes are values, not cases: Run looks Config.Variant up in the
 // internal/variant table and Config.Load up in the internal/workload
@@ -24,7 +26,6 @@ import (
 	"time"
 
 	"stagedweb/internal/clock"
-	"stagedweb/internal/cluster"
 	"stagedweb/internal/faults"
 	"stagedweb/internal/metrics"
 	"stagedweb/internal/server"
@@ -104,7 +105,7 @@ type Config struct {
 	// Defaults holds the experiment's settings under the README's key
 	// names: pool sizes (workers, header, ..., minreserve, cutoff), the
 	// database tier (replicas, dbconns, mvcc, repl, indexes), the
-	// cluster (shards, lb) and the fault plan (faults, faultset). Set
+	// cluster (shards) and the fault plan (faults, faultset). Set
 	// wins over it, and a variant applies the keys it understands and
 	// ignores the rest, so one config can drive any topology.
 	Defaults variant.Settings `json:"defaults,omitempty"`
@@ -270,16 +271,16 @@ type Result struct {
 	WallDuration time.Duration `json:"wall_duration_ns"`
 }
 
-// Run executes one experiment in five steps: resolve the config against
-// the variant, load-profile and fault-plan tables; provision one
-// database per shard; serve the variant, with the fault injector, the
-// load generator and the sampler built against it; drive the ramp-up,
-// measure and cool-down windows; and collect the Result. Whatever serve
-// and drive start is stopped by one teardown, on success and on error.
+// Run executes one experiment in four steps: resolve the config against
+// the load-profile and fault-plan tables; serve the system Boot starts,
+// with the fault injector, the load generator and the sampler built
+// against it; drive the ramp-up, measure and cool-down windows; and
+// collect the Result. Whatever serve and drive start is stopped by one
+// teardown, on success and on error.
 func Run(cfg Config) (*Result, error) {
 	r := &run{cfg: cfg, wallStart: time.Now()}
 	defer r.teardown()
-	for _, step := range []func() error{r.resolve, r.provision, r.serve} {
+	for _, step := range []func() error{r.resolve, r.serve} {
 		if err := step(); err != nil {
 			return nil, err
 		}
@@ -296,20 +297,14 @@ type run struct {
 	wallStart time.Time
 
 	// Resolved by resolve.
-	variant   variant.Variant
 	profile   workload.Profile
 	mix       *tpcw.Mix
 	faultPlan string           // "" runs fault-free
 	faultSet  variant.Settings // the plan's settings (faultset=)
-	shards    int              // 0: no balancer in front
-	set       variant.Settings // Config.Set less the run-level keys
-
-	// Provisioned by provision.
-	dbs    []*sqldb.DB
-	counts tpcw.Counts
-	app    *tpcw.App
+	set       variant.Settings // Config.Set less the fault plan's keys
 
 	// Built by serve.
+	sys                      *System
 	res                      *Result
 	measureStart, measureEnd time.Time
 	gen                      *workload.Generator
@@ -338,18 +333,14 @@ func (r *run) teardown() {
 	}
 }
 
-// resolve looks the variant, load profile and mix up, and decodes the
-// run-level settings: the fault plan (faults, faultset) and the cluster
-// (shards). They are split off Config.Set once and decoded with
-// Config.Defaults by one decoder; they are experiment inputs, not
-// server configuration, so they never reach a variant decoder.
+// resolve looks the load profile and mix up, and decodes the fault
+// plan's settings (faults, faultset). They are split off Config.Set once
+// and decoded with Config.Defaults by one decoder; they are experiment
+// inputs, not server configuration, so they never reach a variant
+// decoder. Boot looks the variant up and decodes the cluster's shards.
 func (r *run) resolve() error {
 	cfg := r.cfg
 	var ok bool
-	if r.variant, ok = variant.Lookup(cfg.Variant); !ok {
-		return fmt.Errorf("harness: unknown variant %q (have: %s)",
-			cfg.Variant, strings.Join(variant.Names(), ", "))
-	}
 	if r.profile, ok = workload.Lookup(cfg.LoadName()); !ok {
 		return fmt.Errorf("harness: unknown load profile %q (have: %s)",
 			cfg.LoadName(), strings.Join(workload.Names(), ", "))
@@ -364,7 +355,7 @@ func (r *run) resolve() error {
 
 	own := variant.Settings{}
 	r.set = cfg.Set.Clone()
-	for _, k := range []string{"faults", "faultset", "shards"} {
+	for _, k := range []string{"faults", "faultset"} {
 		if v, ok := cfg.Set[k]; ok {
 			own[k] = v
 			delete(r.set, k)
@@ -373,7 +364,6 @@ func (r *run) resolve() error {
 	d := variant.NewSettingsDecoder(own, cfg.Defaults)
 	r.faultPlan = d.String("faults", "")
 	faultSet := d.String("faultset", "")
-	shards := d.Int("shards", 1)
 	if err := d.Finish(); err != nil {
 		return fmt.Errorf("harness: %w", err)
 	}
@@ -397,79 +387,33 @@ func (r *run) resolve() error {
 			r.faultSet[k] = v
 		}
 	}
-
-	// The balancer goes in front whenever a shards setting is present,
-	// even shards=1, so a sharded sweep's baseline cell pays the same
-	// hop as its scaled cells.
-	_, explicit := own["shards"]
-	_, lowered := cfg.Defaults["shards"]
-	if explicit || lowered {
-		if shards < 1 {
-			return fmt.Errorf("harness: shards must be >= 1, got %d", shards)
-		}
-		r.shards = shards
-	}
 	return nil
 }
 
-// provision opens one database per shard, the customer/order slice the
-// ring assigns it plus the full replicated catalog, and the app over
-// them. The balancer's ring
-// later routes requests the same way, so a customer's rows and
-// requests meet on one shard by construction. Every shard populates
-// before the measurement window is anchored, since loading takes wall
-// time.
-func (r *run) provision() error {
-	var ring *cluster.Ring
-	if r.shards > 0 {
-		var err error
-		if ring, err = cluster.NewRing(r.shards, 0); err != nil {
-			return err
-		}
-	}
-	indexes := variant.IndexesEnabled(r.set, r.cfg.Defaults)
-	r.dbs = make([]*sqldb.DB, max(r.shards, 1))
-	for s := range r.dbs {
-		db := sqldb.Open(sqldb.Options{
-			Clock:     clock.Precise{},
-			Timescale: r.cfg.Scale,
-			Cost:      &r.cfg.Cost,
-		})
-		if err := tpcw.CreateTables(db); err != nil {
-			return err
-		}
-		var owns func(int) bool
-		if ring != nil {
-			owns = func(cID int) bool { return ring.Owner(tpcw.CustomerKey(cID)) == s }
-		}
-		var err error
-		if r.counts, err = tpcw.PopulateShard(db, r.cfg.Populate, owns); err != nil {
-			return err
-		}
-		// The indexes=on axis builds its extra indexes on each shard's
-		// primary before any variant is built, so replicas cloned from
-		// it inherit them (CloneSnapshot copies index structures).
-		if indexes {
-			if err := tpcw.CreateExtraIndexes(db); err != nil {
-				return err
-			}
-		}
-		r.dbs[s] = db
-	}
-	r.app = tpcw.NewApp(r.counts, nil)
-	return nil
-}
-
-// serve anchors the measurement window, opens the listener, and builds
-// against it the variant, the fault injector (armed later by drive) and
-// the load generator. It then starts serving and one sampler that reads
-// every probe they export, and the two SLO counters, once per paper
-// second. Each thing it opens or starts pushes its stop onto the
+// serve boots the system on a loopback listener, anchors the
+// measurement window, and builds against the system the fault injector
+// (armed later by drive) and the load generator. It then starts one
+// sampler that reads every probe they export, and the two SLO counters,
+// once per paper second. Each thing it starts pushes its stop onto the
 // teardown stack.
 func (r *run) serve() error {
 	cfg := r.cfg
-	// The measurement window starts after ramp-up; series anchored there
-	// silently drop ramp-up observations.
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return err
+	}
+	boot := cfg
+	boot.Set = r.set
+	if r.sys, err = Boot(boot, l, r.complete); err != nil {
+		return err
+	}
+	r.onStop(func() { _ = r.sys.Stop() })
+
+	// The measurement window starts after ramp-up, counted from when the
+	// system is up, so ramp-up absorbs no build or replica-clone time;
+	// series anchored there drop ramp-up observations. No request reaches
+	// complete before its series exist: only the generator, built below
+	// and started by drive, knows the listener's address.
 	r.measureStart = time.Now().Add(cfg.Scale.Wall(cfg.RampUp))
 	r.measureEnd = r.measureStart.Add(cfg.Scale.Wall(cfg.Measure))
 	second := cfg.Scale.Wall(time.Second)
@@ -491,16 +435,6 @@ func (r *run) serve() error {
 	}
 	r.pageCounts = make(map[string]int64, len(tpcw.Pages))
 
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	r.onStop(func() { _ = l.Close() })
-	inst, targets, err := r.instance()
-	if err != nil {
-		return err
-	}
-
 	// The injector's schedule arms when the measurement window opens;
 	// its build errors (bad targets, unknown plan settings) surface
 	// before any load is driven.
@@ -509,7 +443,7 @@ func (r *run) serve() error {
 		if r.inj, err = plan.Build(faults.Env{
 			Clock:   clock.Precise{},
 			Scale:   cfg.Scale,
-			Targets: targets,
+			Targets: faults.Targets{Tiers: r.sys.Tiers, Balancer: r.sys.Balancer},
 			Set:     r.faultSet,
 		}); err != nil {
 			return err
@@ -525,8 +459,8 @@ func (r *run) serve() error {
 			Clock:            clock.Precise{},
 			Scale:            cfg.Scale,
 			Mix:              r.mix,
-			Customers:        r.counts.Customers,
-			Items:            r.counts.Items,
+			Customers:        r.sys.Counts.Customers,
+			Items:            r.sys.Counts.Items,
 			FetchImages:      true, // TPC-W counts a page's images in the interaction
 			ThinkExponential: cfg.ThinkExponential,
 			Seed:             cfg.Seed,
@@ -540,7 +474,7 @@ func (r *run) serve() error {
 	// becomes a sampled series. So do the generator's cumulative
 	// within/total SLO counters, the signal collect computes the
 	// recovery column from.
-	probes := append(inst.Probes(), r.gen.Probes()...)
+	probes := append(r.sys.Instance.Probes(), r.gen.Probes()...)
 	if r.inj != nil {
 		probes = append(probes, r.inj.Probes()...)
 	}
@@ -562,56 +496,11 @@ func (r *run) serve() error {
 		metrics.Source{Gauge: func() float64 { w, _ := stats.SLOCounts(); return float64(w) }, Dst: r.sloWithin},
 		metrics.Source{Gauge: func() float64 { _, t := stats.SLOCounts(); return float64(t) }, Dst: r.sloTotal})
 
-	go func() { _ = inst.Serve(l) }()
 	// Sampling ends with the cool-down, not when teardown has drained
 	// the generator, so every run's series have the same length.
 	coolDownEnd := r.measureEnd.Add(cfg.Scale.Wall(cfg.CoolDown))
 	r.onStop(metrics.StartSampler(clock.Real{}, second, coolDownEnd, srcs).Stop)
 	return nil
-}
-
-// instance builds the variant under test over the provisioned
-// databases: one instance, or one per shard behind the cluster
-// balancer. The balancer is itself a variant.Instance, so serving,
-// probe sampling and shutdown do not tell the two apart. It also
-// returns what a fault plan can inject into.
-func (r *run) instance() (variant.Instance, faults.Targets, error) {
-	var targets faults.Targets
-	var insts []variant.Instance
-	for _, db := range r.dbs {
-		inst, err := r.variant.Build(variant.Env{
-			App:        r.app,
-			DB:         db,
-			Clock:      clock.Precise{},
-			Scale:      r.cfg.Scale,
-			Cost:       r.cfg.Work,
-			OnComplete: r.complete,
-			Set:        r.set,
-			Defaults:   r.cfg.Defaults,
-		})
-		if err != nil {
-			return nil, targets, err
-		}
-		r.onStop(inst.Stop)
-		insts = append(insts, inst)
-		if tp, ok := inst.(variant.TierProvider); ok && tp.DBTier() != nil {
-			targets.Tiers = append(targets.Tiers, tp.DBTier())
-		}
-	}
-	if r.shards == 0 {
-		return insts[0], targets, nil
-	}
-	bal, err := cluster.New(cluster.Options{Shards: r.shards, Clock: clock.Precise{}, Scale: r.cfg.Scale},
-		insts, func(path string, q map[string]string) cluster.Decision {
-			key, fanout := tpcw.ShardKey(path, q)
-			return cluster.Decision{Key: key, Fanout: fanout}
-		})
-	if err != nil {
-		return nil, targets, err
-	}
-	r.onStop(bal.Stop)
-	targets.Balancer = bal
-	return bal, targets, nil
 }
 
 // complete observes one server completion: into the throughput series
@@ -675,7 +564,7 @@ func (r *run) collect() *Result {
 	for _, page := range tpcw.Pages {
 		client := stats.Page(page)
 		count := r.pageCounts[page]
-		if r.shards > 0 {
+		if r.sys.Balancer != nil {
 			count = client.Count
 		}
 		res.Pages[page] = PageStat{

@@ -454,7 +454,7 @@ func TestNoReserveVariant(t *testing.T) {
 
 // TestResolveSettings checks the run-level settings resolve splits off
 // Config.Set and decodes with Config.Defaults: the fault plan and its
-// settings, and the cluster's shards and lb.
+// settings. (Boot decodes the cluster's shards; see TestSplitShards.)
 func TestResolveSettings(t *testing.T) {
 	resolve := func(set, defaults variant.Settings) (*run, error) {
 		cfg := QuickConfig(variant.Modified, clock.Timescale(1000))
@@ -475,9 +475,6 @@ func TestResolveSettings(t *testing.T) {
 	if _, leaked := r.set["faults"]; leaked || r.set["workers"] != "8" {
 		t.Fatalf("variant settings = %v, want only workers", r.set)
 	}
-	if r.shards != 0 {
-		t.Fatalf("shards = %d with no shards setting", r.shards)
-	}
 
 	// "none" and empty both disable.
 	if r, err = resolve(variant.Settings{"faults": "none"}, nil); err != nil || r.faultPlan != "" {
@@ -487,20 +484,11 @@ func TestResolveSettings(t *testing.T) {
 	if r, err = resolve(nil, variant.Settings{"faults": "leak"}); err != nil || r.faultPlan != faults.Leak {
 		t.Fatalf("default plan: %q, err %v", r.faultPlan, err)
 	}
-	// shards engages the balancer from either layer, even at 1.
-	if r, err = resolve(variant.Settings{"shards": "1"}, nil); err != nil || r.shards != 1 {
-		t.Fatalf("shards=1: shards %d, err %v", r.shards, err)
-	}
-	if r, err = resolve(nil, variant.Settings{"shards": "2"}); err != nil || r.shards != 2 {
-		t.Fatalf("default shards=2: shards %d, err %v", r.shards, err)
-	}
 
 	for name, bad := range map[string]variant.Settings{
 		"unknown plan":          {"faults": "nope"},
 		"faultset without plan": {"faultset": "at=10s"},
 		"malformed faultset":    {"faults": "leak", "faultset": "at"},
-		"shards below one":      {"shards": "0"},
-		"shards not an integer": {"shards": "two"},
 	} {
 		if _, err := resolve(bad, nil); err == nil {
 			t.Errorf("%s: %v accepted", name, bad)

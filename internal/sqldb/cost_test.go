@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -146,7 +147,19 @@ func TestWriterWaitsForReaders(t *testing.T) {
 		readerDone <- time.Now()
 	}()
 	<-readerStarted
-	time.Sleep(5 * time.Millisecond) // let the reader take its lock
+	// Wait until the reader holds the table lock: while a TryLock
+	// succeeds, it does not yet.
+	tbl, err := db.lookupTable("item")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tbl.lock.TryLock() {
+		tbl.lock.Unlock()
+		if len(readerDone) > 0 {
+			t.Fatal("the reader finished before it was seen holding the table lock")
+		}
+		runtime.Gosched()
+	}
 
 	w := db.Connect()
 	defer w.Close()

@@ -29,7 +29,7 @@ func FuzzParse(f *testing.F) {
 		if err := tpcw.CreateTables(db); err != nil {
 			f.Fatal(err)
 		}
-		if _, err := tpcw.Populate(db, tpcw.PopulateConfig{Items: 50, Customers: 20, Orders: 20}); err != nil {
+		if _, err := tpcw.PopulateShard(db, tpcw.PopulateConfig{Items: 50, Customers: 20, Orders: 20}, nil); err != nil {
 			f.Fatal(err)
 		}
 		c := db.Connect()

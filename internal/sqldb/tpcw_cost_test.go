@@ -109,7 +109,7 @@ func openTPCW(t testing.TB, mvcc, indexes bool, cfg tpcw.PopulateConfig) *sqldb.
 	if err := tpcw.CreateTables(db); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tpcw.Populate(db, cfg); err != nil {
+	if _, err := tpcw.PopulateShard(db, cfg, nil); err != nil {
 		t.Fatal(err)
 	}
 	if indexes {

@@ -35,7 +35,7 @@ func handlerResults(tb testing.TB) (*tpcw.App, map[string]*server.Result) {
 	if err := tpcw.CreateTables(db); err != nil {
 		tb.Fatal(err)
 	}
-	counts, err := tpcw.Populate(db, tpcw.PopulateConfig{Items: 10000, Customers: 2500, Orders: 2000})
+	counts, err := tpcw.PopulateShard(db, tpcw.PopulateConfig{Items: 10000, Customers: 2500, Orders: 2000}, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}

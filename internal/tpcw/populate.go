@@ -40,33 +40,24 @@ func (c *PopulateConfig) fillDefaults() {
 // Counts reports the populated row counts.
 type Counts struct {
 	Items      int
-	Authors    int
 	Customers  int
-	Addresses  int
-	Countries  int
 	Orders     int
 	OrderLines int
-	CCXacts    int
 }
 
 // baseDate anchors all generated timestamps so population is fully
 // deterministic.
 var baseDate = time.Date(2008, 6, 1, 0, 0, 0, 0, time.UTC)
 
-// Populate fills db (whose tables must already exist) with a
-// deterministic TPC-W dataset and returns the row counts.
-func Populate(db *sqldb.DB, cfg PopulateConfig) (Counts, error) {
-	return PopulateShard(db, cfg, nil)
-}
-
-// PopulateShard fills db with one shard's slice of the deterministic
-// TPC-W dataset: replicated tables (country, author, item, address) in
-// full, partitioned tables (customer, orders, order_line, cc_xacts)
-// restricted to the customers owns reports true for. owns == nil means
-// own everything — a full, unsharded Populate.
+// PopulateShard fills db (whose tables must already exist) with one
+// shard's slice of the deterministic TPC-W dataset: replicated tables
+// (country, author, item, address) in full, partitioned tables
+// (customer, orders, order_line, cc_xacts) restricted to the customers
+// owns reports true for. owns == nil means own everything: the full,
+// unsharded dataset.
 //
 // The returned Counts are GLOBAL (identical for every shard and to an
-// unsharded Populate with the same config): the application sizes its
+// unsharded population with the same config): the application sizes its
 // parameter ranges from them, and request parameters span the whole
 // key space no matter which shard serves the request. Row ids are
 // global too — the generator walks the full dataset and skips inserts
@@ -82,26 +73,23 @@ func PopulateShard(db *sqldb.DB, cfg PopulateConfig, owns func(cID int) bool) (C
 	c := db.Loader()
 	defer c.Close()
 
-	var counts Counts
-	if err := populateCountries(c, &counts); err != nil {
-		return counts, err
+	if err := populateCountries(c); err != nil {
+		return Counts{}, err
 	}
-	if err := populateAuthors(c, rng, cfg, &counts); err != nil {
-		return counts, err
+	if err := populateAuthors(c, rng, cfg); err != nil {
+		return Counts{}, err
 	}
-	if err := populateItems(c, rng, cfg, &counts); err != nil {
-		return counts, err
+	if err := populateItems(c, rng, cfg); err != nil {
+		return Counts{}, err
 	}
-	if err := populateAddresses(c, rng, cfg, &counts); err != nil {
-		return counts, err
+	if err := populateAddresses(c, rng, cfg); err != nil {
+		return Counts{}, err
 	}
-	if err := populateCustomers(c, rng, cfg, &counts, owns); err != nil {
-		return counts, err
+	if err := populateCustomers(c, rng, cfg, owns); err != nil {
+		return Counts{}, err
 	}
-	if err := populateOrders(c, rng, cfg, &counts, owns); err != nil {
-		return counts, err
-	}
-	return counts, nil
+	lines, err := populateOrders(c, rng, cfg, owns)
+	return Counts{Items: cfg.Items, Customers: cfg.Customers, Orders: cfg.Orders, OrderLines: lines}, err
 }
 
 var countryNames = []string{
@@ -124,13 +112,12 @@ var countryNames = []string{
 	"Turkey", "Venezuela", "Zambia",
 }
 
-func populateCountries(c *sqldb.Conn, counts *Counts) error {
+func populateCountries(c *sqldb.Conn) error {
 	for i, name := range countryNames {
 		if _, err := c.Exec("INSERT INTO country (co_id, co_name) VALUES (?, ?)", i+1, name); err != nil {
 			return fmt.Errorf("tpcw: country %d: %w", i+1, err)
 		}
 	}
-	counts.Countries = len(countryNames)
 	return nil
 }
 
@@ -162,7 +149,7 @@ func authorCount(cfg PopulateConfig) int {
 	return n
 }
 
-func populateAuthors(c *sqldb.Conn, rng *rand.Rand, cfg PopulateConfig, counts *Counts) error {
+func populateAuthors(c *sqldb.Conn, rng *rand.Rand, cfg PopulateConfig) error {
 	n := authorCount(cfg)
 	for i := 1; i <= n; i++ {
 		if _, err := c.Exec(
@@ -175,11 +162,10 @@ func populateAuthors(c *sqldb.Conn, rng *rand.Rand, cfg PopulateConfig, counts *
 			return fmt.Errorf("tpcw: author %d: %w", i, err)
 		}
 	}
-	counts.Authors = n
 	return nil
 }
 
-func populateItems(c *sqldb.Conn, rng *rand.Rand, cfg PopulateConfig, counts *Counts) error {
+func populateItems(c *sqldb.Conn, rng *rand.Rand, cfg PopulateConfig) error {
 	authors := authorCount(cfg)
 	for i := 1; i <= cfg.Items; i++ {
 		srp := 1 + rng.Float64()*99
@@ -208,11 +194,10 @@ func populateItems(c *sqldb.Conn, rng *rand.Rand, cfg PopulateConfig, counts *Co
 			return fmt.Errorf("tpcw: item %d: %w", i, err)
 		}
 	}
-	counts.Items = cfg.Items
 	return nil
 }
 
-func populateAddresses(c *sqldb.Conn, rng *rand.Rand, cfg PopulateConfig, counts *Counts) error {
+func populateAddresses(c *sqldb.Conn, rng *rand.Rand, cfg PopulateConfig) error {
 	n := cfg.Customers * 2
 	for i := 1; i <= n; i++ {
 		if _, err := c.Exec(
@@ -227,11 +212,10 @@ func populateAddresses(c *sqldb.Conn, rng *rand.Rand, cfg PopulateConfig, counts
 			return fmt.Errorf("tpcw: address %d: %w", i, err)
 		}
 	}
-	counts.Addresses = n
 	return nil
 }
 
-func populateCustomers(c *sqldb.Conn, rng *rand.Rand, cfg PopulateConfig, counts *Counts, owns func(int) bool) error {
+func populateCustomers(c *sqldb.Conn, rng *rand.Rand, cfg PopulateConfig, owns func(int) bool) error {
 	for i := 1; i <= cfg.Customers; i++ {
 		// Draw every random value unconditionally (in the argument order of
 		// the unsharded insert) so a shard that skips this customer leaves
@@ -260,11 +244,13 @@ func populateCustomers(c *sqldb.Conn, rng *rand.Rand, cfg PopulateConfig, counts
 			return fmt.Errorf("tpcw: customer %d: %w", i, err)
 		}
 	}
-	counts.Customers = cfg.Customers
 	return nil
 }
 
-func populateOrders(c *sqldb.Conn, rng *rand.Rand, cfg PopulateConfig, counts *Counts, owns func(int) bool) error {
+// populateOrders loads the orders of the customers owns keeps, with
+// their lines and card transactions, and returns the number of order
+// lines in the full dataset.
+func populateOrders(c *sqldb.Conn, rng *rand.Rand, cfg PopulateConfig, owns func(int) bool) (int, error) {
 	olID := 0
 	for o := 1; o <= cfg.Orders; o++ {
 		cust := 1 + rng.Intn(cfg.Customers)
@@ -287,7 +273,7 @@ func populateOrders(c *sqldb.Conn, rng *rand.Rand, cfg PopulateConfig, counts *C
 					"INSERT INTO order_line (ol_id, ol_o_id, ol_i_id, ol_qty, ol_discount, ol_comments) VALUES (?, ?, ?, ?, ?, ?)",
 					olID, o, item, qty, discount, comments,
 				); err != nil {
-					return fmt.Errorf("tpcw: order line %d: %w", olID, err)
+					return 0, fmt.Errorf("tpcw: order line %d: %w", olID, err)
 				}
 			}
 			subTotal += float64(qty) * (1 + rng.Float64()*99)
@@ -306,7 +292,7 @@ func populateOrders(c *sqldb.Conn, rng *rand.Rand, cfg PopulateConfig, counts *C
 				o, cust, date, round2(subTotal), total,
 				shipType, shipDate, billAddr, shipAddr, status,
 			); err != nil {
-				return fmt.Errorf("tpcw: order %d: %w", o, err)
+				return 0, fmt.Errorf("tpcw: order %d: %w", o, err)
 			}
 		}
 		ccType := ccTypes[rng.Intn(len(ccTypes))]
@@ -319,14 +305,11 @@ func populateOrders(c *sqldb.Conn, rng *rand.Rand, cfg PopulateConfig, counts *C
 				o, ccType, ccNum, ccName,
 				date.AddDate(2, 0, 0), total, date, ccCo,
 			); err != nil {
-				return fmt.Errorf("tpcw: cc_xact %d: %w", o, err)
+				return 0, fmt.Errorf("tpcw: cc_xact %d: %w", o, err)
 			}
 		}
 	}
-	counts.Orders = cfg.Orders
-	counts.OrderLines = olID
-	counts.CCXacts = cfg.Orders
-	return nil
+	return olID, nil
 }
 
 var (

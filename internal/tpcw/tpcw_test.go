@@ -14,6 +14,11 @@ import (
 // smallCfg keeps population fast for unit tests.
 var smallCfg = PopulateConfig{Items: 200, Customers: 50, Orders: 60}
 
+// Populate fills db with the full, unsharded dataset.
+func Populate(db *sqldb.DB, cfg PopulateConfig) (Counts, error) {
+	return PopulateShard(db, cfg, nil)
+}
+
 // newBookstore builds a populated database and app for tests.
 func newBookstore(t *testing.T) (*App, *sqldb.Conn) {
 	t.Helper()

@@ -25,7 +25,7 @@ func startBookstore(t *testing.T) (addr string, counts tpcw.Counts) {
 	if err := tpcw.CreateTables(db); err != nil {
 		t.Fatal(err)
 	}
-	counts, err := tpcw.Populate(db, tpcw.PopulateConfig{Items: 150, Customers: 40, Orders: 40})
+	counts, err := tpcw.PopulateShard(db, tpcw.PopulateConfig{Items: 150, Customers: 40, Orders: 40}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
