@@ -106,26 +106,22 @@ func boot(args []string) (*harness.System, string, error) {
 func startStats(sys *harness.System, every time.Duration) {
 	// Stats cadence is operator-facing wall time: a human watching a
 	// terminal wants a line every N real seconds regardless of timescale.
-	tk := time.NewTicker(every)
-	go func() {
-		defer tk.Stop()
-		for {
-			select {
-			case <-sys.Done():
-				return
-			case <-tk.C:
-				for _, st := range sys.Instance.Graph().Stats() {
-					fmt.Printf("  %s\n", st)
-				}
-				var sb strings.Builder
-				for i, p := range sys.Instance.Probes() {
-					if i > 0 {
-						sb.WriteByte(' ')
-					}
-					fmt.Fprintf(&sb, "%s=%.0f", p.Name, p.Gauge())
-				}
-				fmt.Println(sb.String())
-			}
+	stop := clock.Every(clock.Real{}, every, func(time.Time) bool {
+		for _, st := range sys.Instance.Graph().Stats() {
+			fmt.Printf("  %s\n", st)
 		}
+		var sb strings.Builder
+		for i, p := range sys.Instance.Probes() {
+			if i > 0 {
+				sb.WriteByte(' ')
+			}
+			fmt.Fprintf(&sb, "%s=%.0f", p.Name, p.Gauge())
+		}
+		fmt.Println(sb.String())
+		return true
+	})
+	go func() {
+		<-sys.Done()
+		stop()
 	}()
 }

@@ -66,6 +66,28 @@ func TestEveryExportedNameHasAReader(t *testing.T) {
 	reportDead(t, "keptForTests", keptForTests, defs, reads, "reader")
 }
 
+// TestWebtestStaysInTests fails when a non-test package of the main
+// module imports internal/webtest: it is for tests and the benchmark
+// module. The benchmark's import of it shows the graph was read.
+func TestWebtestStaysInTests(t *testing.T) {
+	const webtest = mainModule + "/internal/webtest"
+	benchmarkImports := false
+	for _, p := range load(t).pkgs {
+		for _, imp := range p.types.Imports() {
+			switch {
+			case imp.Path() != webtest:
+			case inMainModule(p.types.Path()):
+				t.Errorf("%s imports %s, which is for tests and the benchmark module", p.path, webtest)
+			default:
+				benchmarkImports = true
+			}
+		}
+	}
+	if !benchmarkImports {
+		t.Error("no package of the benchmark module imports webtest: the import graph was not read")
+	}
+}
+
 // TestEveryConfigFieldHasASetter fails on every config field (see
 // setOnlyByTests) that no non-test file of either module sets, unless
 // setOnlyByTests lists it. A knob only tests turn is a constant instead.

@@ -45,11 +45,11 @@ func TestRealAfter(t *testing.T) {
 
 func TestRealTicker(t *testing.T) {
 	c := Real{}
-	tk := c.NewTicker(time.Millisecond)
-	defer tk.Stop()
+	tick, stop := c.newTicker(time.Millisecond)
+	defer stop()
 	for i := 0; i < 3; i++ {
 		select {
-		case <-tk.C():
+		case <-tick:
 		case <-time.After(5 * time.Second):
 			t.Fatal("ticker never fired")
 		}

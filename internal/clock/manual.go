@@ -62,8 +62,7 @@ func (m *Manual) After(d time.Duration) <-chan time.Time {
 	return w.ch
 }
 
-// NewTicker implements Clock.
-func (m *Manual) NewTicker(d time.Duration) Ticker {
+func (m *Manual) newTicker(d time.Duration) (<-chan time.Time, func()) {
 	if d <= 0 {
 		panic("clock: non-positive ticker period")
 	}
@@ -71,20 +70,11 @@ func (m *Manual) NewTicker(d time.Duration) Ticker {
 	defer m.mu.Unlock()
 	w := &manualWaiter{at: m.now.Add(d), ch: make(chan time.Time, 1), period: d, sequence: len(m.waiters)}
 	m.waiters = append(m.waiters, w)
-	return &manualTicker{clock: m, w: w}
-}
-
-type manualTicker struct {
-	clock *Manual
-	w     *manualWaiter
-}
-
-func (t *manualTicker) C() <-chan time.Time { return t.w.ch }
-
-func (t *manualTicker) Stop() {
-	t.clock.mu.Lock()
-	defer t.clock.mu.Unlock()
-	t.w.stopped = true
+	return w.ch, func() {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		w.stopped = true
+	}
 }
 
 // Advance moves the clock forward by d, firing every waiter whose deadline

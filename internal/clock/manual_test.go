@@ -97,8 +97,8 @@ func TestManualSleepZeroReturns(t *testing.T) {
 
 func TestManualTickerPeriodic(t *testing.T) {
 	m := NewManual(epoch)
-	tk := m.NewTicker(time.Second)
-	defer tk.Stop()
+	tick, stop := m.newTicker(time.Second)
+	defer stop()
 
 	// Advance one second at a time so each tick can be consumed; ticks are
 	// dropped (not queued) when nobody is receiving, like time.Ticker with
@@ -106,7 +106,7 @@ func TestManualTickerPeriodic(t *testing.T) {
 	for i := 1; i <= 3; i++ {
 		m.Advance(time.Second)
 		select {
-		case at := <-tk.C():
+		case at := <-tick:
 			want := epoch.Add(time.Duration(i) * time.Second)
 			if !at.Equal(want) {
 				t.Fatalf("tick %d at %v, want %v", i, at, want)
@@ -119,11 +119,11 @@ func TestManualTickerPeriodic(t *testing.T) {
 
 func TestManualTickerStop(t *testing.T) {
 	m := NewManual(epoch)
-	tk := m.NewTicker(time.Second)
-	tk.Stop()
+	tick, stop := m.newTicker(time.Second)
+	stop()
 	m.Advance(10 * time.Second)
 	select {
-	case <-tk.C():
+	case <-tick:
 		t.Fatal("stopped ticker fired")
 	default:
 	}
@@ -131,13 +131,13 @@ func TestManualTickerStop(t *testing.T) {
 
 func TestManualTickerDropsMissedTicks(t *testing.T) {
 	m := NewManual(epoch)
-	tk := m.NewTicker(time.Second)
-	defer tk.Stop()
+	tick, stop := m.newTicker(time.Second)
+	defer stop()
 	m.Advance(10 * time.Second) // nobody receiving: only 1 buffered tick survives
 	n := 0
 	for {
 		select {
-		case <-tk.C():
+		case <-tick:
 			n++
 		default:
 			if n != 1 {
@@ -218,11 +218,11 @@ func TestManualWaiters(t *testing.T) {
 		t.Fatalf("Waiters = %d, want 0", n)
 	}
 	_ = m.After(time.Second)
-	tk := m.NewTicker(time.Second)
+	_, stop := m.newTicker(time.Second)
 	if n := m.Waiters(); n != 2 {
 		t.Fatalf("Waiters = %d, want 2", n)
 	}
-	tk.Stop()
+	stop()
 	if n := m.Waiters(); n != 1 {
 		t.Fatalf("Waiters after Stop = %d, want 1", n)
 	}

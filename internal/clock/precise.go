@@ -72,5 +72,4 @@ func spinUntil(deadline time.Time) {
 // After implements Clock (timer-based; use Sleep for precision).
 func (Precise) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
-// NewTicker implements Clock (timer-based).
-func (Precise) NewTicker(d time.Duration) Ticker { return realTicker{time.NewTicker(d)} }
+func (Precise) newTicker(d time.Duration) (<-chan time.Time, func()) { return wallTicker(d) }

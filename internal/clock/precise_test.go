@@ -58,10 +58,10 @@ func TestPreciseClockInterface(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("After never fired")
 	}
-	tk := c.NewTicker(time.Millisecond)
-	defer tk.Stop()
+	tick, stop := c.newTicker(time.Millisecond)
+	defer stop()
 	select {
-	case <-tk.C():
+	case <-tick:
 	case <-time.After(5 * time.Second):
 		t.Fatal("ticker never fired")
 	}

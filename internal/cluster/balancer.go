@@ -77,7 +77,6 @@ var badGateway = []byte("HTTP/1.1 502 Bad Gateway\r\nConnection: close\r\nConten
 // It implements variant.Instance, so the harness serves, samples, and
 // stops a sharded cluster exactly like a single server.
 type Balancer struct {
-	opts   Options
 	ring   *Ring
 	route  RouteFunc
 	shards []variant.Instance
@@ -132,7 +131,6 @@ func New(opts Options, shards []variant.Instance, route RouteFunc) (*Balancer, e
 		return nil, err
 	}
 	b := &Balancer{
-		opts:     opts,
 		ring:     ring,
 		route:    route,
 		shards:   shards,

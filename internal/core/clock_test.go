@@ -223,6 +223,51 @@ func TestReserveControllerCountsLengthyAsSpare(t *testing.T) {
 	wg.Wait()
 }
 
+// TestReserveControllerUpdatesOncePerTick: Serve runs the t_reserve
+// update once per paper second on the server's clock, with the t_spare
+// the server reads. Sixteen quick requests hold every general slot, so
+// t_spare is 0 and each tick applies the grow rule once: from the
+// minimum 1 to 1+1+1 = 3, then to 3+3+1 = 7, under the cap of 12.
+func TestReserveControllerUpdatesOncePerTick(t *testing.T) {
+	manual := clock.NewManual(time.Unix(1_700_000_000, 0))
+	app := stagedApp()
+	gate := make(chan struct{})
+	app.AddPage("/quick", func(*server.Request) (*server.Result, error) {
+		<-gate
+		return &server.Result{Body: "done"}, nil
+	})
+	env := startStaged(t, app, func(cfg *core.Config) {
+		cfg.Clock = manual
+		cfg.Scale = clock.RealTime
+		cfg.GeneralWorkers = 16
+		cfg.MinReserve = 1
+	})
+	open := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(open) // before the server stops
+
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer open()
+	for i := 1; i <= 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := webtest.Get(env.addr, "/quick"); err != nil {
+				t.Errorf("GET /quick: %v", err)
+			}
+		}()
+		waitUntil(t, func() bool { return env.srv.Spare() == 16-i })
+	}
+	for tick, want := range []int{3, 7} {
+		manual.Advance(time.Second)
+		waitUntil(t, func() bool { return env.srv.Reserve() == want })
+		time.Sleep(5 * time.Millisecond) // a second update would land here
+		if r := env.srv.Reserve(); r != want {
+			t.Fatalf("tick %d: t_reserve %d, want %d", tick+1, r, want)
+		}
+	}
+}
+
 func waitUntil(t *testing.T, cond func() bool) {
 	t.Helper()
 	if !webtest.WaitUntil(5*time.Second, cond) {

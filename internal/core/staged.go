@@ -135,7 +135,8 @@ type Server struct {
 	render  *stage.Stage[struct{}]
 
 	dispatcher *sched.Dispatcher
-	controller *sched.Controller
+	// stopController ends the t_reserve update loop Serve starts.
+	stopController func()
 	// lengthyOnGeneral counts the general slots held by requests Table 1
 	// classified lengthy, sent there at arrival or lent one at release.
 	lengthyOnGeneral atomic.Int64
@@ -217,12 +218,11 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 	s.listener = l
 	s.graph.Start()
-	s.controller = sched.StartController(
-		s.cfg.Clock,
-		s.cfg.Scale.Wall(controllerInterval),
-		s.dispatcher.ReserveController(),
-		s.controllerSpare,
-	)
+	rc := s.dispatcher.ReserveController()
+	s.stopController = clock.Every(s.cfg.Clock, s.cfg.Scale.Wall(controllerInterval), func(time.Time) bool {
+		rc.Update(s.controllerSpare())
+		return true
+	})
 	s.mu.Unlock()
 	return s.tr.Accept(l, func(c *server.Conn) error {
 		s.mu.Lock()
@@ -247,14 +247,13 @@ func (s *Server) Stop() {
 	s.mu.Lock()
 	s.stopped = true
 	l := s.listener
-	ctl := s.controller
-	s.controller = nil
+	stopController := s.stopController
 	s.mu.Unlock()
 	if l != nil {
 		_ = l.Close()
 	}
-	if ctl != nil {
-		ctl.Stop()
+	if stopController != nil {
+		stopController()
 	}
 	s.stopOnce.Do(func() {
 		s.tr.Shutdown()

@@ -166,10 +166,11 @@ type Tier struct {
 	async    bool
 	lagBound int64 // maxLag; the staleness test lowers it
 
-	next      atomic.Uint64 // round-robin read cursor
-	done      chan struct{}
-	applyWG   sync.WaitGroup
-	closeOnce sync.Once
+	next       atomic.Uint64 // round-robin read cursor
+	done       chan struct{}
+	applyWG    sync.WaitGroup
+	stopHealth func() // ends the health check; nil without replicas
+	closeOnce  sync.Once
 	// closeMu orders release against Close and against resync engine
 	// swaps: once closed is set no new connection can land in a pool
 	// channel, and release's stale-engine check is atomic with the swap.
@@ -262,8 +263,14 @@ func New(primary *sqldb.DB, opts Options) *Tier {
 		go t.applyLoop(r)
 	}
 	if len(t.replicas) > 0 {
-		t.applyWG.Add(1)
-		go t.healthLoop()
+		// One paper-second cadence on the tier's injected clock, so
+		// fault experiments replay deterministically under clock.Manual.
+		t.stopHealth = clock.Every(t.clk, t.scale.Wall(healthInterval), func(time.Time) bool {
+			for _, r := range t.replicas {
+				t.checkHealth(r)
+			}
+			return true
+		})
 	}
 	return t
 }
@@ -284,6 +291,9 @@ func (t *Tier) Close() {
 		t.closed = true
 		close(t.done)
 		t.closeMu.Unlock()
+		if t.stopHealth != nil {
+			t.stopHealth()
+		}
 		t.applyWG.Wait()
 		for _, r := range t.replicas {
 			r.apply.Close()
@@ -442,28 +452,9 @@ func (t *Tier) resyncClone(r *replica) bool {
 	return true
 }
 
-// healthLoop runs the periodic health check: it ejects replicas that
-// are down or pathologically slow, moves revived replicas to resync,
-// and reintegrates caught-up ones. One paper-second cadence on the
-// tier's injected clock, so fault experiments replay deterministically
-// under clock.Manual.
-func (t *Tier) healthLoop() {
-	defer t.applyWG.Done()
-	tick := t.clk.NewTicker(t.scale.Wall(healthInterval))
-	defer tick.Stop()
-	for {
-		select {
-		case <-t.done:
-			return
-		case <-tick.C():
-		}
-		for _, r := range t.replicas {
-			t.checkHealth(r)
-		}
-	}
-}
-
-// checkHealth advances one replica's health state machine by one tick.
+// checkHealth advances one replica's health state machine by one tick of
+// the health check: it ejects a replica that is down or pathologically
+// slow, moves a revived one to resync, and reintegrates a caught-up one.
 func (t *Tier) checkHealth(r *replica) {
 	b := r.b
 	healthy := !b.down.Load() && time.Duration(b.delay.Load()) <= slowThreshold
@@ -700,30 +691,17 @@ func (t *Tier) truncWatermark() int64 {
 	return min
 }
 
-// waitApplied blocks until every in-rotation replica has applied ts,
-// or the tier closes (the write already committed on the primary, so
-// closing is not an error for the writer). Ejection wakes waiters, so
-// a dead replica delays writers by at most the ejection threshold.
-func (t *Tier) waitApplied(ts int64) {
-	for t.minActiveApplied() < ts {
+// wait blocks while the slowest in-rotation replica trails ts by more
+// than bound commits, or until the tier closes (the write already
+// committed on the primary, so closing is not an error for the writer).
+// A bound of 0 waits until every in-rotation replica has applied ts, as
+// sync mode does; async mode passes maxLag, its bounded-staleness
+// backpressure. Ejection wakes waiters, so a dead replica delays
+// writers by at most the ejection threshold.
+func (t *Tier) wait(ts, bound int64) {
+	for ts-t.minActiveApplied() > bound {
 		ch := t.progress()
-		if t.minActiveApplied() >= ts {
-			return
-		}
-		select {
-		case <-ch:
-		case <-t.done:
-			return
-		}
-	}
-}
-
-// waitLag blocks while the slowest in-rotation replica trails ts by
-// more than maxLag — async mode's bounded-staleness backpressure.
-func (t *Tier) waitLag(ts int64) {
-	for ts-t.minActiveApplied() > t.lagBound {
-		ch := t.progress()
-		if ts-t.minActiveApplied() <= t.lagBound {
+		if ts-t.minActiveApplied() <= bound {
 			return
 		}
 		select {
@@ -741,7 +719,7 @@ func (t *Tier) Sync() {
 	if len(t.replicas) == 0 {
 		return
 	}
-	t.waitApplied(t.backends[0].db().CommitTS())
+	t.wait(t.backends[0].db().CommitTS(), 0)
 }
 
 // ---- connection pool ----
@@ -948,10 +926,10 @@ func (c *Conn) Exec(sql string, args ...any) (sqldb.ExecResult, error) {
 	if err != nil || len(c.t.replicas) == 0 {
 		return res, err
 	}
+	bound := int64(0)
 	if c.t.async {
-		c.t.waitLag(res.CommitTS)
-	} else {
-		c.t.waitApplied(res.CommitTS)
+		bound = c.t.lagBound
 	}
+	c.t.wait(res.CommitTS, bound)
 	return res, nil
 }

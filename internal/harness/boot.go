@@ -24,13 +24,17 @@ type System struct {
 	Tiers    []*dbtier.Tier    // the shards' database tiers
 	DBs      []*sqldb.DB       // the shards' primaries, in shard order
 	Counts   tpcw.Counts       // the population's, the same on every shard
+	// Clock is the one clock of the system: its databases, variants and
+	// balancer run on it, and Run paces the load, the faults, the
+	// sampler and the run's windows on it.
+	Clock clock.Clock
 
 	done     chan struct{} // closed when Serve returns
 	serveErr error         // why Serve returned; set before done closes
 }
 
-// Boot starts the system cfg describes and serves it on l: per shard, a
-// database on clock.Precise holding the catalog and the customers the
+// Boot starts the system cfg describes, on clock.Precise, and serves it
+// on l: per shard, a database holding the catalog and the customers the
 // ring assigns the shard, the extra indexes if indexes is on, and the
 // variant; and the balancer in front whenever a shards setting is
 // present, even shards=1, so a sharded sweep's baseline cell pays the
@@ -62,9 +66,9 @@ func Boot(cfg Config, l net.Listener, onComplete func(server.CompletionEvent)) (
 			return nil, err
 		}
 	}
-	sys := &System{done: make(chan struct{})}
+	sys := &System{Clock: clock.Precise{}, done: make(chan struct{})}
 	for s := range max(shards, 1) {
-		db := sqldb.Open(sqldb.Options{Clock: clock.Precise{}, Timescale: cfg.Scale, Cost: &cfg.Cost})
+		db := sqldb.Open(sqldb.Options{Clock: sys.Clock, Timescale: cfg.Scale, Cost: &cfg.Cost})
 		if err := tpcw.CreateTables(db); err != nil {
 			return nil, err
 		}
@@ -87,7 +91,7 @@ func Boot(cfg Config, l net.Listener, onComplete func(server.CompletionEvent)) (
 
 	app := tpcw.NewApp(sys.Counts, nil)
 	for _, db := range sys.DBs {
-		inst, err := v.Build(variant.Env{App: app, DB: db, Clock: clock.Precise{}, Scale: cfg.Scale,
+		inst, err := v.Build(variant.Env{App: app, DB: db, Clock: sys.Clock, Scale: cfg.Scale,
 			Cost: cfg.Work, OnComplete: onComplete, Set: set, Defaults: cfg.Defaults})
 		if err != nil {
 			return nil, err
@@ -99,7 +103,7 @@ func Boot(cfg Config, l net.Listener, onComplete func(server.CompletionEvent)) (
 	}
 	sys.Instance = insts[0]
 	if ring != nil {
-		if sys.Balancer, err = cluster.New(cluster.Options{Shards: shards, Clock: clock.Precise{}, Scale: cfg.Scale},
+		if sys.Balancer, err = cluster.New(cluster.Options{Shards: shards, Clock: sys.Clock, Scale: cfg.Scale},
 			insts, func(path string, q map[string]string) cluster.Decision {
 				key, fanout := tpcw.ShardKey(path, q)
 				return cluster.Decision{Key: key, Fanout: fanout}

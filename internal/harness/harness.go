@@ -414,7 +414,7 @@ func (r *run) serve() error {
 	// series anchored there drop ramp-up observations. No request reaches
 	// complete before its series exist: only the generator, built below
 	// and started by drive, knows the listener's address.
-	r.measureStart = time.Now().Add(cfg.Scale.Wall(cfg.RampUp))
+	r.measureStart = r.sys.Clock.Now().Add(cfg.Scale.Wall(cfg.RampUp))
 	r.measureEnd = r.measureStart.Add(cfg.Scale.Wall(cfg.Measure))
 	second := cfg.Scale.Wall(time.Second)
 	perMinute := func() *metrics.Series {
@@ -441,7 +441,7 @@ func (r *run) serve() error {
 	if r.faultPlan != "" {
 		plan, _ := faults.Lookup(r.faultPlan)
 		if r.inj, err = plan.Build(faults.Env{
-			Clock:   clock.Precise{},
+			Clock:   r.sys.Clock,
 			Scale:   cfg.Scale,
 			Targets: faults.Targets{Tiers: r.sys.Tiers, Balancer: r.sys.Balancer},
 			Set:     r.faultSet,
@@ -456,7 +456,7 @@ func (r *run) serve() error {
 		Config: workload.Config{
 			Addr:             l.Addr().String(),
 			EBs:              cfg.EBs,
-			Clock:            clock.Precise{},
+			Clock:            r.sys.Clock,
 			Scale:            cfg.Scale,
 			Mix:              r.mix,
 			Customers:        r.sys.Counts.Customers,
@@ -499,7 +499,7 @@ func (r *run) serve() error {
 	// Sampling ends with the cool-down, not when teardown has drained
 	// the generator, so every run's series have the same length.
 	coolDownEnd := r.measureEnd.Add(cfg.Scale.Wall(cfg.CoolDown))
-	r.onStop(metrics.StartSampler(clock.Real{}, second, coolDownEnd, srcs).Stop)
+	r.onStop(clock.Every(r.sys.Clock, second, metrics.SampleUntil(coolDownEnd, srcs)))
 	return nil
 }
 
@@ -535,20 +535,20 @@ func (r *run) drive() {
 	if r.inj != nil {
 		r.onStop(r.inj.Stop) // armed below, when the window opens
 	}
-	stats := r.gen.Stats()
+	clk, stats := r.sys.Clock, r.gen.Stats()
 	stats.SetRecording(false)
 	r.gen.Start()
 	r.onStop(r.gen.Stop)
 
-	time.Sleep(time.Until(r.measureStart))
+	clk.Sleep(r.measureStart.Sub(clk.Now()))
 	stats.Reset()
 	stats.SetRecording(true)
 	if r.inj != nil {
 		r.inj.Start()
 	}
-	time.Sleep(r.cfg.Scale.Wall(r.cfg.Measure))
+	clk.Sleep(r.cfg.Scale.Wall(r.cfg.Measure))
 	stats.SetRecording(false)
-	time.Sleep(r.cfg.Scale.Wall(r.cfg.CoolDown))
+	clk.Sleep(r.cfg.Scale.Wall(r.cfg.CoolDown))
 }
 
 // collect assembles the Result after teardown: per-page stats, tail

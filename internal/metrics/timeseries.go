@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"sync"
 	"time"
-
-	"stagedweb/internal/clock"
 )
 
 // Agg selects how a Series combines multiple observations that land in the
@@ -132,43 +130,18 @@ type Source struct {
 	Dst   *Series
 }
 
-// Sampler reads every source into its series once per interval, all
-// from one goroutine on one ticker. It powers the queue-length figures:
-// one sample per paper second.
-type Sampler struct {
-	stop chan struct{}
-	done chan struct{}
-}
-
-// StartSampler samples srcs every interval until a tick reaches until,
-// which it drops, or until Stop is called. The interval is interpreted
-// on clk (wall time for experiments, manual time for tests), and each
-// tick's readings are stamped with its time.
-func StartSampler(clk clock.Clock, interval time.Duration, until time.Time, srcs []Source) *Sampler {
-	s := &Sampler{stop: make(chan struct{}), done: make(chan struct{})}
-	tk := clk.NewTicker(interval)
-	go func() {
-		defer close(s.done)
-		defer tk.Stop()
-		for {
-			select {
-			case <-s.stop:
-				return
-			case now := <-tk.C():
-				if !now.Before(until) {
-					return
-				}
-				for _, src := range srcs {
-					src.Dst.Observe(now, src.Gauge())
-				}
-			}
+// SampleUntil is the f of the clock.Every that samples srcs: each tick
+// reads every source into its series, stamped with the tick's time,
+// until a tick reaches until, which it drops and which ends the loop. It
+// powers the queue-length figures: one sample per paper second.
+func SampleUntil(until time.Time, srcs []Source) func(now time.Time) bool {
+	return func(now time.Time) bool {
+		if !now.Before(until) {
+			return false
 		}
-	}()
-	return s
-}
-
-// Stop halts the sampler and waits for its goroutine to exit.
-func (s *Sampler) Stop() {
-	close(s.stop)
-	<-s.done
+		for _, src := range srcs {
+			src.Dst.Observe(now, src.Gauge())
+		}
+		return true
+	}
 }

@@ -69,10 +69,10 @@ func TestSeriesInvalidWidthPanics(t *testing.T) {
 	NewSeries(tsEpoch, 0, AggSum)
 }
 
-// TestSamplerCollectsOnTicks: one sampler over N sources, advanced K
+// TestSamplerCollectsOnTicks: one clock.Every over N sources, advanced K
 // ticks, gives N series of K points each, at the tick offsets, each
 // point the source's reading at that tick. The tick at until is
-// dropped and ends the sampling.
+// dropped and ends the sampling, its ticker with it.
 func TestSamplerCollectsOnTicks(t *testing.T) {
 	const n, k = 3, 4
 	clk := clock.NewManual(tsEpoch)
@@ -85,8 +85,8 @@ func TestSamplerCollectsOnTicks(t *testing.T) {
 			Dst:   NewSeries(tsEpoch.Add(time.Second), time.Second, AggLast),
 		}
 	}
-	sampler := StartSampler(clk, time.Second, tsEpoch.Add((k+1)*time.Second), srcs)
-	defer sampler.Stop()
+	stop := clock.Every(clk, time.Second, SampleUntil(tsEpoch.Add((k+1)*time.Second), srcs))
+	defer stop()
 
 	clk.BlockUntilWaiters(1)
 	for j := 1; j <= k; j++ {
@@ -97,10 +97,10 @@ func TestSamplerCollectsOnTicks(t *testing.T) {
 		}
 	}
 	clk.Advance(time.Second) // the tick at until
-	select {
-	case <-sampler.done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("sampler still running after the tick at until")
+	for deadline := time.Now().Add(5 * time.Second); clk.Waiters() != 0; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("sampler still running after the tick at until")
+		}
 	}
 	for i, src := range srcs {
 		pts := src.Dst.Points()
@@ -129,8 +129,9 @@ func waitForLen(t *testing.T, s *Series, n int) {
 func TestSamplerStopIdempotentGoroutine(t *testing.T) {
 	clk := clock.NewManual(tsEpoch)
 	s := NewSeries(tsEpoch, time.Second, AggLast)
-	sampler := StartSampler(clk, time.Second, tsEpoch.Add(time.Hour), []Source{{Gauge: func() float64 { return 1 }, Dst: s}})
-	sampler.Stop() // must not deadlock
+	stop := clock.Every(clk, time.Second, SampleUntil(tsEpoch.Add(time.Hour), []Source{{Gauge: func() float64 { return 1 }, Dst: s}}))
+	stop() // must not deadlock
+	stop()
 }
 
 func TestAggString(t *testing.T) {

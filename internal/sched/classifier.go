@@ -10,7 +10,8 @@
 //   - a ReserveController that maintains t_reserve, the shifting minimum
 //     number of general-pool workers reserved for quick requests,
 //     adjusted once per second from the measured spare count t_spare
-//     (Section 3.3, Table 2); and
+//     (Section 3.3, Table 2) by a loop the staged server (internal/core)
+//     runs on its clock; and
 //
 //   - a Dispatcher applying the three dispatch rules of Table 1.
 package sched

@@ -1,11 +1,6 @@
 package sched
 
-import (
-	"sync"
-	"time"
-
-	"stagedweb/internal/clock"
-)
+import "sync"
 
 // ReserveController maintains t_reserve per Section 3.3 of the paper:
 //
@@ -18,10 +13,11 @@ import (
 //     difference, never below the minimum — a slow decay, to avoid
 //     prematurely assuming the spike ended.
 //
-// Update is called once per (paper) second by the controller loop. What
-// it samples is the caller's: the staged server counts the general slots
-// held by requests Table 1 classified lengthy as spare, since the reserve
-// already gave that capacity up. Read as busy, a lengthy request sent to
+// Update is called once per (paper) second by the controller loop, which
+// the staged server (internal/core) runs on its clock. What it samples is
+// the caller's: the staged server counts the general slots held by
+// requests Table 1 classified lengthy as spare, since the reserve already
+// gave that capacity up. Read as busy, a lengthy request sent to
 // or lent a general slot looks like a quick-traffic spike, and the grow
 // rule locks the overflow out.
 type ReserveController struct {
@@ -89,37 +85,4 @@ func (r *ReserveController) Update(tspare int) int {
 		}
 	}
 	return r.reserve
-}
-
-// Controller runs the once-per-second update loop.
-type Controller struct {
-	stop chan struct{}
-	done chan struct{}
-}
-
-// StartController updates rc from spare() every interval on clk (the
-// paper uses one second of paper time) until Stop is called. spare is
-// the t_spare the controller reads (see ReserveController).
-func StartController(clk clock.Clock, interval time.Duration, rc *ReserveController, spare func() int) *Controller {
-	c := &Controller{stop: make(chan struct{}), done: make(chan struct{})}
-	tk := clk.NewTicker(interval)
-	go func() {
-		defer close(c.done)
-		defer tk.Stop()
-		for {
-			select {
-			case <-c.stop:
-				return
-			case <-tk.C():
-				rc.Update(spare())
-			}
-		}
-	}()
-	return c
-}
-
-// Stop halts the controller loop and waits for it to exit.
-func (c *Controller) Stop() {
-	close(c.stop)
-	<-c.done
 }

@@ -5,8 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-
-	"stagedweb/internal/clock"
 )
 
 // TestReserveControllerPaperTrace reproduces Table 2 of the paper exactly:
@@ -222,33 +220,6 @@ func TestDispatcherAccessors(t *testing.T) {
 	d := NewDispatcher(cls, rc, func() int { return 0 })
 	if d.Classifier() != cls || d.ReserveController() != rc {
 		t.Fatal("accessors mismatched")
-	}
-}
-
-func TestControllerLoopUpdatesOncePerTick(t *testing.T) {
-	clk := clock.NewManual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
-	rc := NewReserveController(20)
-	ctl := StartController(clk, time.Second, rc, func() int { return 0 }) // collapse: +40 per tick
-	defer ctl.Stop()
-
-	clk.BlockUntilWaiters(1)
-	// Tick 1: reserve 20, spare 0 -> +(20-0) + (20-0) = 60.
-	clk.Advance(time.Second)
-	waitForReserve(t, rc, 60)
-	// Tick 2: reserve 60, spare 0 -> +(60-0) + (20-0) = 140.
-	clk.Advance(time.Second)
-	waitForReserve(t, rc, 140)
-}
-
-// waitForReserve polls until the controller has applied the tick.
-func waitForReserve(t *testing.T, rc *ReserveController, atLeast int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for rc.Reserve() < atLeast {
-		if time.Now().After(deadline) {
-			t.Fatalf("reserve %d never reached %d", rc.Reserve(), atLeast)
-		}
-		time.Sleep(100 * time.Microsecond)
 	}
 }
 

@@ -130,8 +130,9 @@ type Generator struct {
 	// arrive, when set, is a Poisson session arrival process (schedule
 	// must be nil).
 	arrive *arrivals
-	// done closes when the controller running schedule or arrive exits.
-	done chan struct{}
+	// halt, set by Start, ends the schedule's loop or waits for the
+	// arrival process to exit; nil when neither runs.
+	halt func()
 
 	mu     sync.Mutex
 	fleet  []chan struct{} // per-EB retire channels, in spawn order
@@ -141,7 +142,7 @@ type Generator struct {
 // New builds an unstarted generator.
 func New(cfg Config) *Generator {
 	cfg.fillDefaults()
-	return &Generator{cfg: cfg, stats: newStats(), stop: make(chan struct{}), done: make(chan struct{})}
+	return &Generator{cfg: cfg, stats: newStats(), stop: make(chan struct{})}
 }
 
 // Stats exposes the client-side measurements.
@@ -151,12 +152,6 @@ func (g *Generator) Stats() *Stats { return g.stats }
 // arrival process. It does not block.
 func (g *Generator) Start() {
 	g.SetTarget(g.cfg.EBs)
-	go g.control()
-}
-
-// control runs the population schedule or arrival process until Stop.
-func (g *Generator) control() {
-	defer close(g.done)
 	clk, scale := g.cfg.Clock, g.cfg.Scale
 	switch {
 	case g.schedule != nil:
@@ -166,28 +161,30 @@ func (g *Generator) control() {
 		// (This controller once used time.Now/time.Since here and
 		// silently ran manual-clock fleets on the wall timeline —
 		// the bug the wallclock check now prevents.)
-		tick := clk.NewTicker(scale.Wall(time.Second))
-		defer tick.Stop()
 		start := clk.Now()
-		for {
-			select {
-			case <-g.stop:
-				return
-			case <-tick.C():
-				g.SetTarget(g.schedule(scale.Paper(clk.Since(start))))
-			}
-		}
+		g.halt = clock.Every(clk, scale.Wall(time.Second), func(time.Time) bool {
+			g.SetTarget(g.schedule(scale.Paper(clk.Since(start))))
+			return true
+		})
 	case g.arrive != nil:
-		a := g.arrive
-		for {
-			gap := time.Duration(a.rng.ExpFloat64() / a.rate * float64(time.Second))
-			select {
-			case <-g.stop:
-				return
-			case <-clk.After(scale.Wall(gap)):
-			}
-			g.SpawnSession(time.Duration(a.rng.ExpFloat64() * float64(a.session)))
+		done := make(chan struct{})
+		go g.runArrivals(done)
+		g.halt = func() { <-done }
+	}
+}
+
+// runArrivals runs the arrival process until Stop, then closes done.
+func (g *Generator) runArrivals(done chan struct{}) {
+	defer close(done)
+	clk, scale, a := g.cfg.Clock, g.cfg.Scale, g.arrive
+	for {
+		gap := time.Duration(a.rng.ExpFloat64() / a.rate * float64(time.Second))
+		select {
+		case <-g.stop:
+			return
+		case <-clk.After(scale.Wall(gap)):
 		}
+		g.SpawnSession(time.Duration(a.rng.ExpFloat64() * float64(a.session)))
 	}
 }
 
@@ -250,12 +247,15 @@ func (g *Generator) launch(quit chan struct{}) {
 	}()
 }
 
-// Stop signals the controller and every EB, waits for the controller to
-// exit — so no EB is launched while the fleet is awaited — and then for
-// every EB to finish its in-flight interaction. Call once, after Start.
+// Stop signals every EB, ends the schedule or arrival process and waits
+// for it to exit — so no EB is launched while the fleet is awaited — and
+// then for every EB to finish its in-flight interaction. Call once, after
+// Start.
 func (g *Generator) Stop() {
 	close(g.stop)
-	<-g.done
+	if g.halt != nil {
+		g.halt()
+	}
 	g.wg.Wait()
 }
 
