@@ -61,10 +61,10 @@ type experiment struct {
 	// or -load.
 	mixes   bool
 	profile string
-	// sweeps lists the -set keys a row sweeps itself, and loadSweeps the
-	// -load-set keys: an explicit setting of one would override every
-	// cell of the axis, so such a row rejects it.
-	sweeps, loadSweeps []string
+	// sweeps lists the -set keys a row sweeps itself: an explicit
+	// setting of one would override every cell of the axis, so such a row
+	// rejects it.
+	sweeps []string
 	// build turns the parsed flags into the row's plan.
 	build func(*setup) (plan, error)
 	// report appends the sweep's per-cell report after the tables.
@@ -242,17 +242,12 @@ func (s *setup) pick() ([]experiment, error) {
 		}
 	}
 	if s.ebsSweep != "" {
-		rows = []experiment{{name: "ebs-sweep", loadSweeps: []string{"ebs"}, build: ebRampPlan}}
+		rows = []experiment{{name: "ebs-sweep", build: ebRampPlan}}
 	}
 	for _, e := range rows {
 		for _, k := range e.sweeps {
 			if _, ok := s.sets.Settings[k]; ok {
 				return nil, fmt.Errorf("%s sweeps %s itself; drop -set %s", e.name, k, k)
-			}
-		}
-		for _, k := range e.loadSweeps {
-			if _, ok := s.loadSets.Settings[k]; ok {
-				return nil, fmt.Errorf("%s sweeps %s itself; drop -load-set %s", e.name, k, k)
 			}
 		}
 		if e.mixes && s.mix != "" {

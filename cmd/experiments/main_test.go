@@ -256,11 +256,15 @@ func TestExperimentsFlagValidation(t *testing.T) {
 	for _, args := range [][]string{
 		{"-exp", "scaleout", "-set", "replicas=3"},
 		{"-exp", "faults", "-set", "repl=async"},
-		{"-ebs-sweep", "10,20", "-load-set", "ebs=5"},
 	} {
 		if err := run(args, &buf); err == nil || !strings.Contains(err.Error(), "sweeps") {
 			t.Errorf("%v accepted: %v", args, err)
 		}
+	}
+	// The population is -ebs alone: the load profiles have no ebs setting.
+	if err := run([]string{"-ebs-sweep", "10,20", "-load-set", "ebs=5"}, &buf); err == nil ||
+		!strings.Contains(err.Error(), `unknown setting "ebs"`) {
+		t.Errorf("-load-set ebs=5 accepted: %v", err)
 	}
 	// Table 2 needs no server runs and must work for any -variants.
 	buf.Reset()

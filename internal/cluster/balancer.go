@@ -97,12 +97,10 @@ type Balancer struct {
 	breakerN  atomic.Int64  // cumulative breaker opens
 	halfOpenN atomic.Int64  // cumulative half-open trial forwards
 
-	mu       sync.Mutex
-	listener net.Listener
-	shardLs  []net.Listener
-	pools    []*backendPool
-	started  bool
-	stopped  bool
+	// mu guards the shard listeners and backend pools Serve boots.
+	mu      sync.Mutex
+	shardLs []net.Listener
+	pools   []*backendPool
 }
 
 var _ variant.Instance = (*Balancer)(nil)
@@ -146,36 +144,25 @@ func New(opts Options, shards []variant.Instance, route RouteFunc) (*Balancer, e
 	return b, nil
 }
 
-// Serve boots every shard on its own loopback listener, starts the LB
-// stage, and accepts client connections on l until Stop. It blocks; the
-// error is nil after a clean Stop.
+// Serve boots every shard on its own loopback listener and accepts
+// client connections on l until Stop. It blocks; the error is nil after
+// a clean Stop. A shard booted after Stop has begun closes its listener
+// at once, as any stopped instance's Serve does.
 func (b *Balancer) Serve(l net.Listener) error {
-	b.mu.Lock()
-	if b.stopped {
-		b.mu.Unlock()
-		_ = l.Close()
-		return nil
-	}
-	b.listener = l
-	for i, inst := range b.shards {
+	for _, inst := range b.shards {
 		sl, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			b.mu.Unlock()
+			_ = l.Close()
 			b.Stop()
 			return err
 		}
+		b.mu.Lock()
 		b.shardLs = append(b.shardLs, sl)
 		b.pools = append(b.pools, &backendPool{addr: sl.Addr().String()})
-		inst := inst
-		go func(i int) { _ = inst.Serve(sl) }(i)
+		b.mu.Unlock()
+		go func() { _ = inst.Serve(sl) }()
 	}
-	b.started = true
-	b.mu.Unlock()
-	b.graph.Start()
-	return b.tr.Accept(l, func(c *server.Conn) error {
-		go b.handleConn(c)
-		return nil
-	})
+	return b.tr.Serve(l, func(c *server.Conn) { go b.handleConn(c) })
 }
 
 // Stop shuts the balancer down: no new client connections, open ones
@@ -183,26 +170,14 @@ func (b *Balancer) Serve(l net.Listener) error {
 // shard instance stopped, backend pools closed. A client connection
 // whose first request has not arrived may still deliver it, so a client
 // that dialled and sent nothing holds Stop for up to the idle timeout
-// (server.Transport.Shutdown). Idempotent, and safe before, during, or
-// after Serve.
+// (server.Transport.Stop). Idempotent, and safe before, during, or after
+// Serve.
 func (b *Balancer) Stop() {
+	b.tr.Stop()
+	b.graph.Stop()
 	b.mu.Lock()
-	if b.stopped {
-		b.mu.Unlock()
-		return
-	}
-	b.stopped = true
-	l, started := b.listener, b.started
 	shardLs, pools := b.shardLs, b.pools
 	b.mu.Unlock()
-
-	if l != nil {
-		_ = l.Close()
-	}
-	b.tr.Shutdown()
-	if started {
-		b.graph.Stop()
-	}
 	// Close the backend pools before stopping the shards: idle pooled
 	// keep-alive connections would otherwise pin the shard servers'
 	// connection handlers until their idle timeout.

@@ -15,8 +15,8 @@
 // walks the figure in order — the header slot, then a static slot or a
 // general/lengthy slot, then (for deferred pages) a rendering slot —
 // holding each only for that pool's work. The connection mechanics
-// (accept loop, buffered conns, two-phase parsing, replies, cost
-// charging) come from the shared server.Transport. Database connections
+// (the serve/stop lifecycle, buffered conns, two-phase parsing, replies,
+// cost charging) come from the shared server.Transport. Database connections
 // are used only on general/lengthy slots, so they are never held while
 // templates render or static files are served. Dynamic
 // requests are classified quick/lengthy by tracked mean data-generation
@@ -39,7 +39,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -135,16 +134,9 @@ type Server struct {
 	render  *stage.Stage[struct{}]
 
 	dispatcher *sched.Dispatcher
-	// stopController ends the t_reserve update loop Serve starts.
-	stopController func()
 	// lengthyOnGeneral counts the general slots held by requests Table 1
 	// classified lengthy, sent there at arrival or lent one at release.
 	lengthyOnGeneral atomic.Int64
-
-	mu       sync.Mutex
-	listener net.Listener
-	stopped  bool
-	stopOnce sync.Once
 }
 
 // New validates the configuration and builds the staged server.
@@ -207,58 +199,30 @@ func New(cfg Config) (*Server, error) {
 }
 
 // Serve accepts connections on l until Stop, serving each on its own
-// goroutine. It blocks; run it in a goroutine. The error is nil after a
+// goroutine, and runs the t_reserve controller for as long as it
+// accepts. It blocks; run it in a goroutine. The error is nil after a
 // clean Stop.
 func (s *Server) Serve(l net.Listener) error {
-	s.mu.Lock()
-	if s.stopped {
-		s.mu.Unlock()
-		_ = l.Close()
-		return nil
-	}
-	s.listener = l
-	s.graph.Start()
 	rc := s.dispatcher.ReserveController()
-	s.stopController = clock.Every(s.cfg.Clock, s.cfg.Scale.Wall(controllerInterval), func(time.Time) bool {
+	stopController := clock.Every(s.cfg.Clock, s.cfg.Scale.Wall(controllerInterval), func(time.Time) bool {
 		rc.Update(s.controllerSpare())
 		return true
 	})
-	s.mu.Unlock()
-	return s.tr.Accept(l, func(c *server.Conn) error {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.stopped {
-			return stage.ErrClosed
-		}
-		go s.serveConn(c)
-		return nil
-	})
+	defer stopController()
+	return s.tr.Serve(l, func(c *server.Conn) { go s.serveConn(c) })
 }
 
 // Stop shuts the server down. It is safe to call before, during, or
 // after Serve, and is idempotent. Every open connection is aborted (see
-// server.Transport.Shutdown): one waiting for its next request ends at
+// server.Transport.Stop): one waiting for its next request ends at
 // once rather than aging out its idle timeout, and one whose request has
 // been read finishes every remaining stage first. The exception is a
 // connection whose first request has not arrived: it may still deliver
 // it, so a client that dialled and sent nothing holds Stop for up to the
 // idle timeout. Stop returns once no connection goroutine is left.
 func (s *Server) Stop() {
-	s.mu.Lock()
-	s.stopped = true
-	l := s.listener
-	stopController := s.stopController
-	s.mu.Unlock()
-	if l != nil {
-		_ = l.Close()
-	}
-	if stopController != nil {
-		stopController()
-	}
-	s.stopOnce.Do(func() {
-		s.tr.Shutdown()
-		s.graph.Stop()
-	})
+	s.tr.Stop()
+	s.graph.Stop()
 }
 
 // ---- the pipeline ----

@@ -197,12 +197,12 @@ type Tier struct {
 	leakMu sync.Mutex
 	leaked []*sqldb.Conn
 
-	inUse      metrics.Gauge
-	waits      metrics.Counter
+	inUse      atomic.Int64
+	waits      atomic.Int64
 	waitTime   metrics.Histogram
-	replayErrs metrics.Counter
-	ejected    metrics.Counter
-	resyncs    metrics.Counter
+	replayErrs atomic.Int64
+	ejected    atomic.Int64
+	resyncs    atomic.Int64
 }
 
 // New builds a tier over primary. Replicas beyond the first are cloned
@@ -319,7 +319,7 @@ func (t *Tier) Close() {
 		t.leaked = nil
 		t.leakMu.Unlock()
 		for _, c := range leaked {
-			t.inUse.Dec()
+			t.inUse.Add(-1)
 			c.Close()
 		}
 	})
@@ -381,7 +381,7 @@ func (t *Tier) applyLoop(r *replica) {
 				args[i] = v
 			}
 			if _, err := r.apply.Exec(e.SQL, args...); err != nil {
-				t.replayErrs.Inc()
+				t.replayErrs.Add(1)
 			}
 			r.applied.Store(e.TS)
 			t.notifyProgress()
@@ -499,7 +499,7 @@ func (t *Tier) eject(b *backend) {
 	}
 	b.state.Store(stateEjected)
 	t.stateMu.Unlock()
-	t.ejected.Inc()
+	t.ejected.Add(1)
 	t.notifyProgress()
 }
 
@@ -533,7 +533,7 @@ func (t *Tier) maybeReintegrate(r *replica) {
 		b.state.Store(stateActive)
 		b.fails.Store(0)
 		t.stateMu.Unlock()
-		t.resyncs.Inc()
+		t.resyncs.Add(1)
 		t.notifyProgress()
 		return
 	}
@@ -597,7 +597,7 @@ func (t *Tier) LeakConns(n int) int {
 	for n <= 0 || got < n {
 		select {
 		case c := <-pool:
-			t.inUse.Inc()
+			t.inUse.Add(1)
 			t.leaked = append(t.leaked, c)
 			got++
 		default:
@@ -737,17 +737,17 @@ func (t *Tier) acquire(b *backend) (*sqldb.Conn, error) {
 	// Fast path: no blocking.
 	select {
 	case c := <-pool:
-		t.inUse.Inc()
+		t.inUse.Add(1)
 		return c, nil
 	default:
 	}
-	t.waits.Inc()
+	t.waits.Add(1)
 	start := t.clk.Now()
 	timeout := t.clk.After(t.scale.Wall(acquireTimeout))
 	select {
 	case c := <-pool:
 		t.waitTime.Observe(t.clk.Since(start))
-		t.inUse.Inc()
+		t.inUse.Add(1)
 		return c, nil
 	case <-timeout:
 		t.waitTime.Observe(t.clk.Since(start))
@@ -761,7 +761,7 @@ func (t *Tier) acquire(b *backend) (*sqldb.Conn, error) {
 // backend's engine was swapped by a resync while the statement ran, the
 // connection is closed instead.
 func (t *Tier) release(b *backend, c *sqldb.Conn) {
-	t.inUse.Dec()
+	t.inUse.Add(-1)
 	t.closeMu.Lock()
 	if t.closed {
 		t.closeMu.Unlock()
@@ -819,10 +819,10 @@ func (t *Tier) Backends() []*sqldb.DB {
 
 // InUse reports how many pooled connections are currently executing,
 // across all backends.
-func (t *Tier) InUse() int { return int(t.inUse.Value()) }
+func (t *Tier) InUse() int { return int(t.inUse.Load()) }
 
 // WaitCount reports how many acquisitions had to block.
-func (t *Tier) WaitCount() int64 { return t.waits.Value() }
+func (t *Tier) WaitCount() int64 { return t.waits.Load() }
 
 // WaitTimes exposes the acquisition wait-time histogram (measured
 // through the tier's clock).
@@ -857,15 +857,15 @@ func (t *Tier) ReplLag() int64 {
 // ReplayErrors reports replica statements that failed to apply — zero in
 // a healthy tier, since replicas replay the primary's exact statement
 // stream from an identical starting state.
-func (t *Tier) ReplayErrors() int64 { return t.replayErrs.Value() }
+func (t *Tier) ReplayErrors() int64 { return t.replayErrs.Load() }
 
 // Ejected reports replicas ejected from the read rotation so far
 // (cumulative; an eject/reintegrate/eject cycle counts twice).
-func (t *Tier) Ejected() int64 { return t.ejected.Value() }
+func (t *Tier) Ejected() int64 { return t.ejected.Load() }
 
 // Resyncs reports replicas reintegrated into the read rotation after
 // catching up (by log replay or snapshot resync).
-func (t *Tier) Resyncs() int64 { return t.resyncs.Value() }
+func (t *Tier) Resyncs() int64 { return t.resyncs.Load() }
 
 // Conn is the handler-facing connection facade: the same Query/Exec
 // shape as a *sqldb.Conn, with reads routed round-robin across backends

@@ -23,12 +23,12 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"stagedweb/internal/clock"
 	"stagedweb/internal/cluster"
 	"stagedweb/internal/dbtier"
-	"stagedweb/internal/metrics"
 	"stagedweb/internal/variant"
 )
 
@@ -120,7 +120,7 @@ type StepInjector struct {
 	stopped  sync.Once
 	done     chan struct{}
 	wg       sync.WaitGroup
-	injected metrics.Counter
+	injected atomic.Int64
 
 	evMu   sync.Mutex
 	events []Event
@@ -177,7 +177,7 @@ func (in *StepInjector) runStep(s step) {
 		case <-in.clk.After(in.scale.Wall(wait)):
 		}
 		s.run()
-		in.injected.Inc()
+		in.injected.Add(1)
 		in.evMu.Lock()
 		in.events = append(in.events, Event{At: at, Action: s.action})
 		in.evMu.Unlock()
@@ -192,7 +192,7 @@ func (in *StepInjector) runStep(s step) {
 // Probes lists the fault.* gauges this injector exports.
 func (in *StepInjector) Probes() []variant.Probe {
 	return []variant.Probe{
-		{Name: ProbeInjected, Gauge: func() float64 { return float64(in.injected.Value()) }},
+		{Name: ProbeInjected, Gauge: func() float64 { return float64(in.injected.Load()) }},
 	}
 }
 

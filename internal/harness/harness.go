@@ -80,9 +80,8 @@ type Config struct {
 	Mix string `json:"mix,omitempty"`
 
 	// EBs is the base emulated-browser population: -ebs sets it, and
-	// QuickConfig and PaperConfig size it. It is the default of the load
-	// profile's "ebs" setting, the level every profile scales from; an
-	// explicit LoadSet "ebs" wins.
+	// QuickConfig and PaperConfig size it. It is the closed-loop load
+	// profiles' base population, the level the spike's burst scales from.
 	EBs      int           `json:"ebs"`
 	RampUp   time.Duration `json:"ramp_up_ns"`
 	Measure  time.Duration `json:"measure_ns"`
@@ -451,7 +450,7 @@ func (r *run) serve() error {
 	}
 
 	// The load profile builds the client-side generator against the
-	// listener's address; EBs is the default of its "ebs" setting.
+	// listener's address and the base population EBs.
 	if r.gen, err = r.profile.Build(workload.Env{
 		Config: workload.Config{
 			Addr:             l.Addr().String(),

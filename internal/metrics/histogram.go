@@ -1,3 +1,11 @@
+// Package metrics provides the instrumentation primitives the staged web
+// server reproduction measures with: response-time histograms and
+// fixed-interval time series for the queue-length and throughput figures
+// of the DSN'09 evaluation. Event counters and gauges are plain
+// sync/atomic.Int64 fields in the packages that own them.
+//
+// Both types are safe for concurrent use, and Histogram.Observe does not
+// allocate.
 package metrics
 
 import (

@@ -1,6 +1,6 @@
 package sched
 
-import "stagedweb/internal/metrics"
+import "sync/atomic"
 
 // Target is the dynamic-request pool a request is dispatched to.
 type Target int
@@ -44,7 +44,7 @@ type Dispatcher struct {
 	spare func() int // live spare-thread count of the general pool
 
 	// Choose's decisions, by target pool.
-	toGeneral, toLengthy metrics.Counter
+	toGeneral, toLengthy atomic.Int64
 }
 
 // NewDispatcher wires the classifier, reserve controller, and the general
@@ -62,16 +62,16 @@ func NewDispatcher(cls *Classifier, rc *ReserveController, spare func() int) *Di
 func (d *Dispatcher) Choose(key string) (t Target, lengthy bool) {
 	t, lengthy = d.choose(key)
 	if t == Lengthy {
-		d.toLengthy.Inc()
+		d.toLengthy.Add(1)
 	} else {
-		d.toGeneral.Inc()
+		d.toGeneral.Add(1)
 	}
 	return t, lengthy
 }
 
 // Dispatched reports Choose's decisions so far, by target pool.
 func (d *Dispatcher) Dispatched() (general, lengthy int64) {
-	return d.toGeneral.Value(), d.toLengthy.Value()
+	return d.toGeneral.Load(), d.toLengthy.Load()
 }
 
 func (d *Dispatcher) choose(key string) (Target, bool) {

@@ -16,6 +16,13 @@
 // the staged server (package core) ships deferred results to a dedicated
 // rendering pool and, per Section 3.2, still handles pre-rendered strings
 // for backward compatibility.
+//
+// Transport is the connection layer the baseline, the staged server and
+// the cluster balancer share, and their one serving lifecycle: Serve
+// runs the accept loop on a listener and hands each connection to the
+// server's sink; Stop closes that listener, aborts every open
+// connection and waits until all are closed, and a connection accepted
+// once Stop has begun is closed rather than handed on.
 package server
 
 import (

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 
 	"stagedweb/internal/clock"
 	"stagedweb/internal/httpwire"
@@ -43,11 +42,6 @@ type Baseline struct {
 	tr      *Transport
 	graph   *stage.Graph
 	workers *stage.Stage[*Conn]
-
-	mu       sync.Mutex
-	listener net.Listener
-	stopped  bool
-	stopOnce sync.Once
 }
 
 // NewBaseline validates the configuration and builds the server.
@@ -81,43 +75,21 @@ func NewBaseline(cfg BaselineConfig) (*Baseline, error) {
 // Serve accepts connections on l until Stop. It blocks; run it in a
 // goroutine. The error is nil after a clean Stop.
 func (s *Baseline) Serve(l net.Listener) error {
-	s.mu.Lock()
-	if s.stopped {
-		s.mu.Unlock()
-		_ = l.Close()
-		return nil
-	}
-	s.listener = l
-	s.graph.Start()
-	s.mu.Unlock()
-	return s.tr.Accept(l, func(c *Conn) error {
-		err := s.workers.Submit(c)
-		if errors.Is(err, stage.ErrShed) {
+	return s.tr.Serve(l, func(c *Conn) {
+		if s.workers.Submit(c) != nil {
 			c.Close() // a full accept queue turns the connection away
-			return nil
 		}
-		return err
 	})
 }
 
 // Stop closes the listener, aborts every open connection and drains the
 // worker pool. A connection still waiting for its first request, as a
 // queued one is, may deliver it first, so a client that dialled and sent
-// nothing holds Stop for up to the idle timeout (see
-// Transport.Shutdown). It is safe to call before, during, or after
-// Serve, and is idempotent.
+// nothing holds Stop for up to the idle timeout (see Transport.Stop).
+// It is safe to call before, during, or after Serve, and is idempotent.
 func (s *Baseline) Stop() {
-	s.mu.Lock()
-	s.stopped = true
-	l := s.listener
-	s.mu.Unlock()
-	if l != nil {
-		_ = l.Close()
-	}
-	s.stopOnce.Do(func() {
-		s.tr.Shutdown()
-		s.graph.Stop()
-	})
+	s.tr.Stop()
+	s.graph.Stop()
 }
 
 // QueueLen reports the single request queue's length — the series plotted

@@ -10,7 +10,6 @@ import (
 
 	"stagedweb/internal/clock"
 	"stagedweb/internal/httpwire"
-	"stagedweb/internal/metrics"
 )
 
 // plainText is the content type of the transport's terse error bodies.
@@ -34,12 +33,14 @@ type TransportConfig struct {
 	OnComplete func(CompletionEvent)
 }
 
-// Transport is the connection layer both server variants share: the
-// accept loop, buffered connection lifecycle (with bufio readers
-// recycled through a sync.Pool), two-phase httpwire parsing, reply
-// writing — every reply is assembled in one pooled buffer and leaves in
-// one Write, so a connection holds no write buffer of its own —
-// paper-time cost charging, and completion events.
+// Transport is the connection layer both server variants and the
+// balancer share: the serving lifecycle (Serve runs the one accept loop,
+// Stop closes its listener and ends every connection), buffered
+// connection lifecycle (with bufio readers recycled through a
+// sync.Pool), two-phase httpwire parsing, reply writing — every reply is
+// assembled in one pooled buffer and leaves in one Write, so a
+// connection holds no write buffer of its own — paper-time cost
+// charging, and completion events.
 //
 // The variants differ only in *which worker runs which step*; everything
 // about moving bytes and accounting for them lives here.
@@ -50,15 +51,17 @@ type Transport struct {
 	cost        WorkCost
 	onComplete  func(CompletionEvent)
 
-	served metrics.Counter
+	served atomic.Int64
 
-	// conns holds every open connection, so that Shutdown can abort the
-	// ones waiting for their next request instead of waiting out their
-	// idle timeout; connWG counts them until they close.
-	mu      sync.Mutex
-	conns   map[*Conn]struct{}
-	closing bool
-	connWG  sync.WaitGroup
+	// conns holds every open connection, so that Stop can abort the ones
+	// waiting for their next request instead of waiting out their idle
+	// timeout; connWG counts them until they close. listener is what
+	// Serve accepts on, for Stop to close.
+	mu       sync.Mutex
+	listener net.Listener
+	conns    map[*Conn]struct{}
+	stopping bool
+	connWG   sync.WaitGroup
 }
 
 // NewTransport fills defaults and builds the transport.
@@ -108,24 +111,23 @@ type Conn struct {
 	begun   atomic.Bool // a request has arrived, so Abort applies
 }
 
-// errAborted reports a connection unparked by Abort during shutdown.
+// errAborted reports a connection unparked by Abort during Stop.
 var errAborted = errors.New("server: connection aborted")
 
-// NewConn wraps nc with pooled buffers and tracks it until Close, which
-// callers must call to return the buffers. A connection wrapped after
-// Shutdown began is aborted from the start.
-func (t *Transport) NewConn(nc net.Conn) *Conn {
+// newConn wraps nc with pooled buffers and tracks it until Close, which
+// callers must call to return the buffers. Once Stop has begun it wraps
+// nothing and returns nil.
+func (t *Transport) newConn(nc net.Conn) *Conn {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.stopping {
+		return nil
+	}
 	br := readerPool.Get().(*bufio.Reader)
 	br.Reset(nc)
 	c := &Conn{t: t, nc: nc, br: br}
-	t.mu.Lock()
-	if t.closing {
-		c.aborted.Store(true)
-	} else {
-		t.conns[c] = struct{}{}
-		t.connWG.Add(1)
-	}
-	t.mu.Unlock()
+	t.conns[c] = struct{}{}
+	t.connWG.Add(1)
 	return c
 }
 
@@ -148,20 +150,56 @@ func (c *Conn) Close() {
 	t.mu.Unlock()
 }
 
-// Shutdown aborts every open connection, and every one wrapped from now
-// on, then waits until all of them are closed. A connection waiting for
-// its next request ends at once rather than aging out its idle timeout,
-// and one whose request has been read is finished by its owner first.
-// The exception is a connection whose first request has not arrived: it
-// may still deliver it (see Abort), so a client that dialled and sent
-// nothing holds Shutdown for up to the idle timeout.
-func (t *Transport) Shutdown() {
+// Serve runs the accept loop on l until Stop: it wraps each connection
+// it accepts and hands it to sink, which owns it from then on and must
+// Close it. A connection accepted once Stop has begun is closed instead,
+// and l is closed at once if Stop came first. The error is nil after
+// Stop.
+func (t *Transport) Serve(l net.Listener, sink func(*Conn)) error {
 	t.mu.Lock()
-	t.closing = true
+	if t.stopping {
+		t.mu.Unlock()
+		_ = l.Close()
+		return nil
+	}
+	t.listener = l
+	t.mu.Unlock()
+	for {
+		nc, err := l.Accept()
+		if err != nil {
+			if errors.Is(err, net.ErrClosed) {
+				return nil
+			}
+			return err
+		}
+		c := t.newConn(nc)
+		if c == nil {
+			_ = nc.Close()
+			return nil
+		}
+		sink(c)
+	}
+}
+
+// Stop closes the listener, aborts every open connection, then waits
+// until all of them are closed. A connection waiting for its next
+// request ends at once rather than aging out its idle timeout, and one
+// whose request has been read is finished by its owner first. The
+// exception is a connection whose first request has not arrived: it may
+// still deliver it (see Abort), so a client that dialled and sent
+// nothing holds Stop for up to the idle timeout. Stop is idempotent and
+// safe before, during or after Serve.
+func (t *Transport) Stop() {
+	t.mu.Lock()
+	t.stopping = true
+	l := t.listener
 	for c := range t.conns {
 		c.Abort()
 	}
 	t.mu.Unlock()
+	if l != nil {
+		_ = l.Close()
+	}
 	t.connWG.Wait()
 }
 
@@ -248,7 +286,7 @@ func (c *Conn) armIdle() error {
 // blocked in AwaitReadable or Parse, or about to block there, fails
 // promptly and closes the connection itself. A connection whose first
 // request has not arrived is left to deliver it, bounded by the idle
-// timeout: its client dialled before shutdown, so the request is in
+// timeout: its client dialled before Stop, so the request is in
 // flight. Unlike calling Close from a second goroutine, Abort never
 // races the reader's use of the pooled buffers.
 func (c *Conn) Abort() {
@@ -265,26 +303,6 @@ func (c *Conn) WriteError(status int, msg string) error {
 	return httpwire.WriteError(c.nc, status, msg)
 }
 
-// Accept runs the accept loop: accept, wrap, hand to sink. A sink
-// error means the server is shutting down; the connection is closed and
-// the loop exits cleanly. The returned error is nil after a clean Stop.
-func (t *Transport) Accept(l net.Listener, sink func(*Conn) error) error {
-	for {
-		nc, err := l.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		c := t.NewConn(nc)
-		if err := sink(c); err != nil {
-			c.Close()
-			return nil // shutting down
-		}
-	}
-}
-
 // Charge sleeps a paper-time work cost through the timescale.
 func (t *Transport) Charge(paperCost time.Duration) {
 	if paperCost > 0 {
@@ -293,13 +311,13 @@ func (t *Transport) Charge(paperCost time.Duration) {
 }
 
 // Served reports completed requests.
-func (t *Transport) Served() int64 { return t.served.Value() }
+func (t *Transport) Served() int64 { return t.served.Load() }
 
 // complete fires the completion event for a finished request. Times come
 // from the injected clock, so under clock.Manual the classifier and the
 // harness see paper-consistent durations instead of ~0 wall gaps.
 func (t *Transport) complete(page string, class Class, status int, acquired time.Time) {
-	t.served.Inc()
+	t.served.Add(1)
 	if t.onComplete != nil {
 		t.onComplete(CompletionEvent{
 			Page:       page,

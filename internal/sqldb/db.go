@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"stagedweb/internal/clock"
-	"stagedweb/internal/metrics"
 )
 
 // Options configures a DB.
@@ -63,13 +62,13 @@ type DB struct {
 	// an index appears (or a stale index plan after one is replaced).
 	idxEpoch atomic.Int64
 
-	queries       metrics.Counter // statements executed
-	conflicts     metrics.Counter // first-writer-wins aborts (before retry)
-	snapshotReads metrics.Counter // statements served from an MVCC snapshot
-	planScans     metrics.Counter // full-scan access paths executed
-	planIndex     metrics.Counter // index access paths executed
-	planRows      metrics.Counter // row versions visited by access paths
-	open          atomic.Int64    // connections currently open (gauge)
+	queries       atomic.Int64 // statements executed
+	conflicts     atomic.Int64 // first-writer-wins aborts (before retry)
+	snapshotReads atomic.Int64 // statements served from an MVCC snapshot
+	planScans     atomic.Int64 // full-scan access paths executed
+	planIndex     atomic.Int64 // index access paths executed
+	planRows      atomic.Int64 // row versions visited by access paths
+	open          atomic.Int64 // connections currently open (gauge)
 }
 
 // Open creates an empty database.
@@ -107,30 +106,30 @@ func (db *DB) CommitTS() int64 { return db.commitTS.Load() }
 // Conflicts reports first-writer-wins validation failures. Each failed
 // attempt counts once; Conn.Exec retries transparently, so a nonzero
 // count with no surfaced errors means retries absorbed the conflicts.
-func (db *DB) Conflicts() int64 { return db.conflicts.Value() }
+func (db *DB) Conflicts() int64 { return db.conflicts.Load() }
 
 // SnapshotReads reports statements served from an MVCC snapshot
 // (snapshot SELECTs plus explicit Snapshot queries).
-func (db *DB) SnapshotReads() int64 { return db.snapshotReads.Value() }
+func (db *DB) SnapshotReads() int64 { return db.snapshotReads.Load() }
 
 // PlanScans reports executed full-scan access paths: statements the
 // planner could not serve from an index.
-func (db *DB) PlanScans() int64 { return db.planScans.Value() }
+func (db *DB) PlanScans() int64 { return db.planScans.Load() }
 
 // PlanIndexLookups reports executed index access paths — point lookups,
 // range scans, and primary-key join steps (once per execution that
 // reaches the step).
-func (db *DB) PlanIndexLookups() int64 { return db.planIndex.Value() }
+func (db *DB) PlanIndexLookups() int64 { return db.planIndex.Load() }
 
 // PlanRowsRead reports row versions visited by access paths (scanned
 // slots plus index-probed rows) — the planner's honest I/O volume.
-func (db *DB) PlanRowsRead() int64 { return db.planRows.Value() }
+func (db *DB) PlanRowsRead() int64 { return db.planRows.Load() }
 
 // StmtCacheHits reports prepared-statement cache hits.
-func (db *DB) StmtCacheHits() int64 { return db.stmts.hits.Value() }
+func (db *DB) StmtCacheHits() int64 { return db.stmts.hits.Load() }
 
 // StmtCacheMisses reports prepared-statement cache misses.
-func (db *DB) StmtCacheMisses() int64 { return db.stmts.misses.Value() }
+func (db *DB) StmtCacheMisses() int64 { return db.stmts.misses.Load() }
 
 // EnableReplLog attaches (or returns the existing) replication log.
 // Entries start at the current commit timestamp, so a replica cloned
@@ -271,7 +270,7 @@ func (db *DB) TableSize(name string) (int, error) {
 }
 
 // QueryCount reports the number of statements executed.
-func (db *DB) QueryCount() int64 { return db.queries.Value() }
+func (db *DB) QueryCount() int64 { return db.queries.Load() }
 
 func (db *DB) lookupTable(name string) (*table, error) {
 	db.mu.RLock()
@@ -435,7 +434,7 @@ func (c *Conn) Query(sql string, args ...any) (*ResultSet, error) {
 		return nil, err
 	}
 	defer c.exit()
-	c.db.queries.Inc()
+	c.db.queries.Add(1)
 
 	s, err := c.db.prepare(sql)
 	if err != nil {
@@ -475,7 +474,7 @@ func (c *Conn) Exec(sql string, args ...any) (ExecResult, error) {
 		return ExecResult{}, err
 	}
 	defer c.exit()
-	c.db.queries.Inc()
+	c.db.queries.Add(1)
 
 	s, err := c.db.prepare(sql)
 	if err != nil {

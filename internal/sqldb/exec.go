@@ -330,13 +330,13 @@ func (db *DB) commitWrites(tbl *table, snapTS int64, updates []rowWrite, deletes
 	if validate {
 		for _, w := range updates {
 			if tbl.latestBegin(w.id) > snapTS {
-				db.conflicts.Inc()
+				db.conflicts.Add(1)
 				return ExecResult{}, ErrWriteConflict
 			}
 		}
 		for _, id := range deletes {
 			if tbl.latestBegin(id) > snapTS {
-				db.conflicts.Inc()
+				db.conflicts.Add(1)
 				return ExecResult{}, ErrWriteConflict
 			}
 		}

@@ -28,7 +28,7 @@ func (db *DB) execSelect(s *selectStmt, ec *execCtx) (*ResultSet, error) {
 	}
 	if db.mvcc.Load() {
 		ts := db.pinCurrent()
-		db.snapshotReads.Inc()
+		db.snapshotReads.Add(1)
 		defer db.unpinSnapshot(ts)
 		defer db.chargeCost(ec) // no locks held; the sleep delays only this statement
 		return db.runSelect(plan, ts, ec)
@@ -220,7 +220,7 @@ func (r *selectRun) join(i int) error {
 	// Join steps count their access path once per statement execution.
 	if !r.counted[i] {
 		r.counted[i] = true
-		r.db.planIndex.Inc()
+		r.db.planIndex.Add(1)
 	}
 	var err error
 	key, ok := r.outerKey(jp)
@@ -296,7 +296,7 @@ func (db *DB) drive(p accessPath, v tableView, ec *execCtx, probeBuf *[]int, sie
 	switch p.kind {
 	case pathPK:
 		if val, ok := pathValue(p.val, ec); ok {
-			db.planIndex.Inc()
+			db.planIndex.Add(1)
 			key, ok := pkKey(val)
 			if !ok {
 				ec.chargeProbe()
@@ -309,7 +309,7 @@ func (db *DB) drive(p accessPath, v tableView, ec *execCtx, probeBuf *[]int, sie
 		}
 	case pathIndexEq:
 		if val, ok := pathValue(p.val, ec); ok {
-			db.planIndex.Inc()
+			db.planIndex.Add(1)
 			for _, id := range db.probeIndex(v, p.colName, val, ec, probeBuf) {
 				if rv := v.version(id); rv != nil {
 					if err := vis.visit(id, rv); err != nil {
@@ -327,7 +327,7 @@ func (db *DB) drive(p accessPath, v tableView, ec *execCtx, probeBuf *[]int, sie
 	// Full scan: every live slot of the view.
 	n := v.size()
 	ec.cost.scanned += n
-	db.planScans.Inc()
+	db.planScans.Add(1)
 	ec.planRows += int64(n)
 	if sieve != nil {
 		for w, held := range sieve {
@@ -430,7 +430,7 @@ func (db *DB) driveRange(p accessPath, v tableView, ec *execCtx, vis rowVisitor)
 		return false, nil
 	}
 	es, visited := oidx.state.Load().above(lo)
-	db.planIndex.Inc()
+	db.planIndex.Add(1)
 	ec.cost.probes += visited + 1
 	ec.planRows += int64(visited)
 	ci := oidx.col

@@ -38,8 +38,8 @@ func (s *Snapshot) Close() {
 // lock in either concurrency mode and never blocks writers; results are
 // exactly the rows visible at TS.
 func (s *Snapshot) Query(sql string, args ...any) (*ResultSet, error) {
-	s.db.queries.Inc()
-	s.db.snapshotReads.Inc()
+	s.db.queries.Add(1)
+	s.db.snapshotReads.Add(1)
 	st, err := s.db.prepare(sql)
 	if err != nil {
 		return nil, err

@@ -3,8 +3,7 @@ package sqldb
 import (
 	"container/list"
 	"sync"
-
-	"stagedweb/internal/metrics"
+	"sync/atomic"
 )
 
 // stmtCacheSize bounds the per-DB prepared-statement cache. TPC-W
@@ -23,8 +22,8 @@ type stmtCache struct {
 	m     map[string]*list.Element
 	order *list.List // front = most recently used
 
-	hits   metrics.Counter
-	misses metrics.Counter
+	hits   atomic.Int64
+	misses atomic.Int64
 }
 
 type stmtCacheEntry struct {
@@ -49,17 +48,17 @@ func (c *stmtCache) get(sql string, epoch int64) (stmt, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.m[sql]
 	if !ok {
-		c.misses.Inc()
+		c.misses.Add(1)
 		return nil, false
 	}
 	ent := el.Value.(*stmtCacheEntry)
 	if ent.epoch != epoch {
 		c.order.Remove(el)
 		delete(c.m, sql)
-		c.misses.Inc()
+		c.misses.Add(1)
 		return nil, false
 	}
-	c.hits.Inc()
+	c.hits.Add(1)
 	c.order.MoveToFront(el)
 	return ent.s, true
 }

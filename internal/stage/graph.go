@@ -19,10 +19,9 @@ type Member interface {
 // request flow order: Stop drains front to back, so every upstream stage
 // finishes (and stops producing) before its downstream stages close.
 type Graph struct {
-	mu      sync.Mutex
-	stages  []Member
-	started bool
-	stopped bool
+	mu       sync.Mutex
+	stages   []Member
+	stopOnce sync.Once
 }
 
 // NewGraph returns an empty graph.
@@ -30,14 +29,10 @@ func NewGraph() *Graph {
 	return &Graph{}
 }
 
-// Add appends stages in flow order. It panics on a duplicate name or
-// after Start.
+// Add appends stages in flow order. It panics on a duplicate name.
 func (g *Graph) Add(members ...Member) *Graph {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.started {
-		panic("stage: Add after Start")
-	}
 	for _, m := range members {
 		for _, have := range g.stages {
 			if have.Name() == m.Name() {
@@ -49,33 +44,20 @@ func (g *Graph) Add(members ...Member) *Graph {
 	return g
 }
 
-// Start fixes the topology: Add after Start panics, as does a second
-// Start. Stages take callers from New, so nothing is launched.
-func (g *Graph) Start() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.started {
-		panic("stage: graph started twice")
-	}
-	g.started = true
-}
-
 // Stop drains the graph in flow order: each stage refuses new callers
 // and waits for its slot holders and its line before the next stage is
 // stopped, so in-flight work completes its remaining downstream hops.
-// Idempotent.
+// Idempotent: a second call returns once the first has drained every
+// stage.
 func (g *Graph) Stop() {
-	g.mu.Lock()
-	if g.stopped {
+	g.stopOnce.Do(func() {
+		g.mu.Lock()
+		stages := g.stages
 		g.mu.Unlock()
-		return
-	}
-	g.stopped = true
-	stages := g.stages
-	g.mu.Unlock()
-	for _, m := range stages {
-		m.Stop()
-	}
+		for _, m := range stages {
+			m.Stop()
+		}
+	})
 }
 
 // Stats snapshots every stage in flow order.

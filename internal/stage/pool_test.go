@@ -103,20 +103,6 @@ func TestPoolStopDrainsQueue(t *testing.T) {
 	}
 }
 
-// A stage launches nothing on Start, so the lifecycle check lives on the
-// graph that starts and stops it.
-func TestPoolDoubleStartPanics(t *testing.T) {
-	g := stage.NewGraph().Add(stage.New(stage.Config[int]{Name: "test", Workers: 1}))
-	g.Start()
-	defer g.Stop()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double Start did not panic")
-		}
-	}()
-	g.Start()
-}
-
 func TestPoolInvalidConfigPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"zero size":     func() { stage.New(stage.Config[int]{Name: "x", Workers: 0}) },

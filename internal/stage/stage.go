@@ -12,7 +12,9 @@
 // the DSN'09 evaluation reads: line depth (Figures 7 and 8), busy/spare
 // slots (t_spare), completed, shed and lent slots. A Graph owns an ordered
 // set of stages, stops them in flow order, and exposes one uniform
-// stats snapshot for harnesses and operational tooling.
+// stats snapshot for harnesses and operational tooling. A Graph has no
+// Start: its stages take callers from New, and each server builds its
+// graph once, in its constructor.
 //
 // The paper's fixed five-pool topology (package core), the
 // thread-per-request baseline (package server) and the balancer's LB

@@ -664,7 +664,6 @@ func TestGraphLifecycleAndStats(t *testing.T) {
 	}})
 
 	g := NewGraph().Add(&stopNoter{Stage: a, note: noteStop}, &stopNoter{Stage: b, note: noteStop})
-	g.Start()
 	for i := 0; i < 50; i++ {
 		if err := a.Submit(i); err != nil {
 			t.Fatal(err)
@@ -702,18 +701,6 @@ func TestGraphValidation(t *testing.T) {
 		return New(Config[int]{Name: name, Workers: 1})
 	}
 	assertPanics(t, "duplicate name", func() { NewGraph().Add(mk("dup"), mk("dup")) })
-	assertPanics(t, "double start", func() {
-		g := NewGraph().Add(mk("s"))
-		g.Start()
-		defer g.Stop()
-		g.Start()
-	})
-	assertPanics(t, "add after start", func() {
-		g := NewGraph().Add(mk("s1"))
-		g.Start()
-		defer g.Stop()
-		g.Add(mk("s2"))
-	})
 }
 
 // stopNoter wraps a stage to record Stop order.

@@ -42,8 +42,8 @@ const (
 )
 
 // Env is everything a Profile needs to build a Generator: the fleet's
-// Config, whose EBs is the default for the "ebs" setting (100 when
-// zero), and the profile's settings.
+// Config, whose EBs is the closed-loop profiles' base population (100
+// when zero), and the profile's settings.
 type Env struct {
 	Config
 	// Set holds explicit profile settings (CLI -load-set key=value,
@@ -52,11 +52,10 @@ type Env struct {
 	Set variant.Settings
 }
 
-// defaultEBs is the base population when neither the settings nor
-// Config.EBs name one.
+// defaultEBs is the base population when Config.EBs names none.
 const defaultEBs = 100
 
-// baseEBs is the default of the "ebs" setting.
+// baseEBs is the base population of the steady and spike profiles.
 func (e Env) baseEBs() int {
 	if e.EBs > 0 {
 		return e.EBs
@@ -97,38 +96,31 @@ func scheduled(env Env, ebs int, schedule func(time.Duration) int) (*Generator, 
 	return g, nil
 }
 
-// buildSteady constructs the fixed closed-loop fleet (current paper
-// behavior).
+// buildSteady constructs the fixed closed-loop fleet of Config.EBs
+// browsers (current paper behavior).
 //
-// Settings: ebs (population).
+// Settings: none.
 func buildSteady(env Env) (*Generator, error) {
-	d := variant.NewSettingsDecoder(env.Set, nil)
-	ebs := d.Int("ebs", env.baseEBs())
-	if err := d.Finish(); err != nil {
+	if err := variant.NewSettingsDecoder(env.Set, nil).Finish(); err != nil {
 		return nil, fmt.Errorf("%s: %w", Steady, err)
 	}
-	if ebs <= 0 {
-		return nil, fmt.Errorf("%s: ebs must be positive", Steady)
-	}
-	return scheduled(env, ebs, nil)
+	return scheduled(env, env.baseEBs(), nil)
 }
 
-// buildSpike constructs a flash crowd.
+// buildSpike constructs a flash crowd over a base population of
+// Config.EBs browsers.
 //
-// Settings: ebs (base population), burst (extra EBs during the burst,
-// default 2×ebs), at (burst start in paper time since load start,
-// default 1m), width (burst duration, default 30s).
+// Settings: burst (extra EBs during the burst, default twice the base),
+// at (burst start in paper time since load start, default 1m), width
+// (burst duration, default 30s).
 func buildSpike(env Env) (*Generator, error) {
+	base := env.baseEBs()
 	d := variant.NewSettingsDecoder(env.Set, nil)
-	base := d.Int("ebs", env.baseEBs())
 	burst := d.Int("burst", 2*base)
 	at := d.Duration("at", time.Minute)
 	width := d.Duration("width", 30*time.Second)
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("%s: %w", Spike, err)
-	}
-	if base <= 0 {
-		return nil, fmt.Errorf("%s: ebs must be positive", Spike)
 	}
 	if burst < 0 || width <= 0 {
 		return nil, fmt.Errorf("%s: burst must be >= 0 and width positive", Spike)

@@ -134,11 +134,12 @@ func TestScheduleFollowsInjectedManualClock(t *testing.T) {
 			// Nothing listens here: EBs fail their dial instantly and park
 			// in think() — on the same manual clock.
 			Addr:  "127.0.0.1:1",
+			EBs:   2,
 			Scale: clock.RealTime,
 			Seed:  1,
 			Clock: mc,
 		},
-		Set: variant.Settings{"ebs": "2", "burst": "3", "at": "3s", "width": "1h"},
+		Set: variant.Settings{"burst": "3", "at": "3s", "width": "1h"},
 	}
 	g := build(t, Spike, env)
 	g.Start()
@@ -176,13 +177,14 @@ func TestSpikeDriverEndToEnd(t *testing.T) {
 	d, err := p.Build(Env{
 		Config: Config{
 			Addr:      addr,
+			EBs:       3,
 			Scale:     clock.Timescale(1000),
 			Customers: counts.Customers,
 			Items:     counts.Items,
 			Seed:      5,
 		},
 		Set: variant.Settings{
-			"ebs": "3", "burst": "7", "at": "2s", "width": "1h",
+			"burst": "7", "at": "2s", "width": "1h",
 		},
 	})
 	if err != nil {

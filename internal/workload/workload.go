@@ -38,7 +38,8 @@ type Config struct {
 	// EBs is the initial closed-loop population (the paper uses 400).
 	// Zero starts an empty fleet — open-loop profiles add sessions via
 	// SpawnSession; SetTarget adjusts the population later either way.
-	// In a profile's Env it is the default of the "ebs" setting.
+	// In a profile's Env it is the steady and spike profiles' base
+	// population, 100 when zero.
 	EBs int
 	// Mix is the page distribution; nil selects the browsing mix.
 	Mix *tpcw.Mix
